@@ -25,17 +25,24 @@ from blsces.errors import (
     DuplicateMessageError,
     EncodingError,
     HashToCurveFailure,
+    InvalidPublicKeyError,
     ValidationError,
 )
 from blsces.groups import (
     BN254,
+    G1_IDENTITY,
+    G2_GEN,
     CurveProfile,
     G1Point,
     G2Point,
+    check_g1,
+    g1_add,
     g1_compress,
     g1_decompress,
+    pairing_product_is_one,
+    points,
 )
-from blsces.groups.backend import DEFAULT_BACKEND, PairingBackend
+from blsces.groups.params import R
 
 COUNTER_BOUND = 256  # counter fits one byte; miss probability ~ 2^-256 per message
 
@@ -73,16 +80,15 @@ class HashToG1Result:
     x: int
 
 
-def keygen(rng=None, backend: PairingBackend = DEFAULT_BACKEND) -> KeyPair:
+def keygen(rng=None) -> KeyPair:
     """Sample a keypair.  ``rng`` needs ``randrange``; defaults to the OS CSPRNG.
 
     A seeded random.Random gives reproducible keys for test vectors.
     """
     if rng is None:
         rng = secrets.SystemRandom()
-    r = backend.params.r
-    sk = rng.randrange(1, r)
-    return KeyPair(sk=sk, pk=backend.g2_mul(backend.g2_generator(), sk))
+    sk = rng.randrange(1, R)
+    return KeyPair(sk=sk, pk=points.g2_mul(G2_GEN, sk))
 
 
 def hash_candidate(msg: bytes, counter: int, profile: CurveProfile = BN254) -> tuple[int, int, int]:
@@ -131,51 +137,43 @@ def hash_to_g1(msg: bytes, profile: CurveProfile = BN254) -> HashToG1Result:
     return _hash_to_g1_cached(bytes(msg), profile.name)
 
 
-def sign(sk: int, msg: bytes, backend: PairingBackend = DEFAULT_BACKEND) -> Signature:
+def sign(sk: int, msg: bytes) -> Signature:
     """Deterministic BLS signature: compress(sk * H(msg))."""
-    h = hash_to_g1(msg, backend.profile)
-    return sign_hashed(sk, h, backend)
+    return sign_hashed(sk, hash_to_g1(msg))
 
 
-def sign_hashed(sk: int, h: HashToG1Result, backend: PairingBackend = DEFAULT_BACKEND) -> Signature:
-    if not 0 < sk < backend.params.r:
+def sign_hashed(sk: int, h: HashToG1Result) -> Signature:
+    if not 0 < sk < R:
         raise ValidationError("signing key out of range")
-    return Signature(g1_compress(backend.g1_mul(h.point, sk)))
+    return Signature(g1_compress(points.g1_mul(check_g1(h.point), sk)))
 
 
-def decode_signature(sig: Signature, backend: PairingBackend = DEFAULT_BACKEND) -> G1Point:
+def decode_signature(sig: Signature) -> G1Point:
     """Decode signature bytes to a point; raises EncodingError when malformed."""
     return g1_decompress(sig.data)
 
 
-def verify(pk: G2Point, msg: bytes, sig: Signature, backend: PairingBackend = DEFAULT_BACKEND) -> bool:
+def verify(pk: G2Point, msg: bytes, sig: Signature) -> bool:
     """Pairing check e(H(msg), pk) == e(sig, g2).
 
-    Malformed signature bytes raise EncodingError so callers can tell a
-    parse failure apart from a cryptographic reject.  The public key is
-    validated (curve equation and subgroup) on its first use; validation
-    results ride along with the cached pairing precomputation.
+    Raises like ``verify_aggregate_points``: EncodingError for malformed
+    signature bytes, InvalidPublicKeyError for the identity key.  The
+    public key is validated (curve equation and subgroup) on its first
+    use; validation results ride along with the cached pairing
+    precomputation.
     """
-    point = decode_signature(sig, backend)
-    h = hash_to_g1(msg, backend.profile)
-    return backend.pairing_product_is_one(
-        [(h.point, pk), (-point, backend.g2_generator())]
-    )
+    return verify_aggregate_points([pk], [hash_to_g1(msg).point], sig)
 
 
-def aggregate(sigs: Sequence[Signature], backend: PairingBackend = DEFAULT_BACKEND) -> Signature:
+def aggregate(sigs: Sequence[Signature]) -> Signature:
     """Sum the signature points; the empty aggregate is the identity encoding."""
-    total = None
+    total = G1_IDENTITY
     for idx, sig in enumerate(sigs):
         try:
-            point = decode_signature(sig, backend)
+            point = decode_signature(sig)
         except EncodingError as exc:
             raise EncodingError(f"signature {idx} malformed: {exc}") from exc
-        total = point if total is None else backend.g1_add(total, point)
-    if total is None:
-        from blsces.groups.points import G1_IDENTITY
-
-        total = G1_IDENTITY
+        total = g1_add(total, point)
     return Signature(g1_compress(total))
 
 
@@ -183,26 +181,29 @@ def verify_aggregate_points(
     pks: Sequence[G2Point],
     points: Sequence[G1Point],
     agg: Signature,
-    backend: PairingBackend = DEFAULT_BACKEND,
 ) -> bool:
     """Pairing-product check over already-hashed message points.
 
-    Malformed aggregate bytes raise EncodingError, mirroring ``verify``,
-    so callers can report parse failures distinctly from rejects.
+    Malformed aggregate bytes raise EncodingError and an identity public
+    key raises InvalidPublicKeyError, so callers can report both apart
+    from a cryptographic reject.  The identity key must never reach the
+    pairing: e(H, identity) is 1 for every H, so the identity aggregate
+    would verify any message.
     """
     if len(pks) != len(points) or not pks:
         raise ValidationError("need equally many public keys and points, at least one")
-    agg_point = decode_signature(agg, backend)
-    pairs = [(pt, pk) for pt, pk in zip(points, pks)]
-    pairs.append((-agg_point, backend.g2_generator()))
-    return backend.pairing_product_is_one(pairs)
+    if any(pk.is_identity() for pk in pks):
+        raise InvalidPublicKeyError("public key is the G2 identity")
+    agg_point = decode_signature(agg)
+    pairs = list(zip(points, pks))
+    pairs.append((-agg_point, G2_GEN))
+    return pairing_product_is_one(pairs)
 
 
 def verify_aggregate(
     pks: Sequence[G2Point],
     msgs: Sequence[bytes],
     agg: Signature,
-    backend: PairingBackend = DEFAULT_BACKEND,
 ) -> bool:
     """Verify prod e(H(m_i), pk_i) == e(agg, g2).
 
@@ -215,5 +216,4 @@ def verify_aggregate(
         raise ValidationError("empty aggregate verification")
     if len(set(msgs)) != len(msgs):
         raise DuplicateMessageError("aggregate verification with repeated message")
-    points = [hash_to_g1(m, backend.profile).point for m in msgs]
-    return verify_aggregate_points(pks, points, agg, backend)
+    return verify_aggregate_points(pks, [hash_to_g1(m).point for m in msgs], agg)

@@ -28,9 +28,8 @@ from blsces.credential import (
     clear_indices,
     encode_claim_message,
 )
-from blsces.errors import EncodingError, ValidationError
+from blsces.errors import EncodingError, InvalidPublicKeyError, ValidationError
 from blsces.groups import G2Point
-from blsces.groups.backend import DEFAULT_BACKEND, PairingBackend
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,7 @@ class VerifyResult:
         return self.accept
 
 
-def ces_sign(
-    sk: int,
-    cred: Credential,
-    ceas: CEAS,
-    backend: PairingBackend = DEFAULT_BACKEND,
-) -> SignedCredential:
+def ces_sign(sk: int, cred: Credential, ceas: CEAS) -> SignedCredential:
     """Sign every claim of a fully visible credential under the policy."""
     if not cred.all_visible:
         raise ValidationError("issuance requires every claim visible")
@@ -88,8 +82,8 @@ def ces_sign(
     counters = []
     for i, claim in enumerate(cred.claims):
         msg = encode_claim_message(ceas, n, i, claim)
-        h = bls.hash_to_g1(msg, backend.profile)
-        sigs.append(bls.sign_hashed(sk, h, backend))
+        h = bls.hash_to_g1(msg)
+        sigs.append(bls.sign_hashed(sk, h))
         counters.append(h.counter)
     return SignedCredential(cred=cred, ceas=ceas, sigs=tuple(sigs), counters=tuple(counters))
 
@@ -109,7 +103,6 @@ def ces_extract(
     x: ExtractionSet,
     reextractable: bool = False,
     blind_properties: bool = False,
-    backend: PairingBackend = DEFAULT_BACKEND,
 ) -> ExtractedPresentation:
     """Derive a presentation disclosing exactly the claims indexed by ``x``.
 
@@ -140,7 +133,7 @@ def ces_extract(
             raise ValidationError(f"claim {i} is already hidden in the source")
 
     sub = _blind_outside(cred, x, blind_properties)
-    sigma = bls.aggregate([sig_at[i] for i in x.sorted()], backend)
+    sigma = bls.aggregate([sig_at[i] for i in x.sorted()])
     return ExtractedPresentation(
         sub_cred=sub,
         ceas=source.ceas,
@@ -150,11 +143,7 @@ def ces_extract(
     )
 
 
-def ces_verify(
-    pk: G2Point,
-    pres: ExtractedPresentation,
-    backend: PairingBackend = DEFAULT_BACKEND,
-) -> VerifyResult:
+def ces_verify(pk: G2Point, pres: ExtractedPresentation) -> VerifyResult:
     """Verify a presentation against the issuer public key.
 
     Hostile input is tolerated: every failure maps to a reject with a
@@ -177,14 +166,16 @@ def ces_verify(
         claim = pres.sub_cred[i]
         msg = encode_claim_message(pres.ceas, n, i, claim)
         try:
-            h = bls.hash_to_g1_at(msg, pres.counters[i], backend.profile)
+            h = bls.hash_to_g1_at(msg, pres.counters[i])
         except ValidationError:
             h = None
         if h is None:
             return VerifyResult(False, "bad_counter")
         points.append(h.point)
     try:
-        ok = bls.verify_aggregate_points([pk] * len(points), points, pres.sigma, backend)
+        ok = bls.verify_aggregate_points([pk] * len(points), points, pres.sigma)
+    except InvalidPublicKeyError:
+        return VerifyResult(False, "invalid_public_key")
     except (EncodingError, ValidationError):
         return VerifyResult(False, "malformed_signature")
     if not ok:

@@ -5,8 +5,8 @@ input, 3 I/O error.  Every command prints one JSON diagnostic object on
 stdout.  Outputs contain no timestamps or hidden randomness, so runs
 with the same inputs (and, for keygen, the same seed) are byte-stable.
 
-The prover backend is selected with --backend or the BLSCES_BACKEND
-environment variable; only the transparent backend ships.  The --toy
+Proofs use the transparent prover backend, the only one there is;
+zk-verify rejects a bundle that names another as malformed.  The --toy
 flag switches the curve profile for gen-vectors and self-test only;
 real keys and pairings exist only on the production curve.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -25,9 +24,10 @@ from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import BlscesError, EncodingError, StatementError, ValidationError
 from blsces.groups.params import BN254, TOY
 from blsces.zk import (
+    BackendParams,
     EqualsPredicate,
     RangePredicate,
-    get_backend,
+    TRANSPARENT_BACKEND,
     prove_extraction,
     zk_verify,
 )
@@ -135,27 +135,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result else EXIT_REJECT
 
 
-def cmd_prove(args, backend_name: str) -> int:
+def cmd_prove(args) -> int:
     sc = formats.signed_from_json(_read_json(args.signed))
     x = _parse_indices(args.indices, len(sc.cred))
     predicate = _parse_predicate(args.predicate)
-    backend = get_backend(backend_name)
-    params = backend.setup()
-    proof, inputs = prove_extraction(
-        params, sc.cred, sc.ceas, x, predicate=predicate, prover_backend=backend
-    )
-    _write_text(args.out, formats.dumps(formats.proof_bundle_to_json(proof, inputs, backend.name)))
+    proof, inputs = prove_extraction(BackendParams(), sc.cred, sc.ceas, x, predicate=predicate)
+    _write_text(args.out, formats.dumps(formats.proof_bundle_to_json(proof, inputs, TRANSPARENT_BACKEND.name)))
     _emit({"ok": True, "bundle": args.out, "disclosed": x.sorted()})
     return EXIT_OK
 
 
-def cmd_zk_verify(args, backend_name: str | None) -> int:
+def cmd_zk_verify(args) -> int:
     pk = formats.public_key_from_json(_read_json(args.pubkey))
     pres = formats.presentation_from_json(_read_json(args.presentation))
     proof, inputs, bundle_backend = formats.proof_bundle_from_json(_read_json(args.bundle))
-    # an explicit selection (flag or env) wins; otherwise follow the bundle
-    backend = get_backend(backend_name or bundle_backend)
-    result = zk_verify(backend.setup(), pk, pres.sigma, proof, inputs, prover_backend=backend)
+    if bundle_backend != TRANSPARENT_BACKEND.name:
+        raise EncodingError(f"unknown prover backend {bundle_backend!r}")
+    result = zk_verify(BackendParams(), pk, pres.sigma, proof, inputs)
     _emit(
         {
             "ok": result.accept,
@@ -235,11 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="blsces",
         description="Selective-disclosure credentials from aggregatable BLS signatures.",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="prover backend (default: BLSCES_BACKEND env var or 'transparent')",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate an issuer keypair")
@@ -288,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend_name = args.backend or os.environ.get("BLSCES_BACKEND")
     try:
         if args.command == "keygen":
             return cmd_keygen(args)
@@ -299,9 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "prove":
-            return cmd_prove(args, backend_name or "transparent")
+            return cmd_prove(args)
         if args.command == "zk-verify":
-            return cmd_zk_verify(args, backend_name)
+            return cmd_zk_verify(args)
         if args.command == "gen-vectors":
             return cmd_gen_vectors(args)
         if args.command == "self-test":

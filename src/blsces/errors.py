@@ -22,6 +22,11 @@ class OffCurveError(ValidationError):
     """A point failed its curve-equation or subgroup check."""
 
 
+class InvalidPublicKeyError(ValidationError):
+    """A public key that parses but cannot be verified against: the G2
+    identity pairs trivially with every message."""
+
+
 class HashToCurveFailure(BlscesError):
     """Try-and-increment exhausted its counter bound."""
 

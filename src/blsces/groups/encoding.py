@@ -18,7 +18,7 @@ y = (-1)^sign * sqrt(x^3 + b) via y = p - y0 when the bit is set.
 
 from __future__ import annotations
 
-from blsces.errors import EncodingError
+from blsces.errors import EncodingError, OffCurveError
 from blsces.groups.params import BN254, FIELD_BYTES, CurveProfile
 from blsces.groups.points import G1Point, G2Point, G1_IDENTITY, G2_IDENTITY, check_g2
 
@@ -60,7 +60,7 @@ def decompress_x(x: int, sign_bit: int, profile: CurveProfile = BN254) -> tuple[
     return (x, y)
 
 
-def g1_compress(pt: G1Point, profile: CurveProfile = BN254) -> bytes:
+def g1_compress(pt: G1Point) -> bytes:
     if pt.infinity:
         return G1_IDENTITY_BYTES
     data = bytearray(pt.x.to_bytes(FIELD_BYTES, "big"))
@@ -69,7 +69,7 @@ def g1_compress(pt: G1Point, profile: CurveProfile = BN254) -> bytes:
     return bytes(data)
 
 
-def g1_decompress(data: bytes, profile: CurveProfile = BN254) -> G1Point:
+def g1_decompress(data: bytes) -> G1Point:
     if len(data) != FIELD_BYTES:
         raise EncodingError(f"compressed G1 must be {FIELD_BYTES} bytes")
     head = data[0]
@@ -79,7 +79,7 @@ def g1_decompress(data: bytes, profile: CurveProfile = BN254) -> G1Point:
         return G1_IDENTITY
     sign = 1 if head & _SIGN_BIT else 0
     x = int.from_bytes(bytes([head & 0x3F]) + data[1:], "big")
-    return G1Point(*decompress_x(x, sign, profile))
+    return G1Point(*decompress_x(x, sign))
 
 
 def g2_to_bytes(pt: G2Point) -> bytes:
@@ -89,7 +89,7 @@ def g2_to_bytes(pt: G2Point) -> bytes:
     return b"".join(c.to_bytes(FIELD_BYTES, "big") for c in (x0, x1, y0, y1))
 
 
-def g2_from_bytes(data: bytes, subgroup_check: bool = True) -> G2Point:
+def g2_from_bytes(data: bytes) -> G2Point:
     if len(data) != 4 * FIELD_BYTES:
         raise EncodingError(f"G2 encoding must be {4 * FIELD_BYTES} bytes")
     if data == bytes(4 * FIELD_BYTES):
@@ -97,7 +97,7 @@ def g2_from_bytes(data: bytes, subgroup_check: bool = True) -> G2Point:
     c = [fp_from_bytes(data[i * FIELD_BYTES:(i + 1) * FIELD_BYTES], BN254.p) for i in range(4)]
     pt = G2Point((c[0], c[1]), (c[2], c[3]))
     try:
-        check_g2(pt, subgroup=subgroup_check)
-    except Exception as exc:
+        check_g2(pt)
+    except OffCurveError as exc:
         raise EncodingError(f"invalid G2 point: {exc}") from exc
     return pt

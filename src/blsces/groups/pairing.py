@@ -190,39 +190,29 @@ def _final_exponentiation(f):
     return fp12_mul(t0, t1)
 
 
-def pairing(pt: G1Point, q: G2Point, validate: bool = True) -> GtElement:
+def pairing(pt: G1Point, q: G2Point) -> GtElement:
     """Reduced ate pairing e(P, Q); identity inputs map to the GT identity."""
-    if validate:
-        check_g1(pt)
-    if pt.infinity or q.infinity:
-        if validate and not q.infinity:
-            check_g2(q)
-        return GT_IDENTITY
-    # precompute_g2 validates q (cached along with the line data)
-    return GtElement(_final_exponentiation(_miller(precompute_g2(q), pt)))
+    return pairing_product([(pt, q)])
 
 
-def pairing_product(pairs, validate: bool = True) -> GtElement:
-    """Compute prod e(P_i, Q_i) with a single final exponentiation.
+def pairing_product(pairs) -> GtElement:
+    """Compute prod e(P_i, Q_i) over (G1Point, G2Point) tuples with a
+    single final exponentiation.
 
-    ``pairs`` holds (G1Point, G2Point) tuples; a G2Precomp may be passed
-    in place of the G2 point when the caller has one.
+    Every G1 point is checked against the curve equation; every non-identity
+    G2 point is validated on its first use, cached with its line data.
     """
     f = FP12_ONE
     for pt, q in pairs:
-        if validate:
-            check_g1(pt)
-        if isinstance(q, G2Precomp):
-            pre = q
-        elif q.infinity:
+        check_g1(pt)
+        if q.infinity:
             continue
-        else:
-            pre = precompute_g2(q)
+        pre = precompute_g2(q)
         if pt.infinity:
             continue
         f = fp12_mul(f, _miller(pre, pt))
     return GtElement(_final_exponentiation(f))
 
 
-def pairing_product_is_one(pairs, validate: bool = True) -> bool:
-    return pairing_product(pairs, validate=validate).is_identity()
+def pairing_product_is_one(pairs) -> bool:
+    return pairing_product(pairs).is_identity()

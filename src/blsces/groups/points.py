@@ -90,12 +90,12 @@ def check_g1(pt: G1Point) -> G1Point:
     return pt
 
 
-def check_g2(pt: G2Point, subgroup: bool = True) -> G2Point:
+def check_g2(pt: G2Point) -> G2Point:
     """Validate a G2 point; the twist has a cofactor, so membership in the
     order-r subgroup is a real check, done by scalar multiplication."""
     if not g2_on_curve(pt):
         raise OffCurveError("G2 point fails twist curve equation")
-    if subgroup and not pt.infinity and not g2_mul(pt, R).is_identity():
+    if not pt.infinity and not g2_mul(pt, R).is_identity():
         raise OffCurveError("G2 point outside the order-r subgroup")
     return pt
 

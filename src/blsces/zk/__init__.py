@@ -1,14 +1,11 @@
 """Constraint-system proof path for hash-to-curve and claim predicates."""
 
 from blsces.zk.backend import (
-    BACKENDS,
     BackendParams,
     BackendVerdict,
     Proof,
-    ProverBackend,
     TRANSPARENT_BACKEND,
     TransparentBackend,
-    get_backend,
 )
 from blsces.zk.predicates import CustomPredicate, EqualsPredicate, RangePredicate, predicate_from_descriptor
 from blsces.zk.protocol import ZkSetup, ZkVerifyResult, prove_extraction, zk_setup, zk_verify
@@ -17,7 +14,6 @@ from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, 
 from blsces.zk.witness import HashToCurveWitness, compute_residuosity_chain, hash_to_curve_witness
 
 __all__ = [
-    "BACKENDS",
     "BackendParams",
     "BackendVerdict",
     "Builder",
@@ -26,7 +22,6 @@ __all__ = [
     "EqualsPredicate",
     "HashToCurveWitness",
     "Proof",
-    "ProverBackend",
     "PublicInputs",
     "RangePredicate",
     "StatementLayout",
@@ -37,7 +32,6 @@ __all__ = [
     "ZkVerifyResult",
     "build_statement",
     "compute_residuosity_chain",
-    "get_backend",
     "hash_to_curve_witness",
     "predicate_from_descriptor",
     "prove_extraction",

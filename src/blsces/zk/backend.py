@@ -1,19 +1,17 @@
-"""Prover backends behind a setup/prove/verify interface.
+"""The transparent prover backend.
 
-A succinct proof system is explicitly out of scope; what ships is a
-transparent backend whose "proof" is the full witness assignment plus
-the statement layout.  Its verify rebuilds the constraint system from
-the layout, pins the public variables to the supplied public inputs,
-and re-evaluates every constraint.  It offers no hiding against the
-verifier and no succinctness; it exists so the statement logic is
-testable end to end, and so a real backend can slot in later.
+A succinct proof system is explicitly out of scope; the "proof" here is
+the full witness assignment plus the statement layout.  Verify rebuilds
+the constraint system from the layout, pins the public variables to the
+supplied public inputs, and re-evaluates every constraint.  It offers no
+hiding against the verifier and no succinctness; it exists so the
+statement logic is testable end to end.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from blsces.errors import EncodingError, StatementError
@@ -45,24 +43,8 @@ class BackendVerdict:
         return self.ok
 
 
-class ProverBackend(ABC):
-    name: str
-
-    @abstractmethod
-    def setup(self, security_param: int = 128) -> BackendParams: ...
-
-    @abstractmethod
-    def prove(self, params: BackendParams, statement: SynthesisResult) -> Proof: ...
-
-    @abstractmethod
-    def verify(self, params: BackendParams, proof: Proof, inputs: PublicInputs) -> BackendVerdict: ...
-
-
-class TransparentBackend(ProverBackend):
+class TransparentBackend:
     name = "transparent"
-
-    def setup(self, security_param: int = 128) -> BackendParams:
-        return BackendParams(backend=self.name)
 
     def prove(self, params: BackendParams, statement: SynthesisResult) -> Proof:
         if statement.values is None:
@@ -103,9 +85,7 @@ class TransparentBackend(ProverBackend):
         try:
             expected_public = public_assignment(layout, inputs)
             shape = synthesize(layout, witness=None)
-        except (StatementError, EncodingError, Exception) as exc:
-            if not isinstance(exc, (StatementError, EncodingError)):
-                raise
+        except (StatementError, EncodingError):
             return BackendVerdict(False, "statement_rebuild_failed")
         cs = shape.cs
         if len(values) != cs.num_vars or values[0] != 1:
@@ -118,12 +98,3 @@ class TransparentBackend(ProverBackend):
 
 
 TRANSPARENT_BACKEND = TransparentBackend()
-
-BACKENDS = {TransparentBackend.name: TRANSPARENT_BACKEND}
-
-
-def get_backend(name: str) -> ProverBackend:
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise StatementError(f"unknown prover backend {name!r}") from None

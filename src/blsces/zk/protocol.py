@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 from blsces import bls
 from blsces.credential import CEAS, Credential, ExtractionSet, ceas_contains
-from blsces.errors import EncodingError, ValidationError
+from blsces.errors import EncodingError, InvalidPublicKeyError, ValidationError
 from blsces.groups import G1Point, G2Point, decompress_x
-from blsces.groups.backend import DEFAULT_BACKEND, PairingBackend
-from blsces.groups.params import BN254
-from blsces.zk.backend import BackendParams, Proof, ProverBackend, TRANSPARENT_BACKEND
+from blsces.zk.backend import BackendParams, Proof, TRANSPARENT_BACKEND
 from blsces.zk.statement import PublicInputs, build_statement
 from blsces.zk.witness import hash_to_curve_witness
 
@@ -46,18 +44,9 @@ class ZkVerifyResult:
         return self.accept
 
 
-def zk_setup(
-    security_param: int = 128,
-    rng=None,
-    prover_backend: ProverBackend = TRANSPARENT_BACKEND,
-    pairing_backend: PairingBackend = DEFAULT_BACKEND,
-) -> ZkSetup:
-    """Issuer keypair plus prover-backend parameters (empty for the
-    transparent backend)."""
-    return ZkSetup(
-        keypair=bls.keygen(rng, pairing_backend),
-        backend_params=prover_backend.setup(security_param),
-    )
+def zk_setup(rng=None) -> ZkSetup:
+    """Issuer keypair plus the (empty) transparent-backend parameters."""
+    return ZkSetup(keypair=bls.keygen(rng), backend_params=BackendParams())
 
 
 def prove_extraction(
@@ -66,8 +55,6 @@ def prove_extraction(
     ceas: CEAS,
     x: ExtractionSet,
     predicate=None,
-    prover_backend: ProverBackend = TRANSPARENT_BACKEND,
-    profile=BN254,
 ) -> tuple[Proof, PublicInputs]:
     """Generate hash witnesses for every disclosed claim and prove the
     statement.  Requires x to be allowed by the policy and the claims at
@@ -79,7 +66,7 @@ def prove_extraction(
     publics_x = []
     publics_sign = []
     for i in idxs:
-        (xi, sign), wit = hash_to_curve_witness(i, cred[i], len(cred), ceas, profile)
+        (xi, sign), wit = hash_to_curve_witness(i, cred[i], len(cred), ceas)
         witnesses[i] = wit
         publics_x.append(xi)
         publics_sign.append(sign)
@@ -89,8 +76,8 @@ def prove_extraction(
         ceas_bytes=ceas.to_bytes(),
         extraction=idxs,
     )
-    statement = build_statement(cred, ceas, witnesses, idxs, predicate=predicate, profile_name=profile.name)
-    proof = prover_backend.prove(backend_params, statement)
+    statement = build_statement(cred, ceas, witnesses, idxs, predicate=predicate)
+    proof = TRANSPARENT_BACKEND.prove(backend_params, statement)
     return proof, inputs
 
 
@@ -100,8 +87,6 @@ def zk_verify(
     ext_sig: bls.Signature,
     proof: Proof,
     inputs: PublicInputs,
-    prover_backend: ProverBackend = TRANSPARENT_BACKEND,
-    pairing_backend: PairingBackend = DEFAULT_BACKEND,
 ) -> ZkVerifyResult:
     """Check policy membership, the pairing equation over decompressed
     points, and the backend proof; accept only if all three hold."""
@@ -122,21 +107,23 @@ def zk_verify(
     points = None
     try:
         points = [
-            G1Point(*decompress_x(xi, sign, pairing_backend.profile))
+            G1Point(*decompress_x(xi, sign))
             for xi, sign in zip(inputs.x_coords, inputs.sign_bits)
         ]
     except EncodingError:
         b2_code = "decompress_failed"
     if points is not None:
         try:
-            b2 = bls.verify_aggregate_points([pk] * len(points), points, ext_sig, pairing_backend)
+            b2 = bls.verify_aggregate_points([pk] * len(points), points, ext_sig)
+        except InvalidPublicKeyError:
+            b2_code = "invalid_public_key"
         except EncodingError:
             b2_code = "malformed_signature"
         except ValidationError:
             b2_code = "malformed_inputs"
 
     # b3: backend proof verification.
-    verdict = prover_backend.verify(backend_params, proof, inputs)
+    verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs)
     b3 = bool(verdict)
 
     accept = b1 and b2 and b3

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blsces import bls
-from blsces.errors import DuplicateMessageError, EncodingError, ValidationError
-from blsces.groups import G1_IDENTITY_BYTES, g1_add, g1_decompress, g2_mul, g2_to_bytes, G2_GEN
+from blsces.errors import DuplicateMessageError, EncodingError, InvalidPublicKeyError, ValidationError
+from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g1_add, g1_decompress, g2_mul, g2_to_bytes, G2_GEN
 from blsces.groups.params import R, TOY
 
 VECTORS = json.loads((pathlib.Path(__file__).parent / "vectors" / "golden.json").read_text())
@@ -135,6 +135,16 @@ def test_verify_rejects_wrong_key(issuer):
 def test_verify_malformed_signature_distinct_error(issuer):
     with pytest.raises(EncodingError):
         bls.verify(issuer.pk, b"m", bls.Signature(bytes(32)))
+
+
+def test_verify_rejects_identity_key(issuer):
+    # e(H, identity) is 1 for every H, so the identity aggregate would
+    # "verify" any message under the identity key.
+    identity_sig = bls.Signature(G1_IDENTITY_BYTES)
+    with pytest.raises(InvalidPublicKeyError):
+        bls.verify(G2_IDENTITY, b"any message", identity_sig)
+    with pytest.raises(InvalidPublicKeyError):
+        bls.verify_aggregate([issuer.pk, G2_IDENTITY], [b"m0", b"m1"], bls.sign(issuer.sk, b"m0"))
 
 
 def test_forgery_rejected_sampled(issuer):

@@ -20,7 +20,7 @@ from blsces.credential import (
     is_sub_credential,
 )
 from blsces.errors import ValidationError
-from blsces.groups import g1_add, g1_decompress
+from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g1_add, g1_decompress
 
 rng = random.Random(77)
 
@@ -219,6 +219,14 @@ def test_verify_rejects_malformed_aggregate_bytes(issuer, signed4):
     # a well-formed but wrong point is a plain signature mismatch
     res = ces_verify(issuer.pk, replace(pres, sigma=bls.Signature(b"\x00" * 31 + b"\x07")))
     assert not res and res.code == "signature_mismatch"
+
+
+def test_verify_rejects_identity_key(signed4):
+    # The all-zero key file parses to the G2 identity; with the identity
+    # aggregate every disclosed claim set would pass the pairing check.
+    pres = replace(ces_extract(signed4, xset(0, 1)), sigma=bls.Signature(G1_IDENTITY_BYTES))
+    res = ces_verify(G2_IDENTITY, pres)
+    assert not res and res.code == "invalid_public_key"
 
 
 def test_verify_rejects_foreign_key(signed4):

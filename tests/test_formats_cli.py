@@ -12,6 +12,7 @@ from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError
+from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY
 
 rng = random.Random(88)
 
@@ -161,6 +162,19 @@ def test_cli_tampered_presentation_exit_1(cli_flow):
     assert code == 1 and diag["ok"] is False
 
 
+def test_cli_verify_rejects_identity_key(cli_flow):
+    # The all-zero key file is the G2 identity, under which the identity
+    # aggregate would verify any disclosed claims.
+    doc = formats.public_key_to_json(G2_IDENTITY)
+    assert doc["public_key"] == "00" * 128
+    (cli_flow / "zero_pk.json").write_text(formats.dumps(doc))
+    pres = json.loads((cli_flow / "pres.json").read_text())
+    pres["aggregate_signature"] = G1_IDENTITY_BYTES.hex()
+    (cli_flow / "identity_pres.json").write_text(formats.dumps(pres))
+    code, diag = run_cli("verify", "--pubkey", str(cli_flow / "zero_pk.json"), "--presentation", str(cli_flow / "identity_pres.json"))
+    assert code == 1 and diag == {"ok": False, "code": "invalid_public_key"}
+
+
 def test_cli_bad_index_exit_2(cli_flow):
     code, diag = run_cli("extract", "--signed", str(cli_flow / "signed.json"), "--indices", "5", "--out", str(cli_flow / "x.json"))
     assert code == 2 and "5" in diag["error"]
@@ -197,6 +211,16 @@ def test_cli_prove_and_zk_verify(cli_flow):
         "--presentation", str(cli_flow / "pres01.json"), "--bundle", str(cli_flow / "bundle.json"),
     )
     assert code == 1 and diag["pairing_ok"] is False
+
+    # a bundle naming a prover backend that does not exist is malformed
+    doc = json.loads((cli_flow / "bundle.json").read_text())
+    doc["backend"] = "groth16"
+    (cli_flow / "foreign.json").write_text(formats.dumps(doc))
+    code, diag = run_cli(
+        "zk-verify", "--pubkey", str(cli_flow / "pk.json"),
+        "--presentation", str(cli_flow / "pres.json"), "--bundle", str(cli_flow / "foreign.json"),
+    )
+    assert code == 2 and diag["kind"] == "malformed" and "groth16" in diag["error"]
 
 
 def test_cli_issue_with_separate_ceas_file(cli_flow, tmp_path):

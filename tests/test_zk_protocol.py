@@ -11,6 +11,7 @@ from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import StatementError, ValidationError
 from blsces.groups.params import TOY
 from blsces.zk import (
+    BackendParams,
     EqualsPredicate,
     Proof,
     RangePredicate,
@@ -143,7 +144,7 @@ def test_predicate_must_target_disclosed_claim():
 
 def test_backend_roundtrip_toy():
     res, wit = toy_statement("27")
-    params = TRANSPARENT_BACKEND.setup()
+    params = BackendParams()
     proof = TRANSPARENT_BACKEND.prove(params, res)
     inputs = PublicInputs(
         x_coords=(wit.x,),
@@ -159,7 +160,7 @@ def test_backend_roundtrip_toy():
 
 
 def test_backend_rejects_garbage():
-    params = TRANSPARENT_BACKEND.setup()
+    params = BackendParams()
     inputs = PublicInputs((1,), (0,), TOY_CEAS.to_bytes(), (0,))
     assert TRANSPARENT_BACKEND.verify(params, Proof(b"junk"), inputs).code == "malformed_proof"
 
@@ -253,6 +254,17 @@ def test_zk_malformed_ext_sig_distinct_code(zk_env):
     bad_sig = bls.Signature(b"\x40\x01" + b"\x00" * 30)
     r = zk_verify(setup.backend_params, setup.keypair.pk, bad_sig, proof, inputs)
     assert not r.accept and not r.pairing_ok and r.code == "malformed_signature"
+
+
+def test_zk_verify_rejects_identity_key(zk_env):
+    # An honest proof with the identity aggregate under the identity key
+    # must not pass the pairing conjunct.
+    _, _, _, _, _, proof, inputs = zk_env
+    from blsces import bls
+    from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY
+
+    r = zk_verify(BackendParams(), G2_IDENTITY, bls.Signature(G1_IDENTITY_BYTES), proof, inputs)
+    assert not r.accept and not r.pairing_ok and r.code == "invalid_public_key"
 
 
 def test_zk_bundle_extraction_mismatch_rejected(zk_env):
