@@ -13,7 +13,6 @@ import time
 from blsces import CEAS, Claim, Credential
 from blsces.groups.params import BN254, TOY
 from blsces.zk import build_statement, hash_to_curve_witness
-from blsces.zk.bigint_gadget import chain_mul_count
 
 
 def report(profile, n_claims: int, dump: int):
@@ -34,7 +33,6 @@ def report(profile, n_claims: int, dump: int):
     check_s = time.monotonic() - t0
     cs = res.cs
     print(f"profile={profile.name} claims={n_claims}")
-    print(f"  residue chain multiplications per claim: {chain_mul_count(profile.p)}")
     print(
         f"  constraints={len(cs)} (bool={len(cs.bools)} mul={len(cs.muls)} "
         f"lin={len(cs.lins)} r1={len(cs.r1s)}) vars={cs.num_vars} public={cs.num_public}"

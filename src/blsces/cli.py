@@ -27,7 +27,6 @@ from blsces.zk import (
     BackendParams,
     EqualsPredicate,
     RangePredicate,
-    TRANSPARENT_BACKEND,
     prove_extraction,
     zk_verify,
 )
@@ -140,7 +139,7 @@ def cmd_prove(args) -> int:
     x = _parse_indices(args.indices, len(sc.cred))
     predicate = _parse_predicate(args.predicate)
     proof, inputs = prove_extraction(BackendParams(), sc.cred, sc.ceas, x, predicate=predicate)
-    _write_text(args.out, formats.dumps(formats.proof_bundle_to_json(proof, inputs, TRANSPARENT_BACKEND.name)))
+    _write_text(args.out, formats.dumps(formats.proof_bundle_to_json(proof, inputs)))
     _emit({"ok": True, "bundle": args.out, "disclosed": x.sorted()})
     return EXIT_OK
 
@@ -148,9 +147,7 @@ def cmd_prove(args) -> int:
 def cmd_zk_verify(args) -> int:
     pk = formats.public_key_from_json(_read_json(args.pubkey))
     pres = formats.presentation_from_json(_read_json(args.presentation))
-    proof, inputs, bundle_backend = formats.proof_bundle_from_json(_read_json(args.bundle))
-    if bundle_backend != TRANSPARENT_BACKEND.name:
-        raise EncodingError(f"unknown prover backend {bundle_backend!r}")
+    proof, inputs = formats.proof_bundle_from_json(_read_json(args.bundle))
     result = zk_verify(BackendParams(), pk, pres.sigma, proof, inputs)
     _emit(
         {

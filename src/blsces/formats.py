@@ -19,7 +19,7 @@ from blsces.ces import ExtractedPresentation, SignedCredential
 from blsces.credential import BLINDED, CEAS, Claim, Credential
 from blsces.errors import EncodingError
 from blsces.groups import G2Point, g2_from_bytes, g2_to_bytes
-from blsces.zk.backend import Proof
+from blsces.zk.backend import TRANSPARENT_BACKEND, Proof
 from blsces.zk.statement import PublicInputs
 
 FORMAT_SECRET_KEY = "blsces-secret-key"
@@ -244,12 +244,12 @@ def presentation_from_json(data: dict) -> ExtractedPresentation:
 
 # -- proof bundles --------------------------------------------------------------
 
-def proof_bundle_to_json(proof: Proof, inputs: PublicInputs, backend: str) -> dict:
+def proof_bundle_to_json(proof: Proof, inputs: PublicInputs) -> dict:
     ceas = CEAS.from_bytes(inputs.ceas_bytes)
     return {
         "format": FORMAT_PROOF,
         "version": VERSION,
-        "backend": backend,
+        "backend": TRANSPARENT_BACKEND.name,
         "public_inputs": {
             "x": [f"{x:064x}" for x in inputs.x_coords],
             "sign_bits": list(inputs.sign_bits),
@@ -260,8 +260,12 @@ def proof_bundle_to_json(proof: Proof, inputs: PublicInputs, backend: str) -> di
     }
 
 
-def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs, str]:
+def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs]:
+    """Parse a proof bundle; a bundle naming any prover backend other
+    than the transparent one is malformed."""
     data = _expect(data, FORMAT_PROOF)
+    if data.get("backend") != TRANSPARENT_BACKEND.name:
+        raise EncodingError(f"unknown prover backend {data.get('backend')!r}")
     try:
         pub = data["public_inputs"]
         ceas = _ceas_from_json(pub["ceas"])
@@ -272,9 +276,6 @@ def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs, str]:
             extraction=tuple(int(i) for i in pub["extraction"]),
         )
         proof = Proof(base64.b64decode(data["proof"]))
-        backend = str(data["backend"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EncodingError(f"bad proof bundle: {exc}") from exc
     except Exception as exc:
         raise EncodingError(f"bad proof bundle: {exc}") from exc
-    return proof, inputs, backend
+    return proof, inputs

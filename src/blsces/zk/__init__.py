@@ -11,7 +11,7 @@ from blsces.zk.predicates import CustomPredicate, EqualsPredicate, RangePredicat
 from blsces.zk.protocol import ZkSetup, ZkVerifyResult, prove_extraction, zk_setup, zk_verify
 from blsces.zk.r1cs import Builder, ConstraintSystem
 from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, build_statement, synthesize
-from blsces.zk.witness import HashToCurveWitness, compute_residuosity_chain, hash_to_curve_witness
+from blsces.zk.witness import HashToCurveWitness, hash_to_curve_witness
 
 __all__ = [
     "BackendParams",
@@ -31,7 +31,6 @@ __all__ = [
     "ZkSetup",
     "ZkVerifyResult",
     "build_statement",
-    "compute_residuosity_chain",
     "hash_to_curve_witness",
     "predicate_from_descriptor",
     "prove_extraction",

@@ -13,11 +13,14 @@ far under the proof-field modulus, so the field equations coincide with
 the integer ones and no aliasing is possible.  q and r are supplied by
 the prover and range-checked through bit decompositions (top limbs are
 narrowed so q < 2^255 and r < 2^254, which the honest canonical values
-always satisfy).
+always satisfy).  A remainder is therefore congruent to a * b + k mod
+p but not necessarily reduced: any r below 2^254 with a matching q is
+accepted.  Two remainders equal as integers are congruent mod p; the
+honest prover's canonical remainders are the ones that match.
 
-The quadratic-residuosity chain evaluates rhs^((p-1)/2) with a fixed
-square-and-multiply schedule, so the constraint shape depends only on
-the profile, never on the witness.
+``square_root_gadget`` certifies that x^3 + b is a nonzero square with
+a witnessed root y (y * y == x^3 + b, y * y^-1 == 1) in four emulated
+multiplications; the shape depends only on the profile.
 """
 
 from __future__ import annotations
@@ -49,9 +52,6 @@ class EmulatedValue:
 
     limbs: tuple[int, ...]  # variable indices, little-endian limbs
 
-    def lc(self, i: int):
-        return ((self.limbs[i], 1),)
-
 
 def alloc_checked(bd: Builder, value: int | None, widths=R_WIDTHS) -> EmulatedValue:
     """Allocate limb variables bound to fresh bit decompositions."""
@@ -65,24 +65,6 @@ def alloc_checked(bd: Builder, value: int | None, widths=R_WIDTHS) -> EmulatedVa
     return EmulatedValue(tuple(out))
 
 
-def from_bit_lcs(bd: Builder, bit_lcs, values=None) -> EmulatedValue:
-    """Pack existing boolean LCs (little-endian, already constrained) into
-    limb variables; used to turn digest bits into an emulated x."""
-    out = []
-    for i in range(NUM_LIMBS):
-        chunk = bit_lcs[i * LIMB_BITS:(i + 1) * LIMB_BITS]
-        val = None
-        if bd.compute:
-            val = sum(bd.lc_val(lc) << j for j, lc in enumerate(chunk))
-        limb = bd.alloc(val)
-        lc = ((limb, -1),)
-        for j, bit_lc in enumerate(chunk):
-            lc = lc + tuple((v, c << j) for v, c in bit_lc)
-        bd.add_lin(lc)
-        out.append(limb)
-    return EmulatedValue(tuple(out))
-
-
 def emul_mul(
     bd: Builder,
     a: EmulatedValue,
@@ -90,15 +72,13 @@ def emul_mul(
     modulus: int,
     add_const: int = 0,
     supplied_qr: tuple[int, int] | None = None,
-) -> tuple[EmulatedValue, tuple[int, int] | None]:
-    """Constrain r = (a*b + add_const) mod p, returning r and the (q, r)
-    pair used (for recording residuosity chains).
+) -> EmulatedValue:
+    """Constrain r = (a*b + add_const) mod p and return r.
 
     ``supplied_qr`` lets the caller feed an externally generated
     witness; invalid pairs still synthesize boolean assignments and
     simply leave the system unsatisfied.
     """
-    field = bd.cs.field
     square = a.limbs == b.limbs
     qr = None
     if bd.compute:
@@ -167,55 +147,26 @@ def emul_mul(
         # group + carry_in = carry_out * 2^128, with carries stored offset
         bd.add_lin(lc + tuple((v, -(c << (2 * LIMB_BITS))) for v, c in carry_terms) + ((0, _CARRY_OFFSET << (2 * LIMB_BITS)),))
         carry_lc_prev = carry_terms + ((0, -_CARRY_OFFSET),)
-    return r, qr
+    return r
 
 
-def residuosity_chain_schedule(p: int) -> list[int]:
-    """Exponent bits of (p-1)/2, most significant first."""
-    e = (p - 1) // 2
-    return [int(c) for c in bin(e)[2:]]
+def square_root_gadget(bd: Builder, x: EmulatedValue, y: int | None, p: int, b: int) -> None:
+    """Constrain x^3 + b to be a nonzero square mod p with root ``y``.
 
-
-def chain_mul_count(p: int) -> int:
-    """Number of emulated multiplications in the full rhs-residue proof:
-    x^2, x^3 + b, then the fixed square-and-multiply walk."""
-    bits = residuosity_chain_schedule(p)
-    return 2 + (len(bits) - 1) + sum(bits[1:])
-
-
-def euler_criterion_gadget(
-    bd: Builder,
-    x: EmulatedValue,
-    profile_p: int,
-    curve_b: int,
-    chain: list[tuple[int, int]] | None = None,
-) -> list[tuple[int, int]]:
-    """Constrain (x^3 + b)^((p-1)/2) == 1 over the emulated field.
-
-    Returns the (q, r) pairs consumed, in schedule order: the x^2 step,
-    the x^3 + b step, then one per square/multiply of the exponent walk.
-    When ``chain`` is given its pairs are used as the witness verbatim.
+    Over the emulated field: rhs = x * x * x + b, y * y == rhs and
+    y * w == 1 with w = y^-1, so y is nonzero.  y and w are range-checked
+    limbs.  Some nonzero y with y^2 == x^3 + b exists exactly when x^3 + b
+    is a nonzero square, so the accepted statement is Euler's criterion.
+    A zero y gets w = 0 and leaves the system unsatisfied.
     """
-    supplied = iter(chain) if chain is not None else None
-
-    def next_qr():
-        return next(supplied) if supplied is not None else None
-
-    used = []
-    sq, qr = emul_mul(bd, x, x, profile_p, supplied_qr=next_qr())
-    used.append(qr)
-    rhs, qr = emul_mul(bd, sq, x, profile_p, add_const=curve_b, supplied_qr=next_qr())
-    used.append(qr)
-    acc = rhs
-    bits = residuosity_chain_schedule(profile_p)
-    for bit in bits[1:]:
-        acc, qr = emul_mul(bd, acc, acc, profile_p, supplied_qr=next_qr())
-        used.append(qr)
-        if bit:
-            acc, qr = emul_mul(bd, acc, rhs, profile_p, supplied_qr=next_qr())
-            used.append(qr)
-    # Final remainder must be exactly one: limbs (1, 0, 0, 0).
-    bd.add_lin(((acc.limbs[0], 1), (0, -1)))
+    w = pow(y, p - 2, p) if (bd.compute and y is not None) else None
+    rhs = emul_mul(bd, emul_mul(bd, x, x, p), x, p, add_const=b)
+    y_var = alloc_checked(bd, y)
+    y_sq = emul_mul(bd, y_var, y_var, p)
+    one = emul_mul(bd, y_var, alloc_checked(bd, w), p)
+    for i in range(NUM_LIMBS):
+        bd.add_lin(((y_sq.limbs[i], 1), (rhs.limbs[i], -1)))
+    # y * w must reduce to exactly one: limbs (1, 0, 0, 0)
+    bd.add_lin(((one.limbs[0], 1), (0, -1)))
     for i in range(1, NUM_LIMBS):
-        bd.add_lin(((acc.limbs[i], 1),))
-    return used
+        bd.add_lin(((one.limbs[i], 1),))

@@ -1,8 +1,9 @@
 """Rank-1 constraint system with a builder that doubles as witness generator.
 
-Scale matters here: a real-field statement runs to roughly a million
-constraints, most of which are bit (booleanity) checks, so constraints
-are stored by kind instead of as uniform LC triples:
+Scale matters here: a real-field statement runs to about 33,000
+constraints per claim, most of them bit (booleanity) checks from the
+sha256 and range-check decompositions, so constraints are stored by
+kind instead of as uniform LC triples:
 
 * ``bools``: variable indices v with v * (1 - v) = 0
 * ``muls``:  (a, b, c) variable triples with w[a] * w[b] = w[c]
@@ -150,8 +151,8 @@ class Builder:
     rebuilds the identical shape with ``compute=False`` and checks a
     transported assignment instead."""
 
-    def __init__(self, field: int = BN254_SCALAR_FIELD, compute: bool = True):
-        self.cs = ConstraintSystem(field=field)
+    def __init__(self, compute: bool = True):
+        self.cs = ConstraintSystem()
         self.compute = compute
         self.values: list = [1]
         self._public_frozen = False
@@ -217,6 +218,3 @@ class Builder:
                 bv = (value >> j) & 1
             out.append(self.bit(bv))
         return out
-
-    def lin_combination(self, bits: list[int], base: int = 2) -> LC:
-        return tuple((b, pow(base, j)) for j, b in enumerate(bits))

@@ -9,8 +9,9 @@ one shared constraint system:
       carried-in state is a public input, and the in-circuit suffix
       always covers the bytes from the counter's block to the end of
       the padding (one block, or two when the padding spills over).
-  (b) the quadratic-residuosity chain certifying x^3 + b is a nonzero
-      square, via per-multiplication quotients in emulated arithmetic,
+  (b) a witnessed square root y of x^3 + b with y * y^-1 == 1, in
+      emulated base-field arithmetic, certifying that x^3 + b is a
+      nonzero square (the point (x, y) is on the curve),
   (c) membership of the extraction set in the policy, over public
       selector bits,
   (d) an optional application predicate over claim-value bytes.
@@ -33,7 +34,7 @@ from blsces.zk.bigint_gadget import (
     LIMB_BITS,
     NUM_LIMBS,
     EmulatedValue,
-    euler_criterion_gadget,
+    square_root_gadget,
 )
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem
@@ -267,7 +268,7 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
         per_claim_pub.append((limbs, sign, states))
     x_sel = [bd.alloc_public((1 if idx in layout.extraction else 0) if compute else None) for idx in range(layout.n)]
 
-    # ---- per-claim hash plus residuosity constraints ---------------------
+    # ---- per-claim hash plus square-root constraints ---------------------
     value_lcs_by_index: dict[int, list[LC]] = {}
     for cl, (limbs, sign, states) in zip(layout.claims, per_claim_pub):
         lens = (cl.len_subject, cl.len_property, cl.len_value)
@@ -345,9 +346,9 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
             bd.add_lin(lc)
         bd.add_lin(((sign, -1),) + digest_bit(shift - 1))
 
-        # residuosity chain over the emulated base field
-        chain = witness[cl.index][1].residuosity_chain if compute else None
-        euler_criterion_gadget(bd, EmulatedValue(limbs), profile.p, profile.b, chain=list(chain) if chain else None)
+        # x^3 + b is a nonzero square, over the emulated base field
+        y = witness[cl.index][1].y if compute else None
+        square_root_gadget(bd, EmulatedValue(limbs), y, profile.p, profile.b)
 
     # ---- extraction-set membership in the policy --------------------------
     for b in x_sel:

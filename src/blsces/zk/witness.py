@@ -2,9 +2,9 @@
 
 For each disclosed claim the prover re-runs try-and-increment outside
 the constraint system, keeps the successful counter, and records the
-quotient/remainder of every multiplication in the fixed square-and-
-multiply evaluation of rhs^((p-1)/2).  The constraint system then only
-has to check the final, deterministic iteration.
+hashed point's y-coordinate: the square root of x^3 + b that the
+statement checks.  The constraint system then only has to check the
+final, deterministic iteration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from blsces import bls
 from blsces.credential import CEAS, Claim, encode_claim_message
 from blsces.errors import ValidationError
 from blsces.groups.params import BN254, CurveProfile
-from blsces.zk.bigint_gadget import residuosity_chain_schedule
 
 
 @dataclass(frozen=True)
@@ -26,34 +25,7 @@ class HashToCurveWitness:
     x: int
     sign_bit: int
     counter: int
-    residuosity_chain: tuple[tuple[int, int], ...]
-
-
-def compute_residuosity_chain(x: int, profile: CurveProfile) -> tuple[tuple[int, int], ...]:
-    """Quotient/remainder pairs for x^2, x^3 + b, then each step of the
-    square-and-multiply walk of exponent (p-1)/2.  Plain integer
-    arithmetic; the constraint gadget follows the identical schedule."""
-    p, b = profile.p, profile.b
-    chain = []
-
-    def step(a, m, k=0):
-        q, r = divmod(a * m + k, p)
-        chain.append((q, r))
-        return r
-
-    sq = step(x, x)
-    rhs = step(sq, x, b)
-    acc = rhs
-    bits = residuosity_chain_schedule(p)
-    for bit in bits[1:]:
-        acc = step(acc, acc)
-        if bit:
-            acc = step(acc, rhs)
-    return tuple(chain)
-
-
-def chain_final_remainder(chain: tuple[tuple[int, int], ...]) -> int:
-    return chain[-1][1]
+    y: int
 
 
 def hash_to_curve_witness(
@@ -73,14 +45,11 @@ def hash_to_curve_witness(
         raise ValidationError("cannot build a hash witness for a hidden claim")
     msg = encode_claim_message(ceas, n, i, claim)
     h = bls.hash_to_g1(msg, profile)
-    chain = compute_residuosity_chain(h.x, profile)
-    if chain_final_remainder(chain) != 1:
-        raise AssertionError("residuosity chain disagrees with the accepted candidate")
     witness = HashToCurveWitness(
         index=i,
         x=h.x,
         sign_bit=h.sign_bit,
         counter=h.counter,
-        residuosity_chain=chain,
+        y=h.point.y,
     )
     return (h.x, h.sign_bit), witness

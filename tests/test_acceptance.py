@@ -34,7 +34,8 @@ from blsces.zk import (
     zk_setup,
     zk_verify,
 )
-from blsces.zk.witness import chain_final_remainder, compute_residuosity_chain
+from blsces.zk.bigint_gadget import alloc_checked, square_root_gadget
+from blsces.zk.r1cs import Builder
 
 VECTORS = json.loads((pathlib.Path(__file__).parent / "vectors" / "golden.json").read_text())
 
@@ -233,8 +234,8 @@ def test_criterion_4_aggregation_law(issuer):
 
 def test_criterion_5_toy_field_oracle_equivalence():
     """Hash paths agree with exhaustive residue/square tables on every
-    reachable x; Euler chains validate against direct modexp for all 11
-    bases."""
+    reachable x; for all 11 bases the square-root gadget is satisfiable
+    exactly when direct modexp says x^3 + 3 is a nonzero square."""
     squares = {(y * y) % 11 for y in range(11)}
     residue_table = {x: ((x**3 + 3) % 11) for x in range(11)}
     signing = {x for x in range(16) if x < 11 and residue_table[x] != 0 and residue_table[x] in squares}
@@ -259,10 +260,16 @@ def test_criterion_5_toy_field_oracle_equivalence():
     assert seen == signing, f"unreached signing x values: {signing - seen}"
 
     for base_x in range(11):
-        chain = compute_residuosity_chain(base_x, TOY)
         rhs = residue_table[base_x]
-        assert chain_final_remainder(chain) == pow(rhs, 5, 11)
-    print("\nACCEPTANCE 5 PASS: toy hash and chains match exhaustive tables and modexp")
+        roots = set()
+        for y in range(11):
+            bd = Builder()
+            square_root_gadget(bd, alloc_checked(bd, base_x), y, TOY.p, TOY.b)
+            if bd.cs.satisfied(bd.values):
+                roots.add(y)
+        assert roots == {y for y in range(1, 11) if y * y % 11 == rhs}
+        assert bool(roots) == (pow(rhs, 5, 11) == 1) == (base_x in signing)
+    print("\nACCEPTANCE 5 PASS: toy hash and square roots match exhaustive tables and modexp")
 
 
 def test_criterion_6_constraint_soundness_sweep():

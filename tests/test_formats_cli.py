@@ -78,9 +78,12 @@ def test_proof_bundle_roundtrip(issuer):
     cred = Credential((Claim("h", "age", "19"),))
     ceas = CEAS.from_index_sets(1, [[0]])
     proof, inputs = prove_extraction(setup.backend_params, cred, ceas, ExtractionSet(frozenset({0})))
-    doc = formats.proof_bundle_to_json(proof, inputs, "transparent")
-    p2, i2, backend = formats.proof_bundle_from_json(json.loads(formats.dumps(doc)))
-    assert (p2, i2, backend) == (proof, inputs, "transparent")
+    doc = formats.proof_bundle_to_json(proof, inputs)
+    assert doc["backend"] == "transparent"
+    assert formats.proof_bundle_from_json(json.loads(formats.dumps(doc))) == (proof, inputs)
+    for backend in ("groth16", None):
+        with pytest.raises(EncodingError, match="prover backend"):
+            formats.proof_bundle_from_json(dict(doc, backend=backend))
 
 
 def test_malformed_files_raise_encoding_errors():

@@ -6,15 +6,14 @@ import random
 
 import pytest
 
+from blsces.groups.params import BN254, TOY
 from blsces.groups.params import P as BIG_P
 from blsces.zk.r1cs import Builder
 from blsces.zk.bigint_gadget import (
     alloc_checked,
-    chain_mul_count,
     emul_mul,
-    euler_criterion_gadget,
     limbs_value,
-    residuosity_chain_schedule,
+    square_root_gadget,
 )
 from blsces.zk.sha256_gadget import (
     SHA256_IV,
@@ -98,99 +97,88 @@ def test_emul_mul_random(modulus):
         bd = Builder()
         a = alloc_checked(bd, a_val)
         b = alloc_checked(bd, b_val)
-        r, qr = emul_mul(bd, a, b, modulus, add_const=k)
+        r = emul_mul(bd, a, b, modulus, add_const=k)
         assert bd.cs.satisfied(bd.values)
         r_val = limbs_value(tuple(bd.values[v] for v in r.limbs))
         assert r_val == (a_val * b_val + k) % modulus
-        assert qr == divmod(a_val * b_val + k, modulus)
+
+
+def emul_mul_satisfied(a_val: int, b_val: int, qr: tuple[int, int]) -> bool:
+    bd = Builder()
+    a = alloc_checked(bd, a_val)
+    b = alloc_checked(bd, b_val)
+    emul_mul(bd, a, b, BIG_P, supplied_qr=qr)
+    return bd.cs.satisfied(bd.values)
 
 
 def test_emul_mul_rejects_wrong_quotient_or_remainder():
     a_val, b_val = rng.randrange(BIG_P), rng.randrange(BIG_P)
     q0, r0 = divmod(a_val * b_val, BIG_P)
-    for bad in [(q0 + 1, r0), (q0, (r0 + 1) % BIG_P), (q0 - 1, r0 + BIG_P)]:
-        bd = Builder()
-        a = alloc_checked(bd, a_val)
-        b = alloc_checked(bd, b_val)
-        emul_mul(bd, a, b, BIG_P, supplied_qr=bad)
-        assert not bd.cs.satisfied(bd.values)
+    for bad in [(q0 + 1, r0), (q0, (r0 + 1) % BIG_P)]:
+        assert not emul_mul_satisfied(a_val, b_val, bad)
+
+
+def test_emul_mul_unreduced_remainder_contract():
+    """emul_mul certifies a*b + k = q*p + r with r < 2^254, not r < p.
+    A remainder shifted up by p is accepted when it still fits in 254
+    bits and rejected when it does not."""
+    # (p-1)^2 = (p-2)*p + 1: r0 + p = p + 1 < 2^254, so it passes
+    q0, r0 = divmod((BIG_P - 1) ** 2, BIG_P)
+    assert r0 + BIG_P < 1 << 254
+    assert emul_mul_satisfied(BIG_P - 1, BIG_P - 1, (q0 - 1, r0 + BIG_P))
+    # (p-1)*2 = 1*p + (p-2): r0 + p = 2p - 2 >= 2^254, out of range
+    q0, r0 = divmod((BIG_P - 1) * 2, BIG_P)
+    assert r0 + BIG_P >= 1 << 254
+    assert not emul_mul_satisfied(BIG_P - 1, 2, (q0 - 1, r0 + BIG_P))
 
 
 def test_emul_square_uses_symmetry():
     a_val = rng.randrange(BIG_P)
     bd = Builder()
     a = alloc_checked(bd, a_val)
-    r, _ = emul_mul(bd, a, a, BIG_P)
+    r = emul_mul(bd, a, a, BIG_P)
     assert bd.cs.satisfied(bd.values)
     assert limbs_value(tuple(bd.values[v] for v in r.limbs)) == a_val * a_val % BIG_P
     assert len(bd.cs.muls) == 10  # upper-triangular limb products only
 
 
-# -- Euler criterion chain -----------------------------------------------------------
+# -- square-root gadget ------------------------------------------------------------
 
-def test_chain_schedule_static():
-    assert residuosity_chain_schedule(11) == [1, 0, 1]
-    assert chain_mul_count(11) == 5
-    assert len(residuosity_chain_schedule(BIG_P)) == 253
-
-
-def test_toy_chain_single_quotient_identity():
-    # the single-quotient view: 4^5 - 1 = 93 * 11, and the per-step chain
-    # reaches remainder 1 through exact integer identities
-    assert pow(4, 5) - 1 == 93 * 11
-    bd = Builder()
-    x = alloc_checked(bd, 1)  # rhs = 1^3 + 3 = 4
-    chain = euler_criterion_gadget(bd, x, 11, 3)
-    assert bd.cs.satisfied(bd.values)
-    assert chain == [(0, 1), (0, 4), (1, 5), (2, 3), (1, 1)]
-    for (q, r), (a, m, k) in zip(chain, [(1, 1, 0), (1, 1, 3), (4, 4, 0), (5, 5, 0), (3, 4, 0)]):
-        assert a * m + k == q * 11 + r
-
-
-def test_toy_chain_rhs_one_all_zero_quotients():
-    # x = 7: rhs = 346 mod 11 = 5... pick instead a base where rhs = 1:
-    # over p=11 that needs x^3 + 3 = 1, i.e. x^3 = -2 = 9; 4^3 = 64 = 9 ✓
-    bd = Builder()
-    x = alloc_checked(bd, 4)
-    chain = euler_criterion_gadget(bd, x, 11, 3)
-    assert bd.cs.satisfied(bd.values)
-    # exponent walk on rhs = 1 never leaves 1 and needs no reductions
-    assert all(q == 0 and r == 1 for q, r in chain[2:])
-
-
-@pytest.mark.parametrize("x_val,expected", [(0, True), (1, True), (3, False), (5, False), (7, True)])
-def test_toy_chain_agrees_with_modexp(x_val, expected):
+def square_root_satisfied(x_val: int, y_val: int, profile=TOY) -> bool:
     bd = Builder()
     x = alloc_checked(bd, x_val)
-    euler_criterion_gadget(bd, x, 11, 3)
-    assert bd.cs.satisfied(bd.values) == expected
-    assert (pow((x_val**3 + 3) % 11, 5, 11) == 1) == expected
+    square_root_gadget(bd, x, y_val, profile.p, profile.b)
+    return bd.cs.satisfied(bd.values)
 
 
-def test_real_chain_satisfied_for_residue():
-    x_val = next(
-        x for x in range(100, 400) if pow((x**3 + 3) % BIG_P, (BIG_P - 1) // 2, BIG_P) == 1
-    )
+def test_toy_square_root_exhaustive():
+    """Over every (x, y) in F_11 x F_11 the gadget holds exactly when
+    y^2 == x^3 + 3 and y != 0, so some y exists exactly for the signing
+    x values; x = 2 (rhs = 0) has only the root y = 0 and is rejected."""
+    reachable = set()
+    for x_val in range(11):
+        for y_val in range(11):
+            expected = y_val != 0 and y_val * y_val % 11 == (x_val**3 + 3) % 11
+            assert square_root_satisfied(x_val, y_val) == expected, (x_val, y_val)
+            if expected:
+                reachable.add(x_val)
+    assert reachable == {x for x in range(11) if TOY.is_signing_x(x)} == {0, 1, 4, 7, 8}
+    assert (2**3 + 3) % 11 == 0 and 2 not in reachable
+
+
+def test_real_square_root_satisfied_for_residue():
+    x_val = next(x for x in range(100, 400) if BN254.is_signing_x(x))
+    y_val = BN254.sqrt(BN254.rhs(x_val))
+    assert square_root_satisfied(x_val, y_val, BN254)
+    assert square_root_satisfied(x_val, BIG_P - y_val, BN254)
+    assert not square_root_satisfied(x_val, y_val + 1, BN254)
+
+
+def test_square_root_gadget_size():
     bd = Builder()
-    x = alloc_checked(bd, x_val)
-    euler_criterion_gadget(bd, x, BIG_P, 3)
-    assert bd.cs.satisfied(bd.values)
-
-
-def test_perturbed_chain_quotient_falsifies():
-    from blsces.zk.witness import compute_residuosity_chain
-    from blsces.groups.params import TOY
-
-    chain = list(compute_residuosity_chain(1, TOY))
-    for pos in range(len(chain)):
-        for dq, dr in [(1, 0), (0, 1)]:
-            mutated = list(chain)
-            q, r = mutated[pos]
-            mutated[pos] = (q + dq, r + dr)
-            bd = Builder()
-            x = alloc_checked(bd, 1)
-            euler_criterion_gadget(bd, x, 11, 3, chain=mutated)
-            assert not bd.cs.satisfied(bd.values)
+    square_root_gadget(bd, alloc_checked(bd, 1), 2, 11, 3)
+    # x, y, w limb checks plus four emulated multiplications
+    assert len(bd.cs.muls) == 10 + 16 + 10 + 16
 
 
 # -- constraint system plumbing ----------------------------------------------------

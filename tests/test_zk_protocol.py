@@ -69,15 +69,13 @@ def test_statement_rejects_hidden_claim():
         build_statement(cred, TOY_CEAS, {}, (0,), profile_name="toy11")
 
 
-def test_statement_perturbed_chain_quotient_unsatisfied():
+def test_statement_perturbed_root_unsatisfied():
     (_, _), wit = hash_to_curve_witness(0, Claim("h", "age", "33"), 1, TOY_CEAS, TOY)
-    chain = list(wit.residuosity_chain)
-    q, r = chain[2]
-    chain[2] = (q + 1, r)
-    bad = replace(wit, residuosity_chain=tuple(chain))
     cred = Credential((Claim("h", "age", "33"),))
-    res = build_statement(cred, TOY_CEAS, {0: bad}, (0,), profile_name="toy11")
-    assert not res.cs.satisfied(res.values)
+    # only the two roots +-y satisfy; the sign bit is not bound to y
+    for y in range(11):
+        res = build_statement(cred, TOY_CEAS, {0: replace(wit, y=y)}, (0,), profile_name="toy11")
+        assert res.cs.satisfied(res.values) == (y in (wit.y, 11 - wit.y)), y
 
 
 def test_statement_multiblock_prehash():

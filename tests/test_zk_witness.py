@@ -8,11 +8,8 @@ from blsces import bls
 from blsces.credential import CEAS, Claim, Credential
 from blsces.errors import ValidationError
 from blsces.groups.params import BN254, TOY
-from blsces.zk.witness import (
-    chain_final_remainder,
-    compute_residuosity_chain,
-    hash_to_curve_witness,
-)
+from blsces.groups import decompress_x
+from blsces.zk.witness import hash_to_curve_witness
 
 rng = random.Random(41)
 
@@ -30,16 +27,9 @@ def test_toy_signing_table():
     assert {x for x, ok in TOY_SIGNING.items() if ok} == {0, 1, 4, 7, 8}
 
 
-def test_chain_validates_against_modexp_all_toy_bases():
-    """Euler chains for every x in the toy field: the final remainder is
-    rhs^5 mod 11, computed independently by pow()."""
-    for x in range(11):
-        chain = compute_residuosity_chain(x, TOY)
-        rhs = (x**3 + 3) % 11
-        assert chain_final_remainder(chain) == pow(rhs, 5, 11)
-        # every step is an exact integer identity a*m + k = q*11 + r
-        for q, r in chain:
-            assert 0 <= r < 11
+def test_toy_signing_table_matches_profile():
+    """The Euler-criterion table agrees with the profile's own test."""
+    assert all(TOY.is_signing_x(x) == ok for x, ok in TOY_SIGNING.items())
 
 
 def test_witness_agrees_with_hash_to_g1_toy():
@@ -52,14 +42,13 @@ def test_witness_agrees_with_hash_to_g1_toy():
         tag += 1
         (x, sign), wit = hash_to_curve_witness(0, claim, 1, TOY_CEAS, TOY)
         from blsces.credential import encode_claim_message
-        from blsces.groups import decompress_x
 
         h = bls.hash_to_g1(encode_claim_message(TOY_CEAS, 1, 0, claim), TOY)
         assert (h.x, h.sign_bit, h.counter) == (x, sign, wit.counter)
         assert TOY_SIGNING[x]
-        assert chain_final_remainder(wit.residuosity_chain) == 1
-        # the verifier-side decompression reproduces the hashed point
-        assert decompress_x(x, sign, TOY) == (h.point.x, h.point.y)
+        # the witnessed root is the y the verifier decompresses to
+        assert decompress_x(x, sign, TOY) == (h.point.x, h.point.y) == (x, wit.y)
+        assert wit.y != 0 and wit.y * wit.y % 11 == (x**3 + 3) % 11
         seen_x.add(x)
     assert seen_x == {0, 1, 4, 7, 8}
 
@@ -86,14 +75,10 @@ def test_witness_real_field_consistency():
         assert h.x == x == wit.x
         assert h.sign_bit == sign
         assert h.counter == wit.counter
-        assert chain_final_remainder(wit.residuosity_chain) == 1
-        assert len(wit.residuosity_chain) == 2 + 252 + sum(
-            int(b) for b in bin((BN254.p - 1) // 2)[3:]
-        )
-        # decompression from the public pair recovers the hashed point
-        from blsces.groups import decompress_x
-
-        assert decompress_x(x, sign, BN254) == (h.point.x, h.point.y)
+        # decompression from the public pair recovers the hashed point,
+        # whose y is the witnessed root
+        assert decompress_x(x, sign, BN254) == (h.point.x, h.point.y) == (x, wit.y)
+        assert wit.y * wit.y % BN254.p == BN254.rhs(x)
 
 
 def test_witness_rejects_hidden_claim():
