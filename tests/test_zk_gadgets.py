@@ -166,6 +166,54 @@ def test_toy_square_root_exhaustive():
     assert (2**3 + 3) % 11 == 0 and 2 not in reachable
 
 
+def test_toy_chain_single_quotient_identity():
+    # x = 1: rhs = 1^3 + 3 = 4 is a square (4^5 - 1 = 93 * 11) with roots
+    # 2 and 9.  Each of the gadget's four emulated multiplications is an
+    # exact integer identity a*m + k == q*11 + r; for y = 2, w = 6 only
+    # y*w = 12 needs a quotient.
+    assert pow(4, 5) - 1 == 93 * 11
+    steps = [(1, 1, 0, 0, 1), (1, 1, 3, 0, 4), (2, 2, 0, 0, 4), (2, 6, 0, 1, 1)]
+    bd = Builder()
+    for a_val, m_val, k, q, r in steps:
+        assert a_val * m_val + k == q * 11 + r
+        out = emul_mul(bd, alloc_checked(bd, a_val), alloc_checked(bd, m_val), 11, add_const=k)
+        assert limbs_value(tuple(bd.values[v] for v in out.limbs)) == r
+    assert bd.cs.satisfied(bd.values)
+    assert square_root_satisfied(1, 2) and square_root_satisfied(1, 9)
+
+
+def test_toy_chain_rhs_one_all_zero_quotients():
+    # x = 4: 4^3 = 64 = 9 = -2, so rhs = 1, whose roots are 1 and 10.
+    # With y = w = 1 every product is 1 and needs no reduction.
+    assert (4**3 + 3) % 11 == 1
+    assert square_root_satisfied(4, 1) and square_root_satisfied(4, 10)
+    assert not square_root_satisfied(4, 0)
+    assert [y for y in range(11) if square_root_satisfied(4, y)] == [1, 10]
+
+
+@pytest.mark.parametrize("x_val,expected", [(0, True), (1, True), (3, False), (5, False), (7, True)])
+def test_toy_chain_agrees_with_modexp(x_val, expected):
+    # some root y satisfies the gadget exactly when Euler's criterion holds
+    assert any(square_root_satisfied(x_val, y) for y in range(11)) == expected
+    assert (pow((x_val**3 + 3) % 11, 5, 11) == 1) == expected
+
+
+def test_perturbed_chain_quotient_falsifies():
+    # x = 1, y = 2: adding 1 to any witness value the gadget allocates
+    # (y, w, their limbs and bits, every quotient and remainder) falsifies it
+    bd = Builder()
+    x = alloc_checked(bd, 1)
+    first = bd.cs.num_vars
+    square_root_gadget(bd, x, 2, 11, 3)
+    assert bd.cs.satisfied(bd.values)
+    assert bd.cs.num_vars - first > 50
+    for var in range(first, bd.cs.num_vars):
+        original = bd.values[var]
+        bd.values[var] = (original + 1) % bd.cs.field
+        assert not bd.cs.satisfied(bd.values), var
+        bd.values[var] = original
+
+
 def test_real_square_root_satisfied_for_residue():
     x_val = next(x for x in range(100, 400) if BN254.is_signing_x(x))
     y_val = BN254.sqrt(BN254.rhs(x_val))
