@@ -30,15 +30,14 @@ from blsces.errors import (
 )
 from blsces.groups import (
     BN254,
-    G1_IDENTITY,
     G2_GEN,
     CurveProfile,
     G1Point,
     G2Point,
     check_g1,
-    g1_add,
     g1_compress,
     g1_decompress,
+    g1_sum,
     pairing_product_is_one,
     points,
 )
@@ -113,9 +112,9 @@ def hash_to_g1_at(msg: bytes, counter: int, profile: CurveProfile = BN254) -> Ha
     signature instead of being re-derived.
     """
     x, sign, spare = hash_candidate(msg, counter, profile)
-    if not profile.is_signing_x(x):
+    y0 = profile.signing_root(x)
+    if y0 is None:
         return None
-    y0 = profile.sqrt(profile.rhs(x))
     y = (profile.p - y0) % profile.p if sign else y0
     return HashToG1Result(point=G1Point(x, y), counter=counter, spare_bits=spare, sign_bit=sign, x=x)
 
@@ -167,14 +166,13 @@ def verify(pk: G2Point, msg: bytes, sig: Signature) -> bool:
 
 def aggregate(sigs: Sequence[Signature]) -> Signature:
     """Sum the signature points; the empty aggregate is the identity encoding."""
-    total = G1_IDENTITY
+    decoded = []
     for idx, sig in enumerate(sigs):
         try:
-            point = decode_signature(sig)
+            decoded.append(decode_signature(sig))
         except EncodingError as exc:
             raise EncodingError(f"signature {idx} malformed: {exc}") from exc
-        total = g1_add(total, point)
-    return Signature(g1_compress(total))
+    return Signature(g1_compress(g1_sum(decoded)))
 
 
 def verify_aggregate_points(
@@ -183,6 +181,12 @@ def verify_aggregate_points(
     agg: Signature,
 ) -> bool:
     """Pairing-product check over already-hashed message points.
+
+    Checks prod e(H_i, pk_i) == e(agg, g2) as prod_pk e(sum of that key's
+    H_i, pk) * e(-agg, g2), which is the same equation by bilinearity:
+    one Miller loop per distinct key plus one for the aggregate, however
+    many points share a key.  Every point is still checked against the
+    curve equation before it is summed.
 
     Malformed aggregate bytes raise EncodingError and an identity public
     key raises InvalidPublicKeyError, so callers can report both apart
@@ -195,7 +199,10 @@ def verify_aggregate_points(
     if any(pk.is_identity() for pk in pks):
         raise InvalidPublicKeyError("public key is the G2 identity")
     agg_point = decode_signature(agg)
-    pairs = list(zip(points, pks))
+    by_key: dict[G2Point, list[G1Point]] = {}
+    for pk, pt in zip(pks, points):
+        by_key.setdefault(pk, []).append(check_g1(pt))
+    pairs = [(g1_sum(pts), pk) for pk, pts in by_key.items()]
     pairs.append((-agg_point, G2_GEN))
     return pairing_product_is_one(pairs)
 

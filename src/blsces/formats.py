@@ -141,9 +141,7 @@ def _ceas_from_json(data: Any) -> CEAS:
         raise EncodingError("ceas must be an object")
     try:
         return CEAS.from_index_sets(int(data["n"]), data["subsets"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EncodingError(f"bad ceas: {exc}") from exc
-    except Exception as exc:  # ValidationError from width checks
+    except Exception as exc:  # KeyError, TypeError, ValueError, ValidationError
         raise EncodingError(f"bad ceas: {exc}") from exc
 
 

@@ -57,14 +57,13 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Canonical square root of ``a`` mod ``p``, or None for non-residues.
 
     Requires p ≡ 3 (mod 4).  The canonical root is the one with its least
-    significant bit clear; sqrt_mod(0) = 0.
+    significant bit clear; sqrt_mod(0) = 0.  One modular exponentiation:
+    a^((p+1)/4) squares back to a exactly when a is a residue.
     """
     a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
     y = pow(a, (p + 1) // 4, p)
+    if y * y % p != a:
+        return None
     return p - y if y & 1 else y
 
 
@@ -119,11 +118,18 @@ class CurveProfile:
     def rhs(self, x: int) -> int:
         return (x * x % self.p * x + self.b) % self.p
 
-    def is_signing_x(self, x: int) -> bool:
-        """True when x is a usable candidate: in range with a nonzero QR rhs."""
+    def signing_root(self, x: int) -> int | None:
+        """Canonical root of rhs(x) when x is a usable candidate (in range
+        with a nonzero QR rhs), else None."""
         if x >= self.p:
-            return False
-        return legendre(self.rhs(x), self.p) == 1
+            return None
+        rhs = self.rhs(x)
+        if rhs == 0:
+            return None
+        return sqrt_mod(rhs, self.p)
+
+    def is_signing_x(self, x: int) -> bool:
+        return self.signing_root(x) is not None
 
     def sqrt(self, a: int) -> int | None:
         return sqrt_mod(a, self.p)

@@ -168,6 +168,14 @@ def g1_add(a: G1Point, b: G1Point) -> G1Point:
     return _j1_to(_j1_add(_j1_from(a), _j1_from(b)))
 
 
+def g1_sum(pts) -> G1Point:
+    """Sum of G1 points, added in Jacobian coordinates with one inversion."""
+    acc = _J1_INF
+    for pt in pts:
+        acc = _j1_add(acc, _j1_from(pt))
+    return _j1_to(acc)
+
+
 def g1_mul(pt: G1Point, k: int) -> G1Point:
     # The whole curve has prime order R (cofactor 1), so reducing the
     # scalar is sound for any on-curve point.

@@ -193,6 +193,83 @@ def fp12_pow(a, e):
     return out
 
 
+def _fp4_sqr(a, b):
+    """Square a + b*s in Fp4 = Fp2[s]/(s^2 - XI); returns the unreduced
+    integer coefficients of (a^2 + XI*b^2) + 2ab*s."""
+    a0, a1 = a
+    b0, b1 = b
+    aa0 = (a0 + a1) * (a0 - a1)
+    aa1 = 2 * a0 * a1
+    bb0 = (b0 + b1) * (b0 - b1)
+    bb1 = 2 * b0 * b1
+    ab0 = a0 * b0 - a1 * b1
+    ab1 = a0 * b1 + a1 * b0
+    return aa0 + 9 * bb0 - bb1, aa1 + 9 * bb1 + bb0, 2 * ab0, 2 * ab1
+
+
+def fp12_cyclotomic_sqr(a):
+    """Granger-Scott squaring, valid only in the cyclotomic subgroup.
+
+    Precondition: a^(p^4 - p^2 + 1) = 1, as holds for every element after
+    the easy part of the final exponentiation.  Elsewhere the result is
+    not a^2.  Writing a = A + B*w + C*w^2 with A, B, C in Fp4 and
+    w^3 = s, the square is (3A^2 - 2conj(A)) + (3s*C^2 + 2conj(B))*w
+    + (3B^2 - 2conj(C))*w^2: three Fp4 squarings instead of a full Fp12
+    one (Granger and Scott, PKC 2010).
+    """
+    (g0, g1, g2), (h0, h1, h2) = a
+    # A = g0 + h1*s, B = h0 + g2*s, C = g1 + h2*s.
+    t0, t1, t2, t3 = _fp4_sqr(g0, h1)
+    u0, u1, u2, u3 = _fp4_sqr(h0, g2)
+    v0, v1, v2, v3 = _fp4_sqr(g1, h2)
+    # s*C^2 = XI*(C^2)_1 + (C^2)_0*s
+    sv0 = 9 * v2 - v3
+    sv1 = 9 * v3 + v2
+    return (
+        (
+            ((3 * t0 - 2 * g0[0]) % P, (3 * t1 - 2 * g0[1]) % P),
+            ((3 * u0 - 2 * g1[0]) % P, (3 * u1 - 2 * g1[1]) % P),
+            ((3 * v0 - 2 * g2[0]) % P, (3 * v1 - 2 * g2[1]) % P),
+        ),
+        (
+            ((3 * sv0 + 2 * h0[0]) % P, (3 * sv1 + 2 * h0[1]) % P),
+            ((3 * t2 + 2 * h1[0]) % P, (3 * t3 + 2 * h1[1]) % P),
+            ((3 * u2 + 2 * h2[0]) % P, (3 * u3 + 2 * h2[1]) % P),
+        ),
+    )
+
+
+def fp12_cyclotomic_pow(a, e):
+    """a^e for a in the cyclotomic subgroup and e >= 0.
+
+    Uses the NAF of e: conjugation inverts in that subgroup, so a
+    negative digit costs the same multiplication as a positive one.
+    """
+    out = FP12_ONE
+    a_inv = fp12_conj(a)
+    for digit in reversed(naf(e)):
+        out = fp12_cyclotomic_sqr(out)
+        if digit == 1:
+            out = fp12_mul(out, a)
+        elif digit == -1:
+            out = fp12_mul(out, a_inv)
+    return out
+
+
+def naf(k):
+    """Non-adjacent form of k >= 0, least significant digit first."""
+    digits = []
+    while k:
+        if k & 1:
+            d = 2 - (k & 3)
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
 def fp12_eq_one(a):
     return a == FP12_ONE
 

@@ -91,8 +91,9 @@ def zk_verify(
     """Check policy membership, the pairing equation over decompressed
     points, and the backend proof; accept only if all three hold."""
     # b1: the disclosed index set is allowed by the policy the verifier
-    # was handed (the proof separately binds the policy the messages
-    # were encoded under).
+    # was handed.  b3 binds that policy to the one the messages were
+    # encoded under and proves the same membership, so b1 never fails
+    # alone for a valid proof.
     try:
         ceas = CEAS.from_bytes(inputs.ceas_bytes)
         x = ExtractionSet(frozenset(inputs.extraction))

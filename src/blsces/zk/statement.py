@@ -208,6 +208,8 @@ def public_assignment(layout: StatementLayout, inputs: PublicInputs) -> list[int
     pre-hash state words; then the extraction selector bits."""
     if inputs.extraction != layout.extraction:
         raise StatementError("extraction set differs between layout and public inputs")
+    if inputs.ceas_bytes != layout.ceas_bytes:
+        raise StatementError("policy differs between layout and public inputs")
     out: list[int] = []
     mask = (1 << LIMB_BITS) - 1
     for k, cl in enumerate(layout.claims):

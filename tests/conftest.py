@@ -1,9 +1,27 @@
+import importlib
 import random
 
 import pytest
 
 from blsces import bls
 from blsces.credential import CEAS, Claim, Credential
+
+
+@pytest.fixture
+def pairs_seen(monkeypatch):
+    """Records, per pairing product computed during the test, how many of
+    its pairs have both sides non-identity: the Miller loops it runs."""
+    module = importlib.import_module("blsces.groups.pairing")
+    original = module.pairing_product
+    seen = []
+
+    def counting(pairs):
+        pairs = list(pairs)
+        seen.append(sum(1 for pt, q in pairs if not pt.infinity and not q.infinity))
+        return original(pairs)
+
+    monkeypatch.setattr(module, "pairing_product", counting)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -336,7 +336,9 @@ def test_criterion_7_zk_conjunction_and_real_field_runtime(issuer):
     honest = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, proof, inputs)
     assert honest.accept and honest.code == "ok"
 
-    # policy-only failure
+    # policy failure: a policy excluding X.  The proof binds the policy it
+    # was built under and proves X allowed by it, so no valid proof fails
+    # this conjunct alone; the proof conjunct fails with it.
     r = zk_verify(
         setup.backend_params,
         setup.keypair.pk,
@@ -344,7 +346,7 @@ def test_criterion_7_zk_conjunction_and_real_field_runtime(issuer):
         proof,
         replace(inputs, ceas_bytes=CEAS.from_index_sets(3, [[0]]).to_bytes()),
     )
-    assert (r.policy_ok, r.pairing_ok, r.proof_ok, r.code) == (False, True, True, "policy_rejected")
+    assert (r.policy_ok, r.pairing_ok, r.proof_ok, r.code) == (False, True, False, "policy_rejected")
 
     # pairing-only failure
     other_sigma = ces_extract(sc, xset({0, 1})).sigma

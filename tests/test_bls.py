@@ -10,8 +10,17 @@ from hypothesis import strategies as st
 
 from blsces import bls
 from blsces.errors import DuplicateMessageError, EncodingError, InvalidPublicKeyError, ValidationError
-from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g1_add, g1_decompress, g2_mul, g2_to_bytes, G2_GEN
-from blsces.groups.params import R, TOY
+from blsces.groups import (
+    G1_IDENTITY_BYTES,
+    G2_GEN,
+    G2_IDENTITY,
+    g1_add,
+    g1_decompress,
+    g2_mul,
+    g2_to_bytes,
+    pairing_product_is_one,
+)
+from blsces.groups.params import P, R, TOY
 
 VECTORS = json.loads((pathlib.Path(__file__).parent / "vectors" / "golden.json").read_text())
 
@@ -47,8 +56,6 @@ def test_hash_point_on_curve_and_in_subgroup():
     from blsces.groups import g1_mul, G1_IDENTITY
 
     h = bls.hash_to_g1(b"subgroup?")
-    from blsces.groups.params import P
-
     assert (h.point.y**2 - (h.point.x**3 + 3)) % P == 0
     assert g1_mul(h.point, R) == G1_IDENTITY
 
@@ -82,7 +89,7 @@ def test_counter_exhaustion_raises(monkeypatch):
     from blsces.errors import HashToCurveFailure
     from blsces.groups.params import CurveProfile
 
-    monkeypatch.setattr(CurveProfile, "is_signing_x", lambda self, x: False)
+    monkeypatch.setattr(CurveProfile, "signing_root", lambda self, x: None)
     bls._hash_to_g1_cached.cache_clear()
     with pytest.raises(HashToCurveFailure):
         bls.hash_to_g1(b"never lands", TOY)
@@ -208,6 +215,45 @@ def test_verify_aggregate_input_validation(issuer):
         bls.verify_aggregate([issuer.pk, issuer.pk], [b"m"], sig)
     with pytest.raises(DuplicateMessageError):
         bls.verify_aggregate([issuer.pk, issuer.pk], [b"m", b"m"], sig)
+
+
+def _per_pair_verdict(pks, points, agg):
+    """The unsummed equation: one pair per (point, key), then the aggregate."""
+    pairs = [(pt, pk) for pk, pt in zip(pks, points)]
+    pairs.append((-bls.decode_signature(agg), G2_GEN))
+    return pairing_product_is_one(pairs)
+
+
+def test_verify_aggregate_points_matches_per_pair_product(issuer):
+    other = bls.keygen(random.Random(31))
+    hashed = [bls.hash_to_g1(f"summed {i}".encode()) for i in range(4)]
+    points = [h.point for h in hashed]
+    for keys in ([issuer] * 4, [issuer, other, issuer, other]):
+        pks = [k.pk for k in keys]
+        sigs = [bls.sign_hashed(k.sk, h) for k, h in zip(keys, hashed)]
+        honest = bls.aggregate(sigs)
+        # one member signed under the wrong key or over the wrong message
+        impostor = issuer if keys[3] is other else other
+        wrong_key = bls.aggregate(sigs[:3] + [bls.sign_hashed(impostor.sk, hashed[3])])
+        wrong_msg = bls.aggregate(sigs[:3] + [bls.sign(keys[3].sk, b"not summed")])
+        for agg, expect in ((honest, True), (wrong_key, False), (wrong_msg, False)):
+            assert bls.verify_aggregate_points(pks, points, agg) is _per_pair_verdict(pks, points, agg) is expect
+        # the same points claimed under swapped keys
+        if len(set(pks)) > 1:
+            swapped = pks[1:] + pks[:1]
+            assert not bls.verify_aggregate_points(swapped, points, honest)
+            assert not _per_pair_verdict(swapped, points, honest)
+
+
+def test_verify_aggregate_points_checks_every_point(issuer):
+    from blsces.errors import OffCurveError
+    from blsces.groups import G1Point
+
+    h = bls.hash_to_g1(b"on curve").point
+    off = G1Point(h.x, (h.y + 1) % P)
+    sig = bls.aggregate([bls.sign(issuer.sk, b"on curve")] * 2)
+    with pytest.raises(OffCurveError):
+        bls.verify_aggregate_points([issuer.pk] * 3, [h, off, -off], sig)
 
 
 @given(st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))

@@ -153,6 +153,19 @@ def test_verify_full_credential_degenerate_path(issuer, signed4):
     assert ces_verify(issuer.pk, pres)
 
 
+def test_verify_runs_two_pairs_for_any_disclosure_size(issuer, pairs_seen):
+    cred = random_credential(random.Random(16), 16)
+    subsets = [[0], [0, 5, 9, 15], list(range(16))]
+    sc = ces_sign(issuer.sk, cred, CEAS.from_index_sets(16, subsets))
+    for subset in subsets:
+        pairs_seen.clear()
+        pres = ces_extract(sc, xset(*subset))
+        assert ces_verify(issuer.pk, pres)
+        assert pairs_seen == [2], len(subset)
+        forged = replace(pres, sigma=sc.sigs[1] if subset == [0] else sc.sigs[0])
+        assert not ces_verify(issuer.pk, forged)
+
+
 def test_verify_rejects_tampered_value(issuer, signed4):
     pres = ces_extract(signed4, xset(0, 1))
     claims = list(pres.sub_cred.claims)

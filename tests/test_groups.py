@@ -19,6 +19,7 @@ from blsces.groups import (
     g1_compress,
     g1_decompress,
     g1_mul,
+    g1_sum,
     g2_add,
     g2_from_bytes,
     g2_mul,
@@ -66,6 +67,15 @@ def test_addition_inverse_and_commutativity():
     p, q = random_g1(), random_g1()
     assert g1_add(p, q) == g1_add(q, p)
     assert g1_add(p, -p) == G1_IDENTITY
+
+
+def test_g1_sum_matches_pairwise_addition():
+    p, q = random_g1(), random_g1()
+    assert g1_sum([]) == G1_IDENTITY
+    assert g1_sum([p]) == p
+    assert g1_sum([p, -p]) == G1_IDENTITY
+    assert g1_sum([p, p]) == g1_mul(p, 2)
+    assert g1_sum([p, G1_IDENTITY, q, p]) == g1_add(g1_add(p, q), p)
 
 
 def test_g1_order_is_r():

@@ -15,7 +15,18 @@ from blsces.groups import (
     pairing_product,
     pairing_product_is_one,
 )
-from blsces.groups.params import R
+from blsces.groups.pairing import _final_exponentiation
+from blsces.groups.params import BN_U, P, R
+from blsces.groups.tower import (
+    fp12_conj,
+    fp12_cyclotomic_pow,
+    fp12_cyclotomic_sqr,
+    fp12_frobenius,
+    fp12_inv,
+    fp12_mul,
+    fp12_pow,
+    fp12_sqr,
+)
 
 rng = random.Random(555)
 
@@ -68,3 +79,44 @@ def test_product_shares_final_exponentiation():
     pa, pb = g1_mul(G1_GEN, a), g1_mul(G1_GEN, b)
     combined = pairing_product([(pa, G2_GEN), (pb, G2_GEN)])
     assert combined == pairing(g1_mul(G1_GEN, a + b), G2_GEN)
+
+
+def _random_fp12():
+    return tuple(tuple((rng.randrange(P), rng.randrange(P)) for _ in range(3)) for _ in range(2))
+
+
+def _easy_part(f):
+    """f^((p^6 - 1)(p^2 + 1)), which lands in the cyclotomic subgroup."""
+    t = fp12_mul(fp12_conj(f), fp12_inv(f))
+    return fp12_mul(fp12_frobenius(t, 2), t)
+
+
+def test_cyclotomic_sqr_matches_generic_after_easy_part():
+    for _ in range(5):
+        f = _random_fp12()
+        c = _easy_part(f)
+        assert fp12_cyclotomic_sqr(c) == fp12_sqr(c)
+        assert fp12_cyclotomic_pow(c, BN_U) == fp12_pow(c, BN_U)
+        for e in (0, 1, 2, 3, 7):
+            assert fp12_cyclotomic_pow(c, e) == fp12_pow(c, e)
+        # the precondition matters: off the subgroup the shortcut is wrong
+        assert fp12_cyclotomic_sqr(f) != fp12_sqr(f)
+
+
+def test_final_exponentiation_matches_plain_power():
+    """The hard part's cyclotomic chain equals f^((p^12 - 1) / r)."""
+    f = _random_fp12()
+    assert _final_exponentiation(f) == fp12_pow(f, (P**12 - 1) // R)
+
+
+def test_product_of_many_pairs_matches_separate_pairings():
+    """Lockstep Miller loops over mixed keys equal the product of the
+    single pairings."""
+    keys = [g2_mul(G2_GEN, k) for k in (3, 5)]
+    pts = [g1_mul(G1_GEN, k) for k in (2, 7, 11)]
+    pairs = [(pts[0], keys[0]), (pts[1], keys[1]), (pts[2], keys[0]), (G1_IDENTITY, keys[1])]
+    expected = GT_IDENTITY
+    for pt, q in pairs:
+        expected = expected * pairing(pt, q)
+    assert pairing_product(pairs) == expected
+    assert pairing_product(pairs) == pairing(G1_GEN, G2_GEN) ** (3 * 2 + 5 * 7 + 3 * 11)

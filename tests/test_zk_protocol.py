@@ -213,6 +213,13 @@ def test_zk_end_to_end_accepts(zk_env):
     assert res.policy_ok and res.pairing_ok and res.proof_ok
 
 
+def test_zk_verify_runs_two_pairs(zk_env, pairs_seen):
+    setup, _, _, _, pres, proof, inputs = zk_env
+    assert len(inputs.extraction) == 2
+    assert zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, proof, inputs).accept
+    assert pairs_seen == [2]
+
+
 def test_zk_prove_requires_policy_membership(zk_env):
     setup, cred, ceas, *_ = zk_env
     with pytest.raises(ValidationError):
@@ -223,10 +230,12 @@ def test_zk_conjunct_isolation(zk_env):
     setup, cred, ceas, sc, pres, proof, inputs = zk_env
     pk = setup.keypair.pk
 
-    # policy-only failure: hand the verifier a policy excluding X
+    # policy failure: hand the verifier a policy excluding X.  The proof
+    # binds the policy it was built under, so its conjunct fails too (see
+    # test_zk_policy_conjunct_implied_by_proof); the code names the policy.
     narrowed = CEAS.from_index_sets(3, [[0]])
     r = zk_verify(setup.backend_params, pk, pres.sigma, proof, replace(inputs, ceas_bytes=narrowed.to_bytes()))
-    assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (False, True, True)
+    assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (False, True, False)
     assert r.code == "policy_rejected" and not r.accept
 
     # pairing-only failure: aggregate from a different extraction
@@ -243,6 +252,34 @@ def test_zk_conjunct_isolation(zk_env):
     r = zk_verify(setup.backend_params, pk, pres.sigma, broken, inputs)
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
     assert r.code.startswith("proof_rejected") and not r.accept
+
+
+def test_zk_verify_binds_the_proved_policy(zk_env):
+    """Inputs naming another policy that also allows the extraction do
+    not verify: the claim messages were encoded under the proof's policy."""
+    setup, _, ceas, _, pres, proof, inputs = zk_env
+    other = CEAS.from_index_sets(3, [[0, 1]])
+    assert other != ceas and other.to_bytes() != inputs.ceas_bytes
+    r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, proof, replace(inputs, ceas_bytes=other.to_bytes()))
+    assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
+    assert r.code == "proof_rejected:statement_rebuild_failed" and not r.accept
+
+
+def test_zk_policy_conjunct_implied_by_proof(zk_env):
+    """The statement proves that X is allowed by the bound policy, so no
+    valid proof leaves the policy conjunct failing on its own: a holder
+    proving an extraction their issuer's policy excludes is unsatisfied."""
+    setup, cred, _, _, _, _, _ = zk_env
+    narrowed = CEAS.from_index_sets(3, [[0]])
+    idxs = (0, 1)
+    wits = {i: hash_to_curve_witness(i, cred[i], len(cred), narrowed)[1] for i in idxs}
+    res = build_statement(cred, narrowed, wits, idxs)
+    assert not res.cs.satisfied(res.values)
+    inputs = PublicInputs(
+        tuple(wits[i].x for i in idxs), tuple(wits[i].sign_bit for i in idxs), narrowed.to_bytes(), idxs
+    )
+    proof = TRANSPARENT_BACKEND.prove(setup.backend_params, res)
+    assert TRANSPARENT_BACKEND.verify(setup.backend_params, proof, inputs).code == "constraints_unsatisfied"
 
 
 def test_zk_malformed_ext_sig_distinct_code(zk_env):
