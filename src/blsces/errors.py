@@ -18,6 +18,11 @@ class EncodingError(BlscesError):
     """Bytes or a file do not decode to a well-formed object."""
 
 
+class ProofTooLargeError(EncodingError):
+    """A proof's witness inflates past the parser's size limit; it is
+    rejected before the witness is allocated."""
+
+
 class OffCurveError(ValidationError):
     """A point failed its curve-equation or subgroup check."""
 

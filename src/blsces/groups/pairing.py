@@ -24,10 +24,9 @@ from functools import lru_cache
 
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, P, R
-from blsces.groups.points import G1Point, G2Point, check_g1, check_g2
+from blsces.groups.points import G1Point, G2Point, check_g1, check_g2, g2_psi
 from blsces.groups.tower import (
     FP12_ONE,
-    fp2_conj,
     fp2_inv,
     fp2_mul,
     fp2_neg,
@@ -50,10 +49,7 @@ from blsces.groups.tower import (
 
 ATE_LOOP_COUNT = 6 * BN_U + 2
 
-# Twist-Frobenius constants: pi(x, y) = (conj(x)*TW_FROB_X, conj(y)*TW_FROB_Y)
-# and pi^2(x, y) = (x*TW_FROB2_X, -y).
-TW_FROB_X = fp2_pow(XI, (P - 1) // 3)
-TW_FROB_Y = fp2_pow(XI, (P - 1) // 2)
+# The twist endomorphism points.g2_psi squared: psi^2(x, y) = (x*TW_FROB2_X, -y).
 TW_FROB2_X = fp2_pow(XI, (P * P - 1) // 3)
 assert TW_FROB2_X[1] == 0
 assert fp2_pow(XI, (P * P - 1) // 2) == (P - 1, 0)
@@ -127,9 +123,9 @@ class G2Precomp:
             elif d == -1:
                 add, t = _line_through(t[0], t[1], x_q, neg_y_q)
             steps.append((dbl, add))
-        q1 = (fp2_mul(fp2_conj(x_q), TW_FROB_X), fp2_mul(fp2_conj(y_q), TW_FROB_Y))
+        q1 = g2_psi(q)
         q2neg = (fp2_smul(x_q, TW_FROB2_X[0]), y_q)
-        l1, t = _line_through(t[0], t[1], q1[0], q1[1])
+        l1, t = _line_through(t[0], t[1], q1.x, q1.y)
         l2, _ = _line_through(t[0], t[1], q2neg[0], q2neg[1])
         self.steps = steps
         self.tail = (l1, l2)

@@ -11,22 +11,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from blsces.errors import OffCurveError
-from blsces.groups.params import CURVE_B, G1_GENERATOR, G2_GENERATOR, P, R
-from blsces.groups import tower
+from blsces.groups.params import BN_U, CURVE_B, G1_GENERATOR, G2_GENERATOR, P, R
 from blsces.groups.tower import (
     FP2_ONE,
     FP2_ZERO,
+    XI,
     fp2_add,
+    fp2_conj,
     fp2_inv,
     fp2_mul,
     fp2_neg,
+    fp2_pow,
     fp2_smul,
     fp2_sqr,
     fp2_sub,
 )
 
 # Twist coefficient b' = 3 / XI.
-TWIST_B = fp2_mul((3, 0), fp2_inv(tower.XI))
+TWIST_B = fp2_mul((3, 0), fp2_inv(XI))
+
+# Twist-Frobenius constants: psi(x, y) = (conj(x)*TW_FROB_X, conj(y)*TW_FROB_Y)
+# is the p-power Frobenius carried over to the twist.
+TW_FROB_X = fp2_pow(XI, (P - 1) // 3)
+TW_FROB_Y = fp2_pow(XI, (P - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -90,13 +97,33 @@ def check_g1(pt: G1Point) -> G1Point:
     return pt
 
 
+def g2_psi(pt: G2Point) -> G2Point:
+    """The endomorphism psi of the twist; on G2 it acts as [p]."""
+    if pt.infinity:
+        return pt
+    return G2Point(fp2_mul(fp2_conj(pt.x), TW_FROB_X), fp2_mul(fp2_conj(pt.y), TW_FROB_Y))
+
+
 def check_g2(pt: G2Point) -> G2Point:
-    """Validate a G2 point; the twist has a cofactor, so membership in the
-    order-r subgroup is a real check, done by scalar multiplication."""
+    """Validate a G2 point: the twist equation, then membership in the
+    order-r subgroup, a real check because the twist has cofactor 2p - r.
+
+    Q is in G2 exactly when [u+1]Q + psi([u]Q) + psi^2([u]Q) equals
+    psi^3([2u]Q) (El Housni, Guillevic and Piellard, "Co-factor clearing
+    and subgroup membership testing on pairing-friendly curves",
+    AFRICACRYPT 2022): one scalar multiplication by the 63-bit u where
+    [r]Q = O takes a 254-bit one.
+    """
     if not g2_on_curve(pt):
         raise OffCurveError("G2 point fails twist curve equation")
-    if not pt.infinity and not g2_mul(pt, R).is_identity():
-        raise OffCurveError("G2 point outside the order-r subgroup")
+    if not pt.infinity:
+        uq = g2_mul(pt, BN_U)
+        psi_uq = g2_psi(uq)
+        psi2_uq = g2_psi(psi_uq)
+        psi3_uq = g2_psi(psi2_uq)
+        lhs = g2_add(g2_add(pt, uq), g2_add(psi_uq, psi2_uq))
+        if lhs != g2_add(psi3_uq, psi3_uq):
+            raise OffCurveError("G2 point outside the order-r subgroup")
     return pt
 
 
@@ -263,8 +290,9 @@ def g2_add(a: G2Point, b: G2Point) -> G2Point:
 
 
 def g2_mul(pt: G2Point, k: int) -> G2Point:
-    # No reduction mod R here: the twist has extra R'-torsion, and the
-    # subgroup check relies on computing R*Q literally.
+    # No reduction mod R here: the twist has points outside the order-R
+    # subgroup, for which [k]Q and [k mod R]Q differ; tests check the
+    # subgroup test against a literal [R]Q.
     if k < 0:
         return g2_mul(-pt, -k)
     if k == 0 or pt.infinity:

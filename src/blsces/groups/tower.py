@@ -7,7 +7,13 @@ overhead of the Miller loop and final exponentiation tolerable):
 * Fp6:  (c0, c1, c2) of Fp2 = c0 + c1*v + c2*v^2,  v^3 = XI = 9 + i
 * Fp12: (d0, d1) of Fp6     = d0 + d1*w,           w^2 = v
 
-All coefficients are canonical ints in [0, P).
+Every function returns canonical coefficients in [0, P).  The Fp12
+multiplication kernels (``fp12_mul``, ``fp12_sqr``, ``fp12_mul_line``)
+are written out over the twelve Fp coefficients: their intermediates are
+unreduced (possibly negative) ints, and each output coefficient takes a
+single ``% P``.  Python ints do not overflow, so deferring the reduction
+only costs a few bits of operand size (lazy reduction, as in Aranha et
+al., EUROCRYPT 2011).
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ FP2_ONE = (1, 0)
 FP6_ZERO = (FP2_ZERO, FP2_ZERO, FP2_ZERO)
 FP6_ONE = (FP2_ONE, FP2_ZERO, FP2_ZERO)
 FP12_ONE = (FP6_ONE, FP6_ZERO)
-FP12_ZERO = (FP6_ZERO, FP6_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +95,6 @@ def fp2_pow(a, e):
 # Fp6
 # ---------------------------------------------------------------------------
 
-def fp6_add(a, b):
-    return (fp2_add(a[0], b[0]), fp2_add(a[1], b[1]), fp2_add(a[2], b[2]))
-
-
 def fp6_sub(a, b):
     return (fp2_sub(a[0], b[0]), fp2_sub(a[1], b[1]), fp2_sub(a[2], b[2]))
 
@@ -102,40 +103,109 @@ def fp6_neg(a):
     return (fp2_neg(a[0]), fp2_neg(a[1]), fp2_neg(a[2]))
 
 
+def _fp6_mul_raw(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5):
+    """Karatsuba product x*y of two Fp6 elements given as their six Fp
+    coefficients: x = x0 + x1*v + x2*v^2 with x_k = a_2k + a_2k+1 * i,
+    and y likewise from b.
+
+    Inputs may be unreduced; the six output coefficients are unreduced.
+    Six Fp2 products of three integer multiplications each.
+    """
+    # v_k = x_k * y_k over Fp2.
+    t0 = a0 * b0
+    t1 = a1 * b1
+    v00 = t0 - t1
+    v01 = (a0 + a1) * (b0 + b1) - t0 - t1
+    t0 = a2 * b2
+    t1 = a3 * b3
+    v10 = t0 - t1
+    v11 = (a2 + a3) * (b2 + b3) - t0 - t1
+    t0 = a4 * b4
+    t1 = a5 * b5
+    v20 = t0 - t1
+    v21 = (a4 + a5) * (b4 + b5) - t0 - t1
+    # c0 = XI*((x1 + x2)(y1 + y2) - v1 - v2) + v0
+    e0 = a2 + a4
+    e1 = a3 + a5
+    f0 = b2 + b4
+    f1 = b3 + b5
+    t0 = e0 * f0
+    t1 = e1 * f1
+    s0 = t0 - t1 - v10 - v20
+    s1 = (e0 + e1) * (f0 + f1) - t0 - t1 - v11 - v21
+    c0 = 9 * s0 - s1 + v00
+    c1 = 9 * s1 + s0 + v01
+    # c1 = (x0 + x1)(y0 + y1) - v0 - v1 + XI*v2
+    e0 = a0 + a2
+    e1 = a1 + a3
+    f0 = b0 + b2
+    f1 = b1 + b3
+    t0 = e0 * f0
+    t1 = e1 * f1
+    c2 = t0 - t1 - v00 - v10 + 9 * v20 - v21
+    c3 = (e0 + e1) * (f0 + f1) - t0 - t1 - v01 - v11 + 9 * v21 + v20
+    # c2 = (x0 + x2)(y0 + y2) - v0 - v2 + v1
+    e0 = a0 + a4
+    e1 = a1 + a5
+    f0 = b0 + b4
+    f1 = b1 + b5
+    t0 = e0 * f0
+    t1 = e1 * f1
+    c4 = t0 - t1 - v00 - v20 + v10
+    c5 = (e0 + e1) * (f0 + f1) - t0 - t1 - v01 - v21 + v11
+    return c0, c1, c2, c3, c4, c5
+
+
 def fp6_mul(a, b):
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    v0 = fp2_mul(a0, b0)
-    v1 = fp2_mul(a1, b1)
-    v2 = fp2_mul(a2, b2)
-    c0 = fp2_add(fp2_mul_xi(fp2_sub(fp2_sub(fp2_mul(fp2_add(a1, a2), fp2_add(b1, b2)), v1), v2)), v0)
-    c1 = fp2_add(fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a1), fp2_add(b0, b1)), v0), v1), fp2_mul_xi(v2))
-    c2 = fp2_add(fp2_sub(fp2_sub(fp2_mul(fp2_add(a0, a2), fp2_add(b0, b2)), v0), v2), v1)
-    return (c0, c1, c2)
+    (a0, a1), (a2, a3), (a4, a5) = a
+    (b0, b1), (b2, b3), (b4, b5) = b
+    c0, c1, c2, c3, c4, c5 = _fp6_mul_raw(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
 
 
-def fp6_sqr(a):
-    return fp6_mul(a, a)
-
-
-def fp6_smul(a, s):
-    """Multiply an Fp6 element by an Fp2 scalar."""
-    return (fp2_mul(a[0], s), fp2_mul(a[1], s), fp2_mul(a[2], s))
+def _fp6_mul_01_raw(a0, a1, a2, a3, a4, a5, b0, b1, c0, c1):
+    """Product of an Fp6 element x (six Fp coefficients, as in
+    _fp6_mul_raw) and the sparse b + c*v with b = b0 + b1*i and
+    c = c0 + c1*i; returns the six unreduced coefficients.  Five Fp2
+    products."""
+    # (x0 + x1 v + x2 v^2)(b + c v)
+    #   = (x0 b + XI x2 c) + (x0 c + x1 b) v + (x1 c + x2 b) v^2
+    t0 = a0 * b0
+    t1 = a1 * b1
+    p0 = t0 - t1  # x0*b
+    p1 = (a0 + a1) * (b0 + b1) - t0 - t1
+    t0 = a2 * c0
+    t1 = a3 * c1
+    q0 = t0 - t1  # x1*c
+    q1 = (a2 + a3) * (c0 + c1) - t0 - t1
+    t0 = a4 * c0
+    t1 = a5 * c1
+    r0 = t0 - t1  # x2*c
+    r1 = (a4 + a5) * (c0 + c1) - t0 - t1
+    t0 = a4 * b0
+    t1 = a5 * b1
+    s0 = t0 - t1  # x2*b
+    s1 = (a4 + a5) * (b0 + b1) - t0 - t1
+    # x0 c + x1 b = (x0 + x1)(b + c) - x0 b - x1 c
+    e0 = a0 + a2
+    e1 = a1 + a3
+    f0 = b0 + c0
+    f1 = b1 + c1
+    t0 = e0 * f0
+    t1 = e1 * f1
+    return (
+        p0 + 9 * r0 - r1,
+        p1 + 9 * r1 + r0,
+        t0 - t1 - p0 - q0,
+        (e0 + e1) * (f0 + f1) - t0 - t1 - p1 - q1,
+        q0 + s0,
+        q1 + s1,
+    )
 
 
 def fp6_mul_v(a):
     # multiply by v: (c0 + c1 v + c2 v^2) * v = XI*c2 + c0 v + c1 v^2
     return (fp2_mul_xi(a[2]), a[0], a[1])
-
-
-def fp6_mul_sparse(a, b0, b1):
-    """Multiply by b0 + b1*v with b0, b1 in Fp2."""
-    a0, a1, a2 = a
-    return (
-        fp2_add(fp2_mul(a0, b0), fp2_mul_xi(fp2_mul(a2, b1))),
-        fp2_add(fp2_mul(a0, b1), fp2_mul(a1, b0)),
-        fp2_add(fp2_mul(a1, b1), fp2_mul(a2, b0)),
-    )
 
 
 def fp6_inv(a):
@@ -156,21 +226,52 @@ def fp6_inv(a):
 # ---------------------------------------------------------------------------
 
 def fp12_mul(a, b):
-    a0, a1 = a
-    b0, b1 = b
-    v0 = fp6_mul(a0, b0)
-    v1 = fp6_mul(a1, b1)
-    c1 = fp6_sub(fp6_sub(fp6_mul(fp6_add(a0, a1), fp6_add(b0, b1)), v0), v1)
-    c0 = fp6_add(v0, fp6_mul_v(v1))
-    return (c0, c1)
+    """Karatsuba over Fp6: (g + h w)(g' + h' w) = (gg' + v hh') +
+    ((g + h)(g' + h') - gg' - hh') w, with one reduction per output."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    ((b0, b1), (b2, b3), (b4, b5)), ((b6, b7), (b8, b9), (b10, b11)) = b
+    u0, u1, u2, u3, u4, u5 = _fp6_mul_raw(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
+    w0, w1, w2, w3, w4, w5 = _fp6_mul_raw(a6, a7, a8, a9, a10, a11, b6, b7, b8, b9, b10, b11)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_raw(
+        a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
+        b0 + b6, b1 + b7, b2 + b8, b3 + b9, b4 + b10, b5 + b11,
+    )
+    # v*hh' = XI*(w4 + w5 i) + (w0 + w1 i) v + (w2 + w3 i) v^2
+    return (
+        (
+            ((u0 + 9 * w4 - w5) % P, (u1 + 9 * w5 + w4) % P),
+            ((u2 + w0) % P, (u3 + w1) % P),
+            ((u4 + w2) % P, (u5 + w3) % P),
+        ),
+        (
+            ((s0 - u0 - w0) % P, (s1 - u1 - w1) % P),
+            ((s2 - u2 - w2) % P, (s3 - u3 - w3) % P),
+            ((s4 - u4 - w4) % P, (s5 - u5 - w5) % P),
+        ),
+    )
 
 
 def fp12_sqr(a):
-    a0, a1 = a
-    v0 = fp6_mul(a0, a1)
-    t = fp6_add(a0, fp6_mul_v(a1))
-    c0 = fp6_sub(fp6_sub(fp6_mul(fp6_add(a0, a1), t), v0), fp6_mul_v(v0))
-    return (c0, fp6_add(v0, v0))
+    """Complex squaring: (g + h w)^2 = ((g + h)(g + v h) - gh - v gh)
+    + 2gh w, two Fp6 products with one reduction per output."""
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    u0, u1, u2, u3, u4, u5 = _fp6_mul_raw(a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_raw(
+        a0 + a6, a1 + a7, a2 + a8, a3 + a9, a4 + a10, a5 + a11,
+        a0 + 9 * a10 - a11, a1 + 9 * a11 + a10, a2 + a6, a3 + a7, a4 + a8, a5 + a9,
+    )
+    return (
+        (
+            ((s0 - u0 - 9 * u4 + u5) % P, (s1 - u1 - 9 * u5 - u4) % P),
+            ((s2 - u2 - u0) % P, (s3 - u3 - u1) % P),
+            ((s4 - u4 - u2) % P, (s5 - u5 - u3) % P),
+        ),
+        (
+            (2 * u0 % P, 2 * u1 % P),
+            (2 * u2 % P, 2 * u3 % P),
+            (2 * u4 % P, 2 * u5 % P),
+        ),
+    )
 
 
 def fp12_conj(a):
@@ -179,7 +280,7 @@ def fp12_conj(a):
 
 def fp12_inv(a):
     a0, a1 = a
-    t = fp6_inv(fp6_sub(fp6_sqr(a0), fp6_mul_v(fp6_sqr(a1))))
+    t = fp6_inv(fp6_sub(fp6_mul(a0, a0), fp6_mul_v(fp6_mul(a1, a1))))
     return (fp6_mul(a0, t), fp6_neg(fp6_mul(a1, t)))
 
 
@@ -270,29 +371,40 @@ def naf(k):
     return digits
 
 
-def fp12_eq_one(a):
-    return a == FP12_ONE
-
-
 def fp12_mul_line(f, a, b, c):
     """Multiply f by the sparse line element a + b*w + c*v*w.
 
     ``a`` is a plain Fp scalar (the G1 point's y-coordinate); b and c are
-    Fp2.  In the (Fp6, Fp6) pairing of f this operand is (g, h) with
-    g = (a, 0, 0) and h = (b, c, 0).
+    Fp2.  In the (Fp6, Fp6) pairing of f = g + h*w this operand is
+    (a, b + c*v).  Karatsuba over Fp6 as in fp12_mul: a*g and h*(b + c*v)
+    once each, and the w part from (g + h)*(a + b + c*v); one reduction
+    per output.
     """
-    f0, f1 = f
-    g0 = ((f0[0][0] * a % P, f0[0][1] * a % P),
-          (f0[1][0] * a % P, f0[1][1] * a % P),
-          (f0[2][0] * a % P, f0[2][1] * a % P))
-    h1 = fp6_mul_sparse(f1, b, c)
-    c0 = fp6_add(g0, fp6_mul_v(h1))
-    h0 = fp6_mul_sparse(f0, b, c)
-    g1 = ((f1[0][0] * a % P, f1[0][1] * a % P),
-          (f1[1][0] * a % P, f1[1][1] * a % P),
-          (f1[2][0] * a % P, f1[2][1] * a % P))
-    c1 = fp6_add(h0, g1)
-    return (c0, c1)
+    ((f0, f1), (f2, f3), (f4, f5)), ((f6, f7), (f8, f9), (f10, f11)) = f
+    b0, b1 = b
+    c0, c1 = c
+    h0, h1, h2, h3, h4, h5 = _fp6_mul_01_raw(f6, f7, f8, f9, f10, f11, b0, b1, c0, c1)
+    s0, s1, s2, s3, s4, s5 = _fp6_mul_01_raw(
+        f0 + f6, f1 + f7, f2 + f8, f3 + f9, f4 + f10, f5 + f11, b0 + a, b1, c0, c1,
+    )
+    g0 = a * f0
+    g1 = a * f1
+    g2 = a * f2
+    g3 = a * f3
+    g4 = a * f4
+    g5 = a * f5
+    return (
+        (
+            ((g0 + 9 * h4 - h5) % P, (g1 + 9 * h5 + h4) % P),
+            ((g2 + h0) % P, (g3 + h1) % P),
+            ((g4 + h2) % P, (g5 + h3) % P),
+        ),
+        (
+            ((s0 - g0 - h0) % P, (s1 - g1 - h1) % P),
+            ((s2 - g2 - h2) % P, (s3 - g3 - h3) % P),
+            ((s4 - g4 - h4) % P, (s5 - g5 - h5) % P),
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

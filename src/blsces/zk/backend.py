@@ -14,10 +14,15 @@ import json
 import zlib
 from dataclasses import dataclass
 
-from blsces.errors import EncodingError, StatementError
+from blsces.errors import EncodingError, ProofTooLargeError, StatementError
 from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, public_assignment, synthesize
 
 _VALUE_BYTES = 32
+
+# Largest witness parse() inflates, about 60 one-claim witnesses.  The
+# compressed blob comes from outside, and zlib inflates zeros about
+# 1000-fold, so a larger witness is refused before it is allocated.
+MAX_WITNESS_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,12 @@ class TransparentBackend:
             if meta.get("backend") != self.name:
                 raise EncodingError("proof built for a different backend")
             layout = StatementLayout.from_json(meta["layout"])
-            packed = zlib.decompress(blob)
+            inflater = zlib.decompressobj()
+            packed = inflater.decompress(blob, MAX_WITNESS_BYTES)
+            if not inflater.eof:
+                if len(packed) < MAX_WITNESS_BYTES:
+                    raise EncodingError("truncated witness stream")
+                raise ProofTooLargeError(f"witness inflates past {MAX_WITNESS_BYTES} bytes")
         except EncodingError:
             raise
         except Exception as exc:
@@ -80,6 +90,8 @@ class TransparentBackend:
     def verify(self, params: BackendParams, proof: Proof, inputs: PublicInputs) -> BackendVerdict:
         try:
             layout, values = self.parse(proof)
+        except ProofTooLargeError:
+            return BackendVerdict(False, "proof_too_large")
         except EncodingError:
             return BackendVerdict(False, "malformed_proof")
         try:

@@ -129,6 +129,64 @@ def test_g2_subgroup_checks():
         check_g2(found)
 
 
+def _fp2_sqrt(a):
+    """A square root in Fp2 through the norm, or None."""
+    a0, a1 = a
+    norm = (a0 * a0 + a1 * a1) % P
+    s = pow(norm, (P + 1) // 4, P)
+    if s * s % P != norm:
+        return None
+    for root in (s, -s):
+        t = (a0 + root) * pow(2, -1, P) % P
+        u = pow(t, (P + 1) // 4, P)
+        if u and u * u % P == t:
+            return (u, a1 * pow(2 * u, -1, P) % P)
+    return None
+
+
+def _random_twist_point(rng):
+    """A point of the whole twist group E'(Fp2), of order dividing h*r."""
+    from blsces.groups.points import TWIST_B
+    from blsces.groups.tower import fp2_add, fp2_mul, fp2_sqr
+
+    while True:
+        x = (rng.randrange(P), rng.randrange(P))
+        y = _fp2_sqrt(fp2_add(fp2_mul(fp2_sqr(x), x), TWIST_B))
+        if y is not None:
+            return G2Point(x, y)
+
+
+def _passes_check_g2(q):
+    try:
+        check_g2(q)
+    except OffCurveError:
+        return False
+    return True
+
+
+def test_g2_endomorphism_check_matches_literal():
+    """check_g2's psi-based test gives the verdict of [r]Q == O on members
+    and on each kind of non-member the twist has (cofactor h = 2p - r)."""
+    rng = random.Random(2022)
+    h = 2 * P - R
+    members = [g2_mul(G2_GEN, rng.randrange(1, R)) for _ in range(6)]
+    members += [g2_mul(_random_twist_point(rng), h) for _ in range(6)]
+    torsion = [g2_mul(_random_twist_point(rng), R) for _ in range(6)]
+    while True:
+        small = g2_mul(_random_twist_point(rng), h * R // 10069)
+        if not small.is_identity():
+            break
+    assert h % 10069 == 0 and g2_mul(small, 10069).is_identity()
+    non_members = [_random_twist_point(rng) for _ in range(6)]
+    non_members += torsion + [small, g2_add(small, small)]
+    non_members += [g2_add(m, t) for m, t in zip(members, torsion)]
+    non_members += [g2_add(m, small) for m in members[:3]]
+    for q in members:
+        assert g2_mul(q, R).is_identity() and _passes_check_g2(q)
+    for q in non_members:
+        assert not g2_mul(q, R).is_identity() and not _passes_check_g2(q)
+
+
 def test_off_curve_rejection():
     with pytest.raises(OffCurveError):
         check_g1(G1Point(1, 1))

@@ -1,0 +1,79 @@
+"""The straight-line Fp12 kernels against the independent oracle.
+
+``naive_pairing._mul`` multiplies in Fp[w]/(w^12 - 18 w^6 + 82), a basis
+the tower shares nothing with; ``tower_to_poly`` maps a tower element
+into it via v = w^2 and i = w^6 - 9.  Coefficients of 0, 1 and P - 1
+drive the kernels' unreduced intermediates to their largest and most
+negative values.
+"""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from naive_pairing import _mul, tower_to_poly
+from blsces.groups.params import P
+from blsces.groups.tower import fp12_mul, fp12_mul_line, fp12_sqr
+
+EDGES = (0, 1, P - 1)
+
+rng = random.Random(1212)
+
+
+def _fp12(coeffs):
+    c = iter(coeffs)
+    return tuple(tuple((next(c), next(c)) for _ in range(3)) for _ in range(2))
+
+
+def _canonical(x):
+    return all(0 <= c < P for fp6 in x for fp2 in fp6 for c in fp2)
+
+
+def _check_kernels(a, b, s, lb, lc):
+    pa = tower_to_poly(a)
+    prod = fp12_mul(a, b)
+    assert _canonical(prod)
+    assert tower_to_poly(prod) == _mul(pa, tower_to_poly(b))
+    sq = fp12_sqr(a)
+    assert _canonical(sq)
+    assert tower_to_poly(sq) == _mul(pa, pa)
+    line = (((s, 0), (0, 0), (0, 0)), (lb, lc, (0, 0)))
+    ml = fp12_mul_line(a, s, lb, lc)
+    assert _canonical(ml)
+    assert tower_to_poly(ml) == _mul(pa, tower_to_poly(line))
+
+
+def test_kernels_match_oracle_on_random_elements():
+    for _ in range(20):
+        a = _fp12([rng.randrange(P) for _ in range(12)])
+        b = _fp12([rng.randrange(P) for _ in range(12)])
+        lb = (rng.randrange(P), rng.randrange(P))
+        lc = (rng.randrange(P), rng.randrange(P))
+        _check_kernels(a, b, rng.randrange(P), lb, lc)
+
+
+def test_kernels_match_oracle_at_edge_coefficients():
+    # every coefficient of both operands at the same edge value
+    for x, y in itertools.product(EDGES, repeat=2):
+        _check_kernels(_fp12([x] * 12), _fp12([y] * 12), x, (y, y), (x, y))
+    # and mixed at random among the edge values
+    for _ in range(30):
+        a, b = (_fp12([rng.choice(EDGES) for _ in range(12)]) for _ in range(2))
+        s, b0, b1, c0, c1 = (rng.choice(EDGES) for _ in range(5))
+        _check_kernels(a, b, s, (b0, b1), (c0, c1))
+
+
+_coeff = st.one_of(st.sampled_from(EDGES), st.integers(0, P - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_coeff, min_size=12, max_size=12),
+    st.lists(_coeff, min_size=12, max_size=12),
+    st.lists(_coeff, min_size=5, max_size=5),
+)
+def test_kernels_match_oracle_property(a, b, line):
+    s, b0, b1, c0, c1 = line
+    _check_kernels(_fp12(a), _fp12(b), s, (b0, b1), (c0, c1))

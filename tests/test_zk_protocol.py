@@ -8,7 +8,7 @@ import pytest
 
 from blsces.ces import ces_extract, ces_sign
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
-from blsces.errors import StatementError, ValidationError
+from blsces.errors import EncodingError, ProofTooLargeError, StatementError, ValidationError
 from blsces.groups.params import TOY
 from blsces.zk import (
     BackendParams,
@@ -23,6 +23,7 @@ from blsces.zk import (
     zk_setup,
     zk_verify,
 )
+from blsces.zk import backend
 from blsces.zk.statement import PublicInputs, public_assignment
 
 rng = random.Random(17)
@@ -163,6 +164,24 @@ def test_backend_rejects_garbage():
     assert TRANSPARENT_BACKEND.verify(params, Proof(b"junk"), inputs).code == "malformed_proof"
 
 
+def test_backend_witness_cap_boundary(monkeypatch):
+    """A witness of exactly the cap parses; one byte more is too large; a
+    truncated stream under the cap is malformed, not too large."""
+    monkeypatch.setattr(backend, "MAX_WITNESS_BYTES", 64)
+    res, _ = toy_statement("27")
+    header = TRANSPARENT_BACKEND.prove(BackendParams(), res).data.split(b"\n", 1)[0]
+
+    def parse(blob):
+        return TRANSPARENT_BACKEND.parse(Proof(header + b"\n" + blob))
+
+    assert parse(zlib.compress(bytes(64)))[1] == [0, 0]
+    with pytest.raises(ProofTooLargeError):
+        parse(zlib.compress(bytes(65)))
+    with pytest.raises(EncodingError) as exc:
+        parse(zlib.compress(bytes(32))[:-4])
+    assert not isinstance(exc.value, ProofTooLargeError)
+
+
 def test_public_assignment_layout_mismatch():
     res, wit = toy_statement("27")
     inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
@@ -252,6 +271,23 @@ def test_zk_conjunct_isolation(zk_env):
     r = zk_verify(setup.backend_params, pk, pres.sigma, broken, inputs)
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
     assert r.code.startswith("proof_rejected") and not r.accept
+
+
+def test_zk_verify_rejects_oversized_witness(zk_env):
+    """A ~130 KB blob that inflates to 128 MiB of zeros, twice the cap, is
+    refused with its own code before the witness is allocated."""
+    setup, _, _, _, pres, proof, inputs = zk_env
+    header = proof.data.split(b"\n", 1)[0]
+    deflater = zlib.compressobj(9)
+    mib = bytes(1 << 20)
+    blob = b"".join(deflater.compress(mib) for _ in range(128)) + deflater.flush()
+    assert len(blob) < 200_000
+    bomb = Proof(header + b"\n" + blob)
+    with pytest.raises(ProofTooLargeError):
+        TRANSPARENT_BACKEND.parse(bomb)
+    r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, bomb, inputs)
+    assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
+    assert r.code == "proof_rejected:proof_too_large" and not r.accept
 
 
 def test_zk_verify_binds_the_proved_policy(zk_env):
