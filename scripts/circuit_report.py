@@ -3,11 +3,13 @@
 
 Builds representative statements on the toy and production profiles and
 prints constraint/variable counts plus a short auditable dump excerpt.
+Exits 1 if any of these honest statements is unsatisfied.
 
     python scripts/circuit_report.py [--dump N]
 """
 
 import argparse
+import sys
 import time
 
 from blsces import CEAS, Claim, Credential
@@ -15,7 +17,7 @@ from blsces.groups.params import BN254, TOY
 from blsces.zk import build_statement, hash_to_curve_witness
 
 
-def report(profile, n_claims: int, dump: int):
+def report(profile, n_claims: int, dump: int) -> bool:
     cred = Credential(
         tuple(Claim("holder", f"field{i}", str(20 + i)) for i in range(n_claims))
     )
@@ -34,7 +36,7 @@ def report(profile, n_claims: int, dump: int):
     cs = res.cs
     print(f"profile={profile.name} claims={n_claims}")
     print(
-        f"  constraints={len(cs)} (bool={len(cs.bools)} mul={len(cs.muls)} "
+        f"  constraints={len(cs)} (bool={len(cs.bools)} "
         f"lin={len(cs.lins)} r1={len(cs.r1s)}) vars={cs.num_vars} public={cs.num_public}"
     )
     print(f"  build {build_s:.2f}s, full satisfaction check {check_s:.2f}s, satisfied={ok}")
@@ -43,15 +45,16 @@ def report(profile, n_claims: int, dump: int):
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
+    return ok
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--dump", type=int, default=0, help="print the first N constraints")
     args = parser.parse_args()
-    report(TOY, 1, args.dump)
-    report(BN254, 1, 0)
-    report(BN254, 3, 0)
+    results = [report(TOY, 1, args.dump), report(BN254, 1, 0), report(BN254, 3, 0)]
+    if not all(results):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -19,10 +19,31 @@ from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, 
 
 _VALUE_BYTES = 32
 
-# Largest witness parse() inflates, about 60 one-claim witnesses.  The
+# Largest witness parse() inflates, about 70 one-claim witnesses.  The
 # compressed blob comes from outside, and zlib inflates zeros about
 # 1000-fold, so a larger witness is refused before it is allocated.
 MAX_WITNESS_BYTES = 64 << 20
+_INFLATE_CHUNK = 1 << 16
+
+
+def _inflate(blob: bytes) -> bytearray:
+    """Inflate one zlib stream of at most MAX_WITNESS_BYTES, ignoring
+    trailing bytes.  Output is appended in chunks to one buffer, so a
+    refused stream never holds much more than the cap."""
+    inflater = zlib.decompressobj()
+    packed = bytearray()
+    tail = blob
+    while True:
+        room = MAX_WITNESS_BYTES + 1 - len(packed)
+        chunk = inflater.decompress(tail, min(_INFLATE_CHUNK, room))
+        packed += chunk
+        if len(packed) > MAX_WITNESS_BYTES:
+            raise ProofTooLargeError(f"witness inflates past {MAX_WITNESS_BYTES} bytes")
+        if inflater.eof:
+            return packed
+        tail = inflater.unconsumed_tail
+        if not chunk and not tail:
+            raise EncodingError("truncated witness stream")
 
 
 @dataclass(frozen=True)
@@ -69,12 +90,7 @@ class TransparentBackend:
             if meta.get("backend") != self.name:
                 raise EncodingError("proof built for a different backend")
             layout = StatementLayout.from_json(meta["layout"])
-            inflater = zlib.decompressobj()
-            packed = inflater.decompress(blob, MAX_WITNESS_BYTES)
-            if not inflater.eof:
-                if len(packed) < MAX_WITNESS_BYTES:
-                    raise EncodingError("truncated witness stream")
-                raise ProofTooLargeError(f"witness inflates past {MAX_WITNESS_BYTES} bytes")
+            packed = _inflate(blob)
         except EncodingError:
             raise
         except Exception as exc:

@@ -92,8 +92,8 @@ def zk_verify(
     points, and the backend proof; accept only if all three hold."""
     # b1: the disclosed index set is allowed by the policy the verifier
     # was handed.  b3 binds that policy to the one the messages were
-    # encoded under and proves the same membership, so b1 never fails
-    # alone for a valid proof.
+    # encoded under; the statement does not prove membership, so b1 is
+    # the only check that the policy allows the extraction.
     try:
         ceas = CEAS.from_bytes(inputs.ceas_bytes)
         x = ExtractionSet(frozenset(inputs.extraction))

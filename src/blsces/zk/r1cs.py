@@ -1,19 +1,18 @@
 """Rank-1 constraint system with a builder that doubles as witness generator.
 
-Scale matters here: a real-field statement runs to about 33,000
-constraints per claim, most of them bit (booleanity) checks from the
-sha256 and range-check decompositions, so constraints are stored by
-kind instead of as uniform LC triples:
+Scale matters here: a real-field statement runs to about 29,800
+constraints per claim, all but a few from the sha256 gadget and its bit
+(booleanity) decompositions, so constraints are stored by kind instead
+of as uniform LC triples:
 
 * ``bools``: variable indices v with v * (1 - v) = 0
-* ``muls``:  (a, b, c) variable triples with w[a] * w[b] = w[c]
 * ``lins``:  linear combinations that must equal zero
 * ``r1s``:   general (A, B, C) LC triples with <A,w> * <B,w> = <C,w>
 
 A linear combination is a tuple of (variable, coefficient) pairs;
 variable 0 is pinned to the constant 1, which is also how constants
 enter LCs.  ``iter_r1cs`` exposes every constraint in the uniform
-a*b = c shape (bools, then muls, then lins, then r1s) for dumps and
+a*b = c shape (bools, then lins, then r1s) for dumps and
 for the mutation-sweep tests.
 """
 
@@ -33,12 +32,11 @@ class ConstraintSystem:
     num_vars: int = 1  # var 0 == 1
     num_public: int = 0  # vars 1..num_public are public inputs
     bools: list = dc_field(default_factory=list)
-    muls: list = dc_field(default_factory=list)
     lins: list = dc_field(default_factory=list)
     r1s: list = dc_field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.bools) + len(self.muls) + len(self.lins) + len(self.r1s)
+        return len(self.bools) + len(self.lins) + len(self.r1s)
 
     # -- evaluation ---------------------------------------------------
 
@@ -57,10 +55,6 @@ class ConstraintSystem:
         idx = 0
         for v in self.bools:
             if w[v] % f not in (0, 1):
-                return idx
-            idx += 1
-        for a, b, c in self.muls:
-            if w[a] * w[b] % f != w[c] % f:
                 return idx
             idx += 1
         for lc in self.lins:
@@ -83,23 +77,17 @@ class ConstraintSystem:
         one = ((0, 1),)
         for v in self.bools:
             yield (((v, 1),), ((0, 1), (v, -1)), ())
-        for a, b, c in self.muls:
-            yield (((a, 1),), ((b, 1),), ((c, 1),))
         for lc in self.lins:
             yield (lc, one, ())
         for a_lc, b_lc, c_lc in self.r1s:
             yield (a_lc, b_lc, c_lc)
 
     def constraint(self, idx: int):
-        nb, nm, nl = len(self.bools), len(self.muls), len(self.lins)
+        nb, nl = len(self.bools), len(self.lins)
         if idx < nb:
             v = self.bools[idx]
             return (((v, 1),), ((0, 1), (v, -1)), ())
         idx -= nb
-        if idx < nm:
-            a, b, c = self.muls[idx]
-            return (((a, 1),), ((b, 1),), ((c, 1),))
-        idx -= nm
         if idx < nl:
             return (self.lins[idx], ((0, 1),), ())
         return self.r1s[idx - nl]
@@ -179,15 +167,6 @@ class Builder:
 
     def add_bool(self, var: int) -> None:
         self.cs.bools.append(var)
-
-    def add_mul(self, a: int, b: int) -> int:
-        """c = a * b with a fresh output variable."""
-        val = None
-        if self.compute:
-            val = self.values[a] * self.values[b] % self.cs.field
-        c = self.alloc(val)
-        self.cs.muls.append((a, b, c))
-        return c
 
     def add_lin(self, lc: LC) -> None:
         self.cs.lins.append(tuple(lc))

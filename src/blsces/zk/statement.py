@@ -9,12 +9,12 @@ one shared constraint system:
       carried-in state is a public input, and the in-circuit suffix
       always covers the bytes from the counter's block to the end of
       the padding (one block, or two when the padding spills over).
-  (b) a witnessed square root y of x^3 + b with y * y^-1 == 1, in
-      emulated base-field arithmetic, certifying that x^3 + b is a
-      nonzero square (the point (x, y) is on the curve),
-  (c) membership of the extraction set in the policy, over public
-      selector bits,
-  (d) an optional application predicate over claim-value bytes.
+  (b) an optional application predicate over claim-value bytes.
+
+Facts the verifier checks itself are not proved again: it decompresses
+each point from its public (x, sign) pair, which rejects an x off the
+curve, and it checks the extraction set against the policy, which
+``public_assignment`` pins to the layout's.
 
 The layout records everything a verifier needs to rebuild the identical
 system: claim component lengths, pre-hash states, and the predicate
@@ -30,12 +30,6 @@ from dataclasses import dataclass
 from blsces.credential import CEAS, Claim, encode_claim_message
 from blsces.errors import StatementError, ValidationError
 from blsces.groups.params import PROFILES
-from blsces.zk.bigint_gadget import (
-    LIMB_BITS,
-    NUM_LIMBS,
-    EmulatedValue,
-    square_root_gadget,
-)
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem
 from blsces.zk.sha256_gadget import (
@@ -48,6 +42,9 @@ from blsces.zk.sha256_gadget import (
 from blsces.zk.witness import HashToCurveWitness
 
 SHA_BITS = 256
+# The public x enters as little-endian limbs, each below the proof field.
+LIMB_BITS = 64
+NUM_LIMBS = 4
 ONE_LC: LC = ((0, 1),)
 
 
@@ -205,7 +202,7 @@ class SynthesisResult:
 def public_assignment(layout: StatementLayout, inputs: PublicInputs) -> list[int]:
     """Expected values of the public variables (1..num_public) in the
     canonical order used by ``synthesize``: per claim x limbs, sign, and
-    pre-hash state words; then the extraction selector bits."""
+    pre-hash state words."""
     if inputs.extraction != layout.extraction:
         raise StatementError("extraction set differs between layout and public inputs")
     if inputs.ceas_bytes != layout.ceas_bytes:
@@ -223,8 +220,6 @@ def public_assignment(layout: StatementLayout, inputs: PublicInputs) -> list[int
         out.append(sign)
         if cl.prehash_state is not None:
             out.extend(cl.prehash_state)
-    for idx in range(layout.n):
-        out.append(1 if idx in layout.extraction else 0)
     return out
 
 
@@ -268,9 +263,8 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
         if cl.prehash_state is not None:
             states = tuple(bd.alloc_public(v if compute else None) for v in cl.prehash_state)
         per_claim_pub.append((limbs, sign, states))
-    x_sel = [bd.alloc_public((1 if idx in layout.extraction else 0) if compute else None) for idx in range(layout.n)]
 
-    # ---- per-claim hash plus square-root constraints ---------------------
+    # ---- per-claim hash constraints ----------------------------------------
     value_lcs_by_index: dict[int, list[LC]] = {}
     for cl, (limbs, sign, states) in zip(layout.claims, per_claim_pub):
         lens = (cl.len_subject, cl.len_property, cl.len_value)
@@ -347,33 +341,6 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
                 lc = lc + tuple((v, c << (m - LIMB_BITS * j)) for v, c in digest_bit(m + shift))
             bd.add_lin(lc)
         bd.add_lin(((sign, -1),) + digest_bit(shift - 1))
-
-        # x^3 + b is a nonzero square, over the emulated base field
-        y = witness[cl.index][1].y if compute else None
-        square_root_gadget(bd, EmulatedValue(limbs), y, profile.p, profile.b)
-
-    # ---- extraction-set membership in the policy --------------------------
-    for b in x_sel:
-        bd.add_bool(b)
-    eq_terms: LC = ()
-    for subset_mask in sorted(ceas.subsets):
-        cur: LC | None = None
-        for idx in range(layout.n):
-            want = (subset_mask >> idx) & 1
-            factor: LC = ((x_sel[idx], 1),) if want else (ONE_LC + ((x_sel[idx], -1),))
-            if cur is None:
-                cur = factor
-            else:
-                prod = bd.alloc(bd.lc_val(cur) * bd.lc_val(factor) % bd.cs.field if compute else None)
-                bd.add_r1(cur, factor, ((prod, 1),))
-                cur = ((prod, 1),)
-        eq_terms = eq_terms + tuple(cur)
-    inv_val = None
-    if compute:
-        s_val = bd.lc_val(eq_terms)
-        inv_val = pow(s_val, -1, bd.cs.field) if s_val else 0
-    inv = bd.alloc(inv_val)
-    bd.add_r1(eq_terms, ((inv, 1),), ONE_LC)
 
     # ---- application predicate -------------------------------------------
     predicate = predicate_from_descriptor(layout.predicate)

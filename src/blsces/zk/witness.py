@@ -1,10 +1,9 @@
 """Witness generation for the hash-to-curve statement.
 
 For each disclosed claim the prover re-runs try-and-increment outside
-the constraint system, keeps the successful counter, and records the
-hashed point's y-coordinate: the square root of x^3 + b that the
-statement checks.  The constraint system then only has to check the
-final, deterministic iteration.
+the constraint system and keeps the successful counter.  The constraint
+system then only has to check the final, deterministic iteration; the
+verifier recovers the point from the public (x, sign) pair itself.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class HashToCurveWitness:
     x: int
     sign_bit: int
     counter: int
-    y: int
 
 
 def hash_to_curve_witness(
@@ -50,6 +48,5 @@ def hash_to_curve_witness(
         x=h.x,
         sign_bit=h.sign_bit,
         counter=h.counter,
-        y=h.point.y,
     )
     return (h.x, h.sign_bit), witness

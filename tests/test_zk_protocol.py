@@ -1,15 +1,18 @@
 """Statement building, the transparent backend, and full proof flows."""
 
 import random
+import tracemalloc
 import zlib
 from dataclasses import replace
 
 import pytest
 
+from blsces import bls
 from blsces.ces import ces_extract, ces_sign
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError, ProofTooLargeError, StatementError, ValidationError
-from blsces.groups.params import TOY
+from blsces.groups import decompress_x
+from blsces.groups.params import BN254, TOY
 from blsces.zk import (
     BackendParams,
     EqualsPredicate,
@@ -24,7 +27,7 @@ from blsces.zk import (
     zk_verify,
 )
 from blsces.zk import backend
-from blsces.zk.statement import PublicInputs, public_assignment
+from blsces.zk.statement import PublicInputs, StatementLayout, build_claim_layout, public_assignment
 
 rng = random.Random(17)
 
@@ -42,7 +45,7 @@ def toy_statement(value="33", predicate=None, claim=None):
 def test_toy_statement_satisfied():
     res, _ = toy_statement()
     assert res.cs.satisfied(res.values)
-    assert res.cs.num_public == 5 + 1  # 4 limbs + sign + one selector bit
+    assert res.cs.num_public == 5  # 4 limbs + sign
 
 
 def test_statement_shape_is_witness_independent():
@@ -71,12 +74,42 @@ def test_statement_rejects_hidden_claim():
 
 
 def test_statement_perturbed_root_unsatisfied():
+    """The statement holds no root; it pins the pair (x, sign) the verifier
+    decompresses.  Only the hashed x and its sign bit satisfy it."""
     (_, _), wit = hash_to_curve_witness(0, Claim("h", "age", "33"), 1, TOY_CEAS, TOY)
     cred = Credential((Claim("h", "age", "33"),))
-    # only the two roots +-y satisfy; the sign bit is not bound to y
-    for y in range(11):
-        res = build_statement(cred, TOY_CEAS, {0: replace(wit, y=y)}, (0,), profile_name="toy11")
-        assert res.cs.satisfied(res.values) == (y in (wit.y, 11 - wit.y)), y
+    for x in range(11):
+        for sign in (0, 1):
+            res = build_statement(
+                cred, TOY_CEAS, {0: replace(wit, x=x, sign_bit=sign)}, (0,), profile_name="toy11"
+            )
+            assert res.cs.satisfied(res.values) == ((x, sign) == (wit.x, wit.sign_bit)), (x, sign)
+
+
+def test_statement_shape_ignores_policy_size():
+    """The statement proves no policy membership, so a policy of one
+    subset and one of all 63 subsets of six claims give the same shape.
+    The larger policy adds 62 bytes to every message; the first claim's
+    value is 62 bytes longer under the smaller one, so both messages have
+    the same length and the in-circuit suffix holds only value bytes."""
+    small = CEAS.from_index_sets(6, [[0]])
+    full = CEAS.from_index_sets(6, [[i for i in range(6) if m >> i & 1] for m in range(1, 64)])
+    assert len(full.to_bytes()) - len(small.to_bytes()) == 62
+    shapes = []
+    for ceas, value in ((small, "7" * 92), (full, "7" * 30)):
+        claim = Claim("h", "age", value)
+        layout = StatementLayout(
+            profile_name="bn254",
+            ceas_bytes=ceas.to_bytes(),
+            n=6,
+            extraction=(0,),
+            claims=(build_claim_layout(ceas, 6, 0, claim),),
+            predicate=None,
+        )
+        assert layout.claims[0].msg_len == 130
+        cs = synthesize(layout).cs
+        shapes.append((len(cs), cs.num_vars, cs.num_public))
+    assert shapes[0] == shapes[1]
 
 
 def test_statement_multiblock_prehash():
@@ -89,8 +122,8 @@ def test_statement_multiblock_prehash():
 
 
 def test_statement_direct_evaluation_oracle_toy():
-    """Satisfiability agrees with recomputing hash, residue, membership,
-    and predicate outside the constraint system, across random inputs."""
+    """Satisfiability agrees with recomputing the hash and the predicate
+    outside the constraint system, across random inputs."""
     for trial in range(40):
         value = str(rng.randrange(10, 99))
         claim = Claim("h", "age", value)
@@ -99,12 +132,7 @@ def test_statement_direct_evaluation_oracle_toy():
         predicate = RangePredicate(0, lo, hi)
         cred = Credential((claim,))
         res = build_statement(cred, TOY_CEAS, {0: wit}, (0,), predicate=predicate, profile_name="toy11")
-        oracle = (
-            pow((wit.x**3 + 3) % 11, 5, 11) == 1
-            and ExtractionSet(frozenset({0})).mask() in TOY_CEAS.subsets
-            and lo <= int(value) <= hi
-        )
-        assert res.cs.satisfied(res.values) == oracle
+        assert res.cs.satisfied(res.values) == (lo <= int(value) <= hi)
 
 
 # -- predicates ----------------------------------------------------------------------
@@ -180,6 +208,26 @@ def test_backend_witness_cap_boundary(monkeypatch):
     with pytest.raises(EncodingError) as exc:
         parse(zlib.compress(bytes(32))[:-4])
     assert not isinstance(exc.value, ProofTooLargeError)
+
+
+def test_backend_refuses_bomb_near_the_cap(monkeypatch):
+    """Refusing a stream that inflates to twice the cap holds little more
+    than the cap: the witness is inflated in chunks into one buffer."""
+    cap = 8 << 20
+    monkeypatch.setattr(backend, "MAX_WITNESS_BYTES", cap)
+    res, _ = toy_statement("27")
+    header = TRANSPARENT_BACKEND.prove(BackendParams(), res).data.split(b"\n", 1)[0]
+    deflater = zlib.compressobj(9)
+    blob = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(16)) + deflater.flush()
+    bomb = Proof(header + b"\n" + blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProofTooLargeError):
+            TRANSPARENT_BACKEND.parse(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * cap
 
 
 def test_public_assignment_layout_mismatch():
@@ -302,25 +350,29 @@ def test_zk_verify_binds_the_proved_policy(zk_env):
 
 
 def test_zk_policy_conjunct_implied_by_proof(zk_env):
-    """The statement proves that X is allowed by the bound policy, so no
-    valid proof leaves the policy conjunct failing on its own: a holder
-    proving an extraction their issuer's policy excludes is unsatisfied."""
+    """An extraction the issuer's policy excludes never verifies.  The
+    statement does not prove membership, so a holder who aggregates the
+    per-claim signatures themselves gets a satisfied statement and a
+    valid pairing; the policy conjunct alone rejects."""
     setup, cred, _, _, _, _, _ = zk_env
     narrowed = CEAS.from_index_sets(3, [[0]])
     idxs = (0, 1)
+    sc = ces_sign(setup.keypair.sk, cred, narrowed)
+    sigma = bls.aggregate([sc.sigs[i] for i in idxs])
     wits = {i: hash_to_curve_witness(i, cred[i], len(cred), narrowed)[1] for i in idxs}
     res = build_statement(cred, narrowed, wits, idxs)
-    assert not res.cs.satisfied(res.values)
+    assert res.cs.satisfied(res.values)
     inputs = PublicInputs(
         tuple(wits[i].x for i in idxs), tuple(wits[i].sign_bit for i in idxs), narrowed.to_bytes(), idxs
     )
     proof = TRANSPARENT_BACKEND.prove(setup.backend_params, res)
-    assert TRANSPARENT_BACKEND.verify(setup.backend_params, proof, inputs).code == "constraints_unsatisfied"
+    r = zk_verify(setup.backend_params, setup.keypair.pk, sigma, proof, inputs)
+    assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (False, True, True)
+    assert r.code == "policy_rejected" and not r.accept
 
 
 def test_zk_malformed_ext_sig_distinct_code(zk_env):
     setup, _, _, _, _, proof, inputs = zk_env
-    from blsces import bls
 
     bad_sig = bls.Signature(b"\x40\x01" + b"\x00" * 30)
     r = zk_verify(setup.backend_params, setup.keypair.pk, bad_sig, proof, inputs)
@@ -331,7 +383,6 @@ def test_zk_verify_rejects_identity_key(zk_env):
     # An honest proof with the identity aggregate under the identity key
     # must not pass the pairing conjunct.
     _, _, _, _, _, proof, inputs = zk_env
-    from blsces import bls
     from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY
 
     r = zk_verify(BackendParams(), G2_IDENTITY, bls.Signature(G1_IDENTITY_BYTES), proof, inputs)
@@ -349,6 +400,28 @@ def test_zk_bundle_extraction_mismatch_rejected(zk_env):
     # the rebuilt statement cannot bind these inputs, so the proof
     # conjunct fails regardless of what the policy conjunct says
     assert not r.accept and not r.proof_ok
+
+
+def test_zk_verify_rejects_x_off_the_curve(zk_env):
+    """The statement does not prove x is on the curve; zk_verify's
+    decompression rejects an x with no curve point, or one >= p."""
+    setup, _, _, _, pres, proof, inputs = zk_env
+    non_residue_x = next(x for x in range(2, 100) if BN254.sqrt(BN254.rhs(x)) is None)
+    for bad_x in (non_residue_x, BN254.p, BN254.p + inputs.x_coords[0]):
+        bad = replace(inputs, x_coords=(bad_x,) + inputs.x_coords[1:])
+        r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, proof, bad)
+        assert not r.accept and not r.pairing_ok and r.code == "decompress_failed", bad_x
+    # toy11: the x with a point are those where x^3 + 3 is a square, zero
+    # included (x = 2 gives the point (2, 0)); x >= 11 is out of range
+    for x in range(16):
+        for sign in (0, 1):
+            if x in (0, 1, 2, 4, 7, 8):
+                px, py = decompress_x(x, sign, TOY)
+                assert px == x and (py * py - TOY.rhs(x)) % 11 == 0
+            else:
+                with pytest.raises(EncodingError):
+                    decompress_x(x, sign, TOY)
+    assert decompress_x(2, 0, TOY) == decompress_x(2, 1, TOY) == (2, 0)
 
 
 def test_zk_tampered_public_x_rejected(zk_env):
