@@ -2,8 +2,10 @@
 """Report constraint-system sizes and synthesis times.
 
 Builds representative statements on the toy and production profiles and
-prints constraint/variable counts plus a short auditable dump excerpt.
-Exits 1 if any of these honest statements is unsatisfied.
+prints constraint/variable counts, prover and shape-only (verifier)
+synthesis times, plus a short auditable dump excerpt.  Exits 1 if any
+of these honest statements is unsatisfied, or if the shape-only
+rebuild differs from the prover's constraint system.
 
     python scripts/circuit_report.py [--dump N]
 """
@@ -14,7 +16,7 @@ import time
 
 from blsces import CEAS, Claim, Credential
 from blsces.groups.params import BN254, TOY
-from blsces.zk import build_statement, hash_to_curve_witness
+from blsces.zk import build_statement, hash_to_curve_witness, synthesize
 
 
 def report(profile, n_claims: int, dump: int) -> bool:
@@ -31,21 +33,30 @@ def report(profile, n_claims: int, dump: int) -> bool:
     res = build_statement(cred, ceas, witnesses, extraction, profile_name=profile.name)
     build_s = time.monotonic() - t0
     t0 = time.monotonic()
+    shape = synthesize(res.layout).cs
+    shape_s = time.monotonic() - t0
+    t0 = time.monotonic()
     ok = res.cs.satisfied(res.values)
     check_s = time.monotonic() - t0
     cs = res.cs
+    same = (shape.bools, shape.lins, shape.r1s, shape.num_vars, shape.num_public) == (
+        cs.bools, cs.lins, cs.r1s, cs.num_vars, cs.num_public
+    )
     print(f"profile={profile.name} claims={n_claims}")
     print(
         f"  constraints={len(cs)} (bool={len(cs.bools)} "
         f"lin={len(cs.lins)} r1={len(cs.r1s)}) vars={cs.num_vars} public={cs.num_public}"
     )
-    print(f"  build {build_s:.2f}s, full satisfaction check {check_s:.2f}s, satisfied={ok}")
+    print(
+        f"  build {build_s:.2f}s, shape-only build {shape_s:.2f}s, "
+        f"full satisfaction check {check_s:.2f}s, satisfied={ok} shape_matches={same}"
+    )
     if dump:
         print("  dump excerpt:")
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
-    return ok
+    return ok and same
 
 
 def main():

@@ -161,7 +161,7 @@ def cmd_zk_verify(args) -> int:
     return EXIT_OK if result.accept else EXIT_REJECT
 
 
-def _demo_credential(profile):
+def _demo_credential():
     cred = Credential(
         (
             Claim("holder", "age", "19"),
@@ -176,7 +176,7 @@ def cmd_gen_vectors(args) -> int:
     profile = TOY if args.toy else BN254
     rng = random.Random(args.seed)
     out: dict = {"profile": profile.name, "seed": args.seed}
-    cred, ceas = _demo_credential(profile)
+    cred, ceas = _demo_credential()
     msgs = [b"", b"abc", b"vector-message"]
     out["hash_to_g1"] = [
         {
@@ -214,7 +214,7 @@ def cmd_self_test(args) -> int:
         kp = bls.keygen(rng)
         sig = bls.sign(kp.sk, b"self-test")
         checks["sign_verify"] = bls.verify(kp.pk, b"self-test", sig)
-        cred, ceas = _demo_credential(profile)
+        cred, ceas = _demo_credential()
         sc = ces_sign(kp.sk, cred, ceas)
         pres = ces_extract(sc, ExtractionSet(frozenset({0})))
         checks["ces_round_trip"] = bool(ces_verify(kp.pk, pres))

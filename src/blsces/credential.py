@@ -184,8 +184,10 @@ class CEAS:
         ]
         if masks != sorted(set(masks)):
             raise EncodingError("CEAS bytes are not canonical")
-        ceas = cls(n=n, subsets=frozenset(masks))
-        return ceas
+        try:
+            return cls(n=n, subsets=frozenset(masks))
+        except ValidationError as exc:
+            raise EncodingError(f"CEAS bytes hold no valid policy: {exc}") from exc
 
 
 def ceas_contains(ceas: CEAS, x: ExtractionSet) -> bool:

@@ -62,10 +62,6 @@ class RangePredicate(CustomPredicate):
     def synthesize(self, bd: Builder, value_bytes: list[LC]) -> None:
         if not value_bytes:
             raise StatementError("range predicate over an empty value")
-        if 10 ** len(value_bytes) <= self.high:
-            # high unreachable with this many digits is fine; high below
-            # every representable value is caught by the bound check
-            pass
         digits = []
         for byte_lc in value_bytes:
             digit = _lc_sub_const(byte_lc, ord("0"))
@@ -104,11 +100,16 @@ class EqualsPredicate(CustomPredicate):
 
 
 def predicate_from_descriptor(desc: dict | None) -> CustomPredicate | None:
+    """The predicate a descriptor names; a descriptor from outside that
+    names none raises StatementError."""
     if desc is None:
         return None
-    kind = desc.get("kind")
-    if kind == "range":
-        return RangePredicate(claim_index=int(desc["claim_index"]), low=int(desc["low"]), high=int(desc["high"]))
-    if kind == "equals":
-        return EqualsPredicate(claim_index=int(desc["claim_index"]), expected=str(desc["expected"]))
+    try:
+        kind = desc["kind"]
+        if kind == "range":
+            return RangePredicate(claim_index=int(desc["claim_index"]), low=int(desc["low"]), high=int(desc["high"]))
+        if kind == "equals":
+            return EqualsPredicate(claim_index=int(desc["claim_index"]), expected=str(desc["expected"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StatementError(f"malformed predicate descriptor: {exc!r}") from exc
     raise StatementError(f"unknown predicate kind {kind!r}")

@@ -1,11 +1,25 @@
 """SHA-256 compression function, both as plain Python and as R1CS gadget.
 
-The gadget synthesizes one compression-function application over 32-bit
-words held as lists of 32 bit-LCs (little-endian).  XOR costs one
-product per pair of bits, Ch costs one product per bit, Maj two; the
-modular additions collapse each round's sums into a single linear
-constraint over freshly allocated output and carry bits.  One
-application is roughly 26k constraints.
+The gadget carries every bit as a literal, an int b: b >= 0 is variable
+b and ~b is its negation 1 - w[b].  Variable 0 holds 1, so ``ONE`` (0)
+and ``ZERO`` (~0) are the constants.  Words are lists of 32 literals,
+little-endian.  Costs per bit:
+
+* NOT, rotations and shifts are free: they rearrange literals.
+* XOR moves both negations to its output.  Against a constant it is a
+  literal flip; otherwise one product d * d = z with d = a - b.
+* Ch(e, f, g) folds when e is constant or f == g; otherwise one product
+  e * (f - g) = c - g.
+* Maj(a, b, c) = Ch(a xor b, c, a): two products, none while a and b
+  are constants in the first rounds.
+* An addition of k words allocates 32 result and ceil(log2 k) carry
+  bits, each with a booleanity check, and ties them to the operand sum
+  in one linear constraint.
+
+One application over a fully secret block is about 30,400 constraints:
+19,600 products, 10,500 booleanity checks and 312 linear.  Only this
+module knows the literal format; ``lit_lc`` turns a literal into a
+linear combination for callers.
 
 Round constants and the initial state are derived from the fractional
 parts of cube/square roots of the first primes with exact integer
@@ -83,124 +97,106 @@ def sha256_pad(length: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Gadget: words are lists of 32 bit-LCs, little-endian.
+# Gadget: words are lists of 32 bit literals, little-endian.
 # ---------------------------------------------------------------------------
 
-ZERO_LC: LC = ()
+ONE = 0  # variable 0 holds 1
+ZERO = ~ONE
 
 
-def const_word(value: int) -> list[LC]:
-    return [(((0, 1),) if (value >> j) & 1 else ZERO_LC) for j in range(WORD)]
+def lit_lc(b: int, k: int = 1) -> LC:
+    """k times the value of literal b, as a linear combination."""
+    return ((b, k),) if b >= 0 else ((0, k), (~b, -k))
 
 
-def word_from_bits(bits: list[int]) -> list[LC]:
-    return [((b, 1),) for b in bits]
+def const_word(value: int) -> list[int]:
+    return [ONE if (value >> j) & 1 else ZERO for j in range(WORD)]
 
 
-def _lc_add(*lcs: LC) -> LC:
-    merged: dict[int, int] = {}
-    for lc in lcs:
-        for var, coeff in lc:
-            merged[var] = merged.get(var, 0) + coeff
-    return tuple((v, c) for v, c in merged.items() if c)
+def _value(bd: Builder, b: int) -> int:
+    return bd.values[b] if b >= 0 else 1 - bd.values[~b]
 
 
-def _lc_scale(lc: LC, k: int) -> LC:
-    return tuple((v, c * k) for v, c in lc)
+def xor(bd: Builder, a: int, b: int) -> int:
+    """a xor b: negations move to the output, so a product is needed only
+    between two variables, and for boolean a, b, (a - b)^2 = a xor b."""
+    flip = (a < 0) ^ (b < 0)
+    a, b = max(a, ~a), max(b, ~b)  # the variables under the literals
+    if a == ONE or b == ONE:
+        # one side is the constant 1, which flips the other
+        z = b if a == ONE else a
+        flip = not flip
+    else:
+        z = bd.alloc(bd.values[a] ^ bd.values[b] if bd.compute else None)
+        d = ((a, 1), (b, -1))
+        bd.add_r1(d, d, ((z, 1),))
+    return ~z if flip else z
 
 
-def _lc_const(lc: LC) -> int | None:
-    """Constant value when the LC only touches variable 0, else None."""
-    if not lc:
-        return 0
-    if len(lc) == 1 and lc[0][0] == 0:
-        return lc[0][1]
-    return None
+def ch(bd: Builder, e: int, f: int, g: int) -> int:
+    """e ? f : g, under the one product e * (f - g) = c - g."""
+    if e < 0:
+        e, f, g = ~e, g, f
+    if e == ONE or f == g:
+        return f
+    c = bd.alloc(_value(bd, f if bd.values[e] else g) if bd.compute else None)
+    minus_g = lit_lc(g, -1)
+    bd.add_r1(((e, 1),), lit_lc(f) + minus_g, ((c, 1),) + minus_g)
+    return c
 
 
-def xor_lc(bd: Builder, x: LC, y: LC) -> LC:
-    """z = x xor y for boolean-valued LCs: z = x + y - 2xy."""
-    cx, cy = _lc_const(x), _lc_const(y)
-    if cx is not None:
-        return _lc_add(y, ZERO_LC) if cx == 0 else _lc_add(((0, 1),), _lc_scale(y, -1))
-    if cy is not None:
-        return x if cy == 0 else _lc_add(((0, 1),), _lc_scale(x, -1))
-    t = bd.alloc(bd.lc_val(x) * bd.lc_val(y) % bd.cs.field if bd.compute else None)
-    bd.add_r1(x, y, ((t, 1),))
-    return _lc_add(x, y, _lc_scale(((t, 1),), -2))
+def word_xor3(bd: Builder, x: list[int], y: list[int], z: list[int]) -> list[int]:
+    return [xor(bd, xor(bd, a, b), c) for a, b, c in zip(x, y, z)]
 
 
-def xor3_lc(bd: Builder, x: LC, y: LC, z: LC) -> LC:
-    return xor_lc(bd, xor_lc(bd, x, y), z)
+def word_rotr(w: list[int], n: int) -> list[int]:
+    return w[n:] + w[:n]
 
 
-def word_xor3(bd: Builder, x: list[LC], y: list[LC], z: list[LC]) -> list[LC]:
-    return [xor3_lc(bd, a, b, c) for a, b, c in zip(x, y, z)]
+def word_shr(w: list[int], n: int) -> list[int]:
+    return w[n:] + [ZERO] * n
 
 
-def word_rotr(w: list[LC], n: int) -> list[LC]:
-    return [w[(j + n) % WORD] for j in range(WORD)]
+def word_ch(bd: Builder, e: list[int], f: list[int], g: list[int]) -> list[int]:
+    return [ch(bd, eb, fb, gb) for eb, fb, gb in zip(e, f, g)]
 
 
-def word_shr(w: list[LC], n: int) -> list[LC]:
-    return [(w[j + n] if j + n < WORD else ZERO_LC) for j in range(WORD)]
+def word_maj(bd: Builder, a: list[int], b: list[int], c: list[int]) -> list[int]:
+    """Maj(a, b, c) = Ch(a xor b, c, a) bitwise."""
+    return [ch(bd, xor(bd, ab, bb), cb, ab) for ab, bb, cb in zip(a, b, c)]
 
 
-def word_ch(bd: Builder, e: list[LC], f: list[LC], g: list[LC]) -> list[LC]:
-    """Ch(e,f,g) = g + e*(f - g) bitwise: one product per bit."""
-    out = []
-    for eb, fb, gb in zip(e, f, g):
-        diff = _lc_add(fb, _lc_scale(gb, -1))
-        if _lc_const(eb) is not None or not diff:
-            ce = _lc_const(eb)
-            if ce == 0:
-                out.append(gb)
-                continue
-            if ce == 1:
-                out.append(fb)
-                continue
-        t = bd.alloc(bd.lc_val(eb) * bd.lc_val(diff) % bd.cs.field if bd.compute else None)
-        bd.add_r1(eb, diff, ((t, 1),))
-        out.append(_lc_add(gb, ((t, 1),)))
-    return out
-
-
-def word_maj(bd: Builder, a: list[LC], b: list[LC], c: list[LC]) -> list[LC]:
-    """Maj(a,b,c) = bc + a*(b + c - 2bc) bitwise: two products per bit."""
-    out = []
-    f = bd.cs.field
-    for ab, bb, cb in zip(a, b, c):
-        t = bd.alloc(bd.lc_val(bb) * bd.lc_val(cb) % f if bd.compute else None)
-        bd.add_r1(bb, cb, ((t, 1),))
-        rest = _lc_add(bb, cb, _lc_scale(((t, 1),), -2))
-        u = bd.alloc(bd.lc_val(ab) * bd.lc_val(rest) % f if bd.compute else None)
-        bd.add_r1(ab, rest, ((u, 1),))
-        out.append(_lc_add(((t, 1),), ((u, 1),)))
-    return out
-
-
-def word_add(bd: Builder, *words: list[LC]) -> list[LC]:
+def word_add(bd: Builder, *words: list[int]) -> list[int]:
     """Sum mod 2^32: allocate 32 result bits plus overflow bits and tie
     them to the operand sum with one linear constraint."""
-    total_lc = _lc_add(*(_lc_scale(w[j], 1 << j) for w in words for j in range(WORD)))
+    terms = []
+    const = 0
+    for w in words:
+        for j, b in enumerate(w):
+            if b > 0:
+                terms.append((b, 1 << j))
+            elif b != ZERO:
+                const += 1 << j
+                if b != ONE:
+                    terms.append((~b, -(1 << j)))
+    value = None
+    if bd.compute:
+        vals = bd.values
+        value = const + sum(vals[v] * k for v, k in terms)
     carry_bits = max(1, (len(words) - 1).bit_length())
-    value = bd.lc_val(total_lc) if bd.compute else None
-    out_bits = bd.bits_of(value, WORD)
-    carry = bd.bits_of(value >> WORD if value is not None else None, carry_bits)
-    rhs = _lc_add(
-        tuple((b, 1 << j) for j, b in enumerate(out_bits)),
-        tuple((b, 1 << (WORD + j)) for j, b in enumerate(carry)),
-    )
-    bd.add_lin(_lc_add(total_lc, _lc_scale(rhs, -1)))
-    return [((b, 1),) for b in out_bits]
+    bits = bd.bits_of(value, WORD + carry_bits)
+    if const:
+        terms.append((0, const))
+    terms.extend((b, -(1 << j)) for j, b in enumerate(bits))
+    bd.add_lin(terms)
+    return bits[:WORD]
 
 
-def sha256_compress_gadget(bd: Builder, state: list[list[LC]], block: list[list[LC]]) -> list[list[LC]]:
+def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list[int]]) -> list[list[int]]:
     """Synthesize one compression application.
 
     ``state`` is 8 words, ``block`` 16 words; returns the 8 output
-    words.  Word bit-LCs may be constants, fresh variables, or prior
-    gadget outputs.
+    words.  Word bits may be constants, variables or their negations.
     """
     w = list(block)
     for t in range(16, 64):
@@ -210,8 +206,8 @@ def sha256_compress_gadget(bd: Builder, state: list[list[LC]], block: list[list[
     a, b, c, d, e, f, g, h = state
     for t in range(64):
         big_s1 = word_xor3(bd, word_rotr(e, 6), word_rotr(e, 11), word_rotr(e, 25))
-        ch = word_ch(bd, e, f, g)
-        t1 = word_add(bd, h, big_s1, ch, const_word(SHA256_K[t]), w[t])
+        ch_w = word_ch(bd, e, f, g)
+        t1 = word_add(bd, h, big_s1, ch_w, const_word(SHA256_K[t]), w[t])
         big_s0 = word_xor3(bd, word_rotr(a, 2), word_rotr(a, 13), word_rotr(a, 22))
         maj = word_maj(bd, a, b, c)
         t2 = word_add(bd, big_s0, maj)

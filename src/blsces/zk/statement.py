@@ -33,8 +33,11 @@ from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem
 from blsces.zk.sha256_gadget import (
+    ONE,
     SHA256_IV,
-    ZERO_LC,
+    ZERO,
+    const_word,
+    lit_lc,
     sha256_compress,
     sha256_compress_gadget,
     sha256_pad,
@@ -45,7 +48,6 @@ SHA_BITS = 256
 # The public x enters as little-endian limbs, each below the proof field.
 LIMB_BITS = 64
 NUM_LIMBS = 4
-ONE_LC: LC = ((0, 1),)
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,9 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
         raise StatementError("layout extraction index out of range")
     if tuple(c.index for c in layout.claims) != layout.extraction:
         raise StatementError("one claim layout per extracted index required")
+    predicate = predicate_from_descriptor(layout.predicate)
+    if predicate is not None and predicate.claim_index not in layout.extraction:
+        raise StatementError("predicate targets an undisclosed claim")
 
     compute = witness is not None
     bd = Builder(compute=compute)
@@ -292,61 +297,52 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
             for off in range(start, start + length):
                 secret_kind[off] = kind
 
-        # per-byte little-endian bit LCs over the in-circuit suffix
-        bit_lcs: dict[int, list[LC]] = {}
+        # per-byte little-endian bit literals over the in-circuit suffix
+        byte_bits: dict[int, list[int]] = {}
         value_bytes: list[LC] = []
         for off in range(suffix_start, cl.padded_len):
             kind = secret_kind.get(off)
             if kind is None:
-                const = template[off]
-                bit_lcs[off] = [ONE_LC if (const >> j) & 1 else ZERO_LC for j in range(8)]
+                byte_bits[off] = [ONE if (template[off] >> j) & 1 else ZERO for j in range(8)]
             else:
                 bits = bd.bits_of(real_msg[off] if compute else None, 8)
-                bit_lcs[off] = [((b, 1),) for b in bits]
+                byte_bits[off] = bits
                 if kind == "value":
                     value_bytes.append(tuple((b, 1 << j) for j, b in enumerate(bits)))
         value_lcs_by_index[cl.index] = value_bytes
 
         # initial state words
         if states is None:
-            state_words = [[ONE_LC if (v >> j) & 1 else ZERO_LC for j in range(32)] for v in SHA256_IV]
+            state_words = [const_word(v) for v in SHA256_IV]
         else:
             state_words = []
             for sv in states:
                 sbits = bd.bits_of(bd.values[sv] if compute else None, 32)
                 bd.add_lin(((sv, -1),) + tuple((b, 1 << j) for j, b in enumerate(sbits)))
-                state_words.append([((b, 1),) for b in sbits])
+                state_words.append(sbits)
 
-        # suffix compressions
+        # suffix compressions; a word's big-endian bytes, little-endian bits
         for blk in range(cl.first_block, cl.total_blocks):
-            block_words = []
-            for t in range(16):
-                word_bits: list[LC] = [ZERO_LC] * 32
-                for bpos in range(4):
-                    byte_bits = bit_lcs[64 * blk + 4 * t + bpos]
-                    base_bit = 8 * (3 - bpos)
-                    for j in range(8):
-                        word_bits[base_bit + j] = byte_bits[j]
-                block_words.append(word_bits)
+            block_words = [
+                [b for bpos in (3, 2, 1, 0) for b in byte_bits[64 * blk + 4 * t + bpos]]
+                for t in range(16)
+            ]
             state_words = sha256_compress_gadget(bd, state_words, block_words)
 
         # digest bit t (little-endian over the 256-bit big-endian digest)
-        def digest_bit(t: int) -> LC:
+        def digest_bit(t: int) -> int:
             return state_words[7 - t // 32][t % 32]
 
         # bind public x limbs and sign to the digest bits
         for j in range(NUM_LIMBS):
             lc: LC = ((limbs[j], -1),)
             for m in range(LIMB_BITS * j, min(LIMB_BITS * (j + 1), l_bits)):
-                lc = lc + tuple((v, c << (m - LIMB_BITS * j)) for v, c in digest_bit(m + shift))
+                lc += lit_lc(digest_bit(m + shift), 1 << (m - LIMB_BITS * j))
             bd.add_lin(lc)
-        bd.add_lin(((sign, -1),) + digest_bit(shift - 1))
+        bd.add_lin(((sign, -1),) + lit_lc(digest_bit(shift - 1)))
 
     # ---- application predicate -------------------------------------------
-    predicate = predicate_from_descriptor(layout.predicate)
     if predicate is not None:
-        if predicate.claim_index not in layout.extraction:
-            raise StatementError("predicate targets an undisclosed claim")
         cl = layout.claims[layout.extraction.index(predicate.claim_index)]
         value_bytes = value_lcs_by_index[predicate.claim_index]
         if len(value_bytes) != cl.len_value:

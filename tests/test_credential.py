@@ -147,6 +147,10 @@ def test_ceas_canonical_bytes():
     raw = struct.pack(">II", 3, 2) + bytes([4]) + bytes([3])
     with pytest.raises(EncodingError):
         CEAS.from_bytes(raw)
+    # bytes that decode to no policy: no subsets, or a mask wider than n
+    for raw in (struct.pack(">II", 3, 0), struct.pack(">II", 3, 1) + bytes([8])):
+        with pytest.raises(EncodingError):
+            CEAS.from_bytes(raw)
 
 
 def test_ceas_validation():

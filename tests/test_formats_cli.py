@@ -1,5 +1,6 @@
 """File formats round-trip; the CLI agrees with direct library calls."""
 
+import base64
 import json
 import random
 import subprocess
@@ -214,6 +215,24 @@ def test_cli_prove_and_zk_verify(cli_flow):
         "--presentation", str(cli_flow / "pres01.json"), "--bundle", str(cli_flow / "bundle.json"),
     )
     assert code == 1 and diag["pairing_ok"] is False
+
+    # a proof header whose predicate lacks its fields is rejected, exit 1
+    doc = json.loads((cli_flow / "bundle.json").read_text())
+    header, blob = base64.b64decode(doc["proof"]).split(b"\n", 1)
+    meta = json.loads(header)
+    meta["layout"]["predicate"] = {"kind": "range"}
+    doc["proof"] = base64.b64encode(json.dumps(meta).encode() + b"\n" + blob).decode()
+    (cli_flow / "bad_predicate.json").write_text(formats.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "blsces.cli", "zk-verify", "--pubkey", str(cli_flow / "pk.json"),
+         "--presentation", str(cli_flow / "pres.json"), "--bundle", str(cli_flow / "bad_predicate.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    (line,) = proc.stdout.splitlines()
+    diag = json.loads(line)
+    assert diag["ok"] is False and diag["code"] == "proof_rejected:statement_rebuild_failed"
 
     # a bundle naming a prover backend that does not exist is malformed
     doc = json.loads((cli_flow / "bundle.json").read_text())

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+from itertools import product
 
 import pytest
 
@@ -14,13 +15,18 @@ from blsces.groups.params import P as BIG_P
 from blsces.zk import build_statement, hash_to_curve_witness
 from blsces.zk.r1cs import Builder
 from blsces.zk.sha256_gadget import (
+    ONE,
     SHA256_IV,
     SHA256_K,
+    ZERO,
+    ch,
     const_word,
+    lit_lc,
     sha256_compress,
     sha256_compress_gadget,
     sha256_pad,
-    word_from_bits,
+    word_maj,
+    xor,
 )
 
 rng = random.Random(31)
@@ -50,13 +56,10 @@ def test_known_constants_spot_values():
 
 def gadget_digest(block: bytes, state=None):
     bd = Builder()
-    block_words = [
-        word_from_bits(bd.bits_of(int.from_bytes(block[4 * t: 4 * t + 4], "big"), 32))
-        for t in range(16)
-    ]
+    block_words = [bd.bits_of(int.from_bytes(block[4 * t: 4 * t + 4], "big"), 32) for t in range(16)]
     state_words = [const_word(v) for v in (state or SHA256_IV)]
     out = sha256_compress_gadget(bd, state_words, block_words)
-    vals = [sum(bd.lc_val(lc) << j for j, lc in enumerate(word)) for word in out]
+    vals = [sum(bd.lc_val(lit_lc(b)) << j for j, b in enumerate(word)) for word in out]
     return bd, vals
 
 
@@ -82,6 +85,48 @@ def test_sha_gadget_rejects_flipped_witness_bit():
     w = list(bd.values)
     w[1] ^= 1
     assert not bd.cs.satisfied(w)
+
+
+# -- bit literals ------------------------------------------------------------------
+
+def literal_cases(arity: int):
+    """Every pick of ``arity`` literals from {x, ~x, y, ~y, z, ~z, 1, 0}
+    under every assignment of x, y, z: each operand ranges over variable,
+    negation and both constants, and operands may share a variable."""
+    for values in product((0, 1), repeat=3):
+        for picks in product(range(8), repeat=arity):
+            bd = Builder()
+            pool = [lit for v in values for x in [bd.bit(v)] for lit in (x, ~x)] + [ONE, ZERO]
+            yield bd, [pool[k] for k in picks]
+
+
+CONSTANTS = (ONE, ZERO)
+
+
+@pytest.mark.parametrize(
+    "arity,gadget,plain,products,folds",
+    [
+        (2, xor, lambda a, b: a ^ b, 1, lambda a, b: a in CONSTANTS or b in CONSTANTS),
+        (3, ch, lambda e, f, g: f if e else g, 1, lambda e, f, g: e in CONSTANTS or f == g),
+        (3, lambda bd, a, b, c: word_maj(bd, [a], [b], [c])[0], lambda a, b, c: int(a + b + c >= 2), 2, None),
+    ],
+    ids=["xor", "ch", "maj"],
+)
+def test_literal_gadget_truth_tables(arity, gadget, plain, products, folds):
+    for bd, lits in literal_cases(arity):
+        out = gadget(bd, *lits)
+        want = plain(*(bd.lc_val(lit_lc(b)) for b in lits))
+        assert bd.lc_val(lit_lc(out)) == want, lits
+        assert bd.cs.satisfied(bd.values), lits
+        # one variable per product: xor and Ch cost one, Maj two
+        assert len(bd.cs.r1s) == bd.cs.num_vars - 4 <= products, lits
+        if folds is not None:
+            assert (not bd.cs.r1s) == folds(*lits), lits
+        # every variable the gadget allocated is pinned by its constraint
+        for v in range(4, bd.cs.num_vars):
+            w = list(bd.values)
+            w[v] ^= 1
+            assert not bd.cs.satisfied(w), (lits, v)
 
 
 # -- the on-curve check ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Statement building, the transparent backend, and full proof flows."""
 
+import json
 import random
+import struct
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -54,6 +56,10 @@ def test_statement_shape_is_witness_independent():
     shape = synthesize(res1.layout, witness=None)
     assert len(shape.cs) == len(res1.cs) == len(res2.cs)
     assert shape.cs.num_vars == res1.cs.num_vars
+    # bit literals fold on their structure, never on values: the verifier
+    # rebuilds the prover's constraints exactly
+    for res in (res1, res2):
+        assert (shape.cs.bools, shape.cs.lins, shape.cs.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
     assert shape.values is None
     # the rebuilt shape accepts the prover's assignment
     assert shape.cs.satisfied(res1.values)
@@ -400,6 +406,44 @@ def test_zk_bundle_extraction_mismatch_rejected(zk_env):
     # the rebuilt statement cannot bind these inputs, so the proof
     # conjunct fails regardless of what the policy conjunct says
     assert not r.accept and not r.proof_ok
+
+
+def with_layout(proof: Proof, **fields) -> Proof:
+    """The proof with fields of its header's layout replaced."""
+    header, blob = proof.data.split(b"\n", 1)
+    meta = json.loads(header)
+    meta["layout"].update(fields)
+    return Proof(json.dumps(meta).encode() + b"\n" + blob)
+
+
+def test_zk_verify_rejects_malformed_statement_description(zk_env):
+    """A header whose predicate or policy describes no valid statement is
+    rejected with statement_rebuild_failed; nothing is raised."""
+    setup, _, _, _, pres, proof, inputs = zk_env
+    pk = setup.keypair.pk
+    good = {"kind": "range", "claim_index": 0, "low": 18, "high": 65}
+    for predicate in (
+        {"kind": "range"},
+        "range",
+        dict(good, low="x"),
+        dict(good, claim_index=None),
+        dict(good, kind="greater"),
+        ["range", 0, 18, 65],
+    ):
+        r = zk_verify(setup.backend_params, pk, pres.sigma, with_layout(proof, predicate=predicate), inputs)
+        assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False), predicate
+        assert r.code == "proof_rejected:statement_rebuild_failed", predicate
+    # a policy of no subsets, or one wider than its width, in both the
+    # layout and the public inputs: no policy allows the extraction, and
+    # the statement cannot be rebuilt
+    for ceas_bytes in (struct.pack(">II", 3, 0), struct.pack(">II", 3, 1) + b"\xff"):
+        bad_inputs = replace(inputs, ceas_bytes=ceas_bytes)
+        bad_proof = with_layout(proof, ceas=ceas_bytes.hex())
+        verdict = TRANSPARENT_BACKEND.verify(setup.backend_params, bad_proof, bad_inputs)
+        assert verdict.code == "statement_rebuild_failed"
+        r = zk_verify(setup.backend_params, pk, pres.sigma, bad_proof, bad_inputs)
+        assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (False, True, False)
+        assert r.code == "policy_rejected" and not r.accept
 
 
 def test_zk_verify_rejects_x_off_the_curve(zk_env):
