@@ -2,10 +2,12 @@
 """Report constraint-system sizes and synthesis times.
 
 Builds representative statements on the toy and production profiles and
-prints constraint/variable counts, prover and shape-only (verifier)
-synthesis times, plus a short auditable dump excerpt.  Exits 1 if any
-of these honest statements is unsatisfied, or if the shape-only
-rebuild differs from the prover's constraint system.
+prints constraint/variable counts, prover synthesis and verifier check
+times, plus a short auditable dump excerpt.  The verifier's check is a
+checking builder run over the assignment.  Exits 1 if any of these
+honest statements is unsatisfied, if the checker rejects the honest
+assignment or accepts one with a mutated variable, or if the checker's
+per-kind constraint counts differ from the prover's.
 
     python scripts/circuit_report.py [--dump N]
 """
@@ -15,8 +17,17 @@ import sys
 import time
 
 from blsces import CEAS, Claim, Credential
+from blsces.errors import ConstraintViolation
 from blsces.groups.params import BN254, TOY
 from blsces.zk import build_statement, hash_to_curve_witness, synthesize
+
+
+def check(layout, values):
+    """The checker's constraint counts, or None if it rejects."""
+    try:
+        return synthesize(layout, assignment=values).cs
+    except ConstraintViolation:
+        return None
 
 
 def report(profile, n_claims: int, dump: int) -> bool:
@@ -33,30 +44,33 @@ def report(profile, n_claims: int, dump: int) -> bool:
     res = build_statement(cred, ceas, witnesses, extraction, profile_name=profile.name)
     build_s = time.monotonic() - t0
     t0 = time.monotonic()
-    shape = synthesize(res.layout).cs
-    shape_s = time.monotonic() - t0
-    t0 = time.monotonic()
-    ok = res.cs.satisfied(res.values)
+    checked = check(res.layout, res.values)
     check_s = time.monotonic() - t0
+    ok = res.cs.satisfied(res.values)
     cs = res.cs
-    same = (shape.bools, shape.lins, shape.r1s, shape.num_vars, shape.num_public) == (
-        cs.bools, cs.lins, cs.r1s, cs.num_vars, cs.num_public
-    )
+
+    def counts(c):
+        return len(c.bools), len(c.lins), len(c.r1s), c.num_vars, c.num_public
+
+    same = checked is not None and counts(checked) == counts(cs)
+    mutated = list(res.values)
+    mutated[-1] ^= 1  # the last carry bit: still boolean, breaks its sum
+    rejects = check(res.layout, mutated) is None
     print(f"profile={profile.name} claims={n_claims}")
     print(
         f"  constraints={len(cs)} (bool={len(cs.bools)} "
         f"lin={len(cs.lins)} r1={len(cs.r1s)}) vars={cs.num_vars} public={cs.num_public}"
     )
     print(
-        f"  build {build_s:.2f}s, shape-only build {shape_s:.2f}s, "
-        f"full satisfaction check {check_s:.2f}s, satisfied={ok} shape_matches={same}"
+        f"  build {build_s:.2f}s, verifier check {check_s:.2f}s, satisfied={ok} "
+        f"checker_accepts={checked is not None} counts_match={same} mutation_rejected={rejects}"
     )
     if dump:
         print("  dump excerpt:")
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
-    return ok and same
+    return ok and same and rejects
 
 
 def main():

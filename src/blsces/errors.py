@@ -42,3 +42,13 @@ class DuplicateMessageError(ValidationError):
 
 class StatementError(BlscesError):
     """A constraint-system statement could not be built from the inputs."""
+
+
+class ConstraintViolation(BlscesError):
+    """A checked assignment failed a constraint; the message names the
+    statement region that emitted it."""
+
+
+class WitnessShapeError(BlscesError):
+    """A checked assignment ended before the statement allocated all of
+    its variables."""

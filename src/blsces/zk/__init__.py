@@ -9,7 +9,7 @@ from blsces.zk.backend import (
 )
 from blsces.zk.predicates import CustomPredicate, EqualsPredicate, RangePredicate, predicate_from_descriptor
 from blsces.zk.protocol import ZkSetup, ZkVerifyResult, prove_extraction, zk_setup, zk_verify
-from blsces.zk.r1cs import Builder, ConstraintSystem
+from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem
 from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, build_statement, synthesize
 from blsces.zk.witness import HashToCurveWitness, hash_to_curve_witness
 
@@ -17,6 +17,7 @@ __all__ = [
     "BackendParams",
     "BackendVerdict",
     "Builder",
+    "CheckingBuilder",
     "ConstraintSystem",
     "CustomPredicate",
     "EqualsPredicate",

@@ -1,11 +1,12 @@
 """The transparent prover backend.
 
 A succinct proof system is explicitly out of scope; the "proof" here is
-the full witness assignment plus the statement layout.  Verify rebuilds
-the constraint system from the layout, pins the public variables to the
-supplied public inputs, and re-evaluates every constraint.  It offers no
-hiding against the verifier and no succinctness; it exists so the
-statement logic is testable end to end.
+the full witness assignment plus the statement layout.  Verify pins the
+public variables to the supplied public inputs, then synthesizes the
+statement the layout describes with a checking builder over the
+assignment, which evaluates each constraint as it is emitted and keeps
+none.  It offers no hiding against the verifier and no succinctness; it
+exists so the statement logic is testable end to end.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import json
 import zlib
 from dataclasses import dataclass
 
-from blsces.errors import EncodingError, ProofTooLargeError, StatementError
+from blsces.errors import (
+    ConstraintViolation,
+    EncodingError,
+    ProofTooLargeError,
+    StatementError,
+    WitnessShapeError,
+)
 from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, public_assignment, synthesize
 
 _VALUE_BYTES = 32
@@ -64,6 +71,8 @@ class BackendParams:
 class BackendVerdict:
     ok: bool
     code: str = "ok"
+    # where an unsatisfied witness failed: claim, region and constraint
+    detail: str = ""
 
     def __bool__(self):
         return self.ok
@@ -74,7 +83,7 @@ class TransparentBackend:
 
     def prove(self, params: BackendParams, statement: SynthesisResult) -> Proof:
         if statement.values is None:
-            raise StatementError("cannot prove a shape-only synthesis")
+            raise StatementError("cannot prove a synthesis without a witness")
         header = json.dumps(
             {"backend": self.name, "layout": statement.layout.to_json()},
             separators=(",", ":"),
@@ -97,10 +106,8 @@ class TransparentBackend:
             raise EncodingError(f"malformed proof: {exc}") from exc
         if len(packed) % _VALUE_BYTES:
             raise EncodingError("witness blob length not a multiple of the value size")
-        values = [
-            int.from_bytes(packed[k: k + _VALUE_BYTES], "big")
-            for k in range(0, len(packed), _VALUE_BYTES)
-        ]
+        view, from_bytes = memoryview(packed), int.from_bytes
+        values = [from_bytes(view[k: k + _VALUE_BYTES], "big") for k in range(0, len(packed), _VALUE_BYTES)]
         return layout, values
 
     def verify(self, params: BackendParams, proof: Proof, inputs: PublicInputs) -> BackendVerdict:
@@ -110,18 +117,24 @@ class TransparentBackend:
             return BackendVerdict(False, "proof_too_large")
         except EncodingError:
             return BackendVerdict(False, "malformed_proof")
+        if not values or values[0] != 1:
+            return BackendVerdict(False, "witness_shape_mismatch")
         try:
             expected_public = public_assignment(layout, inputs)
-            shape = synthesize(layout, witness=None)
+            if len(values) <= len(expected_public):
+                return BackendVerdict(False, "witness_shape_mismatch")
+            # a tampered (x, sign) is refused before any synthesis
+            if values[1: 1 + len(expected_public)] != expected_public:
+                return BackendVerdict(False, "public_inputs_mismatch")
+            checked = synthesize(layout, assignment=values).cs
+        except WitnessShapeError:
+            return BackendVerdict(False, "witness_shape_mismatch")
+        except ConstraintViolation as exc:
+            return BackendVerdict(False, "constraints_unsatisfied", str(exc))
         except (StatementError, EncodingError):
             return BackendVerdict(False, "statement_rebuild_failed")
-        cs = shape.cs
-        if len(values) != cs.num_vars or values[0] != 1:
+        if checked.num_vars != len(values) or checked.num_public != len(expected_public):
             return BackendVerdict(False, "witness_shape_mismatch")
-        if values[1: 1 + cs.num_public] != expected_public:
-            return BackendVerdict(False, "public_inputs_mismatch")
-        if not cs.satisfied(values):
-            return BackendVerdict(False, "constraints_unsatisfied")
         return BackendVerdict(True)
 
 

@@ -1,4 +1,4 @@
-"""Rank-1 constraint system with a builder that doubles as witness generator.
+"""Rank-1 constraint system and its two builders.
 
 Scale matters here: a real-field statement runs to about 29,650
 constraints per claim (29,651 for one BN254 claim: 10,592 booleanity,
@@ -15,13 +15,24 @@ variable may appear more than once, and its coefficients add.  Variable
 0 is pinned to the constant 1, which is also how constants enter LCs.
 ``iter_r1cs`` exposes every constraint in the uniform a*b = c shape
 (bools, then lins, then r1s) for dumps and for the mutation-sweep tests.
+
+The gadgets emit constraints through a builder of one of two kinds:
+
+* ``Builder`` (the prover's) computes each variable's value as it
+  allocates it and stores every constraint in a ``ConstraintSystem``.
+* ``CheckingBuilder`` (the verifier's) is handed a transported
+  assignment.  Allocation reads the next value; each constraint is
+  evaluated as it is emitted, exactly as ``first_violation`` would, and
+  then dropped.  It keeps only counts.
+
+Gadgets tell the kinds apart by ``bd.compute``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from blsces.errors import StatementError
+from blsces.errors import ConstraintViolation, StatementError, WitnessShapeError
 from blsces.groups.params import R as BN254_SCALAR_FIELD
 
 LC = tuple  # tuple[tuple[int, int], ...]
@@ -134,15 +145,29 @@ class ConstraintSystem:
         return "\n".join(lines)
 
 
-class Builder:
-    """Synthesizes a constraint system, computing witness values alongside
-    when running on the prover side (``compute=True``); the verifier
-    rebuilds the identical shape with ``compute=False`` and checks a
-    transported assignment instead."""
+class Tally:
+    """Stands in for a constraint list the checking builder does not
+    keep: it has a length and nothing else."""
 
-    def __init__(self, compute: bool = True):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int = 0):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+class Builder:
+    """The prover's builder: synthesizes a constraint system and computes
+    the witness values alongside.  ``region`` names the part of the
+    statement being synthesized; the checking builder reports it."""
+
+    compute = True
+    region = ""
+
+    def __init__(self):
         self.cs = ConstraintSystem()
-        self.compute = compute
         self.values: list = [1]
         self._public_frozen = False
 
@@ -152,7 +177,7 @@ class Builder:
         self._public_frozen = True
         idx = self.cs.num_vars
         self.cs.num_vars += 1
-        self.values.append(value % self.cs.field if (self.compute and value is not None) else value)
+        self.values.append(value % self.cs.field if value is not None else None)
         return idx
 
     def alloc_public(self, value: int | None = None) -> int:
@@ -161,7 +186,7 @@ class Builder:
         idx = self.cs.num_vars
         self.cs.num_vars += 1
         self.cs.num_public += 1
-        self.values.append(value % self.cs.field if (self.compute and value is not None) else value)
+        self.values.append(value % self.cs.field if value is not None else None)
         return idx
 
     # -- constraint emission -------------------------------------------
@@ -179,7 +204,7 @@ class Builder:
 
     def lc_val(self, lc: LC) -> int:
         if not self.compute:
-            raise StatementError("value requested while building shape only")
+            raise StatementError("a checking builder computes no values")
         return self.cs.lc_value(lc, self.values)
 
     def bit(self, value: int | None = None) -> int:
@@ -191,10 +216,94 @@ class Builder:
         """Allocate ``width`` boolean variables holding the little-endian
         bits of ``value`` (masked to the width, so hostile values still
         produce boolean assignments and fail elsewhere)."""
-        out = []
-        for j in range(width):
-            bv = None
-            if self.compute and value is not None:
-                bv = (value >> j) & 1
-            out.append(self.bit(bv))
-        return out
+        return [self.bit(None if value is None else (value >> j) & 1) for j in range(width)]
+
+
+class CheckingBuilder(Builder):
+    """The verifier's builder: reads each variable from the assignment
+    ``values`` and evaluates each constraint as it is emitted, mod
+    ``field``.  It stores no constraint; the first violation raises
+    ``ConstraintViolation`` naming the region, and an assignment that
+    runs out raises ``WitnessShapeError``.  ``cs`` reports the sizes of
+    the system checked so far, with tallies for its constraint lists."""
+
+    compute = False
+
+    def __init__(self, values: list[int], field: int = BN254_SCALAR_FIELD):
+        self.values = values
+        self.field = field
+        self.num_vars = 1
+        self.num_public = 0
+        self.n_bools = self.n_lins = self.n_r1s = 0
+
+    @property
+    def cs(self) -> ConstraintSystem:
+        return ConstraintSystem(
+            self.field, self.num_vars, self.num_public, Tally(self.n_bools), Tally(self.n_lins), Tally(self.n_r1s)
+        )
+
+    def _violated(self, kind: str, idx: int):
+        raise ConstraintViolation(f"{self.region}: {kind} constraint {idx} fails")
+
+    # -- allocation ---------------------------------------------------
+
+    def alloc(self, value: int | None = None) -> int:
+        idx = self.num_vars
+        if idx >= len(self.values):
+            raise WitnessShapeError("assignment ends before the statement's variables")
+        self.num_vars = idx + 1
+        return idx
+
+    def alloc_public(self, value: int | None = None) -> int:
+        idx = self.alloc()
+        self.num_public += 1
+        return idx
+
+    # -- constraint evaluation -------------------------------------------
+
+    def add_bool(self, var: int) -> None:
+        w = self.values[var]
+        if w > 1 and w % self.field > 1:
+            self._violated("bool", self.n_bools)
+        self.n_bools += 1
+
+    # Plain loops: LCs here are short, where a comprehension costs more.
+
+    def add_lin(self, lc: LC) -> None:
+        w = self.values
+        total = 0
+        for v, k in lc:
+            total += w[v] * k
+        if total % self.field:
+            self._violated("lin", self.n_lins)
+        self.n_lins += 1
+
+    def add_r1(self, a_lc: LC, b_lc: LC, c_lc: LC) -> None:
+        w = self.values
+        a = b = c = 0
+        for v, k in a_lc:
+            a += w[v] * k
+        if b_lc is a_lc:
+            b = a
+        else:
+            for v, k in b_lc:
+                b += w[v] * k
+        for v, k in c_lc:
+            c += w[v] * k
+        if (a * b - c) % self.field:
+            self._violated("r1", self.n_r1s)
+        self.n_r1s += 1
+
+    def bits_of(self, value: int | None, width: int) -> list[int]:
+        start = self.num_vars
+        end = start + width
+        if end > len(self.values):
+            raise WitnessShapeError("assignment ends before the statement's variables")
+        self.num_vars = end
+        bits = self.values[start:end]
+        if max(bits) > 1:
+            for j, w in enumerate(bits):
+                if w % self.field > 1:
+                    self._violated("bool", self.n_bools + j)
+        self.n_bools += width
+        return list(range(start, end))

@@ -16,22 +16,23 @@ each point from its public (x, sign) pair, which rejects an x off the
 curve, and it checks the extraction set against the policy, which
 ``public_assignment`` pins to the layout's.
 
-The layout records everything a verifier needs to rebuild the identical
-system: claim component lengths, pre-hash states, and the predicate
-description.  Message bytes that are publicly known (policy bytes,
+The layout records everything a verifier needs to synthesize the
+identical statement over a transported assignment: claim component
+lengths, pre-hash states, and the predicate description.  Message bytes that are publicly known (policy bytes,
 lengths, indices, padding) enter the circuit as constants rather than
 witness variables, so they cannot be substituted.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from blsces.credential import CEAS, Claim, encode_claim_message
 from blsces.errors import StatementError, ValidationError
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
-from blsces.zk.r1cs import LC, Builder, ConstraintSystem
+from blsces.zk.r1cs import LC, Builder, CheckingBuilder, ConstraintSystem
 from blsces.zk.sha256_gadget import (
     ONE,
     SHA256_IV,
@@ -151,23 +152,41 @@ def _component_lengths(claim: Claim) -> tuple[int, int, int]:
     )
 
 
-def _skeleton(ceas: CEAS, n: int, i: int, lens: tuple[int, int, int]):
-    """Padded message template built from public data only, with secret
-    bytes zeroed, plus the secret spans as (start, length, kind)."""
-    ls, lp_, lv = lens
-    placeholder = Claim("\x00" * ls, "\x00" * lp_, "\x00" * lv)
-    base = encode_claim_message(ceas, n, i, placeholder)
-    msg_len = len(base) + 1  # trailing counter byte
-    template = base + b"\x00" + sha256_pad(msg_len)
-    pos = 4 + len(ceas.to_bytes()) + 4 + 4
+def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
+    """The in-circuit suffix of a claim message with its counter byte and
+    padding, built from public data only with secret bytes zeroed.
+
+    The message follows ``encode_claim_message``: the length-prefixed
+    policy bytes, n and i as 4-byte integers, then subject, property
+    and value, each after its 4-byte length.  Returns the message length
+    with the counter, the suffix ``[64 * first_block, padded_len)`` and
+    the secret spans (start, length, kind) clipped to it, at message
+    offsets.  Nothing before the suffix is built, so a declared length
+    costs no memory."""
+    try:
+        segments = [(struct.pack(">I", len(ceas_bytes)) + ceas_bytes + struct.pack(">II", n, i), None)]
+        for length, kind in zip(lens, ("subject", "property", "value")):
+            segments += [(struct.pack(">I", length), None), (length, kind)]
+    except struct.error as exc:
+        raise StatementError(f"claim lengths do not fit the encoding: {exc}") from exc
+    segments.append((1, "counter"))
+    msg_len = sum(seg if kind else len(seg) for seg, kind in segments)
+    segments.append((sha256_pad(msg_len), None))
+    start = 64 * ((msg_len - 1) // 64)
+    suffix = bytearray()
     spans = []
-    for length, kind in ((ls, "subject"), (lp_, "property"), (lv, "value")):
-        pos += 4
-        spans.append((pos, length, kind))
-        pos += length
-    assert pos == len(base)
-    spans.append((pos, 1, "counter"))
-    return template, spans
+    pos = 0
+    for seg, kind in segments:
+        size = seg if kind else len(seg)
+        lo, hi = max(pos, start), pos + size
+        if lo < hi:
+            if kind:
+                spans.append((lo, hi - lo, kind))
+                suffix += bytes(hi - lo)
+            else:
+                suffix += seg[lo - pos:]
+        pos += size
+    return msg_len, bytes(suffix), spans
 
 
 def build_claim_layout(ceas: CEAS, n: int, i: int, claim: Claim) -> ClaimLayout:
@@ -225,10 +244,25 @@ def public_assignment(layout: StatementLayout, inputs: PublicInputs) -> list[int
     return out
 
 
-def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCurveWitness]] | None = None) -> SynthesisResult:
-    """Build the constraint system for a layout; with ``witness`` (claim
-    and hash witness per extracted index) the full assignment is
-    computed alongside.  The shape depends only on the layout."""
+def synthesize(
+    layout: StatementLayout,
+    witness: dict[int, tuple[Claim, HashToCurveWitness]] | None = None,
+    assignment: list[int] | None = None,
+) -> SynthesisResult:
+    """Synthesize the statement a layout describes, given exactly one of:
+
+    * ``witness`` (claim and hash witness per extracted index): the
+      prover's ``Builder`` computes the assignment and stores the
+      constraint system;
+    * ``assignment`` (a transported one): a ``CheckingBuilder`` checks
+      each constraint as it is emitted and stores none.  It raises
+      ``ConstraintViolation`` at the first failure, naming its claim and
+      region, and ``WitnessShapeError`` if the assignment runs out.
+
+    The constraints depend only on the layout, so both kinds emit the
+    same ones."""
+    if (witness is None) == (assignment is None):
+        raise StatementError("synthesize needs exactly one of a witness and an assignment")
     profile = PROFILES.get(layout.profile_name)
     if profile is None:
         raise StatementError(f"unknown curve profile {layout.profile_name!r}")
@@ -246,7 +280,7 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
         raise StatementError("predicate targets an undisclosed claim")
 
     compute = witness is not None
-    bd = Builder(compute=compute)
+    bd = Builder() if compute else CheckingBuilder(assignment)
     l_bits = profile.x_bits
     shift = SHA_BITS - l_bits
     mask = (1 << LIMB_BITS) - 1
@@ -273,10 +307,10 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
     value_lcs_by_index: dict[int, list[LC]] = {}
     for cl, (limbs, sign, states) in zip(layout.claims, per_claim_pub):
         lens = (cl.len_subject, cl.len_property, cl.len_value)
-        template, spans = _skeleton(ceas, layout.n, cl.index, lens)
-        if len(template) != cl.padded_len or cl.msg_len != cl.padded_len - len(sha256_pad(cl.msg_len)):
-            raise StatementError("layout lengths disagree with the encoding")
+        msg_len, suffix, spans = _skeleton(layout.ceas_bytes, layout.n, cl.index, lens)
         suffix_start = 64 * cl.first_block
+        if msg_len != cl.msg_len or suffix_start + len(suffix) != cl.padded_len:
+            raise StatementError("layout lengths disagree with the encoding")
 
         real_msg = None
         if compute:
@@ -301,9 +335,11 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
         byte_bits: dict[int, list[int]] = {}
         value_bytes: list[LC] = []
         for off in range(suffix_start, cl.padded_len):
+            if off % 64 == 0:
+                bd.region = f"claim {cl.index}, sha256 block {off // 64}"
             kind = secret_kind.get(off)
             if kind is None:
-                byte_bits[off] = [ONE if (template[off] >> j) & 1 else ZERO for j in range(8)]
+                byte_bits[off] = [ONE if (suffix[off - suffix_start] >> j) & 1 else ZERO for j in range(8)]
             else:
                 bits = bd.bits_of(real_msg[off] if compute else None, 8)
                 byte_bits[off] = bits
@@ -312,6 +348,7 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
         value_lcs_by_index[cl.index] = value_bytes
 
         # initial state words
+        bd.region = f"claim {cl.index}, sha256 block {cl.first_block}"
         if states is None:
             state_words = [const_word(v) for v in SHA256_IV]
         else:
@@ -323,6 +360,7 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
 
         # suffix compressions; a word's big-endian bytes, little-endian bits
         for blk in range(cl.first_block, cl.total_blocks):
+            bd.region = f"claim {cl.index}, sha256 block {blk}"
             block_words = [
                 [b for bpos in (3, 2, 1, 0) for b in byte_bits[64 * blk + 4 * t + bpos]]
                 for t in range(16)
@@ -334,6 +372,7 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
             return state_words[7 - t // 32][t % 32]
 
         # bind public x limbs and sign to the digest bits
+        bd.region = f"claim {cl.index}, binding"
         for j in range(NUM_LIMBS):
             lc: LC = ((limbs[j], -1),)
             for m in range(LIMB_BITS * j, min(LIMB_BITS * (j + 1), l_bits)):
@@ -350,6 +389,7 @@ def synthesize(layout: StatementLayout, witness: dict[int, tuple[Claim, HashToCu
                 "claim value is not fully inside the in-circuit suffix; "
                 "predicates need the whole value in the final blocks"
             )
+        bd.region = f"claim {cl.index}, predicate"
         predicate.synthesize(bd, value_bytes)
 
     return SynthesisResult(cs=bd.cs, values=bd.values if compute else None, layout=layout)

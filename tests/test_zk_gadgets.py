@@ -8,12 +8,12 @@ from itertools import product
 import pytest
 
 from blsces.credential import CEAS, Claim, Credential
-from blsces.errors import EncodingError
+from blsces.errors import ConstraintViolation, EncodingError, WitnessShapeError
 from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
 from blsces.groups.params import P as BIG_P
 from blsces.zk import build_statement, hash_to_curve_witness
-from blsces.zk.r1cs import Builder
+from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem
 from blsces.zk.sha256_gadget import (
     ONE,
     SHA256_IV,
@@ -239,3 +239,44 @@ def test_public_allocation_must_precede_witness():
     bd.alloc(2)
     with pytest.raises(StatementError):
         bd.alloc_public(3)
+
+
+def test_checking_builder_matches_first_violation():
+    """Each constraint kind is evaluated mod the field exactly as
+    ConstraintSystem.first_violation evaluates it, for values below, at
+    and above the modulus; an assignment that runs out is refused."""
+    f = ConstraintSystem().field
+    pool = (0, 1, 2, f - 1, f, f + 1, 2 * f + 1)
+    d = ((1, 1), (2, -1))
+
+    def square(bd):
+        # one object as both factors, as xor passes it
+        for _ in range(3):
+            bd.alloc(0)
+        bd.add_r1(d, d, ((3, 1),))
+
+    emitters = {
+        "bits_of": (1, lambda bd: bd.bits_of(0, 1)),
+        "bool": (1, lambda bd: bd.add_bool(bd.alloc(0))),
+        "lin": (2, lambda bd: bd.add_lin(((bd.alloc(0), 1), (bd.alloc(0), 1), (0, -1)))),
+        "r1": (3, lambda bd: bd.add_r1(((bd.alloc(0), 1),), ((bd.alloc(0), 1),), ((bd.alloc(0), 1),))),
+        "square": (3, square),
+    }
+    for name, (arity, emit) in emitters.items():
+        bd = Builder()
+        emit(bd)
+        cs = bd.cs
+        assert cs.num_vars == 1 + arity and len(cs) == 1
+        verdicts = set()
+        for w in product(pool, repeat=arity):
+            values = [1, *w]
+            try:
+                emit(CheckingBuilder(values))
+                accepted = True
+            except ConstraintViolation:
+                accepted = False
+            assert accepted == cs.satisfied(values), (name, w)
+            verdicts.add(accepted)
+        assert verdicts == {True, False}, name
+        with pytest.raises(WitnessShapeError):
+            emit(CheckingBuilder([1] * arity))

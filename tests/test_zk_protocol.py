@@ -11,8 +11,8 @@ import pytest
 
 from blsces import bls
 from blsces.ces import ces_extract, ces_sign
-from blsces.credential import CEAS, Claim, Credential, ExtractionSet
-from blsces.errors import EncodingError, ProofTooLargeError, StatementError, ValidationError
+from blsces.credential import CEAS, Claim, Credential, ExtractionSet, encode_claim_message
+from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError, StatementError, ValidationError
 from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
 from blsces.zk import (
@@ -29,7 +29,9 @@ from blsces.zk import (
     zk_verify,
 )
 from blsces.zk import backend
-from blsces.zk.statement import PublicInputs, StatementLayout, build_claim_layout, public_assignment
+from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem
+from blsces.zk.sha256_gadget import sha256_pad
+from blsces.zk.statement import PublicInputs, _skeleton, public_assignment
 
 rng = random.Random(17)
 
@@ -50,19 +52,174 @@ def test_toy_statement_satisfied():
     assert res.cs.num_public == 5  # 4 limbs + sign
 
 
-def test_statement_shape_is_witness_independent():
-    res1, _ = toy_statement("33")
-    res2, _ = toy_statement("44")
-    shape = synthesize(res1.layout, witness=None)
-    assert len(shape.cs) == len(res1.cs) == len(res2.cs)
-    assert shape.cs.num_vars == res1.cs.num_vars
-    # bit literals fold on their structure, never on values: the verifier
-    # rebuilds the prover's constraints exactly
-    for res in (res1, res2):
-        assert (shape.cs.bools, shape.cs.lins, shape.cs.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
-    assert shape.values is None
-    # the rebuilt shape accepts the prover's assignment
-    assert shape.cs.satisfied(res1.values)
+def checked_constraints(monkeypatch, res):
+    """Check res's assignment with a checking builder that records every
+    constraint it evaluates in the form the prover stores it; returns the
+    record and the checker's counts."""
+    seen = ConstraintSystem()
+    bits_of, add_bool, add_lin, add_r1 = (
+        CheckingBuilder.bits_of, CheckingBuilder.add_bool, CheckingBuilder.add_lin, CheckingBuilder.add_r1
+    )
+
+    def rec_bits_of(bd, value, width):
+        bits = bits_of(bd, value, width)
+        seen.bools.extend(bits)
+        return bits
+
+    def rec_bool(bd, var):
+        add_bool(bd, var)
+        seen.bools.append(var)
+
+    def rec_lin(bd, lc):
+        add_lin(bd, lc)
+        seen.lins.append(tuple(lc))
+
+    def rec_r1(bd, a_lc, b_lc, c_lc):
+        add_r1(bd, a_lc, b_lc, c_lc)
+        seen.r1s.append((tuple(a_lc), tuple(b_lc), tuple(c_lc)))
+
+    with monkeypatch.context() as m:
+        for name, fn in (("bits_of", rec_bits_of), ("add_bool", rec_bool), ("add_lin", rec_lin), ("add_r1", rec_r1)):
+            m.setattr(CheckingBuilder, name, fn)
+        checked = synthesize(res.layout, assignment=list(res.values))
+    assert checked.values is None
+    return seen, checked.cs
+
+
+def sizes(cs):
+    return len(cs.bools), len(cs.lins), len(cs.r1s), cs.num_vars, cs.num_public
+
+
+def bn254_statement(value="33", predicate=None):
+    cred = Credential((Claim("h", "age", value),))
+    (_, _), wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, BN254)
+    return build_statement(cred, TOY_CEAS, {0: wit}, (0,), predicate=predicate)
+
+
+def test_checker_checks_what_the_prover_proved(monkeypatch):
+    """Bit literals fold on their structure, never on values: on the
+    prover's assignment the checker evaluates exactly the constraints the
+    prover stored, for two witnesses of one shape, with and without a
+    range predicate, with a pre-hashed claim, and on both profiles."""
+    res33, _ = toy_statement("33")
+    res44, _ = toy_statement("44")
+    seen33, counts33 = checked_constraints(monkeypatch, res33)
+    seen44, _ = checked_constraints(monkeypatch, res44)
+    for seen in (seen33, seen44):
+        for res in (res33, res44):
+            assert (seen.bools, seen.lins, seen.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
+    assert sizes(counts33) == sizes(res33.cs) and len(counts33) == len(res33.cs)
+    long_claim, _ = toy_statement(claim=Claim("h", "bio", "x" * 80))
+    assert long_claim.layout.claims[0].prehash_state is not None
+    for res in (
+        toy_statement("42", RangePredicate(0, 40, 45))[0],
+        long_claim,
+        bn254_statement(),
+        bn254_statement("42", RangePredicate(0, 18, 65)),
+    ):
+        seen, counts = checked_constraints(monkeypatch, res)
+        assert (seen.bools, seen.lins, seen.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
+        assert sizes(counts) == sizes(res.cs)
+
+
+def test_checker_verdict_matches_satisfied():
+    """For every public variable and 300 seeded single-variable
+    mutations, the checker accepts exactly when the prover's system is
+    satisfied.  Adding the field modulus changes no residue, so those
+    mutations are accepted by both."""
+    res, _ = toy_statement("42", RangePredicate(0, 40, 45))
+    cs, f = res.cs, res.cs.field
+    mrng = random.Random(0xC4EC)
+    cases = [(var, 1) for var in range(1, 1 + cs.num_public)]
+    for _ in range(300):
+        var = mrng.randrange(1, cs.num_vars)
+        cases.append((var, mrng.choice((1, f - 1, f, mrng.randrange(1, 1 << 255)))))
+    verdicts = []
+    for var, delta in cases:
+        values = list(res.values)
+        values[var] += delta
+        try:
+            synthesize(res.layout, assignment=values)
+            accepted = True
+        except ConstraintViolation:
+            accepted = False
+        assert accepted == cs.satisfied(values), (var, delta)
+        verdicts.append(accepted)
+    assert True in verdicts and False in verdicts
+
+
+def test_backend_rejects_witness_one_value_short_or_long():
+    res, wit = toy_statement("42", RangePredicate(0, 40, 45))
+    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
+    for values in (res.values[:-1], res.values + [0]):
+        proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
+        assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs).code == "witness_shape_mismatch"
+
+
+def test_unsatisfied_verdict_names_claim_and_block(monkeypatch):
+    """A flipped message bit of claim 1 in a two-claim witness keeps its
+    booleanity and first breaks a constraint of claim 1's sha256 block;
+    the code stays constraints_unsatisfied and the detail says where."""
+    cred = Credential((Claim("h", "age", "33"), Claim("h", "bio", "x" * 80)))
+    ceas = CEAS.from_index_sets(2, [[0, 1]])
+    wits = {i: hash_to_curve_witness(i, cred[i], 2, ceas, TOY)[1] for i in (0, 1)}
+    byte_bits = []
+    bits_of = Builder.bits_of
+
+    def recording(bd, value, width):
+        bits = bits_of(bd, value, width)
+        if width == 8:
+            byte_bits.append((bd.region, bits))
+        return bits
+
+    with monkeypatch.context() as m:
+        m.setattr(Builder, "bits_of", recording)
+        res = build_statement(cred, ceas, wits, (0, 1), profile_name="toy11")
+    assert res.layout.claims[1].first_block == 1
+    region, bits = next(rb for rb in byte_bits if rb[0].startswith("claim 1,"))
+    assert region == "claim 1, sha256 block 1"
+    values = list(res.values)
+    values[bits[0]] ^= 1
+    proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
+    inputs = PublicInputs(
+        tuple(wits[i].x for i in (0, 1)), tuple(wits[i].sign_bit for i in (0, 1)), ceas.to_bytes(), (0, 1)
+    )
+    verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
+    assert verdict.code == "constraints_unsatisfied"
+    assert verdict.detail.startswith("claim 1, sha256 block 1: "), verdict.detail
+    assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
+
+
+def test_skeleton_builds_only_the_suffix():
+    """The suffix template and secret spans equal those cut from the
+    whole zeroed message, for every split of small component lengths
+    (one to four blocks, padding spilling into a block of its own or
+    not); a length the 4-byte prefix cannot hold is refused."""
+    ceas = CEAS.from_index_sets(3, [[0], [0, 1, 2]])
+    ceas_bytes = ceas.to_bytes()
+    spills = set()
+    for ls in (0, 1, 7):
+        for lp in (0, 3):
+            for lv in range(150):
+                lens = (ls, lp, lv)
+                base = encode_claim_message(ceas, 3, 1, Claim("\x00" * ls, "\x00" * lp, "\x00" * lv))
+                msg_len = len(base) + 1
+                full = base + b"\x00" + sha256_pad(msg_len)
+                start = 64 * ((msg_len - 1) // 64)
+                spans, pos = [], 4 + len(ceas_bytes) + 8
+                for length, kind in zip(lens, ("subject", "property", "value")):
+                    spans.append((pos + 4, length, kind))
+                    pos += 4 + length
+                spans.append((pos, 1, "counter"))
+                cut = [(max(s, start), s + n - max(s, start), k) for s, n, k in spans if s + n > max(s, start)]
+                assert _skeleton(ceas_bytes, 3, 1, lens) == (msg_len, full[start:], cut), lens
+                spills.add((len(full) - start) // 64)
+    assert spills == {1, 2}
+    msg_len, suffix, spans = _skeleton(ceas_bytes, 3, 1, (0, 0, (1 << 32) - 1))
+    assert msg_len == 4 + len(ceas_bytes) + 8 + 12 + (1 << 32) and len(suffix) <= 128
+    for lens in ((1 << 32, 0, 0), (0, -1, 0)):
+        with pytest.raises(StatementError):
+            _skeleton(ceas_bytes, 3, 1, lens)
 
 
 def test_statement_missing_witness():
@@ -103,18 +260,12 @@ def test_statement_shape_ignores_policy_size():
     assert len(full.to_bytes()) - len(small.to_bytes()) == 62
     shapes = []
     for ceas, value in ((small, "7" * 92), (full, "7" * 30)):
-        claim = Claim("h", "age", value)
-        layout = StatementLayout(
-            profile_name="bn254",
-            ceas_bytes=ceas.to_bytes(),
-            n=6,
-            extraction=(0,),
-            claims=(build_claim_layout(ceas, 6, 0, claim),),
-            predicate=None,
-        )
-        assert layout.claims[0].msg_len == 130
-        cs = synthesize(layout).cs
-        shapes.append((len(cs), cs.num_vars, cs.num_public))
+        cred = Credential((Claim("h", "age", value),) + tuple(Claim("h", "p", "v") for _ in range(5)))
+        (_, _), wit = hash_to_curve_witness(0, cred[0], 6, ceas, BN254)
+        res = build_statement(cred, ceas, {0: wit}, (0,))
+        assert res.layout.claims[0].msg_len == 130
+        assert res.cs.satisfied(res.values)
+        shapes.append((len(res.cs), res.cs.num_vars, res.cs.num_public))
     assert shapes[0] == shapes[1]
 
 
@@ -234,6 +385,33 @@ def test_backend_refuses_bomb_near_the_cap(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * cap
+
+
+def test_backend_memory_ignores_declared_lengths():
+    """A header may declare any component length.  The verifier builds
+    only the in-circuit suffix of the message, so a 50 MB value length,
+    alone or with message lengths to match, costs no more memory than an
+    honest proof and is rejected."""
+    res, wit = toy_statement("27")
+    proof = TRANSPARENT_BACKEND.prove(BackendParams(), res)
+    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
+    claim = res.layout.to_json()["claims"][0]
+    big = 50_000_000
+    msg_len = claim["msg_len"] + big - claim["len_value"]
+    padded_len = 64 * ((msg_len + 8) // 64 + 1)
+    for fields, code in (
+        ({"len_value": big}, "statement_rebuild_failed"),
+        ({"len_value": big, "msg_len": msg_len, "padded_len": padded_len}, None),
+    ):
+        tampered = with_layout(proof, claims=[dict(claim, **fields)])
+        tracemalloc.start()
+        try:
+            verdict = TRANSPARENT_BACKEND.verify(BackendParams(), tampered, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not verdict and verdict.code == (code or verdict.code), fields
+        assert peak < 5 << 20, (fields, peak)
 
 
 def test_public_assignment_layout_mismatch():
