@@ -156,6 +156,7 @@ def cmd_zk_verify(args) -> int:
             "policy_ok": result.policy_ok,
             "pairing_ok": result.pairing_ok,
             "proof_ok": result.proof_ok,
+            "detail": result.detail,
         }
     )
     return EXIT_OK if result.accept else EXIT_REJECT

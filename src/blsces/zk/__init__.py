@@ -9,8 +9,15 @@ from blsces.zk.backend import (
 )
 from blsces.zk.predicates import CustomPredicate, EqualsPredicate, RangePredicate, predicate_from_descriptor
 from blsces.zk.protocol import ZkSetup, ZkVerifyResult, prove_extraction, zk_setup, zk_verify
-from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem
-from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, build_statement, synthesize
+from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
+from blsces.zk.statement import (
+    PublicInputs,
+    StatementLayout,
+    SynthesisResult,
+    build_statement,
+    prover_layout,
+    synthesize,
+)
 from blsces.zk.witness import HashToCurveWitness, hash_to_curve_witness
 
 __all__ = [
@@ -25,6 +32,7 @@ __all__ = [
     "Proof",
     "PublicInputs",
     "RangePredicate",
+    "RecordingBuilder",
     "StatementLayout",
     "SynthesisResult",
     "TRANSPARENT_BACKEND",
@@ -35,6 +43,7 @@ __all__ = [
     "hash_to_curve_witness",
     "predicate_from_descriptor",
     "prove_extraction",
+    "prover_layout",
     "synthesize",
     "zk_setup",
     "zk_verify",

@@ -7,6 +7,15 @@ statement the layout describes with a checking builder over the
 assignment, which evaluates each constraint as it is emitted and keeps
 none.  It offers no hiding against the verifier and no succinctness; it
 exists so the statement logic is testable end to end.
+
+The witness travels as one zlib stream of 32-byte big-endian values.
+Nearly every value is a bit, so both directions work on whole buffers:
+``prove`` writes the low bytes of a window of values with one slice
+assignment and calls ``to_bytes`` only in a window that holds a value
+above 255; ``parse`` reads every low byte with one slice, then finds
+the values with a nonzero high byte with ``translate`` and ``find``,
+window by window so the scan never copies the whole witness, and
+decodes only those with ``int.from_bytes``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from blsces.errors import (
     StatementError,
     WitnessShapeError,
 )
+from blsces.zk.r1cs import CheckingBuilder
 from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, public_assignment, synthesize
 
 _VALUE_BYTES = 32
@@ -31,6 +41,10 @@ _VALUE_BYTES = 32
 # 1000-fold, so a larger witness is refused before it is allocated.
 MAX_WITNESS_BYTES = 64 << 20
 _INFLATE_CHUNK = 1 << 16
+# Values packed per slice assignment, and witness bytes scanned per copy.
+_PACK_WINDOW = 1 << 12
+_SCAN_WINDOW = 1 << 14  # a multiple of _VALUE_BYTES
+_NONZERO = bytes(1) + bytes([1]) * 255  # translate table: any nonzero byte to 1
 
 
 def _inflate(blob: bytes) -> bytearray:
@@ -51,6 +65,38 @@ def _inflate(blob: bytes) -> bytearray:
         tail = inflater.unconsumed_tail
         if not chunk and not tail:
             raise EncodingError("truncated witness stream")
+
+
+def _pack(values: list[int]) -> bytearray:
+    """The values as 32-byte big-endian words; a negative value or one of
+    2^256 or more raises OverflowError."""
+    buf = bytearray(_VALUE_BYTES * len(values))
+    for start in range(0, len(values), _PACK_WINDOW):
+        window = values[start: start + _PACK_WINDOW]
+        try:
+            buf[_VALUE_BYTES * start + _VALUE_BYTES - 1: _VALUE_BYTES * (start + len(window)): _VALUE_BYTES] = window
+        except ValueError:  # a value outside 0..255
+            for k, v in enumerate(window, start):
+                if 0 <= v < 256:
+                    buf[_VALUE_BYTES * k + _VALUE_BYTES - 1] = v
+                else:
+                    buf[_VALUE_BYTES * k: _VALUE_BYTES * (k + 1)] = v.to_bytes(_VALUE_BYTES, "big")
+    return buf
+
+
+def _unpack(packed: bytearray) -> list[int]:
+    """The values of whole 32-byte big-endian words."""
+    with memoryview(packed) as view:
+        values = view[_VALUE_BYTES - 1:: _VALUE_BYTES].tolist()
+    for start in range(0, len(packed), _SCAN_WINDOW):
+        flags = packed[start: start + _SCAN_WINDOW].translate(_NONZERO)
+        flags[_VALUE_BYTES - 1:: _VALUE_BYTES] = bytes(len(flags) // _VALUE_BYTES)
+        pos = flags.find(1)
+        while pos >= 0:
+            k = (start + pos) // _VALUE_BYTES
+            values[k] = int.from_bytes(packed[_VALUE_BYTES * k: _VALUE_BYTES * (k + 1)], "big")
+            pos = flags.find(1, _VALUE_BYTES * (k + 1) - start)
+    return values
 
 
 @dataclass(frozen=True)
@@ -89,8 +135,7 @@ class TransparentBackend:
             separators=(",", ":"),
             sort_keys=True,
         ).encode()
-        packed = b"".join(v.to_bytes(_VALUE_BYTES, "big") for v in statement.values)
-        return Proof(header + b"\n" + zlib.compress(packed, 6))
+        return Proof(header + b"\n" + zlib.compress(_pack(statement.values), 6))
 
     def parse(self, proof: Proof) -> tuple[StatementLayout, list[int]]:
         try:
@@ -106,9 +151,7 @@ class TransparentBackend:
             raise EncodingError(f"malformed proof: {exc}") from exc
         if len(packed) % _VALUE_BYTES:
             raise EncodingError("witness blob length not a multiple of the value size")
-        view, from_bytes = memoryview(packed), int.from_bytes
-        values = [from_bytes(view[k: k + _VALUE_BYTES], "big") for k in range(0, len(packed), _VALUE_BYTES)]
-        return layout, values
+        return layout, _unpack(packed)
 
     def verify(self, params: BackendParams, proof: Proof, inputs: PublicInputs) -> BackendVerdict:
         try:
@@ -126,7 +169,7 @@ class TransparentBackend:
             # a tampered (x, sign) is refused before any synthesis
             if values[1: 1 + len(expected_public)] != expected_public:
                 return BackendVerdict(False, "public_inputs_mismatch")
-            checked = synthesize(layout, assignment=values).cs
+            checked = synthesize(layout, CheckingBuilder(values)).cs
         except WitnessShapeError:
             return BackendVerdict(False, "witness_shape_mismatch")
         except ConstraintViolation as exc:

@@ -22,7 +22,10 @@ from blsces.credential import CEAS, Credential, ExtractionSet, ceas_contains
 from blsces.errors import EncodingError, InvalidPublicKeyError, ValidationError
 from blsces.groups import G1Point, G2Point, decompress_x
 from blsces.zk.backend import BackendParams, Proof, TRANSPARENT_BACKEND
-from blsces.zk.statement import PublicInputs, build_statement
+from blsces.zk.r1cs import Builder
+# build_statement, which records the constraints prove_extraction only
+# counts, stays importable here: perfbench/tracing.py binds it by name.
+from blsces.zk.statement import PublicInputs, build_statement, prover_layout, synthesize  # noqa: F401
 from blsces.zk.witness import hash_to_curve_witness
 
 
@@ -39,6 +42,8 @@ class ZkVerifyResult:
     pairing_ok: bool
     proof_ok: bool
     code: str = "ok"
+    # where the backend found the witness unsatisfied, as BackendVerdict.detail
+    detail: str = ""
 
     def __bool__(self):
         return self.accept
@@ -76,8 +81,8 @@ def prove_extraction(
         ceas_bytes=ceas.to_bytes(),
         extraction=idxs,
     )
-    statement = build_statement(cred, ceas, witnesses, idxs, predicate=predicate)
-    proof = TRANSPARENT_BACKEND.prove(backend_params, statement)
+    layout, witness = prover_layout(cred, ceas, witnesses, idxs, predicate)
+    proof = TRANSPARENT_BACKEND.prove(backend_params, synthesize(layout, Builder(), witness))
     return proof, inputs
 
 
@@ -136,4 +141,4 @@ def zk_verify(
         code = b2_code
     else:
         code = f"proof_rejected:{verdict.code}"
-    return ZkVerifyResult(accept=accept, policy_ok=b1, pairing_ok=b2, proof_ok=b3, code=code)
+    return ZkVerifyResult(accept=accept, policy_ok=b1, pairing_ok=b2, proof_ok=b3, code=code, detail=verdict.detail)

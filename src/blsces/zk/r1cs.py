@@ -1,4 +1,4 @@
-"""Rank-1 constraint system and its two builders.
+"""Rank-1 constraint system and its three builders.
 
 Scale matters here: a real-field statement runs to about 29,650
 constraints per claim (29,651 for one BN254 claim: 10,592 booleanity,
@@ -16,16 +16,22 @@ variable may appear more than once, and its coefficients add.  Variable
 ``iter_r1cs`` exposes every constraint in the uniform a*b = c shape
 (bools, then lins, then r1s) for dumps and for the mutation-sweep tests.
 
-The gadgets emit constraints through a builder of one of two kinds:
+The gadgets emit constraints through a builder of one of three kinds:
 
 * ``Builder`` (the prover's) computes each variable's value as it
-  allocates it and stores every constraint in a ``ConstraintSystem``.
+  allocates it and counts constraints by kind; it stores none, since
+  the proof carries only the values.
+* ``RecordingBuilder`` computes the same values and also stores every
+  constraint in a ``ConstraintSystem``, for dumps, audits and the
+  mutation-sweep tests.
 * ``CheckingBuilder`` (the verifier's) is handed a transported
   assignment.  Allocation reads the next value; each constraint is
   evaluated as it is emitted, exactly as ``first_violation`` would, and
   then dropped.  It keeps only counts.
 
-Gadgets tell the kinds apart by ``bd.compute``.
+Gadgets tell the computing kinds from the checking one by
+``bd.compute``.  Each builder's ``cs`` has the same sizes; only the
+recording builder's holds the constraints.
 """
 
 from __future__ import annotations
@@ -146,8 +152,8 @@ class ConstraintSystem:
 
 
 class Tally:
-    """Stands in for a constraint list the checking builder does not
-    keep: it has a length and nothing else."""
+    """Stands in for a constraint list the prover's and the checking
+    builder do not keep: it has a length and nothing else."""
 
     __slots__ = ("n",)
 
@@ -159,53 +165,64 @@ class Tally:
 
 
 class Builder:
-    """The prover's builder: synthesizes a constraint system and computes
-    the witness values alongside.  ``region`` names the part of the
-    statement being synthesized; the checking builder reports it."""
+    """The prover's builder: computes each variable's value as it
+    allocates it and counts constraints by kind without storing them.
+    ``region`` names the part of the statement being synthesized; the
+    checking builder reports it.  ``cs`` is a ``ConstraintSystem`` of the
+    sizes so far, with tallies for its constraint lists."""
 
     compute = True
     region = ""
 
+    field = BN254_SCALAR_FIELD
+
     def __init__(self):
-        self.cs = ConstraintSystem()
         self.values: list = [1]
+        self.num_vars = 1
+        self.num_public = 0
+        self.n_bools = self.n_lins = self.n_r1s = 0
         self._public_frozen = False
+
+    @property
+    def cs(self) -> ConstraintSystem:
+        return ConstraintSystem(
+            self.field, self.num_vars, self.num_public, Tally(self.n_bools), Tally(self.n_lins), Tally(self.n_r1s)
+        )
 
     # -- allocation ---------------------------------------------------
 
-    def alloc(self, value: int | None = None) -> int:
+    def alloc(self, value: int) -> int:
         self._public_frozen = True
-        idx = self.cs.num_vars
-        self.cs.num_vars += 1
-        self.values.append(value % self.cs.field if value is not None else None)
-        return idx
+        self.values.append(value % self.field)
+        self.num_vars += 1
+        return self.num_vars - 1
 
-    def alloc_public(self, value: int | None = None) -> int:
+    def alloc_public(self, value: int) -> int:
         if self._public_frozen:
             raise StatementError("public inputs must be allocated before witness variables")
-        idx = self.cs.num_vars
-        self.cs.num_vars += 1
-        self.cs.num_public += 1
-        self.values.append(value % self.cs.field if value is not None else None)
-        return idx
+        self.values.append(value % self.field)
+        self.num_vars += 1
+        self.num_public += 1
+        return self.num_vars - 1
 
     # -- constraint emission -------------------------------------------
 
     def add_bool(self, var: int) -> None:
-        self.cs.bools.append(var)
+        self.n_bools += 1
 
     def add_lin(self, lc: LC) -> None:
-        self.cs.lins.append(tuple(lc))
+        self.n_lins += 1
 
     def add_r1(self, a_lc: LC, b_lc: LC, c_lc: LC) -> None:
-        self.cs.r1s.append((tuple(a_lc), tuple(b_lc), tuple(c_lc)))
+        self.n_r1s += 1
 
     # -- helpers --------------------------------------------------------
 
     def lc_val(self, lc: LC) -> int:
         if not self.compute:
             raise StatementError("a checking builder computes no values")
-        return self.cs.lc_value(lc, self.values)
+        w = self.values
+        return sum(w[var] * coeff for var, coeff in lc) % self.field
 
     def bit(self, value: int | None = None) -> int:
         v = self.alloc(value)
@@ -216,7 +233,41 @@ class Builder:
         """Allocate ``width`` boolean variables holding the little-endian
         bits of ``value`` (masked to the width, so hostile values still
         produce boolean assignments and fail elsewhere)."""
-        return [self.bit(None if value is None else (value >> j) & 1) for j in range(width)]
+        self._public_frozen = True
+        start = self.num_vars
+        self.values += [(value >> j) & 1 for j in range(width)]
+        self.num_vars = start + width
+        self.n_bools += width
+        return list(range(start, start + width))
+
+
+class RecordingBuilder(Builder):
+    """A prover's builder that also stores every constraint, for audits,
+    dumps and the mutation-sweep tests; ``cs`` is the stored system."""
+
+    def __init__(self):
+        super().__init__()
+        self.bools: list = []
+        self.lins: list = []
+        self.r1s: list = []
+
+    @property
+    def cs(self) -> ConstraintSystem:
+        return ConstraintSystem(self.field, self.num_vars, self.num_public, self.bools, self.lins, self.r1s)
+
+    def add_bool(self, var: int) -> None:
+        self.bools.append(var)
+
+    def add_lin(self, lc: LC) -> None:
+        self.lins.append(tuple(lc))
+
+    def add_r1(self, a_lc: LC, b_lc: LC, c_lc: LC) -> None:
+        self.r1s.append((tuple(a_lc), tuple(b_lc), tuple(c_lc)))
+
+    def bits_of(self, value: int | None, width: int) -> list[int]:
+        bits = super().bits_of(value, width)
+        self.bools.extend(bits)
+        return bits
 
 
 class CheckingBuilder(Builder):
@@ -230,17 +281,9 @@ class CheckingBuilder(Builder):
     compute = False
 
     def __init__(self, values: list[int], field: int = BN254_SCALAR_FIELD):
+        super().__init__()
         self.values = values
         self.field = field
-        self.num_vars = 1
-        self.num_public = 0
-        self.n_bools = self.n_lins = self.n_r1s = 0
-
-    @property
-    def cs(self) -> ConstraintSystem:
-        return ConstraintSystem(
-            self.field, self.num_vars, self.num_public, Tally(self.n_bools), Tally(self.n_lins), Tally(self.n_r1s)
-        )
 
     def _violated(self, kind: str, idx: int):
         raise ConstraintViolation(f"{self.region}: {kind} constraint {idx} fails")

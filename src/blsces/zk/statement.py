@@ -32,7 +32,7 @@ from blsces.credential import CEAS, Claim, encode_claim_message
 from blsces.errors import StatementError, ValidationError
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
-from blsces.zk.r1cs import LC, Builder, CheckingBuilder, ConstraintSystem
+from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256_gadget import (
     ONE,
     SHA256_IV,
@@ -246,23 +246,25 @@ def public_assignment(layout: StatementLayout, inputs: PublicInputs) -> list[int
 
 def synthesize(
     layout: StatementLayout,
+    bd: Builder,
     witness: dict[int, tuple[Claim, HashToCurveWitness]] | None = None,
-    assignment: list[int] | None = None,
 ) -> SynthesisResult:
-    """Synthesize the statement a layout describes, given exactly one of:
+    """Synthesize the statement a layout describes through a fresh
+    builder ``bd``:
 
-    * ``witness`` (claim and hash witness per extracted index): the
-      prover's ``Builder`` computes the assignment and stores the
-      constraint system;
-    * ``assignment`` (a transported one): a ``CheckingBuilder`` checks
-      each constraint as it is emitted and stores none.  It raises
-      ``ConstraintViolation`` at the first failure, naming its claim and
-      region, and ``WitnessShapeError`` if the assignment runs out.
+    * a computing ``Builder`` or ``RecordingBuilder`` needs ``witness``
+      (claim and hash witness per extracted index) and computes the
+      assignment; only the recording one stores the constraints;
+    * a ``CheckingBuilder``, handed a transported assignment, takes no
+      witness and checks each constraint as it is emitted.  It raises
+      ``ConstraintViolation`` at the first failure, naming its claim
+      and region, and ``WitnessShapeError`` if the assignment runs out.
 
-    The constraints depend only on the layout, so both kinds emit the
+    The constraints depend only on the layout, so every kind emits the
     same ones."""
-    if (witness is None) == (assignment is None):
-        raise StatementError("synthesize needs exactly one of a witness and an assignment")
+    compute = bd.compute
+    if compute != (witness is not None):
+        raise StatementError("a computing builder needs a witness and a checking builder none")
     profile = PROFILES.get(layout.profile_name)
     if profile is None:
         raise StatementError(f"unknown curve profile {layout.profile_name!r}")
@@ -279,8 +281,6 @@ def synthesize(
     if predicate is not None and predicate.claim_index not in layout.extraction:
         raise StatementError("predicate targets an undisclosed claim")
 
-    compute = witness is not None
-    bd = Builder() if compute else CheckingBuilder(assignment)
     l_bits = profile.x_bits
     shift = SHA_BITS - l_bits
     mask = (1 << LIMB_BITS) - 1
@@ -395,15 +395,16 @@ def synthesize(
     return SynthesisResult(cs=bd.cs, values=bd.values if compute else None, layout=layout)
 
 
-def build_statement(
+def prover_layout(
     cred,
     ceas: CEAS,
     witnesses: dict[int, HashToCurveWitness],
     extraction: tuple[int, ...] | list[int],
     predicate=None,
     profile_name: str = "bn254",
-) -> SynthesisResult:
-    """Construct layout plus constraint system from prover-side data.
+) -> tuple[StatementLayout, dict[int, tuple[Claim, HashToCurveWitness]]]:
+    """The layout of a statement over prover-side data, and the witness
+    ``synthesize`` takes for it.
 
     ``witnesses`` maps each extracted index to its hash witness; the
     credential supplies the claim bytes.
@@ -428,5 +429,18 @@ def build_statement(
         claims=tuple(claims),
         predicate=predicate.describe() if predicate is not None else None,
     )
-    witness_map = {i: (cred[i], witnesses[i]) for i in idxs}
-    return synthesize(layout, witness_map)
+    return layout, {i: (cred[i], witnesses[i]) for i in idxs}
+
+
+def build_statement(
+    cred,
+    ceas: CEAS,
+    witnesses: dict[int, HashToCurveWitness],
+    extraction: tuple[int, ...] | list[int],
+    predicate=None,
+    profile_name: str = "bn254",
+) -> SynthesisResult:
+    """Layout, assignment and the stored constraint system from
+    prover-side data (the arguments of ``prover_layout``)."""
+    layout, witness = prover_layout(cred, ceas, witnesses, extraction, predicate, profile_name)
+    return synthesize(layout, RecordingBuilder(), witness)

@@ -13,7 +13,7 @@ from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
 from blsces.groups.params import P as BIG_P
 from blsces.zk import build_statement, hash_to_curve_witness
-from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem
+from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256_gadget import (
     ONE,
     SHA256_IV,
@@ -55,7 +55,7 @@ def test_known_constants_spot_values():
 # -- sha gadget --------------------------------------------------------------------
 
 def gadget_digest(block: bytes, state=None):
-    bd = Builder()
+    bd = RecordingBuilder()
     block_words = [bd.bits_of(int.from_bytes(block[4 * t: 4 * t + 4], "big"), 32) for t in range(16)]
     state_words = [const_word(v) for v in (state or SHA256_IV)]
     out = sha256_compress_gadget(bd, state_words, block_words)
@@ -95,7 +95,7 @@ def literal_cases(arity: int):
     negation and both constants, and operands may share a variable."""
     for values in product((0, 1), repeat=3):
         for picks in product(range(8), repeat=arity):
-            bd = Builder()
+            bd = RecordingBuilder()
             pool = [lit for v in values for x in [bd.bit(v)] for lit in (x, ~x)] + [ONE, ZERO]
             yield bd, [pool[k] for k in picks]
 
@@ -201,7 +201,7 @@ def test_square_root_gadget_size():
 # -- constraint system plumbing ----------------------------------------------------
 
 def test_dump_and_uniform_view():
-    bd = Builder()
+    bd = RecordingBuilder()
     a = bd.bit(1)
     b = bd.bit(0)
     c = bd.alloc(0)
@@ -220,7 +220,7 @@ def test_dump_and_uniform_view():
 
 
 def test_var_index_covers_every_constraint():
-    bd = Builder()
+    bd = RecordingBuilder()
     bits = [bd.bit(rng.randrange(2)) for _ in range(5)]
     bd.add_lin(tuple((b, 1 << j) for j, b in enumerate(bits)) + ((0, -bd.lc_val(tuple((b, 1 << j) for j, b in enumerate(bits)))),))
     cs = bd.cs
@@ -263,7 +263,7 @@ def test_checking_builder_matches_first_violation():
         "square": (3, square),
     }
     for name, (arity, emit) in emitters.items():
-        bd = Builder()
+        bd = RecordingBuilder()
         emit(bd)
         cs = bd.cs
         assert cs.num_vars == 1 + arity and len(cs) == 1

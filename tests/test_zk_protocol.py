@@ -3,13 +3,17 @@
 import json
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blsces import bls
+from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet, encode_claim_message
 from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError, StatementError, ValidationError
@@ -29,9 +33,9 @@ from blsces.zk import (
     zk_verify,
 )
 from blsces.zk import backend
-from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem
+from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256_gadget import sha256_pad
-from blsces.zk.statement import PublicInputs, _skeleton, public_assignment
+from blsces.zk.statement import PublicInputs, _skeleton, prover_layout, public_assignment
 
 rng = random.Random(17)
 
@@ -81,7 +85,7 @@ def checked_constraints(monkeypatch, res):
     with monkeypatch.context() as m:
         for name, fn in (("bits_of", rec_bits_of), ("add_bool", rec_bool), ("add_lin", rec_lin), ("add_r1", rec_r1)):
             m.setattr(CheckingBuilder, name, fn)
-        checked = synthesize(res.layout, assignment=list(res.values))
+        checked = synthesize(res.layout, CheckingBuilder(list(res.values)))
     assert checked.values is None
     return seen, checked.cs
 
@@ -122,6 +126,44 @@ def test_checker_checks_what_the_prover_proved(monkeypatch):
         assert sizes(counts) == sizes(res.cs)
 
 
+def test_prover_computes_what_the_recorder_records():
+    """The storing-nothing prover's builder yields the recording builder's
+    assignment and sizes, on both profiles, for one and two claims, with
+    a range predicate, an equals predicate and a pre-hashed claim."""
+    cred = Credential((Claim("h", "age", "42"), Claim("h", "country", "CH"), Claim("h", "bio", "x" * 80)))
+    ceas = CEAS.from_index_sets(3, [[0], [0, 1], [2], [0, 2]])
+    cases = [
+        ((0,), RangePredicate(0, 40, 45)),
+        ((0, 1), EqualsPredicate(1, "CH")),
+        ((2,), None),
+        ((0, 2), RangePredicate(0, 18, 65)),
+    ]
+    for profile in (TOY, BN254):
+        wits = {i: hash_to_curve_witness(i, cred[i], 3, ceas, profile)[1] for i in range(3)}
+        for idxs, predicate in cases:
+            layout, witness = prover_layout(cred, ceas, wits, idxs, predicate, profile.name)
+            recorded = synthesize(layout, RecordingBuilder(), witness)
+            proved = synthesize(layout, Builder(), witness)
+            assert recorded.cs.satisfied(recorded.values)
+            assert proved.values == recorded.values, (profile.name, idxs)
+            assert sizes(proved.cs) == sizes(recorded.cs) and len(proved.cs) == len(recorded.cs), (profile.name, idxs)
+    assert layout.claims[1].prehash_state is not None
+
+
+def test_prove_extraction_bytes_are_the_recorded_packing():
+    """A proof carries the header and the recorded synthesis's values
+    packed and compressed as they always were, for one and two claims."""
+    cred = Credential((Claim("holder", "age", "19"), Claim("holder", "country", "CH")))
+    ceas = CEAS.from_index_sets(2, [[0], [0, 1]])
+    for idxs in ((0,), (0, 1)):
+        proof, inputs = prove_extraction(BackendParams(), cred, ceas, ExtractionSet(frozenset(idxs)), RangePredicate(0, 18, 65))
+        wits = {i: hash_to_curve_witness(i, cred[i], 2, ceas)[1] for i in idxs}
+        res = build_statement(cred, ceas, wits, idxs, RangePredicate(0, 18, 65))
+        header = json.dumps({"backend": "transparent", "layout": res.layout.to_json()}, separators=(",", ":"), sort_keys=True)
+        assert proof.data == header.encode() + b"\n" + zlib.compress(old_packing(res.values), 6), idxs
+        assert inputs.x_coords == tuple(w.x for w in wits.values())
+
+
 def test_checker_verdict_matches_satisfied():
     """For every public variable and 300 seeded single-variable
     mutations, the checker accepts exactly when the prover's system is
@@ -139,7 +181,7 @@ def test_checker_verdict_matches_satisfied():
         values = list(res.values)
         values[var] += delta
         try:
-            synthesize(res.layout, assignment=values)
+            synthesize(res.layout, CheckingBuilder(values))
             accepted = True
         except ConstraintViolation:
             accepted = False
@@ -156,10 +198,11 @@ def test_backend_rejects_witness_one_value_short_or_long():
         assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs).code == "witness_shape_mismatch"
 
 
-def test_unsatisfied_verdict_names_claim_and_block(monkeypatch):
+def test_unsatisfied_verdict_names_claim_and_block(monkeypatch, issuer, tmp_path):
     """A flipped message bit of claim 1 in a two-claim witness keeps its
     booleanity and first breaks a constraint of claim 1's sha256 block;
-    the code stays constraints_unsatisfied and the detail says where."""
+    the code stays constraints_unsatisfied and the detail says where, in
+    the backend's verdict, in zk_verify's result and on the CLI line."""
     cred = Credential((Claim("h", "age", "33"), Claim("h", "bio", "x" * 80)))
     ceas = CEAS.from_index_sets(2, [[0, 1]])
     wits = {i: hash_to_curve_witness(i, cred[i], 2, ceas, TOY)[1] for i in (0, 1)}
@@ -188,6 +231,28 @@ def test_unsatisfied_verdict_names_claim_and_block(monkeypatch):
     assert verdict.code == "constraints_unsatisfied"
     assert verdict.detail.startswith("claim 1, sha256 block 1: "), verdict.detail
     assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
+
+    # the toy points do not pair under a BN254 key; the proof's detail is
+    # carried whatever the other conjuncts say
+    pres = ces_extract(ces_sign(issuer.sk, cred, ceas), ExtractionSet(frozenset({0, 1})))
+    r = zk_verify(BackendParams(), issuer.pk, pres.sigma, proof, inputs)
+    assert not r.accept and not r.proof_ok and r.detail == verdict.detail
+    assert zk_verify(BackendParams(), issuer.pk, pres.sigma, TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs).detail == ""
+    files = {
+        "pubkey": formats.public_key_to_json(issuer.pk),
+        "presentation": formats.presentation_to_json(pres),
+        "bundle": formats.proof_bundle_to_json(proof, inputs),
+    }
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(formats.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "blsces.cli", "zk-verify"] + [a for n in files for a in (f"--{n}", str(tmp_path / f"{n}.json"))],
+        capture_output=True,
+        text=True,
+    )
+    (line,) = proc.stdout.splitlines()
+    diag = json.loads(line)
+    assert proc.returncode == 1 and (diag["code"], diag["detail"]) == (r.code, verdict.detail), proc
 
 
 def test_skeleton_builds_only_the_suffix():
@@ -349,6 +414,90 @@ def test_backend_rejects_garbage():
     assert TRANSPARENT_BACKEND.verify(params, Proof(b"junk"), inputs).code == "malformed_proof"
 
 
+def old_packing(values):
+    return b"".join(v.to_bytes(32, "big") for v in values)
+
+
+def old_parse(packed):
+    return [int.from_bytes(packed[k: k + 32], "big") for k in range(0, len(packed), 32)]
+
+
+F = ConstraintSystem().field
+EDGE_VALUES = (0, 1, 255, 256, F - 1, F, (1 << 256) - 1)
+TOY_RES = toy_statement("27")[0]
+TOY_HEADER = TRANSPARENT_BACKEND.prove(BackendParams(), TOY_RES).data.split(b"\n", 1)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 9000),
+    seed=st.integers(0, 1 << 32),
+    edges=st.dictionaries(st.integers(0, 8999), st.sampled_from(EDGE_VALUES) | st.integers(0, (1 << 256) - 1), max_size=6),
+)
+def test_prove_packs_values_as_to_bytes(n, seed, edges):
+    """prove's windowed packing is byte for byte the per-value to_bytes
+    join, for bit witnesses of up to three windows with edge values
+    anywhere in them; a negative value still raises OverflowError."""
+    r = random.Random(seed)
+    values = [r.getrandbits(1) for _ in range(n)]
+    for k, v in edges.items():
+        if k < n:
+            values[k] = v
+    proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
+    assert proof.data == TOY_HEADER + b"\n" + zlib.compress(old_packing(values), 6)
+    if values:
+        values[seed % n] = -1 - seed
+        with pytest.raises(OverflowError):
+            TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2000), seed=st.integers(0, 1 << 32), sparse=st.sets(st.integers(0, 1999), max_size=8))
+def test_parse_decodes_as_from_bytes(n, seed, sparse):
+    """parse returns the per-slice int.from_bytes list for blobs whose
+    high bytes are nonzero in a few chunks, the first and last always
+    among them, and each other one followed by a neighbour, across
+    several scan windows; a chunk may have one nonzero high byte, at
+    either end of its high bytes or between, or random high bytes."""
+    r = random.Random(seed)
+    packed = bytearray(32 * n)
+    packed[31::32] = r.randbytes(n)
+    for k in {0, n - 1} | {j for k in sparse for j in (k, k + 1) if j < n}:
+        if r.random() < 0.75:
+            packed[32 * k + r.choice((0, 30, r.randrange(31)))] = r.randrange(1, 256)
+        else:
+            packed[32 * k: 32 * k + 31] = r.randbytes(31)
+    layout, values = TRANSPARENT_BACKEND.parse(Proof(TOY_HEADER + b"\n" + zlib.compress(bytes(packed))))
+    assert layout == TOY_RES.layout
+    assert values == old_parse(packed)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.binary(max_size=300)
+    | st.builds(lambda blob: TOY_HEADER + b"\n" + blob, st.binary(max_size=300))
+    | st.builds(lambda blob: TOY_HEADER + b"\n" + zlib.compress(blob), st.binary(max_size=300))
+    | st.builds(
+        lambda meta, blob: json.dumps(meta).encode() + b"\n" + zlib.compress(blob),
+        st.fixed_dictionaries({"backend": st.just("transparent") | JSON, "layout": JSON}) | JSON,
+        st.binary(max_size=64),
+    )
+)
+def test_parse_any_bytes_ends_in_encoding_error_or_a_parse(data):
+    try:
+        layout, values = TRANSPARENT_BACKEND.parse(Proof(data))
+    except EncodingError:
+        return
+    assert len(values) == len(zlib.decompressobj().decompress(data.split(b"\n", 1)[1])) // 32
+
+
 def test_backend_witness_cap_boundary(monkeypatch):
     """A witness of exactly the cap parses; one byte more is too large; a
     truncated stream under the cap is malformed, not too large."""
@@ -412,6 +561,35 @@ def test_backend_memory_ignores_declared_lengths():
             tracemalloc.stop()
         assert not verdict and verdict.code == (code or verdict.code), fields
         assert peak < 5 << 20, (fields, peak)
+
+
+# Verify peak of the proof below at the commit before the prover stopped
+# storing constraints (tracemalloc, Python 3.11).
+VERIFY_PEAK_BEFORE = 2.34 * (1 << 20)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prover_stores_no_constraints():
+    """A two-claim BN254 proof with a range predicate is made without
+    holding its ~60,000 constraints, and parsing it in windows keeps the
+    verifier's peak where it was."""
+    cred = Credential((Claim("holder", "age", "19"), Claim("holder", "country", "CH"), Claim("holder", "tier", "3")))
+    ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 1, 2]])
+    args = (BackendParams(), cred, ceas, ExtractionSet(frozenset({0, 1})), RangePredicate(0, 18, 65))
+    prove_extraction(*args)  # fill the hash caches outside the measurement
+    (proof, inputs), prove_peak = traced_peak(prove_extraction, *args)
+    verdict, verify_peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), proof, inputs)
+    assert verdict
+    assert prove_peak < 8 << 20, prove_peak
+    assert verify_peak <= 1.1 * VERIFY_PEAK_BEFORE, verify_peak
 
 
 def test_public_assignment_layout_mismatch():
