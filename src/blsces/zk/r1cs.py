@@ -44,6 +44,13 @@ from blsces.groups.params import R as BN254_SCALAR_FIELD
 LC = tuple  # tuple[tuple[int, int], ...]
 
 
+def lc_value(lc: LC, w: list, field: int) -> int:
+    total = 0
+    for var, coeff in lc:
+        total += w[var] * coeff
+    return total % field
+
+
 @dataclass
 class ConstraintSystem:
     field: int = BN254_SCALAR_FIELD
@@ -58,13 +65,6 @@ class ConstraintSystem:
 
     # -- evaluation ---------------------------------------------------
 
-    def lc_value(self, lc: LC, w: list) -> int:
-        f = self.field
-        total = 0
-        for var, coeff in lc:
-            total += w[var] * coeff
-        return total % f
-
     def first_violation(self, w: list) -> int | None:
         """Index (in iter_r1cs order) of the first failing constraint."""
         f = self.field
@@ -76,11 +76,11 @@ class ConstraintSystem:
                 return idx
             idx += 1
         for lc in self.lins:
-            if self.lc_value(lc, w) != 0:
+            if lc_value(lc, w, f) != 0:
                 return idx
             idx += 1
         for a_lc, b_lc, c_lc in self.r1s:
-            if self.lc_value(a_lc, w) * self.lc_value(b_lc, w) % f != self.lc_value(c_lc, w):
+            if lc_value(a_lc, w, f) * lc_value(b_lc, w, f) % f != lc_value(c_lc, w, f):
                 return idx
             idx += 1
         return None
@@ -112,7 +112,8 @@ class ConstraintSystem:
 
     def eval_constraint(self, idx: int, w: list) -> bool:
         a_lc, b_lc, c_lc = self.constraint(idx)
-        return self.lc_value(a_lc, w) * self.lc_value(b_lc, w) % self.field == self.lc_value(c_lc, w)
+        f = self.field
+        return lc_value(a_lc, w, f) * lc_value(b_lc, w, f) % f == lc_value(c_lc, w, f)
 
     def var_index(self) -> dict:
         """Map variable -> indices of constraints mentioning it.
@@ -221,15 +222,14 @@ class Builder:
     def lc_val(self, lc: LC) -> int:
         if not self.compute:
             raise StatementError("a checking builder computes no values")
-        w = self.values
-        return sum(w[var] * coeff for var, coeff in lc) % self.field
+        return lc_value(lc, self.values, self.field)
 
-    def bit(self, value: int | None = None) -> int:
+    def bit(self, value: int) -> int:
         v = self.alloc(value)
         self.add_bool(v)
         return v
 
-    def bits_of(self, value: int | None, width: int) -> list[int]:
+    def bits_of(self, value: int, width: int) -> list[int]:
         """Allocate ``width`` boolean variables holding the little-endian
         bits of ``value`` (masked to the width, so hostile values still
         produce boolean assignments and fail elsewhere)."""
@@ -264,7 +264,7 @@ class RecordingBuilder(Builder):
     def add_r1(self, a_lc: LC, b_lc: LC, c_lc: LC) -> None:
         self.r1s.append((tuple(a_lc), tuple(b_lc), tuple(c_lc)))
 
-    def bits_of(self, value: int | None, width: int) -> list[int]:
+    def bits_of(self, value: int, width: int) -> list[int]:
         bits = super().bits_of(value, width)
         self.bools.extend(bits)
         return bits
