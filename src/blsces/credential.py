@@ -123,6 +123,12 @@ class ExtractionSet:
         return len(self.indices)
 
 
+# The widest policy, in claims.  A width is a bare number in a JSON file,
+# and the canonical bytes and index lists grow with it, so a document
+# must not be able to name a width its own size does not pay for.
+MAX_CEAS_WIDTH = 1024
+
+
 @dataclass(frozen=True)
 class CEAS:
     """Content-extraction access structure: allowed index subsets.
@@ -138,12 +144,13 @@ class CEAS:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("CEAS width must be positive")
+        if self.n > MAX_CEAS_WIDTH:
+            raise ValidationError(f"CEAS width above {MAX_CEAS_WIDTH}")
         if not isinstance(self.subsets, frozenset):
             object.__setattr__(self, "subsets", frozenset(self.subsets))
         if not self.subsets:
             raise ValidationError("CEAS holds at least one subset")
-        limit = 1 << self.n
-        if any(not 0 <= s < limit for s in self.subsets):
+        if any(s < 0 or s.bit_length() > self.n for s in self.subsets):
             raise ValidationError("CEAS subset exceeds its width")
 
     @classmethod

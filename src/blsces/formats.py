@@ -188,7 +188,7 @@ def signed_from_json(data: dict) -> SignedCredential:
     try:
         sigs = tuple(bls.Signature(bytes.fromhex(h)) for h in data["signatures"])
         counters = tuple(int(c) for c in data["counters"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise EncodingError(f"bad signed credential: {exc}") from exc
     if any(not 0 <= c < 256 for c in counters):
         raise EncodingError("counter out of byte range")
@@ -231,7 +231,7 @@ def presentation_from_json(data: dict) -> ExtractedPresentation:
             if kept is not None
             else None
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise EncodingError(f"bad presentation: {exc}") from exc
     if any(not 0 <= c < 256 for c in counters.values()):
         raise EncodingError("counter out of byte range")

@@ -43,7 +43,7 @@ from blsces.groups.tower import (
     fp12_mul_line,
     fp12_pow,
     fp12_sqr,
-    naf,
+    wnaf,
     XI,
 )
 
@@ -55,7 +55,7 @@ assert TW_FROB2_X[1] == 0
 assert fp2_pow(XI, (P * P - 1) // 2) == (P - 1, 0)
 
 
-_ATE_NAF = naf(ATE_LOOP_COUNT)
+_ATE_NAF = wnaf(ATE_LOOP_COUNT, 2)
 assert sum(d << i for i, d in enumerate(_ATE_NAF)) == ATE_LOOP_COUNT
 
 

@@ -4,6 +4,18 @@ Public values are the frozen affine dataclasses ``G1Point`` and
 ``G2Point``; the Jacobian helpers underneath work on raw coordinate
 tuples and are what scalar multiplication and the pairing use.  G2 lives
 on the sextic twist y^2 = x^3 + 3/XI over Fp2.
+
+``g1_mul``, the cost of every BLS signature, uses the GLV method
+(Gallant, Lambert and Vanstone, CRYPTO 2001).  G1 has the cheap
+endomorphism phi(x, y) = (GLV_BETA*x, y), which acts as [GLV_LAMBDA], so
+a 254-bit scalar splits into two halves below 2^127 with
+k = k1 + k2*GLV_LAMBDA (mod R).  Both halves are recoded in width-5 NAF
+and run in one interleaved loop: one doubling per digit position, and
+one mixed (Jacobian plus affine) addition per nonzero digit, read from
+tables of the odd multiples P, 3P, ..., 15P that share one inversion.
+The split is sound only for points of G1; with cofactor 1 that is every
+point on the curve, so an on-curve input (``check_g1``) is the
+precondition.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from blsces.groups.tower import (
     fp2_smul,
     fp2_sqr,
     fp2_sub,
+    wnaf,
 )
 
 # Twist coefficient b' = 3 / XI.
@@ -34,6 +47,25 @@ TWIST_B = fp2_mul((3, 0), fp2_inv(XI))
 # is the p-power Frobenius carried over to the twist.
 TW_FROB_X = fp2_pow(XI, (P - 1) // 3)
 TW_FROB_Y = fp2_pow(XI, (P - 1) // 2)
+
+# The GLV endomorphism of G1: phi(x, y) = (GLV_BETA*x, y) is [GLV_LAMBDA],
+# with GLV_BETA a cube root of unity in Fp and GLV_LAMBDA one mod R, both
+# polynomials in u.  Which of the two roots goes with which is fixed by
+# phi(G1_GEN) = [GLV_LAMBDA]G1_GEN, checked in the tests.
+GLV_BETA = 18 * BN_U**3 + 18 * BN_U**2 + 9 * BN_U + 1
+GLV_LAMBDA = 36 * BN_U**3 + 18 * BN_U**2 + 6 * BN_U + 1
+assert GLV_BETA != 1 and pow(GLV_BETA, 3, P) == 1
+assert (GLV_LAMBDA * GLV_LAMBDA + GLV_LAMBDA + 1) % R == 0
+
+# A short basis (a1, b1), (a2, b2) of the lattice {(a, b) : a + b*GLV_LAMBDA
+# = 0 mod R}, of determinant -R.  Rounding against it leaves halves no
+# larger than half its column sums, below 2^127.
+_GLV_A1, _GLV_B1 = 6 * BN_U**2 + 4 * BN_U + 1, 2 * BN_U + 1
+_GLV_A2, _GLV_B2 = 2 * BN_U + 1, -(6 * BN_U**2 + 2 * BN_U)
+assert (_GLV_A1 + _GLV_B1 * GLV_LAMBDA) % R == 0
+assert (_GLV_A2 + _GLV_B2 * GLV_LAMBDA) % R == 0
+assert _GLV_A1 * _GLV_B2 - _GLV_A2 * _GLV_B1 == -R
+assert max(abs(_GLV_A1) + abs(_GLV_A2), abs(_GLV_B1) + abs(_GLV_B2)) < 1 << 128
 
 
 @dataclass(frozen=True)
@@ -151,14 +183,14 @@ def _j1_double(pt):
     x1, y1, z1 = pt
     if z1 == 0 or y1 == 0:
         return _J1_INF if y1 == 0 else pt
+    # dbl-2009-l with d = 4*x1*y1^2 taken directly; e = 3*x1^2 and
+    # 8*y1^4 stay unreduced, as every expression using them is reduced.
     a = x1 * x1 % P
     b = y1 * y1 % P
-    c = b * b % P
-    d = 2 * ((x1 + b) * (x1 + b) - a - c) % P
-    e = 3 * a % P
-    f = e * e % P
-    x3 = (f - 2 * d) % P
-    y3 = (e * (d - x3) - 8 * c) % P
+    d = 4 * x1 * b % P
+    e = 3 * a
+    x3 = (e * e - 2 * d) % P
+    y3 = (e * (d - x3) - 8 * b * b) % P
     z3 = 2 * y1 * z1 % P
     return (x3, y3, z3)
 
@@ -203,18 +235,114 @@ def g1_sum(pts) -> G1Point:
     return _j1_to(acc)
 
 
+def _j1_madd(p, q):
+    """Jacobian p plus affine q: a mixed addition, cheaper than _j1_add."""
+    x1, y1, z1 = p
+    x2, y2 = q
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % P
+    u2 = x2 * z1z1 % P
+    s2 = y2 * z1 % P * z1z1 % P
+    if u2 == x1:
+        if s2 != y1:
+            return _J1_INF
+        return _j1_double(p)
+    # madd-2007-bl; h, i and r stay unreduced, as every expression using
+    # them is reduced.
+    h = u2 - x1
+    hh = h * h % P
+    i = 4 * hh
+    j = h * i % P
+    r = 2 * (s2 - y1)
+    v = x1 * i % P
+    x3 = (r * r - j - 2 * v) % P
+    y3 = (r * (v - x3) - 2 * y1 * j) % P
+    z3 = 2 * z1 * h % P
+    return (x3, y3, z3)
+
+
+def _j1_batch_affine(pts):
+    """Affine (x, y) of Jacobian points with nonzero z, sharing one
+    inversion (Montgomery's trick)."""
+    prefix = []
+    acc = 1
+    for _, _, z in pts:
+        prefix.append(acc)
+        acc = acc * z % P
+    inv = pow(acc, -1, P)
+    out = [None] * len(pts)
+    for i in range(len(pts) - 1, -1, -1):
+        x, y, z = pts[i]
+        zi = inv * prefix[i] % P
+        inv = inv * z % P
+        zi2 = zi * zi % P
+        out[i] = (x * zi2 % P, y * zi2 % P * zi % P)
+    return out
+
+
+def glv_split(k: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2*GLV_LAMBDA = k (mod R) and |k1|, |k2| < 2^127.
+
+    Babai rounding: write (k, 0) in the short basis, round both
+    coordinates to the nearest integer, and return what is left over.
+    """
+    c1 = (2 * k * -_GLV_B2 + R) // (2 * R)
+    c2 = (2 * k * _GLV_B1 + R) // (2 * R)
+    return k - c1 * _GLV_A1 - c2 * _GLV_A2, -c1 * _GLV_B1 - c2 * _GLV_B2
+
+
+def _digit_table(odd, beta, negate):
+    """Affine [d]Q for every odd digit d with |d| < 16, indexed by d itself
+    (a negative d counts from the end of the 32-entry list).  Q is the
+    base point, or phi(base) when beta is GLV_BETA, negated when negate."""
+    table = [None] * 32
+    for i, (x, y) in enumerate(odd):
+        x = x * beta % P
+        if negate:
+            y = P - y
+        table[2 * i + 1] = (x, y)
+        table[-2 * i - 1] = (x, P - y)
+    return table
+
+
 def g1_mul(pt: G1Point, k: int) -> G1Point:
-    # The whole curve has prime order R (cofactor 1), so reducing the
-    # scalar is sound for any on-curve point.
+    """[k]pt by a GLV split and an interleaved width-5 NAF.
+
+    Precondition: pt is on the curve.  The curve has prime order R
+    (cofactor 1), so every on-curve point lies in G1, where reducing k
+    mod R is sound and phi(x, y) = (GLV_BETA*x, y) acts as [GLV_LAMBDA].
+    bls.sign_hashed runs check_g1 before it gets here.
+
+    k = k1 + k2*GLV_LAMBDA with halves below 2^127, so
+    [k]pt = [k1]pt + [k2]phi(pt) takes about 127 doublings shared by
+    both halves, plus one mixed addition per nonzero w-NAF digit from
+    tables of the odd multiples pt, 3pt, ..., 15pt and their images
+    under phi.  A half's sign is folded into its table.
+    """
     k %= R
     if k == 0 or pt.infinity:
         return G1_IDENTITY
+    k1, k2 = glv_split(k)
+    base = (pt.x, pt.y, 1)
+    two = _j1_double(base)
+    odd = [base]
+    for _ in range(7):
+        odd.append(_j1_add(odd[-1], two))
+    odd = _j1_batch_affine(odd)
+    table1 = _digit_table(odd, 1, k1 < 0)
+    table2 = _digit_table(odd, GLV_BETA, k2 < 0)
+    digits1, digits2 = wnaf(abs(k1), 5), wnaf(abs(k2), 5)
+    n = max(len(digits1), len(digits2))
+    digits1 += [0] * (n - len(digits1))
+    digits2 += [0] * (n - len(digits2))
     acc = _J1_INF
-    base = _j1_from(pt)
-    for bit in bin(k)[2:]:
+    for d1, d2 in zip(reversed(digits1), reversed(digits2)):
         acc = _j1_double(acc)
-        if bit == "1":
-            acc = _j1_add(acc, base)
+        if d1:
+            acc = _j1_madd(acc, table1[d1])
+        if d2:
+            acc = _j1_madd(acc, table2[d2])
     return _j1_to(acc)
 
 

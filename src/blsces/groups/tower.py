@@ -348,7 +348,7 @@ def fp12_cyclotomic_pow(a, e):
     """
     out = FP12_ONE
     a_inv = fp12_conj(a)
-    for digit in reversed(naf(e)):
+    for digit in reversed(wnaf(e, 2)):
         out = fp12_cyclotomic_sqr(out)
         if digit == 1:
             out = fp12_mul(out, a)
@@ -357,12 +357,19 @@ def fp12_cyclotomic_pow(a, e):
     return out
 
 
-def naf(k):
-    """Non-adjacent form of k >= 0, least significant digit first."""
+def wnaf(k, w):
+    """Width-w non-adjacent form of k >= 0, least significant digit first.
+
+    Every nonzero digit is odd, below 2^(w-1) in absolute value, and
+    followed by at least w-1 zeros; width 2 is the plain NAF.
+    """
     digits = []
+    mask, half = (1 << w) - 1, 1 << (w - 1)
     while k:
         if k & 1:
-            d = 2 - (k & 3)
+            d = k & mask
+            if d >= half:
+                d -= 1 << w
             k -= d
         else:
             d = 0

@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 
 from blsces.credential import CEAS, Claim, encode_claim_message
-from blsces.errors import StatementError, ValidationError
+from blsces.errors import EncodingError, StatementError, ValidationError
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
@@ -123,25 +123,31 @@ class StatementLayout:
 
     @classmethod
     def from_json(cls, data: dict) -> "StatementLayout":
-        return cls(
-            profile_name=data["profile"],
-            ceas_bytes=bytes.fromhex(data["ceas"]),
-            n=int(data["n"]),
-            extraction=tuple(int(i) for i in data["extraction"]),
-            claims=tuple(
-                ClaimLayout(
-                    index=int(c["index"]),
-                    len_subject=int(c["len_subject"]),
-                    len_property=int(c["len_property"]),
-                    len_value=int(c["len_value"]),
-                    prehash_state=tuple(c["prehash_state"]) if c["prehash_state"] else None,
-                    msg_len=int(c["msg_len"]),
-                    padded_len=int(c["padded_len"]),
-                )
-                for c in data["claims"]
-            ),
-            predicate=data.get("predicate"),
-        )
+        """The layout a proof header describes; a header of any other
+        shape raises EncodingError.  Values are checked only when the
+        statement is rebuilt from the layout."""
+        try:
+            return cls(
+                profile_name=data["profile"],
+                ceas_bytes=bytes.fromhex(data["ceas"]),
+                n=int(data["n"]),
+                extraction=tuple(int(i) for i in data["extraction"]),
+                claims=tuple(
+                    ClaimLayout(
+                        index=int(c["index"]),
+                        len_subject=int(c["len_subject"]),
+                        len_property=int(c["len_property"]),
+                        len_value=int(c["len_value"]),
+                        prehash_state=tuple(c["prehash_state"]) if c["prehash_state"] else None,
+                        msg_len=int(c["msg_len"]),
+                        padded_len=int(c["padded_len"]),
+                    )
+                    for c in data["claims"]
+                ),
+                predicate=data.get("predicate"),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise EncodingError(f"malformed statement layout: {exc!r}") from exc
 
 
 def _component_lengths(claim: Claim) -> tuple[int, int, int]:

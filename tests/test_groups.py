@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blsces import bls
 from blsces.errors import EncodingError, OffCurveError
@@ -25,8 +27,21 @@ from blsces.groups import (
     g2_mul,
     g2_to_bytes,
 )
-from blsces.groups.params import P, R, TOY
-from blsces.groups.points import G1Point, G2Point
+from blsces.groups.params import BN_U, P, R, TOY
+from blsces.groups.points import (
+    GLV_BETA,
+    GLV_LAMBDA,
+    G1Point,
+    G2Point,
+    _GLV_A1,
+    _GLV_A2,
+    _GLV_B1,
+    _GLV_B2,
+    _j1_madd,
+    _j1_to,
+    glv_split,
+)
+from blsces.groups.tower import wnaf
 
 rng = random.Random(2024)
 
@@ -255,3 +270,134 @@ def test_g2_serialization_roundtrip():
         g2_from_bytes(bytes(127))
     with pytest.raises(EncodingError):
         g2_from_bytes(bytes(64) + b"\x01" + bytes(63))
+
+
+# -- GLV scalar multiplication -------------------------------------------------
+
+
+def _affine_add(a, b):
+    """Textbook affine addition on y^2 = x^3 + 3, sharing no code with
+    the library's Jacobian formulas."""
+    if a.infinity:
+        return b
+    if b.infinity:
+        return a
+    if a.x == b.x:
+        if (a.y + b.y) % P == 0:
+            return G1_IDENTITY
+        slope = 3 * a.x * a.x * pow(2 * a.y, -1, P) % P
+    else:
+        slope = (b.y - a.y) * pow(b.x - a.x, -1, P) % P
+    x = (slope * slope - a.x - b.x) % P
+    return G1Point(x, (slope * (a.x - x) - a.y) % P)
+
+
+def ladder(pt, k):
+    """[k]pt by plain double-and-add over k mod R: the oracle for g1_mul."""
+    acc = G1_IDENTITY
+    for bit in bin(k % R)[2:]:
+        acc = _affine_add(acc, acc)
+        if bit == "1":
+            acc = _affine_add(acc, pt)
+    return acc
+
+
+def _rounding_at_half(g):
+    """The two scalars k whose product k*g sits next to R/2 mod R, so that
+    rounding k*g/R lands just below and just above one half (R is odd,
+    so exactly one half cannot occur)."""
+    return [(R - 1) // 2 * pow(g, -1, R) % R, (R + 1) // 2 * pow(g, -1, R) % R]
+
+
+EDGE_SCALARS = [
+    0, 1, 2, 3, 15, 16, 17, R - 1, R, R + 1, -1, -7, -(R + 12345), 2 * R + 5,
+    GLV_LAMBDA, R - GLV_LAMBDA, GLV_LAMBDA + 1, 1 << 127, (1 << 128) - 1,
+    1 << 128, (1 << 254) - 1,
+    *_rounding_at_half(-_GLV_B2), *_rounding_at_half(_GLV_B1),
+]
+
+
+def _check_split(k):
+    k1, k2 = glv_split(k % R)
+    assert (k1 + k2 * GLV_LAMBDA - k) % R == 0
+    assert abs(k1) < 1 << 127 and abs(k2) < 1 << 127
+
+
+def test_glv_constants():
+    assert GLV_BETA != 1 and pow(GLV_BETA, 3, P) == 1
+    assert (GLV_LAMBDA * GLV_LAMBDA + GLV_LAMBDA + 1) % R == 0
+    assert G1Point(GLV_BETA * G1_GEN.x % P, G1_GEN.y) == ladder(G1_GEN, GLV_LAMBDA)
+    for a, b in ((_GLV_A1, _GLV_B1), (_GLV_A2, _GLV_B2)):
+        assert (a + b * GLV_LAMBDA) % R == 0
+    assert abs(_GLV_A1 * _GLV_B2 - _GLV_A2 * _GLV_B1) == R
+
+
+def test_g1_mul_matches_ladder_on_edge_scalars():
+    points = [G1_GEN, bls.hash_to_g1(b"glv").point, random_g1()]
+    for k in EDGE_SCALARS:
+        _check_split(k)
+        for pt in points:
+            assert g1_mul(pt, k) == ladder(pt, k), k
+        assert g1_mul(G1_IDENTITY, k) == G1_IDENTITY
+    assert glv_split(GLV_LAMBDA) == (0, 1)
+
+
+def test_g1_mul_matches_ladder_on_random_points_and_scalars():
+    for _ in range(20):
+        pt = random_g1()
+        k = rng.randrange(-R, 2 * R)
+        _check_split(k)
+        assert g1_mul(pt, k) == ladder(pt, k)
+
+
+@given(st.integers(min_value=-(1 << 260), max_value=1 << 260), st.integers(min_value=1, max_value=R - 1))
+@settings(max_examples=25, deadline=None)
+def test_g1_mul_matches_ladder_property(k, m):
+    pt = g1_mul(G1_GEN, m)
+    _check_split(k)
+    assert g1_mul(pt, k) == ladder(pt, k)
+
+
+def test_mixed_addition_special_cases():
+    pt = random_g1()
+    jac = (pt.x, pt.y, 1)
+    assert _j1_to(_j1_madd((1, 1, 0), (pt.x, pt.y))) == pt
+    assert _j1_to(_j1_madd(jac, (pt.x, pt.y))) == _affine_add(pt, pt)
+    assert _j1_to(_j1_madd(jac, (pt.x, -pt.y % P))) == G1_IDENTITY
+    # a Jacobian representative with z != 1 exercises the scaled compare
+    z = 12345
+    scaled = (pt.x * z * z % P, pt.y * z**3 % P, z)
+    assert _j1_to(_j1_madd(scaled, (pt.x, pt.y))) == _affine_add(pt, pt)
+    q = random_g1()
+    assert _j1_to(_j1_madd(scaled, (q.x, q.y))) == _affine_add(pt, q)
+
+
+def _naf(k):
+    """The plain NAF loop that wnaf(k, 2) replaced."""
+    digits = []
+    while k:
+        if k & 1:
+            d = 2 - (k & 3)
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+def test_wnaf_width_2_is_naf():
+    for k in [*range(4096), BN_U, 6 * BN_U + 2]:
+        assert wnaf(k, 2) == _naf(k)
+
+
+@given(st.integers(min_value=0, max_value=1 << 300), st.integers(min_value=2, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_wnaf_digits(k, w):
+    digits = wnaf(k, w)
+    assert sum(d << i for i, d in enumerate(digits)) == k
+    assert not digits or digits[-1] != 0
+    for i, d in enumerate(digits):
+        if d:
+            assert d % 2 == 1 and abs(d) < 1 << (w - 1)
+            assert not any(digits[i + 1 : i + w])
