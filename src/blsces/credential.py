@@ -127,6 +127,10 @@ class ExtractionSet:
 # and the canonical bytes and index lists grow with it, so a document
 # must not be able to name a width its own size does not pay for.
 MAX_CEAS_WIDTH = 1024
+# The most subsets a policy lists.  Its canonical bytes go into every
+# claim message, and a ZK verifier hashes them in pure Python, so with
+# the width cap this bounds them at 8 + 256 * 128 = 32,776 bytes.
+MAX_CEAS_SUBSETS = 256
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,19 @@ class CEAS:
             object.__setattr__(self, "subsets", frozenset(self.subsets))
         if not self.subsets:
             raise ValidationError("CEAS holds at least one subset")
+        if len(self.subsets) > MAX_CEAS_SUBSETS:
+            raise ValidationError(f"CEAS lists more than {MAX_CEAS_SUBSETS} subsets")
         if any(s < 0 or s.bit_length() > self.n for s in self.subsets):
             raise ValidationError("CEAS subset exceeds its width")
 
     @classmethod
     def from_index_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "CEAS":
+        """The policy of width n allowing ``sets``.  Reading stops at the
+        first set past MAX_CEAS_SUBSETS, repeats included."""
         masks = set()
-        for s in sets:
+        for k, s in enumerate(sets):
+            if k == MAX_CEAS_SUBSETS:
+                raise ValidationError(f"CEAS lists more than {MAX_CEAS_SUBSETS} subsets")
             mask = 0
             for i in s:
                 if not 0 <= i < n:
@@ -182,6 +192,8 @@ class CEAS:
         n, count = struct.unpack(">II", data[:8])
         if n < 1:
             raise EncodingError("CEAS width must be positive")
+        if count > MAX_CEAS_SUBSETS:
+            raise EncodingError(f"CEAS lists more than {MAX_CEAS_SUBSETS} subsets")
         mask_len = (n + 7) // 8
         if len(data) != 8 + count * mask_len:
             raise EncodingError("CEAS byte length mismatch")

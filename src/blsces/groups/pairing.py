@@ -72,10 +72,6 @@ class GtElement:
         e %= R
         return GtElement(fp12_pow(self.value, e))
 
-    def inverse(self) -> "GtElement":
-        # Outputs of the pairing are unitary, so conjugation inverts.
-        return GtElement(fp12_conj(self.value))
-
     def is_identity(self) -> bool:
         return self.value == FP12_ONE
 

@@ -31,7 +31,7 @@ from blsces.errors import (
     StatementError,
     WitnessShapeError,
 )
-from blsces.zk.r1cs import CheckingBuilder
+from blsces.zk.r1cs import BIT_CLASS, Assignment, CheckingBuilder
 from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, public_assignment, synthesize
 
 _VALUE_BYTES = 32
@@ -84,10 +84,11 @@ def _pack(values: list[int]) -> bytearray:
     return buf
 
 
-def _unpack(packed: bytearray) -> list[int]:
-    """The values of whole 32-byte big-endian words."""
-    with memoryview(packed) as view:
-        values = view[_VALUE_BYTES - 1:: _VALUE_BYTES].tolist()
+def _unpack(packed: bytearray) -> Assignment:
+    """The values of whole 32-byte big-endian words, with their bit
+    classes: those of the low bytes, and '2' for a wide value."""
+    low = packed[_VALUE_BYTES - 1:: _VALUE_BYTES]
+    values = Assignment(low, low.translate(BIT_CLASS))
     for start in range(0, len(packed), _SCAN_WINDOW):
         flags = packed[start: start + _SCAN_WINDOW].translate(_NONZERO)
         flags[_VALUE_BYTES - 1:: _VALUE_BYTES] = bytes(len(flags) // _VALUE_BYTES)
@@ -95,7 +96,9 @@ def _unpack(packed: bytearray) -> list[int]:
         while pos >= 0:
             k = (start + pos) // _VALUE_BYTES
             values[k] = int.from_bytes(packed[_VALUE_BYTES * k: _VALUE_BYTES * (k + 1)], "big")
+            values.bits[k] = BIT_CLASS[2]
             pos = flags.find(1, _VALUE_BYTES * (k + 1) - start)
+    values.bits = bytes(values.bits)
     return values
 
 
@@ -153,13 +156,19 @@ class TransparentBackend:
             raise EncodingError("witness blob length not a multiple of the value size")
         return layout, _unpack(packed)
 
-    def verify(self, params: BackendParams, proof: Proof, inputs: PublicInputs) -> BackendVerdict:
+    def verify(
+        self, params: BackendParams, proof: Proof, inputs: PublicInputs, profile: str | None = None
+    ) -> BackendVerdict:
+        """Check the proof for the public inputs; with ``profile``, accept
+        only a statement over that curve profile."""
         try:
             layout, values = self.parse(proof)
         except ProofTooLargeError:
             return BackendVerdict(False, "proof_too_large")
         except EncodingError:
             return BackendVerdict(False, "malformed_proof")
+        if profile is not None and layout.profile_name != profile:
+            return BackendVerdict(False, "profile_rejected")
         if not values or values[0] != 1:
             return BackendVerdict(False, "witness_shape_mismatch")
         try:

@@ -21,6 +21,7 @@ from blsces import bls
 from blsces.credential import CEAS, Credential, ExtractionSet, ceas_contains
 from blsces.errors import EncodingError, InvalidPublicKeyError, ValidationError
 from blsces.groups import G1Point, G2Point, decompress_x
+from blsces.groups.params import BN254
 from blsces.zk.backend import BackendParams, Proof, TRANSPARENT_BACKEND
 from blsces.zk import statement
 from blsces.zk.r1cs import Builder
@@ -131,8 +132,9 @@ def zk_verify(
         except ValidationError:
             b2_code = "malformed_inputs"
 
-    # b3: backend proof verification.
-    verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs)
+    # b3: backend proof verification, of a statement over BN254: a toy
+    # profile would bind only a few bits of x.
+    verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs, profile=BN254.name)
     b3 = bool(verdict)
 
     accept = b1 and b2 and b3

@@ -32,6 +32,29 @@ The gadgets emit constraints through a builder of one of three kinds:
 Gadgets tell the computing kinds from the checking one by
 ``bd.compute``.  Each builder's ``cs`` has the same sizes; only the
 recording builder's holds the constraints.
+
+The sha256 gadget's word operations (see ``sha256_gadget``) compute the
+bits their per-bit path would allocate from the 32-bit values of their
+operands, and hand them to ``alloc_bits`` with the constraint counts.
+Each builder interprets that last step its own way:
+
+* ``Builder`` appends the bits to the assignment and adds the counts;
+  ``word_value`` reads a word's value from its computed values.
+* ``CheckingBuilder`` compares them with the next slice of a view of
+  the assignment that holds one ASCII byte per value: '0' or '1' for a
+  canonical bit and '2' for anything else, wide values included.  Only
+  an exact match is taken.  Over canonical bits each word relation
+  holds exactly when its per-bit constraints do, so a match is what
+  the per-bit path would accept.  ``word_value`` gathers a word from
+  the view and a negated, mirrored copy of it at the end, so the
+  literal ~b reads index ~b; it knows no value with a '2' in it.
+* ``RecordingBuilder`` declines, and knows no word value, so every
+  operation runs on the per-bit path and every constraint is stored.
+
+A builder that declines has changed nothing, and the operation runs on
+its per-bit path from the same state.  A checker's verdict and the
+region and index of a ``ConstraintViolation`` are therefore those of
+the per-bit path.
 """
 
 from __future__ import annotations
@@ -42,6 +65,38 @@ from blsces.errors import ConstraintViolation, StatementError, WitnessShapeError
 from blsces.groups.params import R as BN254_SCALAR_FIELD
 
 LC = tuple  # tuple[tuple[int, int], ...]
+
+# translate tables: a byte value to its bit class, '0' or '1' for a
+# canonical bit and '2' otherwise; a class to its negation; ASCII bits
+# to the values 0 and 1
+BIT_CLASS = b"01" + b"2" * 254
+_NEGATE = bytes.maketrans(b"01", b"10")
+_ASCII_BIT = bytes.maketrans(b"01", bytes(range(2)))
+_VIEW_CHUNK = 1 << 10
+
+
+class Assignment(list):
+    """Transported witness values, and ``bits``, their bit classes as
+    parsed (see ``BIT_CLASS``).  A caller that changes a value passes a
+    plain list, whose view the checking builder builds itself."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, values, bits: bytes):
+        super().__init__(values)
+        self.bits = bits
+
+
+def bit_view(values: list[int]) -> bytes:
+    """The bit classes of any list of values."""
+    out = bytearray()
+    for start in range(0, len(values), _VIEW_CHUNK):
+        chunk = values[start: start + _VIEW_CHUNK]
+        try:
+            out += bytes(chunk)
+        except (ValueError, TypeError):  # a value outside 0..255
+            out += bytes(v if v in (0, 1) else 2 for v in chunk)
+    return bytes(out.translate(BIT_CLASS))
 
 
 def lc_value(lc: LC, w: list, field: int) -> int:
@@ -240,6 +295,27 @@ class Builder:
         self.n_bools += width
         return list(range(start, start + width))
 
+    # -- word operations --------------------------------------------------
+
+    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int | None:
+        """Allocate one variable per ASCII '0' or '1' of ``bits``, holding
+        it, under ``bools``, ``lins`` and ``r1s`` constraints of each kind;
+        returns the first index.  A builder that returns None instead
+        has changed nothing."""
+        start = self.num_vars
+        self._public_frozen = True
+        self.values += bits.translate(_ASCII_BIT)
+        self.num_vars = start + len(bits)
+        self.n_bools += bools
+        self.n_lins += lins
+        self.n_r1s += r1s
+        return start
+
+    def word_value(self, lits: list[int]) -> int | None:
+        """The value the bit literals hold, little-endian."""
+        w = self.values
+        return sum((w[b] if b >= 0 else 1 - w[~b]) << j for j, b in enumerate(lits))
+
 
 class RecordingBuilder(Builder):
     """A prover's builder that also stores every constraint, for audits,
@@ -269,6 +345,12 @@ class RecordingBuilder(Builder):
         self.bools.extend(bits)
         return bits
 
+    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> None:
+        return None
+
+    def word_value(self, lits: list[int]) -> None:
+        return None
+
 
 class CheckingBuilder(Builder):
     """The verifier's builder: reads each variable from the assignment
@@ -284,6 +366,15 @@ class CheckingBuilder(Builder):
         super().__init__()
         self.values = values
         self.field = field
+        if not values or values[0] != 1:
+            bits = b""  # the constants are not 1: every word operation runs per bit
+        elif isinstance(values, Assignment):
+            bits = values.bits
+        else:
+            bits = bit_view(values)
+        self._bits = bits
+        # literal b reads _lits[b], and ~b the negated, mirrored copy
+        self._lits = bits + bits.translate(_NEGATE)[::-1]
 
     def _violated(self, kind: str, idx: int):
         raise ConstraintViolation(f"{self.region}: {kind} constraint {idx} fails")
@@ -350,3 +441,24 @@ class CheckingBuilder(Builder):
                     self._violated("bool", self.n_bools + j)
         self.n_bools += width
         return list(range(start, end))
+
+    # -- word operations --------------------------------------------------
+
+    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int | None:
+        start = self.num_vars
+        end = start + len(bits)
+        if self._bits[start:end] != bits:
+            return None
+        self.num_vars = end
+        self.n_bools += bools
+        self.n_lins += lins
+        self.n_r1s += r1s
+        return start
+
+    def word_value(self, lits: list[int]) -> int | None:
+        if not self._bits:
+            return None
+        try:
+            return int(bytes(map(self._lits.__getitem__, reversed(lits))), 2)
+        except ValueError:  # a '2': not a canonical bit
+            return None

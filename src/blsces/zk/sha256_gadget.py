@@ -21,6 +21,29 @@ One application over a fully secret block is about 30,400 constraints:
 module knows the literal format; ``lit_lc`` turns a literal into a
 linear combination for callers.
 
+The word path.  Inside the gadget a word is a ``Word``: its literals and,
+when the builder knows it, the 32-bit value they hold.  Rotations and
+shifts move both.  ``word_xor3``, ``word_ch``, ``word_maj`` and
+``word_add`` first compute, with Python int operations on the operand
+values, the bits of the variables their per-bit path would allocate, in
+its allocation order, and hand them to ``bd.alloc_bits`` with its
+constraint counts.  The literals alone fix that pattern:
+
+* xor3 over variables allocates 2 per bit (t = x xor y, then t xor z),
+  or 1 where ``word_shr`` put ZERO into z, since xor with ZERO is free;
+* Ch over variables, f and g sharing none, allocates 1 per bit;
+* Maj over variables, c and a sharing none, allocates 2 per bit,
+  interleaved;
+* an addition allocates 32 result and its carry bits, whatever its
+  literals.
+
+"Variables" means literals above ONE: no constant and no negation.  Any
+other shape (the constants of the first rounds and of public message
+bytes, the negations they bring, f == g in Ch), an unknown value, or a
+builder that declines runs the per-bit path instead, from the same
+state.  How each builder takes the bits is in ``r1cs``; in every case
+the variables, values and constraints are those of the per-bit path.
+
 Round constants and the initial state are derived from the fractional
 parts of cube/square roots of the first primes with exact integer
 arithmetic (no float rounding); the test suite pins the result against
@@ -74,8 +97,8 @@ def _rotr(x: int, n: int) -> int:
 
 
 def sha256_compress(state: list[int], block: bytes) -> list[int]:
-    """One plain compression application; used for pre-hashing long
-    messages outside the constraint system."""
+    """One plain compression application; used for hashing a claim
+    message's public prefix outside the constraint system."""
     w = list(int.from_bytes(block[4 * t: 4 * t + 4], "big") for t in range(16))
     for t in range(16, 64):
         s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
@@ -102,6 +125,21 @@ def sha256_pad(length: int) -> bytes:
 
 ONE = 0  # variable 0 holds 1
 ZERO = ~ONE
+MASK = (1 << WORD) - 1
+# format specs for a value's bits, most significant first, per width
+_BITS_SPEC = {width: f"0{width}b" for width in range(WORD, WORD + 8)}
+
+
+class Word(list):
+    """A word's literals, little-endian, and ``value``: the 32-bit value
+    they hold, or None where the builder does not know it or the list is
+    not a whole word."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, lits, value: int | None = None):
+        super().__init__(lits)
+        self.value = value
 
 
 def lit_lc(b: int, k: int = 1) -> LC:
@@ -109,12 +147,33 @@ def lit_lc(b: int, k: int = 1) -> LC:
     return ((b, k),) if b >= 0 else ((0, k), (~b, -k))
 
 
-def const_word(value: int) -> list[int]:
-    return [ONE if (value >> j) & 1 else ZERO for j in range(WORD)]
+def const_word(value: int) -> Word:
+    return Word([ONE if (value >> j) & 1 else ZERO for j in range(WORD)], value & MASK)
 
 
 def _value(bd: Builder, b: int) -> int:
     return bd.values[b] if b >= 0 else 1 - bd.values[~b]
+
+
+def _known(*words) -> list[int] | None:
+    """The words' values, or None if the builder does not know one."""
+    try:
+        values = [w.value for w in words]
+    except AttributeError:  # a plain list of literals
+        return None
+    return None if None in values else values
+
+
+def _bits(value: int, width: int = WORD) -> bytes:
+    """``value``, below 2^width, as ``width`` ASCII '0'/'1' bits, least
+    significant first: the order the gadget allocates bits in."""
+    return format(value, _BITS_SPEC[width]).encode()[::-1]
+
+
+def _per_bit(bd: Builder, lits: list[int]) -> Word:
+    """The output of a word operation's per-bit path; only a whole word
+    has a value."""
+    return Word(lits, bd.word_value(lits) if len(lits) == WORD else None)
 
 
 def xor(bd: Builder, a: int, b: int) -> int:
@@ -145,30 +204,76 @@ def ch(bd: Builder, e: int, f: int, g: int) -> int:
     return c
 
 
-def word_xor3(bd: Builder, x: list[int], y: list[int], z: list[int]) -> list[int]:
-    return [xor(bd, xor(bd, a, b), c) for a, b, c in zip(x, y, z)]
+def word_xor3(bd: Builder, x: list[int], y: list[int], z: list[int]) -> Word:
+    """x ^ y ^ z bitwise, as t = xor(x, y) and then xor(t, z) per bit."""
+    known = _known(x, y, z)
+    if known is not None:
+        # variables in x and y; in z variables below p and word_shr's
+        # ZEROs from p up, where xor(t, ZERO) is t and allocates nothing
+        p = WORD - z.count(ZERO)
+        if min(x) > ONE and min(y) > ONE and min(z[:p], default=1) > ONE:
+            t = known[0] ^ known[1]
+            out = t ^ known[2]
+            t_bits = _bits(t)
+            new = bytearray(WORD + p)
+            new[0: 2 * p: 2] = t_bits[:p]
+            new[1: 2 * p: 2] = _bits(out)[:p]
+            new[2 * p:] = t_bits[p:]
+            base = bd.alloc_bits(new, r1s=WORD + p)
+            if base is not None:
+                return Word([*range(base + 1, base + 2 * p, 2), *range(base + 2 * p, base + WORD + p)], out)
+    return _per_bit(bd, [xor(bd, xor(bd, a, b), c) for a, b, c in zip(x, y, z)])
 
 
-def word_rotr(w: list[int], n: int) -> list[int]:
-    return w[n:] + w[:n]
+def word_rotr(w: list[int], n: int) -> Word:
+    value = getattr(w, "value", None)
+    return Word(w[n:] + w[:n], None if value is None else _rotr(value, n))
 
 
-def word_shr(w: list[int], n: int) -> list[int]:
-    return w[n:] + [ZERO] * n
+def word_shr(w: list[int], n: int) -> Word:
+    value = getattr(w, "value", None)
+    return Word(w[n:] + [ZERO] * n, None if value is None else value >> n)
 
 
-def word_ch(bd: Builder, e: list[int], f: list[int], g: list[int]) -> list[int]:
-    return [ch(bd, eb, fb, gb) for eb, fb, gb in zip(e, f, g)]
+def word_ch(bd: Builder, e: list[int], f: list[int], g: list[int]) -> Word:
+    known = _known(e, f, g)
+    # over variables Ch folds only where f and g share one
+    if known is not None and min(e) > ONE and min(f) > ONE and min(g) > ONE and set(f).isdisjoint(g):
+        ev, fv, gv = known
+        out = (ev & fv) | (~ev & gv)
+        base = bd.alloc_bits(_bits(out), r1s=WORD)
+        if base is not None:
+            return Word(range(base, base + WORD), out)
+    return _per_bit(bd, [ch(bd, eb, fb, gb) for eb, fb, gb in zip(e, f, g)])
 
 
-def word_maj(bd: Builder, a: list[int], b: list[int], c: list[int]) -> list[int]:
+def word_maj(bd: Builder, a: list[int], b: list[int], c: list[int]) -> Word:
     """Maj(a, b, c) = Ch(a xor b, c, a) bitwise."""
-    return [ch(bd, xor(bd, ab, bb), cb, ab) for ab, bb, cb in zip(a, b, c)]
+    known = _known(a, b, c)
+    if known is not None and min(a) > ONE and min(b) > ONE and min(c) > ONE and set(c).isdisjoint(a):
+        av, bv, cv = known
+        t = av ^ bv
+        out = (av & bv) | (av & cv) | (bv & cv)
+        new = bytearray(2 * WORD)
+        new[0::2] = _bits(t)
+        new[1::2] = _bits(out)
+        base = bd.alloc_bits(new, r1s=2 * WORD)
+        if base is not None:
+            return Word(range(base + 1, base + 2 * WORD, 2), out)
+    return _per_bit(bd, [ch(bd, xor(bd, ab, bb), cb, ab) for ab, bb, cb in zip(a, b, c)])
 
 
-def word_add(bd: Builder, *words: list[int]) -> list[int]:
+def word_add(bd: Builder, *words: list[int]) -> Word:
     """Sum mod 2^32: allocate 32 result bits plus overflow bits and tie
     them to the operand sum with one linear constraint."""
+    carry_bits = max(1, (len(words) - 1).bit_length())
+    width = WORD + carry_bits
+    known = _known(*words)
+    if known is not None:
+        total = sum(known)
+        base = bd.alloc_bits(_bits(total, width), bools=width, lins=1)
+        if base is not None:
+            return Word(range(base, base + WORD), total & MASK)
     terms = []
     const = 0
     for w in words:
@@ -183,22 +288,26 @@ def word_add(bd: Builder, *words: list[int]) -> list[int]:
     if bd.compute:
         vals = bd.values
         value = const + sum(vals[v] * k for v, k in terms)
-    carry_bits = max(1, (len(words) - 1).bit_length())
-    bits = bd.bits_of(value, WORD + carry_bits)
+    bits = bd.bits_of(value, width)
     if const:
         terms.append((0, const))
     terms.extend((b, -(1 << j)) for j, b in enumerate(bits))
     bd.add_lin(terms)
-    return bits[:WORD]
+    return _per_bit(bd, bits[:WORD])
 
 
-def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list[int]]) -> list[list[int]]:
+def _word(bd: Builder, lits: list[int]) -> Word:
+    return lits if isinstance(lits, Word) else _per_bit(bd, lits)
+
+
+def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list[int]]) -> list[Word]:
     """Synthesize one compression application.
 
     ``state`` is 8 words, ``block`` 16 words; returns the 8 output
     words.  Word bits may be constants, variables or their negations.
     """
-    w = list(block)
+    state = [_word(bd, s) for s in state]
+    w = [_word(bd, m) for m in block]
     for t in range(16, 64):
         s0 = word_xor3(bd, word_rotr(w[t - 15], 7), word_rotr(w[t - 15], 18), word_shr(w[t - 15], 3))
         s1 = word_xor3(bd, word_rotr(w[t - 2], 17), word_rotr(w[t - 2], 19), word_shr(w[t - 2], 10))

@@ -3,12 +3,13 @@
 For every claim index in the extraction set the statement enforces, over
 one shared constraint system:
 
-  (a) the final sha256 compression(s) of the encoded claim message with
-      its counter byte, tying the public (x, sign) pair to the digest
-      bits.  Long messages are pre-hashed outside the system; the
-      carried-in state is a public input, and the in-circuit suffix
-      always covers the bytes from the counter's block to the end of
-      the padding (one block, or two when the padding spills over).
+  (a) the sha256 compressions of the encoded claim message with its
+      counter byte, from the block of its first secret byte to the end
+      of the padding, tying the public (x, sign) pair to the digest
+      bits.  The whole blocks before that block hold only public bytes
+      (the length-prefixed policy, n, i and length prefixes); both
+      sides hash them outside the system from the layout, and the
+      resulting state enters as constants.
   (b) an optional application predicate over claim-value bytes.
 
 Facts the verifier checks itself are not proved again: it decompresses
@@ -18,9 +19,10 @@ curve, and it checks the extraction set against the policy, which
 
 The layout records everything a verifier needs to synthesize the
 identical statement over a transported assignment: claim component
-lengths, pre-hash states, and the predicate description.  Message bytes that are publicly known (policy bytes,
-lengths, indices, padding) enter the circuit as constants rather than
-witness variables, so they cannot be substituted.
+lengths and the predicate description.  Message bytes that are
+publicly known (policy bytes, lengths, indices, padding) enter the
+circuit as constants rather than witness variables, so they cannot be
+substituted.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import struct
 from dataclasses import dataclass
 
 from blsces.credential import CEAS, Claim, encode_claim_message
-from blsces.errors import EncodingError, StatementError, ValidationError
+from blsces.errors import EncodingError, StatementError, ValidationError, WitnessShapeError
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
@@ -75,15 +77,19 @@ class ClaimLayout:
     len_subject: int
     len_property: int
     len_value: int
-    # sha state entering the in-circuit suffix; None when the whole
-    # padded message is in-circuit (suffix starts at the IV).
-    prehash_state: tuple[int, ...] | None
     msg_len: int
     padded_len: int
 
     @property
     def first_block(self) -> int:
-        """Index of the first in-circuit block: the counter's block."""
+        """Index of the first in-circuit block: the block of the first
+        secret byte (subject, property, value or counter)."""
+        value = self.msg_len - 1 - self.len_value
+        prop = value - 4 - self.len_property
+        subject = prop - 4 - self.len_subject
+        for start, length in ((subject, self.len_subject), (prop, self.len_property), (value, self.len_value)):
+            if length:
+                return start // 64
         return (self.msg_len - 1) // 64
 
     @property
@@ -112,7 +118,6 @@ class StatementLayout:
                     "len_subject": c.len_subject,
                     "len_property": c.len_property,
                     "len_value": c.len_value,
-                    "prehash_state": list(c.prehash_state) if c.prehash_state else None,
                     "msg_len": c.msg_len,
                     "padded_len": c.padded_len,
                 }
@@ -138,7 +143,6 @@ class StatementLayout:
                         len_subject=int(c["len_subject"]),
                         len_property=int(c["len_property"]),
                         len_value=int(c["len_value"]),
-                        prehash_state=tuple(c["prehash_state"]) if c["prehash_state"] else None,
                         msg_len=int(c["msg_len"]),
                         padded_len=int(c["padded_len"]),
                     )
@@ -159,63 +163,53 @@ def _component_lengths(claim: Claim) -> tuple[int, int, int]:
 
 
 def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
-    """The in-circuit suffix of a claim message with its counter byte and
-    padding, built from public data only with secret bytes zeroed.
+    """The public shape of a claim message with its counter byte and
+    padding, built from public data only.
 
     The message follows ``encode_claim_message``: the length-prefixed
     policy bytes, n and i as 4-byte integers, then subject, property
     and value, each after its 4-byte length.  Returns the message length
-    with the counter, the suffix ``[64 * first_block, padded_len)`` and
-    the secret spans (start, length, kind) clipped to it, at message
-    offsets.  Nothing before the suffix is built, so a declared length
-    costs no memory."""
+    with the counter; the prefix, the whole blocks before the block of
+    the first secret byte, which hold only public bytes; and the rest
+    up to the end of the padding as segments (offset, data, kind):
+    public bytes with kind None, or a secret component's length and its
+    kind ("subject", "property", "value" or "counter").  No secret byte
+    is built, so a declared length costs no memory."""
     try:
-        segments = [(struct.pack(">I", len(ceas_bytes)) + ceas_bytes + struct.pack(">II", n, i), None)]
+        parts = [(struct.pack(">I", len(ceas_bytes)) + ceas_bytes + struct.pack(">II", n, i), None)]
         for length, kind in zip(lens, ("subject", "property", "value")):
-            segments += [(struct.pack(">I", length), None), (length, kind)]
+            parts += [(struct.pack(">I", length), None), (length, kind)]
     except struct.error as exc:
         raise StatementError(f"claim lengths do not fit the encoding: {exc}") from exc
-    segments.append((1, "counter"))
-    msg_len = sum(seg if kind else len(seg) for seg, kind in segments)
-    segments.append((sha256_pad(msg_len), None))
-    start = 64 * ((msg_len - 1) // 64)
-    suffix = bytearray()
-    spans = []
+    parts.append((1, "counter"))
+    segments = []
     pos = 0
-    for seg, kind in segments:
-        size = seg if kind else len(seg)
-        lo, hi = max(pos, start), pos + size
-        if lo < hi:
-            if kind:
-                spans.append((lo, hi - lo, kind))
-                suffix += bytes(hi - lo)
-            else:
-                suffix += seg[lo - pos:]
+    for data, kind in parts:
+        size = data if kind else len(data)
+        if size:
+            segments.append((pos, data, kind))
         pos += size
-    return msg_len, bytes(suffix), spans
+    msg_len = pos
+    segments.append((msg_len, sha256_pad(msg_len), None))
+    # everything before the first secret segment is public and contiguous
+    first = next(k for k, seg in enumerate(segments) if seg[2])
+    head = b"".join(data for _, data, _ in segments[:first])
+    start = 64 * (len(head) // 64)
+    rest = [(start, head[start:], None)] if len(head) > start else []
+    return msg_len, head[:start], rest + segments[first:]
 
 
 def build_claim_layout(ceas: CEAS, n: int, i: int, claim: Claim) -> ClaimLayout:
-    """Shape and pre-hash data for one visible claim (prover side)."""
+    """Shape of one visible claim (prover side)."""
     lens = _component_lengths(claim)
-    base = encode_claim_message(ceas, n, i, claim)
-    msg_len = len(base) + 1
-    padded_len = msg_len + len(sha256_pad(msg_len))
-    first_block = (msg_len - 1) // 64
-    state = None
-    if first_block > 0:
-        st = list(SHA256_IV)
-        for k in range(first_block):
-            st = sha256_compress(st, base[64 * k: 64 * (k + 1)])
-        state = tuple(st)
+    msg_len = len(encode_claim_message(ceas, n, i, claim)) + 1
     return ClaimLayout(
         index=i,
         len_subject=lens[0],
         len_property=lens[1],
         len_value=lens[2],
-        prehash_state=state,
         msg_len=msg_len,
-        padded_len=padded_len,
+        padded_len=msg_len + len(sha256_pad(msg_len)),
     )
 
 
@@ -228,25 +222,20 @@ class SynthesisResult:
 
 def public_assignment(layout: StatementLayout, inputs: PublicInputs) -> list[int]:
     """Expected values of the public variables (1..num_public) in the
-    canonical order used by ``synthesize``: per claim x limbs, sign, and
-    pre-hash state words."""
+    canonical order used by ``synthesize``: per claim x limbs and sign."""
     if inputs.extraction != layout.extraction:
         raise StatementError("extraction set differs between layout and public inputs")
     if inputs.ceas_bytes != layout.ceas_bytes:
         raise StatementError("policy differs between layout and public inputs")
     out: list[int] = []
     mask = (1 << LIMB_BITS) - 1
-    for k, cl in enumerate(layout.claims):
-        x = inputs.x_coords[k]
+    for x, sign in zip(inputs.x_coords, inputs.sign_bits):
         if x < 0 or x.bit_length() > 256:
             raise StatementError("public x out of range")
         out.extend((x >> (LIMB_BITS * j)) & mask for j in range(NUM_LIMBS))
-        sign = inputs.sign_bits[k]
         if sign not in (0, 1):
             raise StatementError("sign bit must be 0 or 1")
         out.append(sign)
-        if cl.prehash_state is not None:
-            out.extend(cl.prehash_state)
     return out
 
 
@@ -304,19 +293,27 @@ def synthesize(
             for j in range(NUM_LIMBS)
         )
         sign = bd.alloc_public(wit.sign_bit if wit else None)
-        states = None
-        if cl.prehash_state is not None:
-            states = tuple(bd.alloc_public(v if compute else None) for v in cl.prehash_state)
-        per_claim_pub.append((limbs, sign, states))
+        per_claim_pub.append((limbs, sign))
 
     # ---- per-claim hash constraints ----------------------------------------
+    # every claim message starts with the length-prefixed policy and n:
+    # their whole blocks are hashed once for all claims
+    head = struct.pack(">I", len(layout.ceas_bytes)) + layout.ceas_bytes + struct.pack(">I", layout.n)
+    shared_len = 64 * (len(head) // 64)
+    shared_state = list(SHA256_IV)
+    for k in range(0, shared_len, 64):
+        shared_state = sha256_compress(shared_state, head[k: k + 64])
     value_lcs_by_index: dict[int, list[LC]] = {}
-    for cl, (limbs, sign, states) in zip(layout.claims, per_claim_pub):
+    for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
         lens = (cl.len_subject, cl.len_property, cl.len_value)
-        msg_len, suffix, spans = _skeleton(layout.ceas_bytes, layout.n, cl.index, lens)
-        suffix_start = 64 * cl.first_block
-        if msg_len != cl.msg_len or suffix_start + len(suffix) != cl.padded_len:
+        msg_len, prefix, segments = _skeleton(layout.ceas_bytes, layout.n, cl.index, lens)
+        if msg_len != cl.msg_len or msg_len + len(sha256_pad(msg_len)) != cl.padded_len:
             raise StatementError("layout lengths disagree with the encoding")
+        # each secret byte takes 8 variables: a checker refuses declared
+        # lengths its assignment cannot hold before building anything
+        secret_bits = 8 * sum(data for _, data, kind in segments if kind)
+        if not compute and bd.num_vars + secret_bits > len(bd.values):
+            raise WitnessShapeError("assignment ends before the claim's secret bytes")
 
         real_msg = None
         if compute:
@@ -332,43 +329,36 @@ def synthesize(
             )
             assert len(real_msg) == cl.padded_len
 
-        secret_kind = {}
-        for start, length, kind in spans:
-            for off in range(start, start + length):
-                secret_kind[off] = kind
-
-        # per-byte little-endian bit literals over the in-circuit suffix
-        byte_bits: dict[int, list[int]] = {}
+        # per-byte little-endian bit literals from the first in-circuit
+        # block: constants for public bytes, variables for secret ones
+        first_block = len(prefix) // 64
+        byte_bits: list[list[int]] = []
         value_bytes: list[LC] = []
-        for off in range(suffix_start, cl.padded_len):
-            if off % 64 == 0:
-                bd.region = f"claim {cl.index}, sha256 block {off // 64}"
-            kind = secret_kind.get(off)
-            if kind is None:
-                byte_bits[off] = [ONE if (suffix[off - suffix_start] >> j) & 1 else ZERO for j in range(8)]
-            else:
+        for start, data, kind in segments:
+            for off in range(start, start + (len(data) if kind is None else data)):
+                if off % 64 == 0:
+                    bd.region = f"claim {cl.index}, sha256 block {off // 64}"
+                if kind is None:
+                    byte = data[off - start]
+                    byte_bits.append([ONE if (byte >> j) & 1 else ZERO for j in range(8)])
+                    continue
                 bits = bd.bits_of(real_msg[off] if compute else None, 8)
-                byte_bits[off] = bits
+                byte_bits.append(bits)
                 if kind == "value":
                     value_bytes.append(tuple((b, 1 << j) for j, b in enumerate(bits)))
         value_lcs_by_index[cl.index] = value_bytes
 
-        # initial state words
-        bd.region = f"claim {cl.index}, sha256 block {cl.first_block}"
-        if states is None:
-            state_words = [const_word(v) for v in SHA256_IV]
-        else:
-            state_words = []
-            for sv in states:
-                sbits = bd.bits_of(bd.values[sv] if compute else None, 32)
-                bd.add_lin(((sv, -1),) + tuple((b, 1 << j) for j, b in enumerate(sbits)))
-                state_words.append(sbits)
+        # the state after the public prefix, as constants
+        state = shared_state
+        for k in range(shared_len, len(prefix), 64):
+            state = sha256_compress(state, prefix[k: k + 64])
+        state_words = [const_word(v) for v in state]
 
-        # suffix compressions; a word's big-endian bytes, little-endian bits
-        for blk in range(cl.first_block, cl.total_blocks):
+        # in-circuit compressions; a word's big-endian bytes, little-endian bits
+        for blk in range(first_block, cl.total_blocks):
             bd.region = f"claim {cl.index}, sha256 block {blk}"
             block_words = [
-                [b for bpos in (3, 2, 1, 0) for b in byte_bits[64 * blk + 4 * t + bpos]]
+                [b for bpos in (3, 2, 1, 0) for b in byte_bits[64 * (blk - first_block) + 4 * t + bpos]]
                 for t in range(16)
             ]
             state_words = sha256_compress_gadget(bd, state_words, block_words)
@@ -388,15 +378,8 @@ def synthesize(
 
     # ---- application predicate -------------------------------------------
     if predicate is not None:
-        cl = layout.claims[layout.extraction.index(predicate.claim_index)]
-        value_bytes = value_lcs_by_index[predicate.claim_index]
-        if len(value_bytes) != cl.len_value:
-            raise StatementError(
-                "claim value is not fully inside the in-circuit suffix; "
-                "predicates need the whole value in the final blocks"
-            )
-        bd.region = f"claim {cl.index}, predicate"
-        predicate.synthesize(bd, value_bytes)
+        bd.region = f"claim {predicate.claim_index}, predicate"
+        predicate.synthesize(bd, value_lcs_by_index[predicate.claim_index])
 
     return SynthesisResult(cs=bd.cs, values=bd.values if compute else None, layout=layout)
 

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blsces import formats
 from blsces.credential import (
     BLINDED,
     CEAS,
+    MAX_CEAS_SUBSETS,
+    MAX_CEAS_WIDTH,
     Claim,
     Credential,
     ExtractionSet,
@@ -160,6 +163,35 @@ def test_ceas_validation():
         CEAS(n=2, subsets=frozenset({4}))
     with pytest.raises(ValidationError):
         CEAS.from_index_sets(2, [[3]])
+
+
+def test_ceas_subset_cap():
+    """A policy lists at most MAX_CEAS_SUBSETS subsets.  At the cap and
+    the widest width it parses from masks, index sets, canonical bytes
+    (32,776 of them) and JSON; one subset more is refused by each, and
+    reading index sets stops at the first one past the cap."""
+    import struct
+
+    width = MAX_CEAS_WIDTH
+    for count in (MAX_CEAS_SUBSETS, MAX_CEAS_SUBSETS + 1):
+        masks = list(range(1, count + 1))
+        sets = [[i for i in range(width) if m >> i & 1] for m in masks]
+        raw = struct.pack(">II", width, count) + b"".join(m.to_bytes(width // 8, "big") for m in masks)
+        if count == MAX_CEAS_SUBSETS:
+            ceas = CEAS(n=width, subsets=frozenset(masks))
+            assert CEAS.from_index_sets(width, sets) == CEAS.from_bytes(raw) == formats.ceas_from_json({"n": width, "subsets": sets}) == ceas
+            assert ceas.to_bytes() == raw and len(raw) == 32_776
+            continue
+        with pytest.raises(ValidationError):
+            CEAS(n=width, subsets=frozenset(masks))
+        with pytest.raises(ValidationError):
+            CEAS.from_index_sets(width, sets)
+        with pytest.raises(EncodingError):
+            CEAS.from_bytes(raw)
+        with pytest.raises(EncodingError):
+            formats.ceas_from_json({"n": width, "subsets": sets})
+    with pytest.raises(ValidationError):
+        CEAS.from_index_sets(width, itertools.repeat([0]))
 
 
 # -- message encoding ---------------------------------------------------------------------

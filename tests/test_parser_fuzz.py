@@ -76,7 +76,7 @@ FIELD_NAMES = sorted(
         "property", "value", "hidden", "ceas", "n", "subsets", "signatures", "counters",
         "aggregate_signature", "kept_signatures", "backend", "public_inputs", "x",
         "sign_bits", "extraction", "proof", "profile", "index", "len_subject",
-        "len_property", "len_value", "prehash_state", "msg_len", "padded_len",
+        "len_property", "len_value", "msg_len", "padded_len",
         "predicate", "kind", "claim_index", "low", "high", "expected",
     }
 )

@@ -32,7 +32,7 @@ from blsces.zk import (
     zk_setup,
     zk_verify,
 )
-from blsces.zk import backend, statement
+from blsces.zk import backend, sha256_gadget, statement
 from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256_gadget import sha256_pad
 from blsces.zk.statement import PublicInputs, _skeleton, prover_layout, public_assignment
@@ -40,6 +40,11 @@ from blsces.zk.statement import PublicInputs, _skeleton, prover_layout, public_a
 rng = random.Random(17)
 
 TOY_CEAS = CEAS.from_index_sets(1, [[0]])
+# all 63 subsets of six claims: 71 canonical bytes, so every message's
+# first secret byte (at offset 87) lies in block 1 and block 0 is hashed
+# outside the system
+WIDE_CEAS = CEAS.from_index_sets(6, [[i for i in range(6) if m >> i & 1] for m in range(1, 64)])
+FILLER = tuple(Claim("h", "p", "v") for _ in range(5))
 
 
 def toy_statement(value="33", predicate=None, claim=None):
@@ -56,8 +61,19 @@ def test_toy_statement_satisfied():
     assert res.cs.num_public == 5  # 4 limbs + sign
 
 
+class PerBitChecker(CheckingBuilder):
+    """The checking builder on its per-bit path alone: the reference the
+    word path is held to."""
+
+    def alloc_bits(self, bits, bools=0, lins=0, r1s=0):
+        return None
+
+    def word_value(self, lits):
+        return None
+
+
 def checked_constraints(monkeypatch, res):
-    """Check res's assignment with a checking builder that records every
+    """Check res's assignment with the per-bit checker, recording every
     constraint it evaluates in the form the prover stores it; returns the
     record and the checker's counts."""
     seen = ConstraintSystem()
@@ -85,7 +101,7 @@ def checked_constraints(monkeypatch, res):
     with monkeypatch.context() as m:
         for name, fn in (("bits_of", rec_bits_of), ("add_bool", rec_bool), ("add_lin", rec_lin), ("add_r1", rec_r1)):
             m.setattr(CheckingBuilder, name, fn)
-        checked = synthesize(res.layout, CheckingBuilder(list(res.values)))
+        checked = synthesize(res.layout, PerBitChecker(list(res.values)))
     assert checked.values is None
     return seen, checked.cs
 
@@ -100,11 +116,22 @@ def bn254_statement(value="33", predicate=None):
     return build_statement(cred, TOY_CEAS, {0: wit}, (0,), predicate=predicate)
 
 
+def wide_statement(claim, profile=TOY, predicate=None):
+    """One claim under WIDE_CEAS, whose block 0 is hashed outside."""
+    cred = Credential((claim,) + FILLER)
+    (_, _), wit = hash_to_curve_witness(0, cred[0], 6, WIDE_CEAS, profile)
+    return build_statement(cred, WIDE_CEAS, {0: wit}, (0,), predicate=predicate, profile_name=profile.name)
+
+
 def test_checker_checks_what_the_prover_proved(monkeypatch):
     """Bit literals fold on their structure, never on values: on the
-    prover's assignment the checker evaluates exactly the constraints the
-    prover stored, for two witnesses of one shape, with and without a
-    range predicate, with a pre-hashed claim, and on both profiles."""
+    prover's assignment the per-bit checker evaluates exactly the
+    constraints the prover stored, for two witnesses of one shape, with
+    and without a range predicate, over two in-circuit blocks, after a
+    prefix hashed outside, and on both profiles.  The checker as the
+    verifier runs it, on its word path, accepts each assignment with the
+    same per-kind counts; test_word_path_verdicts_match_per_bit holds
+    its verdicts on mutated assignments to the per-bit checker's."""
     res33, _ = toy_statement("33")
     res44, _ = toy_statement("44")
     seen33, counts33 = checked_constraints(monkeypatch, res33)
@@ -114,40 +141,51 @@ def test_checker_checks_what_the_prover_proved(monkeypatch):
             assert (seen.bools, seen.lins, seen.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
     assert sizes(counts33) == sizes(res33.cs) and len(counts33) == len(res33.cs)
     long_claim, _ = toy_statement(claim=Claim("h", "bio", "x" * 80))
-    assert long_claim.layout.claims[0].prehash_state is not None
+    prefixed = wide_statement(Claim("h", "bio", "x" * 80))
+    assert (long_claim.layout.claims[0].first_block, long_claim.layout.claims[0].total_blocks) == (0, 2)
+    assert (prefixed.layout.claims[0].first_block, prefixed.layout.claims[0].total_blocks) == (1, 3)
     for res in (
+        res33,
         toy_statement("42", RangePredicate(0, 40, 45))[0],
         long_claim,
+        prefixed,
         bn254_statement(),
         bn254_statement("42", RangePredicate(0, 18, 65)),
     ):
         seen, counts = checked_constraints(monkeypatch, res)
         assert (seen.bools, seen.lins, seen.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
         assert sizes(counts) == sizes(res.cs)
+        word_counts = synthesize(res.layout, CheckingBuilder(list(res.values))).cs
+        assert sizes(word_counts) == sizes(res.cs) and len(word_counts) == len(res.cs)
 
 
 def test_prover_computes_what_the_recorder_records():
     """The storing-nothing prover's builder yields the recording builder's
     assignment and sizes, on both profiles, for one and two claims, with
-    a range predicate, an equals predicate and a pre-hashed claim."""
-    cred = Credential((Claim("h", "age", "42"), Claim("h", "country", "CH"), Claim("h", "bio", "x" * 80)))
+    a range predicate, an equals predicate, a claim of two in-circuit
+    blocks and claims whose first block is hashed outside."""
+    claims = (Claim("h", "age", "42"), Claim("h", "country", "CH"), Claim("h", "bio", "x" * 80))
+    cred = Credential(claims)
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [2], [0, 2]])
+    wide = Credential(claims + FILLER[:3])
     cases = [
-        ((0,), RangePredicate(0, 40, 45)),
-        ((0, 1), EqualsPredicate(1, "CH")),
-        ((2,), None),
-        ((0, 2), RangePredicate(0, 18, 65)),
+        (cred, ceas, (0,), RangePredicate(0, 40, 45)),
+        (cred, ceas, (0, 1), EqualsPredicate(1, "CH")),
+        (cred, ceas, (2,), None),
+        (cred, ceas, (0, 2), RangePredicate(0, 18, 65)),
+        (wide, WIDE_CEAS, (0, 2), RangePredicate(0, 18, 65)),
     ]
     for profile in (TOY, BN254):
-        wits = {i: hash_to_curve_witness(i, cred[i], 3, ceas, profile)[1] for i in range(3)}
-        for idxs, predicate in cases:
-            layout, witness = prover_layout(cred, ceas, wits, idxs, predicate, profile.name)
+        for c, policy, idxs, predicate in cases:
+            wits = {i: hash_to_curve_witness(i, c[i], len(c), policy, profile)[1] for i in idxs}
+            layout, witness = prover_layout(c, policy, wits, idxs, predicate, profile.name)
             recorded = synthesize(layout, RecordingBuilder(), witness)
             proved = synthesize(layout, Builder(), witness)
             assert recorded.cs.satisfied(recorded.values)
             assert proved.values == recorded.values, (profile.name, idxs)
             assert sizes(proved.cs) == sizes(recorded.cs) and len(proved.cs) == len(recorded.cs), (profile.name, idxs)
-    assert layout.claims[1].prehash_state is not None
+    assert [cl.first_block for cl in layout.claims] == [1, 1]
+    assert [cl.total_blocks for cl in layout.claims] == [2, 3]
 
 
 def test_prove_extraction_bytes_are_the_recorded_packing(monkeypatch):
@@ -203,6 +241,100 @@ def test_checker_verdict_matches_satisfied():
     assert True in verdicts and False in verdicts
 
 
+def word_ops(monkeypatch, layout, witness):
+    """Synthesize with the prover's builder, recording each sha256 word
+    operation: its name, its shape, and the variables it allocated.  The
+    shape is "word" where the word path took it ("shr" for an xor3 with
+    word_shr's zeros), and "per-bit" where a folded literal sent it to
+    the per-bit path (constants, negations, f == g in Ch)."""
+    ops, taken = [], []
+    alloc_bits = Builder.alloc_bits
+
+    def spy_alloc(bd, bits, **counts):
+        taken.append(len(bits))
+        return alloc_bits(bd, bits, **counts)
+
+    def spy(name, fn):
+        def run(bd, *words):
+            start, before = bd.num_vars, len(taken)
+            out = fn(bd, *words)
+            shape = "per-bit" if len(taken) == before else "word"
+            if name == "word_xor3" and shape == "word" and taken[-1] < 64:
+                shape = "shr"
+            if bd.num_vars > start:
+                ops.append((name, shape, start, bd.num_vars))
+            return out
+
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(Builder, "alloc_bits", spy_alloc)
+        for name in ("word_xor3", "word_ch", "word_maj", "word_add"):
+            m.setattr(sha256_gadget, name, spy(name, getattr(sha256_gadget, name)))
+        synthesize(layout, Builder(), witness)
+    return ops
+
+
+def checker_verdict(builder, layout, values):
+    try:
+        synthesize(layout, builder(values))
+    except ConstraintViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("value", ["42", "x" * 80], ids=["one-block", "two-block"])
+def test_word_path_verdicts_match_per_bit(monkeypatch, value):
+    """Over a one-block and a two-block statement, mutations of variables
+    allocated by every word operation, on the word path and on the
+    per-bit one, get the same verdict from the checker as from its
+    per-bit path alone, with the same region and constraint index, and
+    the checker accepts exactly when the recorded system is satisfied.
+    Each variable is set to v ^ 1, 2, v + f, f - 1 and 256 + v, whose
+    low byte is the bit; a seeded sample mutates several variables at
+    once.  Each witness is also sent through the backend, whose parsed
+    bit view the checker uses, for the same verdict."""
+    cred = Credential((Claim("h", "bio", value),))
+    (_, _), wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, TOY)
+    predicate = RangePredicate(0, 40, 45) if value == "42" else None
+    layout, witness = prover_layout(cred, TOY_CEAS, {0: wit}, (0,), predicate, "toy11")
+    res = synthesize(layout, RecordingBuilder(), witness)
+    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
+    cs, f = res.cs, res.cs.field
+    index = cs.var_index()
+    ops = word_ops(monkeypatch, layout, witness)
+    classes = {}
+    for op in ops:
+        classes.setdefault(op[:2], []).append(op)
+    assert set(classes) == {
+        ("word_xor3", "word"), ("word_xor3", "shr"), ("word_xor3", "per-bit"),
+        ("word_ch", "word"), ("word_ch", "per-bit"), ("word_maj", "word"), ("word_maj", "per-bit"),
+        ("word_add", "word"),
+    }
+    # the first variable of each kind's first operation, and the last of its last
+    targets = {var for members in classes.values() for var in (members[0][2], members[-1][3] - 1)}
+    cases = [{var: res.values[var] ^ 1} for var in sorted(targets)]
+    cases += [{var: v} for var in sorted(targets) for v in (2, res.values[var] + f, f - 1, 256 + res.values[var])]
+    mrng = random.Random(0x30D)
+    lo = 1 + cs.num_public
+    for _ in range(12):
+        picked = mrng.sample(range(lo, cs.num_vars), mrng.choice((2, 3, 8)))
+        cases.append({var: mrng.choice((res.values[var] ^ 1, 2, res.values[var] + f)) for var in picked})
+    verdicts = set()
+    for mutation in cases:
+        values = list(res.values)
+        for var, v in mutation.items():
+            values[var] = v
+        word = checker_verdict(CheckingBuilder, layout, values)
+        assert word == checker_verdict(PerBitChecker, layout, values), mutation
+        touched = {idx for var in mutation for idx in index[var]}
+        assert (word is None) == all(cs.eval_constraint(idx, values) for idx in touched), mutation
+        proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
+        assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs).detail == (word or ""), mutation
+        verdicts.add(word is None)
+    assert verdicts == {True, False}
+
+
 def test_backend_rejects_witness_one_value_short_or_long():
     res, wit = toy_statement("42", RangePredicate(0, 40, 45))
     inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
@@ -215,10 +347,11 @@ def test_unsatisfied_verdict_names_claim_and_block(monkeypatch, issuer, tmp_path
     """A flipped message bit of claim 1 in a two-claim witness keeps its
     booleanity and first breaks a constraint of claim 1's sha256 block;
     the code stays constraints_unsatisfied and the detail says where, in
-    the backend's verdict, in zk_verify's result and on the CLI line."""
-    cred = Credential((Claim("h", "age", "33"), Claim("h", "bio", "x" * 80)))
-    ceas = CEAS.from_index_sets(2, [[0, 1]])
-    wits = {i: hash_to_curve_witness(i, cred[i], 2, ceas, TOY)[1] for i in (0, 1)}
+    the backend's verdict, in zk_verify's result and on the CLI line.
+    Under the wide policy claim 1's first in-circuit block is block 1."""
+    cred = Credential((Claim("h", "age", "33"), Claim("h", "bio", "x" * 80)) + FILLER[:4])
+    ceas = WIDE_CEAS
+    wits = {i: hash_to_curve_witness(i, cred[i], 6, ceas)[1] for i in (0, 1)}
     byte_bits = []
     bits_of = Builder.bits_of
 
@@ -230,7 +363,7 @@ def test_unsatisfied_verdict_names_claim_and_block(monkeypatch, issuer, tmp_path
 
     with monkeypatch.context() as m:
         m.setattr(Builder, "bits_of", recording)
-        res = build_statement(cred, ceas, wits, (0, 1), profile_name="toy11")
+        res = build_statement(cred, ceas, wits, (0, 1))
     assert res.layout.claims[1].first_block == 1
     region, bits = next(rb for rb in byte_bits if rb[0].startswith("claim 1,"))
     assert region == "claim 1, sha256 block 1"
@@ -245,12 +378,12 @@ def test_unsatisfied_verdict_names_claim_and_block(monkeypatch, issuer, tmp_path
     assert verdict.detail.startswith("claim 1, sha256 block 1: "), verdict.detail
     assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
 
-    # the toy points do not pair under a BN254 key; the proof's detail is
-    # carried whatever the other conjuncts say
+    # the pairing holds, and the proof's detail is carried to the result
     pres = ces_extract(ces_sign(issuer.sk, cred, ceas), ExtractionSet(frozenset({0, 1})))
     r = zk_verify(BackendParams(), issuer.pk, pres.sigma, proof, inputs)
-    assert not r.accept and not r.proof_ok and r.detail == verdict.detail
-    assert zk_verify(BackendParams(), issuer.pk, pres.sigma, TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs).detail == ""
+    assert not r.accept and r.pairing_ok and not r.proof_ok and r.detail == verdict.detail
+    honest = zk_verify(BackendParams(), issuer.pk, pres.sigma, TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
+    assert honest.accept and honest.detail == ""
     files = {
         "pubkey": formats.public_key_to_json(issuer.pk),
         "presentation": formats.presentation_to_json(pres),
@@ -269,35 +402,47 @@ def test_unsatisfied_verdict_names_claim_and_block(monkeypatch, issuer, tmp_path
 
 
 def test_skeleton_builds_only_the_suffix():
-    """The suffix template and secret spans equal those cut from the
-    whole zeroed message, for every split of small component lengths
-    (one to four blocks, padding spilling into a block of its own or
-    not); a length the 4-byte prefix cannot hold is refused."""
-    ceas = CEAS.from_index_sets(3, [[0], [0, 1, 2]])
-    ceas_bytes = ceas.to_bytes()
-    spills = set()
-    for ls in (0, 1, 7):
-        for lp in (0, 3):
-            for lv in range(150):
-                lens = (ls, lp, lv)
-                base = encode_claim_message(ceas, 3, 1, Claim("\x00" * ls, "\x00" * lp, "\x00" * lv))
-                msg_len = len(base) + 1
-                full = base + b"\x00" + sha256_pad(msg_len)
-                start = 64 * ((msg_len - 1) // 64)
-                spans, pos = [], 4 + len(ceas_bytes) + 8
-                for length, kind in zip(lens, ("subject", "property", "value")):
-                    spans.append((pos + 4, length, kind))
-                    pos += 4 + length
-                spans.append((pos, 1, "counter"))
-                cut = [(max(s, start), s + n - max(s, start), k) for s, n, k in spans if s + n > max(s, start)]
-                assert _skeleton(ceas_bytes, 3, 1, lens) == (msg_len, full[start:], cut), lens
-                spills.add((len(full) - start) // 64)
-    assert spills == {1, 2}
-    msg_len, suffix, spans = _skeleton(ceas_bytes, 3, 1, (0, 0, (1 << 32) - 1))
-    assert msg_len == 4 + len(ceas_bytes) + 8 + 12 + (1 << 32) and len(suffix) <= 128
+    """The prefix, and the segments from the block of the first secret
+    byte on, equal those cut from the whole zeroed message, for every
+    split of small component lengths, empty components included, under a
+    narrow policy (nothing hashed outside) and a wide one (block 0
+    hashed outside), with the padding spilling into a block of its own or
+    not.  A declared length builds nothing of its size, and a length the
+    4-byte prefix cannot hold is refused."""
+    shapes = set()
+    for ceas in (CEAS.from_index_sets(6, [[0], [0, 1, 2]]), WIDE_CEAS):
+        ceas_bytes = ceas.to_bytes()
+        for ls in (0, 1, 7):
+            for lp in (0, 3):
+                for lv in range(0, 150, 7):
+                    lens = (ls, lp, lv)
+                    base = encode_claim_message(ceas, 6, 1, Claim("\x00" * ls, "\x00" * lp, "\x00" * lv))
+                    msg_len = len(base) + 1
+                    full = base + b"\x00" + sha256_pad(msg_len)
+                    spans, pos = [], 4 + len(ceas_bytes) + 8
+                    for length, kind in zip(lens, ("subject", "property", "value")):
+                        if length:
+                            spans.append((pos + 4, length, kind))
+                        pos += 4 + length
+                    spans.append((pos, 1, "counter"))
+                    start = 64 * (spans[0][0] // 64)
+                    got_len, prefix, segments = _skeleton(ceas_bytes, 6, 1, lens)
+                    assert (got_len, prefix) == (msg_len, full[:start]), lens
+                    assert segments[0][0] == start, lens
+                    rebuilt = b"".join(bytes(data) if kind else data for _, data, kind in segments)
+                    assert rebuilt == full[start:], lens
+                    assert [(off, data, kind) for off, data, kind in segments if kind] == spans, lens
+                    assert statement.build_claim_layout(ceas, 6, 1, Claim("\x00" * ls, "\x00" * lp, "\x00" * lv)).first_block == start // 64
+                    shapes.add((start // 64, (len(full) - start) // 64))
+    assert {first for first, _ in shapes} == {0, 1}
+    assert {blocks for _, blocks in shapes} == {1, 2, 3, 4}
+    ceas_bytes = WIDE_CEAS.to_bytes()
+    msg_len, prefix, segments = _skeleton(ceas_bytes, 6, 1, (0, 0, (1 << 32) - 1))
+    assert msg_len == 4 + len(ceas_bytes) + 8 + 12 + (1 << 32)
+    assert len(prefix) + sum(len(data) for _, data, kind in segments if not kind) <= 4 + len(ceas_bytes) + 8 + 12 + 72
     for lens in ((1 << 32, 0, 0), (0, -1, 0)):
         with pytest.raises(StatementError):
-            _skeleton(ceas_bytes, 3, 1, lens)
+            _skeleton(ceas_bytes, 6, 1, lens)
 
 
 def test_statement_missing_witness():
@@ -328,32 +473,46 @@ def test_statement_perturbed_root_unsatisfied():
 
 
 def test_statement_shape_ignores_policy_size():
-    """The statement proves no policy membership, so a policy of one
-    subset and one of all 63 subsets of six claims give the same shape.
-    The larger policy adds 62 bytes to every message; the first claim's
-    value is 62 bytes longer under the smaller one, so both messages have
-    the same length and the in-circuit suffix holds only value bytes."""
-    small = CEAS.from_index_sets(6, [[0]])
-    full = CEAS.from_index_sets(6, [[i for i in range(6) if m >> i & 1] for m in range(1, 64)])
-    assert len(full.to_bytes()) - len(small.to_bytes()) == 62
+    """The statement proves no policy membership, so 64 more subsets do
+    not grow it.  Under policies of 49 and 113 subsets of eight claims,
+    64 canonical bytes apart, a claim's first secret byte sits at the
+    same offset of its first in-circuit block (1 and 2), and one block
+    is in-circuit.  The statements differ only where the prefix states'
+    constant bits fold Ch products in round 1, at most 32 of them; the
+    booleanity and linear constraints are the same."""
     shapes = []
-    for ceas, value in ((small, "7" * 92), (full, "7" * 30)):
-        cred = Credential((Claim("h", "age", value),) + tuple(Claim("h", "p", "v") for _ in range(5)))
-        (_, _), wit = hash_to_curve_witness(0, cred[0], 6, ceas, BN254)
+    for count in (49, 113):
+        ceas = CEAS.from_index_sets(8, [[i for i in range(8) if m >> i & 1] for m in range(1, count + 1)])
+        cred = Credential((Claim("h", "age", "7" * 30),) + tuple(Claim("h", "p", "v") for _ in range(7)))
+        (_, _), wit = hash_to_curve_witness(0, cred[0], 8, ceas, BN254)
         res = build_statement(cred, ceas, {0: wit}, (0,))
-        assert res.layout.claims[0].msg_len == 130
+        cl = res.layout.claims[0]
+        assert cl.total_blocks - cl.first_block == 1
         assert res.cs.satisfied(res.values)
-        shapes.append((len(res.cs), res.cs.num_vars, res.cs.num_public))
-    assert shapes[0] == shapes[1]
+        shapes.append((cl.first_block, len(res.cs.bools), len(res.cs.lins), len(res.cs.r1s), res.cs.num_vars, res.cs.num_public))
+    (first0, *fixed0, r1s0, vars0, pub0), (first1, *fixed1, r1s1, vars1, pub1) = shapes
+    assert (first0, first1) == (1, 2)
+    assert fixed0 == fixed1 and pub0 == pub1 == 5
+    assert abs(r1s0 - r1s1) <= 32 and vars0 - vars1 == r1s0 - r1s1
 
 
 def test_statement_multiblock_prehash():
-    """A long value pushes the message over one block; the suffix circuit
-    with the carried state must still be satisfiable."""
+    """A long value pushes the message over one block: from the IV both
+    blocks are in-circuit, and under the wide policy block 0 is hashed
+    outside and its state enters as constants.  Both are satisfiable with
+    five public inputs, the checker accepts them, and a flipped last
+    carry bit is caught in the last block."""
     long_claim = Claim("h", "bio", "x" * 80)
-    res, _ = toy_statement(claim=long_claim)
-    assert res.layout.claims[0].prehash_state is not None
-    assert res.cs.satisfied(res.values)
+    for res, blocks in ((toy_statement(claim=long_claim)[0], (0, 2)), (wide_statement(long_claim), (1, 3))):
+        cl = res.layout.claims[0]
+        assert (cl.first_block, cl.total_blocks) == blocks
+        assert res.cs.num_public == 5
+        assert res.cs.satisfied(res.values)
+        synthesize(res.layout, CheckingBuilder(list(res.values)))
+        values = list(res.values)
+        values[-1] ^= 1
+        with pytest.raises(ConstraintViolation, match=f"^claim 0, sha256 block {blocks[1] - 1}: "):
+            synthesize(res.layout, CheckingBuilder(values))
 
 
 def test_statement_direct_evaluation_oracle_toy():
@@ -574,6 +733,24 @@ def test_backend_memory_ignores_declared_lengths():
             tracemalloc.stop()
         assert not verdict and verdict.code == (code or verdict.code), fields
         assert peak < 5 << 20, (fields, peak)
+
+
+def test_backend_memory_ignores_declared_lengths_over_a_long_witness():
+    """All secret bytes are in-circuit, so a declared length is checked
+    against the assignment before any byte is built: a 50 MB value over
+    an honest witness padded to 200,000 values is refused as a shape
+    mismatch holding little more than the parsed witness, where building
+    its 25,000 bytes would take some 20 MB."""
+    res, wit = toy_statement("27")
+    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
+    proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=res.values + [0] * 200_000))
+    claim = res.layout.to_json()["claims"][0]
+    msg_len = claim["msg_len"] + 50_000_000 - claim["len_value"]
+    padded_len = 64 * ((msg_len + 8) // 64 + 1)
+    tampered = with_layout(proof, claims=[dict(claim, len_value=50_000_000, msg_len=msg_len, padded_len=padded_len)])
+    verdict, peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), tampered, inputs)
+    assert verdict.code == "witness_shape_mismatch"
+    assert peak < 16 << 20, peak
 
 
 def traced_peak(fn, *args):
@@ -890,3 +1067,89 @@ def test_zk_verify_acceptance_matches_ces_and_predicate(zk_env):
             )
             r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, proof, inputs)
             assert not r.accept and not r.proof_ok
+
+
+# -- the public prefix and the profile are the verifier's ------------------------------
+
+LONG_SUBJECT = "did:example:123456789abcdefghi"
+
+
+@pytest.fixture(scope="module")
+def long_env():
+    """Three claims whose messages of 71-81 bytes straddle blocks 0 and 1,
+    under a policy that never allows claim 1 alone, and honest proofs of
+    claim 1 by itself, which the policy does not let anyone present:
+    without a predicate, and with "claim 1 in [30, 50]"."""
+    setup = zk_setup(rng=random.Random(0x10C))
+    cred = Credential(
+        (Claim(LONG_SUBJECT, "age", "19"), Claim(LONG_SUBJECT, "score", "42"), Claim(LONG_SUBJECT, "country", "CH"))
+    )
+    ceas = CEAS.from_index_sets(3, [[0], [0, 2], [0, 1, 2]])
+    sc = ces_sign(setup.keypair.sk, cred, ceas)
+    wits = {i: hash_to_curve_witness(i, cred[i], 3, ceas)[1] for i in range(3)}
+    proofs = []
+    for predicate in (None, RangePredicate(1, 30, 50)):
+        layout, witness = prover_layout(cred, ceas, wits, (1,), predicate)
+        proofs.append(TRANSPARENT_BACKEND.prove(BackendParams(), synthesize(layout, Builder(), witness)))
+    return setup, cred, ceas, sc, wits, layout, proofs
+
+
+def test_zk_verify_straddling_claims(long_env):
+    """Every claim's secret triple starts in block 0 and ends in block 1,
+    so both blocks are in-circuit; an honest proof of claims {0, 2} with a
+    range predicate verifies, and the statement has two blocks a claim."""
+    setup, cred, ceas, sc, _, layout, _ = long_env
+    assert layout.claims[0].index == 1
+    for i in range(3):
+        msg_len = len(encode_claim_message(ceas, 3, i, cred[i])) + 1
+        assert 71 <= msg_len <= 81
+    assert (layout.claims[0].first_block, layout.claims[0].total_blocks) == (0, 2)
+    x = ExtractionSet(frozenset({0, 2}))
+    proof, inputs = prove_extraction(setup.backend_params, cred, ceas, x, RangePredicate(0, 18, 65))
+    r = zk_verify(setup.backend_params, setup.keypair.pk, ces_extract(sc, x).sigma, proof, inputs)
+    assert r.accept and r.code == "ok"
+
+
+def test_zk_verify_rejects_relabelled_claim(long_env):
+    """Claim 1's honest proof, relabelled as claim 0 with extraction {0}
+    (which the policy allows), is presented with x(H(M1)) and sigma_1,
+    and so is the one whose range predicate, relabelled "claim 0 in
+    [30, 50]", was proved over claim 1's value.  The policy and the
+    pairing hold, and the proof fails, because n and i enter the
+    statement as the verifier's constants."""
+    setup, _, ceas, sc, wits, layout, proofs = long_env
+    claim = layout.to_json()["claims"][0]
+    inputs = PublicInputs((wits[1].x,), (wits[1].sign_bit,), ceas.to_bytes(), (0,))
+    for proof in proofs:
+        predicate = json.loads(proof.data.split(b"\n", 1)[0])["layout"]["predicate"]
+        if predicate is not None:
+            predicate = dict(predicate, claim_index=0)
+        relabelled = with_layout(proof, extraction=[0], claims=[dict(claim, index=0)], predicate=predicate)
+        r = zk_verify(setup.backend_params, setup.keypair.pk, sc.sigs[1], relabelled, inputs)
+        assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False), predicate
+        assert r.code == "proof_rejected:constraints_unsatisfied", r.code
+
+
+def test_zk_verify_rejects_swapped_policy(long_env):
+    """Claim 1's honest proof under another width-3 policy of the same
+    byte length, one that allows {1}, is rejected: the policy bytes enter
+    the statement as constants."""
+    setup, _, ceas, sc, wits, _, (proof, _) = long_env
+    other = CEAS.from_index_sets(3, [[1], [0, 2], [0, 1, 2]])
+    assert len(other.to_bytes()) == len(ceas.to_bytes()) and other != ceas
+    inputs = PublicInputs((wits[1].x,), (wits[1].sign_bit,), other.to_bytes(), (1,))
+    r = zk_verify(setup.backend_params, setup.keypair.pk, sc.sigs[1], with_layout(proof, ceas=other.to_bytes().hex()), inputs)
+    assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
+    assert r.code == "proof_rejected:constraints_unsatisfied"
+
+
+def test_zk_verify_accepts_only_bn254(zk_env):
+    """An honest proof whose header names the toy profile, which binds
+    only a few bits of x, is rejected by zk_verify with its own code;
+    the backend alone, asked for no profile, still checks it."""
+    setup, _, _, _, pres, proof, inputs = zk_env
+    toy = with_layout(proof, profile="toy11")
+    r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, toy, inputs)
+    assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
+    assert r.code == "proof_rejected:profile_rejected"
+    assert TRANSPARENT_BACKEND.verify(setup.backend_params, toy, inputs).code != "profile_rejected"
