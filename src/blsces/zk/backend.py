@@ -95,7 +95,8 @@ def _unpack(packed: bytearray) -> Assignment:
         pos = flags.find(1)
         while pos >= 0:
             k = (start + pos) // _VALUE_BYTES
-            values[k] = int.from_bytes(packed[_VALUE_BYTES * k: _VALUE_BYTES * (k + 1)], "big")
+            # Assignment refuses changes once built; its builder may still fill it
+            list.__setitem__(values, k, int.from_bytes(packed[_VALUE_BYTES * k: _VALUE_BYTES * (k + 1)], "big"))
             values.bits[k] = BIT_CLASS[2]
             pos = flags.find(1, _VALUE_BYTES * (k + 1) - start)
     values.bits = bytes(values.bits)

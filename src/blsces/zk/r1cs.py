@@ -77,14 +77,21 @@ _VIEW_CHUNK = 1 << 10
 
 class Assignment(list):
     """Transported witness values, and ``bits``, their bit classes as
-    parsed (see ``BIT_CLASS``).  A caller that changes a value passes a
-    plain list, whose view the checking builder builds itself."""
+    parsed (see ``BIT_CLASS``).  The values are read-only once built, so
+    the view cannot go stale: a caller that changes a value copies them
+    into a plain list, whose view the checking builder builds itself."""
 
     __slots__ = ("bits",)
 
     def __init__(self, values, bits: bytes):
         super().__init__(values)
         self.bits = bits
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("parsed witness values are read-only; copy them with list() to change them")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = reverse = sort = clear = _read_only
 
 
 def bit_view(values: list[int]) -> bytes:

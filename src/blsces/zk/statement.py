@@ -71,6 +71,18 @@ class PublicInputs:
             raise ValidationError("extraction indices must be sorted and distinct")
 
 
+def _first_block(msg_len: int, lens: tuple[int, int, int]) -> int:
+    """Index of a claim message's first in-circuit block: the block of
+    its first secret byte (subject, property, value or counter).  The
+    components end just before the counter, the last byte."""
+    pos = msg_len - 1 - sum(lens) - 8  # the subject, after its length
+    for length in lens:
+        if length:
+            return pos // 64
+        pos += length + 4
+    return (msg_len - 1) // 64
+
+
 @dataclass(frozen=True)
 class ClaimLayout:
     index: int
@@ -82,15 +94,7 @@ class ClaimLayout:
 
     @property
     def first_block(self) -> int:
-        """Index of the first in-circuit block: the block of the first
-        secret byte (subject, property, value or counter)."""
-        value = self.msg_len - 1 - self.len_value
-        prop = value - 4 - self.len_property
-        subject = prop - 4 - self.len_subject
-        for start, length in ((subject, self.len_subject), (prop, self.len_property), (value, self.len_value)):
-            if length:
-                return start // 64
-        return (self.msg_len - 1) // 64
+        return _first_block(self.msg_len, (self.len_subject, self.len_property, self.len_value))
 
     @property
     def total_blocks(self) -> int:
@@ -191,12 +195,11 @@ def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
         pos += size
     msg_len = pos
     segments.append((msg_len, sha256_pad(msg_len), None))
-    # everything before the first secret segment is public and contiguous
-    first = next(k for k, seg in enumerate(segments) if seg[2])
-    head = b"".join(data for _, data, _ in segments[:first])
-    start = 64 * (len(head) // 64)
+    # everything before the first secret byte is public and contiguous
+    start = 64 * _first_block(msg_len, lens)
+    head = b"".join(data for off, data, _ in segments if off < start)
     rest = [(start, head[start:], None)] if len(head) > start else []
-    return msg_len, head[:start], rest + segments[first:]
+    return msg_len, head[:start], rest + [seg for seg in segments if seg[0] >= start]
 
 
 def build_claim_layout(ceas: CEAS, n: int, i: int, claim: Claim) -> ClaimLayout:
@@ -331,7 +334,7 @@ def synthesize(
 
         # per-byte little-endian bit literals from the first in-circuit
         # block: constants for public bytes, variables for secret ones
-        first_block = len(prefix) // 64
+        first_block = cl.first_block
         byte_bits: list[list[int]] = []
         value_bytes: list[LC] = []
         for start, data, kind in segments:

@@ -33,7 +33,7 @@ from blsces.zk import (
     zk_verify,
 )
 from blsces.zk import backend, sha256_gadget, statement
-from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
+from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder, bit_view
 from blsces.zk.sha256_gadget import sha256_pad
 from blsces.zk.statement import PublicInputs, _skeleton, prover_layout, public_assignment
 
@@ -414,7 +414,7 @@ def test_skeleton_builds_only_the_suffix():
         ceas_bytes = ceas.to_bytes()
         for ls in (0, 1, 7):
             for lp in (0, 3):
-                for lv in range(0, 150, 7):
+                for lv in range(150):
                     lens = (ls, lp, lv)
                     base = encode_claim_message(ceas, 6, 1, Claim("\x00" * ls, "\x00" * lp, "\x00" * lv))
                     msg_len = len(base) + 1
@@ -630,7 +630,9 @@ def test_parse_decodes_as_from_bytes(n, seed, sparse):
     high bytes are nonzero in a few chunks, the first and last always
     among them, and each other one followed by a neighbour, across
     several scan windows; a chunk may have one nonzero high byte, at
-    either end of its high bytes or between, or random high bytes."""
+    either end of its high bytes or between, or random high bytes.  The
+    bit classes parsed beside them are those of the values, which cannot
+    be changed once parsed."""
     r = random.Random(seed)
     packed = bytearray(32 * n)
     packed[31::32] = r.randbytes(n)
@@ -642,6 +644,9 @@ def test_parse_decodes_as_from_bytes(n, seed, sparse):
     layout, values = TRANSPARENT_BACKEND.parse(Proof(TOY_HEADER + b"\n" + zlib.compress(bytes(packed))))
     assert layout == TOY_RES.layout
     assert values == old_parse(packed)
+    assert values.bits == bit_view(values)
+    with pytest.raises(TypeError):
+        values[0] = 1
 
 
 JSON = st.recursive(
@@ -671,8 +676,9 @@ def test_parse_any_bytes_ends_in_encoding_error_or_a_parse(data):
 
 
 def test_backend_witness_cap_boundary(monkeypatch):
-    """A witness of exactly the cap parses; one byte more is too large; a
-    truncated stream under the cap is malformed, not too large."""
+    """A witness of exactly the cap parses, with the bit classes of its
+    values; one byte more is too large; a truncated stream under the cap
+    is malformed, not too large."""
     monkeypatch.setattr(backend, "MAX_WITNESS_BYTES", 64)
     res, _ = toy_statement("27")
     header = TRANSPARENT_BACKEND.prove(BackendParams(), res).data.split(b"\n", 1)[0]
@@ -681,6 +687,9 @@ def test_backend_witness_cap_boundary(monkeypatch):
         return TRANSPARENT_BACKEND.parse(Proof(header + b"\n" + blob))
 
     assert parse(zlib.compress(bytes(64)))[1] == [0, 0]
+    # a wide value whose low byte is 1 is no canonical bit
+    values = parse(zlib.compress(bytes(30) + b"\x07\x01" + bytes(31) + b"\x01"))[1]
+    assert values == [0x701, 1] and values.bits == bit_view(values) == b"21"
     with pytest.raises(ProofTooLargeError):
         parse(zlib.compress(bytes(65)))
     with pytest.raises(EncodingError) as exc:
