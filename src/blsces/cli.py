@@ -157,6 +157,7 @@ def cmd_zk_verify(args) -> int:
             "pairing_ok": result.pairing_ok,
             "proof_ok": result.proof_ok,
             "detail": result.detail,
+            "predicate": result.predicate,
         }
     )
     return EXIT_OK if result.accept else EXIT_REJECT

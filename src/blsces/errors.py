@@ -19,8 +19,8 @@ class EncodingError(BlscesError):
 
 
 class ProofTooLargeError(EncodingError):
-    """A proof's witness inflates past the parser's size limit; it is
-    rejected before the witness is allocated."""
+    """A proof's witness holds more values than the parser's limit; it
+    is rejected before any list of its values is built."""
 
 
 class OffCurveError(ValidationError):

@@ -273,7 +273,7 @@ def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs]:
             ceas_bytes=ceas.to_bytes(),
             extraction=tuple(int(i) for i in pub["extraction"]),
         )
-        proof = Proof(base64.b64decode(data["proof"]))
+        proof = Proof(base64.b64decode(data["proof"], validate=True))
     except Exception as exc:
         raise EncodingError(f"bad proof bundle: {exc}") from exc
     return proof, inputs

@@ -46,6 +46,8 @@ class ZkVerifyResult:
     code: str = "ok"
     # where the backend found the witness unsatisfied, as BackendVerdict.detail
     detail: str = ""
+    # the predicate the proof's layout names, as BackendVerdict.predicate
+    predicate: dict | None = None
 
     def __bool__(self):
         return self.accept
@@ -146,4 +148,12 @@ def zk_verify(
         code = b2_code
     else:
         code = f"proof_rejected:{verdict.code}"
-    return ZkVerifyResult(accept=accept, policy_ok=b1, pairing_ok=b2, proof_ok=b3, code=code, detail=verdict.detail)
+    return ZkVerifyResult(
+        accept=accept,
+        policy_ok=b1,
+        pairing_ok=b2,
+        proof_ok=b3,
+        code=code,
+        detail=verdict.detail,
+        predicate=verdict.predicate,
+    )

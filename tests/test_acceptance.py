@@ -10,7 +10,6 @@ import json
 import pathlib
 import random
 import time
-import zlib
 from dataclasses import replace
 
 from conftest import random_credential
@@ -357,10 +356,10 @@ def test_criterion_7_zk_conjunction_and_real_field_runtime(issuer):
     assert (r.policy_ok, r.pairing_ok, r.proof_ok, r.code) == (True, False, True, "pairing_failed")
 
     # proof-only failure
-    header, blob = proof.data.split(b"\n", 1)
-    packed = bytearray(zlib.decompress(blob))
-    packed[-40] ^= 1
-    broken = Proof(header + b"\n" + zlib.compress(bytes(packed)))
+    header, classes, wide = proof.data.split(b"\n", 2)
+    assert classes[-2:-1] in (b"0", b"1")
+    flipped = classes[:-2] + classes[-2:-1].translate(bytes.maketrans(b"01", b"10")) + classes[-1:]
+    broken = Proof(b"\n".join((header, flipped, wide)))
     r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, broken, inputs)
     assert (r.policy_ok, r.pairing_ok) == (True, True) and not r.proof_ok
     assert r.code.startswith("proof_rejected")

@@ -206,6 +206,7 @@ def test_cli_prove_and_zk_verify(cli_flow):
         "--presentation", str(cli_flow / "pres.json"), "--bundle", str(cli_flow / "bundle.json"),
     )
     assert code == 0 and diag["ok"] is True and diag["policy_ok"] and diag["pairing_ok"] and diag["proof_ok"]
+    assert diag["predicate"] == {"kind": "range", "claim_index": 0, "low": 18, "high": 64}
 
     # bundle against the wrong presentation: pairing conjunct fails, exit 1
     code, _ = run_cli("extract", "--signed", str(cli_flow / "signed.json"), "--indices", "0,1", "--out", str(cli_flow / "pres01.json"))
@@ -233,6 +234,7 @@ def test_cli_prove_and_zk_verify(cli_flow):
     (line,) = proc.stdout.splitlines()
     diag = json.loads(line)
     assert diag["ok"] is False and diag["code"] == "proof_rejected:statement_rebuild_failed"
+    assert diag["predicate"] == {"kind": "range"}
 
     # a bundle naming a prover backend that does not exist is malformed
     doc = json.loads((cli_flow / "bundle.json").read_text())

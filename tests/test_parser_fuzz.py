@@ -182,6 +182,20 @@ def test_valid_documents_parse():
         parser(doc)
 
 
+@pytest.mark.parametrize("junk", ["!", " ", "\n", "*", "\u00e9", "-", "_"])
+@pytest.mark.parametrize("at", [0, 7, -1])
+def test_proof_bundle_refuses_junk_in_the_proof(junk, at):
+    """A bundle's proof is strict base64: a character outside the
+    alphabet anywhere in it is an error, not silently dropped, so one
+    proof has one bundle encoding."""
+    bundle = valid_documents()[formats.proof_bundle_from_json]
+    proof = bundle["proof"]
+    k = at % (len(proof) + 1)
+    with pytest.raises(EncodingError):
+        formats.proof_bundle_from_json(dict(bundle, proof=proof[:k] + junk + proof[k:]))
+    assert formats.proof_bundle_from_json(bundle)[0] == Proof(base64.b64decode(proof))
+
+
 @given(st.binary(max_size=64))
 @settings(max_examples=400, deadline=None)
 def test_ceas_from_bytes_takes_any_bytes(raw):

@@ -189,8 +189,8 @@ def test_prover_computes_what_the_recorder_records():
 
 
 def test_prove_extraction_bytes_are_the_recorded_packing(monkeypatch):
-    """A proof carries the header and the recorded synthesis's values
-    packed and compressed as they always were, for one and two claims.
+    """A proof carries the header and the recorded synthesis's values as
+    their class bytes and wide words, for one and two claims.
     The prover synthesizes once, through the statement module's
     ``synthesize`` (where tracing wraps it), with a builder that records
     nothing."""
@@ -211,7 +211,7 @@ def test_prove_extraction_bytes_are_the_recorded_packing(monkeypatch):
         wits = {i: hash_to_curve_witness(i, cred[i], 2, ceas)[1] for i in idxs}
         res = build_statement(cred, ceas, wits, idxs, RangePredicate(0, 18, 65))
         header = json.dumps({"backend": "transparent", "layout": res.layout.to_json()}, separators=(",", ":"), sort_keys=True)
-        assert proof.data == header.encode() + b"\n" + zlib.compress(old_packing(res.values), 6), idxs
+        assert proof.data == header.encode() + b"\n" + encoding(res.values), idxs
         assert inputs.x_coords == tuple(w.x for w in wits.values())
 
 
@@ -586,13 +586,13 @@ def test_backend_rejects_garbage():
     assert TRANSPARENT_BACKEND.verify(params, Proof(b"junk"), inputs).code == "malformed_proof"
 
 
-def old_packing(values):
-    return b"".join(v.to_bytes(32, "big") for v in values)
+def encoding(values):
+    """A witness's class bytes and wide words, value by value."""
+    classes = bytes(b"01"[v] if v in (0, 1) else ord("2") for v in values)
+    return classes + b"\n" + b"".join(v.to_bytes(32, "big") for v in values if v not in (0, 1))
 
 
-def old_parse(packed):
-    return [int.from_bytes(packed[k: k + 32], "big") for k in range(0, len(packed), 32)]
-
+FLIP_BIT = bytes.maketrans(b"01", b"10")
 
 F = ConstraintSystem().field
 EDGE_VALUES = (0, 1, 255, 256, F - 1, F, (1 << 256) - 1)
@@ -606,47 +606,28 @@ TOY_HEADER = TRANSPARENT_BACKEND.prove(BackendParams(), TOY_RES).data.split(b"\n
     seed=st.integers(0, 1 << 32),
     edges=st.dictionaries(st.integers(0, 8999), st.sampled_from(EDGE_VALUES) | st.integers(0, (1 << 256) - 1), max_size=6),
 )
-def test_prove_packs_values_as_to_bytes(n, seed, edges):
-    """prove's windowed packing is byte for byte the per-value to_bytes
-    join, for bit witnesses of up to three windows with edge values
-    anywhere in them; a negative value still raises OverflowError."""
+def test_parse_inverts_prove(n, seed, edges):
+    """prove writes each value's class byte and each wide value's word,
+    and parse returns the values with ``bit_view(values)`` as their bit
+    classes, which cannot be changed once parsed, for bit witnesses with
+    edge values anywhere in them; a negative value still raises
+    OverflowError."""
     r = random.Random(seed)
     values = [r.getrandbits(1) for _ in range(n)]
     for k, v in edges.items():
         if k < n:
             values[k] = v
     proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
-    assert proof.data == TOY_HEADER + b"\n" + zlib.compress(old_packing(values), 6)
+    assert proof.data == TOY_HEADER + b"\n" + encoding(values)
+    layout, parsed = TRANSPARENT_BACKEND.parse(proof)
+    assert layout == TOY_RES.layout
+    assert parsed == values and parsed.bits == bit_view(values)
     if values:
+        with pytest.raises(TypeError):
+            parsed[0] = 1
         values[seed % n] = -1 - seed
         with pytest.raises(OverflowError):
             TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 2000), seed=st.integers(0, 1 << 32), sparse=st.sets(st.integers(0, 1999), max_size=8))
-def test_parse_decodes_as_from_bytes(n, seed, sparse):
-    """parse returns the per-slice int.from_bytes list for blobs whose
-    high bytes are nonzero in a few chunks, the first and last always
-    among them, and each other one followed by a neighbour, across
-    several scan windows; a chunk may have one nonzero high byte, at
-    either end of its high bytes or between, or random high bytes.  The
-    bit classes parsed beside them are those of the values, which cannot
-    be changed once parsed."""
-    r = random.Random(seed)
-    packed = bytearray(32 * n)
-    packed[31::32] = r.randbytes(n)
-    for k in {0, n - 1} | {j for k in sparse for j in (k, k + 1) if j < n}:
-        if r.random() < 0.75:
-            packed[32 * k + r.choice((0, 30, r.randrange(31)))] = r.randrange(1, 256)
-        else:
-            packed[32 * k: 32 * k + 31] = r.randbytes(31)
-    layout, values = TRANSPARENT_BACKEND.parse(Proof(TOY_HEADER + b"\n" + zlib.compress(bytes(packed))))
-    assert layout == TOY_RES.layout
-    assert values == old_parse(packed)
-    assert values.bits == bit_view(values)
-    with pytest.raises(TypeError):
-        values[0] = 1
 
 
 JSON = st.recursive(
@@ -654,17 +635,22 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
+CLASSES = st.binary(max_size=40) | st.lists(st.sampled_from(b"012"), max_size=40).map(bytes)
+WIDE = st.binary(max_size=100) | st.lists(st.integers(0, (1 << 256) - 1), max_size=3).map(
+    lambda vs: b"".join(v.to_bytes(32, "big") for v in vs)
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.binary(max_size=300)
     | st.builds(lambda blob: TOY_HEADER + b"\n" + blob, st.binary(max_size=300))
-    | st.builds(lambda blob: TOY_HEADER + b"\n" + zlib.compress(blob), st.binary(max_size=300))
+    | st.builds(lambda classes, wide: TOY_HEADER + b"\n" + classes + b"\n" + wide, CLASSES, WIDE)
     | st.builds(
-        lambda meta, blob: json.dumps(meta).encode() + b"\n" + zlib.compress(blob),
+        lambda meta, classes, wide: json.dumps(meta).encode() + b"\n" + classes + b"\n" + wide,
         st.fixed_dictionaries({"backend": st.just("transparent") | JSON, "layout": JSON}) | JSON,
-        st.binary(max_size=64),
+        CLASSES,
+        WIDE,
     )
 )
 def test_parse_any_bytes_ends_in_encoding_error_or_a_parse(data):
@@ -672,49 +658,71 @@ def test_parse_any_bytes_ends_in_encoding_error_or_a_parse(data):
         layout, values = TRANSPARENT_BACKEND.parse(Proof(data))
     except EncodingError:
         return
-    assert len(values) == len(zlib.decompressobj().decompress(data.split(b"\n", 1)[1])) // 32
+    classes = data.split(b"\n", 2)[1]
+    assert len(values) == len(classes) and values.bits == classes == bit_view(values)
 
 
-def test_backend_witness_cap_boundary(monkeypatch):
-    """A witness of exactly the cap parses, with the bit classes of its
-    values; one byte more is too large; a truncated stream under the cap
-    is malformed, not too large."""
-    monkeypatch.setattr(backend, "MAX_WITNESS_BYTES", 64)
-    res, _ = toy_statement("27")
-    header = TRANSPARENT_BACKEND.prove(BackendParams(), res).data.split(b"\n", 1)[0]
-
-    def parse(blob):
-        return TRANSPARENT_BACKEND.parse(Proof(header + b"\n" + blob))
-
-    assert parse(zlib.compress(bytes(64)))[1] == [0, 0]
-    # a wide value whose low byte is 1 is no canonical bit
-    values = parse(zlib.compress(bytes(30) + b"\x07\x01" + bytes(31) + b"\x01"))[1]
-    assert values == [0x701, 1] and values.bits == bit_view(values) == b"21"
-    with pytest.raises(ProofTooLargeError):
-        parse(zlib.compress(bytes(65)))
-    with pytest.raises(EncodingError) as exc:
-        parse(zlib.compress(bytes(32))[:-4])
-    assert not isinstance(exc.value, ProofTooLargeError)
-
-
-def test_backend_refuses_bomb_near_the_cap(monkeypatch):
-    """Refusing a stream that inflates to twice the cap holds little more
-    than the cap: the witness is inflated in chunks into one buffer."""
-    cap = 8 << 20
-    monkeypatch.setattr(backend, "MAX_WITNESS_BYTES", cap)
-    res, _ = toy_statement("27")
-    header = TRANSPARENT_BACKEND.prove(BackendParams(), res).data.split(b"\n", 1)[0]
-    deflater = zlib.compressobj(9)
-    blob = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(16)) + deflater.flush()
-    bomb = Proof(header + b"\n" + blob)
+def test_backend_witness_cap_boundary():
+    """A witness of exactly the cap parses, with its class bytes as its
+    bit classes; one value more is too large, and is refused before any
+    list of its values is built (8 bytes a value): the refusal holds no
+    more than one copy of the body."""
+    cap = backend.MAX_WITNESS_VALUES
+    at_cap = Proof(TOY_HEADER + b"\n11" + b"0" * (cap - 3) + b"2\n" + (7).to_bytes(32, "big"))
+    layout, values = TRANSPARENT_BACKEND.parse(at_cap)
+    assert len(values) == cap and values[:3] == [1, 1, 0] and values[-1] == 7
+    assert values.bits == bit_view(values)
+    over = Proof(TOY_HEADER + b"\n" + b"0" * (cap + 1) + b"\n")
     tracemalloc.start()
     try:
         with pytest.raises(ProofTooLargeError):
-            TRANSPARENT_BACKEND.parse(bomb)
+            TRANSPARENT_BACKEND.parse(over)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * cap
+    assert peak < len(over.data) + (1 << 16), peak
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param(b"", id="no-separator"),
+        pytest.param(b"\n1010", id="one-separator"),
+        pytest.param(b"\n10a1\n", id="bad-class-byte"),
+        pytest.param(b"\n10 1\n", id="space-class-byte"),
+        pytest.param(b"\n102\n", id="wide-missing"),
+        pytest.param(b"\n102\n" + (5).to_bytes(32, "big")[1:], id="wide-short"),
+        pytest.param(b"\n102\n" + (5).to_bytes(32, "big") + bytes(1), id="wide-long"),
+        pytest.param(b"\n10\n" + (5).to_bytes(32, "big"), id="wide-unclaimed"),
+        pytest.param(b"\n102\n" + (0).to_bytes(32, "big"), id="wide-zero"),
+        pytest.param(b"\n102\n" + (1).to_bytes(32, "big"), id="wide-one"),
+    ],
+)
+def test_backend_refuses_malformed_witness(body):
+    """A body after the header that no witness encodes to is malformed:
+    a missing separator, a class byte outside 012, wide words short or
+    long for the class-2 count, or a wide value that is a bit."""
+    _, wit = toy_statement("27")
+    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
+    proof = Proof(TOY_HEADER + body)
+    with pytest.raises(EncodingError) as exc:
+        TRANSPARENT_BACKEND.parse(proof)
+    assert not isinstance(exc.value, ProofTooLargeError)
+    verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
+    assert not verdict and verdict.code == "malformed_proof" and verdict.predicate is None
+
+
+def test_backend_refuses_a_deflated_proof():
+    """A proof in the earlier format, one zlib stream of 32-byte words
+    after the header, is malformed."""
+    res, wit = toy_statement("27")
+    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
+    assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
+    words = b"".join(v.to_bytes(32, "big") for v in res.values)
+    deflated = Proof(TOY_HEADER + b"\n" + zlib.compress(words, 6))
+    with pytest.raises(EncodingError):
+        TRANSPARENT_BACKEND.parse(deflated)
+    assert TRANSPARENT_BACKEND.verify(BackendParams(), deflated, inputs).code == "malformed_proof"
 
 
 def test_backend_memory_ignores_declared_lengths():
@@ -771,21 +779,22 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_prover_stores_no_constraints(monkeypatch):
+def test_prover_stores_no_constraints():
     """A two-claim BN254 proof with a range predicate is made without
-    holding its ~60,000 constraints, and parsing it in windows peaks no
-    higher than decoding every value on its own."""
+    holding its ~60,000 constraints, and verifying it peaks no higher
+    than parsing it plus checking its values as a plain list."""
     cred = Credential((Claim("holder", "age", "19"), Claim("holder", "country", "CH"), Claim("holder", "tier", "3")))
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 1, 2]])
     args = (BackendParams(), cred, ceas, ExtractionSet(frozenset({0, 1})), RangePredicate(0, 18, 65))
     prove_extraction(*args)  # fill the hash caches outside the measurement
     (proof, inputs), prove_peak = traced_peak(prove_extraction, *args)
     verdict, verify_peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), proof, inputs)
-    monkeypatch.setattr(backend, "_unpack", old_parse)
-    reference, reference_peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), proof, inputs)
-    assert verdict and reference
+    (layout, values), parse_peak = traced_peak(TRANSPARENT_BACKEND.parse, proof)
+    plain = list(values)
+    _, check_peak = traced_peak(lambda: synthesize(layout, CheckingBuilder(plain)))
+    assert verdict
     assert prove_peak < 8 << 20, prove_peak
-    assert verify_peak <= 1.1 * reference_peak, (verify_peak, reference_peak)
+    assert verify_peak <= 1.1 * (parse_peak + check_peak), (verify_peak, parse_peak, check_peak)
 
 
 def test_public_assignment_layout_mismatch():
@@ -869,31 +878,45 @@ def test_zk_conjunct_isolation(zk_env):
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, False, True)
     assert r.code == "pairing_failed" and not r.accept
 
-    # proof-only failure: corrupt a witness value deep in the blob
-    header, blob = proof.data.split(b"\n", 1)
-    packed = bytearray(zlib.decompress(blob))
-    packed[-1] ^= 1
-    broken = Proof(header + b"\n" + zlib.compress(bytes(packed)))
+    # proof-only failure: flip the last witness bit
+    header, classes, wide = proof.data.split(b"\n", 2)
+    assert classes[-1:] in (b"0", b"1")
+    broken = Proof(b"\n".join((header, classes[:-1] + classes[-1:].translate(FLIP_BIT), wide)))
     r = zk_verify(setup.backend_params, pk, pres.sigma, broken, inputs)
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
     assert r.code.startswith("proof_rejected") and not r.accept
 
 
 def test_zk_verify_rejects_oversized_witness(zk_env):
-    """A ~130 KB blob that inflates to 128 MiB of zeros, twice the cap, is
-    refused with its own code before the witness is allocated."""
+    """A body of one class byte more than the cap is refused with its own
+    code before the witness is built."""
     setup, _, _, _, pres, proof, inputs = zk_env
     header = proof.data.split(b"\n", 1)[0]
-    deflater = zlib.compressobj(9)
-    mib = bytes(1 << 20)
-    blob = b"".join(deflater.compress(mib) for _ in range(128)) + deflater.flush()
-    assert len(blob) < 200_000
-    bomb = Proof(header + b"\n" + blob)
+    oversized = Proof(header + b"\n" + b"0" * (backend.MAX_WITNESS_VALUES + 1) + b"\n")
     with pytest.raises(ProofTooLargeError):
-        TRANSPARENT_BACKEND.parse(bomb)
-    r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, bomb, inputs)
+        TRANSPARENT_BACKEND.parse(oversized)
+    r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, oversized, inputs)
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
-    assert r.code == "proof_rejected:proof_too_large" and not r.accept
+    assert r.code == "proof_rejected:proof_too_large" and not r.accept and r.predicate is None
+
+
+def test_zk_verify_reports_the_proven_predicate(zk_env):
+    """The result names the predicate the proof's layout proves: None for
+    a proof made with no predicate, the descriptor for a range."""
+    setup, cred, ceas, _, pres, proof, inputs = zk_env
+    pk = setup.keypair.pk
+    r = zk_verify(setup.backend_params, pk, pres.sigma, proof, inputs)
+    assert r.accept and r.predicate is None
+    ranged, ranged_inputs = prove_extraction(
+        setup.backend_params, cred, ceas, ExtractionSet(frozenset({0, 1})), RangePredicate(0, 18, 65)
+    )
+    r = zk_verify(setup.backend_params, pk, pres.sigma, ranged, ranged_inputs)
+    assert r.accept and r.predicate == RangePredicate(0, 18, 65).describe()
+    assert TRANSPARENT_BACKEND.verify(setup.backend_params, ranged, ranged_inputs).predicate == r.predicate
+    # reported on a rejection too, wherever the proof parsed
+    flipped = replace(ranged_inputs, sign_bits=(1 - ranged_inputs.sign_bits[0],) + ranged_inputs.sign_bits[1:])
+    r = zk_verify(setup.backend_params, pk, pres.sigma, ranged, flipped)
+    assert not r.accept and r.code == "pairing_failed" and r.predicate == RangePredicate(0, 18, 65).describe()
 
 
 def test_zk_verify_binds_the_proved_policy(zk_env):
