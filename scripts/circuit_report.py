@@ -7,12 +7,15 @@ system, and prints constraint/variable counts, the constraints of each
 region ("claim i, sha256 block b", "claim i, binding", "claim i,
 predicate"), the times of the three syntheses (the recorded build,
 which stores every constraint; the prover's, which stores none; the
-verifier's check, a checking builder run over the assignment), plus a
-short auditable dump excerpt.  Exits 1 if any of these honest
-statements is unsatisfied, if the prover's values or per-kind counts
-differ from the recorded build's, if the checker rejects the honest
-assignment or accepts one with a mutated variable, or if the checker's
-per-kind constraint counts differ from the recorded ones.
+verifier's check, a checking builder run over the assignment), the
+per-bit sha256 gadget calls (``xor`` and ``ch``) the prover and the
+checker made, plus a short auditable dump excerpt.  Exits 1 if any of
+these honest statements is unsatisfied, if the prover's values or
+per-kind counts differ from the recorded build's, if the checker
+rejects the honest assignment or accepts one with a mutated variable,
+if the checker's per-kind constraint counts differ from the recorded
+ones, or if the prover or the checker of an honest statement made a
+per-bit gadget call instead of taking every compression whole.
 
     python scripts/circuit_report.py [--dump N]
 """
@@ -26,6 +29,7 @@ from blsces import CEAS, Claim, Credential
 from blsces.errors import ConstraintViolation
 from blsces.groups.params import BN254, TOY
 from blsces.zk import Builder, CheckingBuilder, RecordingBuilder, hash_to_curve_witness, prover_layout, synthesize
+from blsces.zk import sha256_gadget
 from blsces.zk.predicates import RangePredicate
 
 
@@ -88,12 +92,14 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     res = synthesize(layout, recorder, witness)
     build_s = time.monotonic() - t0
     recorder.region = ""  # count the last region's constraints
-    t0 = time.monotonic()
-    proved = synthesize(layout, Builder(), witness)
-    prove_s = time.monotonic() - t0
-    t0 = time.monotonic()
-    checked = check(res.layout, res.values)
-    check_s = time.monotonic() - t0
+    with sha256_gadget.PerBitCalls() as prover_calls:
+        t0 = time.monotonic()
+        proved = synthesize(layout, Builder(), witness)
+        prove_s = time.monotonic() - t0
+    with sha256_gadget.PerBitCalls() as checker_calls:
+        t0 = time.monotonic()
+        checked = check(res.layout, res.values)
+        check_s = time.monotonic() - t0
     ok = res.cs.satisfied(res.values)
     cs = res.cs
 
@@ -116,16 +122,17 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         if count:
             print(f"  {region or 'public inputs'}: {count}")
     print(
-        f"  recorded build {build_s:.2f}s, prover {prove_s:.2f}s, verifier check {check_s:.2f}s, "
+        f"  recorded build {build_s:.2f}s, prover {prove_s * 1e3:.1f} ms, verifier check {check_s * 1e3:.1f} ms, "
         f"satisfied={ok} prover_matches={prover_same} checker_accepts={checked is not None} "
         f"counts_match={same} mutation_rejected={rejects}"
     )
+    print(f"  per-bit xor/ch calls: prover {prover_calls.calls}, checker {checker_calls.calls}")
     if dump:
         print("  dump excerpt:")
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
-    return ok and prover_same and same and rejects
+    return ok and prover_same and same and rejects and prover_calls.calls == checker_calls.calls == 0
 
 
 def main():

@@ -11,8 +11,10 @@ exists so the statement logic is testable end to end.
 A proof is ``header JSON \n classes \n wide``.  ``classes`` holds one
 ASCII byte per witness value, its bit class (see ``r1cs.BIT_CLASS``):
 ``0`` or ``1`` for a bit and ``2`` for any other value.  That is the
-view the checking builder compares whole words against, so ``prove``
-writes ``bit_view(values)`` and ``parse`` hands the bytes on unchanged.
+view the checking builder compares whole blocks against.  ``prove``
+writes the view the prover's builder kept beside the values (or
+``bit_view`` of a plain list of values), and ``parse`` hands the bytes
+on unchanged.
 ``wide`` holds each class-``2`` value, in order, as a 32-byte
 big-endian word.  A wide value below 2 is refused, so each witness has
 one encoding.
@@ -103,7 +105,8 @@ class TransparentBackend:
             sort_keys=True,
         ).encode()
         values = statement.values
-        classes = bit_view(values)
+        # the prover's builder kept the classes beside the values
+        classes = values.bits if isinstance(values, Assignment) else bit_view(values)
         wide = []
         k = classes.find(_WIDE)
         while k >= 0:
@@ -113,12 +116,15 @@ class TransparentBackend:
         return Proof(b"\n".join((header, classes, b"".join(wide))))
 
     def parse(self, proof: Proof) -> tuple[StatementLayout, Assignment]:
-        body = proof.data.split(b"\n", 2)
-        if len(body) != 3:
+        data = proof.data
+        # measure the classes by their separators before copying any
+        first = data.find(b"\n")
+        second = data.find(b"\n", first + 1) if first >= 0 else -1
+        if second < 0:
             raise EncodingError("malformed proof: missing separator")
-        header, classes, wide = body
-        if len(classes) > MAX_WITNESS_VALUES:
+        if second - first - 1 > MAX_WITNESS_VALUES:
             raise ProofTooLargeError(f"witness of more than {MAX_WITNESS_VALUES} values")
+        header, classes, wide = data[:first], data[first + 1: second], data[second + 1:]
         try:
             meta = json.loads(header)
             if meta.get("backend") != self.name:

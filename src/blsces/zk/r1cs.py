@@ -33,28 +33,35 @@ Gadgets tell the computing kinds from the checking one by
 ``bd.compute``.  Each builder's ``cs`` has the same sizes; only the
 recording builder's holds the constraints.
 
-The sha256 gadget's word operations (see ``sha256_gadget``) compute the
-bits their per-bit path would allocate from the 32-bit values of their
-operands, and hand them to ``alloc_bits`` with the constraint counts.
-Each builder interprets that last step its own way:
+The sha256 gadget's block path (see ``sha256_gadget``) reads the values
+of a compression's input words with ``word_value``, computes the bit of
+every variable its per-bit path would allocate, and hands them to
+``alloc_bits`` with the constraint counts.  Each builder interprets
+those steps its own way.  Word values come from a bit-class view of
+the assignment, one ASCII byte per value: '0' or '1' for a canonical
+bit and '2' for anything else, wide values included.  A builder whose
+``bits`` is None keeps no view and knows no word value.
 
-* ``Builder`` appends the bits to the assignment and adds the counts;
-  ``word_value`` reads a word's value from its computed values.
-* ``CheckingBuilder`` compares them with the next slice of a view of
-  the assignment that holds one ASCII byte per value: '0' or '1' for a
-  canonical bit and '2' for anything else, wide values included.  Only
-  an exact match is taken.  Over canonical bits each word relation
-  holds exactly when its per-bit constraints do, so a match is what
-  the per-bit path would accept.  ``word_value`` gathers a word from
-  the view and a negated, mirrored copy of it at the end, so the
-  literal ~b reads index ~b; it knows no value with a '2' in it.
-* ``RecordingBuilder`` declines, and knows no word value, so every
-  operation runs on the per-bit path and every constraint is stored.
+* ``Builder`` keeps the view beside its values as it allocates them,
+  reads word values from it, and appends the bits, as they are, to the
+  view and as values to the assignment, adding the counts.  Its values
+  are an ``Assignment`` whose ``bits`` are that view, so the backend
+  writes the view without rebuilding it.
+* ``CheckingBuilder`` reads word values from the view of the
+  transported assignment, and knows none holding a '2'.  It compares
+  the bits with the next slice of the view; only an exact match is
+  taken.  Over canonical bits each of the block's relations holds
+  exactly when its per-bit constraints do, so a match is what the
+  per-bit path would accept.
+* ``RecordingBuilder`` keeps no view, since the mutation-sweep tests
+  change its values in place, so every compression runs on the per-bit
+  path and every constraint is stored.
 
-A builder that declines has changed nothing, and the operation runs on
-its per-bit path from the same state.  A checker's verdict and the
-region and index of a ``ConstraintViolation`` are therefore those of
-the per-bit path.
+A builder that knows no value, or declines the bits (``alloc_bits``
+returns None), has changed nothing, and the compression runs on its
+per-bit path from the same state.  A checker's verdict and the region
+and index of a ``ConstraintViolation`` are therefore those of the
+per-bit path.
 """
 
 from __future__ import annotations
@@ -67,19 +74,19 @@ from blsces.groups.params import R as BN254_SCALAR_FIELD
 LC = tuple  # tuple[tuple[int, int], ...]
 
 # translate tables: a byte value to its bit class, '0' or '1' for a
-# canonical bit and '2' otherwise; a class to its negation; ASCII bits
-# to the values 0 and 1
+# canonical bit and '2' otherwise; ASCII bits to the values 0 and 1
 BIT_CLASS = b"01" + b"2" * 254
-_NEGATE = bytes.maketrans(b"01", b"10")
 _ASCII_BIT = bytes.maketrans(b"01", bytes(range(2)))
 _VIEW_CHUNK = 1 << 10
 
 
 class Assignment(list):
-    """Transported witness values, and ``bits``, their bit classes as
-    parsed (see ``BIT_CLASS``).  The values are read-only once built, so
-    the view cannot go stale: a caller that changes a value copies them
-    into a plain list, whose view the checking builder builds itself."""
+    """Witness values, and ``bits``, their bit classes (see
+    ``BIT_CLASS``): as parsed from a proof, or as the prover's builder
+    allocated them.  The values are read-only once built, so the view
+    cannot go stale: a caller that changes a value copies them into a
+    plain list, whose view the backend and the checking builder build
+    themselves."""
 
     __slots__ = ("bits",)
 
@@ -230,9 +237,11 @@ class Tally:
 class Builder:
     """The prover's builder: computes each variable's value as it
     allocates it and counts constraints by kind without storing them.
-    ``region`` names the part of the statement being synthesized; the
-    checking builder reports it.  ``cs`` is a ``ConstraintSystem`` of the
-    sizes so far, with tallies for its constraint lists."""
+    ``values`` is an ``Assignment`` whose ``bits`` is the bit-class view
+    kept beside them.  ``region`` names the part of the statement being
+    synthesized; the checking builder reports it.  ``cs`` is a
+    ``ConstraintSystem`` of the sizes so far, with tallies for its
+    constraint lists."""
 
     compute = True
     region = ""
@@ -240,7 +249,8 @@ class Builder:
     field = BN254_SCALAR_FIELD
 
     def __init__(self):
-        self.values: list = [1]
+        self.bits = bytearray(b"1")
+        self.values: list = Assignment([1], self.bits)
         self.num_vars = 1
         self.num_public = 0
         self.n_bools = self.n_lins = self.n_r1s = 0
@@ -253,19 +263,24 @@ class Builder:
         )
 
     # -- allocation ---------------------------------------------------
+    # values grow through list methods: an Assignment refuses its own
 
     def alloc(self, value: int) -> int:
         self._public_frozen = True
-        self.values.append(value % self.field)
-        self.num_vars += 1
-        return self.num_vars - 1
+        return self._append(value)
 
     def alloc_public(self, value: int) -> int:
         if self._public_frozen:
             raise StatementError("public inputs must be allocated before witness variables")
-        self.values.append(value % self.field)
-        self.num_vars += 1
         self.num_public += 1
+        return self._append(value)
+
+    def _append(self, value: int) -> int:
+        value %= self.field
+        list.append(self.values, value)
+        if self.bits is not None:
+            self.bits.append(BIT_CLASS[min(value, 2)])
+        self.num_vars += 1
         return self.num_vars - 1
 
     # -- constraint emission -------------------------------------------
@@ -295,14 +310,11 @@ class Builder:
         """Allocate ``width`` boolean variables holding the little-endian
         bits of ``value`` (masked to the width, so hostile values still
         produce boolean assignments and fail elsewhere)."""
-        self._public_frozen = True
-        start = self.num_vars
-        self.values += [(value >> j) & 1 for j in range(width)]
-        self.num_vars = start + width
-        self.n_bools += width
+        bits = format(value & ((1 << width) - 1), f"0{width}b").encode()[::-1]
+        start = self.alloc_bits(bits, bools=width)
         return list(range(start, start + width))
 
-    # -- word operations --------------------------------------------------
+    # -- whole blocks -----------------------------------------------------
 
     def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int | None:
         """Allocate one variable per ASCII '0' or '1' of ``bits``, holding
@@ -311,25 +323,36 @@ class Builder:
         has changed nothing."""
         start = self.num_vars
         self._public_frozen = True
-        self.values += bits.translate(_ASCII_BIT)
+        list.extend(self.values, bits.translate(_ASCII_BIT))
+        if self.bits is not None:
+            self.bits += bits
         self.num_vars = start + len(bits)
         self.n_bools += bools
         self.n_lins += lins
         self.n_r1s += r1s
         return start
 
-    def word_value(self, lits: list[int]) -> int | None:
-        """The value the bit literals hold, little-endian."""
-        w = self.values
-        return sum((w[b] if b >= 0 else 1 - w[~b]) << j for j, b in enumerate(lits))
+    def word_value(self, variables: list[int]) -> int | None:
+        """The value the variables hold as little-endian bits, or None if
+        one of them is not a canonical bit or the builder keeps no view."""
+        if self.bits is None:
+            return None
+        try:
+            return int(bytes(map(self.bits.__getitem__, reversed(variables))), 2)
+        except ValueError:  # a '2'
+            return None
 
 
 class RecordingBuilder(Builder):
     """A prover's builder that also stores every constraint, for audits,
-    dumps and the mutation-sweep tests; ``cs`` is the stored system."""
+    dumps and the mutation-sweep tests; ``cs`` is the stored system.  Its
+    values are a plain list, which those tests change in place, and it
+    keeps no bit-class view, which would go stale when they do."""
 
     def __init__(self):
         super().__init__()
+        self.values = [1]
+        self.bits = None
         self.bools: list = []
         self.lins: list = []
         self.r1s: list = []
@@ -352,12 +375,6 @@ class RecordingBuilder(Builder):
         self.bools.extend(bits)
         return bits
 
-    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> None:
-        return None
-
-    def word_value(self, lits: list[int]) -> None:
-        return None
-
 
 class CheckingBuilder(Builder):
     """The verifier's builder: reads each variable from the assignment
@@ -374,14 +391,11 @@ class CheckingBuilder(Builder):
         self.values = values
         self.field = field
         if not values or values[0] != 1:
-            bits = b""  # the constants are not 1: every word operation runs per bit
+            self.bits = None  # the constants are not 1: every compression runs per bit
         elif isinstance(values, Assignment):
-            bits = values.bits
+            self.bits = values.bits
         else:
-            bits = bit_view(values)
-        self._bits = bits
-        # literal b reads _lits[b], and ~b the negated, mirrored copy
-        self._lits = bits + bits.translate(_NEGATE)[::-1]
+            self.bits = bit_view(values)
 
     def _violated(self, kind: str, idx: int):
         raise ConstraintViolation(f"{self.region}: {kind} constraint {idx} fails")
@@ -449,23 +463,15 @@ class CheckingBuilder(Builder):
         self.n_bools += width
         return list(range(start, end))
 
-    # -- word operations --------------------------------------------------
+    # -- whole blocks -----------------------------------------------------
 
     def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int | None:
         start = self.num_vars
         end = start + len(bits)
-        if self._bits[start:end] != bits:
+        if self.bits[start:end] != bits:
             return None
         self.num_vars = end
         self.n_bools += bools
         self.n_lins += lins
         self.n_r1s += r1s
         return start
-
-    def word_value(self, lits: list[int]) -> int | None:
-        if not self._bits:
-            return None
-        try:
-            return int(bytes(map(self._lits.__getitem__, reversed(lits))), 2)
-        except ValueError:  # a '2': not a canonical bit
-            return None

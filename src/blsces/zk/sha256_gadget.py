@@ -1,4 +1,4 @@
-"""SHA-256 compression function, both as plain Python and as R1CS gadget.
+"""SHA-256 compression function as an R1CS gadget.
 
 The gadget carries every bit as a literal, an int b: b >= 0 is variable
 b and ~b is its negation 1 - w[b].  Variable 0 holds 1, so ``ONE`` (0)
@@ -16,107 +16,36 @@ little-endian.  Costs per bit:
   bits, each with a booleanity check, and ties them to the operand sum
   in one linear constraint.
 
-One application over a fully secret block is about 30,400 constraints:
-19,600 products, 10,500 booleanity checks and 312 linear.  Only this
-module knows the literal format; ``lit_lc`` turns a literal into a
-linear combination for callers.
+One application over a fully secret block is 30,640 constraints: 19,856
+products, 10,472 booleanity checks and 312 linear.  Only this module
+knows the literal format; ``lit_lc`` turns a literal into a linear
+combination for callers.
 
-The word path.  Inside the gadget a word is a ``Word``: its literals and,
-when the builder knows it, the 32-bit value they hold.  Rotations and
-shifts move both.  ``word_xor3``, ``word_ch``, ``word_maj`` and
-``word_add`` first compute, with Python int operations on the operand
-values, the bits of the variables their per-bit path would allocate, in
-its allocation order, and hand them to ``bd.alloc_bits`` with its
-constraint counts.  The literals alone fix that pattern:
+Two paths synthesize a compression.  The per-bit path runs the
+operations above literal by literal.  The block path computes, with
+plain Python ints, the bit of every variable the per-bit path would
+allocate, in its allocation order, and hands the whole block to one
+``bd.alloc_bits`` call with its constraint counts.  It models each
+word by three 32-bit masks: the value its literals hold, which of them
+are variables (the rest are ONE or ZERO), and which are negated.  Those
+masks fix what the per-bit path allocates, so constants (the state
+entering a claim's first in-circuit block, public message bytes, the
+ZEROs a shift brings in) and the negations they bring stay on the block
+path.  Its values are those of the input words, which it asks the
+builder for (``bd.word_value``).  A builder that knows none, input
+state words that share a variable (where Ch could fold on f == g), or a
+builder that declines the bits run the per-bit path instead, from the
+same state.  How each builder takes the bits is in ``r1cs``; in every
+case the variables, values and constraints are those of the per-bit
+path.
 
-* xor3 over variables allocates 2 per bit (t = x xor y, then t xor z),
-  or 1 where ``word_shr`` put ZERO into z, since xor with ZERO is free;
-* Ch over variables, f and g sharing none, allocates 1 per bit;
-* Maj over variables, c and a sharing none, allocates 2 per bit,
-  interleaved;
-* an addition allocates 32 result and its carry bits, whatever its
-  literals.
-
-"Variables" means literals above ONE: no constant and no negation.  Any
-other shape (the constants of the first rounds and of public message
-bytes, the negations they bring, f == g in Ch), an unknown value, or a
-builder that declines runs the per-bit path instead, from the same
-state.  How each builder takes the bits is in ``r1cs``; in every case
-the variables, values and constraints are those of the per-bit path.
-
-Round constants and the initial state are derived from the fractional
-parts of cube/square roots of the first primes with exact integer
-arithmetic (no float rounding); the test suite pins the result against
-hashlib.
+The plain compression and the constants are in ``sha256``.
 """
 
 from __future__ import annotations
 
-import math
-
 from blsces.zk.r1cs import LC, Builder
-
-WORD = 32
-
-
-def _primes(count: int) -> list[int]:
-    out, n = [], 2
-    while len(out) < count:
-        if all(n % q for q in out if q * q <= n):
-            out.append(n)
-        n += 1
-    return out
-
-
-def _icbrt(n: int) -> int:
-    x = 1 << ((n.bit_length() + 2) // 3 + 1)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    return x
-
-
-def _iv() -> list[int]:
-    return [math.isqrt(p << 64) - (math.isqrt(p) << 32) for p in _primes(8)]
-
-
-def _round_constants() -> list[int]:
-    return [_icbrt(p << 96) - (_icbrt(p) << 32) for p in _primes(64)]
-
-
-SHA256_IV = _iv()
-SHA256_K = _round_constants()
-
-
-def _rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (WORD - n))) & 0xFFFFFFFF
-
-
-def sha256_compress(state: list[int], block: bytes) -> list[int]:
-    """One plain compression application; used for hashing a claim
-    message's public prefix outside the constraint system."""
-    w = list(int.from_bytes(block[4 * t: 4 * t + 4], "big") for t in range(16))
-    for t in range(16, 64):
-        s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
-        s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
-        w.append((w[t - 16] + s0 + w[t - 7] + s1) & 0xFFFFFFFF)
-    a, b, c, d, e, f, g, h = state
-    for t in range(64):
-        t1 = (h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)) + ((e & f) ^ (~e & g)) + SHA256_K[t] + w[t]) & 0xFFFFFFFF
-        t2 = ((_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + ((a & b) ^ (a & c) ^ (b & c))) & 0xFFFFFFFF
-        a, b, c, d, e, f, g, h = (t1 + t2) & 0xFFFFFFFF, a, b, c, (d + t1) & 0xFFFFFFFF, e, f, g
-    return [(s + v) & 0xFFFFFFFF for s, v in zip(state, [a, b, c, d, e, f, g, h])]
-
-
-def sha256_pad(length: int) -> bytes:
-    """Padding bytes appended to a message of ``length`` bytes."""
-    rem = (length + 9) % 64
-    zeros = (64 - rem) % 64
-    return b"\x80" + bytes(zeros) + (8 * length).to_bytes(8, "big")
+from blsces.zk.sha256 import SHA256_K, WORD, rotr
 
 
 # ---------------------------------------------------------------------------
@@ -130,51 +59,49 @@ MASK = (1 << WORD) - 1
 _BITS_SPEC = {width: f"0{width}b" for width in range(WORD, WORD + 8)}
 
 
-class Word(list):
-    """A word's literals, little-endian, and ``value``: the 32-bit value
-    they hold, or None where the builder does not know it or the list is
-    not a whole word."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, lits, value: int | None = None):
-        super().__init__(lits)
-        self.value = value
-
-
 def lit_lc(b: int, k: int = 1) -> LC:
     """k times the value of literal b, as a linear combination."""
     return ((b, k),) if b >= 0 else ((0, k), (~b, -k))
 
 
-def const_word(value: int) -> Word:
-    return Word([ONE if (value >> j) & 1 else ZERO for j in range(WORD)], value & MASK)
+def const_word(value: int) -> list[int]:
+    return [ONE if (value >> j) & 1 else ZERO for j in range(WORD)]
 
 
 def _value(bd: Builder, b: int) -> int:
     return bd.values[b] if b >= 0 else 1 - bd.values[~b]
 
 
-def _known(*words) -> list[int] | None:
-    """The words' values, or None if the builder does not know one."""
-    try:
-        values = [w.value for w in words]
-    except AttributeError:  # a plain list of literals
-        return None
-    return None if None in values else values
+def _add_width(count: int) -> int:
+    """Bits an addition of ``count`` words allocates: 32 and its carries."""
+    return WORD + max(1, (count - 1).bit_length())
 
 
-def _bits(value: int, width: int = WORD) -> bytes:
-    """``value``, below 2^width, as ``width`` ASCII '0'/'1' bits, least
-    significant first: the order the gadget allocates bits in."""
-    return format(value, _BITS_SPEC[width]).encode()[::-1]
+def _compress(ops, state: list, block: list) -> list:
+    """One compression over the word operations ``ops``: the per-bit
+    path's over literals or the block path's over masks, which allocate
+    the same variables in the same order."""
+    w = list(block)
+    for t in range(16, 64):
+        s0 = ops.sigma(w[t - 15], 7, 18, 3, shift=True)
+        s1 = ops.sigma(w[t - 2], 17, 19, 10, shift=True)
+        w.append(ops.add(w[t - 16], s0, w[t - 7], s1))
+    a, b, c, d, e, f, g, h = state
+    for t in range(64):
+        big_s1 = ops.sigma(e, 6, 11, 25)
+        ch_w = ops.ch(e, f, g)
+        t1 = ops.add(h, big_s1, ch_w, ops.const(SHA256_K[t]), w[t])
+        big_s0 = ops.sigma(a, 2, 13, 22)
+        maj_w = ops.maj(a, b, c)
+        t2 = ops.add(big_s0, maj_w)
+        h, g, f = g, f, e
+        e = ops.add(d, t1)
+        d, c, b = c, b, a
+        a = ops.add(t1, t2)
+    return [ops.add(s, v) for s, v in zip(state, [a, b, c, d, e, f, g, h])]
 
 
-def _per_bit(bd: Builder, lits: list[int]) -> Word:
-    """The output of a word operation's per-bit path; only a whole word
-    has a value."""
-    return Word(lits, bd.word_value(lits) if len(lits) == WORD else None)
-
+# -- the per-bit path -------------------------------------------------------------
 
 def xor(bd: Builder, a: int, b: int) -> int:
     """a xor b: negations move to the output, so a product is needed only
@@ -204,76 +131,14 @@ def ch(bd: Builder, e: int, f: int, g: int) -> int:
     return c
 
 
-def word_xor3(bd: Builder, x: list[int], y: list[int], z: list[int]) -> Word:
-    """x ^ y ^ z bitwise, as t = xor(x, y) and then xor(t, z) per bit."""
-    known = _known(x, y, z)
-    if known is not None:
-        # variables in x and y; in z variables below p and word_shr's
-        # ZEROs from p up, where xor(t, ZERO) is t and allocates nothing
-        p = WORD - z.count(ZERO)
-        if min(x) > ONE and min(y) > ONE and min(z[:p], default=1) > ONE:
-            t = known[0] ^ known[1]
-            out = t ^ known[2]
-            t_bits = _bits(t)
-            new = bytearray(WORD + p)
-            new[0: 2 * p: 2] = t_bits[:p]
-            new[1: 2 * p: 2] = _bits(out)[:p]
-            new[2 * p:] = t_bits[p:]
-            base = bd.alloc_bits(new, r1s=WORD + p)
-            if base is not None:
-                return Word([*range(base + 1, base + 2 * p, 2), *range(base + 2 * p, base + WORD + p)], out)
-    return _per_bit(bd, [xor(bd, xor(bd, a, b), c) for a, b, c in zip(x, y, z)])
+def maj(bd: Builder, a: int, b: int, c: int) -> int:
+    """Maj(a, b, c) = Ch(a xor b, c, a)."""
+    return ch(bd, xor(bd, a, b), c, a)
 
 
-def word_rotr(w: list[int], n: int) -> Word:
-    value = getattr(w, "value", None)
-    return Word(w[n:] + w[:n], None if value is None else _rotr(value, n))
-
-
-def word_shr(w: list[int], n: int) -> Word:
-    value = getattr(w, "value", None)
-    return Word(w[n:] + [ZERO] * n, None if value is None else value >> n)
-
-
-def word_ch(bd: Builder, e: list[int], f: list[int], g: list[int]) -> Word:
-    known = _known(e, f, g)
-    # over variables Ch folds only where f and g share one
-    if known is not None and min(e) > ONE and min(f) > ONE and min(g) > ONE and set(f).isdisjoint(g):
-        ev, fv, gv = known
-        out = (ev & fv) | (~ev & gv)
-        base = bd.alloc_bits(_bits(out), r1s=WORD)
-        if base is not None:
-            return Word(range(base, base + WORD), out)
-    return _per_bit(bd, [ch(bd, eb, fb, gb) for eb, fb, gb in zip(e, f, g)])
-
-
-def word_maj(bd: Builder, a: list[int], b: list[int], c: list[int]) -> Word:
-    """Maj(a, b, c) = Ch(a xor b, c, a) bitwise."""
-    known = _known(a, b, c)
-    if known is not None and min(a) > ONE and min(b) > ONE and min(c) > ONE and set(c).isdisjoint(a):
-        av, bv, cv = known
-        t = av ^ bv
-        out = (av & bv) | (av & cv) | (bv & cv)
-        new = bytearray(2 * WORD)
-        new[0::2] = _bits(t)
-        new[1::2] = _bits(out)
-        base = bd.alloc_bits(new, r1s=2 * WORD)
-        if base is not None:
-            return Word(range(base + 1, base + 2 * WORD, 2), out)
-    return _per_bit(bd, [ch(bd, xor(bd, ab, bb), cb, ab) for ab, bb, cb in zip(a, b, c)])
-
-
-def word_add(bd: Builder, *words: list[int]) -> Word:
+def word_add(bd: Builder, *words: list[int]) -> list[int]:
     """Sum mod 2^32: allocate 32 result bits plus overflow bits and tie
     them to the operand sum with one linear constraint."""
-    carry_bits = max(1, (len(words) - 1).bit_length())
-    width = WORD + carry_bits
-    known = _known(*words)
-    if known is not None:
-        total = sum(known)
-        base = bd.alloc_bits(_bits(total, width), bools=width, lins=1)
-        if base is not None:
-            return Word(range(base, base + WORD), total & MASK)
     terms = []
     const = 0
     for w in words:
@@ -288,40 +153,206 @@ def word_add(bd: Builder, *words: list[int]) -> Word:
     if bd.compute:
         vals = bd.values
         value = const + sum(vals[v] * k for v, k in terms)
-    bits = bd.bits_of(value, width)
+    bits = bd.bits_of(value, _add_width(len(words)))
     if const:
         terms.append((0, const))
     terms.extend((b, -(1 << j)) for j, b in enumerate(bits))
     bd.add_lin(terms)
-    return _per_bit(bd, bits[:WORD])
+    return bits[:WORD]
 
 
-def _word(bd: Builder, lits: list[int]) -> Word:
-    return lits if isinstance(lits, Word) else _per_bit(bd, lits)
+class PerBitWords:
+    """The per-bit path's word operations: each runs its gadget literal by
+    literal through ``bd``.  ``sigma`` is rotr(r1) ^ rotr(r2) ^ rotr(k),
+    or ^ shr(k) with ``shift``, as t = x xor y and then t xor z per bit;
+    rotations and shifts rearrange literals, a shift bringing in ZEROs."""
+
+    const = staticmethod(const_word)
+
+    def __init__(self, bd: Builder):
+        self.bd = bd
+
+    def sigma(self, w: list[int], r1: int, r2: int, k: int, shift: bool = False) -> list[int]:
+        bd = self.bd
+        z = w[k:] + ([ZERO] * k if shift else w[:k])
+        return [xor(bd, xor(bd, x, y), zb) for x, y, zb in zip(w[r1:] + w[:r1], w[r2:] + w[:r2], z)]
+
+    def ch(self, e: list[int], f: list[int], g: list[int]) -> list[int]:
+        return [ch(self.bd, *lits) for lits in zip(e, f, g)]
+
+    def maj(self, a: list[int], b: list[int], c: list[int]) -> list[int]:
+        return [maj(self.bd, *lits) for lits in zip(a, b, c)]
+
+    def add(self, *words: list[int]) -> list[int]:
+        return word_add(self.bd, *words)
 
 
-def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list[int]]) -> list[Word]:
+class PerBitCalls:
+    """Counts the calls of the per-bit ``xor`` and ``ch`` gadgets (``maj``
+    runs both) made while it is open as a context manager.  An honest
+    statement takes every compression on the block path and makes none,
+    which the tests and ``scripts/circuit_report.py`` check with it."""
+
+    def __init__(self):
+        self.calls = 0
+        self._saved = {}
+
+    def __enter__(self):
+        module = globals()
+        for name in ("xor", "ch"):
+            gadget = self._saved[name] = module[name]
+
+            def counted(*args, gadget=gadget):
+                self.calls += 1
+                return gadget(*args)
+
+            module[name] = counted
+        return self
+
+    def __exit__(self, *exc):
+        globals().update(self._saved)
+
+
+# -- the block path ---------------------------------------------------------------
+# A word is a triple of 32-bit masks (x, v, n): the values its literals
+# hold, which literals are variables, and which are negated.  A constant
+# is ONE (n clear, x set) or ZERO (n set, x clear), and x ^ n is the
+# value of the variable under each literal (variable 0 holds 1).  A
+# fresh variable word, an addition's result, is (x, MASK, 0).
+
+_ADD_WIDTH = {count: _add_width(count) for count in (2, 4, 5)}
+_DROP = bytes.maketrans(b"01", b"\x00\x02")  # a '1' in a drop mask deletes its byte
+
+
+def _bits(value: int, width: int = WORD) -> bytes:
+    """``value``, below 2^width, as ``width`` ASCII '0'/'1' bits, least
+    significant first: the order the gadget allocates bits in."""
+    return format(value, _BITS_SPEC[width]).encode()[::-1]
+
+
+def _keep(values: bytes, drop: bytes) -> bytes:
+    """The bytes of ASCII bits ``values`` where the ASCII mask ``drop``
+    holds '0': a dropped byte becomes '2' or '3' and is deleted."""
+    code = int.from_bytes(values, "big") + int.from_bytes(drop.translate(_DROP), "big")
+    return code.to_bytes(len(values), "big").translate(None, b"23")
+
+
+def _pick(alloc_t: int, t, alloc_o: int, o) -> bytes:
+    """The bits of the variables under words t and o where ``alloc_t``
+    and ``alloc_o`` are set, interleaved bit by bit, t's bit first: the
+    order of a per-bit operation that allocates twice per bit."""
+    bits = bytearray(2 * WORD)
+    bits[0::2] = _bits(t[0] ^ t[2])
+    bits[1::2] = _bits(o[0] ^ o[2])
+    if alloc_t & alloc_o == MASK:  # nothing to drop
+        return bits
+    drop = bytearray(2 * WORD)
+    drop[0::2] = _bits(MASK ^ alloc_t)
+    drop[1::2] = _bits(MASK ^ alloc_o)
+    return _keep(bits, drop)
+
+
+def _rot(word, k: int):
+    x, v, n = word
+    return rotr(x, k), rotr(v, k), rotr(n, k)
+
+
+def _xor(a, b):
+    """xor per bit, and where it allocates: where both are variables."""
+    both = a[1] & b[1]
+    return (a[0] ^ b[0], a[1] | b[1], a[2] ^ b[2] ^ MASK ^ both), both
+
+
+def _ch(e, f, g):
+    """ch per bit, and where it allocates: where e is a variable and f, g
+    are not the same constant (the caller rules out a shared variable)."""
+    xe, ye = e[0], MASK ^ e[0]
+    (xf, vf, nf), (xg, vg, ng) = f, g
+    alloc = e[1] & (vf | vg | xf ^ xg)
+    fold = MASK ^ alloc
+    return (xe & xf | ye & xg, alloc | fold & (xe & vf | ye & vg), fold & (xe & nf | ye & ng)), alloc
+
+
+class BlockWords:
+    """The block path's word operations over masks: each appends to
+    ``out`` the bits of the variables its per-bit twin allocates, and
+    counts the booleanity and linear constraints of the additions."""
+
+    def __init__(self):
+        self.out = bytearray()
+        self.bools = self.lins = 0
+
+    @staticmethod
+    def const(value: int):
+        return value, 0, MASK ^ value
+
+    def sigma(self, word, r1: int, r2: int, k: int, shift: bool = False):
+        x, v, n = word
+        # a shift brings in ZEROs: not variables, negated
+        z = (x >> k, v >> k, (n >> k) | (MASK ^ (MASK >> k))) if shift else _rot(word, k)
+        t, alloc_t = _xor(_rot(word, r1), _rot(word, r2))
+        o, alloc_o = _xor(t, z)
+        self.out += _pick(alloc_t, t, alloc_o, o)
+        return o
+
+    def ch(self, e, f, g):
+        word, alloc = _ch(e, f, g)
+        bits = _bits(word[0])
+        self.out += bits if alloc == MASK else _keep(bits, _bits(MASK ^ alloc))
+        return word
+
+    def maj(self, a, b, c):
+        t, alloc_t = _xor(a, b)
+        word, alloc = _ch(t, c, a)
+        self.out += _pick(alloc_t, t, alloc, word)
+        return word
+
+    def add(self, *words):
+        total = 0
+        for word in words:
+            total += word[0]
+        width = _ADD_WIDTH[len(words)]
+        self.out += format(total, _BITS_SPEC[width]).encode()[::-1]
+        self.bools += width
+        self.lins += 1
+        return total & MASK, MASK, 0
+
+
+def _masks(bd: Builder, lits: list[int]):
+    """A word of literals as masks (x, v, n), or None where the builder
+    knows no value for it."""
+    v = n = 0
+    for j, b in enumerate(lits):
+        if b < 0:
+            n |= 1 << j
+            if b != ZERO:
+                v |= 1 << j
+        elif b != ONE:
+            v |= 1 << j
+    under = bd.word_value([b if b >= 0 else ~b for b in lits])
+    return None if under is None else (under ^ n, v, n)
+
+
+def _shares_a_variable(words: list[list[int]]) -> bool:
+    lits = [b for w in words for b in w if b != ONE and b != ZERO]
+    return len(set(lits)) != len(lits)
+
+
+def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list[int]]) -> list[list[int]]:
     """Synthesize one compression application.
 
     ``state`` is 8 words, ``block`` 16 words; returns the 8 output
     words.  Word bits may be constants, variables or their negations.
     """
-    state = [_word(bd, s) for s in state]
-    w = [_word(bd, m) for m in block]
-    for t in range(16, 64):
-        s0 = word_xor3(bd, word_rotr(w[t - 15], 7), word_rotr(w[t - 15], 18), word_shr(w[t - 15], 3))
-        s1 = word_xor3(bd, word_rotr(w[t - 2], 17), word_rotr(w[t - 2], 19), word_shr(w[t - 2], 10))
-        w.append(word_add(bd, w[t - 16], s0, w[t - 7], s1))
-    a, b, c, d, e, f, g, h = state
-    for t in range(64):
-        big_s1 = word_xor3(bd, word_rotr(e, 6), word_rotr(e, 11), word_rotr(e, 25))
-        ch_w = word_ch(bd, e, f, g)
-        t1 = word_add(bd, h, big_s1, ch_w, const_word(SHA256_K[t]), w[t])
-        big_s0 = word_xor3(bd, word_rotr(a, 2), word_rotr(a, 13), word_rotr(a, 22))
-        maj = word_maj(bd, a, b, c)
-        t2 = word_add(bd, big_s0, maj)
-        h, g, f = g, f, e
-        e = word_add(bd, d, t1)
-        d, c, b = c, b, a
-        a = word_add(bd, t1, t2)
-    return [word_add(bd, s, v) for s, v in zip(state, [a, b, c, d, e, f, g, h])]
+    words = None if _shares_a_variable(state) else [_masks(bd, lits) for lits in state + block]
+    if words is not None and None not in words:
+        ops = BlockWords()
+        _compress(ops, words[:8], words[8:])
+        bits = ops.out
+        start = bd.alloc_bits(bits, bools=ops.bools, lins=ops.lins, r1s=len(bits) - ops.bools)
+        if start is not None:
+            # the outputs are the low words of the last eight additions
+            width = _ADD_WIDTH[2]
+            base = start + len(bits) - 8 * width
+            return [list(range(k, k + WORD)) for k in range(base, base + 8 * width, width)]
+    return _compress(PerBitWords(bd), state, block)

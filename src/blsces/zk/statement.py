@@ -35,16 +35,8 @@ from blsces.errors import EncodingError, StatementError, ValidationError, Witnes
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
-from blsces.zk.sha256_gadget import (
-    ONE,
-    SHA256_IV,
-    ZERO,
-    const_word,
-    lit_lc,
-    sha256_compress,
-    sha256_compress_gadget,
-    sha256_pad,
-)
+from blsces.zk.sha256 import SHA256_IV, sha256_compress, sha256_pad
+from blsces.zk.sha256_gadget import ONE, ZERO, const_word, lit_lc, sha256_compress_gadget
 from blsces.zk.witness import HashToCurveWitness
 
 SHA_BITS = 256

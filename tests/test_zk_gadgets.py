@@ -13,21 +13,10 @@ from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
 from blsces.groups.params import P as BIG_P
 from blsces.zk import build_statement, hash_to_curve_witness
+from blsces.zk import sha256_gadget
 from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
-from blsces.zk.sha256_gadget import (
-    ONE,
-    SHA256_IV,
-    SHA256_K,
-    ZERO,
-    ch,
-    const_word,
-    lit_lc,
-    sha256_compress,
-    sha256_compress_gadget,
-    sha256_pad,
-    word_maj,
-    xor,
-)
+from blsces.zk.sha256 import SHA256_IV, SHA256_K, sha256_compress, sha256_pad
+from blsces.zk.sha256_gadget import ONE, ZERO, ch, const_word, lit_lc, maj, sha256_compress_gadget, xor
 
 rng = random.Random(31)
 
@@ -87,6 +76,58 @@ def test_sha_gadget_rejects_flipped_witness_bit():
     assert not bd.cs.satisfied(w)
 
 
+def mixed_words(r: random.Random, count: int, pool: list[int]) -> list[list[int]]:
+    """Words of literals drawn from ``pool``, each negated at random, and
+    of constants: all variables, all constants, or half and half."""
+    def literal(share):
+        if r.random() < share:
+            return r.choice((ONE, ZERO))
+        v = r.choice(pool)
+        return ~v if r.random() < 0.3 else v
+
+    return [[literal(share) for _ in range(32)] for share in (r.choice((0.0, 0.5, 1.0)) for _ in range(count))]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["distinct-state", "shared-state"])
+def test_block_path_matches_per_bit_on_any_literals(shared):
+    """Over state and message words mixing variables, negations and
+    constants, the prover's builder allocates the values of the
+    recording builder, which runs per bit, under its per-kind counts,
+    and the checker accepts them with those counts.  State words whose
+    variables are distinct take the block path, with no per-bit xor or
+    Ch; state words that share a variable, where Ch and Maj could fold
+    on f == g, take the per-bit path."""
+    r = random.Random(0x5A)
+    for _ in range(3):
+        bits = [r.getrandbits(1) for _ in range(300)]
+        # the same literals over variables 1..300 for every builder
+        if shared:
+            state = mixed_words(r, 8, list(range(1, 41)))
+        else:
+            # each variable literal of variable 1 becomes its own variable
+            fresh = iter(r.sample(range(1, 257), 256))
+            state = [[lit if lit in (ONE, ZERO) else (~v if lit < 0 else v) for lit in w for v in [next(fresh)]]
+                     for w in mixed_words(r, 8, [1])]
+        block = mixed_words(r, 16, list(range(257, 301)))
+        runs = []
+        for bd in (Builder(), RecordingBuilder()):
+            for b in bits:
+                bd.bit(b)
+            with sha256_gadget.PerBitCalls() as spy:
+                out = sha256_compress_gadget(bd, state, block)
+            cs = bd.cs
+            runs.append((out, list(bd.values), (len(cs.bools), len(cs.lins), len(cs.r1s)), spy.calls))
+        (out, values, counts, block_calls), (per_bit_out, per_bit_values, per_bit_counts, _) = runs
+        assert values == per_bit_values and counts == per_bit_counts and out == per_bit_out
+        assert (block_calls > 0) == shared
+        checker = CheckingBuilder(values)
+        checker.num_vars = 1 + len(bits)
+        with sha256_gadget.PerBitCalls() as spy:
+            assert sha256_compress_gadget(checker, state, block) == out
+        assert (checker.n_bools + len(bits), checker.n_lins, checker.n_r1s) == counts
+        assert checker.num_vars == len(values) and (spy.calls > 0) == shared
+
+
 # -- bit literals ------------------------------------------------------------------
 
 def literal_cases(arity: int):
@@ -108,7 +149,7 @@ CONSTANTS = (ONE, ZERO)
     [
         (2, xor, lambda a, b: a ^ b, 1, lambda a, b: a in CONSTANTS or b in CONSTANTS),
         (3, ch, lambda e, f, g: f if e else g, 1, lambda e, f, g: e in CONSTANTS or f == g),
-        (3, lambda bd, a, b, c: word_maj(bd, [a], [b], [c])[0], lambda a, b, c: int(a + b + c >= 2), 2, None),
+        (3, maj, lambda a, b, c: int(a + b + c >= 2), 2, None),
     ],
     ids=["xor", "ch", "maj"],
 )

@@ -34,7 +34,7 @@ from blsces.zk import (
 )
 from blsces.zk import backend, sha256_gadget, statement
 from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder, bit_view
-from blsces.zk.sha256_gadget import sha256_pad
+from blsces.zk.sha256 import sha256_pad
 from blsces.zk.statement import PublicInputs, _skeleton, prover_layout, public_assignment
 
 rng = random.Random(17)
@@ -188,6 +188,57 @@ def test_prover_computes_what_the_recorder_records():
     assert [cl.total_blocks for cl in layout.claims] == [2, 3]
 
 
+class PerBitBuilder(Builder):
+    """The prover's builder on its per-bit path alone."""
+
+    def word_value(self, variables):
+        return None
+
+
+def test_block_path_matches_per_bit_across_alignments():
+    """For every value length 0..63 under a one-claim policy, and a few
+    under WIDE_CEAS (block 0 hashed outside), the prover's builder, which
+    takes whole blocks, yields exactly the values and per-kind counts of
+    a per-bit builder, and the checker accepts its assignment with those
+    counts; neither makes a per-bit xor or Ch.  Between them these
+    lengths put public and secret bytes at every alignment against a
+    word, cross the 55/56-byte padding spill, and give one to three
+    in-circuit blocks."""
+    in_circuit = set()
+    for policy, filler, lengths in ((TOY_CEAS, (), range(64)), (WIDE_CEAS, FILLER, (0, 19, 20, 57, 90, 100))):
+        for n in lengths:
+            cred = Credential((Claim("h", "bio", "v" * n),) + filler)
+            wit = hash_to_curve_witness(0, cred[0], len(cred), policy, TOY)[1]
+            layout, witness = prover_layout(cred, policy, {0: wit}, (0,), None, "toy11")
+            per_bit = synthesize(layout, PerBitBuilder(), witness)
+            with sha256_gadget.PerBitCalls() as spy:
+                block = synthesize(layout, Builder(), witness)
+                checked = synthesize(layout, CheckingBuilder(block.values)).cs
+            assert block.values == per_bit.values, (policy.n, n)
+            assert sizes(block.cs) == sizes(per_bit.cs) == sizes(checked), (policy.n, n)
+            assert spy.calls == 0, (policy.n, n)
+            cl = layout.claims[0]
+            in_circuit.add(cl.total_blocks - cl.first_block)
+    assert in_circuit == {1, 2, 3}
+
+
+def test_honest_zk_range_makes_no_per_bit_calls():
+    """An honest prove and check of the benchmark's zk-range shape (BN254,
+    claims {0} and {0, 1} of three, a range predicate on claim 0) takes
+    every compression whole: no per-bit xor or Ch gadget runs."""
+    setup = zk_setup(rng=random.Random(0x2A))
+    cred = Credential((Claim("holder", "age", "42"), Claim("holder", "country", "QZ"), Claim("holder", "member", "0f1e2d3c")))
+    ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 2], [0, 1, 2]])
+    signed = ces_sign(setup.keypair.sk, cred, ceas)
+    with sha256_gadget.PerBitCalls() as spy:
+        for idxs in ({0}, {0, 1}):
+            x = ExtractionSet(frozenset(idxs))
+            proof, inputs = prove_extraction(setup.backend_params, cred, ceas, x, RangePredicate(0, 18, 65))
+            result = zk_verify(setup.backend_params, setup.keypair.pk, ces_extract(signed, x).sigma, proof, inputs)
+            assert result.accept, result.code
+    assert spy.calls == 0
+
+
 def test_prove_extraction_bytes_are_the_recorded_packing(monkeypatch):
     """A proof carries the header and the recorded synthesis's values as
     their class bytes and wide words, for one and two claims.
@@ -241,38 +292,53 @@ def test_checker_verdict_matches_satisfied():
     assert True in verdicts and False in verdicts
 
 
-def word_ops(monkeypatch, layout, witness):
-    """Synthesize with the prover's builder, recording each sha256 word
-    operation: its name, its shape, and the variables it allocated.  The
-    shape is "word" where the word path took it ("shr" for an xor3 with
-    word_shr's zeros), and "per-bit" where a folded literal sent it to
-    the per-bit path (constants, negations, f == g in Ch)."""
-    ops, taken = [], []
-    alloc_bits = Builder.alloc_bits
+# operations per compression: 48 schedule steps of sigma, sigma, add;
+# 64 rounds of sigma, ch, add, sigma, maj, add, add, add; 8 final adds
+SCHEDULE_OPS, ROUND_OPS = 48 * 3, 8
 
-    def spy_alloc(bd, bits, **counts):
-        taken.append(len(bits))
-        return alloc_bits(bd, bits, **counts)
 
-    def spy(name, fn):
-        def run(bd, *words):
-            start, before = bd.num_vars, len(taken)
-            out = fn(bd, *words)
-            shape = "per-bit" if len(taken) == before else "word"
-            if name == "word_xor3" and shape == "word" and taken[-1] < 64:
-                shape = "shr"
-            if bd.num_vars > start:
-                ops.append((name, shape, start, bd.num_vars))
+def op_kinds(monkeypatch, layout, witness):
+    """Synthesize with the recording builder, which runs every
+    compression per bit, and name the variables each sha256 word
+    operation allocates by kind: "schedule, public bytes" (a schedule
+    sigma over a word holding a public byte), "schedule, secret bytes",
+    "round, constant state" (a round's sigma, Ch or Maj over a word
+    holding a constant: the state entering the first block), "round,
+    variables", "addition" and "final add".  Returns kind -> list of
+    (start, end) variable ranges, in order."""
+    kinds: dict[str, list] = {}
+    position = []
+
+    def compress(ops, state, block):
+        position.append(0)
+        return run_compress(ops, state, block)
+
+    def spy(name, method):
+        def run(ops, *words, **kw):
+            k = position[-1]
+            position[-1] += 1
+            start = ops.bd.num_vars
+            out = method(ops, *words, **kw)
+            constant = any(min(w) <= sha256_gadget.ONE for w in words[:1 if name == "sigma" else 3])
+            if name == "add":
+                kind = "final add" if k >= SCHEDULE_OPS + 64 * ROUND_OPS else "addition"
+            elif k < SCHEDULE_OPS:
+                kind = "schedule, " + ("public bytes" if constant else "secret bytes")
+            else:
+                kind = "round, " + ("constant state" if constant else "variables")
+            if ops.bd.num_vars > start:
+                kinds.setdefault(kind, []).append((start, ops.bd.num_vars))
             return out
 
         return run
 
+    run_compress = sha256_gadget._compress
     with monkeypatch.context() as m:
-        m.setattr(Builder, "alloc_bits", spy_alloc)
-        for name in ("word_xor3", "word_ch", "word_maj", "word_add"):
-            m.setattr(sha256_gadget, name, spy(name, getattr(sha256_gadget, name)))
-        synthesize(layout, Builder(), witness)
-    return ops
+        m.setattr(sha256_gadget, "_compress", compress)
+        for name in ("sigma", "ch", "maj", "add"):
+            m.setattr(sha256_gadget.PerBitWords, name, spy(name, getattr(sha256_gadget.PerBitWords, name)))
+        res = synthesize(layout, RecordingBuilder(), witness)
+    return res, kinds
 
 
 def checker_verdict(builder, layout, values):
@@ -286,33 +352,32 @@ def checker_verdict(builder, layout, values):
 @pytest.mark.parametrize("value", ["42", "x" * 80], ids=["one-block", "two-block"])
 def test_word_path_verdicts_match_per_bit(monkeypatch, value):
     """Over a one-block and a two-block statement, mutations of variables
-    allocated by every word operation, on the word path and on the
-    per-bit one, get the same verdict from the checker as from its
-    per-bit path alone, with the same region and constraint index, and
-    the checker accepts exactly when the recorded system is satisfied.
-    Each variable is set to v ^ 1, 2, v + f, f - 1 and 256 + v, whose
-    low byte is the bit; a seeded sample mutates several variables at
-    once.  Each witness is also sent through the backend, whose parsed
-    bit view the checker uses, for the same verdict."""
+    of every kind a compression allocates (rounds over the constant
+    state, schedule words with public bytes, rounds and schedule words
+    over variables only, additions and the final additions) get the
+    same verdict from the checker, which takes whole blocks where they
+    match, as from its per-bit path alone, with the same region and
+    constraint index; the checker accepts exactly when the recorded
+    system is satisfied.  Each variable is set to v ^ 1, 2, v + f,
+    f - 1 and 256 + v, whose low byte is the bit; a seeded sample
+    mutates several variables at once.  Each witness is also sent
+    through the backend, whose parsed bit view the checker uses, for the
+    same verdict."""
     cred = Credential((Claim("h", "bio", value),))
     (_, _), wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, TOY)
     predicate = RangePredicate(0, 40, 45) if value == "42" else None
     layout, witness = prover_layout(cred, TOY_CEAS, {0: wit}, (0,), predicate, "toy11")
-    res = synthesize(layout, RecordingBuilder(), witness)
+    res, kinds = op_kinds(monkeypatch, layout, witness)
     inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
     cs, f = res.cs, res.cs.field
     index = cs.var_index()
-    ops = word_ops(monkeypatch, layout, witness)
-    classes = {}
-    for op in ops:
-        classes.setdefault(op[:2], []).append(op)
-    assert set(classes) == {
-        ("word_xor3", "word"), ("word_xor3", "shr"), ("word_xor3", "per-bit"),
-        ("word_ch", "word"), ("word_ch", "per-bit"), ("word_maj", "word"), ("word_maj", "per-bit"),
-        ("word_add", "word"),
+    assert set(kinds) == {
+        "schedule, public bytes", "schedule, secret bytes", "round, constant state", "round, variables",
+        "addition", "final add",
     }
+    assert checker_verdict(CheckingBuilder, layout, list(res.values)) is None
     # the first variable of each kind's first operation, and the last of its last
-    targets = {var for members in classes.values() for var in (members[0][2], members[-1][3] - 1)}
+    targets = {var for ranges in kinds.values() for var in (ranges[0][0], ranges[-1][1] - 1)}
     cases = [{var: res.values[var] ^ 1} for var in sorted(targets)]
     cases += [{var: v} for var in sorted(targets) for v in (2, res.values[var] + f, f - 1, 256 + res.values[var])]
     mrng = random.Random(0x30D)
@@ -665,8 +730,8 @@ def test_parse_any_bytes_ends_in_encoding_error_or_a_parse(data):
 def test_backend_witness_cap_boundary():
     """A witness of exactly the cap parses, with its class bytes as its
     bit classes; one value more is too large, and is refused before any
-    list of its values is built (8 bytes a value): the refusal holds no
-    more than one copy of the body."""
+    list of its values is built (8 bytes a value) and before any copy of
+    the body: the refusal allocates less than 64 KB."""
     cap = backend.MAX_WITNESS_VALUES
     at_cap = Proof(TOY_HEADER + b"\n11" + b"0" * (cap - 3) + b"2\n" + (7).to_bytes(32, "big"))
     layout, values = TRANSPARENT_BACKEND.parse(at_cap)
@@ -680,7 +745,7 @@ def test_backend_witness_cap_boundary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < len(over.data) + (1 << 16), peak
+    assert peak < (1 << 16), peak
 
 
 @pytest.mark.parametrize(
