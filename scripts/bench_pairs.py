@@ -8,9 +8,14 @@
 seed, alternating which of the two goes first, and appends one JSON line
 per run: the label, workload, seed, exit status, and perfbench's run
 record and result line.  ``summarize`` reads such files and writes, per
-workload and metric, the parent and change medians, the parent's
-quartiles, the change's share of pairs it won and the relative change,
-with the pair count, the seeds and the machine line.
+workload and metric, the parent and change medians over the pairs in
+which both runs printed a result, the parent's quartiles, the change's
+share of pairs it won, the relative change, the metric's bound from
+``BENCHMARK.json`` with whether the change is worse than that, and
+whether a gain would hold (9 of 10 pairs won, and a median gap wider
+than the parent's quartile spread).  It also writes the pair count, the
+seeds, any run that failed (label, seed and exit status), and the run
+length and machine line read from the run records.
 """
 
 from __future__ import annotations
@@ -56,48 +61,68 @@ def _quartiles(xs):
     return [q[0], q[2]]
 
 
+def _run_ok(run) -> bool:
+    return run["exit"] == 0 and bool(run["result"]) and run["result"]["correct"]
+
+
+def _metric(name, decl, pairs):
+    """Medians, quartiles and verdicts of one end-to-end metric over the
+    complete pairs: whether the change is worse than the parent by more
+    than the metric's bound, and whether a gain would hold (the change
+    wins at least 9 of 10 pairs, and its median beats the parent's by more
+    than the parent's quartile spread)."""
+    vals = {label: [p[label]["result"]["metrics"][name]["value"] for p in pairs] for label in LABELS}
+    sign = 1 if decl["better"] == "higher" else -1
+    wins = sum(1 for a, b in zip(vals["parent"], vals["change"]) if sign * (b - a) > 0)
+    med = {label: statistics.median(vals[label]) for label in LABELS}
+    quartiles = _quartiles(vals["parent"])
+    relative = (med["change"] / med["parent"] - 1) if med["parent"] else None
+    return {
+        "unit": pairs[0]["parent"]["result"]["metrics"][name]["unit"],
+        "better": decl["better"],
+        "bound": decl["bound"],
+        "parent_median": med["parent"],
+        "change_median": med["change"],
+        "parent_quartiles": quartiles,
+        "relative_change": relative,
+        "change_wins": f"{wins}/{len(pairs)}",
+        "worse_than_bound": relative is not None and -sign * relative > decl["bound"],
+        "gain_holds": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+        and sign * (med["change"] - med["parent"]) > quartiles[1] - quartiles[0],
+    }
+
+
 def summarize(args) -> int:
     runs = [json.loads(line) for path in args.files for line in open(path) if line.strip()]
     by = defaultdict(dict)  # (workload, seed) -> label -> run
     for r in runs:
         by[(r["workload"], r["seed"])][r["label"]] = r
-    better = {}
     bench = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
-    for m in json.loads(bench.read_text())["end_to_end"]:
-        better[m["name"]] = m["better"]
+    decls = {m["name"]: m for m in json.loads(bench.read_text())["end_to_end"]}
+    records = [r["record"] for r in runs if r["record"]]
+    machines = sorted({f"{rec.get('nproc')} CPUs, Python {rec.get('python')}" for rec in records})
+    seconds = sorted({rec["seconds"] for rec in records})
     workloads = {}
-    machines = set()
     for workload in sorted({w for w, _ in by}):
-        pairs = [by[key] for key in sorted(by) if key[0] == workload and set(by[key]) == set(LABELS)]
-        seeds = [p["parent"]["seed"] for p in pairs]
-        entry = {"pairs": len(pairs), "seeds": seeds, "correct": all(
-            p[label]["exit"] == 0 and p[label]["result"] and p[label]["result"]["correct"]
-            for p in pairs for label in LABELS
-        ), "metrics": {}}
-        for p in pairs:
-            for label in LABELS:
-                rec = p[label]["record"] or {}
-                machines.add(f"{rec.get('nproc')} CPUs, Python {rec.get('python')}")
-        for name, sense in better.items():
-            vals = {label: [p[label]["result"]["metrics"][name]["value"] for p in pairs] for label in LABELS}
-            unit = pairs[0]["parent"]["result"]["metrics"][name]["unit"]
-            sign = 1 if sense == "higher" else -1
-            wins = sum(1 for a, b in zip(vals["parent"], vals["change"]) if sign * (b - a) > 0)
-            med = {label: statistics.median(vals[label]) for label in LABELS}
-            entry["metrics"][name] = {
-                "unit": unit,
-                "better": sense,
-                "parent_median": med["parent"],
-                "change_median": med["change"],
-                "parent_quartiles": _quartiles(vals["parent"]),
-                "relative_change": (med["change"] / med["parent"] - 1) if med["parent"] else None,
-                "change_wins": f"{wins}/{len(pairs)}",
-            }
+        keyed = [by[key] for key in sorted(by) if key[0] == workload and set(by[key]) == set(LABELS)]
+        failed = [
+            {"label": label, "seed": p[label]["seed"], "exit": p[label]["exit"]}
+            for p in keyed for label in LABELS if not _run_ok(p[label])
+        ]
+        pairs = [p for p in keyed if all(p[label]["result"] for label in LABELS)]
+        entry = {
+            "pairs": len(pairs),
+            "seeds": [p["parent"]["seed"] for p in pairs],
+            "correct": not failed,
+            "metrics": {name: _metric(name, decl, pairs) for name, decl in decls.items()} if pairs else {},
+        }
+        if failed:
+            entry["failed_runs"] = failed
         workloads[workload] = entry
     doc = {
         "command": "perfbench/run.py --trace 0, alternating parent/change pairs",
-        "seconds": args.seconds,
-        "machine": sorted(machines),
+        "seconds": seconds[0] if len(seconds) == 1 else seconds,
+        "machine": machines,
         "workloads": workloads,
     }
     Path(args.write).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -117,7 +142,6 @@ def main() -> int:
     r.add_argument("--out", required=True)
     s = sub.add_parser("summarize")
     s.add_argument("files", nargs="+")
-    s.add_argument("--seconds", type=float, default=30)
     s.add_argument("--write", required=True)
     args = parser.parse_args()
     return run(args) if args.cmd == "run" else summarize(args)

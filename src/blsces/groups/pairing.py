@@ -1,11 +1,12 @@
 """Optimized ate pairing on BN254.
 
-The Miller loop runs over the NAF of 6u+2 with the G2 point kept in
-affine twist coordinates.  All G2-side work (slopes and intercepts of
-every tangent/chord line) depends only on Q, so it is precomputed once
-per Q and cached; evaluating a pairing against a fixed key or the group
-generator then costs two Fp multiplications per line plus the sparse
-Fp12 updates.
+The Miller loop runs over the NAF of 6u+2 with lines in affine twist
+coordinates.  All G2-side work (slopes and intercepts of every
+tangent/chord line) depends only on Q, so it is precomputed once per Q
+and cached; ``G2Precomp`` walks Q's multiples in Jacobian coordinates
+and shares one inversion among all 88 lines.  Evaluating a pairing
+against a fixed key or the group generator then costs two Fp
+multiplications per line plus the sparse Fp12 updates.
 
 A product of pairings runs the Miller loops of all its pairs in
 lockstep: one Fp12 squaring per loop step serves every pair, so each
@@ -24,12 +25,10 @@ from functools import lru_cache
 
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, P, R
-from blsces.groups.points import G1Point, G2Point, check_g1, check_g2, g2_psi
+from blsces.groups.points import G1Point, G2Point, _j2_double, _j2_madd, check_g1, check_g2, g2_psi
 from blsces.groups.tower import (
     FP12_ONE,
-    fp2_inv,
     fp2_mul,
-    fp2_neg,
     fp2_pow,
     fp2_smul,
     fp2_sqr,
@@ -79,52 +78,103 @@ class GtElement:
 GT_IDENTITY = GtElement(FP12_ONE)
 
 
-def _line_through(x1, y1, x2, y2):
-    """Slope and intercept data of the chord/tangent, plus the new point."""
-    if x1 == x2:
-        if y1 != y2:
-            raise ArithmeticError("degenerate vertical line in Miller loop")
-        num = fp2_smul(fp2_sqr(x1), 3)
-        den = fp2_smul(y1, 2)
-    else:
-        num = fp2_sub(y2, y1)
-        den = fp2_sub(x2, x1)
-    lam = fp2_mul(num, fp2_inv(den))
-    x3 = fp2_sub(fp2_sub(fp2_sqr(lam), x1), x2)
-    y3 = fp2_sub(fp2_mul(lam, fp2_sub(x1, x3)), y1)
-    c = fp2_sub(fp2_mul(lam, x1), y1)
-    return (lam, c), (x3, y3)
+def _tangent_num(t):
+    """Slope numerator 3X^2 of the tangent at the Jacobian T = (X, Y, Z);
+    the slope is 3X^2 / (2YZ), and 2YZ is the Z that _j2_double gives 2T."""
+    x0, x1 = t[0], t[1]
+    return (3 * (x0 + x1) * (x0 - x1) % P, 6 * x0 * x1 % P)
+
+
+def _chord_num(t, a):
+    """Slope numerator 2(y*Z^3 - Y) of the chord from the Jacobian
+    T = (X, Y, Z) to the affine A = (x, y); the slope is that over 2ZH with
+    H = x*Z^2 - X, which is the Z that _j2_madd gives T + A.  H = 0 means
+    A = T or -T, which the walk of a point of order r never meets."""
+    x0, x1, y0, y1, z0, z1 = t
+    zz = fp2_sqr((z0, z1))
+    if fp2_mul((a[0], a[1]), zz) == (x0, x1):
+        raise ArithmeticError("degenerate line in Miller loop")
+    s = fp2_mul((a[2], a[3]), fp2_mul(zz, (z0, z1)))
+    return ((s[0] - y0) * 2 % P, (s[1] - y1) * 2 % P)
+
+
+def _batch_inv(zs):
+    """Inverses of the Fp2 elements zs: 1/z = conj(z)/N(z) with the norms
+    N(z) = z0^2 + z1^2 in Fp inverted together by Montgomery's trick.  A
+    zero z means T reached the identity, where a line is vertical."""
+    norms = [(z0 * z0 + z1 * z1) % P for z0, z1 in zs]
+    prefix = []
+    acc = 1
+    for n in norms:
+        prefix.append(acc)
+        acc = acc * n % P
+    if acc == 0:
+        raise ArithmeticError("degenerate vertical line in Miller loop")
+    inv = pow(acc, -1, P)
+    out = [None] * len(zs)
+    for i in range(len(zs) - 1, -1, -1):
+        ni = inv * prefix[i] % P
+        inv = inv * norms[i] % P
+        z0, z1 = zs[i]
+        out[i] = (z0 * ni % P, -z1 * ni % P)
+    return out
 
 
 class G2Precomp:
     """Per-Q line data for the Miller loop: one (slope, intercept) pair per
     doubling step, optionally one per NAF addition, and the two Frobenius
-    addition lines at the end."""
+    addition lines at the end.
+
+    T walks the loop in Jacobian coordinates (points._j2_double and
+    _j2_madd), and each line keeps its slope's numerator over the Z of the
+    point its step makes.  Every Z of the walk is then inverted at once
+    (Montgomery's trick), so a key costs one inversion.  A line's slope
+    lam is its numerator times that inverse, and its intercept is
+    c = lam*x - y at the affine point it passes through: T before a
+    doubling, from the inverse of T's Z, and the added point of a chord.
+    """
 
     __slots__ = ("steps", "tail")
 
     def __init__(self, q: G2Point):
         if q.infinity:
             raise OffCurveError("cannot precompute lines for the identity")
-        x_q, y_q = q.x, q.y
-        neg_y_q = fp2_neg(y_q)
-        t = (x_q, y_q)
-        steps = []
-        for i in range(len(_ATE_NAF) - 2, -1, -1):
-            dbl, t = _line_through(t[0], t[1], t[0], t[1])
-            add = None
-            d = _ATE_NAF[i]
-            if d == 1:
-                add, t = _line_through(t[0], t[1], x_q, y_q)
-            elif d == -1:
-                add, t = _line_through(t[0], t[1], x_q, neg_y_q)
-            steps.append((dbl, add))
+        (x0, x1), (y0, y1) = q.x, q.y
+        plus = (x0, x1, y0, y1)
+        minus = (x0, x1, -y0 % P, -y1 % P)
         q1 = g2_psi(q)
-        q2neg = (fp2_smul(x_q, TW_FROB2_X[0]), y_q)
-        l1, t = _line_through(t[0], t[1], q1.x, q1.y)
-        l2, _ = _line_through(t[0], t[1], q2neg[0], q2neg[1])
-        self.steps = steps
-        self.tail = (l1, l2)
+        q2neg = (x0 * TW_FROB2_X[0] % P, x1 * TW_FROB2_X[0] % P, y0, y1)
+        t = (x0, x1, y0, y1, 1, 0)
+        walk = [t]  # T before each line, and after the last
+        lines = []  # (slope numerator, affine point the line passes through)
+        for d in reversed(_ATE_NAF[:-1]):
+            lines.append((_tangent_num(t), None))
+            t = _j2_double(t)
+            walk.append(t)
+            if d:
+                a = plus if d == 1 else minus
+                lines.append((_chord_num(t, a), a))
+                t = _j2_madd(t, a)
+                walk.append(t)
+        for a in ((*q1.x, *q1.y), q2neg):
+            lines.append((_chord_num(t, a), a))
+            t = _j2_madd(t, a)
+            walk.append(t)
+        zinv = _batch_inv([(z0, z1) for _, _, _, _, z0, z1 in walk])
+        out = []
+        for k, (num, a) in enumerate(lines):
+            lam = fp2_mul(num, zinv[k + 1])
+            if a is None:
+                x0, x1, y0, y1, _, _ = walk[k]
+                zi = zinv[k]
+                zi2 = fp2_sqr(zi)
+                x, y = fp2_mul((x0, x1), zi2), fp2_mul((y0, y1), fp2_mul(zi2, zi))
+            else:
+                x, y = (a[0], a[1]), (a[2], a[3])
+            out.append((lam, fp2_sub(fp2_mul(lam, x), y)))
+        it = iter(out)
+        self.steps = [(next(it), next(it) if d else None) for d in reversed(_ATE_NAF[:-1])]
+        self.tail = (next(it), next(it))
 
 
 @lru_cache(maxsize=32)

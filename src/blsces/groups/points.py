@@ -16,6 +16,15 @@ tables of the odd multiples P, 3P, ..., 15P that share one inversion.
 The split is sound only for points of G1; with cofactor 1 that is every
 point on the curve, so an on-curve input (``check_g1``) is the
 precondition.
+
+G2 has no such shortcut that holds off the subgroup, and ``g2_mul`` must
+be right there too (``check_g2`` is judged against a literal [R]Q), so
+it runs the NAF of k, one Jacobian doubling per digit and one mixed
+addition of Q or -Q per nonzero digit, and inverts once at the end.
+``check_g2`` stays in Jacobian coordinates throughout: it applies psi to
+them directly and compares its two sums by cross-multiplying, so a key
+check costs no inversion.  ``pairing.G2Precomp`` walks the Miller loop
+with the same doubling and mixed-addition kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from dataclasses import dataclass
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, CURVE_B, G1_GENERATOR, G2_GENERATOR, P, R
 from blsces.groups.tower import (
-    FP2_ONE,
     FP2_ZERO,
     XI,
     fp2_add,
@@ -144,17 +152,17 @@ def check_g2(pt: G2Point) -> G2Point:
     psi^3([2u]Q) (El Housni, Guillevic and Piellard, "Co-factor clearing
     and subgroup membership testing on pairing-friendly curves",
     AFRICACRYPT 2022): one scalar multiplication by the 63-bit u where
-    [r]Q = O takes a 254-bit one.
+    [r]Q = O takes a 254-bit one.  [u]Q, its images under psi and both
+    sums stay Jacobian, and the sums are compared by cross-multiplying.
     """
     if not g2_on_curve(pt):
         raise OffCurveError("G2 point fails twist curve equation")
     if not pt.infinity:
-        uq = g2_mul(pt, BN_U)
-        psi_uq = g2_psi(uq)
-        psi2_uq = g2_psi(psi_uq)
-        psi3_uq = g2_psi(psi2_uq)
-        lhs = g2_add(g2_add(pt, uq), g2_add(psi_uq, psi2_uq))
-        if lhs != g2_add(psi3_uq, psi3_uq):
+        uq = _j2_mul(pt, BN_U)
+        psi_uq = _j2_psi(uq)
+        psi2_uq = _j2_psi(psi_uq)
+        lhs = _j2_add(_j2_madd(uq, (*pt.x, *pt.y)), _j2_add(psi_uq, psi2_uq))
+        if not _j2_eq(lhs, _j2_double(_j2_psi(psi2_uq))):
             raise OffCurveError("G2 point outside the order-r subgroup")
     return pt
 
@@ -349,49 +357,117 @@ def g1_mul(pt: G1Point, k: int) -> G1Point:
 # ---------------------------------------------------------------------------
 # Jacobian G2 over Fp2
 # ---------------------------------------------------------------------------
+# A Jacobian G2 point is the flat tuple (x0, x1, y0, y1, z0, z1) of its
+# three Fp2 coordinates, and an affine one (x0, x1, y0, y1).  The kernels
+# are written out over these Fp coordinates, as the G1 ones are.
 
-_J2_INF = (FP2_ONE, FP2_ONE, FP2_ZERO)
-
-
-def _j2_from(pt: G2Point):
-    return _J2_INF if pt.infinity else (pt.x, pt.y, FP2_ONE)
+_J2_INF = (1, 0, 1, 0, 0, 0)
 
 
 def _j2_to(j) -> G2Point:
-    x, y, z = j
-    if z == FP2_ZERO:
+    x0, x1, y0, y1, z0, z1 = j
+    if not (z0 or z1):
         return G2_IDENTITY
-    zi = fp2_inv(z)
+    zi = fp2_inv((z0, z1))
     zi2 = fp2_sqr(zi)
-    return G2Point(fp2_mul(x, zi2), fp2_mul(fp2_mul(y, zi2), zi))
+    return G2Point(fp2_mul((x0, x1), zi2), fp2_mul(fp2_mul((y0, y1), zi2), zi))
 
 
 def _j2_double(pt):
-    x1, y1, z1 = pt
-    if z1 == FP2_ZERO:
+    x0, x1, y0, y1, z0, z1 = pt
+    if not (z0 or z1):
         return pt
-    if y1 == FP2_ZERO:
+    if not (y0 or y1):
         return _J2_INF
-    a = fp2_sqr(x1)
-    b = fp2_sqr(y1)
-    c = fp2_sqr(b)
-    t = fp2_sqr(fp2_add(x1, b))
-    d = fp2_smul(fp2_sub(fp2_sub(t, a), c), 2)
-    e = fp2_smul(a, 3)
-    f = fp2_sqr(e)
-    x3 = fp2_sub(f, fp2_smul(d, 2))
-    y3 = fp2_sub(fp2_mul(e, fp2_sub(d, x3)), fp2_smul(c, 8))
-    z3 = fp2_smul(fp2_mul(y1, z1), 2)
-    return (x3, y3, z3)
+    # dbl-2009-l as in _j1_double, with d = 4*x*b taken directly.
+    b0 = (y0 + y1) * (y0 - y1) % P
+    b1 = 2 * y0 * y1 % P
+    t0 = x0 * b0
+    t1 = x1 * b1
+    d0 = 4 * (t0 - t1) % P
+    d1 = 4 * ((x0 + x1) * (b0 + b1) - t0 - t1) % P
+    e0 = 3 * (x0 + x1) * (x0 - x1) % P
+    e1 = 6 * x0 * x1 % P
+    x30 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P
+    x31 = (2 * e0 * e1 - 2 * d1) % P
+    f0 = d0 - x30
+    f1 = d1 - x31
+    t0 = e0 * f0
+    t1 = e1 * f1
+    y30 = (t0 - t1 - 8 * (b0 + b1) * (b0 - b1)) % P
+    y31 = ((e0 + e1) * (f0 + f1) - t0 - t1 - 16 * b0 * b1) % P
+    t0 = y0 * z0
+    t1 = y1 * z1
+    z30 = 2 * (t0 - t1) % P
+    z31 = 2 * ((y0 + y1) * (z0 + z1) - t0 - t1) % P
+    return (x30, x31, y30, y31, z30, z31)
+
+
+def _j2_madd(p, q):
+    """Jacobian p plus affine q, as _j1_madd."""
+    x0, x1, y0, y1, z0, z1 = p
+    qx0, qx1, qy0, qy1 = q
+    if not (z0 or z1):
+        return (qx0, qx1, qy0, qy1, 1, 0)
+    zz0 = (z0 + z1) * (z0 - z1) % P
+    zz1 = 2 * z0 * z1 % P
+    t0 = qx0 * zz0
+    t1 = qx1 * zz1
+    u0 = (t0 - t1) % P
+    u1 = ((qx0 + qx1) * (zz0 + zz1) - t0 - t1) % P
+    t0 = z0 * zz0
+    t1 = z1 * zz1
+    w0 = (t0 - t1) % P
+    w1 = ((z0 + z1) * (zz0 + zz1) - t0 - t1) % P
+    t0 = qy0 * w0
+    t1 = qy1 * w1
+    s0 = (t0 - t1) % P
+    s1 = ((qy0 + qy1) * (w0 + w1) - t0 - t1) % P
+    if u0 == x0 and u1 == x1:
+        if s0 != y0 or s1 != y1:
+            return _J2_INF
+        return _j2_double(p)
+    # madd-2007-bl; h and r stay unreduced, as every expression using
+    # them is reduced.
+    h0 = u0 - x0
+    h1 = u1 - x1
+    i0 = 4 * (h0 + h1) * (h0 - h1) % P
+    i1 = 8 * h0 * h1 % P
+    t0 = h0 * i0
+    t1 = h1 * i1
+    j0 = (t0 - t1) % P
+    j1 = ((h0 + h1) * (i0 + i1) - t0 - t1) % P
+    r0 = 2 * (s0 - y0)
+    r1 = 2 * (s1 - y1)
+    t0 = x0 * i0
+    t1 = x1 * i1
+    v0 = (t0 - t1) % P
+    v1 = ((x0 + x1) * (i0 + i1) - t0 - t1) % P
+    x30 = ((r0 + r1) * (r0 - r1) - j0 - 2 * v0) % P
+    x31 = (2 * r0 * r1 - j1 - 2 * v1) % P
+    f0 = v0 - x30
+    f1 = v1 - x31
+    t0 = r0 * f0
+    t1 = r1 * f1
+    g0 = y0 * j0
+    g1 = y1 * j1
+    y30 = (t0 - t1 - 2 * (g0 - g1)) % P
+    y31 = ((r0 + r1) * (f0 + f1) - t0 - t1 - 2 * ((y0 + y1) * (j0 + j1) - g0 - g1)) % P
+    t0 = z0 * h0
+    t1 = z1 * h1
+    z30 = 2 * (t0 - t1) % P
+    z31 = 2 * ((z0 + z1) * (h0 + h1) - t0 - t1) % P
+    return (x30, x31, y30, y31, z30, z31)
 
 
 def _j2_add(p, q):
-    x1, y1, z1 = p
-    x2, y2, z2 = q
-    if z1 == FP2_ZERO:
+    """Sum of two Jacobian points (add-2007-bl)."""
+    if not (p[4] or p[5]):
         return q
-    if z2 == FP2_ZERO:
+    if not (q[4] or q[5]):
         return p
+    x1, y1, z1 = (p[0], p[1]), (p[2], p[3]), (p[4], p[5])
+    x2, y2, z2 = (q[0], q[1]), (q[2], q[3]), (q[4], q[5])
     z1z1 = fp2_sqr(z1)
     z2z2 = fp2_sqr(z2)
     u1 = fp2_mul(x1, z2z2)
@@ -410,11 +486,58 @@ def _j2_add(p, q):
     x3 = fp2_sub(fp2_sub(fp2_sqr(r), j), fp2_smul(v, 2))
     y3 = fp2_sub(fp2_mul(r, fp2_sub(v, x3)), fp2_smul(fp2_mul(s1, j), 2))
     z3 = fp2_mul(fp2_sub(fp2_sub(fp2_sqr(fp2_add(z1, z2)), z1z1), z2z2), h)
-    return (x3, y3, z3)
+    return (*x3, *y3, *z3)
+
+
+def _j2_psi(pt):
+    """psi on Jacobian coordinates: conjugate X, Y and Z, then scale X by
+    TW_FROB_X and Y by TW_FROB_Y (Z enters the affine x and y squared and
+    cubed, and conjugation commutes with both)."""
+    x0, x1, y0, y1, z0, z1 = pt
+    a0, a1 = TW_FROB_X
+    b0, b1 = TW_FROB_Y
+    return (
+        (x0 * a0 + x1 * a1) % P, (x0 * a1 - x1 * a0) % P,
+        (y0 * b0 + y1 * b1) % P, (y0 * b1 - y1 * b0) % P,
+        z0, -z1 % P,
+    )
+
+
+def _j2_eq(p, q) -> bool:
+    """Whether two Jacobian points are the same point, by cross-multiplying."""
+    p_inf, q_inf = not (p[4] or p[5]), not (q[4] or q[5])
+    if p_inf or q_inf:
+        return p_inf and q_inf
+    z1, z2 = (p[4], p[5]), (q[4], q[5])
+    z1z1, z2z2 = fp2_sqr(z1), fp2_sqr(z2)
+    if fp2_mul((p[0], p[1]), z2z2) != fp2_mul((q[0], q[1]), z1z1):
+        return False
+    return fp2_mul((p[2], p[3]), fp2_mul(z2z2, z2)) == fp2_mul((q[2], q[3]), fp2_mul(z1z1, z1))
+
+
+def _j2_mul(pt: G2Point, k: int):
+    """[k]pt in Jacobian coordinates for k > 0 and pt not the identity:
+    the NAF of k, one mixed addition of pt or -pt per nonzero digit."""
+    (x0, x1), (y0, y1) = pt.x, pt.y
+    plus = (x0, x1, y0, y1)
+    minus = (x0, x1, -y0 % P, -y1 % P)
+    digits = wnaf(k, 2)
+    acc = (x0, x1, y0, y1, 1, 0)  # the top digit is 1
+    for d in reversed(digits[:-1]):
+        acc = _j2_double(acc)
+        if d == 1:
+            acc = _j2_madd(acc, plus)
+        elif d == -1:
+            acc = _j2_madd(acc, minus)
+    return acc
 
 
 def g2_add(a: G2Point, b: G2Point) -> G2Point:
-    return _j2_to(_j2_add(_j2_from(a), _j2_from(b)))
+    if b.infinity:
+        return a
+    if a.infinity:
+        return b
+    return _j2_to(_j2_madd((*a.x, *a.y, 1, 0), (*b.x, *b.y)))
 
 
 def g2_mul(pt: G2Point, k: int) -> G2Point:
@@ -425,10 +548,4 @@ def g2_mul(pt: G2Point, k: int) -> G2Point:
         return g2_mul(-pt, -k)
     if k == 0 or pt.infinity:
         return G2_IDENTITY
-    acc = _J2_INF
-    base = _j2_from(pt)
-    for bit in bin(k)[2:]:
-        acc = _j2_double(acc)
-        if bit == "1":
-            acc = _j2_add(acc, base)
-    return _j2_to(acc)
+    return _j2_to(_j2_mul(pt, k))

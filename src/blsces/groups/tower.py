@@ -294,20 +294,6 @@ def fp12_pow(a, e):
     return out
 
 
-def _fp4_sqr(a, b):
-    """Square a + b*s in Fp4 = Fp2[s]/(s^2 - XI); returns the unreduced
-    integer coefficients of (a^2 + XI*b^2) + 2ab*s."""
-    a0, a1 = a
-    b0, b1 = b
-    aa0 = (a0 + a1) * (a0 - a1)
-    aa1 = 2 * a0 * a1
-    bb0 = (b0 + b1) * (b0 - b1)
-    bb1 = 2 * b0 * b1
-    ab0 = a0 * b0 - a1 * b1
-    ab1 = a0 * b1 + a1 * b0
-    return aa0 + 9 * bb0 - bb1, aa1 + 9 * bb1 + bb0, 2 * ab0, 2 * ab1
-
-
 def fp12_cyclotomic_sqr(a):
     """Granger-Scott squaring, valid only in the cyclotomic subgroup.
 
@@ -316,26 +302,57 @@ def fp12_cyclotomic_sqr(a):
     not a^2.  Writing a = A + B*w + C*w^2 with A, B, C in Fp4 and
     w^3 = s, the square is (3A^2 - 2conj(A)) + (3s*C^2 + 2conj(B))*w
     + (3B^2 - 2conj(C))*w^2: three Fp4 squarings instead of a full Fp12
-    one (Granger and Scott, PKC 2010).
+    one (Granger and Scott, PKC 2010).  Each Fp4 square
+    (x + y*s)^2 = (x^2 + XI*y^2) + ((x + y)^2 - x^2 - y^2)*s takes three
+    Fp2 squarings of two integer products each.
     """
-    (g0, g1, g2), (h0, h1, h2) = a
-    # A = g0 + h1*s, B = h0 + g2*s, C = g1 + h2*s.
-    t0, t1, t2, t3 = _fp4_sqr(g0, h1)
-    u0, u1, u2, u3 = _fp4_sqr(h0, g2)
-    v0, v1, v2, v3 = _fp4_sqr(g1, h2)
+    ((a0, a1), (a2, a3), (a4, a5)), ((a6, a7), (a8, a9), (a10, a11)) = a
+    # A = g0 + h1*s = (a0 + a1 i) + (a8 + a9 i)s
+    xx0 = (a0 + a1) * (a0 - a1)
+    xx1 = 2 * a0 * a1
+    yy0 = (a8 + a9) * (a8 - a9)
+    yy1 = 2 * a8 * a9
+    s0 = a0 + a8
+    s1 = a1 + a9
+    t0 = xx0 + 9 * yy0 - yy1
+    t1 = xx1 + 9 * yy1 + yy0
+    t2 = (s0 + s1) * (s0 - s1) - xx0 - yy0
+    t3 = 2 * s0 * s1 - xx1 - yy1
+    # B = h0 + g2*s = (a6 + a7 i) + (a4 + a5 i)s
+    xx0 = (a6 + a7) * (a6 - a7)
+    xx1 = 2 * a6 * a7
+    yy0 = (a4 + a5) * (a4 - a5)
+    yy1 = 2 * a4 * a5
+    s0 = a6 + a4
+    s1 = a7 + a5
+    u0 = xx0 + 9 * yy0 - yy1
+    u1 = xx1 + 9 * yy1 + yy0
+    u2 = (s0 + s1) * (s0 - s1) - xx0 - yy0
+    u3 = 2 * s0 * s1 - xx1 - yy1
+    # C = g1 + h2*s = (a2 + a3 i) + (a10 + a11 i)s
+    xx0 = (a2 + a3) * (a2 - a3)
+    xx1 = 2 * a2 * a3
+    yy0 = (a10 + a11) * (a10 - a11)
+    yy1 = 2 * a10 * a11
+    s0 = a2 + a10
+    s1 = a3 + a11
+    v0 = xx0 + 9 * yy0 - yy1
+    v1 = xx1 + 9 * yy1 + yy0
+    v2 = (s0 + s1) * (s0 - s1) - xx0 - yy0
+    v3 = 2 * s0 * s1 - xx1 - yy1
     # s*C^2 = XI*(C^2)_1 + (C^2)_0*s
     sv0 = 9 * v2 - v3
     sv1 = 9 * v3 + v2
     return (
         (
-            ((3 * t0 - 2 * g0[0]) % P, (3 * t1 - 2 * g0[1]) % P),
-            ((3 * u0 - 2 * g1[0]) % P, (3 * u1 - 2 * g1[1]) % P),
-            ((3 * v0 - 2 * g2[0]) % P, (3 * v1 - 2 * g2[1]) % P),
+            ((3 * t0 - 2 * a0) % P, (3 * t1 - 2 * a1) % P),
+            ((3 * u0 - 2 * a2) % P, (3 * u1 - 2 * a3) % P),
+            ((3 * v0 - 2 * a4) % P, (3 * v1 - 2 * a5) % P),
         ),
         (
-            ((3 * sv0 + 2 * h0[0]) % P, (3 * sv1 + 2 * h0[1]) % P),
-            ((3 * t2 + 2 * h1[0]) % P, (3 * t3 + 2 * h1[1]) % P),
-            ((3 * u2 + 2 * h2[0]) % P, (3 * u3 + 2 * h2[1]) % P),
+            ((3 * sv0 + 2 * a6) % P, (3 * sv1 + 2 * a7) % P),
+            ((3 * t2 + 2 * a8) % P, (3 * t3 + 2 * a9) % P),
+            ((3 * u2 + 2 * a10) % P, (3 * u3 + 2 * a11) % P),
         ),
     )
 
@@ -343,17 +360,27 @@ def fp12_cyclotomic_sqr(a):
 def fp12_cyclotomic_pow(a, e):
     """a^e for a in the cyclotomic subgroup and e >= 0.
 
-    Uses the NAF of e: conjugation inverts in that subgroup, so a
-    negative digit costs the same multiplication as a positive one.
+    Uses the width-4 NAF of e over a table of a, a^3, a^5 and a^7;
+    conjugation inverts in that subgroup, so a negative digit reads the
+    conjugate of its entry.  The power starts from the top digit's entry,
+    so e = BN_U, with 14 nonzero digits, costs 62 squarings and 16
+    multiplications (3 for the table).
     """
-    out = FP12_ONE
-    a_inv = fp12_conj(a)
-    for digit in reversed(wnaf(e, 2)):
+    if e == 0:
+        return FP12_ONE
+    a2 = fp12_cyclotomic_sqr(a)
+    table = [None] * 16
+    table[1] = a
+    for d in (3, 5, 7):
+        table[d] = fp12_mul(table[d - 2], a2)
+    for d in (1, 3, 5, 7):
+        table[-d] = fp12_conj(table[d])
+    digits = wnaf(e, 4)
+    out = table[digits[-1]]
+    for d in reversed(digits[:-1]):
         out = fp12_cyclotomic_sqr(out)
-        if digit == 1:
-            out = fp12_mul(out, a)
-        elif digit == -1:
-            out = fp12_mul(out, a_inv)
+        if d:
+            out = fp12_mul(out, table[d])
     return out
 
 

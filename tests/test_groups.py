@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naive_pairing import _neg as naive_neg, _padd as naive_padd, lift_g2
 from blsces import bls
 from blsces.errors import EncodingError, OffCurveError
 from blsces.groups import (
@@ -200,6 +201,36 @@ def test_g2_endomorphism_check_matches_literal():
         assert g2_mul(q, R).is_identity() and _passes_check_g2(q)
     for q in non_members:
         assert not g2_mul(q, R).is_identity() and not _passes_check_g2(q)
+
+
+def _naive_g2_mul(q, k):
+    """[k]q by double-and-add over the naive oracle's untwisted affine
+    points in E(Fp12), sharing no formula with g2_mul; None is O."""
+    base = lift_g2((q.x, q.y))
+    if k < 0:
+        base, k = (base[0], naive_neg(base[1])), -k
+    acc = None
+    for bit in bin(k)[2:]:
+        if acc is not None:
+            acc = naive_padd(acc, acc)
+        if bit == "1":
+            acc = naive_padd(acc, base)
+    return acc
+
+
+def test_g2_mul_matches_naive_oracle():
+    """g2_mul against the naive oracle, on members and non-members of G2
+    and on scalars around R, where a non-member's [k]Q and [k mod R]Q
+    differ."""
+    rng = random.Random(7)
+    points = [G2_GEN, *(g2_mul(G2_GEN, rng.randrange(1, R)) for _ in range(2))]
+    points += [_random_twist_point(rng) for _ in range(2)]
+    scalars = [0, 1, 2, 3, R - 1, R, R + 1, -1, -2, -(R + 1)]
+    scalars += [rng.getrandbits(254) for _ in range(2)] + [-rng.getrandbits(254)]
+    for q in points:
+        for k in scalars:
+            got = g2_mul(q, k)
+            assert (None if got.infinity else lift_g2((got.x, got.y))) == _naive_g2_mul(q, k), k
 
 
 def test_off_curve_rejection():

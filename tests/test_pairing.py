@@ -15,9 +15,16 @@ from blsces.groups import (
     pairing_product,
     pairing_product_is_one,
 )
-from blsces.groups.pairing import _final_exponentiation
+from blsces.groups.pairing import _ATE_NAF, TW_FROB2_X, G2Precomp, _final_exponentiation
 from blsces.groups.params import BN_U, P, R
+from blsces.groups.points import g2_psi
 from blsces.groups.tower import (
+    fp2_inv,
+    fp2_mul,
+    fp2_neg,
+    fp2_smul,
+    fp2_sqr,
+    fp2_sub,
     fp12_conj,
     fp12_cyclotomic_pow,
     fp12_cyclotomic_sqr,
@@ -74,6 +81,47 @@ def test_matches_independent_implementation():
     assert tower_to_poly(pairing(G1_GEN, G2_GEN).value) != NAIVE_ONE
 
 
+def _line_through(x1, y1, x2, y2):
+    """Affine slope and intercept of the chord or tangent, one inversion
+    each, and the point it makes."""
+    if x1 == x2:
+        assert y1 == y2, "vertical line"
+        num = fp2_smul(fp2_sqr(x1), 3)
+        den = fp2_smul(y1, 2)
+    else:
+        num = fp2_sub(y2, y1)
+        den = fp2_sub(x2, x1)
+    lam = fp2_mul(num, fp2_inv(den))
+    x3 = fp2_sub(fp2_sub(fp2_sqr(lam), x1), x2)
+    y3 = fp2_sub(fp2_mul(lam, fp2_sub(x1, x3)), y1)
+    return (lam, fp2_sub(fp2_mul(lam, x1), y1)), (x3, y3)
+
+
+def _affine_lines(q):
+    """G2Precomp's steps and tail by the plain affine walk: the reference
+    for its Jacobian walk with one shared inversion."""
+    neg_y = fp2_neg(q.y)
+    t = (q.x, q.y)
+    steps = []
+    for d in reversed(_ATE_NAF[:-1]):
+        dbl, t = _line_through(*t, *t)
+        add = None
+        if d:
+            add, t = _line_through(*t, q.x, q.y if d == 1 else neg_y)
+        steps.append((dbl, add))
+    q1 = g2_psi(q)
+    l1, t = _line_through(*t, q1.x, q1.y)
+    l2, _ = _line_through(*t, fp2_smul(q.x, TW_FROB2_X[0]), q.y)
+    return steps, (l1, l2)
+
+
+def test_line_precompute_matches_affine_walk():
+    keyrng = random.Random(1789)
+    for q in [G2_GEN, *(g2_mul(G2_GEN, keyrng.randrange(1, R)) for _ in range(5))]:
+        pre = G2Precomp(q)
+        assert (pre.steps, pre.tail) == _affine_lines(q)
+
+
 def test_product_shares_final_exponentiation():
     a, b = 11, 13
     pa, pb = g1_mul(G1_GEN, a), g1_mul(G1_GEN, b)
@@ -97,7 +145,9 @@ def test_cyclotomic_sqr_matches_generic_after_easy_part():
         c = _easy_part(f)
         assert fp12_cyclotomic_sqr(c) == fp12_sqr(c)
         assert fp12_cyclotomic_pow(c, BN_U) == fp12_pow(c, BN_U)
-        for e in (0, 1, 2, 3, 7):
+        # between them every width-4 digit from -7 to 7, and top digits
+        # 1, 3, 5 and 7
+        for e in (0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 2**64 - 1, BN_U):
             assert fp12_cyclotomic_pow(c, e) == fp12_pow(c, e)
         # the precondition matters: off the subgroup the shortcut is wrong
         assert fp12_cyclotomic_sqr(f) != fp12_sqr(f)
