@@ -9,13 +9,16 @@ predicate"), the times of the three syntheses (the recorded build,
 which stores every constraint; the prover's, which stores none; the
 verifier's check, a checking builder run over the assignment), the
 per-bit sha256 gadget calls (``xor`` and ``ch``) the prover and the
-checker made, plus a short auditable dump excerpt.  Exits 1 if any of
+checker made, the block path's word operations that took its mask
+branch, plus a short auditable dump excerpt.  Exits 1 if any of
 these honest statements is unsatisfied, if the prover's values or
 per-kind counts differ from the recorded build's, if the checker
 rejects the honest assignment or accepts one with a mutated variable,
 if the checker's per-kind constraint counts differ from the recorded
-ones, or if the prover or the checker of an honest statement made a
-per-bit gadget call instead of taking every compression whole.
+ones, if the prover or the checker of an honest statement made a
+per-bit gadget call instead of taking every compression whole, or if a
+compression whose input words were all variables took the mask branch
+(which stays correct, only slow).
 
     python scripts/circuit_report.py [--dump N]
 """
@@ -68,13 +71,14 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     """Report on a statement over the first n_claims claims of a
     credential.  Long claims are 2 of 6 under a policy of all 63 subsets,
     whose 71 canonical bytes put every secret byte past block 0, and
-    carry 80-byte values, so two blocks of each are in-circuit; the first
-    has a range predicate."""
+    carry 85-byte values, so blocks 1-3 of each are in-circuit and block
+    2 holds secret bytes alone: a compression whose input words are all
+    variables.  The first has a range predicate."""
     if long_claims:
         width = 6
-        cred = Credential(tuple(Claim("holder", f"field{i}", str(10**79 + i)) for i in range(width)))
+        cred = Credential(tuple(Claim("holder", f"field{i}", str(10**84 + i)) for i in range(width)))
         sets = [[i for i in range(width) if m >> i & 1] for m in range(1, 1 << width)]
-        predicate = RangePredicate(0, 10**79, 10**80)
+        predicate = RangePredicate(0, 10**84, 10**85)
     else:
         width = n_claims
         cred = Credential(tuple(Claim("holder", f"field{i}", str(20 + i)) for i in range(width)))
@@ -92,11 +96,11 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     res = synthesize(layout, recorder, witness)
     build_s = time.monotonic() - t0
     recorder.region = ""  # count the last region's constraints
-    with sha256_gadget.PerBitCalls() as prover_calls:
+    with sha256_gadget.GadgetCalls() as prover_calls:
         t0 = time.monotonic()
         proved = synthesize(layout, Builder(), witness)
         prove_s = time.monotonic() - t0
-    with sha256_gadget.PerBitCalls() as checker_calls:
+    with sha256_gadget.GadgetCalls() as checker_calls:
         t0 = time.monotonic()
         checked = check(res.layout, res.values)
         check_s = time.monotonic() - t0
@@ -126,13 +130,19 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         f"satisfied={ok} prover_matches={prover_same} checker_accepts={checked is not None} "
         f"counts_match={same} mutation_rejected={rejects}"
     )
-    print(f"  per-bit xor/ch calls: prover {prover_calls.calls}, checker {checker_calls.calls}")
+    print(f"  per-bit xor/ch calls: prover {prover_calls.per_bit}, checker {checker_calls.per_bit}")
+    print(
+        f"  mask-branch word ops: prover {prover_calls.masked}, checker {checker_calls.masked}; "
+        f"in all-variable compressions: prover {prover_calls.masked_all_variable}, "
+        f"checker {checker_calls.masked_all_variable}"
+    )
     if dump:
         print("  dump excerpt:")
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
-    return ok and prover_same and same and rejects and prover_calls.calls == checker_calls.calls == 0
+    whole = all(c.per_bit == c.masked_all_variable == 0 for c in (prover_calls, checker_calls))
+    return ok and prover_same and same and rejects and whole
 
 
 def main():

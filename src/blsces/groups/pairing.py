@@ -30,7 +30,6 @@ from blsces.groups.tower import (
     FP12_ONE,
     fp2_mul,
     fp2_pow,
-    fp2_smul,
     fp2_sqr,
     fp2_sub,
     fp12_conj,
@@ -196,13 +195,13 @@ def _miller(pairs):
             f = fp12_sqr(f)
         for steps, _, xp_neg, yp in evals:
             (lam, c), add = steps[i]
-            f = fp12_mul_line(f, yp, fp2_smul(lam, xp_neg), c)
+            f = fp12_mul_line(f, yp, lam, xp_neg, c)
             if add is not None:
                 lam, c = add
-                f = fp12_mul_line(f, yp, fp2_smul(lam, xp_neg), c)
+                f = fp12_mul_line(f, yp, lam, xp_neg, c)
     for _, tail, xp_neg, yp in evals:
         for lam, c in tail:
-            f = fp12_mul_line(f, yp, fp2_smul(lam, xp_neg), c)
+            f = fp12_mul_line(f, yp, lam, xp_neg, c)
     return f
 
 

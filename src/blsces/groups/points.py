@@ -75,6 +75,8 @@ assert (_GLV_A2 + _GLV_B2 * GLV_LAMBDA) % R == 0
 assert _GLV_A1 * _GLV_B2 - _GLV_A2 * _GLV_B1 == -R
 assert max(abs(_GLV_A1) + abs(_GLV_A2), abs(_GLV_B1) + abs(_GLV_B2)) < 1 << 128
 
+_BN_U_NAF = wnaf(BN_U, 2)  # check_g2's multiplication by u
+
 
 @dataclass(frozen=True)
 class G1Point:
@@ -521,7 +523,7 @@ def _j2_mul(pt: G2Point, k: int):
     (x0, x1), (y0, y1) = pt.x, pt.y
     plus = (x0, x1, y0, y1)
     minus = (x0, x1, -y0 % P, -y1 % P)
-    digits = wnaf(k, 2)
+    digits = _BN_U_NAF if k == BN_U else wnaf(k, 2)
     acc = (x0, x1, y0, y1, 1, 0)  # the top digit is 1
     for d in reversed(digits[:-1]):
         acc = _j2_double(acc)

@@ -18,7 +18,7 @@ al., EUROCRYPT 2011).
 
 from __future__ import annotations
 
-from blsces.groups.params import P
+from blsces.groups.params import BN_U, P
 
 XI = (9, 1)
 
@@ -375,7 +375,7 @@ def fp12_cyclotomic_pow(a, e):
         table[d] = fp12_mul(table[d - 2], a2)
     for d in (1, 3, 5, 7):
         table[-d] = fp12_conj(table[d])
-    digits = wnaf(e, 4)
+    digits = _BN_U_WNAF4 if e == BN_U else wnaf(e, 4)
     out = table[digits[-1]]
     for d in reversed(digits[:-1]):
         out = fp12_cyclotomic_sqr(out)
@@ -405,17 +405,22 @@ def wnaf(k, w):
     return digits
 
 
-def fp12_mul_line(f, a, b, c):
-    """Multiply f by the sparse line element a + b*w + c*v*w.
+_BN_U_WNAF4 = wnaf(BN_U, 4)  # the final exponentiation's three powers by u
 
-    ``a`` is a plain Fp scalar (the G1 point's y-coordinate); b and c are
-    Fp2.  In the (Fp6, Fp6) pairing of f = g + h*w this operand is
-    (a, b + c*v).  Karatsuba over Fp6 as in fp12_mul: a*g and h*(b + c*v)
-    once each, and the w part from (g + h)*(a + b + c*v); one reduction
-    per output.
+
+def fp12_mul_line(f, a, lam, x, c):
+    """Multiply f by the sparse line element a + (lam*x)*w + c*v*w.
+
+    ``a`` and ``x`` are plain Fp scalars (the G1 point's y-coordinate and
+    its negated x), and lam and c are Fp2 (the line's slope and
+    constant).  In the (Fp6, Fp6) pairing of f = g + h*w this operand is
+    (a, b + c*v) with b = lam*x.  Karatsuba over Fp6 as in fp12_mul: a*g
+    and h*(b + c*v) once each, and the w part from (g + h)*(a + b + c*v);
+    one reduction per output.
     """
     ((f0, f1), (f2, f3), (f4, f5)), ((f6, f7), (f8, f9), (f10, f11)) = f
-    b0, b1 = b
+    b0 = lam[0] * x % P
+    b1 = lam[1] * x % P
     c0, c1 = c
     h0, h1, h2, h3, h4, h5 = _fp6_mul_01_raw(f6, f7, f8, f9, f10, f11, b0, b1, c0, c1)
     s0, s1, s2, s3, s4, s5 = _fp6_mul_01_raw(

@@ -25,19 +25,16 @@ Two paths synthesize a compression.  The per-bit path runs the
 operations above literal by literal.  The block path computes, with
 plain Python ints, the bit of every variable the per-bit path would
 allocate, in its allocation order, and hands the whole block to one
-``bd.alloc_bits`` call with its constraint counts.  It models each
-word by three 32-bit masks: the value its literals hold, which of them
-are variables (the rest are ONE or ZERO), and which are negated.  Those
-masks fix what the per-bit path allocates, so constants (the state
-entering a claim's first in-circuit block, public message bytes, the
-ZEROs a shift brings in) and the negations they bring stay on the block
-path.  Its values are those of the input words, which it asks the
-builder for (``bd.word_value``).  A builder that knows none, input
-state words that share a variable (where Ch could fold on f == g), or a
-builder that declines the bits run the per-bit path instead, from the
-same state.  How each builder takes the bits is in ``r1cs``; in every
-case the variables, values and constraints are those of the per-bit
-path.
+``bd.alloc_bits`` call with its constraint counts.  Its word
+operations, over words of variables carried as plain ints and words
+holding constants carried as bit masks, are in ``sha256_block``; this
+module turns the input words' literals into those words, with the
+values it asks the builder for (``bd.word_value``).  A builder that
+knows none, input state words that share a variable (where Ch could
+fold on f == g), or a builder that declines the bits run the per-bit
+path instead, from the same state.  How each builder takes the bits is
+in ``r1cs``; in every case the variables, values and constraints are
+those of the per-bit path.
 
 The plain compression and the constants are in ``sha256``.
 """
@@ -45,7 +42,8 @@ The plain compression and the constants are in ``sha256``.
 from __future__ import annotations
 
 from blsces.zk.r1cs import LC, Builder
-from blsces.zk.sha256 import SHA256_K, WORD, rotr
+from blsces.zk.sha256 import SHA256_K, WORD
+from blsces.zk.sha256_block import MASK, BlockWords, add_width
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +52,6 @@ from blsces.zk.sha256 import SHA256_K, WORD, rotr
 
 ONE = 0  # variable 0 holds 1
 ZERO = ~ONE
-MASK = (1 << WORD) - 1
-# format specs for a value's bits, most significant first, per width
-_BITS_SPEC = {width: f"0{width}b" for width in range(WORD, WORD + 8)}
 
 
 def lit_lc(b: int, k: int = 1) -> LC:
@@ -72,15 +67,10 @@ def _value(bd: Builder, b: int) -> int:
     return bd.values[b] if b >= 0 else 1 - bd.values[~b]
 
 
-def _add_width(count: int) -> int:
-    """Bits an addition of ``count`` words allocates: 32 and its carries."""
-    return WORD + max(1, (count - 1).bit_length())
-
-
 def _compress(ops, state: list, block: list) -> list:
     """One compression over the word operations ``ops``: the per-bit
-    path's over literals or the block path's over masks, which allocate
-    the same variables in the same order."""
+    path's over literals or the block path's over ints and masks, which
+    allocate the same variables in the same order."""
     w = list(block)
     for t in range(16, 64):
         s0 = ops.sigma(w[t - 15], 7, 18, 3, shift=True)
@@ -153,7 +143,7 @@ def word_add(bd: Builder, *words: list[int]) -> list[int]:
     if bd.compute:
         vals = bd.values
         value = const + sum(vals[v] * k for v, k in terms)
-    bits = bd.bits_of(value, _add_width(len(words)))
+    bits = bd.bits_of(value, add_width(len(words)))
     if const:
         terms.append((0, const))
     terms.extend((b, -(1 << j)) for j, b in enumerate(bits))
@@ -187,14 +177,18 @@ class PerBitWords:
         return word_add(self.bd, *words)
 
 
-class PerBitCalls:
-    """Counts the calls of the per-bit ``xor`` and ``ch`` gadgets (``maj``
-    runs both) made while it is open as a context manager.  An honest
-    statement takes every compression on the block path and makes none,
-    which the tests and ``scripts/circuit_report.py`` check with it."""
+class GadgetCalls:
+    """Counts, while open as a context manager, the calls of the per-bit
+    ``xor`` and ``ch`` gadgets (``per_bit``; ``maj`` runs both), the
+    block path's word operations that took the mask branch (``masked``),
+    and its compressions that took it though their 24 input words held
+    un-negated variables alone (``masked_all_variable``).  An honest
+    statement makes no per-bit call, and a compression over variables
+    alone takes no mask branch, which the tests and
+    ``scripts/circuit_report.py`` check with it."""
 
     def __init__(self):
-        self.calls = 0
+        self.per_bit = self.masked = self.masked_all_variable = 0
         self._saved = {}
 
     def __enter__(self):
@@ -203,124 +197,32 @@ class PerBitCalls:
             gadget = self._saved[name] = module[name]
 
             def counted(*args, gadget=gadget):
-                self.calls += 1
+                self.per_bit += 1
                 return gadget(*args)
 
             module[name] = counted
+        compress = self._saved["_compress"] = module["_compress"]
+
+        def watched(ops, state, block):
+            out = compress(ops, state, block)
+            if isinstance(ops, BlockWords) and ops.masked:
+                self.masked += ops.masked
+                self.masked_all_variable += all(isinstance(w, int) or w[1:] == (MASK, 0) for w in state + block)
+            return out
+
+        module["_compress"] = watched
         return self
 
     def __exit__(self, *exc):
         globals().update(self._saved)
 
 
-# -- the block path ---------------------------------------------------------------
-# A word is a triple of 32-bit masks (x, v, n): the values its literals
-# hold, which literals are variables, and which are negated.  A constant
-# is ONE (n clear, x set) or ZERO (n set, x clear), and x ^ n is the
-# value of the variable under each literal (variable 0 holds 1).  A
-# fresh variable word, an addition's result, is (x, MASK, 0).
-
-_ADD_WIDTH = {count: _add_width(count) for count in (2, 4, 5)}
-_DROP = bytes.maketrans(b"01", b"\x00\x02")  # a '1' in a drop mask deletes its byte
-
-
-def _bits(value: int, width: int = WORD) -> bytes:
-    """``value``, below 2^width, as ``width`` ASCII '0'/'1' bits, least
-    significant first: the order the gadget allocates bits in."""
-    return format(value, _BITS_SPEC[width]).encode()[::-1]
-
-
-def _keep(values: bytes, drop: bytes) -> bytes:
-    """The bytes of ASCII bits ``values`` where the ASCII mask ``drop``
-    holds '0': a dropped byte becomes '2' or '3' and is deleted."""
-    code = int.from_bytes(values, "big") + int.from_bytes(drop.translate(_DROP), "big")
-    return code.to_bytes(len(values), "big").translate(None, b"23")
-
-
-def _pick(alloc_t: int, t, alloc_o: int, o) -> bytes:
-    """The bits of the variables under words t and o where ``alloc_t``
-    and ``alloc_o`` are set, interleaved bit by bit, t's bit first: the
-    order of a per-bit operation that allocates twice per bit."""
-    bits = bytearray(2 * WORD)
-    bits[0::2] = _bits(t[0] ^ t[2])
-    bits[1::2] = _bits(o[0] ^ o[2])
-    if alloc_t & alloc_o == MASK:  # nothing to drop
-        return bits
-    drop = bytearray(2 * WORD)
-    drop[0::2] = _bits(MASK ^ alloc_t)
-    drop[1::2] = _bits(MASK ^ alloc_o)
-    return _keep(bits, drop)
-
-
-def _rot(word, k: int):
-    x, v, n = word
-    return rotr(x, k), rotr(v, k), rotr(n, k)
-
-
-def _xor(a, b):
-    """xor per bit, and where it allocates: where both are variables."""
-    both = a[1] & b[1]
-    return (a[0] ^ b[0], a[1] | b[1], a[2] ^ b[2] ^ MASK ^ both), both
-
-
-def _ch(e, f, g):
-    """ch per bit, and where it allocates: where e is a variable and f, g
-    are not the same constant (the caller rules out a shared variable)."""
-    xe, ye = e[0], MASK ^ e[0]
-    (xf, vf, nf), (xg, vg, ng) = f, g
-    alloc = e[1] & (vf | vg | xf ^ xg)
-    fold = MASK ^ alloc
-    return (xe & xf | ye & xg, alloc | fold & (xe & vf | ye & vg), fold & (xe & nf | ye & ng)), alloc
-
-
-class BlockWords:
-    """The block path's word operations over masks: each appends to
-    ``out`` the bits of the variables its per-bit twin allocates, and
-    counts the booleanity and linear constraints of the additions."""
-
-    def __init__(self):
-        self.out = bytearray()
-        self.bools = self.lins = 0
-
-    @staticmethod
-    def const(value: int):
-        return value, 0, MASK ^ value
-
-    def sigma(self, word, r1: int, r2: int, k: int, shift: bool = False):
-        x, v, n = word
-        # a shift brings in ZEROs: not variables, negated
-        z = (x >> k, v >> k, (n >> k) | (MASK ^ (MASK >> k))) if shift else _rot(word, k)
-        t, alloc_t = _xor(_rot(word, r1), _rot(word, r2))
-        o, alloc_o = _xor(t, z)
-        self.out += _pick(alloc_t, t, alloc_o, o)
-        return o
-
-    def ch(self, e, f, g):
-        word, alloc = _ch(e, f, g)
-        bits = _bits(word[0])
-        self.out += bits if alloc == MASK else _keep(bits, _bits(MASK ^ alloc))
-        return word
-
-    def maj(self, a, b, c):
-        t, alloc_t = _xor(a, b)
-        word, alloc = _ch(t, c, a)
-        self.out += _pick(alloc_t, t, alloc, word)
-        return word
-
-    def add(self, *words):
-        total = 0
-        for word in words:
-            total += word[0]
-        width = _ADD_WIDTH[len(words)]
-        self.out += format(total, _BITS_SPEC[width]).encode()[::-1]
-        self.bools += width
-        self.lins += 1
-        return total & MASK, MASK, 0
-
-
-def _masks(bd: Builder, lits: list[int]):
-    """A word of literals as masks (x, v, n), or None where the builder
-    knows no value for it."""
+def _input_word(bd: Builder, lits: list[int]):
+    """A word of literals as the block path takes it (a plain int or
+    masks, see ``sha256_block``), or None where the builder knows no
+    value for it."""
+    if min(lits) > ONE:  # un-negated variables only
+        return bd.word_value(lits)
     v = n = 0
     for j, b in enumerate(lits):
         if b < 0:
@@ -344,15 +246,15 @@ def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list
     ``state`` is 8 words, ``block`` 16 words; returns the 8 output
     words.  Word bits may be constants, variables or their negations.
     """
-    words = None if _shares_a_variable(state) else [_masks(bd, lits) for lits in state + block]
+    words = None if _shares_a_variable(state) else [_input_word(bd, lits) for lits in state + block]
     if words is not None and None not in words:
         ops = BlockWords()
         _compress(ops, words[:8], words[8:])
-        bits = ops.out
+        bits = ops.bits()
         start = bd.alloc_bits(bits, bools=ops.bools, lins=ops.lins, r1s=len(bits) - ops.bools)
         if start is not None:
             # the outputs are the low words of the last eight additions
-            width = _ADD_WIDTH[2]
+            width = add_width(2)
             base = start + len(bits) - 8 * width
             return [list(range(k, k + WORD)) for k in range(base, base + 8 * width, width)]
     return _compress(PerBitWords(bd), state, block)

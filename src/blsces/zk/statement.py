@@ -40,6 +40,8 @@ from blsces.zk.sha256_gadget import ONE, ZERO, const_word, lit_lc, sha256_compre
 from blsces.zk.witness import HashToCurveWitness
 
 SHA_BITS = 256
+# the little-endian bit literals of each public byte value
+_BYTE_LITS = [tuple(ONE if byte >> j & 1 else ZERO for j in range(8)) for byte in range(256)]
 # The public x enters as little-endian limbs, each below the proof field.
 LIMB_BITS = 64
 NUM_LIMBS = 4
@@ -324,23 +326,24 @@ def synthesize(
             )
             assert len(real_msg) == cl.padded_len
 
-        # per-byte little-endian bit literals from the first in-circuit
-        # block: constants for public bytes, variables for secret ones
-        first_block = cl.first_block
-        byte_bits: list[list[int]] = []
+        # the little-endian bit literals of each byte from the first
+        # in-circuit block: constants for public bytes, and variables for
+        # secret ones, allocated a component's share of a block at a time
+        lits: list[int] = []
         value_bytes: list[LC] = []
         for start, data, kind in segments:
-            for off in range(start, start + (len(data) if kind is None else data)):
-                if off % 64 == 0:
-                    bd.region = f"claim {cl.index}, sha256 block {off // 64}"
-                if kind is None:
-                    byte = data[off - start]
-                    byte_bits.append([ONE if (byte >> j) & 1 else ZERO for j in range(8)])
-                    continue
-                bits = bd.bits_of(real_msg[off] if compute else None, 8)
-                byte_bits.append(bits)
+            if kind is None:
+                for byte in data:
+                    lits += _BYTE_LITS[byte]
+                continue
+            end = start + data
+            cuts = [start, *range(start - start % 64 + 64, end, 64), end]
+            for lo, hi in zip(cuts, cuts[1:]):
+                bd.region = f"claim {cl.index}, sha256 block {lo // 64}"
+                bits = bd.bits_of(int.from_bytes(real_msg[lo:hi], "little") if compute else None, 8 * (hi - lo))
+                lits += bits
                 if kind == "value":
-                    value_bytes.append(tuple((b, 1 << j) for j, b in enumerate(bits)))
+                    value_bytes += [tuple((b + j, 1 << j) for j in range(8)) for b in bits[::8]]
         value_lcs_by_index[cl.index] = value_bytes
 
         # the state after the public prefix, as constants
@@ -350,26 +353,23 @@ def synthesize(
         state_words = [const_word(v) for v in state]
 
         # in-circuit compressions; a word's big-endian bytes, little-endian bits
-        for blk in range(first_block, cl.total_blocks):
+        for blk in range(cl.first_block, cl.total_blocks):
             bd.region = f"claim {cl.index}, sha256 block {blk}"
-            block_words = [
-                [b for bpos in (3, 2, 1, 0) for b in byte_bits[64 * (blk - first_block) + 4 * t + bpos]]
-                for t in range(16)
-            ]
+            base = 512 * (blk - cl.first_block)
+            block_words = [lits[p + 24: p + 32] + lits[p + 16: p + 24] + lits[p + 8: p + 16] + lits[p: p + 8]
+                           for p in range(base, base + 512, 32)]
             state_words = sha256_compress_gadget(bd, state_words, block_words)
 
-        # digest bit t (little-endian over the 256-bit big-endian digest)
-        def digest_bit(t: int) -> int:
-            return state_words[7 - t // 32][t % 32]
-
-        # bind public x limbs and sign to the digest bits
+        # bind public x limbs and sign to the digest bits; digest bit t is
+        # little-endian over the 256-bit big-endian digest
+        digest = [b for word in reversed(state_words) for b in word]
         bd.region = f"claim {cl.index}, binding"
         for j in range(NUM_LIMBS):
-            lc: LC = ((limbs[j], -1),)
+            lc = [(limbs[j], -1)]
             for m in range(LIMB_BITS * j, min(LIMB_BITS * (j + 1), l_bits)):
-                lc += lit_lc(digest_bit(m + shift), 1 << (m - LIMB_BITS * j))
+                lc += lit_lc(digest[m + shift], 1 << (m - LIMB_BITS * j))
             bd.add_lin(lc)
-        bd.add_lin(((sign, -1),) + lit_lc(digest_bit(shift - 1)))
+        bd.add_lin([(sign, -1), *lit_lc(digest[shift - 1])])
 
     # ---- application predicate -------------------------------------------
     if predicate is not None:

@@ -31,7 +31,7 @@ def _canonical(x):
     return all(0 <= c < P for fp6 in x for fp2 in fp6 for c in fp2)
 
 
-def _check_kernels(a, b, s, lb, lc):
+def _check_kernels(a, b, s, lam, x, lc):
     pa = tower_to_poly(a)
     prod = fp12_mul(a, b)
     assert _canonical(prod)
@@ -39,8 +39,9 @@ def _check_kernels(a, b, s, lb, lc):
     sq = fp12_sqr(a)
     assert _canonical(sq)
     assert tower_to_poly(sq) == _mul(pa, pa)
-    line = (((s, 0), (0, 0), (0, 0)), (lb, lc, (0, 0)))
-    ml = fp12_mul_line(a, s, lb, lc)
+    # the line's w coefficient is lam * x, which the kernel forms itself
+    line = (((s, 0), (0, 0), (0, 0)), ((lam[0] * x % P, lam[1] * x % P), lc, (0, 0)))
+    ml = fp12_mul_line(a, s, lam, x, lc)
     assert _canonical(ml)
     assert tower_to_poly(ml) == _mul(pa, tower_to_poly(line))
 
@@ -49,20 +50,20 @@ def test_kernels_match_oracle_on_random_elements():
     for _ in range(20):
         a = _fp12([rng.randrange(P) for _ in range(12)])
         b = _fp12([rng.randrange(P) for _ in range(12)])
-        lb = (rng.randrange(P), rng.randrange(P))
+        lam = (rng.randrange(P), rng.randrange(P))
         lc = (rng.randrange(P), rng.randrange(P))
-        _check_kernels(a, b, rng.randrange(P), lb, lc)
+        _check_kernels(a, b, rng.randrange(P), lam, rng.randrange(P), lc)
 
 
 def test_kernels_match_oracle_at_edge_coefficients():
     # every coefficient of both operands at the same edge value
     for x, y in itertools.product(EDGES, repeat=2):
-        _check_kernels(_fp12([x] * 12), _fp12([y] * 12), x, (y, y), (x, y))
+        _check_kernels(_fp12([x] * 12), _fp12([y] * 12), x, (y, y), y, (x, y))
     # and mixed at random among the edge values
     for _ in range(30):
         a, b = (_fp12([rng.choice(EDGES) for _ in range(12)]) for _ in range(2))
-        s, b0, b1, c0, c1 = (rng.choice(EDGES) for _ in range(5))
-        _check_kernels(a, b, s, (b0, b1), (c0, c1))
+        s, b0, b1, x, c0, c1 = (rng.choice(EDGES) for _ in range(6))
+        _check_kernels(a, b, s, (b0, b1), x, (c0, c1))
 
 
 _coeff = st.one_of(st.sampled_from(EDGES), st.integers(0, P - 1))
@@ -72,8 +73,8 @@ _coeff = st.one_of(st.sampled_from(EDGES), st.integers(0, P - 1))
 @given(
     st.lists(_coeff, min_size=12, max_size=12),
     st.lists(_coeff, min_size=12, max_size=12),
-    st.lists(_coeff, min_size=5, max_size=5),
+    st.lists(_coeff, min_size=6, max_size=6),
 )
 def test_kernels_match_oracle_property(a, b, line):
-    s, b0, b1, c0, c1 = line
-    _check_kernels(_fp12(a), _fp12(b), s, (b0, b1), (c0, c1))
+    s, b0, b1, x, c0, c1 = line
+    _check_kernels(_fp12(a), _fp12(b), s, (b0, b1), x, (c0, c1))

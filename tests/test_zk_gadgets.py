@@ -113,19 +113,59 @@ def test_block_path_matches_per_bit_on_any_literals(shared):
         for bd in (Builder(), RecordingBuilder()):
             for b in bits:
                 bd.bit(b)
-            with sha256_gadget.PerBitCalls() as spy:
+            with sha256_gadget.GadgetCalls() as spy:
                 out = sha256_compress_gadget(bd, state, block)
             cs = bd.cs
-            runs.append((out, list(bd.values), (len(cs.bools), len(cs.lins), len(cs.r1s)), spy.calls))
+            runs.append((out, list(bd.values), (len(cs.bools), len(cs.lins), len(cs.r1s)), spy.per_bit))
         (out, values, counts, block_calls), (per_bit_out, per_bit_values, per_bit_counts, _) = runs
         assert values == per_bit_values and counts == per_bit_counts and out == per_bit_out
         assert (block_calls > 0) == shared
         checker = CheckingBuilder(values)
         checker.num_vars = 1 + len(bits)
-        with sha256_gadget.PerBitCalls() as spy:
+        with sha256_gadget.GadgetCalls() as spy:
             assert sha256_compress_gadget(checker, state, block) == out
         assert (checker.n_bools + len(bits), checker.n_lins, checker.n_r1s) == counts
-        assert checker.num_vars == len(values) and (spy.calls > 0) == shared
+        assert checker.num_vars == len(values) and (spy.per_bit > 0) == shared
+
+
+@pytest.mark.parametrize("constant_state", [False, True], ids=["all-variable", "constant-state"])
+def test_int_branch_matches_per_bit(constant_state):
+    """With every message word fresh variables, and the state fresh
+    variables too or constants, the prover's builder allocates the values
+    of the recording builder, which runs per bit, under its per-kind
+    counts, and the checker accepts them with those counts; neither makes
+    a per-bit xor or Ch.  Over variables alone no word operation takes
+    the mask branch; over a constant state exactly the eight of rounds
+    0-2 that read a state word do (Sigma0, Sigma1, Ch and Maj of round 0,
+    Ch and Maj of rounds 1 and 2), so the constants reach no later
+    round."""
+    for seed in range(4):
+        r = random.Random(seed)
+        state_values = [r.getrandbits(32) for _ in range(8)]
+        block = r.randbytes(64)
+        runs = []
+        for bd in (Builder(), RecordingBuilder()):
+            if constant_state:
+                state = [const_word(v) for v in state_values]
+            else:
+                state = [bd.bits_of(v, 32) for v in state_values]
+            words = [bd.bits_of(int.from_bytes(block[4 * t: 4 * t + 4], "big"), 32) for t in range(16)]
+            inputs = bd.num_vars
+            with sha256_gadget.GadgetCalls() as spy:
+                out = sha256_compress_gadget(bd, state, words)
+            cs = bd.cs
+            runs.append((out, list(bd.values), (len(cs.bools), len(cs.lins), len(cs.r1s)), spy))
+        (out, values, counts, spy), (per_bit_out, per_bit_values, per_bit_counts, _) = runs
+        assert values == per_bit_values and counts == per_bit_counts and out == per_bit_out, seed
+        assert [sum(values[b] << j for j, b in enumerate(w)) for w in out] == sha256_compress(state_values, block)
+        assert (spy.per_bit, spy.masked, spy.masked_all_variable) == (0, 8 if constant_state else 0, 0), seed
+        checker = CheckingBuilder(values)
+        checker.num_vars = inputs
+        with sha256_gadget.GadgetCalls() as spy:
+            assert sha256_compress_gadget(checker, state, words) == out
+        assert (spy.per_bit, spy.masked) == (0, 8 if constant_state else 0), seed
+        assert (checker.n_bools + inputs - 1, checker.n_lins, checker.n_r1s) == counts, seed
+        assert checker.num_vars == len(values)
 
 
 # -- bit literals ------------------------------------------------------------------

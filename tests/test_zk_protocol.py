@@ -211,12 +211,12 @@ def test_block_path_matches_per_bit_across_alignments():
             wit = hash_to_curve_witness(0, cred[0], len(cred), policy, TOY)[1]
             layout, witness = prover_layout(cred, policy, {0: wit}, (0,), None, "toy11")
             per_bit = synthesize(layout, PerBitBuilder(), witness)
-            with sha256_gadget.PerBitCalls() as spy:
+            with sha256_gadget.GadgetCalls() as spy:
                 block = synthesize(layout, Builder(), witness)
                 checked = synthesize(layout, CheckingBuilder(block.values)).cs
             assert block.values == per_bit.values, (policy.n, n)
             assert sizes(block.cs) == sizes(per_bit.cs) == sizes(checked), (policy.n, n)
-            assert spy.calls == 0, (policy.n, n)
+            assert spy.per_bit == 0, (policy.n, n)
             cl = layout.claims[0]
             in_circuit.add(cl.total_blocks - cl.first_block)
     assert in_circuit == {1, 2, 3}
@@ -230,13 +230,13 @@ def test_honest_zk_range_makes_no_per_bit_calls():
     cred = Credential((Claim("holder", "age", "42"), Claim("holder", "country", "QZ"), Claim("holder", "member", "0f1e2d3c")))
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 2], [0, 1, 2]])
     signed = ces_sign(setup.keypair.sk, cred, ceas)
-    with sha256_gadget.PerBitCalls() as spy:
+    with sha256_gadget.GadgetCalls() as spy:
         for idxs in ({0}, {0, 1}):
             x = ExtractionSet(frozenset(idxs))
             proof, inputs = prove_extraction(setup.backend_params, cred, ceas, x, RangePredicate(0, 18, 65))
             result = zk_verify(setup.backend_params, setup.keypair.pk, ces_extract(signed, x).sigma, proof, inputs)
             assert result.accept, result.code
-    assert spy.calls == 0
+    assert spy.per_bit == 0
 
 
 def test_prove_extraction_bytes_are_the_recorded_packing(monkeypatch):
