@@ -156,10 +156,10 @@ def verify(pk: G2Point, msg: bytes, sig: Signature) -> bool:
     """Pairing check e(H(msg), pk) == e(sig, g2).
 
     Raises like ``verify_aggregate_points``: EncodingError for malformed
-    signature bytes, InvalidPublicKeyError for the identity key.  The
-    public key is validated (curve equation and subgroup) on its first
-    use; validation results ride along with the cached pairing
-    precomputation.
+    signature bytes, InvalidPublicKeyError for the identity key, and
+    OffCurveError for a key off the curve or outside G2.  The key is
+    validated by ``pairing.precompute_g2`` together with its cached line
+    precompute, so a key parsed by ``g2_from_bytes`` is not checked again.
     """
     return verify_aggregate_points([pk], [hash_to_g1(msg).point], sig)
 

@@ -28,7 +28,7 @@ from blsces.credential import (
     clear_indices,
     encode_claim_message,
 )
-from blsces.errors import EncodingError, InvalidPublicKeyError, ValidationError
+from blsces.errors import EncodingError, InvalidPublicKeyError, OffCurveError, ValidationError
 from blsces.groups import G2Point
 
 
@@ -172,9 +172,11 @@ def ces_verify(pk: G2Point, pres: ExtractedPresentation) -> VerifyResult:
         if h is None:
             return VerifyResult(False, "bad_counter")
         points.append(h.point)
+    # The hashed points are on the curve by construction and a bad
+    # aggregate raises EncodingError, so a failed point check is the key's.
     try:
         ok = bls.verify_aggregate_points([pk] * len(points), points, pres.sigma)
-    except InvalidPublicKeyError:
+    except (InvalidPublicKeyError, OffCurveError):
         return VerifyResult(False, "invalid_public_key")
     except (EncodingError, ValidationError):
         return VerifyResult(False, "malformed_signature")

@@ -242,35 +242,24 @@ def _lp(data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def encode_claim_message(
-    ceas: CEAS,
-    n: int,
-    i: int,
-    claim: Claim,
-    counter: int | None = None,
-) -> bytes:
+def encode_claim_message(ceas: CEAS, n: int, i: int, claim: Claim) -> bytes:
     """Canonical signed-message bytes for one claim.
 
     Fields in order: length-prefixed canonical CEAS bytes, n and i as
-    fixed 4-byte integers, then the length-prefixed UTF-8 claim triple,
-    then the optional counter byte.  Length prefixes keep the encoding
-    injective; bare concatenation would let (n=1, i=12) collide with
-    (n=11, i=2) and claim boundaries drift.
+    fixed 4-byte integers, then the length-prefixed UTF-8 claim triple.
+    Hash-to-curve appends its counter byte itself.  Length prefixes keep
+    the encoding injective; bare concatenation would let (n=1, i=12)
+    collide with (n=11, i=2) and claim boundaries drift.
     """
     if claim.hidden:
         raise ValidationError("hidden claims are never encoded for signing")
     if not 0 <= i < n:
         raise ValidationError(f"claim index {i} outside credential of length {n}")
-    parts = [
+    return b"".join((
         _lp(ceas.to_bytes()),
         struct.pack(">I", n),
         struct.pack(">I", i),
         _lp(claim.subject.encode("utf-8")),
         _lp(claim.property.encode("utf-8")),
         _lp(claim.value.encode("utf-8")),
-    ]
-    if counter is not None:
-        if not 0 <= counter < 256:
-            raise ValidationError("counter must fit one byte")
-        parts.append(bytes([counter]))
-    return b"".join(parts)
+    ))

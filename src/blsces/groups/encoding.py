@@ -19,19 +19,16 @@ y = (-1)^sign * sqrt(x^3 + b) via y = p - y0 when the bit is set.
 from __future__ import annotations
 
 from blsces.errors import EncodingError, OffCurveError
+from blsces.groups.pairing import precompute_g2
 from blsces.groups.params import BN254, FIELD_BYTES, CurveProfile
-from blsces.groups.points import G1Point, G2Point, G1_IDENTITY, G2_IDENTITY, check_g2
+# check_g2, which g2_from_bytes reaches only through precompute_g2,
+# stays importable here: perfbench/tracing.py binds it by name.
+from blsces.groups.points import G1Point, G2Point, G1_IDENTITY, G2_IDENTITY, check_g2  # noqa: F401
 
 _SIGN_BIT = 0x80
 _INFINITY_BIT = 0x40
 
 G1_IDENTITY_BYTES = bytes([_INFINITY_BIT]) + bytes(FIELD_BYTES - 1)
-
-
-def fp_to_bytes(value: int, p: int) -> bytes:
-    if not 0 <= value < p:
-        raise EncodingError("field element out of range")
-    return value.to_bytes(FIELD_BYTES, "big")
 
 
 def fp_from_bytes(data: bytes, p: int) -> int:
@@ -90,6 +87,14 @@ def g2_to_bytes(pt: G2Point) -> bytes:
 
 
 def g2_from_bytes(data: bytes) -> G2Point:
+    """Parse an uncompressed G2 point and validate it as a public key.
+
+    Any point but the identity goes through ``pairing.precompute_g2``,
+    which checks the curve equation and the subgroup and caches the
+    point's Miller-loop lines, so the pairing that follows a parse finds
+    them ready.  A point already in that cache passed the check when it
+    entered, and costs one lookup.  A failed check raises EncodingError.
+    """
     if len(data) != 4 * FIELD_BYTES:
         raise EncodingError(f"G2 encoding must be {4 * FIELD_BYTES} bytes")
     if data == bytes(4 * FIELD_BYTES):
@@ -97,7 +102,7 @@ def g2_from_bytes(data: bytes) -> G2Point:
     c = [fp_from_bytes(data[i * FIELD_BYTES:(i + 1) * FIELD_BYTES], BN254.p) for i in range(4)]
     pt = G2Point((c[0], c[1]), (c[2], c[3]))
     try:
-        check_g2(pt)
+        precompute_g2(pt)
     except OffCurveError as exc:
         raise EncodingError(f"invalid G2 point: {exc}") from exc
     return pt

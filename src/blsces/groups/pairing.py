@@ -178,6 +178,15 @@ class G2Precomp:
 
 @lru_cache(maxsize=32)
 def precompute_g2(q: G2Point) -> G2Precomp:
+    """Validate the G2 point q and precompute its Miller-loop lines.
+
+    This is the one place a G2 key is checked (curve equation and
+    subgroup, OffCurveError otherwise): ``g2_from_bytes`` parses a key
+    through it and the pairing reads its lines from it.  The cache keys
+    by point value and holds only points that passed, as a raise is not
+    cached; a hit costs one lookup, and a key is checked again only after
+    it has fallen out of the cache.
+    """
     check_g2(q)
     return G2Precomp(q)
 

@@ -15,15 +15,12 @@ point compression deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from blsces.errors import ValidationError
+from dataclasses import dataclass
 
 # Base field characteristic and subgroup order of the BN254 pairing group.
 P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
 R = 0x30644E72E131A029B85045B68181585D2833E84879B9709143E1F593F0000001
 CURVE_B = 3
-EMBEDDING_DEGREE = 12
 
 # BN parameter u: p and r are the standard degree-4 polynomials in u.
 BN_U = 4965661367192848881
@@ -67,37 +64,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return p - y if y & 1 else y
 
 
-def _is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin with fixed small bases plus pseudo-random ones."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # Deterministic-enough witnesses: small primes then values derived
-    # from n itself, keeping validation reproducible.
-    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    seed = n
-    while len(bases) < rounds:
-        seed = (seed * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-        bases.append(2 + seed % (n - 3))
-    for a in bases[:rounds]:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CurveProfile:
     """Field-level view of a curve y^2 = x^3 + b used by hash-to-curve.
@@ -139,43 +105,3 @@ BN254 = CurveProfile(name="bn254", p=P, b=CURVE_B)
 TOY = CurveProfile(name="toy11", p=11, b=3)
 
 PROFILES = {BN254.name: BN254, TOY.name: TOY}
-
-
-@dataclass(frozen=True)
-class GroupParams:
-    """Full pairing-group parameter set for the production curve."""
-
-    p: int = P
-    r: int = R
-    b: int = CURVE_B
-    g1: tuple[int, int] = G1_GENERATOR
-    g2: tuple[tuple[int, int], tuple[int, int]] = field(default=G2_GENERATOR)
-    embedding_degree: int = EMBEDDING_DEGREE
-
-    def two_adicity(self) -> int:
-        n, e = self.r - 1, 0
-        while n % 2 == 0:
-            n //= 2
-            e += 1
-        return e
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises ValidationError on failure.
-
-        Primality uses Miller-Rabin.  The cofactor-1 claim (the curve has
-        exactly r points) is checked statistically elsewhere via r*P = O
-        on hashed points; together with Hasse's bound that pins the group
-        order to r exactly.
-        """
-        if not _is_probable_prime(self.p):
-            raise ValidationError("base field characteristic is not prime")
-        if not _is_probable_prime(self.r):
-            raise ValidationError("group order is not prime")
-        if self.two_adicity() < 28:
-            raise ValidationError("r - 1 lacks the required power-of-two factor")
-        x, y = self.g1
-        if (y * y - (x * x * x + self.b)) % self.p != 0:
-            raise ValidationError("g1 generator is off-curve")
-
-
-GROUP_PARAMS = GroupParams()

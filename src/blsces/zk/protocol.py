@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from blsces import bls
 from blsces.credential import CEAS, Credential, ExtractionSet, ceas_contains
-from blsces.errors import EncodingError, InvalidPublicKeyError, ValidationError
+from blsces.errors import EncodingError, InvalidPublicKeyError, OffCurveError, ValidationError
 from blsces.groups import G1Point, G2Point, decompress_x
 from blsces.groups.params import BN254
 from blsces.zk.backend import BackendParams, Proof, TRANSPARENT_BACKEND
@@ -125,9 +125,11 @@ def zk_verify(
     except EncodingError:
         b2_code = "decompress_failed"
     if points is not None:
+        # the decompressed points are on the curve, so a failed point
+        # check is the key's
         try:
             b2 = bls.verify_aggregate_points([pk] * len(points), points, ext_sig)
-        except InvalidPublicKeyError:
+        except (InvalidPublicKeyError, OffCurveError):
             b2_code = "invalid_public_key"
         except EncodingError:
             b2_code = "malformed_signature"

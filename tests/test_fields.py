@@ -1,9 +1,12 @@
 """Field helpers checked against exhaustive small-field tables."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blsces.groups.params import BN254, GROUP_PARAMS, TOY, P, legendre, sqrt_mod
+from blsces.groups import G1_GEN
+from blsces.groups.params import BN254, TOY, P, R, legendre, sqrt_mod
 
 # Exhaustive square table mod 11: the ground truth for every toy assertion.
 SQUARES_MOD_11 = {(y * y) % 11 for y in range(11)}
@@ -64,11 +67,31 @@ def test_sqrt_agrees_with_euler(a):
     assert (root is not None) == (pow(a, (P - 1) // 2, P) == 1)
 
 
-def test_group_params_validate():
-    GROUP_PARAMS.validate()
-    assert GROUP_PARAMS.two_adicity() >= 28
-    assert GROUP_PARAMS.embedding_degree == 12
-    assert GROUP_PARAMS.b == 3
+def _is_probable_prime(n, rounds=40):
+    """Miller-Rabin with fixed-seed random bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    rng = random.Random(n)
+    for _ in range(rounds):
+        x = pow(rng.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_bn254_parameters():
+    assert _is_probable_prime(P) and _is_probable_prime(R)
+    assert not _is_probable_prime(P * R) and not _is_probable_prime(561)  # 561 is a Carmichael number
+    assert (R - 1) % (1 << 28) == 0
+    assert BN254.b == 3
+    assert (G1_GEN.y ** 2 - G1_GEN.x ** 3 - BN254.b) % P == 0
     assert P % 4 == 3 and 11 % 4 == 3  # the (p+1)/4 shortcut applies to both
 
 
