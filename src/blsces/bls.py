@@ -87,7 +87,7 @@ def keygen(rng=None) -> KeyPair:
     if rng is None:
         rng = secrets.SystemRandom()
     sk = rng.randrange(1, R)
-    return KeyPair(sk=sk, pk=points.g2_mul(G2_GEN, sk))
+    return KeyPair(sk=sk, pk=points.g2_mul_gen(sk))
 
 
 def hash_candidate(msg: bytes, counter: int, profile: CurveProfile = BN254) -> tuple[int, int, int]:

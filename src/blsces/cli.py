@@ -148,7 +148,8 @@ def cmd_zk_verify(args) -> int:
     pk = formats.public_key_from_json(_read_json(args.pubkey))
     pres = formats.presentation_from_json(_read_json(args.presentation))
     proof, inputs = formats.proof_bundle_from_json(_read_json(args.bundle))
-    result = zk_verify(BackendParams(), pk, pres.sigma, proof, inputs)
+    predicate = _parse_predicate(args.predicate)
+    result = zk_verify(BackendParams(), pk, pres.sigma, proof, inputs, predicate=predicate)
     _emit(
         {
             "ok": result.accept,
@@ -264,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pubkey", required=True)
     p.add_argument("--presentation", required=True)
     p.add_argument("--bundle", required=True)
+    p.add_argument("--predicate", default=None, help="accept only a proof of this predicate, as for prove")
 
     p = sub.add_parser("gen-vectors", help="write golden test vectors")
     p.add_argument("--out", required=True)

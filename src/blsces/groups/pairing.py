@@ -25,7 +25,16 @@ from functools import lru_cache
 
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, P, R
-from blsces.groups.points import G1Point, G2Point, _j2_double, _j2_madd, check_g1, check_g2, g2_psi
+from blsces.groups.points import (
+    G1Point,
+    G2Point,
+    _batch_inv,
+    _j2_double,
+    _j2_madd,
+    check_g1,
+    check_g2,
+    g2_psi,
+)
 from blsces.groups.tower import (
     FP12_ONE,
     fp2_mul,
@@ -97,28 +106,6 @@ def _chord_num(t, a):
     return ((s[0] - y0) * 2 % P, (s[1] - y1) * 2 % P)
 
 
-def _batch_inv(zs):
-    """Inverses of the Fp2 elements zs: 1/z = conj(z)/N(z) with the norms
-    N(z) = z0^2 + z1^2 in Fp inverted together by Montgomery's trick.  A
-    zero z means T reached the identity, where a line is vertical."""
-    norms = [(z0 * z0 + z1 * z1) % P for z0, z1 in zs]
-    prefix = []
-    acc = 1
-    for n in norms:
-        prefix.append(acc)
-        acc = acc * n % P
-    if acc == 0:
-        raise ArithmeticError("degenerate vertical line in Miller loop")
-    inv = pow(acc, -1, P)
-    out = [None] * len(zs)
-    for i in range(len(zs) - 1, -1, -1):
-        ni = inv * prefix[i] % P
-        inv = inv * norms[i] % P
-        z0, z1 = zs[i]
-        out[i] = (z0 * ni % P, -z1 * ni % P)
-    return out
-
-
 class G2Precomp:
     """Per-Q line data for the Miller loop: one (slope, intercept) pair per
     doubling step, optionally one per NAF addition, and the two Frobenius
@@ -127,7 +114,9 @@ class G2Precomp:
     T walks the loop in Jacobian coordinates (points._j2_double and
     _j2_madd), and each line keeps its slope's numerator over the Z of the
     point its step makes.  Every Z of the walk is then inverted at once
-    (Montgomery's trick), so a key costs one inversion.  A line's slope
+    (points._batch_inv), so a key costs one inversion; a zero Z, where T
+    reached the identity and a line is vertical, raises ArithmeticError
+    there, which the walk of a point of order r never meets.  A line's slope
     lam is its numerator times that inverse, and its intercept is
     c = lam*x - y at the affine point it passes through: T before a
     doubling, from the inverse of T's Z, and the added point of a chord.

@@ -21,6 +21,13 @@ G2 has no such shortcut that holds off the subgroup, and ``g2_mul`` must
 be right there too (``check_g2`` is judged against a literal [R]Q), so
 it runs the NAF of k, one Jacobian doubling per digit and one mixed
 addition of Q or -Q per nonzero digit, and inverts once at the end.
+Key generation multiplies only the generator, so ``g2_mul_gen`` reads
+the multiples it needs from a fixed-base table instead (Brickell,
+Gordon, McCurley and Wilson, "Fast exponentiation with precomputation",
+EUROCRYPT 1992): k mod R in signed radix-16 digits, one mixed addition
+of a table entry per nonzero digit and no doubling at all.  The table,
+[d*16^i]G2_GEN for d = 1..8 over 64 windows, is built on first use and
+kept for the life of the process.
 ``check_g2`` stays in Jacobian coordinates throughout: it applies psi to
 them directly and compares its two sums by cross-multiplying, so a key
 check costs no inversion.  ``pairing.G2Precomp`` walks the Miller loop
@@ -30,6 +37,7 @@ with the same doubling and mixed-addition kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, CURVE_B, G1_GENERATOR, G2_GENERATOR, P, R
@@ -366,6 +374,28 @@ def g1_mul(pt: G1Point, k: int) -> G1Point:
 _J2_INF = (1, 0, 1, 0, 0, 0)
 
 
+def _batch_inv(zs):
+    """Inverses of the nonzero Fp2 elements zs: 1/z = conj(z)/N(z) with
+    the norms N(z) = z0^2 + z1^2 in Fp inverted together by Montgomery's
+    trick, so the whole list costs one inversion."""
+    norms = [(z0 * z0 + z1 * z1) % P for z0, z1 in zs]
+    prefix = []
+    acc = 1
+    for n in norms:
+        prefix.append(acc)
+        acc = acc * n % P
+    if acc == 0:
+        raise ArithmeticError("batch inversion of zero")
+    inv = pow(acc, -1, P)
+    out = [None] * len(zs)
+    for i in range(len(zs) - 1, -1, -1):
+        ni = inv * prefix[i] % P
+        inv = inv * norms[i] % P
+        z0, z1 = zs[i]
+        out[i] = (z0 * ni % P, -z1 * ni % P)
+    return out
+
+
 def _j2_to(j) -> G2Point:
     x0, x1, y0, y1, z0, z1 = j
     if not (z0 or z1):
@@ -551,3 +581,58 @@ def g2_mul(pt: G2Point, k: int) -> G2Point:
     if k == 0 or pt.infinity:
         return G2_IDENTITY
     return _j2_to(_j2_mul(pt, k))
+
+
+# Signed radix-16 digits of any k < R: 64 windows, as digits in [-7, 8]
+# reach 8*(16^64 - 1)/15 > 2^254 > R.
+_GEN_WINDOWS = (R.bit_length() + 4) // 4
+
+
+@cache
+def _gen_table():
+    """Affine [d*16^i]G2_GEN at index 8*i + d - 1, for d = 1..8 and every
+    window i of g2_mul_gen.  Each window's multiples are built in Jacobian
+    coordinates from the previous window's [16]B, and all of them share
+    one inversion.  No entry is the identity, as R is a prime above 16."""
+    walk = []
+    b = (*G2_GEN.x, *G2_GEN.y, 1, 0)
+    for _ in range(_GEN_WINDOWS):
+        row = [b, _j2_double(b)]
+        for d in range(3, 9):
+            row.append(_j2_double(row[d // 2 - 1]) if d % 2 == 0 else _j2_add(row[-1], b))
+        walk += row
+        b = _j2_double(row[-1])
+    zinv = _batch_inv([(z0, z1) for _, _, _, _, z0, z1 in walk])
+    table = []
+    for (x0, x1, y0, y1, _, _), zi in zip(walk, zinv):
+        zi2 = fp2_sqr(zi)
+        table.append((*fp2_mul((x0, x1), zi2), *fp2_mul((y0, y1), fp2_mul(zi2, zi))))
+    return table
+
+
+def g2_mul_gen(k: int) -> G2Point:
+    """[k]G2_GEN from the fixed-base table of the generator.
+
+    k is reduced mod R, which is sound as the generator lies in G2, and
+    recoded in signed radix-16 digits d_i in [-7, 8] with
+    k = sum d_i*16^i.  Each nonzero digit adds [|d_i|*16^i]G2_GEN, its y
+    negated for a negative digit, by one mixed addition; the sum is made
+    affine by one inversion.  The table costs one build per process.
+    """
+    k %= R
+    table = _gen_table()
+    acc = _J2_INF
+    i = 0
+    while k:
+        d = k & 15
+        k >>= 4
+        if d > 8:
+            d -= 16
+            k += 1
+        if d > 0:
+            acc = _j2_madd(acc, table[i + d - 1])
+        elif d < 0:
+            x0, x1, y0, y1 = table[i - d - 1]
+            acc = _j2_madd(acc, (x0, x1, -y0 % P, -y1 % P))
+        i += 8
+    return _j2_to(acc)

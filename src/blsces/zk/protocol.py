@@ -10,7 +10,10 @@ conjunction of three independently reported checks:
   b1  the disclosed index set is allowed by the policy,
   b2  the pairing equation binds the extracted signature to the
       decompressed points under the issuer key,
-  b3  the backend accepts the proof for the public inputs.
+  b3  the backend accepts the proof for the public inputs,
+
+and, when the verifier names the predicate it expects, a fourth: the
+proof's layout proves exactly that predicate.
 """
 
 from __future__ import annotations
@@ -98,9 +101,15 @@ def zk_verify(
     ext_sig: bls.Signature,
     proof: Proof,
     inputs: PublicInputs,
+    predicate=None,
 ) -> ZkVerifyResult:
     """Check policy membership, the pairing equation over decompressed
-    points, and the backend proof; accept only if all three hold."""
+    points, and the backend proof; accept only if all three hold.
+
+    With ``predicate``, also accept only a proof whose layout proves
+    exactly that predicate (``predicate_rejected`` otherwise): a proof of
+    no predicate, or of other bounds, is then refused.
+    """
     # b1: the disclosed index set is allowed by the policy the verifier
     # was handed.  b3 binds that policy to the one the messages were
     # encoded under; the statement does not prove membership, so b1 is
@@ -140,16 +149,20 @@ def zk_verify(
     # profile would bind only a few bits of x.
     verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs, profile=BN254.name)
     b3 = bool(verdict)
+    # the predicate the verifier asks for is the one the proof proves
+    b4 = predicate is None or verdict.predicate == predicate.describe()
 
-    accept = b1 and b2 and b3
+    accept = b1 and b2 and b3 and b4
     if accept:
         code = "ok"
     elif not b1:
         code = "policy_rejected"
     elif not b2:
         code = b2_code
-    else:
+    elif not b3:
         code = f"proof_rejected:{verdict.code}"
+    else:
+        code = "predicate_rejected"
     return ZkVerifyResult(
         accept=accept,
         policy_ok=b1,

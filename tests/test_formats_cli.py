@@ -247,6 +247,33 @@ def test_cli_prove_and_zk_verify(cli_flow):
     assert code == 2 and diag["kind"] == "malformed" and "groth16" in diag["error"]
 
 
+def test_cli_zk_verify_expects_predicate(cli_flow, tmp_path):
+    """zk-verify --predicate range:0:18:65 accepts a proof of that range
+    only; a proof of no predicate or of other bounds exits 1."""
+    verdicts = {}
+    for spec in (None, "range:0:18:64", "range:0:18:65"):
+        bundle = tmp_path / f"bundle-{spec}.json"
+        code, _ = run_cli(
+            "prove", "--signed", str(cli_flow / "signed.json"), "--indices", "0",
+            *(("--predicate", spec) if spec else ()), "--out", str(bundle),
+        )
+        assert code == 0
+        verdicts[spec] = run_cli(
+            "zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--presentation", str(cli_flow / "pres.json"),
+            "--bundle", str(bundle), "--predicate", "range:0:18:65",
+        )
+    for spec in (None, "range:0:18:64"):
+        code, diag = verdicts[spec]
+        assert code == 1 and diag["ok"] is False and diag["code"] == "predicate_rejected"
+    code, diag = verdicts["range:0:18:65"]
+    assert code == 0 and diag["ok"] is True and diag["code"] == "ok"
+    code, diag = run_cli(
+        "zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--presentation", str(cli_flow / "pres.json"),
+        "--bundle", str(tmp_path / "bundle-None.json"), "--predicate", "range:0:18",
+    )
+    assert code == 2 and diag["kind"] == "malformed"
+
+
 def test_cli_issue_with_separate_ceas_file(cli_flow, tmp_path):
     cred_doc = json.loads((cli_flow / "cred.json").read_text())
     del cred_doc["ceas"]

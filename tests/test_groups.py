@@ -1,6 +1,8 @@
 """Group laws, scalar multiplication, and point serialization."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,7 @@ from blsces.groups.points import (
     _GLV_B2,
     _j1_madd,
     _j1_to,
+    g2_mul_gen,
     glv_split,
 )
 from blsces.groups.tower import wnaf
@@ -231,6 +234,38 @@ def test_g2_mul_matches_naive_oracle():
         for k in scalars:
             got = g2_mul(q, k)
             assert (None if got.infinity else lift_g2((got.x, got.y))) == _naive_g2_mul(q, k), k
+
+
+def test_g2_mul_gen_matches_g2_mul():
+    """The fixed-base table path agrees with g2_mul on seeded random
+    scalars and on the recoding's edges: a digit of 8, the first carry at
+    9, 16^i +- 8 in every window, the top of the range, scalars of R and
+    above (reduced mod R), and multiples of R (the identity)."""
+    rng = random.Random(17)
+    scalars = [rng.randrange(1, R) for _ in range(50)]
+    scalars += [1, 8, 9, 15, 16, 17, R - 1, R + 1, R + 9, 3 * R - 8, rng.getrandbits(300)]
+    scalars += [16**i + s for i in range(1, 64) for s in (8, -8)]
+    for k in scalars:
+        assert g2_mul_gen(k) == g2_mul(G2_GEN, k), k
+    for k in (0, R, 5 * R):
+        assert g2_mul_gen(k) == G2_IDENTITY
+
+
+def test_g2_mul_gen_table_built_once_on_first_use():
+    """Importing the package builds no table; the first key builds it and
+    later keys reuse it."""
+    script = (
+        "import random, blsces, blsces.cli, blsces.zk\n"
+        "from blsces.groups import points\n"
+        "assert points._gen_table.cache_info().currsize == 0\n"
+        "for seed in range(3):\n"
+        "    blsces.bls.keygen(random.Random(seed))\n"
+        "info = points._gen_table.cache_info()\n"
+        "print(info.misses, info.hits)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2"]
 
 
 def test_off_curve_rejection():

@@ -984,6 +984,31 @@ def test_zk_verify_reports_the_proven_predicate(zk_env):
     assert not r.accept and r.code == "pairing_failed" and r.predicate == RangePredicate(0, 18, 65).describe()
 
 
+def test_zk_verify_binds_the_expected_predicate(zk_env):
+    """A verifier that expects range:0:18:65 accepts only a proof of that
+    range: a proof of no predicate, of other bounds, or of another kind
+    verifies on its own but is refused as predicate_rejected."""
+    setup, cred, ceas, _, pres, proof, inputs = zk_env
+    pk = setup.keypair.pk
+    want = RangePredicate(0, 18, 65)
+    x = ExtractionSet(frozenset({0, 1}))
+    others = [(proof, inputs)]
+    for other in (RangePredicate(0, 0, 99), RangePredicate(0, 18, 64), EqualsPredicate(0, "19")):
+        others.append(prove_extraction(setup.backend_params, cred, ceas, x, other))
+    for p, i in others:
+        assert zk_verify(setup.backend_params, pk, pres.sigma, p, i).accept
+        r = zk_verify(setup.backend_params, pk, pres.sigma, p, i, predicate=want)
+        assert not r.accept and r.code == "predicate_rejected"
+        assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, True)
+    exact, exact_inputs = prove_extraction(setup.backend_params, cred, ceas, x, want)
+    r = zk_verify(setup.backend_params, pk, pres.sigma, exact, exact_inputs, predicate=want)
+    assert r.accept and r.code == "ok" and r.predicate == want.describe()
+    # a failed proof keeps its own code, whatever predicate it names
+    flipped = replace(inputs, sign_bits=(1 - inputs.sign_bits[0],) + inputs.sign_bits[1:])
+    r = zk_verify(setup.backend_params, pk, pres.sigma, proof, flipped, predicate=want)
+    assert not r.accept and r.code == "pairing_failed"
+
+
 def test_zk_verify_binds_the_proved_policy(zk_env):
     """Inputs naming another policy that also allows the extraction do
     not verify: the claim messages were encoded under the proof's policy."""
