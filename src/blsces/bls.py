@@ -74,7 +74,6 @@ class Signature:
 class HashToG1Result:
     point: G1Point
     counter: int
-    spare_bits: int
     sign_bit: int
     x: int
 
@@ -111,12 +110,12 @@ def hash_to_g1_at(msg: bytes, counter: int, profile: CurveProfile = BN254) -> Ha
     the building block verifiers use when the counter travels with the
     signature instead of being re-derived.
     """
-    x, sign, spare = hash_candidate(msg, counter, profile)
+    x, sign, _ = hash_candidate(msg, counter, profile)
     y0 = profile.signing_root(x)
     if y0 is None:
         return None
     y = (profile.p - y0) % profile.p if sign else y0
-    return HashToG1Result(point=G1Point(x, y), counter=counter, spare_bits=spare, sign_bit=sign, x=x)
+    return HashToG1Result(point=G1Point(x, y), counter=counter, sign_bit=sign, x=x)
 
 
 @lru_cache(maxsize=4096)

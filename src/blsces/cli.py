@@ -6,9 +6,10 @@ stdout.  Outputs contain no timestamps or hidden randomness, so runs
 with the same inputs (and, for keygen, the same seed) are byte-stable.
 
 Proofs use the transparent prover backend, the only one there is;
-zk-verify rejects a bundle that names another as malformed.  The --toy
-flag switches the curve profile for gen-vectors and self-test only;
-real keys and pairings exist only on the production curve.
+zk-verify rejects a bundle that names another as malformed.  prove
+writes the aggregate signature of the disclosed claims into the bundle,
+so zk-verify reads only the issuer key and the bundle.  Every command
+works on BN254.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import BlscesError, EncodingError, StatementError, ValidationError
-from blsces.groups.params import BN254, TOY
+from blsces.groups.params import BN254
 from blsces.zk import (
     BackendParams,
     EqualsPredicate,
@@ -139,17 +140,17 @@ def cmd_prove(args) -> int:
     x = _parse_indices(args.indices, len(sc.cred))
     predicate = _parse_predicate(args.predicate)
     proof, inputs = prove_extraction(BackendParams(), sc.cred, sc.ceas, x, predicate=predicate)
-    _write_text(args.out, formats.dumps(formats.proof_bundle_to_json(proof, inputs)))
+    sigma = bls.aggregate([sc.sigs[i] for i in x.sorted()])
+    _write_text(args.out, formats.dumps(formats.proof_bundle_to_json(proof, inputs, sigma)))
     _emit({"ok": True, "bundle": args.out, "disclosed": x.sorted()})
     return EXIT_OK
 
 
 def cmd_zk_verify(args) -> int:
     pk = formats.public_key_from_json(_read_json(args.pubkey))
-    pres = formats.presentation_from_json(_read_json(args.presentation))
-    proof, inputs = formats.proof_bundle_from_json(_read_json(args.bundle))
+    proof, inputs, sigma = formats.proof_bundle_from_json(_read_json(args.bundle))
     predicate = _parse_predicate(args.predicate)
-    result = zk_verify(BackendParams(), pk, pres.sigma, proof, inputs, predicate=predicate)
+    result = zk_verify(BackendParams(), pk, sigma, proof, inputs, predicate=predicate)
     _emit(
         {
             "ok": result.accept,
@@ -176,9 +177,8 @@ def _demo_credential():
 
 
 def cmd_gen_vectors(args) -> int:
-    profile = TOY if args.toy else BN254
     rng = random.Random(args.seed)
-    out: dict = {"profile": profile.name, "seed": args.seed}
+    out: dict = {"profile": BN254.name, "seed": args.seed}
     cred, ceas = _demo_credential()
     msgs = [b"", b"abc", b"vector-message"]
     out["hash_to_g1"] = [
@@ -190,39 +190,35 @@ def cmd_gen_vectors(args) -> int:
             "sign_bit": h.sign_bit,
         }
         for m in msgs
-        for h in [bls.hash_to_g1(m, profile)]
+        for h in [bls.hash_to_g1(m)]
     ]
-    if not args.toy:
-        kp = bls.keygen(rng)
-        out["keypair"] = {"sk": f"{kp.sk:064x}", "pk": formats.public_key_to_json(kp.pk)["public_key"]}
-        out["signatures"] = [
-            {"msg": m.hex(), "sig": bls.sign(kp.sk, m).data.hex()} for m in msgs
-        ]
-        sc = ces_sign(kp.sk, cred, ceas)
-        out["signed_credential"] = formats.signed_to_json(sc)
-        pres = ces_extract(sc, ExtractionSet(frozenset({0})))
-        out["presentation"] = formats.presentation_to_json(pres)
+    kp = bls.keygen(rng)
+    out["keypair"] = {"sk": f"{kp.sk:064x}", "pk": formats.public_key_to_json(kp.pk)["public_key"]}
+    out["signatures"] = [
+        {"msg": m.hex(), "sig": bls.sign(kp.sk, m).data.hex()} for m in msgs
+    ]
+    sc = ces_sign(kp.sk, cred, ceas)
+    out["signed_credential"] = formats.signed_to_json(sc)
+    pres = ces_extract(sc, ExtractionSet(frozenset({0})))
+    out["presentation"] = formats.presentation_to_json(pres)
     _write_text(args.out, formats.dumps(out))
-    _emit({"ok": True, "vectors": args.out, "profile": profile.name})
+    _emit({"ok": True, "vectors": args.out, "profile": BN254.name})
     return EXIT_OK
 
 
 def cmd_self_test(args) -> int:
-    profile = TOY if args.toy else BN254
     checks = {}
-    h = bls.hash_to_g1(b"self-test", profile)
-    checks["hash_on_curve"] = (h.point.y * h.point.y - profile.rhs(h.point.x)) % profile.p == 0
-    if not args.toy:
-        rng = random.Random(0xC0FFEE)
-        kp = bls.keygen(rng)
-        sig = bls.sign(kp.sk, b"self-test")
-        checks["sign_verify"] = bls.verify(kp.pk, b"self-test", sig)
-        cred, ceas = _demo_credential()
-        sc = ces_sign(kp.sk, cred, ceas)
-        pres = ces_extract(sc, ExtractionSet(frozenset({0})))
-        checks["ces_round_trip"] = bool(ces_verify(kp.pk, pres))
+    h = bls.hash_to_g1(b"self-test")
+    checks["hash_on_curve"] = (h.point.y * h.point.y - BN254.rhs(h.point.x)) % BN254.p == 0
+    kp = bls.keygen(random.Random(0xC0FFEE))
+    sig = bls.sign(kp.sk, b"self-test")
+    checks["sign_verify"] = bls.verify(kp.pk, b"self-test", sig)
+    cred, ceas = _demo_credential()
+    sc = ces_sign(kp.sk, cred, ceas)
+    pres = ces_extract(sc, ExtractionSet(frozenset({0})))
+    checks["ces_round_trip"] = bool(ces_verify(kp.pk, pres))
     ok = all(checks.values())
-    _emit({"ok": ok, "checks": checks, "profile": profile.name})
+    _emit({"ok": ok, "checks": checks, "profile": BN254.name})
     return EXIT_OK if ok else EXIT_REJECT
 
 
@@ -261,19 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", default=None, help="range:IDX:LO:HI or equals:IDX:VALUE")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("zk-verify", help="verify a proof bundle against a presentation")
+    p = sub.add_parser("zk-verify", help="verify a proof bundle under an issuer key")
     p.add_argument("--pubkey", required=True)
-    p.add_argument("--presentation", required=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--predicate", default=None, help="accept only a proof of this predicate, as for prove")
 
     p = sub.add_parser("gen-vectors", help="write golden test vectors")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=20240001)
-    p.add_argument("--toy", action="store_true", help="toy curve profile (test tooling only)")
 
-    p = sub.add_parser("self-test", help="run a built-in sanity flow")
-    p.add_argument("--toy", action="store_true", help="toy curve profile (test tooling only)")
+    sub.add_parser("self-test", help="run a built-in sanity flow")
     return parser
 
 

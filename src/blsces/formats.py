@@ -1,5 +1,9 @@
 """JSON file formats for keys, credentials, presentations, and proofs.
 
+A proof bundle carries the proof, its public inputs and the aggregate
+signature of the disclosed claims, so a verifier needs only the issuer
+key besides it and no presentation.
+
 Human-facing files are JSON; anything hashed or signed uses the
 canonical byte serializations from the credential module.  The two
 never mix: parsing a file reconstructs objects, and canonical bytes are
@@ -242,12 +246,14 @@ def presentation_from_json(data: dict) -> ExtractedPresentation:
 
 # -- proof bundles --------------------------------------------------------------
 
-def proof_bundle_to_json(proof: Proof, inputs: PublicInputs) -> dict:
+def proof_bundle_to_json(proof: Proof, inputs: PublicInputs, sigma: bls.Signature) -> dict:
+    """A proof bundle; ``sigma`` aggregates the disclosed claims' signatures."""
     ceas = CEAS.from_bytes(inputs.ceas_bytes)
     return {
         "format": FORMAT_PROOF,
         "version": VERSION,
         "backend": TRANSPARENT_BACKEND.name,
+        "aggregate_signature": sigma.data.hex(),
         "public_inputs": {
             "x": [f"{x:064x}" for x in inputs.x_coords],
             "sign_bits": list(inputs.sign_bits),
@@ -258,9 +264,10 @@ def proof_bundle_to_json(proof: Proof, inputs: PublicInputs) -> dict:
     }
 
 
-def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs]:
-    """Parse a proof bundle; a bundle naming any prover backend other
-    than the transparent one is malformed."""
+def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs, bls.Signature]:
+    """Parse a proof bundle into its proof, public inputs and aggregate
+    signature; a bundle naming any prover backend other than the
+    transparent one, or without a 32-byte signature, is malformed."""
     data = _expect(data, FORMAT_PROOF)
     if data.get("backend") != TRANSPARENT_BACKEND.name:
         raise EncodingError(f"unknown prover backend {data.get('backend')!r}")
@@ -274,6 +281,7 @@ def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs]:
             extraction=tuple(int(i) for i in pub["extraction"]),
         )
         proof = Proof(base64.b64decode(data["proof"], validate=True))
+        sigma = bls.Signature(bytes.fromhex(data["aggregate_signature"]))
     except Exception as exc:
         raise EncodingError(f"bad proof bundle: {exc}") from exc
-    return proof, inputs
+    return proof, inputs, sigma

@@ -7,7 +7,7 @@ from blsces.zk.backend import (
     TRANSPARENT_BACKEND,
     TransparentBackend,
 )
-from blsces.zk.predicates import CustomPredicate, EqualsPredicate, RangePredicate, predicate_from_descriptor
+from blsces.zk.predicates import EqualsPredicate, RangePredicate, predicate_from_descriptor
 from blsces.zk.protocol import ZkSetup, ZkVerifyResult, prove_extraction, zk_setup, zk_verify
 from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
 from blsces.zk.statement import (
@@ -26,7 +26,6 @@ __all__ = [
     "Builder",
     "CheckingBuilder",
     "ConstraintSystem",
-    "CustomPredicate",
     "EqualsPredicate",
     "HashToCurveWitness",
     "Proof",

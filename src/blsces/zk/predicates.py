@@ -1,34 +1,20 @@
 """Application predicates proven alongside the hash statement.
 
-A predicate receives the in-circuit byte LCs of one claim's value and
-emits constraints over them.  Two implementations ship: a range check
-over decimal-integer values and equality to a constant string.  Both
-are described by a small serializable record so a verifier can rebuild
-the identical statement.
+A predicate names the claim whose value it constrains
+(``claim_index``), receives the in-circuit byte LCs of that value in
+``synthesize`` and emits constraints over them.  There are two: a range
+check over decimal-integer values and equality to a constant string.
+Each is described by a small serializable record (``describe``), from
+which a verifier rebuilds the identical statement; a kind that
+``predicate_from_descriptor`` does not know cannot be proven.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from blsces.errors import StatementError
 from blsces.zk.r1cs import LC, Builder
-
-
-class CustomPredicate(ABC):
-    """Constraint source over one claim's value bytes."""
-
-    #: index of the claim whose value the predicate constrains
-    claim_index: int
-
-    @abstractmethod
-    def describe(self) -> dict:
-        """JSON-compatible description; identity of the statement."""
-
-    @abstractmethod
-    def synthesize(self, bd: Builder, value_bytes: list[LC]) -> None:
-        """Emit constraints over the little-endian-bit byte LCs."""
 
 
 def _lc_sub_const(lc: LC, k: int) -> LC:
@@ -43,7 +29,7 @@ def _range_bits(bd: Builder, lc: LC, width: int) -> None:
 
 
 @dataclass(frozen=True)
-class RangePredicate(CustomPredicate):
+class RangePredicate:
     """The claim value, read as an ASCII decimal integer, lies in
     [low, high].  Every byte is constrained to be a digit; the two-sided
     bound uses bit decompositions of value - low and high - value."""
@@ -80,7 +66,7 @@ class RangePredicate(CustomPredicate):
 
 
 @dataclass(frozen=True)
-class EqualsPredicate(CustomPredicate):
+class EqualsPredicate:
     """The claim value equals a public constant string."""
 
     claim_index: int
@@ -99,7 +85,7 @@ class EqualsPredicate(CustomPredicate):
             bd.add_lin(_lc_sub_const(byte_lc, want))
 
 
-def predicate_from_descriptor(desc: dict | None) -> CustomPredicate | None:
+def predicate_from_descriptor(desc: dict | None) -> RangePredicate | EqualsPredicate | None:
     """The predicate a descriptor names; a descriptor from outside that
     names none raises StatementError."""
     if desc is None:

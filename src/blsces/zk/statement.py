@@ -17,12 +17,15 @@ each point from its public (x, sign) pair, which rejects an x off the
 curve, and it checks the extraction set against the policy, which
 ``public_assignment`` pins to the layout's.
 
-The layout records everything a verifier needs to synthesize the
-identical statement over a transported assignment: claim component
-lengths and the predicate description.  Message bytes that are
-publicly known (policy bytes, lengths, indices, padding) enter the
-circuit as constants rather than witness variables, so they cannot be
-substituted.
+The layout, which a proof carries as its header, records only what a
+verifier cannot derive: the curve profile, the policy bytes, the
+extraction set, each extracted claim's three component lengths, and the
+predicate description.  The width n follows from the policy bytes, a
+claim's index from the extraction, and its message length from the
+policy's length and the component lengths (``StatementLayout.claims``).
+Message bytes that are publicly known (policy bytes, lengths, indices,
+padding) enter the circuit as constants rather than witness variables,
+so they cannot be substituted.
 """
 
 from __future__ import annotations
@@ -79,47 +82,53 @@ def _first_block(msg_len: int, lens: tuple[int, int, int]) -> int:
 
 @dataclass(frozen=True)
 class ClaimLayout:
+    """One extracted claim's shape: its index, its component lengths
+    (subject, property, value) and its message length with the counter
+    byte."""
+
     index: int
-    len_subject: int
-    len_property: int
-    len_value: int
+    lens: tuple[int, int, int]
     msg_len: int
-    padded_len: int
 
     @property
     def first_block(self) -> int:
-        return _first_block(self.msg_len, (self.len_subject, self.len_property, self.len_value))
+        return _first_block(self.msg_len, self.lens)
 
     @property
     def total_blocks(self) -> int:
-        return self.padded_len // 64
+        return (self.msg_len + len(sha256_pad(self.msg_len))) // 64
+
+
+def build_claim_layout(ceas_bytes: bytes, i: int, lens: tuple[int, int, int]) -> ClaimLayout:
+    """The shape of claim i's message under the policy ``ceas_bytes``, from
+    public lengths alone: the policy after its 4-byte length, n and i as
+    4 bytes each, the three components after their 4-byte lengths, and
+    the counter byte."""
+    return ClaimLayout(index=i, lens=lens, msg_len=4 + len(ceas_bytes) + 8 + 12 + sum(lens) + 1)
 
 
 @dataclass(frozen=True)
 class StatementLayout:
     profile_name: str
     ceas_bytes: bytes
-    n: int
     extraction: tuple[int, ...]
-    claims: tuple[ClaimLayout, ...]
+    # (subject, property, value) byte lengths, one triple per extracted index
+    claim_lens: tuple[tuple[int, int, int], ...]
     predicate: dict | None
+
+    @property
+    def claims(self) -> tuple[ClaimLayout, ...]:
+        """Each extracted claim's shape, paired with the extraction in
+        order; ``synthesize`` refuses a layout whose counts differ."""
+        return tuple(build_claim_layout(self.ceas_bytes, i, lens) for i, lens in zip(self.extraction, self.claim_lens))
 
     def to_json(self) -> dict:
         return {
             "profile": self.profile_name,
             "ceas": self.ceas_bytes.hex(),
-            "n": self.n,
             "extraction": list(self.extraction),
             "claims": [
-                {
-                    "index": c.index,
-                    "len_subject": c.len_subject,
-                    "len_property": c.len_property,
-                    "len_value": c.len_value,
-                    "msg_len": c.msg_len,
-                    "padded_len": c.padded_len,
-                }
-                for c in self.claims
+                {"len_subject": ls, "len_property": lp, "len_value": lv} for ls, lp, lv in self.claim_lens
             ],
             "predicate": self.predicate,
         }
@@ -133,18 +142,9 @@ class StatementLayout:
             return cls(
                 profile_name=data["profile"],
                 ceas_bytes=bytes.fromhex(data["ceas"]),
-                n=int(data["n"]),
                 extraction=tuple(int(i) for i in data["extraction"]),
-                claims=tuple(
-                    ClaimLayout(
-                        index=int(c["index"]),
-                        len_subject=int(c["len_subject"]),
-                        len_property=int(c["len_property"]),
-                        len_value=int(c["len_value"]),
-                        msg_len=int(c["msg_len"]),
-                        padded_len=int(c["padded_len"]),
-                    )
-                    for c in data["claims"]
+                claim_lens=tuple(
+                    (int(c["len_subject"]), int(c["len_property"]), int(c["len_value"])) for c in data["claims"]
                 ),
                 predicate=data.get("predicate"),
             )
@@ -166,9 +166,9 @@ def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
 
     The message follows ``encode_claim_message``: the length-prefixed
     policy bytes, n and i as 4-byte integers, then subject, property
-    and value, each after its 4-byte length.  Returns the message length
-    with the counter; the prefix, the whole blocks before the block of
-    the first secret byte, which hold only public bytes; and the rest
+    and value, each after its 4-byte length.  Returns the prefix, the
+    whole blocks before the block of the first secret byte, which hold
+    only public bytes; and the rest of the message with its counter byte
     up to the end of the padding as segments (offset, data, kind):
     public bytes with kind None, or a secret component's length and its
     kind ("subject", "property", "value" or "counter").  No secret byte
@@ -187,27 +187,12 @@ def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
         if size:
             segments.append((pos, data, kind))
         pos += size
-    msg_len = pos
-    segments.append((msg_len, sha256_pad(msg_len), None))
+    segments.append((pos, sha256_pad(pos), None))
     # everything before the first secret byte is public and contiguous
-    start = 64 * _first_block(msg_len, lens)
+    start = 64 * _first_block(pos, lens)
     head = b"".join(data for off, data, _ in segments if off < start)
     rest = [(start, head[start:], None)] if len(head) > start else []
-    return msg_len, head[:start], rest + [seg for seg in segments if seg[0] >= start]
-
-
-def build_claim_layout(ceas: CEAS, n: int, i: int, claim: Claim) -> ClaimLayout:
-    """Shape of one visible claim (prover side)."""
-    lens = _component_lengths(claim)
-    msg_len = len(encode_claim_message(ceas, n, i, claim)) + 1
-    return ClaimLayout(
-        index=i,
-        len_subject=lens[0],
-        len_property=lens[1],
-        len_value=lens[2],
-        msg_len=msg_len,
-        padded_len=msg_len + len(sha256_pad(msg_len)),
-    )
+    return head[:start], rest + [seg for seg in segments if seg[0] >= start]
 
 
 @dataclass
@@ -261,13 +246,11 @@ def synthesize(
     if profile is None:
         raise StatementError(f"unknown curve profile {layout.profile_name!r}")
     ceas = CEAS.from_bytes(layout.ceas_bytes)
-    if ceas.n != layout.n:
-        raise StatementError("layout width disagrees with its policy bytes")
     if not layout.extraction or tuple(sorted(set(layout.extraction))) != layout.extraction:
         raise StatementError("layout extraction set not canonical")
-    if any(not 0 <= i < layout.n for i in layout.extraction):
+    if any(not 0 <= i < ceas.n for i in layout.extraction):
         raise StatementError("layout extraction index out of range")
-    if tuple(c.index for c in layout.claims) != layout.extraction:
+    if len(layout.claim_lens) != len(layout.extraction):
         raise StatementError("one claim layout per extracted index required")
     predicate = predicate_from_descriptor(layout.predicate)
     if predicate is not None and predicate.claim_index not in layout.extraction:
@@ -295,17 +278,14 @@ def synthesize(
     # ---- per-claim hash constraints ----------------------------------------
     # every claim message starts with the length-prefixed policy and n:
     # their whole blocks are hashed once for all claims
-    head = struct.pack(">I", len(layout.ceas_bytes)) + layout.ceas_bytes + struct.pack(">I", layout.n)
+    head = struct.pack(">I", len(layout.ceas_bytes)) + layout.ceas_bytes + struct.pack(">I", ceas.n)
     shared_len = 64 * (len(head) // 64)
     shared_state = list(SHA256_IV)
     for k in range(0, shared_len, 64):
         shared_state = sha256_compress(shared_state, head[k: k + 64])
     value_lcs_by_index: dict[int, list[LC]] = {}
     for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
-        lens = (cl.len_subject, cl.len_property, cl.len_value)
-        msg_len, prefix, segments = _skeleton(layout.ceas_bytes, layout.n, cl.index, lens)
-        if msg_len != cl.msg_len or msg_len + len(sha256_pad(msg_len)) != cl.padded_len:
-            raise StatementError("layout lengths disagree with the encoding")
+        prefix, segments = _skeleton(layout.ceas_bytes, ceas.n, cl.index, cl.lens)
         # each secret byte takes 8 variables: a checker refuses declared
         # lengths its assignment cannot hold before building anything
         secret_bits = 8 * sum(data for _, data, kind in segments if kind)
@@ -317,14 +297,13 @@ def synthesize(
             claim_obj, wit = witness[cl.index]
             if claim_obj.hidden:
                 raise StatementError("witness claim is hidden")
-            if _component_lengths(claim_obj) != lens:
+            if _component_lengths(claim_obj) != cl.lens:
                 raise StatementError("claim component lengths disagree with the layout")
             real_msg = (
-                encode_claim_message(ceas, layout.n, cl.index, claim_obj)
+                encode_claim_message(ceas, ceas.n, cl.index, claim_obj)
                 + bytes([wit.counter])
                 + sha256_pad(cl.msg_len)
             )
-            assert len(real_msg) == cl.padded_len
 
         # the little-endian bit literals of each byte from the first
         # in-circuit block: constants for public bytes, and variables for
@@ -391,26 +370,25 @@ def prover_layout(
     ``synthesize`` takes for it.
 
     ``witnesses`` maps each extracted index to its hash witness; the
-    credential supplies the claim bytes.
+    credential supplies the claim bytes, and the policy must be as wide
+    as the credential is long.
     """
+    if ceas.n != len(cred):
+        raise StatementError("policy width differs from the credential's length")
     idxs = tuple(sorted(set(int(i) for i in extraction)))
     if not idxs:
         raise StatementError("empty extraction set")
     missing = [i for i in idxs if i not in witnesses]
     if missing:
         raise StatementError(f"missing witnesses for indices {missing}")
-    claims = []
     for i in idxs:
-        claim = cred[i]
-        if claim.hidden:
+        if cred[i].hidden:
             raise StatementError(f"claim {i} is hidden")
-        claims.append(build_claim_layout(ceas, len(cred), i, claim))
     layout = StatementLayout(
         profile_name=profile_name,
         ceas_bytes=ceas.to_bytes(),
-        n=len(cred),
         extraction=idxs,
-        claims=tuple(claims),
+        claim_lens=tuple(_component_lengths(cred[i]) for i in idxs),
         predicate=predicate.describe() if predicate is not None else None,
     )
     return layout, {i: (cred[i], witnesses[i]) for i in idxs}

@@ -78,13 +78,22 @@ def test_proof_bundle_roundtrip(issuer):
     setup = zk_setup(rng=random.Random(3))
     cred = Credential((Claim("h", "age", "19"),))
     ceas = CEAS.from_index_sets(1, [[0]])
-    proof, inputs = prove_extraction(setup.backend_params, cred, ceas, ExtractionSet(frozenset({0})))
-    doc = formats.proof_bundle_to_json(proof, inputs)
-    assert doc["backend"] == "transparent"
-    assert formats.proof_bundle_from_json(json.loads(formats.dumps(doc))) == (proof, inputs)
+    x = ExtractionSet(frozenset({0}))
+    proof, inputs = prove_extraction(setup.backend_params, cred, ceas, x)
+    sigma = ces_extract(ces_sign(setup.keypair.sk, cred, ceas), x).sigma
+    doc = formats.proof_bundle_to_json(proof, inputs, sigma)
+    assert doc["backend"] == "transparent" and doc["aggregate_signature"] == sigma.data.hex()
+    assert formats.proof_bundle_from_json(json.loads(formats.dumps(doc))) == (proof, inputs, sigma)
     for backend in ("groth16", None):
         with pytest.raises(EncodingError, match="prover backend"):
             formats.proof_bundle_from_json(dict(doc, backend=backend))
+    # the signature is required, as 32 bytes of hex
+    for bad in ("zz", sigma.data.hex()[:-2], sigma.data.hex() + "00", None, 7):
+        with pytest.raises(EncodingError, match="bad proof bundle"):
+            formats.proof_bundle_from_json(dict(doc, aggregate_signature=bad))
+    del doc["aggregate_signature"]
+    with pytest.raises(EncodingError, match="bad proof bundle"):
+        formats.proof_bundle_from_json(doc)
 
 
 def test_malformed_files_raise_encoding_errors():
@@ -201,21 +210,29 @@ def test_cli_prove_and_zk_verify(cli_flow):
         "--predicate", "range:0:18:64", "--out", str(cli_flow / "bundle.json"),
     )
     assert code == 0
-    code, diag = run_cli(
-        "zk-verify", "--pubkey", str(cli_flow / "pk.json"),
-        "--presentation", str(cli_flow / "pres.json"), "--bundle", str(cli_flow / "bundle.json"),
-    )
+    code, diag = run_cli("zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--bundle", str(cli_flow / "bundle.json"))
     assert code == 0 and diag["ok"] is True and diag["policy_ok"] and diag["pairing_ok"] and diag["proof_ok"]
     assert diag["predicate"] == {"kind": "range", "claim_index": 0, "low": 18, "high": 64}
+    # the bundle carries the aggregate of the disclosed claims' signatures,
+    # the one the presentation of the same claims carries
+    doc = json.loads((cli_flow / "bundle.json").read_text())
+    pres_doc = json.loads((cli_flow / "pres.json").read_text())
+    assert doc["aggregate_signature"] == pres_doc["aggregate_signature"]
 
-    # bundle against the wrong presentation: pairing conjunct fails, exit 1
+    # the signature of another extraction: pairing conjunct fails, exit 1
     code, _ = run_cli("extract", "--signed", str(cli_flow / "signed.json"), "--indices", "0,1", "--out", str(cli_flow / "pres01.json"))
     assert code == 0
-    code, diag = run_cli(
-        "zk-verify", "--pubkey", str(cli_flow / "pk.json"),
-        "--presentation", str(cli_flow / "pres01.json"), "--bundle", str(cli_flow / "bundle.json"),
-    )
-    assert code == 1 and diag["pairing_ok"] is False
+    other = json.loads((cli_flow / "pres01.json").read_text())["aggregate_signature"]
+    (cli_flow / "wrong_sig.json").write_text(formats.dumps(dict(doc, aggregate_signature=other)))
+    code, diag = run_cli("zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--bundle", str(cli_flow / "wrong_sig.json"))
+    assert code == 1 and diag["pairing_ok"] is False and diag["code"] == "pairing_failed"
+
+    # a missing or malformed signature field is malformed input, exit 2
+    for name, bundle in (("no_sig", {k: v for k, v in doc.items() if k != "aggregate_signature"}),
+                         ("short_sig", dict(doc, aggregate_signature="00" * 31))):
+        (cli_flow / f"{name}.json").write_text(formats.dumps(bundle))
+        code, diag = run_cli("zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--bundle", str(cli_flow / f"{name}.json"))
+        assert code == 2 and diag["kind"] == "malformed", name
 
     # a proof header whose predicate lacks its fields is rejected, exit 1
     doc = json.loads((cli_flow / "bundle.json").read_text())
@@ -226,7 +243,7 @@ def test_cli_prove_and_zk_verify(cli_flow):
     (cli_flow / "bad_predicate.json").write_text(formats.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "blsces.cli", "zk-verify", "--pubkey", str(cli_flow / "pk.json"),
-         "--presentation", str(cli_flow / "pres.json"), "--bundle", str(cli_flow / "bad_predicate.json")],
+         "--bundle", str(cli_flow / "bad_predicate.json")],
         capture_output=True,
         text=True,
     )
@@ -240,10 +257,7 @@ def test_cli_prove_and_zk_verify(cli_flow):
     doc = json.loads((cli_flow / "bundle.json").read_text())
     doc["backend"] = "groth16"
     (cli_flow / "foreign.json").write_text(formats.dumps(doc))
-    code, diag = run_cli(
-        "zk-verify", "--pubkey", str(cli_flow / "pk.json"),
-        "--presentation", str(cli_flow / "pres.json"), "--bundle", str(cli_flow / "foreign.json"),
-    )
+    code, diag = run_cli("zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--bundle", str(cli_flow / "foreign.json"))
     assert code == 2 and diag["kind"] == "malformed" and "groth16" in diag["error"]
 
 
@@ -259,8 +273,7 @@ def test_cli_zk_verify_expects_predicate(cli_flow, tmp_path):
         )
         assert code == 0
         verdicts[spec] = run_cli(
-            "zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--presentation", str(cli_flow / "pres.json"),
-            "--bundle", str(bundle), "--predicate", "range:0:18:65",
+            "zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--bundle", str(bundle), "--predicate", "range:0:18:65",
         )
     for spec in (None, "range:0:18:64"):
         code, diag = verdicts[spec]
@@ -268,7 +281,7 @@ def test_cli_zk_verify_expects_predicate(cli_flow, tmp_path):
     code, diag = verdicts["range:0:18:65"]
     assert code == 0 and diag["ok"] is True and diag["code"] == "ok"
     code, diag = run_cli(
-        "zk-verify", "--pubkey", str(cli_flow / "pk.json"), "--presentation", str(cli_flow / "pres.json"),
+        "zk-verify", "--pubkey", str(cli_flow / "pk.json"),
         "--bundle", str(tmp_path / "bundle-None.json"), "--predicate", "range:0:18",
     )
     assert code == 2 and diag["kind"] == "malformed"
@@ -303,11 +316,13 @@ def test_cli_keygen_seed_reproducible(tmp_path):
 
 
 def test_cli_self_test_and_gen_vectors(tmp_path):
-    code, diag = run_cli("self-test", "--toy")
-    assert code == 0 and diag["ok"]
+    code, diag = run_cli("self-test")
+    assert code == 0 and diag["ok"] and diag["profile"] == "bn254"
     out = tmp_path / "vec.json"
-    code, diag = run_cli("gen-vectors", "--out", str(out), "--toy", "--seed", "5")
+    code, diag = run_cli("gen-vectors", "--out", str(out), "--seed", "5")
     assert code == 0 and out.exists()
     again = tmp_path / "vec2.json"
-    run_cli("gen-vectors", "--out", str(again), "--toy", "--seed", "5")
+    run_cli("gen-vectors", "--out", str(again), "--seed", "5")
     assert out.read_text() == again.read_text()
+    # the option is gone, not ignored
+    assert run_cli("self-test", "--toy")[0] == 2

@@ -46,7 +46,7 @@ def presented(issuer, tmp_path_factory):
     proof, inputs = prove_extraction(BackendParams(), cred, ceas, x)
     root = tmp_path_factory.mktemp("keys")
     (root / "pres.json").write_text(formats.dumps(formats.presentation_to_json(pres)))
-    (root / "bundle.json").write_text(formats.dumps(formats.proof_bundle_to_json(proof, inputs)))
+    (root / "bundle.json").write_text(formats.dumps(formats.proof_bundle_to_json(proof, inputs, pres.sigma)))
     return pres, proof, inputs, root
 
 
@@ -66,9 +66,9 @@ def _assert_rejected_everywhere(pk, issuer, presented):
     with pytest.raises(OffCurveError):
         pairing_product([(G1_GEN, pk)])
     (root / "pk.json").write_text(formats.dumps(formats.public_key_to_json(pk)))
-    files = ["--pubkey", str(root / "pk.json"), "--presentation", str(root / "pres.json")]
-    assert cli.main(["verify", *files]) == cli.EXIT_MALFORMED
-    assert cli.main(["zk-verify", *files, "--bundle", str(root / "bundle.json")]) == cli.EXIT_MALFORMED
+    pubkey = ["--pubkey", str(root / "pk.json")]
+    assert cli.main(["verify", *pubkey, "--presentation", str(root / "pres.json")]) == cli.EXIT_MALFORMED
+    assert cli.main(["zk-verify", *pubkey, "--bundle", str(root / "bundle.json")]) == cli.EXIT_MALFORMED
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_KEYS))

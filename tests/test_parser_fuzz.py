@@ -44,7 +44,7 @@ def valid_documents():
         formats.credential_from_json: formats.credential_to_json(cred, ceas),
         formats.signed_from_json: formats.signed_to_json(sc),
         formats.presentation_from_json: formats.presentation_to_json(pres),
-        formats.proof_bundle_from_json: formats.proof_bundle_to_json(Proof(b"\x00" * 40), inputs),
+        formats.proof_bundle_from_json: formats.proof_bundle_to_json(Proof(b"\x00" * 40), inputs, pres.sigma),
         formats.ceas_from_json: {"n": 3, "subsets": ceas.index_sets()},
         StatementLayout.from_json: layout.to_json(),
     }

@@ -5,6 +5,7 @@ import random
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign
-from blsces.credential import CEAS, Claim, Credential, ExtractionSet, encode_claim_message
+from blsces.credential import MAX_CEAS_SUBSETS, MAX_CEAS_WIDTH, CEAS, Claim, Credential, ExtractionSet, encode_claim_message
 from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError, StatementError, ValidationError
 from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
@@ -451,8 +452,7 @@ def test_unsatisfied_verdict_names_claim_and_block(monkeypatch, issuer, tmp_path
     assert honest.accept and honest.detail == ""
     files = {
         "pubkey": formats.public_key_to_json(issuer.pk),
-        "presentation": formats.presentation_to_json(pres),
-        "bundle": formats.proof_bundle_to_json(proof, inputs),
+        "bundle": formats.proof_bundle_to_json(proof, inputs, pres.sigma),
     }
     for name, doc in files.items():
         (tmp_path / f"{name}.json").write_text(formats.dumps(doc))
@@ -491,19 +491,20 @@ def test_skeleton_builds_only_the_suffix():
                         pos += 4 + length
                     spans.append((pos, 1, "counter"))
                     start = 64 * (spans[0][0] // 64)
-                    got_len, prefix, segments = _skeleton(ceas_bytes, 6, 1, lens)
-                    assert (got_len, prefix) == (msg_len, full[:start]), lens
+                    prefix, segments = _skeleton(ceas_bytes, 6, 1, lens)
+                    cl = statement.build_claim_layout(ceas_bytes, 1, lens)
+                    assert (cl.msg_len, prefix) == (msg_len, full[:start]), lens
                     assert segments[0][0] == start, lens
                     rebuilt = b"".join(bytes(data) if kind else data for _, data, kind in segments)
                     assert rebuilt == full[start:], lens
                     assert [(off, data, kind) for off, data, kind in segments if kind] == spans, lens
-                    assert statement.build_claim_layout(ceas, 6, 1, Claim("\x00" * ls, "\x00" * lp, "\x00" * lv)).first_block == start // 64
+                    assert (cl.first_block, cl.total_blocks) == (start // 64, len(full) // 64), lens
                     shapes.add((start // 64, (len(full) - start) // 64))
     assert {first for first, _ in shapes} == {0, 1}
     assert {blocks for _, blocks in shapes} == {1, 2, 3, 4}
     ceas_bytes = WIDE_CEAS.to_bytes()
-    msg_len, prefix, segments = _skeleton(ceas_bytes, 6, 1, (0, 0, (1 << 32) - 1))
-    assert msg_len == 4 + len(ceas_bytes) + 8 + 12 + (1 << 32)
+    prefix, segments = _skeleton(ceas_bytes, 6, 1, (0, 0, (1 << 32) - 1))
+    assert statement.build_claim_layout(ceas_bytes, 1, (0, 0, (1 << 32) - 1)).msg_len == 4 + len(ceas_bytes) + 8 + 12 + (1 << 32)
     assert len(prefix) + sum(len(data) for _, data, kind in segments if not kind) <= 4 + len(ceas_bytes) + 8 + 12 + 72
     for lens in ((1 << 32, 0, 0), (0, -1, 0)):
         with pytest.raises(StatementError):
@@ -791,30 +792,18 @@ def test_backend_refuses_a_deflated_proof():
 
 
 def test_backend_memory_ignores_declared_lengths():
-    """A header may declare any component length.  The verifier builds
-    only the in-circuit suffix of the message, so a 50 MB value length,
-    alone or with message lengths to match, costs no more memory than an
-    honest proof and is rejected."""
+    """A header may declare any component length, and the message length
+    follows from it.  The verifier builds only the in-circuit suffix of
+    the message, so a 50 MB value length costs no more memory than an
+    honest proof and is refused as a shape mismatch."""
     res, wit = toy_statement("27")
     proof = TRANSPARENT_BACKEND.prove(BackendParams(), res)
     inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
     claim = res.layout.to_json()["claims"][0]
-    big = 50_000_000
-    msg_len = claim["msg_len"] + big - claim["len_value"]
-    padded_len = 64 * ((msg_len + 8) // 64 + 1)
-    for fields, code in (
-        ({"len_value": big}, "statement_rebuild_failed"),
-        ({"len_value": big, "msg_len": msg_len, "padded_len": padded_len}, None),
-    ):
-        tampered = with_layout(proof, claims=[dict(claim, **fields)])
-        tracemalloc.start()
-        try:
-            verdict = TRANSPARENT_BACKEND.verify(BackendParams(), tampered, inputs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not verdict and verdict.code == (code or verdict.code), fields
-        assert peak < 5 << 20, (fields, peak)
+    tampered = with_layout(proof, claims=[dict(claim, len_value=50_000_000)])
+    verdict, peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), tampered, inputs)
+    assert verdict.code == "witness_shape_mismatch"
+    assert peak < 5 << 20, peak
 
 
 def test_backend_memory_ignores_declared_lengths_over_a_long_witness():
@@ -827,9 +816,7 @@ def test_backend_memory_ignores_declared_lengths_over_a_long_witness():
     inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
     proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=res.values + [0] * 200_000))
     claim = res.layout.to_json()["claims"][0]
-    msg_len = claim["msg_len"] + 50_000_000 - claim["len_value"]
-    padded_len = 64 * ((msg_len + 8) // 64 + 1)
-    tampered = with_layout(proof, claims=[dict(claim, len_value=50_000_000, msg_len=msg_len, padded_len=padded_len)])
+    tampered = with_layout(proof, claims=[dict(claim, len_value=50_000_000)])
     verdict, peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), tampered, inputs)
     assert verdict.code == "witness_shape_mismatch"
     assert peak < 16 << 20, peak
@@ -1239,14 +1226,13 @@ def test_zk_verify_rejects_relabelled_claim(long_env):
     [30, 50]", was proved over claim 1's value.  The policy and the
     pairing hold, and the proof fails, because n and i enter the
     statement as the verifier's constants."""
-    setup, _, ceas, sc, wits, layout, proofs = long_env
-    claim = layout.to_json()["claims"][0]
+    setup, _, ceas, sc, wits, _, proofs = long_env
     inputs = PublicInputs((wits[1].x,), (wits[1].sign_bit,), ceas.to_bytes(), (0,))
     for proof in proofs:
         predicate = json.loads(proof.data.split(b"\n", 1)[0])["layout"]["predicate"]
         if predicate is not None:
             predicate = dict(predicate, claim_index=0)
-        relabelled = with_layout(proof, extraction=[0], claims=[dict(claim, index=0)], predicate=predicate)
+        relabelled = with_layout(proof, extraction=[0], predicate=predicate)
         r = zk_verify(setup.backend_params, setup.keypair.pk, sc.sigs[1], relabelled, inputs)
         assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False), predicate
         assert r.code == "proof_rejected:constraints_unsatisfied", r.code
@@ -1275,3 +1261,124 @@ def test_zk_verify_accepts_only_bn254(zk_env):
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
     assert r.code == "proof_rejected:profile_rejected"
     assert TRANSPARENT_BACKEND.verify(setup.backend_params, toy, inputs).code != "profile_rejected"
+
+
+# -- hostile headers in bounded time and memory ------------------------------------------
+#
+# Each shape is the worst of its kind that a proof header can carry, fed
+# both to the backend's check and to zk_verify on BN254.  Each must end in
+# its own code, under a tracemalloc peak and a wall-time bound of at least
+# five times the cost measured on 2 CPUs with Python 3.11.7, so that the
+# bounds catch a change of cost class, not noise.
+
+# shape: (backend code, wall seconds, peak MB), for the backend check and
+# zk_verify alike.  Measured, the slower of the two: 0.19 s and 0.49 MB,
+# 16 ms and 0.56 MB, 30 ms and 0.56 MB, 84 ms and 0.68 MB.
+BUDGETS = {
+    "widest_policy": ("ok", 2.0, 4),
+    "one_claim_too_many": ("statement_rebuild_failed", 0.25, 4),
+    "declared_length_2_32": ("witness_shape_mismatch", 0.25, 4),
+    "flipped_first_block_bit": ("constraints_unsatisfied", 1.0, 4),
+}
+
+
+class RegionStarts(Builder):
+    """The prover's builder, noting the first variable of each region."""
+
+    def __init__(self):
+        self._region = ""
+        self.starts = {}
+        super().__init__()
+
+    @property
+    def region(self):
+        return self._region
+
+    @region.setter
+    def region(self, name):
+        self._region = name
+        self.starts.setdefault(name, self.num_vars)
+
+
+def widest_policy_proof(sk):
+    """An honest proof of claim 0 of a 1024-claim credential under the
+    widest policy accepted, 256 subsets at width 1024: a 32,776-byte
+    public prefix that prover and verifier both hash."""
+    ceas = CEAS.from_index_sets(MAX_CEAS_WIDTH, [[0]] + [[0, k] for k in range(1, MAX_CEAS_SUBSETS)])
+    cred = Credential((Claim("holder", "age", "42"),) + (Claim("holder", "p", "v"),) * (MAX_CEAS_WIDTH - 1))
+    proof, inputs = prove_extraction(BackendParams(), cred, ceas, ExtractionSet(frozenset({0})), RangePredicate(0, 18, 65))
+    return proof, inputs, bls.sign(sk, encode_claim_message(ceas, MAX_CEAS_WIDTH, 0, cred[0]))
+
+
+def hostile_shapes(sk):
+    """Each shape's proof, public inputs and aggregate signature.  The
+    three tampered shapes start from an honest two-claim proof with a
+    range predicate, the benchmark's zk-range shape."""
+    cred = Credential((Claim("holder", "age", "42"), Claim("holder", "country", "QZ"), Claim("holder", "member", "0f1e2d3c")))
+    ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 2], [0, 1, 2]])
+    x = ExtractionSet(frozenset({0, 1}))
+    proof, inputs = prove_extraction(BackendParams(), cred, ceas, x, RangePredicate(0, 18, 65))
+    sigma = ces_extract(ces_sign(sk, cred, ceas), x).sigma
+    claims = json.loads(proof.data.split(b"\n", 1)[0])["layout"]["claims"]
+    header, classes, wide = proof.data.split(b"\n", 2)
+    # the last bit of claim 0's one in-circuit block, so that the checker's
+    # per-bit path runs the whole compression before it fails
+    wits = {i: hash_to_curve_witness(i, cred[i], len(cred), ceas)[1] for i in x.sorted()}
+    layout, witness = prover_layout(cred, ceas, wits, x.sorted(), RangePredicate(0, 18, 65))
+    bd = RegionStarts()
+    synthesize(layout, bd, witness)
+    end = bd.starts["claim 1, sha256 block 0"]
+    k = max(classes.rfind(b"0", 0, end), classes.rfind(b"1", 0, end))
+    flipped = Proof(b"\n".join((header, classes[:k] + classes[k: k + 1].translate(FLIP_BIT) + classes[k + 1:], wide)))
+    return {
+        "widest_policy": widest_policy_proof(sk),
+        "one_claim_too_many": (with_layout(proof, claims=claims + claims[:1]), inputs, sigma),
+        "declared_length_2_32": (with_layout(proof, claims=[dict(claims[0], len_value=(1 << 32) - 1), claims[1]]), inputs, sigma),
+        "flipped_first_block_bit": (flipped, inputs, sigma),
+    }
+
+
+@pytest.fixture(scope="module")
+def shapes(issuer):
+    return hostile_shapes(issuer.sk)
+
+
+def measure(fn, *args):
+    """The call's result, its wall time untraced, and its tracemalloc peak
+    in MB on a second call."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    seconds = time.perf_counter() - t0
+    return result, seconds, traced_peak(fn, *args)[1] / (1 << 20)
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_hostile_header_is_refused_within_budget(name, shapes, issuer):
+    code, max_seconds, max_mb = BUDGETS[name]
+    proof, inputs, sigma = shapes[name]
+    verdict, seconds, peak = measure(TRANSPARENT_BACKEND.verify, BackendParams(), proof, inputs)
+    assert verdict.code == code, verdict
+    assert seconds < max_seconds and peak < max_mb, (seconds, peak)
+    result, seconds, peak = measure(zk_verify, BackendParams(), issuer.pk, sigma, proof, inputs)
+    assert result.code == (code if code == "ok" else f"proof_rejected:{code}"), result
+    assert result.policy_ok and result.pairing_ok
+    assert seconds < max_seconds and peak < max_mb, (seconds, peak)
+
+
+def test_flipped_first_block_bit_takes_the_per_bit_path(shapes):
+    """The flipped bit misses the checker's block slice, so the verdict
+    is the per-bit constraints', naming claim 0's first block."""
+    proof, inputs, _ = shapes["flipped_first_block_bit"]
+    with sha256_gadget.GadgetCalls() as spy:
+        verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
+    assert spy.per_bit > 0
+    assert verdict.detail.startswith("claim 0, sha256 block 0: "), verdict.detail
+
+
+def test_prove_refuses_a_policy_of_another_width():
+    """A policy narrower or wider than the credential is long is refused
+    at prove time, though the extraction is in the policy."""
+    cred = Credential((Claim("holder", "age", "19"), Claim("holder", "country", "CH")))
+    for ceas in (CEAS.from_index_sets(1, [[0]]), CEAS.from_index_sets(3, [[0], [0, 1]])):
+        with pytest.raises(StatementError, match="policy width"):
+            prove_extraction(BackendParams(), cred, ceas, ExtractionSet(frozenset({0})))
