@@ -141,9 +141,15 @@ def sign(sk: int, msg: bytes) -> Signature:
 
 
 def sign_hashed(sk: int, h: HashToG1Result) -> Signature:
+    return Signature(g1_compress(sign_points(sk, [h])[0]))
+
+
+def sign_points(sk: int, hashed: Sequence[HashToG1Result]) -> list[G1Point]:
+    """The signature points [sk]H of hashed messages, by one batched
+    multiplication; each H is checked against the curve first."""
     if not 0 < sk < R:
         raise ValidationError("signing key out of range")
-    return Signature(g1_compress(points.g1_mul(check_g1(h.point), sk)))
+    return points.g1_mul_many([check_g1(h.point) for h in hashed], sk)
 
 
 def decode_signature(sig: Signature) -> G1Point:

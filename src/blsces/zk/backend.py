@@ -45,6 +45,13 @@ _CLASS_VALUE = bytes.maketrans(b"012", bytes(range(3)))  # '2' holds a place for
 # its values is built.
 MAX_WITNESS_VALUES = 1 << 21
 
+# Most bytes of a header parse() hands to json.loads.  The widest honest
+# one lists a policy at its caps, 256 subsets at width 1,024, in 65,552
+# hex digits (65,757 bytes with one claim).  Even 1,024 extracted claims,
+# each with three 10-digit lengths, add under 85 KB to that, and the
+# witness cap keeps an honest proof far below that many claims.
+MAX_HEADER_BYTES = 1 << 18
+
 
 def _witness(classes: bytes, wide: bytes) -> Assignment:
     """The values that class bytes and wide words encode, with the class
@@ -117,8 +124,11 @@ class TransparentBackend:
 
     def parse(self, proof: Proof) -> tuple[StatementLayout, Assignment]:
         data = proof.data
-        # measure the classes by their separators before copying any
+        # measure the header and the classes by their separators before
+        # copying or parsing either
         first = data.find(b"\n")
+        if first > MAX_HEADER_BYTES:
+            raise ProofTooLargeError(f"header of more than {MAX_HEADER_BYTES} bytes")
         second = data.find(b"\n", first + 1) if first >= 0 else -1
         if second < 0:
             raise EncodingError("malformed proof: missing separator")

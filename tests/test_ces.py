@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_credential
-from blsces import bls
+from blsces import bls, formats
 from blsces.ces import ExtractedPresentation, ces_extract, ces_sign, ces_verify
 from blsces.credential import (
     BLINDED,
@@ -19,8 +19,8 @@ from blsces.credential import (
     encode_claim_message,
     is_sub_credential,
 )
-from blsces.errors import ValidationError
-from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g1_add, g1_decompress
+from blsces.errors import EncodingError, ValidationError
+from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, encoding, g1_add, g1_decompress
 
 rng = random.Random(77)
 
@@ -61,6 +61,13 @@ def test_sign_three_claims_individually_verifiable(issuer):
     assert len(set(msgs)) == 3
     for i in range(3):
         assert bls.verify(issuer.pk, msgs[i], sc.sigs[i])
+
+
+def test_batched_signing_matches_signing_each_claim(issuer):
+    cred = random_credential(rng, 5)
+    ceas = CEAS.from_index_sets(5, [[0, 1, 2, 3, 4]])
+    sc = ces_sign(issuer.sk, cred, ceas)
+    assert sc.sigs == tuple(bls.sign(issuer.sk, encode_claim_message(ceas, 5, i, cred[i])) for i in range(5))
 
 
 def test_sign_deterministic(issuer, signed4):
@@ -308,3 +315,66 @@ def test_agrees_with_per_claim_verification_oracle(issuer, signed4):
 
     off_policy = ces_extract(signed4, xset(1, 2), reextractable=True)
     assert not naive_verify(off_policy) and not ces_verify(issuer.pk, off_policy)
+
+
+# -- decoding each signature once ------------------------------------------------
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The x-coordinates encoding.decompress_x decodes during the test."""
+    seen = []
+    original = encoding.decompress_x
+
+    def counting(x, *args, **kwargs):
+        seen.append(x)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(encoding, "decompress_x", counting)
+    return seen
+
+
+def _x(sig):
+    return int.from_bytes(bytes([sig.data[0] & 0x3F]) + sig.data[1:], "big")
+
+
+def _all_subsets(n):
+    return [xset(*s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+
+
+def test_extracting_a_signed_credential_decodes_nothing(issuer, decodes):
+    """ces_sign hands over its signature points, so no extraction of its
+    credential decompresses a signature."""
+    sc = ces_sign(issuer.sk, random_credential(rng, 4), CEAS.from_index_sets(4, [[0, 1, 2, 3]]))
+    press = [ces_extract(sc, x) for x in _all_subsets(4)]
+    assert decodes == []
+    for x, pres in zip(_all_subsets(4), press):
+        assert pres.sigma == bls.aggregate([sc.sigs[i] for i in x.sorted()])
+
+
+def test_a_parsed_credential_decodes_each_extracted_index_once(issuer, decodes):
+    sc = ces_sign(issuer.sk, random_credential(rng, 4), CEAS.from_index_sets(4, [[0, 1, 2, 3]]))
+    held = formats.signed_from_json(formats.signed_to_json(sc))
+    assert decodes == []
+    for _ in range(2):
+        for x in _all_subsets(3):
+            assert ces_extract(held, x).sigma == ces_extract(sc, x).sigma
+    # claim 3 was never extracted, and each of 0, 1 and 2 was decoded once
+    assert sorted(decodes) == sorted(_x(sc.sigs[i]) for i in range(3))
+
+
+def test_a_malformed_signature_is_named_only_when_extracted(signed4):
+    doc = formats.signed_to_json(signed4)
+    doc["signatures"][2] = "3f" + "ff" * 31  # x >= p
+    held = formats.signed_from_json(doc)
+    assert ces_extract(held, xset(0, 1, 3)).sigma == ces_extract(signed4, xset(0, 1, 3)).sigma
+    for _ in range(2):
+        with pytest.raises(EncodingError, match="signature 2 malformed"):
+            ces_extract(held, xset(1, 2))
+    assert ces_extract(held, xset(0, 1)).sigma == ces_extract(signed4, xset(0, 1)).sigma
+
+
+def test_each_verify_decodes_the_aggregate_once(issuer, signed4, decodes):
+    pres = ces_extract(signed4, xset(0, 1))
+    for calls in range(1, 4):
+        assert ces_verify(issuer.pk, pres)
+        assert decodes == [_x(pres.sigma)] * calls

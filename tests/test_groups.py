@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from naive_pairing import _neg as naive_neg, _padd as naive_padd, lift_g2
 from blsces import bls
-from blsces.errors import EncodingError, OffCurveError
+from blsces.errors import EncodingError, OffCurveError, ValidationError
 from blsces.groups import (
     G1_GEN,
     G1_IDENTITY,
@@ -42,6 +42,8 @@ from blsces.groups.points import (
     _GLV_B2,
     _j1_madd,
     _j1_to,
+    _j1_walk,
+    g1_mul_many,
     g2_mul_gen,
     glv_split,
 )
@@ -436,6 +438,61 @@ def test_mixed_addition_special_cases():
     assert _j1_to(_j1_madd(scaled, (pt.x, pt.y))) == _affine_add(pt, pt)
     q = random_g1()
     assert _j1_to(_j1_madd(scaled, (q.x, q.y))) == _affine_add(pt, q)
+
+
+def test_g1_mul_many_matches_ladder_on_random_points_and_scalars():
+    for m in (1, 2, 5):
+        pts = [random_g1() for _ in range(m)]
+        k = rng.randrange(-R, 2 * R)
+        assert g1_mul_many(pts, k) == [ladder(pt, k) for pt in pts]
+
+
+def test_g1_mul_many_edge_scalars_and_members():
+    """k = 0, 1, -1, R - 1, R and R + 1 over a batch that holds the
+    identity twice and one point twice; the empty batch is empty."""
+    p, q = random_g1(), bls.hash_to_g1(b"batch").point
+    pts = [G1_IDENTITY, p, q, G1_IDENTITY, p]
+    for k in (0, 1, -1, R - 1, R, R + 1):
+        assert g1_mul_many(pts, k) == [ladder(pt, k) for pt in pts], k
+    assert g1_mul_many([], rng.randrange(R)) == []
+    assert g1_mul_many([G1_IDENTITY] * 3, 5) == [G1_IDENTITY] * 3
+
+
+def test_g1_mul_many_batch_of_16_matches_one_point_calls():
+    pts = [bls.hash_to_g1(b"claim %d" % i).point for i in range(16)]
+    k = rng.randrange(1, R)
+    many = g1_mul_many(pts, k)
+    assert many == [g1_mul(pt, k) for pt in pts]
+    assert many[3] == ladder(pts[3], k) and many[15] == ladder(pts[15], k)
+
+
+def test_j1_walk_falls_back_on_equal_x():
+    """The walk's inline mixed addition hands the identity and a point of
+    the sum's x to _j1_madd: adding P to P doubles, adding -P to P
+    cancels, and adding to the identity starts again from the entry."""
+    pt, q = random_g1(), random_g1()
+    table = [(pt.x, pt.y), (pt.x, -pt.y % P), (q.x, q.y)]
+    two = _affine_add(pt, pt)
+    cases = [
+        ([0, 0], two),  # P + P: the doubling case
+        ([0, None, 1, 0], two),  # 2P - P + P: equal x in a Jacobian sum
+        ([0, None, 1, 1], G1_IDENTITY),  # 2P - P - P: the cancelling case
+        ([0, 1, 2], q),  # P - P, then Q added to the identity
+        ([0, 1, None, 0], pt),  # the identity doubled stays the identity
+        ([2, None, 0, 0], _affine_add(_affine_add(q, q), two)),
+    ]
+    for schedule, expect in cases:
+        assert _j1_to(_j1_walk(table, schedule)) == expect, schedule
+
+
+def test_batched_signing_is_byte_identical_to_one_at_a_time(issuer):
+    hashed = [bls.hash_to_g1(b"claim %d" % i) for i in range(6)]
+    batch = [g1_compress(pt) for pt in bls.sign_points(issuer.sk, hashed)]
+    assert batch == [bls.sign_hashed(issuer.sk, h).data for h in hashed]
+    assert batch == [g1_compress(ladder(h.point, issuer.sk)) for h in hashed]
+    assert bls.sign_points(issuer.sk, []) == []
+    with pytest.raises(ValidationError):
+        bls.sign_points(R, hashed)
 
 
 def _naf(k):

@@ -749,6 +749,25 @@ def test_backend_witness_cap_boundary():
     assert peak < (1 << 16), peak
 
 
+def test_backend_header_cap_boundary():
+    """A header of exactly the cap parses; one byte more is too large, and
+    is refused before json.loads reads it: the refusal allocates less
+    than 64 KB."""
+    cap = backend.MAX_HEADER_BYTES
+    at_cap = TOY_HEADER + b" " * (cap - len(TOY_HEADER))
+    layout, values = TRANSPARENT_BACKEND.parse(Proof(at_cap + b"\n11\n"))
+    assert layout.profile_name == "toy11" and values == [1, 1]
+    over = Proof(at_cap + b" \n11\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProofTooLargeError):
+            TRANSPARENT_BACKEND.parse(over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 16), peak
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -1277,6 +1296,7 @@ def test_zk_verify_accepts_only_bn254(zk_env):
 BUDGETS = {
     "widest_policy": ("ok", 2.0, 4),
     "one_claim_too_many": ("statement_rebuild_failed", 0.25, 4),
+    "oversized_header": ("proof_too_large", 0.25, 4),
     "declared_length_2_32": ("witness_shape_mismatch", 0.25, 4),
     "flipped_first_block_bit": ("constraints_unsatisfied", 1.0, 4),
 }
@@ -1333,6 +1353,8 @@ def hostile_shapes(sk):
     return {
         "widest_policy": widest_policy_proof(sk),
         "one_claim_too_many": (with_layout(proof, claims=claims + claims[:1]), inputs, sigma),
+        # 10^5 claim entries too many: a 5.5 MB header
+        "oversized_header": (with_layout(proof, claims=claims + claims[:1] * 100_000), inputs, sigma),
         "declared_length_2_32": (with_layout(proof, claims=[dict(claims[0], len_value=(1 << 32) - 1), claims[1]]), inputs, sigma),
         "flipped_first_block_bit": (flipped, inputs, sigma),
     }
