@@ -140,7 +140,7 @@ def cmd_prove(args) -> int:
     x = _parse_indices(args.indices, len(sc.cred))
     predicate = _parse_predicate(args.predicate)
     proof, inputs = prove_extraction(BackendParams(), sc.cred, sc.ceas, x, predicate=predicate)
-    sigma = bls.aggregate([sc.sigs[i] for i in x.sorted()])
+    sigma = ces_extract(sc, x).sigma
     _write_text(args.out, formats.dumps(formats.proof_bundle_to_json(proof, inputs, sigma)))
     _emit({"ok": True, "bundle": args.out, "disclosed": x.sorted()})
     return EXIT_OK

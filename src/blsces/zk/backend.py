@@ -4,9 +4,11 @@ A succinct proof system is explicitly out of scope; the "proof" here is
 the full witness assignment plus the statement layout.  Verify pins the
 public variables to the supplied public inputs, then synthesizes the
 statement the layout describes with a checking builder over the
-assignment, which evaluates each constraint as it is emitted and keeps
-none.  It offers no hiding against the verifier and no succinctness; it
-exists so the statement logic is testable end to end.
+assignment.  That builder evaluates each linear constraint as it is
+emitted, takes each bit decomposition and each sha256 compression
+whole against the values' bit classes, and keeps no constraint.  It
+offers no hiding against the verifier and no succinctness; it exists
+so the statement logic is testable end to end.
 
 A proof is ``header JSON \n classes \n wide``.  ``classes`` holds one
 ASCII byte per witness value, its bit class (see ``r1cs.BIT_CLASS``):
@@ -16,8 +18,12 @@ writes the view the prover's builder kept beside the values (or
 ``bit_view`` of a plain list of values), and ``parse`` hands the bytes
 on unchanged.
 ``wide`` holds each class-``2`` value, in order, as a 32-byte
-big-endian word.  A wide value below 2 is refused, so each witness has
-one encoding.
+big-endian word.  A wide value below 2, or at or above the field
+modulus R, is refused, so each witness has one encoding.  Every value
+the checker reads is then below R, under which its whole-block
+comparison is the per-bit check (see ``r1cs``): a mismatched block is
+refused as ``constraints_unsatisfied`` with a detail naming the claim,
+the block and the first variable that differs.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from blsces.errors import (
     StatementError,
     WitnessShapeError,
 )
+from blsces.groups.params import R
 from blsces.zk.r1cs import Assignment, CheckingBuilder, bit_view
 from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, public_assignment, synthesize
 
@@ -63,6 +70,8 @@ def _witness(classes: bytes, wide: bytes) -> Assignment:
     wides = [int.from_bytes(wide[k: k + _WIDE_BYTES], "big") for k in range(0, len(wide), _WIDE_BYTES)]
     if wides and min(wides) < 2:
         raise EncodingError("a wide value below 2 is a bit")
+    if wides and max(wides) >= R:
+        raise EncodingError("a wide value at or above the field modulus")
     values = Assignment(classes.translate(_CLASS_VALUE), classes)
     k = -1
     for v in wides:

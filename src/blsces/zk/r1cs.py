@@ -22,12 +22,14 @@ The gadgets emit constraints through a builder of one of three kinds:
   allocates it and counts constraints by kind; it stores none, since
   the proof carries only the values.
 * ``RecordingBuilder`` computes the same values and also stores every
-  constraint in a ``ConstraintSystem``, for dumps, audits and the
-  mutation-sweep tests.
+  constraint in a ``ConstraintSystem``: the reference for dumps, audits
+  and the mutation-sweep tests, through ``first_violation``.
 * ``CheckingBuilder`` (the verifier's) is handed a transported
-  assignment.  Allocation reads the next value; each constraint is
-  evaluated as it is emitted, exactly as ``first_violation`` would, and
-  then dropped.  It keeps only counts.
+  assignment.  Allocation reads the next value; each linear constraint
+  is evaluated as it is emitted, and each bit decomposition and sha256
+  compression taken whole.  It keeps only counts, and evaluates no
+  product or booleanity constraint: its ``add_r1`` and ``add_bool``
+  raise.
 
 Gadgets tell the computing kinds from the checking one by
 ``bd.compute``.  Each builder's ``cs`` has the same sizes; only the
@@ -36,11 +38,10 @@ recording builder's holds the constraints.
 The sha256 gadget's block path (see ``sha256_gadget``) reads the values
 of a compression's input words with ``word_value``, computes the bit of
 every variable its per-bit path would allocate, and hands them to
-``alloc_bits`` with the constraint counts.  Each builder interprets
-those steps its own way.  Word values come from a bit-class view of
-the assignment, one ASCII byte per value: '0' or '1' for a canonical
-bit and '2' for anything else, wide values included.  A builder whose
-``bits`` is None keeps no view and knows no word value.
+``alloc_bits`` with the constraint counts.  Word values come from a
+bit-class view of the assignment, one ASCII byte per value: '0' or '1'
+for a bit and '2' for anything else.  A builder whose ``bits`` is None
+keeps no view and knows no word value.
 
 * ``Builder`` keeps the view beside its values as it allocates them,
   reads word values from it, and appends the bits, as they are, to the
@@ -48,20 +49,23 @@ bit and '2' for anything else, wide values included.  A builder whose
   are an ``Assignment`` whose ``bits`` are that view, so the backend
   writes the view without rebuilding it.
 * ``CheckingBuilder`` reads word values from the view of the
-  transported assignment, and knows none holding a '2'.  It compares
-  the bits with the next slice of the view; only an exact match is
-  taken.  Over canonical bits each of the block's relations holds
-  exactly when its per-bit constraints do, so a match is what the
-  per-bit path would accept.
+  transported assignment and compares the bits with the next slice of
+  it.  A slice that differs raises ``ConstraintViolation`` naming the
+  region (claim and block) and the first variable that differs.
 * ``RecordingBuilder`` keeps no view, since the mutation-sweep tests
   change its values in place, so every compression runs on the per-bit
   path and every constraint is stored.
 
-A builder that knows no value, or declines the bits (``alloc_bits``
-returns None), has changed nothing, and the compression runs on its
-per-bit path from the same state.  A checker's verdict and the region
-and index of a ``ConstraintViolation`` are therefore those of the
-per-bit path.
+The comparison is the per-bit check.  Every value the checker reads is
+below the field modulus R (the backend refuses wider ones), and every
+bit a compression reads is 0 or 1: a message bit passed ``bits_of``, an
+earlier compression's output passed its slice.  Over such inputs the
+per-bit constraints fix each variable a compression allocates: xor's
+(a - b)^2 = z gives z = a xor b, Ch's e * (f - g) = c - g gives
+c = g + e(f - g), and an addition's boolean bits, weighted by powers of
+2, equal the operand sum mod R, where both sides are integers below
+2^35, far below R, so the bits are the sum's binary digits.  A slice
+therefore matches exactly when the block's per-bit constraints hold.
 """
 
 from __future__ import annotations
@@ -316,11 +320,10 @@ class Builder:
 
     # -- whole blocks -----------------------------------------------------
 
-    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int | None:
+    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int:
         """Allocate one variable per ASCII '0' or '1' of ``bits``, holding
         it, under ``bools``, ``lins`` and ``r1s`` constraints of each kind;
-        returns the first index.  A builder that returns None instead
-        has changed nothing."""
+        returns the first index."""
         start = self.num_vars
         self._public_frozen = True
         list.extend(self.values, bits.translate(_ASCII_BIT))
@@ -377,100 +380,66 @@ class RecordingBuilder(Builder):
 
 
 class CheckingBuilder(Builder):
-    """The verifier's builder: reads each variable from the assignment
-    ``values`` and evaluates each constraint as it is emitted, mod
-    ``field``.  It stores no constraint; the first violation raises
-    ``ConstraintViolation`` naming the region, and an assignment that
-    runs out raises ``WitnessShapeError``.  ``cs`` reports the sizes of
-    the system checked so far, with tallies for its constraint lists."""
+    """The verifier's builder over the assignment ``values``, whose
+    constant slot must hold 1.  It stores no constraint; the first
+    violation raises ``ConstraintViolation`` naming the region, and an
+    assignment that runs out raises ``WitnessShapeError``.  ``cs``
+    reports the sizes of the system checked so far, with tallies for
+    its constraint lists."""
 
     compute = False
 
-    def __init__(self, values: list[int], field: int = BN254_SCALAR_FIELD):
+    def __init__(self, values: list[int]):
         super().__init__()
-        self.values = values
-        self.field = field
         if not values or values[0] != 1:
-            self.bits = None  # the constants are not 1: every compression runs per bit
-        elif isinstance(values, Assignment):
-            self.bits = values.bits
-        else:
-            self.bits = bit_view(values)
+            raise WitnessShapeError("the constant slot does not hold 1")
+        self.values = values
+        self.bits = values.bits if isinstance(values, Assignment) else bit_view(values)
 
-    def _violated(self, kind: str, idx: int):
-        raise ConstraintViolation(f"{self.region}: {kind} constraint {idx} fails")
-
-    # -- allocation ---------------------------------------------------
+    def _take(self, width: int) -> int:
+        """Allocate the next ``width`` variables; returns the first."""
+        start = self.num_vars
+        if start + width > len(self.values):
+            raise WitnessShapeError("assignment ends before the statement's variables")
+        self.num_vars = start + width
+        return start
 
     def alloc(self, value: int | None = None) -> int:
-        idx = self.num_vars
-        if idx >= len(self.values):
-            raise WitnessShapeError("assignment ends before the statement's variables")
-        self.num_vars = idx + 1
-        return idx
+        return self._take(1)
 
     def alloc_public(self, value: int | None = None) -> int:
-        idx = self.alloc()
+        idx = self._take(1)
         self.num_public += 1
         return idx
 
-    # -- constraint evaluation -------------------------------------------
+    def add_bool(self, *args) -> None:
+        raise StatementError(f"{self.region}: a checking builder evaluates no product or booleanity constraint")
 
-    def add_bool(self, var: int) -> None:
-        w = self.values[var]
-        if w > 1 and w % self.field > 1:
-            self._violated("bool", self.n_bools)
-        self.n_bools += 1
-
-    # Plain loops: LCs here are short, where a comprehension costs more.
+    add_r1 = add_bool
 
     def add_lin(self, lc: LC) -> None:
+        # a plain loop: LCs here are short, where a comprehension costs more
         w = self.values
         total = 0
         for v, k in lc:
             total += w[v] * k
         if total % self.field:
-            self._violated("lin", self.n_lins)
+            raise ConstraintViolation(f"{self.region}: lin constraint {self.n_lins} fails")
         self.n_lins += 1
 
-    def add_r1(self, a_lc: LC, b_lc: LC, c_lc: LC) -> None:
-        w = self.values
-        a = b = c = 0
-        for v, k in a_lc:
-            a += w[v] * k
-        if b_lc is a_lc:
-            b = a
-        else:
-            for v, k in b_lc:
-                b += w[v] * k
-        for v, k in c_lc:
-            c += w[v] * k
-        if (a * b - c) % self.field:
-            self._violated("r1", self.n_r1s)
-        self.n_r1s += 1
-
     def bits_of(self, value: int | None, width: int) -> list[int]:
-        start = self.num_vars
-        end = start + width
-        if end > len(self.values):
-            raise WitnessShapeError("assignment ends before the statement's variables")
-        self.num_vars = end
-        bits = self.values[start:end]
-        if max(bits) > 1:
-            for j, w in enumerate(bits):
-                if w % self.field > 1:
-                    self._violated("bool", self.n_bools + j)
+        start = self._take(width)
+        k = self.bits.find(b"2", start, start + width)
+        if k >= 0:
+            raise ConstraintViolation(f"{self.region}: variable {k} is not a bit")
         self.n_bools += width
-        return list(range(start, end))
+        return list(range(start, start + width))
 
-    # -- whole blocks -----------------------------------------------------
-
-    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int | None:
-        start = self.num_vars
-        end = start + len(bits)
-        if self.bits[start:end] != bits:
-            return None
-        self.num_vars = end
+    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int:
+        start = self._take(len(bits))
+        if self.bits[start: self.num_vars] != bits:
+            k = next(k for k, b in enumerate(bits) if self.bits[start + k] != b)
+            raise ConstraintViolation(f"{self.region}: variable {start + k} is not the bit its block's inputs fix")
         self.n_bools += bools
         self.n_lins += lins
         self.n_r1s += r1s

@@ -22,25 +22,27 @@ knows the literal format; ``lit_lc`` turns a literal into a linear
 combination for callers.
 
 Two paths synthesize a compression.  The per-bit path runs the
-operations above literal by literal.  The block path computes, with
-plain Python ints, the bit of every variable the per-bit path would
-allocate, in its allocation order, and hands the whole block to one
-``bd.alloc_bits`` call with its constraint counts.  Its word
-operations, over words of variables carried as plain ints and words
-holding constants carried as bit masks, are in ``sha256_block``; this
-module turns the input words' literals into those words, with the
-values it asks the builder for (``bd.word_value``).  A builder that
-knows none, input state words that share a variable (where Ch could
-fold on f == g), or a builder that declines the bits run the per-bit
-path instead, from the same state.  How each builder takes the bits is
-in ``r1cs``; in every case the variables, values and constraints are
-those of the per-bit path.
+operations above literal by literal; it is the reference, and only a
+computing builder runs it.  The block path computes, with plain Python
+ints, the bit of every variable the per-bit path would allocate, in its
+allocation order, and hands the whole block to one ``bd.alloc_bits``
+call with its constraint counts.  Its word operations, over words of
+variables carried as plain ints and words holding constants carried as
+bit masks, are in ``sha256_block``; this module turns the input words'
+literals into those words, with the values it asks the builder for
+(``bd.word_value``).  A builder that knows none (the recording one), or
+input state words that share a variable (where Ch could fold on f ==
+g), take the per-bit path instead; a checking builder, which
+``synthesize`` never hands such a block, refuses it.  How each builder
+takes the bits is in ``r1cs``; in every case the variables, values and
+constraint counts are those of the per-bit path.
 
 The plain compression and the constants are in ``sha256``.
 """
 
 from __future__ import annotations
 
+from blsces.errors import StatementError
 from blsces.zk.r1cs import LC, Builder
 from blsces.zk.sha256 import SHA256_K, WORD
 from blsces.zk.sha256_block import MASK, BlockWords, add_width
@@ -103,7 +105,7 @@ def xor(bd: Builder, a: int, b: int) -> int:
         z = b if a == ONE else a
         flip = not flip
     else:
-        z = bd.alloc(bd.values[a] ^ bd.values[b] if bd.compute else None)
+        z = bd.alloc(bd.values[a] ^ bd.values[b])
         d = ((a, 1), (b, -1))
         bd.add_r1(d, d, ((z, 1),))
     return ~z if flip else z
@@ -115,7 +117,7 @@ def ch(bd: Builder, e: int, f: int, g: int) -> int:
         e, f, g = ~e, g, f
     if e == ONE or f == g:
         return f
-    c = bd.alloc(_value(bd, f if bd.values[e] else g) if bd.compute else None)
+    c = bd.alloc(_value(bd, f if bd.values[e] else g))
     minus_g = lit_lc(g, -1)
     bd.add_r1(((e, 1),), lit_lc(f) + minus_g, ((c, 1),) + minus_g)
     return c
@@ -139,11 +141,8 @@ def word_add(bd: Builder, *words: list[int]) -> list[int]:
                 const += 1 << j
                 if b != ONE:
                     terms.append((~b, -(1 << j)))
-    value = None
-    if bd.compute:
-        vals = bd.values
-        value = const + sum(vals[v] * k for v, k in terms)
-    bits = bd.bits_of(value, add_width(len(words)))
+    vals = bd.values
+    bits = bd.bits_of(const + sum(vals[v] * k for v, k in terms), add_width(len(words)))
     if const:
         terms.append((0, const))
     terms.extend((b, -(1 << j)) for j, b in enumerate(bits))
@@ -247,14 +246,15 @@ def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list
     words.  Word bits may be constants, variables or their negations.
     """
     words = None if _shares_a_variable(state) else [_input_word(bd, lits) for lits in state + block]
-    if words is not None and None not in words:
-        ops = BlockWords()
-        _compress(ops, words[:8], words[8:])
-        bits = ops.bits()
-        start = bd.alloc_bits(bits, bools=ops.bools, lins=ops.lins, r1s=len(bits) - ops.bools)
-        if start is not None:
-            # the outputs are the low words of the last eight additions
-            width = add_width(2)
-            base = start + len(bits) - 8 * width
-            return [list(range(k, k + WORD)) for k in range(base, base + 8 * width, width)]
-    return _compress(PerBitWords(bd), state, block)
+    if words is None or None in words:
+        if not bd.compute:
+            raise StatementError(f"{bd.region}: a checking builder takes each sha256 block whole")
+        return _compress(PerBitWords(bd), state, block)
+    ops = BlockWords()
+    _compress(ops, words[:8], words[8:])
+    bits = ops.bits()
+    start = bd.alloc_bits(bits, bools=ops.bools, lins=ops.lins, r1s=len(bits) - ops.bools)
+    # the outputs are the low words of the last eight additions
+    width = add_width(2)
+    base = start + len(bits) - 8 * width
+    return [list(range(k, k + WORD)) for k in range(base, base + 8 * width, width)]

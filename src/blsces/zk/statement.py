@@ -233,9 +233,10 @@ def synthesize(
       (claim and hash witness per extracted index) and computes the
       assignment; only the recording one stores the constraints;
     * a ``CheckingBuilder``, handed a transported assignment, takes no
-      witness and checks each constraint as it is emitted.  It raises
-      ``ConstraintViolation`` at the first failure, naming its claim
-      and region, and ``WitnessShapeError`` if the assignment runs out.
+      witness and checks the constraints as they are emitted, each
+      sha256 block whole.  It raises ``ConstraintViolation`` at the
+      first failure, naming its claim and region, and
+      ``WitnessShapeError`` if the assignment runs out.
 
     The constraints depend only on the layout, so every kind emits the
     same ones."""

@@ -5,15 +5,18 @@ import json
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 from conftest import random_ceas, random_credential
+from test_key_checks import BAD_KEYS
 from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
-from blsces.credential import CEAS, Claim, Credential, ExtractionSet
+from blsces.credential import MAX_CEAS_SUBSETS, MAX_CEAS_WIDTH, CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError
-from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY
+from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g2_to_bytes
 
 rng = random.Random(88)
 
@@ -326,3 +329,74 @@ def test_cli_self_test_and_gen_vectors(tmp_path):
     assert out.read_text() == again.read_text()
     # the option is gone, not ignored
     assert run_cli("self-test", "--toy")[0] == 2
+
+
+# -- hostile keys and presentations in bounded time and memory ---------------------------
+#
+# Each shape enters as wire text, is parsed by public_key_from_json and
+# presentation_from_json and then checked by ces_verify, as `blsces verify`
+# does.  Each must end in its own code ("malformed" where parsing refuses
+# it, as the CLI reports), under a wall-time bound of at least five times
+# the cost measured on 2 CPUs with Python 3.11.7 and a tracemalloc peak
+# bound of at least twice it.  Measured: 0.43 s and 0.76 MB, 0.27 s and
+# 44 MB (json.loads of the 10.8 MB text is most of it), 0.06 s and 19 MB,
+# 1.2 ms and 5 KB.
+
+# shape: (code, wall seconds, peak MB)
+PRESENTATION_BUDGETS = {
+    "widest_presentation": ("ok", 2.5, 4),
+    "extra_claims": ("policy_width_mismatch", 1.5, 96),
+    "extra_counters": ("counters_mismatch", 0.5, 48),
+    "key_outside_g2": ("malformed", 0.05, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_presentations(issuer):
+    """Each shape's key text and presentation text.  The widest discloses
+    all 1,024 claims of a credential under a policy at its caps, 256
+    subsets of width 1,024; the others start from an honest two-claim
+    presentation: 10^5 claim entries too many (10.8 MB of text), 10^5
+    counters too many, and a key on the twist but outside G2."""
+    ceas = CEAS.from_index_sets(MAX_CEAS_WIDTH, [list(range(MAX_CEAS_WIDTH))] + [[0, k] for k in range(1, MAX_CEAS_SUBSETS)])
+    cred = Credential(tuple(Claim("holder", f"p{i}", f"v{i}") for i in range(MAX_CEAS_WIDTH)))
+    widest = ces_extract(ces_sign(issuer.sk, cred, ceas), ExtractionSet(frozenset(range(MAX_CEAS_WIDTH))))
+    cred = Credential((Claim("holder", "age", "19"), Claim("holder", "country", "CH")))
+    ceas = CEAS.from_index_sets(2, [[0], [0, 1]])
+    pres = formats.presentation_to_json(ces_extract(ces_sign(issuer.sk, cred, ceas), ExtractionSet(frozenset({0, 1}))))
+    key = formats.public_key_to_json(issuer.pk)
+    outside = dict(key, public_key=g2_to_bytes(BAD_KEYS["off_subgroup"]).hex())
+    counters = {**pres["counters"], **{str(k): 0 for k in range(2, 100_002)}}
+    shapes = {
+        "widest_presentation": (key, formats.presentation_to_json(widest)),
+        "extra_claims": (key, dict(pres, claims=pres["claims"] + pres["claims"][:1] * 100_000)),
+        "extra_counters": (key, dict(pres, counters=counters)),
+        "key_outside_g2": (outside, pres),
+    }
+    return {name: (formats.dumps(k), formats.dumps(p)) for name, (k, p) in shapes.items()}
+
+
+def present(key_text, presentation_text):
+    """The code `blsces verify` reports for the two files' texts."""
+    try:
+        pk = formats.public_key_from_json(formats.loads(key_text))
+        pres = formats.presentation_from_json(formats.loads(presentation_text))
+    except EncodingError:
+        return "malformed"
+    return ces_verify(pk, pres).code
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATION_BUDGETS))
+def test_hostile_presentation_is_refused_within_budget(name, hostile_presentations):
+    code, max_seconds, max_mb = PRESENTATION_BUDGETS[name]
+    texts = hostile_presentations[name]
+    t0 = time.perf_counter()
+    assert present(*texts) == code
+    seconds = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        assert present(*texts) == code
+        peak = tracemalloc.get_traced_memory()[1] / (1 << 20)
+    finally:
+        tracemalloc.stop()
+    assert seconds < max_seconds and peak < max_mb, (seconds, peak)

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from blsces.credential import CEAS, Claim, Credential
-from blsces.errors import ConstraintViolation, EncodingError, WitnessShapeError
+from blsces.errors import ConstraintViolation, EncodingError, StatementError, WitnessShapeError
 from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
 from blsces.groups.params import P as BIG_P
@@ -92,11 +92,13 @@ def mixed_words(r: random.Random, count: int, pool: list[int]) -> list[list[int]
 def test_block_path_matches_per_bit_on_any_literals(shared):
     """Over state and message words mixing variables, negations and
     constants, the prover's builder allocates the values of the
-    recording builder, which runs per bit, under its per-kind counts,
-    and the checker accepts them with those counts.  State words whose
-    variables are distinct take the block path, with no per-bit xor or
-    Ch; state words that share a variable, where Ch and Maj could fold
-    on f == g, take the per-bit path."""
+    recording builder, which runs per bit, under its per-kind counts.
+    State words whose variables are distinct take the block path, with
+    no per-bit xor or Ch, and the checker accepts the values with those
+    counts.  State words that share a variable, where Ch and Maj could
+    fold on f == g, take the prover's per-bit path, and the checker,
+    which takes every block whole, refuses them without a per-bit call
+    rather than check them any other way."""
     r = random.Random(0x5A)
     for _ in range(3):
         bits = [r.getrandbits(1) for _ in range(300)]
@@ -123,9 +125,15 @@ def test_block_path_matches_per_bit_on_any_literals(shared):
         checker = CheckingBuilder(values)
         checker.num_vars = 1 + len(bits)
         with sha256_gadget.GadgetCalls() as spy:
-            assert sha256_compress_gadget(checker, state, block) == out
-        assert (checker.n_bools + len(bits), checker.n_lins, checker.n_r1s) == counts
-        assert checker.num_vars == len(values) and (spy.per_bit > 0) == shared
+            if shared:
+                with pytest.raises(StatementError, match="takes each sha256 block whole"):
+                    sha256_compress_gadget(checker, state, block)
+            else:
+                assert sha256_compress_gadget(checker, state, block) == out
+        assert spy.per_bit == 0
+        if not shared:
+            assert (checker.n_bools + len(bits), checker.n_lins, checker.n_r1s) == counts
+            assert checker.num_vars == len(values)
 
 
 @pytest.mark.parametrize("constant_state", [False, True], ids=["all-variable", "constant-state"])
@@ -313,8 +321,6 @@ def test_var_index_covers_every_constraint():
 
 
 def test_public_allocation_must_precede_witness():
-    from blsces.errors import StatementError
-
     bd = Builder()
     bd.alloc_public(1)
     bd.alloc(2)
@@ -323,41 +329,43 @@ def test_public_allocation_must_precede_witness():
 
 
 def test_checking_builder_matches_first_violation():
-    """Each constraint kind is evaluated mod the field exactly as
+    """A linear constraint is evaluated mod the field exactly as
     ConstraintSystem.first_violation evaluates it, for values below, at
-    and above the modulus; an assignment that runs out is refused."""
+    and above the modulus.  A bit decomposition is accepted exactly when
+    first_violation accepts it and its values are below the modulus, so
+    0 or 1 alone, and a refusal names the first variable that is not a
+    bit.  An assignment that runs out is refused.  The checker evaluates
+    no product or booleanity constraint: emitting one raises."""
     f = ConstraintSystem().field
     pool = (0, 1, 2, f - 1, f, f + 1, 2 * f + 1)
-    d = ((1, 1), (2, -1))
-
-    def square(bd):
-        # one object as both factors, as xor passes it
-        for _ in range(3):
-            bd.alloc(0)
-        bd.add_r1(d, d, ((3, 1),))
-
     emitters = {
-        "bits_of": (1, lambda bd: bd.bits_of(0, 1)),
-        "bool": (1, lambda bd: bd.add_bool(bd.alloc(0))),
-        "lin": (2, lambda bd: bd.add_lin(((bd.alloc(0), 1), (bd.alloc(0), 1), (0, -1)))),
-        "r1": (3, lambda bd: bd.add_r1(((bd.alloc(0), 1),), ((bd.alloc(0), 1),), ((bd.alloc(0), 1),))),
-        "square": (3, square),
+        "bits_of": (2, 2, lambda bd: bd.bits_of(0, 2)),
+        "lin": (2, 1, lambda bd: bd.add_lin(((bd.alloc(0), 1), (bd.alloc(0), 1), (0, -1)))),
     }
-    for name, (arity, emit) in emitters.items():
+    for name, (arity, count, emit) in emitters.items():
         bd = RecordingBuilder()
         emit(bd)
         cs = bd.cs
-        assert cs.num_vars == 1 + arity and len(cs) == 1
+        assert cs.num_vars == 1 + arity and len(cs) == count
         verdicts = set()
         for w in product(pool, repeat=arity):
             values = [1, *w]
             try:
                 emit(CheckingBuilder(values))
                 accepted = True
-            except ConstraintViolation:
+            except ConstraintViolation as exc:
                 accepted = False
-            assert accepted == cs.satisfied(values), (name, w)
+                if name == "bits_of":
+                    assert f"variable {1 + [v in (0, 1) for v in w].index(False)} is not a bit" in str(exc), w
+            assert accepted == (cs.satisfied(values) and (name == "lin" or max(w) < f)), (name, w)
             verdicts.add(accepted)
         assert verdicts == {True, False}, name
         with pytest.raises(WitnessShapeError):
             emit(CheckingBuilder([1] * arity))
+    for emit in (
+        lambda bd: bd.add_bool(1),
+        lambda bd: bd.add_r1(((1, 1),), ((2, 1),), ((3, 1),)),
+        lambda bd: bd.bit(0),
+    ):
+        with pytest.raises(StatementError, match="no product or booleanity"):
+            emit(CheckingBuilder([1, 0, 0, 0, 0]))

@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -62,49 +63,118 @@ def test_toy_statement_satisfied():
     assert res.cs.num_public == 5  # 4 limbs + sign
 
 
-class PerBitChecker(CheckingBuilder):
-    """The checking builder on its per-bit path alone: the reference the
-    word path is held to."""
+class EventRecorder(RecordingBuilder):
+    """The recording builder, also logging each constraint it stores as
+    (region, kind, constraint): kind "bool" with the variable, "lin" with
+    the LC, "r1" with the LC triple."""
 
-    def alloc_bits(self, bits, bools=0, lins=0, r1s=0):
-        return None
+    def __init__(self):
+        super().__init__()
+        self.events = []
 
-    def word_value(self, lits):
-        return None
+    def add_bool(self, var):
+        super().add_bool(var)
+        self.events.append((self.region, "bool", var))
 
+    def add_lin(self, lc):
+        super().add_lin(lc)
+        self.events.append((self.region, "lin", tuple(lc)))
 
-def checked_constraints(monkeypatch, res):
-    """Check res's assignment with the per-bit checker, recording every
-    constraint it evaluates in the form the prover stores it; returns the
-    record and the checker's counts."""
-    seen = ConstraintSystem()
-    bits_of, add_bool, add_lin, add_r1 = (
-        CheckingBuilder.bits_of, CheckingBuilder.add_bool, CheckingBuilder.add_lin, CheckingBuilder.add_r1
-    )
+    def add_r1(self, a_lc, b_lc, c_lc):
+        super().add_r1(a_lc, b_lc, c_lc)
+        self.events.append((self.region, "r1", (tuple(a_lc), tuple(b_lc), tuple(c_lc))))
 
-    def rec_bits_of(bd, value, width):
-        bits = bits_of(bd, value, width)
-        seen.bools.extend(bits)
+    def bits_of(self, value, width):
+        bits = super().bits_of(value, width)
+        self.events += [(self.region, "bool", v) for v in bits]
         return bits
 
-    def rec_bool(bd, var):
-        add_bool(bd, var)
-        seen.bools.append(var)
 
-    def rec_lin(bd, lc):
-        add_lin(bd, lc)
-        seen.lins.append(tuple(lc))
+class EventChecker(CheckingBuilder):
+    """The checking builder, logging what it checks: each variable of a
+    bit decomposition as (region, "bool", variable), each linear
+    constraint as (region, "lin", LC), and each block it takes whole as
+    (region, "block", first variable, bits, per-kind counts)."""
 
-    def rec_r1(bd, a_lc, b_lc, c_lc):
-        add_r1(bd, a_lc, b_lc, c_lc)
-        seen.r1s.append((tuple(a_lc), tuple(b_lc), tuple(c_lc)))
+    def __init__(self, values):
+        super().__init__(values)
+        self.events = []
 
-    with monkeypatch.context() as m:
-        for name, fn in (("bits_of", rec_bits_of), ("add_bool", rec_bool), ("add_lin", rec_lin), ("add_r1", rec_r1)):
-            m.setattr(CheckingBuilder, name, fn)
-        checked = synthesize(res.layout, PerBitChecker(list(res.values)))
-    assert checked.values is None
-    return seen, checked.cs
+    def bits_of(self, value, width):
+        bits = super().bits_of(value, width)
+        self.events += [(self.region, "bool", v) for v in bits]
+        return bits
+
+    def add_lin(self, lc):
+        super().add_lin(lc)
+        self.events.append((self.region, "lin", tuple(lc)))
+
+    def alloc_bits(self, bits, bools=0, lins=0, r1s=0):
+        start = super().alloc_bits(bits, bools, lins, r1s)
+        self.events.append((self.region, "block", start, bits, (bools, lins, r1s)))
+        return start
+
+
+class RegionStarts(Builder):
+    """The prover's builder, noting the variable at which each region is
+    entered, in order."""
+
+    def __init__(self):
+        self._region = ""
+        self.entered = []
+        super().__init__()
+
+    @property
+    def region(self):
+        return self._region
+
+    @region.setter
+    def region(self, name):
+        self._region = name
+        self.entered.append((self.num_vars, name))
+
+    def start(self, name):
+        """The first variable allocated in the region."""
+        return next(var for var, entered in self.entered if entered == name)
+
+    def region_of(self, var):
+        """The region in which the variable was allocated."""
+        return [name for start, name in self.entered if start <= var][-1]
+
+
+def assert_checks_recorded(layout, witness):
+    """The checker, run over the recorded assignment, checks the recorded
+    system of the statement, in order: each bit decomposition and linear
+    constraint it evaluates is the next one the recording builder
+    stored, in the same region, and each block it takes whole stands for
+    the next run of stored constraints, of its region and of its
+    per-kind counts, whose variables it allocates, holding the recorded
+    values.  Returns the checker's log and the recorded system."""
+    recorder = EventRecorder()
+    recorded = synthesize(layout, recorder, witness)
+    checker = EventChecker(list(recorded.values))
+    synthesize(layout, checker)
+    stored = recorder.events
+    k = 0
+    for event in checker.events:
+        if event[1] != "block":
+            assert event == stored[k], (event, stored[k])
+            k += 1
+            continue
+        region, _, start, bits, (bools, lins, r1s) = event
+        run = stored[k: k + bools + lins + r1s]
+        k += len(run)
+        end = start + len(bits)
+        assert {e[0] for e in run} == {region}
+        assert Counter(e[1] for e in run) == Counter(bool=bools, lin=lins, r1=r1s)
+        assert all(start <= e[2] < end for e in run if e[1] == "bool")
+        assert bits == bytes(b"01"[v] for v in recorded.values[start:end])
+        # the block's constraints mention no variable allocated after it
+        lcs = [e[2] for e in run if e[1] == "lin"] + [lc for e in run if e[1] == "r1" for lc in e[2]]
+        assert max(var for lc in lcs for var, _ in lc) < end
+    assert k == len(stored)
+    assert sizes(checker.cs) == sizes(recorded.cs)
+    return checker.events, recorded
 
 
 def sizes(cs):
@@ -124,40 +194,46 @@ def wide_statement(claim, profile=TOY, predicate=None):
     return build_statement(cred, WIDE_CEAS, {0: wit}, (0,), predicate=predicate, profile_name=profile.name)
 
 
-def test_checker_checks_what_the_prover_proved(monkeypatch):
-    """Bit literals fold on their structure, never on values: on the
-    prover's assignment the per-bit checker evaluates exactly the
-    constraints the prover stored, for two witnesses of one shape, with
-    and without a range predicate, over two in-circuit blocks, after a
-    prefix hashed outside, and on both profiles.  The checker as the
-    verifier runs it, on its word path, accepts each assignment with the
-    same per-kind counts; test_word_path_verdicts_match_per_bit holds
-    its verdicts on mutated assignments to the per-bit checker's."""
-    res33, _ = toy_statement("33")
-    res44, _ = toy_statement("44")
-    seen33, counts33 = checked_constraints(monkeypatch, res33)
-    seen44, _ = checked_constraints(monkeypatch, res44)
-    for seen in (seen33, seen44):
-        for res in (res33, res44):
-            assert (seen.bools, seen.lins, seen.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
-    assert sizes(counts33) == sizes(res33.cs) and len(counts33) == len(res33.cs)
-    long_claim, _ = toy_statement(claim=Claim("h", "bio", "x" * 80))
-    prefixed = wide_statement(Claim("h", "bio", "x" * 80))
-    assert (long_claim.layout.claims[0].first_block, long_claim.layout.claims[0].total_blocks) == (0, 2)
-    assert (prefixed.layout.claims[0].first_block, prefixed.layout.claims[0].total_blocks) == (1, 3)
-    for res in (
-        res33,
-        toy_statement("42", RangePredicate(0, 40, 45))[0],
-        long_claim,
-        prefixed,
-        bn254_statement(),
-        bn254_statement("42", RangePredicate(0, 18, 65)),
+def statement_args(claim, profile=TOY, predicate=None, ceas=TOY_CEAS):
+    """The layout and synthesis witness of a statement over claim 0,
+    alone or, under WIDE_CEAS, before FILLER."""
+    cred = Credential((claim,) + (FILLER if ceas is WIDE_CEAS else ()))
+    wit = hash_to_curve_witness(0, cred[0], len(cred), ceas, profile)[1]
+    return prover_layout(cred, ceas, {0: wit}, (0,), predicate, profile.name)
+
+
+def test_checker_checks_what_the_prover_proved():
+    """Bit literals fold on their structure, never on values: two
+    witnesses of one shape record the same system, and the checker logs
+    the same checks over either, its blocks' bits aside.  Over those,
+    with and without a range predicate, over two in-circuit blocks,
+    after a prefix hashed outside, and on both profiles, the checker
+    checks the recorded system in order (``assert_checks_recorded``),
+    taking each in-circuit block whole, and accepts the assignment with
+    the recorded per-kind counts; test_word_path_verdicts_match_per_bit
+    holds its verdicts on mutated assignments to the recorded system's."""
+    (events33, res33), (events44, res44) = (
+        assert_checks_recorded(*statement_args(Claim("h", "age", v))) for v in ("33", "44")
+    )
+    assert (res33.cs.bools, res33.cs.lins, res33.cs.r1s) == (res44.cs.bools, res44.cs.lins, res44.cs.r1s)
+
+    def shape(events):
+        return [e[:3] + e[4:] if e[1] == "block" else e for e in events]
+
+    assert shape(events33) == shape(events44)
+    long_claim = Claim("h", "bio", "x" * 80)
+    for args, blocks in (
+        (statement_args(Claim("h", "age", "42"), predicate=RangePredicate(0, 40, 45)), (0, 1)),
+        (statement_args(long_claim), (0, 2)),
+        (statement_args(long_claim, ceas=WIDE_CEAS), (1, 3)),
+        (statement_args(Claim("h", "age", "33"), BN254), (0, 1)),
+        (statement_args(Claim("h", "age", "42"), BN254, RangePredicate(0, 18, 65)), (0, 1)),
     ):
-        seen, counts = checked_constraints(monkeypatch, res)
-        assert (seen.bools, seen.lins, seen.r1s) == (res.cs.bools, res.cs.lins, res.cs.r1s)
-        assert sizes(counts) == sizes(res.cs)
-        word_counts = synthesize(res.layout, CheckingBuilder(list(res.values))).cs
-        assert sizes(word_counts) == sizes(res.cs) and len(word_counts) == len(res.cs)
+        cl = args[0].claims[0]
+        assert (cl.first_block, cl.total_blocks) == blocks
+        events, _ = assert_checks_recorded(*args)
+        taken = [e[0] for e in events if e[1] == "block"]
+        assert taken == [f"claim 0, sha256 block {b}" for b in range(*blocks)]
 
 
 def test_prover_computes_what_the_recorder_records():
@@ -267,30 +343,47 @@ def test_prove_extraction_bytes_are_the_recorded_packing(monkeypatch):
         assert inputs.x_coords == tuple(w.x for w in wits.values())
 
 
+def checker_verdict(layout, values):
+    """The checker's detail for values it rejects, None if it accepts them."""
+    try:
+        synthesize(layout, CheckingBuilder(values))
+    except ConstraintViolation as exc:
+        return str(exc)
+    return None
+
+
 def test_checker_verdict_matches_satisfied():
-    """For every public variable and 300 seeded single-variable
-    mutations, the checker accepts exactly when the prover's system is
-    satisfied.  Adding the field modulus changes no residue, so those
-    mutations are accepted by both."""
-    res, _ = toy_statement("42", RangePredicate(0, 40, 45))
+    """For the honest witness, every public variable and 300 seeded
+    single-variable mutations, the verifier accepts exactly when the
+    prover's system is satisfied and every value is below the field
+    modulus f.  Adding f
+    changes no residue, but the backend refuses the wide value as
+    malformed: each value has one encoding.  The checker, run on its
+    own, gives the same verdict on every mutation but those of a public
+    variable, which the backend compares with the public inputs."""
+    res, wit = toy_statement("42", RangePredicate(0, 40, 45))
+    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
     cs, f = res.cs, res.cs.field
     mrng = random.Random(0xC4EC)
-    cases = [(var, 1) for var in range(1, 1 + cs.num_public)]
+    # the honest witness, then the mutations
+    cases = [(1, 0)] + [(var, 1) for var in range(1, 1 + cs.num_public)]
     for _ in range(300):
         var = mrng.randrange(1, cs.num_vars)
         cases.append((var, mrng.choice((1, f - 1, f, mrng.randrange(1, 1 << 255)))))
-    verdicts = []
+    codes = Counter()
     for var, delta in cases:
         values = list(res.values)
         values[var] += delta
-        try:
-            synthesize(res.layout, CheckingBuilder(values))
-            accepted = True
-        except ConstraintViolation:
-            accepted = False
-        assert accepted == cs.satisfied(values), (var, delta)
-        verdicts.append(accepted)
-    assert True in verdicts and False in verdicts
+        expected = cs.satisfied(values) and values[var] < f
+        proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
+        verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
+        assert verdict.ok == expected, (var, delta, verdict)
+        codes[verdict.code] += 1
+        if var > cs.num_public:
+            word = checker_verdict(res.layout, values)
+            assert (word is None) == expected, (var, delta)
+            assert verdict.code != "constraints_unsatisfied" or verdict.detail == word, (var, delta)
+    assert codes.keys() == {"ok", "constraints_unsatisfied", "malformed_proof", "public_inputs_mismatch"}, codes
 
 
 # operations per compression: 48 schedule steps of sigma, sigma, add;
@@ -342,33 +435,28 @@ def op_kinds(monkeypatch, layout, witness):
     return res, kinds
 
 
-def checker_verdict(builder, layout, values):
-    try:
-        synthesize(layout, builder(values))
-    except ConstraintViolation as exc:
-        return str(exc)
-    return None
-
-
 @pytest.mark.parametrize("value", ["42", "x" * 80], ids=["one-block", "two-block"])
 def test_word_path_verdicts_match_per_bit(monkeypatch, value):
     """Over a one-block and a two-block statement, mutations of variables
     of every kind a compression allocates (rounds over the constant
     state, schedule words with public bytes, rounds and schedule words
-    over variables only, additions and the final additions) get the
-    same verdict from the checker, which takes whole blocks where they
-    match, as from its per-bit path alone, with the same region and
-    constraint index; the checker accepts exactly when the recorded
-    system is satisfied.  Each variable is set to v ^ 1, 2, v + f,
+    over variables only, additions and the final additions) are
+    rejected by the checker, which takes every block whole, exactly
+    when the recorded per-bit system is unsatisfied or a value is not
+    below the field modulus f.  Each variable is set to v ^ 1, 2, v + f,
     f - 1 and 256 + v, whose low byte is the bit; a seeded sample
-    mutates several variables at once.  Each witness is also sent
-    through the backend, whose parsed bit view the checker uses, for the
-    same verdict."""
+    mutates several variables at once.  A single mutation's detail names
+    the mutated variable and the block that allocated it.  Each witness
+    is also sent through the backend, which refuses a value of f or more
+    as malformed and otherwise gives the checker's verdict, without a
+    per-bit gadget call."""
     cred = Credential((Claim("h", "bio", value),))
     (_, _), wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, TOY)
     predicate = RangePredicate(0, 40, 45) if value == "42" else None
     layout, witness = prover_layout(cred, TOY_CEAS, {0: wit}, (0,), predicate, "toy11")
     res, kinds = op_kinds(monkeypatch, layout, witness)
+    regions = RegionStarts()
+    synthesize(layout, regions, witness)
     inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
     cs, f = res.cs, res.cs.field
     index = cs.var_index()
@@ -376,9 +464,12 @@ def test_word_path_verdicts_match_per_bit(monkeypatch, value):
         "schedule, public bytes", "schedule, secret bytes", "round, constant state", "round, variables",
         "addition", "final add",
     }
-    assert checker_verdict(CheckingBuilder, layout, list(res.values)) is None
+    assert checker_verdict(layout, list(res.values)) is None
     # the first variable of each kind's first operation, and the last of its last
     targets = {var for ranges in kinds.values() for var in (ranges[0][0], ranges[-1][1] - 1)}
+    cl = layout.claims[0]
+    blocks = {f"claim 0, sha256 block {b}" for b in range(cl.first_block, cl.total_blocks)}
+    assert {regions.region_of(var) for var in targets} == blocks
     cases = [{var: res.values[var] ^ 1} for var in sorted(targets)]
     cases += [{var: v} for var in sorted(targets) for v in (2, res.values[var] + f, f - 1, 256 + res.values[var])]
     mrng = random.Random(0x30D)
@@ -386,19 +477,25 @@ def test_word_path_verdicts_match_per_bit(monkeypatch, value):
     for _ in range(12):
         picked = mrng.sample(range(lo, cs.num_vars), mrng.choice((2, 3, 8)))
         cases.append({var: mrng.choice((res.values[var] ^ 1, 2, res.values[var] + f)) for var in picked})
-    verdicts = set()
     for mutation in cases:
         values = list(res.values)
         for var, v in mutation.items():
             values[var] = v
-        word = checker_verdict(CheckingBuilder, layout, values)
-        assert word == checker_verdict(PerBitChecker, layout, values), mutation
+        word = checker_verdict(layout, values)
         touched = {idx for var in mutation for idx in index[var]}
-        assert (word is None) == all(cs.eval_constraint(idx, values) for idx in touched), mutation
+        canonical = all(v < f for v in mutation.values())
+        assert (word is None) == (canonical and all(cs.eval_constraint(idx, values) for idx in touched)), mutation
+        if len(mutation) == 1:
+            (var,) = mutation
+            assert word.startswith(f"{regions.region_of(var)}: variable {var} "), (mutation, word)
         proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
-        assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs).detail == (word or ""), mutation
-        verdicts.add(word is None)
-    assert verdicts == {True, False}
+        with sha256_gadget.GadgetCalls() as spy:
+            verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
+        assert spy.per_bit == 0, mutation
+        if canonical:
+            assert (verdict.code, verdict.detail) == ("constraints_unsatisfied", word), mutation
+        else:
+            assert (verdict.code, verdict.detail) == ("malformed_proof", ""), mutation
 
 
 def test_backend_rejects_witness_one_value_short_or_long():
@@ -660,6 +757,16 @@ def encoding(values):
 
 FLIP_BIT = bytes.maketrans(b"01", b"10")
 
+
+def as_wide(proof, k, value):
+    """The proof with witness value k, a bit, written as the wide value
+    ``value`` instead."""
+    header, classes, wide = proof.data.split(b"\n", 2)
+    at = 32 * classes.count(b"2", 0, k)
+    wide = wide[:at] + value.to_bytes(32, "big") + wide[at:]
+    return Proof(b"\n".join((header, classes[:k] + b"2" + classes[k + 1:], wide)))
+
+
 F = ConstraintSystem().field
 EDGE_VALUES = (0, 1, 255, 256, F - 1, F, (1 << 256) - 1)
 TOY_RES = toy_statement("27")[0]
@@ -676,8 +783,8 @@ def test_parse_inverts_prove(n, seed, edges):
     """prove writes each value's class byte and each wide value's word,
     and parse returns the values with ``bit_view(values)`` as their bit
     classes, which cannot be changed once parsed, for bit witnesses with
-    edge values anywhere in them; a negative value still raises
-    OverflowError."""
+    edge values anywhere in them; parse refuses a value of the field
+    modulus F or more, and prove a negative value, by OverflowError."""
     r = random.Random(seed)
     values = [r.getrandbits(1) for _ in range(n)]
     for k, v in edges.items():
@@ -685,12 +792,17 @@ def test_parse_inverts_prove(n, seed, edges):
             values[k] = v
     proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
     assert proof.data == TOY_HEADER + b"\n" + encoding(values)
-    layout, parsed = TRANSPARENT_BACKEND.parse(proof)
-    assert layout == TOY_RES.layout
-    assert parsed == values and parsed.bits == bit_view(values)
+    if values and max(values) >= F:
+        with pytest.raises(EncodingError, match="field modulus"):
+            TRANSPARENT_BACKEND.parse(proof)
+    else:
+        layout, parsed = TRANSPARENT_BACKEND.parse(proof)
+        assert layout == TOY_RES.layout
+        assert parsed == values and parsed.bits == bit_view(values)
+        if values:
+            with pytest.raises(TypeError):
+                parsed[0] = 1
     if values:
-        with pytest.raises(TypeError):
-            parsed[0] = 1
         values[seed % n] = -1 - seed
         with pytest.raises(OverflowError):
             TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
@@ -1292,32 +1404,17 @@ def test_zk_verify_accepts_only_bn254(zk_env):
 
 # shape: (backend code, wall seconds, peak MB), for the backend check and
 # zk_verify alike.  Measured, the slower of the two: 0.19 s and 0.49 MB,
-# 16 ms and 0.56 MB, 30 ms and 0.56 MB, 84 ms and 0.68 MB.
+# 16 ms and 0.56 MB, 30 ms and 0.56 MB, 84 ms and 0.68 MB.  With each
+# block refused whole, the flipped bit takes 12 ms and 0.61 MB, and the
+# bit rewritten as a wide value 9 ms and 0.11 MB.
 BUDGETS = {
     "widest_policy": ("ok", 2.0, 4),
     "one_claim_too_many": ("statement_rebuild_failed", 0.25, 4),
     "oversized_header": ("proof_too_large", 0.25, 4),
     "declared_length_2_32": ("witness_shape_mismatch", 0.25, 4),
-    "flipped_first_block_bit": ("constraints_unsatisfied", 1.0, 4),
+    "flipped_first_block_bit": ("constraints_unsatisfied", 0.25, 4),
+    "wide_bit": ("malformed_proof", 0.25, 4),
 }
-
-
-class RegionStarts(Builder):
-    """The prover's builder, noting the first variable of each region."""
-
-    def __init__(self):
-        self._region = ""
-        self.starts = {}
-        super().__init__()
-
-    @property
-    def region(self):
-        return self._region
-
-    @region.setter
-    def region(self, name):
-        self._region = name
-        self.starts.setdefault(name, self.num_vars)
 
 
 def widest_policy_proof(sk):
@@ -1341,22 +1438,23 @@ def hostile_shapes(sk):
     sigma = ces_extract(ces_sign(sk, cred, ceas), x).sigma
     claims = json.loads(proof.data.split(b"\n", 1)[0])["layout"]["claims"]
     header, classes, wide = proof.data.split(b"\n", 2)
-    # the last bit of claim 0's one in-circuit block, so that the checker's
-    # per-bit path runs the whole compression before it fails
+    # the last bit of claim 0's one in-circuit block, the last variable
+    # the checker compares with the block's bits
     wits = {i: hash_to_curve_witness(i, cred[i], len(cred), ceas)[1] for i in x.sorted()}
     layout, witness = prover_layout(cred, ceas, wits, x.sorted(), RangePredicate(0, 18, 65))
     bd = RegionStarts()
     synthesize(layout, bd, witness)
-    end = bd.starts["claim 1, sha256 block 0"]
+    end = bd.start("claim 1, sha256 block 0")
     k = max(classes.rfind(b"0", 0, end), classes.rfind(b"1", 0, end))
     flipped = Proof(b"\n".join((header, classes[:k] + classes[k: k + 1].translate(FLIP_BIT) + classes[k + 1:], wide)))
     return {
+        "wide_bit": (as_wide(proof, classes.rfind(b"1", 0, end), F + 1), inputs, sigma),
         "widest_policy": widest_policy_proof(sk),
         "one_claim_too_many": (with_layout(proof, claims=claims + claims[:1]), inputs, sigma),
         # 10^5 claim entries too many: a 5.5 MB header
         "oversized_header": (with_layout(proof, claims=claims + claims[:1] * 100_000), inputs, sigma),
         "declared_length_2_32": (with_layout(proof, claims=[dict(claims[0], len_value=(1 << 32) - 1), claims[1]]), inputs, sigma),
-        "flipped_first_block_bit": (flipped, inputs, sigma),
+        "flipped_first_block_bit": (flipped, inputs, sigma, k),
     }
 
 
@@ -1377,7 +1475,7 @@ def measure(fn, *args):
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_hostile_header_is_refused_within_budget(name, shapes, issuer):
     code, max_seconds, max_mb = BUDGETS[name]
-    proof, inputs, sigma = shapes[name]
+    proof, inputs, sigma = shapes[name][:3]
     verdict, seconds, peak = measure(TRANSPARENT_BACKEND.verify, BackendParams(), proof, inputs)
     assert verdict.code == code, verdict
     assert seconds < max_seconds and peak < max_mb, (seconds, peak)
@@ -1387,14 +1485,46 @@ def test_hostile_header_is_refused_within_budget(name, shapes, issuer):
     assert seconds < max_seconds and peak < max_mb, (seconds, peak)
 
 
-def test_flipped_first_block_bit_takes_the_per_bit_path(shapes):
-    """The flipped bit misses the checker's block slice, so the verdict
-    is the per-bit constraints', naming claim 0's first block."""
-    proof, inputs, _ = shapes["flipped_first_block_bit"]
+def test_flipped_first_block_bit_is_refused_by_its_block(shapes):
+    """The flipped bit misses the checker's block slice, and the block is
+    refused whole, without a per-bit gadget call: the detail names claim
+    0's first block and the flipped variable."""
+    proof, inputs, _, k = shapes["flipped_first_block_bit"]
     with sha256_gadget.GadgetCalls() as spy:
         verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
-    assert spy.per_bit > 0
-    assert verdict.detail.startswith("claim 0, sha256 block 0: "), verdict.detail
+    assert spy.per_bit == 0
+    assert verdict.code == "constraints_unsatisfied"
+    assert verdict.detail.startswith(f"claim 0, sha256 block 0: variable {k} "), verdict.detail
+
+
+def test_wide_encoding_of_a_bit_is_refused(issuer):
+    """A witness value has one encoding: an honest proof whose 1 bits are
+    rewritten as the wide value F + 1, of the same residue, so that the
+    recorded system still holds, is refused as malformed, for one claim
+    and for three, whether the first, the last or both of its 1 bits
+    are rewritten."""
+    cred = Credential((Claim("holder", "age", "42"), Claim("holder", "country", "QZ"), Claim("holder", "member", "0f1e2d3c")))
+    ceas = CEAS.from_index_sets(3, [[0], [0, 1, 2]])
+    for idxs in ((0,), (0, 1, 2)):
+        x = ExtractionSet(frozenset(idxs))
+        proof, inputs = prove_extraction(BackendParams(), cred, ceas, x, RangePredicate(0, 18, 65))
+        sigma = ces_extract(ces_sign(issuer.sk, cred, ceas), x).sigma
+        _, classes, _ = proof.data.split(b"\n", 2)
+        first, last = classes.index(b"1", 1), classes.rindex(b"1")
+        for ks in ((first,), (last,), (first, last)):
+            rewritten = proof
+            for k in ks:
+                rewritten = as_wide(rewritten, k, F + 1)
+            assert rewritten.data != proof.data
+            verdict = TRANSPARENT_BACKEND.verify(BackendParams(), rewritten, inputs)
+            assert (verdict.code, verdict.detail) == ("malformed_proof", ""), (idxs, ks)
+            result = zk_verify(BackendParams(), issuer.pk, sigma, rewritten, inputs)
+            assert result.code == "proof_rejected:malformed_proof" and result.pairing_ok, (idxs, ks)
+        wits = {i: hash_to_curve_witness(i, cred[i], len(cred), ceas)[1] for i in idxs}
+        res = build_statement(cred, ceas, wits, idxs, RangePredicate(0, 18, 65))
+        values = list(res.values)
+        values[first] = values[last] = F + 1
+        assert res.cs.satisfied(values)
 
 
 def test_prove_refuses_a_policy_of_another_width():
