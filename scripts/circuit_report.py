@@ -5,20 +5,20 @@ Builds representative statements on the toy and production profiles,
 one of them over long claims whose first block is hashed outside the
 system, and prints constraint/variable counts, the constraints of each
 region ("claim i, sha256 block b", "claim i, binding", "claim i,
-predicate"), the times of the three syntheses (the recorded build,
-which stores every constraint; the prover's, which stores none; the
-verifier's check, a checking builder run over the assignment), the
-per-bit sha256 gadget calls (``xor`` and ``ch``) the prover and the
-checker made, the block path's word operations that took its mask
-branch, plus a short auditable dump excerpt.  Exits 1 if any of
-these honest statements is unsatisfied, if the prover's values or
-per-kind counts differ from the recorded build's, if the checker
-rejects the honest assignment or accepts one with a mutated variable,
-if the checker's per-kind constraint counts differ from the recorded
-ones, if the prover or the checker of an honest statement made a
-per-bit gadget call instead of taking every compression whole, or if a
-compression whose input words were all variables took the mask branch
-(which stays correct, only slow).
+predicate"), the secret bytes a proof carries, the times of the two
+syntheses (the recorded build, which stores every constraint, and the
+verifier's, which regenerates the values from the public inputs and
+the secret bytes and stores none), the per-bit sha256 gadget calls
+(``xor`` and ``ch``) the verifier made, the block path's word
+operations that took its mask branch, plus a short auditable dump
+excerpt.  Exits 1 if any of these honest statements is unsatisfied, if
+the verifier's values or per-kind counts differ from the recorded
+build's, if the verifier rejects the honest secret bytes or accepts
+them with the last byte changed (which the recorded system, rebuilt on
+those bytes, refuses too), if the verifier made a per-bit gadget call
+instead of taking every compression whole, or if a compression whose
+input words were all variables took the mask branch (which stays
+correct, only slow).
 
     python scripts/circuit_report.py [--dump N]
 """
@@ -31,7 +31,7 @@ from collections import Counter
 from blsces import CEAS, Claim, Credential
 from blsces.errors import ConstraintViolation
 from blsces.groups.params import BN254, TOY
-from blsces.zk import Builder, CheckingBuilder, RecordingBuilder, hash_to_curve_witness, prover_layout, synthesize
+from blsces.zk import Builder, RecordingBuilder, hash_to_curve_witness, prover_layout, synthesize
 from blsces.zk import sha256_gadget
 from blsces.zk.predicates import RangePredicate
 
@@ -59,10 +59,10 @@ class RegionRecorder(RecordingBuilder):
         self._region, self._mark = name, self._stored()
 
 
-def check(layout, values):
-    """The checker's constraint counts, or None if it rejects."""
+def verify(layout, inputs, secret):
+    """The verifier's synthesis, or None if it rejects."""
     try:
-        return synthesize(layout, CheckingBuilder(values)).cs
+        return synthesize(layout, Builder(), inputs, secret)
     except ConstraintViolation:
         return None
 
@@ -86,23 +86,16 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         predicate = None
     ceas = CEAS.from_index_sets(width, sets)
     extraction = tuple(range(n_claims))
-    witnesses = {}
-    for i in extraction:
-        (_, _), wit = hash_to_curve_witness(i, cred[i], width, ceas, profile)
-        witnesses[i] = wit
-    layout, witness = prover_layout(cred, ceas, witnesses, extraction, predicate, profile.name)
+    hashed = {i: hash_to_curve_witness(i, cred[i], width, ceas, profile) for i in extraction}
+    layout, inputs, secret = prover_layout(cred, ceas, hashed, extraction, predicate, profile.name)
     t0 = time.monotonic()
     recorder = RegionRecorder()
-    res = synthesize(layout, recorder, witness)
+    res = synthesize(layout, recorder, inputs, secret)
     build_s = time.monotonic() - t0
     recorder.region = ""  # count the last region's constraints
-    with sha256_gadget.GadgetCalls() as prover_calls:
+    with sha256_gadget.GadgetCalls() as calls:
         t0 = time.monotonic()
-        proved = synthesize(layout, Builder(), witness)
-        prove_s = time.monotonic() - t0
-    with sha256_gadget.GadgetCalls() as checker_calls:
-        t0 = time.monotonic()
-        checked = check(res.layout, res.values)
+        checked = verify(layout, inputs, secret)
         check_s = time.monotonic() - t0
     ok = res.cs.satisfied(res.values)
     cs = res.cs
@@ -110,15 +103,15 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     def counts(c):
         return len(c.bools), len(c.lins), len(c.r1s), c.num_vars, c.num_public
 
-    prover_same = proved.values == res.values and counts(proved.cs) == counts(cs)
-    same = checked is not None and counts(checked) == counts(cs)
-    mutated = list(res.values)
-    mutated[-1] ^= 1  # the last bit (a carry or a range bit): still boolean, breaks its sum
-    rejects = check(res.layout, mutated) is None
+    same = checked is not None and checked.values == res.values and counts(checked.cs) == counts(cs)
+    # the last secret byte is a counter: the message changes, and with it the digest
+    mutated = secret[:-1] + bytes([secret[-1] ^ 1])
+    recorded = synthesize(layout, RecordingBuilder(), inputs, mutated)
+    rejects = verify(layout, inputs, mutated) is None and not recorded.cs.satisfied(recorded.values)
     print(f"profile={profile.name} claims={n_claims}" + (" long" if long_claims else ""))
     print(
         f"  constraints={len(cs)} (bool={len(cs.bools)} "
-        f"lin={len(cs.lins)} r1={len(cs.r1s)}) vars={cs.num_vars} public={cs.num_public}"
+        f"lin={len(cs.lins)} r1={len(cs.r1s)}) vars={cs.num_vars} public={cs.num_public} secret bytes={len(secret)}"
     )
     blocks = ", ".join(f"claim {c.index}: blocks {c.first_block}-{c.total_blocks - 1}" for c in layout.claims)
     print(f"  in-circuit sha256 {blocks}")
@@ -126,23 +119,17 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         if count:
             print(f"  {region or 'public inputs'}: {count}")
     print(
-        f"  recorded build {build_s:.2f}s, prover {prove_s * 1e3:.1f} ms, verifier check {check_s * 1e3:.1f} ms, "
-        f"satisfied={ok} prover_matches={prover_same} checker_accepts={checked is not None} "
-        f"counts_match={same} mutation_rejected={rejects}"
+        f"  recorded build {build_s:.2f}s, verifier {check_s * 1e3:.1f} ms, "
+        f"satisfied={ok} verifier_accepts={checked is not None} matches_recorded={same} mutation_rejected={rejects}"
     )
-    print(f"  per-bit xor/ch calls: prover {prover_calls.per_bit}, checker {checker_calls.per_bit}")
-    print(
-        f"  mask-branch word ops: prover {prover_calls.masked}, checker {checker_calls.masked}; "
-        f"in all-variable compressions: prover {prover_calls.masked_all_variable}, "
-        f"checker {checker_calls.masked_all_variable}"
-    )
+    print(f"  per-bit xor/ch calls: {calls.per_bit}")
+    print(f"  mask-branch word ops: {calls.masked}; in all-variable compressions: {calls.masked_all_variable}")
     if dump:
         print("  dump excerpt:")
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
-    whole = all(c.per_bit == c.masked_all_variable == 0 for c in (prover_calls, checker_calls))
-    return ok and prover_same and same and rejects and whole
+    return ok and same and rejects and calls.per_bit == calls.masked_all_variable == 0
 
 
 def main():

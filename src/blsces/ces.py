@@ -16,8 +16,10 @@ curve point (or none) and the pairing check fails.
 Signing hashes every claim first and signs them all in one batched G1
 multiplication (``bls.sign_points``).  The credential ``ces_sign``
 returns keeps those points, and one parsed from JSON decodes each
-signature the first time it is extracted, so ``ces_extract`` sums points
-and decompresses no signature twice; ``ces_verify`` still decodes the
+signature the first time it is extracted.  A re-extractable
+presentation holds the points of its kept signatures the same way, so
+``ces_extract`` sums points and decompresses no signature twice, from
+either source; ``ces_verify`` still decodes the
 presented aggregate on every call.  On the verify-one-issuer benchmark's
 set-up (8 credentials of 16 claims, 10 extractions each) the two took
 the median ``setup_s`` from 0.244 to 0.176 s (``perfbench/run.py``,
@@ -60,14 +62,19 @@ class SignedCredential:
     def point(self, i: int) -> G1Point:
         """Claim i's signature as a point; malformed bytes raise
         EncodingError naming the claim."""
-        pt = self._points.get(i)
-        if pt is None:
-            try:
-                pt = bls.decode_signature(self.sigs[i])
-            except EncodingError as exc:
-                raise EncodingError(f"signature {i} malformed: {exc}") from exc
-            self._points[i] = pt
-        return pt
+        return _point(self._points, self.sigs, i)
+
+
+def _point(points: dict[int, G1Point], sigs, i: int) -> G1Point:
+    """``sigs[i]`` as a point, decoded once into ``points``."""
+    pt = points.get(i)
+    if pt is None:
+        try:
+            pt = bls.decode_signature(sigs[i])
+        except EncodingError as exc:
+            raise EncodingError(f"signature {i} malformed: {exc}") from exc
+        points[i] = pt
+    return pt
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,15 @@ class ExtractedPresentation:
     sigma: bls.Signature
     counters: dict[int, int]
     kept_sigs: Optional[dict[int, bls.Signature]] = None
+    # Kept signature points by claim index, as ``SignedCredential._points``:
+    # filled by ces_extract from its source's points or by ``point`` on
+    # first use, so re-extraction decodes each kept signature at most once.
+    _points: dict[int, G1Point] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def point(self, i: int) -> G1Point:
+        """Kept claim i's signature as a point; malformed bytes raise
+        EncodingError naming the claim."""
+        return _point(self._points, self.kept_sigs, i)
 
     def ext_sig_bytes(self) -> bytes:
         """Canonical bytes of the extracted signature: policy, aggregate,
@@ -161,17 +177,17 @@ def ces_extract(
             raise ValidationError(f"claim {i} is already hidden in the source")
 
     sub = _blind_outside(cred, x, blind_properties)
-    if isinstance(source, SignedCredential):
-        sigma = bls.Signature(g1_compress(g1_sum(source.point(i) for i in x.sorted())))
-    else:
-        sigma = bls.aggregate([sig_at[i] for i in x.sorted()])
-    return ExtractedPresentation(
+    points = [source.point(i) for i in x.sorted()]
+    pres = ExtractedPresentation(
         sub_cred=sub,
         ceas=source.ceas,
-        sigma=sigma,
+        sigma=bls.Signature(g1_compress(g1_sum(points))),
         counters={i: counter_at[i] for i in x.sorted()},
         kept_sigs={i: sig_at[i] for i in x.sorted()} if reextractable else None,
     )
+    if reextractable:
+        pres._points.update(zip(x.sorted(), points))
+    return pres
 
 
 def ces_verify(pk: G2Point, pres: ExtractedPresentation) -> VerifyResult:

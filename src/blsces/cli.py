@@ -2,8 +2,10 @@
 
 Exit codes: 0 success/accept, 1 cryptographic reject, 2 malformed
 input, 3 I/O error.  Every command prints one JSON diagnostic object on
-stdout.  Outputs contain no timestamps or hidden randomness, so runs
-with the same inputs (and, for keygen, the same seed) are byte-stable.
+stdout; an input file longer than ``formats.MAX_FILE_BYTES`` is
+refused before it is parsed, with exit 2 and kind ``too_large``.
+Outputs contain no timestamps or hidden randomness, so runs with the
+same inputs (and, for keygen, the same seed) are byte-stable.
 
 Proofs use the transparent prover backend, the only one there is;
 zk-verify rejects a bundle that names another as malformed.  prove
@@ -22,7 +24,7 @@ import sys
 from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
-from blsces.errors import BlscesError, EncodingError, StatementError, ValidationError
+from blsces.errors import BlscesError, EncodingError, FileTooLargeError, StatementError, ValidationError
 from blsces.groups.params import BN254
 from blsces.zk import (
     BackendParams,
@@ -45,8 +47,9 @@ def _emit(payload: dict) -> None:
 
 def _read_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            # one byte over the cap is enough for loads to refuse it
+            text = fh.read(formats.MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise _IoError(f"cannot read {path}: {exc}") from exc
     return formats.loads(text)
@@ -294,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except _IoError as exc:
         _emit({"ok": False, "error": str(exc), "kind": "io"})
         return EXIT_IO
+    except FileTooLargeError as exc:
+        _emit({"ok": False, "error": str(exc), "kind": "too_large"})
+        return EXIT_MALFORMED
     except (EncodingError, StatementError, ValidationError) as exc:
         _emit({"ok": False, "error": str(exc), "kind": "malformed"})
         return EXIT_MALFORMED

@@ -19,8 +19,13 @@ class EncodingError(BlscesError):
 
 
 class ProofTooLargeError(EncodingError):
-    """A proof's witness holds more values than the parser's limit; it
-    is rejected before any list of its values is built."""
+    """A proof's header is longer than the parser's limit; it is
+    rejected before it is parsed."""
+
+
+class FileTooLargeError(EncodingError):
+    """A file's text is longer than the parser's limit; it is rejected
+    before it is parsed."""
 
 
 class OffCurveError(ValidationError):
@@ -45,10 +50,6 @@ class StatementError(BlscesError):
 
 
 class ConstraintViolation(BlscesError):
-    """A checked assignment failed a constraint; the message names the
-    statement region that emitted it."""
-
-
-class WitnessShapeError(BlscesError):
-    """A checked assignment ended before the statement allocated all of
-    its variables."""
+    """A statement failed a constraint on the values the verifier
+    regenerated; the message names the statement region that emitted
+    it."""

@@ -21,7 +21,7 @@ from typing import Any
 from blsces import bls
 from blsces.ces import ExtractedPresentation, SignedCredential
 from blsces.credential import BLINDED, CEAS, Claim, Credential
-from blsces.errors import EncodingError
+from blsces.errors import EncodingError, FileTooLargeError
 from blsces.groups import G2Point, g2_from_bytes, g2_to_bytes
 from blsces.zk.backend import TRANSPARENT_BACKEND, Proof
 from blsces.zk.statement import PublicInputs
@@ -49,10 +49,19 @@ def _expect(data: Any, fmt: str) -> dict:
     return data
 
 
-def loads(text: str) -> dict:
+# Most characters (or bytes) of a file loads() hands to json.loads.  The
+# widest honest file holds a policy at its caps, 256 subsets of up to
+# 1,024 indices (3.4 MB as dumps writes them), which leaves 4.8 MB for
+# the claims of a 1,024-claim credential.
+MAX_FILE_BYTES = 1 << 23
+
+
+def loads(text: str | bytes) -> dict:
+    if len(text) > MAX_FILE_BYTES:
+        raise FileTooLargeError(f"file of more than {MAX_FILE_BYTES} bytes")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise EncodingError(f"invalid JSON: {exc}") from exc
 
 

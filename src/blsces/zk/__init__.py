@@ -9,7 +9,7 @@ from blsces.zk.backend import (
 )
 from blsces.zk.predicates import EqualsPredicate, RangePredicate, predicate_from_descriptor
 from blsces.zk.protocol import ZkSetup, ZkVerifyResult, prove_extraction, zk_setup, zk_verify
-from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
+from blsces.zk.r1cs import Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.statement import (
     PublicInputs,
     StatementLayout,
@@ -18,16 +18,14 @@ from blsces.zk.statement import (
     prover_layout,
     synthesize,
 )
-from blsces.zk.witness import HashToCurveWitness, hash_to_curve_witness
+from blsces.zk.witness import hash_to_curve_witness
 
 __all__ = [
     "BackendParams",
     "BackendVerdict",
     "Builder",
-    "CheckingBuilder",
     "ConstraintSystem",
     "EqualsPredicate",
-    "HashToCurveWitness",
     "Proof",
     "PublicInputs",
     "RangePredicate",

@@ -1,29 +1,31 @@
 """The transparent prover backend.
 
-A succinct proof system is explicitly out of scope; the "proof" here is
-the full witness assignment plus the statement layout.  Verify pins the
-public variables to the supplied public inputs, then synthesizes the
-statement the layout describes with a checking builder over the
-assignment.  That builder evaluates each linear constraint as it is
-emitted, takes each bit decomposition and each sha256 compression
-whole against the values' bit classes, and keeps no constraint.  It
-offers no hiding against the verifier and no succinctness; it exists
-so the statement logic is testable end to end.
+A succinct proof system is explicitly out of scope; the "proof" here
+reveals the secret claim bytes to the verifier, with the statement
+layout.  It offers no hiding against the verifier and no succinctness;
+it exists so the statement logic is testable end to end.
 
-A proof is ``header JSON \n classes \n wide``.  ``classes`` holds one
-ASCII byte per witness value, its bit class (see ``r1cs.BIT_CLASS``):
-``0`` or ``1`` for a bit and ``2`` for any other value.  That is the
-view the checking builder compares whole blocks against.  ``prove``
-writes the view the prover's builder kept beside the values (or
-``bit_view`` of a plain list of values), and ``parse`` hands the bytes
-on unchanged.
-``wide`` holds each class-``2`` value, in order, as a 32-byte
-big-endian word.  A wide value below 2, or at or above the field
-modulus R, is refused, so each witness has one encoding.  Every value
-the checker reads is then below R, under which its whole-block
-comparison is the per-bit check (see ``r1cs``): a mismatched block is
-refused as ``constraints_unsatisfied`` with a detail naming the claim,
-the block and the first variable that differs.
+A proof is ``header JSON \n secret``.  The header names the statement
+layout; ``secret`` holds each extracted claim's subject, property and
+value bytes and its counter byte, claim after claim in layout order, so
+its length follows from the layout (``StatementLayout.secret_length``).
+Those bytes and the public inputs fix every value of the statement (see
+``statement``), so ``prove`` synthesizes nothing: it writes the bytes.
+``verify`` checks their count against the layout, then synthesizes the
+statement with the verifier's ``Builder``, which regenerates every
+value from the public inputs and the bytes, takes each sha256
+compression whole, and evaluates each linear constraint: the binding of
+x and sign to the digest and the predicate's checks.  The first that
+fails is refused as ``constraints_unsatisfied``, with a detail naming
+the claim and the region; that verdict is the recorded system's
+``satisfied`` on the witness the bytes regenerate.
+
+On the zk-range benchmark's inputs (seed 61) a one-claim BN254 proof
+with a range predicate is 242 bytes, a 229-byte header and 12 secret
+bytes (309 bytes for two claims).  ``prove`` takes 0.07 ms once the
+claims' hashes are cached, and ``verify`` 1.43 ms (2.65 ms for two
+claims), of which parsing is under 0.01 ms (quartile-low of 60 runs,
+unscaled, 2 CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -32,53 +34,22 @@ import json
 from dataclasses import dataclass
 from functools import partial
 
-from blsces.errors import (
-    ConstraintViolation,
-    EncodingError,
-    ProofTooLargeError,
-    StatementError,
-    WitnessShapeError,
-)
-from blsces.groups.params import R
-from blsces.zk.r1cs import Assignment, CheckingBuilder, bit_view
-from blsces.zk.statement import PublicInputs, StatementLayout, SynthesisResult, public_assignment, synthesize
+from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError, StatementError
+from blsces.zk.r1cs import Builder
+from blsces.zk.statement import PublicInputs, StatementLayout, synthesize
 
-_WIDE_BYTES = 32
-_WIDE = ord("2")
-_CLASS_VALUE = bytes.maketrans(b"012", bytes(range(3)))  # '2' holds a place for its wide value
-
-# Most values parse() builds, about 70 one-claim witnesses: the classes
-# come from outside, so a longer witness is refused before any list of
-# its values is built.
-MAX_WITNESS_VALUES = 1 << 21
+# Most in-circuit sha256 blocks verify() synthesizes.  A block and its
+# message bits take about 29,000 values, so at the cap the verifier's
+# builder holds under 2^21 of them: 83 ms and a 23 MB tracemalloc peak
+# for one BN254 claim of 64 blocks.
+MAX_BLOCKS = 64
 
 # Most bytes of a header parse() hands to json.loads.  The widest honest
 # one lists a policy at its caps, 256 subsets at width 1,024, in 65,552
 # hex digits (65,757 bytes with one claim).  Even 1,024 extracted claims,
 # each with three 10-digit lengths, add under 85 KB to that, and the
-# witness cap keeps an honest proof far below that many claims.
+# block cap keeps an honest proof far below that many claims.
 MAX_HEADER_BYTES = 1 << 18
-
-
-def _witness(classes: bytes, wide: bytes) -> Assignment:
-    """The values that class bytes and wide words encode, with the class
-    bytes as their bit classes."""
-    if classes.translate(None, b"012"):
-        raise EncodingError("witness class byte outside 012")
-    if len(wide) != _WIDE_BYTES * classes.count(_WIDE):
-        raise EncodingError("wide words do not match the witness classes")
-    wides = [int.from_bytes(wide[k: k + _WIDE_BYTES], "big") for k in range(0, len(wide), _WIDE_BYTES)]
-    if wides and min(wides) < 2:
-        raise EncodingError("a wide value below 2 is a bit")
-    if wides and max(wides) >= R:
-        raise EncodingError("a wide value at or above the field modulus")
-    values = Assignment(classes.translate(_CLASS_VALUE), classes)
-    k = -1
-    for v in wides:
-        k = classes.index(_WIDE, k + 1)
-        # Assignment refuses changes once built; its builder may still fill it
-        list.__setitem__(values, k, v)
-    return values
 
 
 @dataclass(frozen=True)
@@ -99,7 +70,7 @@ class BackendParams:
 class BackendVerdict:
     ok: bool
     code: str = "ok"
-    # where an unsatisfied witness failed: claim, region and constraint
+    # where the regenerated witness failed: claim, region and constraint
     detail: str = ""
     # the predicate descriptor the proof's layout names; None when the
     # proof did not parse
@@ -112,40 +83,29 @@ class BackendVerdict:
 class TransparentBackend:
     name = "transparent"
 
-    def prove(self, params: BackendParams, statement: SynthesisResult) -> Proof:
-        if statement.values is None:
-            raise StatementError("cannot prove a synthesis without a witness")
+    def prove(self, params: BackendParams, layout: StatementLayout, secret: bytes) -> Proof:
+        """The proof of the statement ``layout`` describes over the secret
+        bytes ``synthesize`` takes for it."""
+        if len(secret) != layout.secret_length:
+            raise StatementError("secret bytes differ in length from the layout's claims")
         header = json.dumps(
-            {"backend": self.name, "layout": statement.layout.to_json()},
+            {"backend": self.name, "layout": layout.to_json()},
             separators=(",", ":"),
             sort_keys=True,
         ).encode()
-        values = statement.values
-        # the prover's builder kept the classes beside the values
-        classes = values.bits if isinstance(values, Assignment) else bit_view(values)
-        wide = []
-        k = classes.find(_WIDE)
-        while k >= 0:
-            # a negative value, or one of 2^256 or more, raises OverflowError
-            wide.append(values[k].to_bytes(_WIDE_BYTES, "big"))
-            k = classes.find(_WIDE, k + 1)
-        return Proof(b"\n".join((header, classes, b"".join(wide))))
+        return Proof(header + b"\n" + secret)
 
-    def parse(self, proof: Proof) -> tuple[StatementLayout, Assignment]:
+    def parse(self, proof: Proof) -> tuple[StatementLayout, bytes]:
+        """The layout a proof's header names and the secret bytes after it."""
         data = proof.data
-        # measure the header and the classes by their separators before
-        # copying or parsing either
+        # measure the header by its separator before copying or parsing it
         first = data.find(b"\n")
         if first > MAX_HEADER_BYTES:
             raise ProofTooLargeError(f"header of more than {MAX_HEADER_BYTES} bytes")
-        second = data.find(b"\n", first + 1) if first >= 0 else -1
-        if second < 0:
+        if first < 0:
             raise EncodingError("malformed proof: missing separator")
-        if second - first - 1 > MAX_WITNESS_VALUES:
-            raise ProofTooLargeError(f"witness of more than {MAX_WITNESS_VALUES} values")
-        header, classes, wide = data[:first], data[first + 1: second], data[second + 1:]
         try:
-            meta = json.loads(header)
+            meta = json.loads(data[:first])
             if meta.get("backend") != self.name:
                 raise EncodingError("proof built for a different backend")
             layout = StatementLayout.from_json(meta["layout"])
@@ -153,40 +113,42 @@ class TransparentBackend:
             raise
         except Exception as exc:
             raise EncodingError(f"malformed proof: {exc}") from exc
-        return layout, _witness(classes, wide)
+        return layout, data[first + 1:]
 
     def verify(
-        self, params: BackendParams, proof: Proof, inputs: PublicInputs, profile: str | None = None
+        self,
+        params: BackendParams,
+        proof: Proof,
+        inputs: PublicInputs,
+        profile: str | None = None,
+        predicate: dict | None = None,
     ) -> BackendVerdict:
-        """Check the proof for the public inputs; with ``profile``, accept
-        only a statement over that curve profile."""
+        """Check the proof for the public inputs.  With ``profile``, accept
+        only a statement over that curve profile; with ``predicate``, a
+        descriptor, only one proving exactly that predicate, refused as
+        ``predicate_rejected`` as soon as the header parses."""
         try:
-            layout, values = self.parse(proof)
+            layout, secret = self.parse(proof)
         except ProofTooLargeError:
             return BackendVerdict(False, "proof_too_large")
         except EncodingError:
             return BackendVerdict(False, "malformed_proof")
         verdict = partial(BackendVerdict, predicate=layout.predicate)
+        if predicate is not None and layout.predicate != predicate:
+            return verdict(False, "predicate_rejected")
         if profile is not None and layout.profile_name != profile:
             return verdict(False, "profile_rejected")
-        if not values or values[0] != 1:
-            return verdict(False, "witness_shape_mismatch")
         try:
-            expected_public = public_assignment(layout, inputs)
-            if len(values) <= len(expected_public):
+            claims = layout.claims
+            if len(secret) != layout.secret_length:
                 return verdict(False, "witness_shape_mismatch")
-            # a tampered (x, sign) is refused before any synthesis
-            if values[1: 1 + len(expected_public)] != expected_public:
-                return verdict(False, "public_inputs_mismatch")
-            checked = synthesize(layout, CheckingBuilder(values)).cs
-        except WitnessShapeError:
-            return verdict(False, "witness_shape_mismatch")
+            if sum(cl.total_blocks - cl.first_block for cl in claims) > MAX_BLOCKS:
+                return verdict(False, "proof_too_large")
+            synthesize(layout, Builder(), inputs, secret)
         except ConstraintViolation as exc:
             return verdict(False, "constraints_unsatisfied", str(exc))
         except (StatementError, EncodingError):
             return verdict(False, "statement_rebuild_failed")
-        if checked.num_vars != len(values) or checked.num_public != len(expected_public):
-            return verdict(False, "witness_shape_mismatch")
         return verdict(True)
 
 

@@ -23,8 +23,7 @@ def _lc_sub_const(lc: LC, k: int) -> LC:
 
 def _range_bits(bd: Builder, lc: LC, width: int) -> None:
     """Constrain 0 <= <lc> < 2^width via a fresh bit decomposition."""
-    val = bd.lc_val(lc) if bd.compute else None
-    bits = bd.bits_of(val, width)
+    bits = bd.bits_of(bd.lc_val(lc), width)
     bd.add_lin(tuple(lc) + tuple((b, -(1 << j)) for j, b in enumerate(bits)))
 
 

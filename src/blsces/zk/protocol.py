@@ -13,7 +13,8 @@ conjunction of three independently reported checks:
   b3  the backend accepts the proof for the public inputs,
 
 and, when the verifier names the predicate it expects, a fourth: the
-proof's layout proves exactly that predicate.
+proof's layout proves exactly that predicate.  The backend checks that
+one from the proof's header, before any other work.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from blsces.groups import G1Point, G2Point, decompress_x
 from blsces.groups.params import BN254
 from blsces.zk.backend import BackendParams, Proof, TRANSPARENT_BACKEND
 from blsces.zk import statement
-from blsces.zk.r1cs import Builder
-# build_statement, which records the constraints prove_extraction only
-# counts, stays importable here: perfbench/tracing.py binds it by name.
+# build_statement, which records the constraints of the statement a
+# proof proves, stays importable here: perfbench/tracing.py binds it by
+# name.
 from blsces.zk.statement import PublicInputs, build_statement  # noqa: F401
 from blsces.zk.witness import hash_to_curve_witness
 
@@ -68,31 +69,15 @@ def prove_extraction(
     x: ExtractionSet,
     predicate=None,
 ) -> tuple[Proof, PublicInputs]:
-    """Generate hash witnesses for every disclosed claim and prove the
-    statement.  Requires x to be allowed by the policy and the claims at
-    x to be visible."""
+    """Hash every disclosed claim's message and prove the statement over
+    the results.  Requires x to be allowed by the policy and the claims
+    at x to be visible."""
     if not ceas_contains(ceas, x):
         raise ValidationError("extraction set is not allowed by the policy")
     idxs = tuple(x.sorted())
-    witnesses = {}
-    publics_x = []
-    publics_sign = []
-    for i in idxs:
-        (xi, sign), wit = hash_to_curve_witness(i, cred[i], len(cred), ceas)
-        witnesses[i] = wit
-        publics_x.append(xi)
-        publics_sign.append(sign)
-    inputs = PublicInputs(
-        x_coords=tuple(publics_x),
-        sign_bits=tuple(publics_sign),
-        ceas_bytes=ceas.to_bytes(),
-        extraction=idxs,
-    )
-    layout, witness = statement.prover_layout(cred, ceas, witnesses, idxs, predicate)
-    # through the module, so perfbench/tracing.py's wrapper on
-    # statement.synthesize sees the prover's synthesis too
-    proof = TRANSPARENT_BACKEND.prove(backend_params, statement.synthesize(layout, Builder(), witness))
-    return proof, inputs
+    hashed = {i: hash_to_curve_witness(i, cred[i], len(cred), ceas) for i in idxs}
+    layout, inputs, secret = statement.prover_layout(cred, ceas, hashed, idxs, predicate)
+    return TRANSPARENT_BACKEND.prove(backend_params, layout, secret), inputs
 
 
 def zk_verify(
@@ -107,8 +92,14 @@ def zk_verify(
     points, and the backend proof; accept only if all three hold.
 
     With ``predicate``, also accept only a proof whose layout proves
-    exactly that predicate (``predicate_rejected`` otherwise): a proof of
-    no predicate, or of other bounds, is then refused.
+    exactly that predicate: a proof of no predicate, or of other bounds,
+    is refused as ``predicate_rejected`` as soon as its header parses,
+    with no pairing and no synthesis.  The code names the first failure
+    in this order: ``policy_rejected``; ``predicate_rejected``; the
+    pairing's (``decompress_failed``, ``pairing_failed`` and the codes of
+    a bad key or signature); then ``proof_rejected:<backend code>``.  A
+    header that does not parse names no predicate, so such a proof gets
+    the pairing's code or ``proof_rejected:malformed_proof``.
     """
     # b1: the disclosed index set is allowed by the policy the verifier
     # was handed.  b3 binds that policy to the one the messages were
@@ -120,6 +111,16 @@ def zk_verify(
         b1 = ceas_contains(ceas, x)
     except (EncodingError, ValidationError):
         b1 = False
+
+    # b3: backend proof verification, of a statement over BN254 (a toy
+    # profile would bind only a few bits of x) and of the expected
+    # predicate, which the backend compares before it synthesizes.
+    expected = None if predicate is None else predicate.describe()
+    verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs, profile=BN254.name, predicate=expected)
+    b3 = bool(verdict)
+    if verdict.code == "predicate_rejected":
+        code = "predicate_rejected" if b1 else "policy_rejected"
+        return ZkVerifyResult(False, b1, False, False, code, predicate=verdict.predicate)
 
     # b2: decompress each point from its public (x, sign) pair and run
     # the aggregate pairing equation.
@@ -145,24 +146,15 @@ def zk_verify(
         except ValidationError:
             b2_code = "malformed_inputs"
 
-    # b3: backend proof verification, of a statement over BN254: a toy
-    # profile would bind only a few bits of x.
-    verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs, profile=BN254.name)
-    b3 = bool(verdict)
-    # the predicate the verifier asks for is the one the proof proves
-    b4 = predicate is None or verdict.predicate == predicate.describe()
-
-    accept = b1 and b2 and b3 and b4
+    accept = b1 and b2 and b3
     if accept:
         code = "ok"
     elif not b1:
         code = "policy_rejected"
     elif not b2:
         code = b2_code
-    elif not b3:
-        code = f"proof_rejected:{verdict.code}"
     else:
-        code = "predicate_rejected"
+        code = f"proof_rejected:{verdict.code}"
     return ZkVerifyResult(
         accept=accept,
         policy_ok=b1,

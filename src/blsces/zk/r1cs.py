@@ -1,4 +1,4 @@
-"""Rank-1 constraint system and its three builders.
+"""Rank-1 constraint system and its two builders.
 
 Scale matters here: a real-field statement runs to about 29,650
 constraints per claim (29,651 for one BN254 claim: 10,592 booleanity,
@@ -16,105 +16,48 @@ variable may appear more than once, and its coefficients add.  Variable
 ``iter_r1cs`` exposes every constraint in the uniform a*b = c shape
 (bools, then lins, then r1s) for dumps and for the mutation-sweep tests.
 
-The gadgets emit constraints through a builder of one of three kinds:
+The gadgets emit constraints through a builder of one of two kinds.
+Both compute each variable's value as they allocate it; the statement
+hands them the public inputs and the secret message bytes, which fix
+every other value (see ``statement``).
 
-* ``Builder`` (the prover's) computes each variable's value as it
-  allocates it and counts constraints by kind; it stores none, since
-  the proof carries only the values.
-* ``RecordingBuilder`` computes the same values and also stores every
-  constraint in a ``ConstraintSystem``: the reference for dumps, audits
-  and the mutation-sweep tests, through ``first_violation``.
-* ``CheckingBuilder`` (the verifier's) is handed a transported
-  assignment.  Allocation reads the next value; each linear constraint
-  is evaluated as it is emitted, and each bit decomposition and sha256
-  compression taken whole.  It keeps only counts, and evaluates no
-  product or booleanity constraint: its ``add_r1`` and ``add_bool``
-  raise.
-
-Gadgets tell the computing kinds from the checking one by
-``bd.compute``.  Each builder's ``cs`` has the same sizes; only the
-recording builder's holds the constraints.
-
-The sha256 gadget's block path (see ``sha256_gadget``) reads the values
-of a compression's input words with ``word_value``, computes the bit of
-every variable its per-bit path would allocate, and hands them to
-``alloc_bits`` with the constraint counts.  Word values come from a
-bit-class view of the assignment, one ASCII byte per value: '0' or '1'
-for a bit and '2' for anything else.  A builder whose ``bits`` is None
-keeps no view and knows no word value.
-
-* ``Builder`` keeps the view beside its values as it allocates them,
-  reads word values from it, and appends the bits, as they are, to the
-  view and as values to the assignment, adding the counts.  Its values
-  are an ``Assignment`` whose ``bits`` are that view, so the backend
-  writes the view without rebuilding it.
-* ``CheckingBuilder`` reads word values from the view of the
-  transported assignment and compares the bits with the next slice of
-  it.  A slice that differs raises ``ConstraintViolation`` naming the
-  region (claim and block) and the first variable that differs.
-* ``RecordingBuilder`` keeps no view, since the mutation-sweep tests
-  change its values in place, so every compression runs on the per-bit
+* ``Builder`` (the verifier's) stores no constraint and counts them by
+  kind.  It evaluates each linear constraint it is handed, and the
+  first that fails raises ``ConstraintViolation`` naming the region
+  (claim and gadget) being synthesized.  Every other constraint holds
+  by construction: a product or booleanity constraint is the one its
+  gadget's value computation solves, so the builder does not evaluate
+  it.  It keeps a bit-class view beside its values, one ASCII byte per
+  value, '0' or '1' for a bit and '2' for anything else, from which the
+  sha256 gadget's block path reads the values of a compression's input
+  words (``word_value``) and to which it appends a whole compression's
+  bits at once (``alloc_bits``).
+* ``RecordingBuilder`` stores every constraint in a
+  ``ConstraintSystem`` and evaluates none: it is the reference for
+  dumps, audits and the mutation-sweep tests, through
+  ``first_violation``.  It keeps no view, since those tests change its
+  values in place, so every compression runs on the gadget's per-bit
   path and every constraint is stored.
 
-The comparison is the per-bit check.  Every value the checker reads is
-below the field modulus R (the backend refuses wider ones), and every
-bit a compression reads is 0 or 1: a message bit passed ``bits_of``, an
-earlier compression's output passed its slice.  Over such inputs the
-per-bit constraints fix each variable a compression allocates: xor's
-(a - b)^2 = z gives z = a xor b, Ch's e * (f - g) = c - g gives
-c = g + e(f - g), and an addition's boolean bits, weighted by powers of
-2, equal the operand sum mod R, where both sides are integers below
-2^35, far below R, so the bits are the sum's binary digits.  A slice
-therefore matches exactly when the block's per-bit constraints hold.
+The two give the same values and per-kind counts, and ``Builder``
+raises exactly when the recorded system is unsatisfied: on values
+computed this way only a linear constraint can fail.  A linear
+constraint that ties a bit decomposition to its value fails when the
+value does not fit the width (``bits_of`` masks it), so a value that
+does not fit is refused, never truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from blsces.errors import ConstraintViolation, StatementError, WitnessShapeError
+from blsces.errors import ConstraintViolation, StatementError
 from blsces.groups.params import R as BN254_SCALAR_FIELD
 
 LC = tuple  # tuple[tuple[int, int], ...]
 
-# translate tables: a byte value to its bit class, '0' or '1' for a
-# canonical bit and '2' otherwise; ASCII bits to the values 0 and 1
-BIT_CLASS = b"01" + b"2" * 254
+# ASCII bits to the values 0 and 1
 _ASCII_BIT = bytes.maketrans(b"01", bytes(range(2)))
-_VIEW_CHUNK = 1 << 10
-
-
-class Assignment(list):
-    """Witness values, and ``bits``, their bit classes (see
-    ``BIT_CLASS``): as parsed from a proof, or as the prover's builder
-    allocated them.  The values are read-only once built, so the view
-    cannot go stale: a caller that changes a value copies them into a
-    plain list, whose view the backend and the checking builder build
-    themselves."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, values, bits: bytes):
-        super().__init__(values)
-        self.bits = bits
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("parsed witness values are read-only; copy them with list() to change them")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = reverse = sort = clear = _read_only
-
-
-def bit_view(values: list[int]) -> bytes:
-    """The bit classes of any list of values."""
-    out = bytearray()
-    for start in range(0, len(values), _VIEW_CHUNK):
-        chunk = values[start: start + _VIEW_CHUNK]
-        try:
-            out += bytes(chunk)
-        except (ValueError, TypeError):  # a value outside 0..255
-            out += bytes(v if v in (0, 1) else 2 for v in chunk)
-    return bytes(out.translate(BIT_CLASS))
 
 
 def lc_value(lc: LC, w: list, field: int) -> int:
@@ -226,8 +169,8 @@ class ConstraintSystem:
 
 
 class Tally:
-    """Stands in for a constraint list the prover's and the checking
-    builder do not keep: it has a length and nothing else."""
+    """Stands in for a constraint list ``Builder`` does not keep: it has
+    a length and nothing else."""
 
     __slots__ = ("n",)
 
@@ -239,22 +182,21 @@ class Tally:
 
 
 class Builder:
-    """The prover's builder: computes each variable's value as it
-    allocates it and counts constraints by kind without storing them.
-    ``values`` is an ``Assignment`` whose ``bits`` is the bit-class view
-    kept beside them.  ``region`` names the part of the statement being
-    synthesized; the checking builder reports it.  ``cs`` is a
-    ``ConstraintSystem`` of the sizes so far, with tallies for its
-    constraint lists."""
+    """The verifier's builder: computes each variable's value as it
+    allocates it, evaluates each linear constraint, and counts
+    constraints by kind without storing them.  ``bits`` is the
+    bit-class view kept beside ``values``.  ``region`` names the part
+    of the statement being synthesized, for the refusal's detail.
+    ``cs`` is a ``ConstraintSystem`` of the sizes so far, with tallies
+    for its constraint lists."""
 
-    compute = True
     region = ""
 
     field = BN254_SCALAR_FIELD
 
     def __init__(self):
         self.bits = bytearray(b"1")
-        self.values: list = Assignment([1], self.bits)
+        self.values: list = [1]
         self.num_vars = 1
         self.num_public = 0
         self.n_bools = self.n_lins = self.n_r1s = 0
@@ -267,7 +209,6 @@ class Builder:
         )
 
     # -- allocation ---------------------------------------------------
-    # values grow through list methods: an Assignment refuses its own
 
     def alloc(self, value: int) -> int:
         self._public_frozen = True
@@ -281,9 +222,9 @@ class Builder:
 
     def _append(self, value: int) -> int:
         value %= self.field
-        list.append(self.values, value)
+        self.values.append(value)
         if self.bits is not None:
-            self.bits.append(BIT_CLASS[min(value, 2)])
+            self.bits.append(b"012"[min(value, 2)])
         self.num_vars += 1
         return self.num_vars - 1
 
@@ -293,6 +234,13 @@ class Builder:
         self.n_bools += 1
 
     def add_lin(self, lc: LC) -> None:
+        # a plain loop: LCs here are short, where a comprehension costs more
+        w = self.values
+        total = 0
+        for v, k in lc:
+            total += w[v] * k
+        if total % self.field:
+            raise ConstraintViolation(f"{self.region}: lin constraint {self.n_lins} fails")
         self.n_lins += 1
 
     def add_r1(self, a_lc: LC, b_lc: LC, c_lc: LC) -> None:
@@ -301,8 +249,6 @@ class Builder:
     # -- helpers --------------------------------------------------------
 
     def lc_val(self, lc: LC) -> int:
-        if not self.compute:
-            raise StatementError("a checking builder computes no values")
         return lc_value(lc, self.values, self.field)
 
     def bit(self, value: int) -> int:
@@ -312,8 +258,9 @@ class Builder:
 
     def bits_of(self, value: int, width: int) -> list[int]:
         """Allocate ``width`` boolean variables holding the little-endian
-        bits of ``value`` (masked to the width, so hostile values still
-        produce boolean assignments and fail elsewhere)."""
+        bits of ``value``, masked to the width: a value that does not fit
+        still gets boolean bits, and fails the linear constraint that
+        ties them to it."""
         bits = format(value & ((1 << width) - 1), f"0{width}b").encode()[::-1]
         start = self.alloc_bits(bits, bools=width)
         return list(range(start, start + width))
@@ -326,7 +273,7 @@ class Builder:
         returns the first index."""
         start = self.num_vars
         self._public_frozen = True
-        list.extend(self.values, bits.translate(_ASCII_BIT))
+        self.values += bits.translate(_ASCII_BIT)
         if self.bits is not None:
             self.bits += bits
         self.num_vars = start + len(bits)
@@ -337,7 +284,7 @@ class Builder:
 
     def word_value(self, variables: list[int]) -> int | None:
         """The value the variables hold as little-endian bits, or None if
-        one of them is not a canonical bit or the builder keeps no view."""
+        one of them is not a bit or the builder keeps no view."""
         if self.bits is None:
             return None
         try:
@@ -347,14 +294,13 @@ class Builder:
 
 
 class RecordingBuilder(Builder):
-    """A prover's builder that also stores every constraint, for audits,
-    dumps and the mutation-sweep tests; ``cs`` is the stored system.  Its
-    values are a plain list, which those tests change in place, and it
-    keeps no bit-class view, which would go stale when they do."""
+    """A builder that stores every constraint and evaluates none, for
+    audits, dumps and the mutation-sweep tests; ``cs`` is the stored
+    system.  It keeps no bit-class view, which would go stale when those
+    tests change its values in place."""
 
     def __init__(self):
         super().__init__()
-        self.values = [1]
         self.bits = None
         self.bools: list = []
         self.lins: list = []
@@ -377,70 +323,3 @@ class RecordingBuilder(Builder):
         bits = super().bits_of(value, width)
         self.bools.extend(bits)
         return bits
-
-
-class CheckingBuilder(Builder):
-    """The verifier's builder over the assignment ``values``, whose
-    constant slot must hold 1.  It stores no constraint; the first
-    violation raises ``ConstraintViolation`` naming the region, and an
-    assignment that runs out raises ``WitnessShapeError``.  ``cs``
-    reports the sizes of the system checked so far, with tallies for
-    its constraint lists."""
-
-    compute = False
-
-    def __init__(self, values: list[int]):
-        super().__init__()
-        if not values or values[0] != 1:
-            raise WitnessShapeError("the constant slot does not hold 1")
-        self.values = values
-        self.bits = values.bits if isinstance(values, Assignment) else bit_view(values)
-
-    def _take(self, width: int) -> int:
-        """Allocate the next ``width`` variables; returns the first."""
-        start = self.num_vars
-        if start + width > len(self.values):
-            raise WitnessShapeError("assignment ends before the statement's variables")
-        self.num_vars = start + width
-        return start
-
-    def alloc(self, value: int | None = None) -> int:
-        return self._take(1)
-
-    def alloc_public(self, value: int | None = None) -> int:
-        idx = self._take(1)
-        self.num_public += 1
-        return idx
-
-    def add_bool(self, *args) -> None:
-        raise StatementError(f"{self.region}: a checking builder evaluates no product or booleanity constraint")
-
-    add_r1 = add_bool
-
-    def add_lin(self, lc: LC) -> None:
-        # a plain loop: LCs here are short, where a comprehension costs more
-        w = self.values
-        total = 0
-        for v, k in lc:
-            total += w[v] * k
-        if total % self.field:
-            raise ConstraintViolation(f"{self.region}: lin constraint {self.n_lins} fails")
-        self.n_lins += 1
-
-    def bits_of(self, value: int | None, width: int) -> list[int]:
-        start = self._take(width)
-        k = self.bits.find(b"2", start, start + width)
-        if k >= 0:
-            raise ConstraintViolation(f"{self.region}: variable {k} is not a bit")
-        self.n_bools += width
-        return list(range(start, start + width))
-
-    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int:
-        start = self._take(len(bits))
-        if self.bits[start: self.num_vars] != bits:
-            k = next(k for k, b in enumerate(bits) if self.bits[start + k] != b)
-            raise ConstraintViolation(f"{self.region}: variable {start + k} is not the bit its block's inputs fix")
-        self.n_bools += bools
-        self.n_lins += lins
-        self.n_r1s += r1s
-        return start

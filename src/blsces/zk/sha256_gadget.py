@@ -22,8 +22,8 @@ knows the literal format; ``lit_lc`` turns a literal into a linear
 combination for callers.
 
 Two paths synthesize a compression.  The per-bit path runs the
-operations above literal by literal; it is the reference, and only a
-computing builder runs it.  The block path computes, with plain Python
+operations above literal by literal; it is the reference, which the
+recording builder runs.  The block path computes, with plain Python
 ints, the bit of every variable the per-bit path would allocate, in its
 allocation order, and hands the whole block to one ``bd.alloc_bits``
 call with its constraint counts.  Its word operations, over words of
@@ -32,17 +32,15 @@ bit masks, are in ``sha256_block``; this module turns the input words'
 literals into those words, with the values it asks the builder for
 (``bd.word_value``).  A builder that knows none (the recording one), or
 input state words that share a variable (where Ch could fold on f ==
-g), take the per-bit path instead; a checking builder, which
-``synthesize`` never hands such a block, refuses it.  How each builder
-takes the bits is in ``r1cs``; in every case the variables, values and
-constraint counts are those of the per-bit path.
+g), take the per-bit path instead; a statement never hands the
+verifier's builder such a block.  In every case the variables, values
+and constraint counts are those of the per-bit path.
 
 The plain compression and the constants are in ``sha256``.
 """
 
 from __future__ import annotations
 
-from blsces.errors import StatementError
 from blsces.zk.r1cs import LC, Builder
 from blsces.zk.sha256 import SHA256_K, WORD
 from blsces.zk.sha256_block import MASK, BlockWords, add_width
@@ -247,8 +245,6 @@ def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list
     """
     words = None if _shares_a_variable(state) else [_input_word(bd, lits) for lits in state + block]
     if words is None or None in words:
-        if not bd.compute:
-            raise StatementError(f"{bd.region}: a checking builder takes each sha256 block whole")
         return _compress(PerBitWords(bd), state, block)
     ops = BlockWords()
     _compress(ops, words[:8], words[8:])

@@ -26,6 +26,37 @@ policy's length and the component lengths (``StatementLayout.claims``).
 Message bytes that are publicly known (policy bytes, lengths, indices,
 padding) enter the circuit as constants rather than witness variables,
 so they cannot be substituted.
+
+``synthesize`` takes the public inputs and the secret bytes: each
+extracted claim's subject, property and value bytes and its counter
+byte, claim after claim in layout order.  Those fix every variable the
+statement allocates, which is why a proof carries the secret bytes
+alone:
+
+* variable 0 holds 1;
+* the public variables, each claim's four 64-bit limbs of x and its
+  sign bit, hold ``public_assignment`` of the public inputs;
+* each secret byte's eight message bits are the byte's bits;
+* a sha256 compression's variables are fixed by its inputs: message
+  bits, constants, and the previous compression's outputs.  Over bits,
+  xor's (a - b)^2 = z gives z = a xor b, Ch's e * (f - g) = c - g gives
+  c = g + e(f - g), Maj is a xor and a Ch, and an addition's result and
+  carry bits, weighted by powers of 2, equal the operand sum, an
+  integer below 2^35, far below the field modulus, so they are the
+  sum's binary digits;
+* the x and sign binding allocates nothing: its linear constraints tie
+  the public variables to the last compression's digest bits;
+* a range predicate's decompositions hold the bits of a value the
+  message bits fix (a digit, a digit plus 6, value - low and
+  high - value); each is tied to that value by a linear constraint,
+  which holds only if the value fits the width.  An equals predicate
+  allocates nothing: its linear constraints compare the value bytes
+  with the constant.
+
+So the statement holds exactly when those linear constraints do, on the
+values the public inputs and the secret bytes regenerate; the
+verifier's ``Builder`` evaluates them as they are emitted (see
+``r1cs``).
 """
 
 from __future__ import annotations
@@ -33,14 +64,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from blsces.bls import HashToG1Result
 from blsces.credential import CEAS, Claim, encode_claim_message
-from blsces.errors import EncodingError, StatementError, ValidationError, WitnessShapeError
+from blsces.errors import EncodingError, StatementError, ValidationError
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import SHA256_IV, sha256_compress, sha256_pad
 from blsces.zk.sha256_gadget import ONE, ZERO, const_word, lit_lc, sha256_compress_gadget
-from blsces.zk.witness import HashToCurveWitness
 
 SHA_BITS = 256
 # the little-endian bit literals of each public byte value
@@ -103,7 +134,10 @@ def build_claim_layout(ceas_bytes: bytes, i: int, lens: tuple[int, int, int]) ->
     """The shape of claim i's message under the policy ``ceas_bytes``, from
     public lengths alone: the policy after its 4-byte length, n and i as
     4 bytes each, the three components after their 4-byte lengths, and
-    the counter byte."""
+    the counter byte.  A length the 4-byte prefix cannot hold raises
+    StatementError."""
+    if not all(0 <= length < 1 << 32 for length in lens):
+        raise StatementError(f"claim lengths {lens} do not fit the encoding")
     return ClaimLayout(index=i, lens=lens, msg_len=4 + len(ceas_bytes) + 8 + 12 + sum(lens) + 1)
 
 
@@ -121,6 +155,12 @@ class StatementLayout:
         """Each extracted claim's shape, paired with the extraction in
         order; ``synthesize`` refuses a layout whose counts differ."""
         return tuple(build_claim_layout(self.ceas_bytes, i, lens) for i, lens in zip(self.extraction, self.claim_lens))
+
+    @property
+    def secret_length(self) -> int:
+        """Bytes of the secret ``synthesize`` takes: each claim's three
+        components and its counter byte."""
+        return sum(sum(cl.lens) + 1 for cl in self.claims)
 
     def to_json(self) -> dict:
         return {
@@ -172,13 +212,11 @@ def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
     up to the end of the padding as segments (offset, data, kind):
     public bytes with kind None, or a secret component's length and its
     kind ("subject", "property", "value" or "counter").  No secret byte
-    is built, so a declared length costs no memory."""
-    try:
-        parts = [(struct.pack(">I", len(ceas_bytes)) + ceas_bytes + struct.pack(">II", n, i), None)]
-        for length, kind in zip(lens, ("subject", "property", "value")):
-            parts += [(struct.pack(">I", length), None), (length, kind)]
-    except struct.error as exc:
-        raise StatementError(f"claim lengths do not fit the encoding: {exc}") from exc
+    is built, so a declared length costs no memory.  The lengths are a
+    ``ClaimLayout``'s, which fit their 4-byte prefixes."""
+    parts = [(struct.pack(">I", len(ceas_bytes)) + ceas_bytes + struct.pack(">II", n, i), None)]
+    for length, kind in zip(lens, ("subject", "property", "value")):
+        parts += [(struct.pack(">I", length), None), (length, kind)]
     parts.append((1, "counter"))
     segments = []
     pos = 0
@@ -198,7 +236,7 @@ def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
 @dataclass
 class SynthesisResult:
     cs: ConstraintSystem
-    values: list | None
+    values: list
     layout: StatementLayout
 
 
@@ -221,28 +259,14 @@ def public_assignment(layout: StatementLayout, inputs: PublicInputs) -> list[int
     return out
 
 
-def synthesize(
-    layout: StatementLayout,
-    bd: Builder,
-    witness: dict[int, tuple[Claim, HashToCurveWitness]] | None = None,
-) -> SynthesisResult:
+def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secret: bytes) -> SynthesisResult:
     """Synthesize the statement a layout describes through a fresh
-    builder ``bd``:
-
-    * a computing ``Builder`` or ``RecordingBuilder`` needs ``witness``
-      (claim and hash witness per extracted index) and computes the
-      assignment; only the recording one stores the constraints;
-    * a ``CheckingBuilder``, handed a transported assignment, takes no
-      witness and checks the constraints as they are emitted, each
-      sha256 block whole.  It raises ``ConstraintViolation`` at the
-      first failure, naming its claim and region, and
-      ``WitnessShapeError`` if the assignment runs out.
-
-    The constraints depend only on the layout, so every kind emits the
-    same ones."""
-    compute = bd.compute
-    if compute != (witness is not None):
-        raise StatementError("a computing builder needs a witness and a checking builder none")
+    builder ``bd``, from the public inputs and the secret bytes (see the
+    module docstring), which fix every value.  ``Builder`` raises
+    ``ConstraintViolation`` at the first linear constraint that fails,
+    naming its claim and region; ``RecordingBuilder`` stores every
+    constraint instead.  The constraints depend only on the layout, so
+    both emit the same ones."""
     profile = PROFILES.get(layout.profile_name)
     if profile is None:
         raise StatementError(f"unknown curve profile {layout.profile_name!r}")
@@ -256,25 +280,18 @@ def synthesize(
     predicate = predicate_from_descriptor(layout.predicate)
     if predicate is not None and predicate.claim_index not in layout.extraction:
         raise StatementError("predicate targets an undisclosed claim")
+    if len(secret) != layout.secret_length:
+        raise StatementError("secret bytes differ in length from the layout's claims")
 
     l_bits = profile.x_bits
     shift = SHA_BITS - l_bits
-    mask = (1 << LIMB_BITS) - 1
 
     # ---- public inputs, canonical order ---------------------------------
+    public = iter(public_assignment(layout, inputs))
     per_claim_pub = []
-    for cl in layout.claims:
-        wit = None
-        if compute:
-            if cl.index not in witness:
-                raise StatementError(f"missing witness for claim {cl.index}")
-            wit = witness[cl.index][1]
-        limbs = tuple(
-            bd.alloc_public((wit.x >> (LIMB_BITS * j)) & mask if wit else None)
-            for j in range(NUM_LIMBS)
-        )
-        sign = bd.alloc_public(wit.sign_bit if wit else None)
-        per_claim_pub.append((limbs, sign))
+    for _ in layout.claims:
+        limbs = tuple(bd.alloc_public(next(public)) for _ in range(NUM_LIMBS))
+        per_claim_pub.append((limbs, bd.alloc_public(next(public))))
 
     # ---- per-claim hash constraints ----------------------------------------
     # every claim message starts with the length-prefixed policy and n:
@@ -285,30 +302,14 @@ def synthesize(
     for k in range(0, shared_len, 64):
         shared_state = sha256_compress(shared_state, head[k: k + 64])
     value_lcs_by_index: dict[int, list[LC]] = {}
+    taken = 0
     for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
         prefix, segments = _skeleton(layout.ceas_bytes, ceas.n, cl.index, cl.lens)
-        # each secret byte takes 8 variables: a checker refuses declared
-        # lengths its assignment cannot hold before building anything
-        secret_bits = 8 * sum(data for _, data, kind in segments if kind)
-        if not compute and bd.num_vars + secret_bits > len(bd.values):
-            raise WitnessShapeError("assignment ends before the claim's secret bytes")
-
-        real_msg = None
-        if compute:
-            claim_obj, wit = witness[cl.index]
-            if claim_obj.hidden:
-                raise StatementError("witness claim is hidden")
-            if _component_lengths(claim_obj) != cl.lens:
-                raise StatementError("claim component lengths disagree with the layout")
-            real_msg = (
-                encode_claim_message(ceas, ceas.n, cl.index, claim_obj)
-                + bytes([wit.counter])
-                + sha256_pad(cl.msg_len)
-            )
 
         # the little-endian bit literals of each byte from the first
-        # in-circuit block: constants for public bytes, and variables for
-        # secret ones, allocated a component's share of a block at a time
+        # in-circuit block: constants for public bytes, and variables
+        # holding the next secret bytes, allocated a component's share of
+        # a block at a time
         lits: list[int] = []
         value_bytes: list[LC] = []
         for start, data, kind in segments:
@@ -320,7 +321,9 @@ def synthesize(
             cuts = [start, *range(start - start % 64 + 64, end, 64), end]
             for lo, hi in zip(cuts, cuts[1:]):
                 bd.region = f"claim {cl.index}, sha256 block {lo // 64}"
-                bits = bd.bits_of(int.from_bytes(real_msg[lo:hi], "little") if compute else None, 8 * (hi - lo))
+                chunk = secret[taken: taken + hi - lo]
+                taken += hi - lo
+                bits = bd.bits_of(int.from_bytes(chunk, "little"), 8 * (hi - lo))
                 lits += bits
                 if kind == "value":
                     value_bytes += [tuple((b + j, 1 << j) for j in range(8)) for b in bits[::8]]
@@ -356,30 +359,32 @@ def synthesize(
         bd.region = f"claim {predicate.claim_index}, predicate"
         predicate.synthesize(bd, value_lcs_by_index[predicate.claim_index])
 
-    return SynthesisResult(cs=bd.cs, values=bd.values if compute else None, layout=layout)
+    return SynthesisResult(cs=bd.cs, values=bd.values, layout=layout)
 
 
 def prover_layout(
     cred,
     ceas: CEAS,
-    witnesses: dict[int, HashToCurveWitness],
+    hashed: dict[int, HashToG1Result],
     extraction: tuple[int, ...] | list[int],
     predicate=None,
     profile_name: str = "bn254",
-) -> tuple[StatementLayout, dict[int, tuple[Claim, HashToCurveWitness]]]:
-    """The layout of a statement over prover-side data, and the witness
-    ``synthesize`` takes for it.
+) -> tuple[StatementLayout, PublicInputs, bytes]:
+    """The layout of a statement over prover-side data, its public
+    inputs, and the secret bytes ``synthesize`` takes for it.
 
-    ``witnesses`` maps each extracted index to its hash witness; the
-    credential supplies the claim bytes, and the policy must be as wide
-    as the credential is long.
+    ``hashed`` maps each extracted index to its claim message's hash
+    (``hash_to_curve_witness``), which gives the public (x, sign) pair
+    and the counter; the credential supplies the claim bytes, and the
+    policy must be as wide as the credential is long.
     """
-    if ceas.n != len(cred):
+    n = len(cred)
+    if ceas.n != n:
         raise StatementError("policy width differs from the credential's length")
     idxs = tuple(sorted(set(int(i) for i in extraction)))
     if not idxs:
         raise StatementError("empty extraction set")
-    missing = [i for i in idxs if i not in witnesses]
+    missing = [i for i in idxs if i not in hashed]
     if missing:
         raise StatementError(f"missing witnesses for indices {missing}")
     for i in idxs:
@@ -392,18 +397,32 @@ def prover_layout(
         claim_lens=tuple(_component_lengths(cred[i]) for i in idxs),
         predicate=predicate.describe() if predicate is not None else None,
     )
-    return layout, {i: (cred[i], witnesses[i]) for i in idxs}
+    inputs = PublicInputs(
+        x_coords=tuple(hashed[i].x for i in idxs),
+        sign_bits=tuple(hashed[i].sign_bit for i in idxs),
+        ceas_bytes=layout.ceas_bytes,
+        extraction=idxs,
+    )
+    # a claim's secret bytes are its message's bytes at the skeleton's
+    # secret segments, the counter last
+    secret = bytearray()
+    for cl in layout.claims:
+        msg = encode_claim_message(ceas, n, cl.index, cred[cl.index]) + bytes([hashed[cl.index].counter])
+        for start, data, kind in _skeleton(layout.ceas_bytes, n, cl.index, cl.lens)[1]:
+            if kind:
+                secret += msg[start: start + data]
+    return layout, inputs, bytes(secret)
 
 
 def build_statement(
     cred,
     ceas: CEAS,
-    witnesses: dict[int, HashToCurveWitness],
+    hashed: dict[int, HashToG1Result],
     extraction: tuple[int, ...] | list[int],
     predicate=None,
     profile_name: str = "bn254",
 ) -> SynthesisResult:
     """Layout, assignment and the stored constraint system from
     prover-side data (the arguments of ``prover_layout``)."""
-    layout, witness = prover_layout(cred, ceas, witnesses, extraction, predicate, profile_name)
-    return synthesize(layout, RecordingBuilder(), witness)
+    layout, inputs, secret = prover_layout(cred, ceas, hashed, extraction, predicate, profile_name)
+    return synthesize(layout, RecordingBuilder(), inputs, secret)

@@ -362,6 +362,25 @@ def test_a_parsed_credential_decodes_each_extracted_index_once(issuer, decodes):
     assert sorted(decodes) == sorted(_x(sc.sigs[i]) for i in range(3))
 
 
+def test_re_extraction_decodes_each_kept_signature_once(issuer, decodes):
+    """Three re-extractions of 6 of the 8 claims a parsed re-extractable
+    presentation keeps decode each kept signature at most once: at most
+    8 decodings, not one per claim and extraction.  A presentation
+    extracted from a credential ces_sign made carries its points, so
+    re-extracting it decodes nothing."""
+    sc = ces_sign(issuer.sk, random_credential(rng, 8), CEAS.from_index_sets(8, [list(range(8))]))
+    made = ces_extract(sc, xset(*range(8)), reextractable=True)
+    held = formats.presentation_from_json(formats.presentation_to_json(made))
+    picks = [xset(*range(6)), xset(*range(2, 8)), xset(0, 1, 2, 5, 6, 7)]
+    for x in picks:
+        assert ces_extract(made, x).sigma == ces_extract(sc, x).sigma
+    assert decodes == []
+    for x in picks:
+        assert ces_extract(held, x).sigma == ces_extract(sc, x).sigma
+    assert len(decodes) <= 8 and len(set(decodes)) == len(decodes)
+    assert sorted(decodes) == sorted(_x(sc.sigs[i]) for i in range(8))
+
+
 def test_a_malformed_signature_is_named_only_when_extracted(signed4):
     doc = formats.signed_to_json(signed4)
     doc["signatures"][2] = "3f" + "ff" * 31  # x >= p

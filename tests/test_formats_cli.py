@@ -12,10 +12,10 @@ import pytest
 
 from conftest import random_ceas, random_credential
 from test_key_checks import BAD_KEYS
-from blsces import bls, formats
+from blsces import bls, cli, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import MAX_CEAS_SUBSETS, MAX_CEAS_WIDTH, CEAS, Claim, Credential, ExtractionSet
-from blsces.errors import EncodingError
+from blsces.errors import EncodingError, FileTooLargeError
 from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g2_to_bytes
 
 rng = random.Random(88)
@@ -100,8 +100,11 @@ def test_proof_bundle_roundtrip(issuer):
 
 
 def test_malformed_files_raise_encoding_errors():
-    with pytest.raises(EncodingError):
-        formats.loads("{not json")
+    # not JSON, bytes that are not UTF-8 (the CLI hands loads bytes), and
+    # nesting deeper than json.loads recurses
+    for text in ("{not json", b'{"a": "\xff"}', "[" * 100_000):
+        with pytest.raises(EncodingError):
+            formats.loads(text)
     with pytest.raises(EncodingError):
         formats.signed_from_json({"format": formats.FORMAT_SIGNED, "version": 1, "claims": []})
     with pytest.raises(EncodingError):
@@ -338,14 +341,14 @@ def test_cli_self_test_and_gen_vectors(tmp_path):
 # does.  Each must end in its own code ("malformed" where parsing refuses
 # it, as the CLI reports), under a wall-time bound of at least five times
 # the cost measured on 2 CPUs with Python 3.11.7 and a tracemalloc peak
-# bound of at least twice it.  Measured: 0.43 s and 0.76 MB, 0.27 s and
-# 44 MB (json.loads of the 10.8 MB text is most of it), 0.06 s and 19 MB,
-# 1.2 ms and 5 KB.
+# bound of at least twice it.  Measured: 0.43 s and 0.76 MB; 2 us and
+# 1 KB, since loads refuses the 10.8 MB text before json.loads reads it
+# (json.loads of it peaked at 44 MB); 0.06 s and 19 MB; 1.2 ms and 5 KB.
 
 # shape: (code, wall seconds, peak MB)
 PRESENTATION_BUDGETS = {
     "widest_presentation": ("ok", 2.5, 4),
-    "extra_claims": ("policy_width_mismatch", 1.5, 96),
+    "extra_claims": ("too_large", 0.05, 1),
     "extra_counters": ("counters_mismatch", 0.5, 48),
     "key_outside_g2": ("malformed", 0.05, 1),
 }
@@ -381,6 +384,8 @@ def present(key_text, presentation_text):
     try:
         pk = formats.public_key_from_json(formats.loads(key_text))
         pres = formats.presentation_from_json(formats.loads(presentation_text))
+    except FileTooLargeError:
+        return "too_large"
     except EncodingError:
         return "malformed"
     return ces_verify(pk, pres).code
@@ -400,3 +405,52 @@ def test_hostile_presentation_is_refused_within_budget(name, hostile_presentatio
     finally:
         tracemalloc.stop()
     assert seconds < max_seconds and peak < max_mb, (seconds, peak)
+
+
+def test_file_cap_admits_the_widest_honest_files(issuer, hostile_presentations, tmp_path):
+    """formats.loads parses a text of exactly MAX_FILE_BYTES and refuses
+    one character more before json.loads reads it, allocating less than
+    64 KB; the widest honest key, presentation and signed credential, a
+    1,024-claim credential under a policy of 256 subsets of 1,023 or
+    1,024 indices, fit under it with room for longer claims.  The CLI reads at most one byte over the
+    cap of a file, and reports a longer one with exit 2 and kind
+    too_large."""
+    cap = formats.MAX_FILE_BYTES
+    at_cap = '"' + "a" * (cap - 2) + '"'
+    assert formats.loads(at_cap) == "a" * (cap - 2)
+    over = at_cap + " "
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileTooLargeError):
+            formats.loads(over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    key_text, pres_text = hostile_presentations["widest_presentation"]
+    policy = CEAS.from_index_sets(
+        MAX_CEAS_WIDTH,
+        [list(range(MAX_CEAS_WIDTH))] + [[i for i in range(MAX_CEAS_WIDTH) if i != k] for k in range(1, MAX_CEAS_SUBSETS)],
+    )
+    # re-extractable, every counter of three digits
+    pres = json.loads(pres_text)
+    pres["ceas"] = {"n": MAX_CEAS_WIDTH, "subsets": policy.index_sets()}
+    pres["counters"] = {i: 255 for i in pres["counters"]}
+    pres["kept_signatures"] = {i: pres["aggregate_signature"] for i in pres["counters"]}
+    signed = dict(pres, format=formats.FORMAT_SIGNED, signatures=list(pres["kept_signatures"].values()),
+                  counters=list(pres["counters"].values()))
+    for text in (key_text, formats.dumps(pres), formats.dumps(signed)):
+        assert len(text.encode()) <= cap // 2
+        formats.loads(text)
+    path = tmp_path / "big.json"
+    path.write_text(" " * cap + "{}")
+    code, diag = run_cli("verify", "--pubkey", str(path), "--presentation", str(path))
+    assert (code, diag["kind"]) == (2, "too_large")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileTooLargeError):
+            cli._read_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap + (1 << 20), peak

@@ -23,7 +23,7 @@ from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError
 from blsces.zk.backend import Proof
 from blsces.zk.predicates import RangePredicate
-from blsces.zk.statement import PublicInputs, StatementLayout, prover_layout
+from blsces.zk.statement import StatementLayout, prover_layout
 from blsces.zk.witness import hash_to_curve_witness
 
 
@@ -35,9 +35,8 @@ def valid_documents():
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 1, 2]])
     sc = ces_sign(keys.sk, cred, ceas)
     pres = ces_extract(sc, ExtractionSet(frozenset({0, 1})), reextractable=True)
-    (x, sign), wit = hash_to_curve_witness(0, cred[0], 3, ceas)
-    layout, _ = prover_layout(cred, ceas, {0: wit}, (0,), RangePredicate(0, 10, 99))
-    inputs = PublicInputs(x_coords=(x,), sign_bits=(sign,), ceas_bytes=ceas.to_bytes(), extraction=(0,))
+    wit = hash_to_curve_witness(0, cred[0], 3, ceas)
+    layout, inputs, _ = prover_layout(cred, ceas, {0: wit}, (0,), RangePredicate(0, 10, 99))
     return {
         formats.secret_key_from_json: formats.secret_key_to_json(keys.sk),
         formats.public_key_from_json: formats.public_key_to_json(keys.pk),

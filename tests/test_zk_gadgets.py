@@ -8,13 +8,13 @@ from itertools import product
 import pytest
 
 from blsces.credential import CEAS, Claim, Credential
-from blsces.errors import ConstraintViolation, EncodingError, StatementError, WitnessShapeError
+from blsces.errors import ConstraintViolation, EncodingError, StatementError
 from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
 from blsces.groups.params import P as BIG_P
 from blsces.zk import build_statement, hash_to_curve_witness
 from blsces.zk import sha256_gadget
-from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder
+from blsces.zk.r1cs import Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import SHA256_IV, SHA256_K, sha256_compress, sha256_pad
 from blsces.zk.sha256_gadget import ONE, ZERO, ch, const_word, lit_lc, maj, sha256_compress_gadget, xor
 
@@ -91,14 +91,12 @@ def mixed_words(r: random.Random, count: int, pool: list[int]) -> list[list[int]
 @pytest.mark.parametrize("shared", [False, True], ids=["distinct-state", "shared-state"])
 def test_block_path_matches_per_bit_on_any_literals(shared):
     """Over state and message words mixing variables, negations and
-    constants, the prover's builder allocates the values of the
+    constants, the verifier's builder allocates the values of the
     recording builder, which runs per bit, under its per-kind counts.
     State words whose variables are distinct take the block path, with
-    no per-bit xor or Ch, and the checker accepts the values with those
-    counts.  State words that share a variable, where Ch and Maj could
-    fold on f == g, take the prover's per-bit path, and the checker,
-    which takes every block whole, refuses them without a per-bit call
-    rather than check them any other way."""
+    no per-bit xor or Ch.  State words that share a variable, where Ch
+    and Maj could fold on f == g, take the per-bit path (no statement
+    hands the verifier such a block)."""
     r = random.Random(0x5A)
     for _ in range(3):
         bits = [r.getrandbits(1) for _ in range(300)]
@@ -122,31 +120,18 @@ def test_block_path_matches_per_bit_on_any_literals(shared):
         (out, values, counts, block_calls), (per_bit_out, per_bit_values, per_bit_counts, _) = runs
         assert values == per_bit_values and counts == per_bit_counts and out == per_bit_out
         assert (block_calls > 0) == shared
-        checker = CheckingBuilder(values)
-        checker.num_vars = 1 + len(bits)
-        with sha256_gadget.GadgetCalls() as spy:
-            if shared:
-                with pytest.raises(StatementError, match="takes each sha256 block whole"):
-                    sha256_compress_gadget(checker, state, block)
-            else:
-                assert sha256_compress_gadget(checker, state, block) == out
-        assert spy.per_bit == 0
-        if not shared:
-            assert (checker.n_bools + len(bits), checker.n_lins, checker.n_r1s) == counts
-            assert checker.num_vars == len(values)
 
 
 @pytest.mark.parametrize("constant_state", [False, True], ids=["all-variable", "constant-state"])
 def test_int_branch_matches_per_bit(constant_state):
     """With every message word fresh variables, and the state fresh
-    variables too or constants, the prover's builder allocates the values
-    of the recording builder, which runs per bit, under its per-kind
-    counts, and the checker accepts them with those counts; neither makes
-    a per-bit xor or Ch.  Over variables alone no word operation takes
-    the mask branch; over a constant state exactly the eight of rounds
-    0-2 that read a state word do (Sigma0, Sigma1, Ch and Maj of round 0,
-    Ch and Maj of rounds 1 and 2), so the constants reach no later
-    round."""
+    variables too or constants, the verifier's builder allocates the
+    values of the recording builder, which runs per bit, under its
+    per-kind counts, and makes no per-bit xor or Ch.  Over variables
+    alone no word operation takes the mask branch; over a constant state
+    exactly the eight of rounds 0-2 that read a state word do (Sigma0,
+    Sigma1, Ch and Maj of round 0, Ch and Maj of rounds 1 and 2), so the
+    constants reach no later round."""
     for seed in range(4):
         r = random.Random(seed)
         state_values = [r.getrandbits(32) for _ in range(8)]
@@ -158,7 +143,6 @@ def test_int_branch_matches_per_bit(constant_state):
             else:
                 state = [bd.bits_of(v, 32) for v in state_values]
             words = [bd.bits_of(int.from_bytes(block[4 * t: 4 * t + 4], "big"), 32) for t in range(16)]
-            inputs = bd.num_vars
             with sha256_gadget.GadgetCalls() as spy:
                 out = sha256_compress_gadget(bd, state, words)
             cs = bd.cs
@@ -167,13 +151,6 @@ def test_int_branch_matches_per_bit(constant_state):
         assert values == per_bit_values and counts == per_bit_counts and out == per_bit_out, seed
         assert [sum(values[b] << j for j, b in enumerate(w)) for w in out] == sha256_compress(state_values, block)
         assert (spy.per_bit, spy.masked, spy.masked_all_variable) == (0, 8 if constant_state else 0, 0), seed
-        checker = CheckingBuilder(values)
-        checker.num_vars = inputs
-        with sha256_gadget.GadgetCalls() as spy:
-            assert sha256_compress_gadget(checker, state, words) == out
-        assert (spy.per_bit, spy.masked) == (0, 8 if constant_state else 0), seed
-        assert (checker.n_bools + inputs - 1, checker.n_lins, checker.n_r1s) == counts, seed
-        assert checker.num_vars == len(values)
 
 
 # -- bit literals ------------------------------------------------------------------
@@ -277,7 +254,7 @@ def test_square_root_gadget_size():
     # binding the public x limbs and sign bit to the digest
     cred = Credential((Claim("h", "age", "33"),))
     ceas = CEAS.from_index_sets(1, [[0]])
-    (_, _), wit = hash_to_curve_witness(0, cred[0], 1, ceas, TOY)
+    wit = hash_to_curve_witness(0, cred[0], 1, ceas, TOY)
     cs = build_statement(cred, ceas, {0: wit}, (0,), profile_name="toy11").cs
     assert cs.num_public == 5
     index = cs.var_index()
@@ -329,43 +306,43 @@ def test_public_allocation_must_precede_witness():
 
 
 def test_checking_builder_matches_first_violation():
-    """A linear constraint is evaluated mod the field exactly as
-    ConstraintSystem.first_violation evaluates it, for values below, at
-    and above the modulus.  A bit decomposition is accepted exactly when
-    first_violation accepts it and its values are below the modulus, so
-    0 or 1 alone, and a refusal names the first variable that is not a
-    bit.  An assignment that runs out is refused.  The checker evaluates
-    no product or booleanity constraint: emitting one raises."""
+    """The verifier's builder evaluates a linear constraint mod the field
+    exactly as ConstraintSystem.first_violation evaluates it, for values
+    below, at and above the modulus, and a refusal names the region and
+    the constraint.  A bit decomposition of a value that does not fit its
+    width holds the value's low bits, and the linear constraint tying
+    them to the value then fails: the builder refuses exactly the values
+    whose recorded decomposition first_violation refuses.  It evaluates
+    no product or booleanity constraint, whose values it computed."""
     f = ConstraintSystem().field
-    pool = (0, 1, 2, f - 1, f, f + 1, 2 * f + 1)
-    emitters = {
-        "bits_of": (2, 2, lambda bd: bd.bits_of(0, 2)),
-        "lin": (2, 1, lambda bd: bd.add_lin(((bd.alloc(0), 1), (bd.alloc(0), 1), (0, -1)))),
-    }
-    for name, (arity, count, emit) in emitters.items():
-        bd = RecordingBuilder()
-        emit(bd)
-        cs = bd.cs
-        assert cs.num_vars == 1 + arity and len(cs) == count
+    pool = (0, 1, 2, 3, 4, f - 1, f, f + 1, 2 * f + 1)
+
+    def lin(bd, w):
+        bd.add_lin(((bd.alloc(w[0]), 1), (bd.alloc(w[1]), 1), (0, -1)))
+
+    def decomposition(bd, w):
+        value = bd.alloc(w[0])
+        bits = bd.bits_of(bd.lc_val(((value, 1),)), 2)
+        bd.add_lin(((value, 1), (bits[0], -1), (bits[1], -2)))
+
+    for name, (arity, emit) in {"lin": (2, lin), "bits_of": (1, decomposition)}.items():
         verdicts = set()
         for w in product(pool, repeat=arity):
-            values = [1, *w]
+            recorder = RecordingBuilder()
+            emit(recorder, w)
+            bd = Builder()
+            bd.region = "claim 0, predicate"
             try:
-                emit(CheckingBuilder(values))
+                emit(bd, w)
                 accepted = True
             except ConstraintViolation as exc:
                 accepted = False
-                if name == "bits_of":
-                    assert f"variable {1 + [v in (0, 1) for v in w].index(False)} is not a bit" in str(exc), w
-            assert accepted == (cs.satisfied(values) and (name == "lin" or max(w) < f)), (name, w)
+                assert str(exc) == "claim 0, predicate: lin constraint 0 fails", (name, w)
+            assert accepted == recorder.cs.satisfied(recorder.values), (name, w)
+            assert bd.values == recorder.values, (name, w)
             verdicts.add(accepted)
         assert verdicts == {True, False}, name
-        with pytest.raises(WitnessShapeError):
-            emit(CheckingBuilder([1] * arity))
-    for emit in (
-        lambda bd: bd.add_bool(1),
-        lambda bd: bd.add_r1(((1, 1),), ((2, 1),), ((3, 1),)),
-        lambda bd: bd.bit(0),
-    ):
-        with pytest.raises(StatementError, match="no product or booleanity"):
-            emit(CheckingBuilder([1, 0, 0, 0, 0]))
+    bd = Builder()
+    bd.add_bool(bd.alloc(2))
+    bd.add_r1(((1, 1),), ((1, 1),), ((0, 1),))
+    assert (bd.n_bools, bd.n_r1s) == (1, 1)

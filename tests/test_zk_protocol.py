@@ -35,9 +35,9 @@ from blsces.zk import (
     zk_verify,
 )
 from blsces.zk import backend, sha256_gadget, statement
-from blsces.zk.r1cs import Builder, CheckingBuilder, ConstraintSystem, RecordingBuilder, bit_view
+from blsces.zk.r1cs import Builder, RecordingBuilder, lc_value
 from blsces.zk.sha256 import sha256_pad
-from blsces.zk.statement import PublicInputs, _skeleton, prover_layout, public_assignment
+from blsces.zk.statement import PublicInputs, StatementLayout, _skeleton, prover_layout, public_assignment
 
 rng = random.Random(17)
 
@@ -51,7 +51,7 @@ FILLER = tuple(Claim("h", "p", "v") for _ in range(5))
 
 def toy_statement(value="33", predicate=None, claim=None):
     cred = Credential((claim or Claim("h", "age", value),))
-    (_, _), wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, TOY)
+    wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, TOY)
     return build_statement(cred, TOY_CEAS, {0: wit}, (0,), predicate=predicate, profile_name="toy11"), wit
 
 
@@ -90,14 +90,14 @@ class EventRecorder(RecordingBuilder):
         return bits
 
 
-class EventChecker(CheckingBuilder):
-    """The checking builder, logging what it checks: each variable of a
+class EventChecker(Builder):
+    """The verifier's builder, logging what it checks: each variable of a
     bit decomposition as (region, "bool", variable), each linear
     constraint as (region, "lin", LC), and each block it takes whole as
     (region, "block", first variable, bits, per-kind counts)."""
 
-    def __init__(self, values):
-        super().__init__(values)
+    def __init__(self):
+        super().__init__()
         self.events = []
 
     def bits_of(self, value, width):
@@ -111,49 +111,25 @@ class EventChecker(CheckingBuilder):
 
     def alloc_bits(self, bits, bools=0, lins=0, r1s=0):
         start = super().alloc_bits(bits, bools, lins, r1s)
-        self.events.append((self.region, "block", start, bits, (bools, lins, r1s)))
+        if r1s:  # a whole compression, not a bit decomposition
+            self.events.append((self.region, "block", start, bits, (bools, lins, r1s)))
         return start
 
 
-class RegionStarts(Builder):
-    """The prover's builder, noting the variable at which each region is
-    entered, in order."""
-
-    def __init__(self):
-        self._region = ""
-        self.entered = []
-        super().__init__()
-
-    @property
-    def region(self):
-        return self._region
-
-    @region.setter
-    def region(self, name):
-        self._region = name
-        self.entered.append((self.num_vars, name))
-
-    def start(self, name):
-        """The first variable allocated in the region."""
-        return next(var for var, entered in self.entered if entered == name)
-
-    def region_of(self, var):
-        """The region in which the variable was allocated."""
-        return [name for start, name in self.entered if start <= var][-1]
-
-
-def assert_checks_recorded(layout, witness):
-    """The checker, run over the recorded assignment, checks the recorded
-    system of the statement, in order: each bit decomposition and linear
-    constraint it evaluates is the next one the recording builder
-    stored, in the same region, and each block it takes whole stands for
-    the next run of stored constraints, of its region and of its
-    per-kind counts, whose variables it allocates, holding the recorded
-    values.  Returns the checker's log and the recorded system."""
+def assert_checks_recorded(layout, inputs, secret):
+    """The verifier's builder, run over the public inputs and the secret
+    bytes, checks the recorded system of the statement, in order: each
+    bit decomposition and linear constraint it evaluates is the next one
+    the recording builder stored, in the same region, and each block it
+    takes whole stands for the next run of stored constraints, of its
+    region and of its per-kind counts, whose variables it allocates,
+    holding the recorded values.  Returns the checker's log and the
+    recorded system."""
     recorder = EventRecorder()
-    recorded = synthesize(layout, recorder, witness)
-    checker = EventChecker(list(recorded.values))
-    synthesize(layout, checker)
+    recorded = synthesize(layout, recorder, inputs, secret)
+    checker = EventChecker()
+    synthesize(layout, checker, inputs, secret)
+    assert checker.values == recorded.values
     stored = recorder.events
     k = 0
     for event in checker.events:
@@ -181,37 +157,25 @@ def sizes(cs):
     return len(cs.bools), len(cs.lins), len(cs.r1s), cs.num_vars, cs.num_public
 
 
-def bn254_statement(value="33", predicate=None):
-    cred = Credential((Claim("h", "age", value),))
-    (_, _), wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, BN254)
-    return build_statement(cred, TOY_CEAS, {0: wit}, (0,), predicate=predicate)
-
-
-def wide_statement(claim, profile=TOY, predicate=None):
-    """One claim under WIDE_CEAS, whose block 0 is hashed outside."""
-    cred = Credential((claim,) + FILLER)
-    (_, _), wit = hash_to_curve_witness(0, cred[0], 6, WIDE_CEAS, profile)
-    return build_statement(cred, WIDE_CEAS, {0: wit}, (0,), predicate=predicate, profile_name=profile.name)
-
-
 def statement_args(claim, profile=TOY, predicate=None, ceas=TOY_CEAS):
-    """The layout and synthesis witness of a statement over claim 0,
-    alone or, under WIDE_CEAS, before FILLER."""
+    """The layout, public inputs and secret bytes of a statement over
+    claim 0, alone or, under WIDE_CEAS, before FILLER."""
     cred = Credential((claim,) + (FILLER if ceas is WIDE_CEAS else ()))
-    wit = hash_to_curve_witness(0, cred[0], len(cred), ceas, profile)[1]
+    wit = hash_to_curve_witness(0, cred[0], len(cred), ceas, profile)
     return prover_layout(cred, ceas, {0: wit}, (0,), predicate, profile.name)
 
 
 def test_checker_checks_what_the_prover_proved():
     """Bit literals fold on their structure, never on values: two
-    witnesses of one shape record the same system, and the checker logs
-    the same checks over either, its blocks' bits aside.  Over those,
-    with and without a range predicate, over two in-circuit blocks,
-    after a prefix hashed outside, and on both profiles, the checker
+    claims of one shape record the same system, and the verifier's
+    builder logs the same checks over either, its blocks' bits aside.
+    Over those, with and without a range predicate, over two in-circuit
+    blocks, after a prefix hashed outside, and on both profiles, it
     checks the recorded system in order (``assert_checks_recorded``),
-    taking each in-circuit block whole, and accepts the assignment with
-    the recorded per-kind counts; test_word_path_verdicts_match_per_bit
-    holds its verdicts on mutated assignments to the recorded system's."""
+    taking each in-circuit block whole, and regenerates the recorded
+    values with the recorded per-kind counts;
+    test_word_path_verdicts_match_per_bit holds its verdicts on mutated
+    secret bytes to the recorded system's."""
     (events33, res33), (events44, res44) = (
         assert_checks_recorded(*statement_args(Claim("h", "age", v))) for v in ("33", "44")
     )
@@ -237,9 +201,10 @@ def test_checker_checks_what_the_prover_proved():
 
 
 def test_prover_computes_what_the_recorder_records():
-    """The storing-nothing prover's builder yields the recording builder's
-    assignment and sizes, on both profiles, for one and two claims, with
-    a range predicate, an equals predicate, a claim of two in-circuit
+    """The verifier's builder, which stores nothing, regenerates the
+    recording builder's assignment and sizes from the public inputs and
+    the secret bytes, on both profiles, for one and two claims, with a
+    range predicate, an equals predicate, a claim of two in-circuit
     blocks and claims whose first block is hashed outside."""
     claims = (Claim("h", "age", "42"), Claim("h", "country", "CH"), Claim("h", "bio", "x" * 80))
     cred = Credential(claims)
@@ -254,10 +219,10 @@ def test_prover_computes_what_the_recorder_records():
     ]
     for profile in (TOY, BN254):
         for c, policy, idxs, predicate in cases:
-            wits = {i: hash_to_curve_witness(i, c[i], len(c), policy, profile)[1] for i in idxs}
-            layout, witness = prover_layout(c, policy, wits, idxs, predicate, profile.name)
-            recorded = synthesize(layout, RecordingBuilder(), witness)
-            proved = synthesize(layout, Builder(), witness)
+            wits = {i: hash_to_curve_witness(i, c[i], len(c), policy, profile) for i in idxs}
+            layout, inputs, secret = prover_layout(c, policy, wits, idxs, predicate, profile.name)
+            recorded = synthesize(layout, RecordingBuilder(), inputs, secret)
+            proved = synthesize(layout, Builder(), inputs, secret)
             assert recorded.cs.satisfied(recorded.values)
             assert proved.values == recorded.values, (profile.name, idxs)
             assert sizes(proved.cs) == sizes(recorded.cs) and len(proved.cs) == len(recorded.cs), (profile.name, idxs)
@@ -266,7 +231,7 @@ def test_prover_computes_what_the_recorder_records():
 
 
 class PerBitBuilder(Builder):
-    """The prover's builder on its per-bit path alone."""
+    """The verifier's builder on its per-bit path alone."""
 
     def word_value(self, variables):
         return None
@@ -274,25 +239,23 @@ class PerBitBuilder(Builder):
 
 def test_block_path_matches_per_bit_across_alignments():
     """For every value length 0..63 under a one-claim policy, and a few
-    under WIDE_CEAS (block 0 hashed outside), the prover's builder, which
-    takes whole blocks, yields exactly the values and per-kind counts of
-    a per-bit builder, and the checker accepts its assignment with those
-    counts; neither makes a per-bit xor or Ch.  Between them these
-    lengths put public and secret bytes at every alignment against a
-    word, cross the 55/56-byte padding spill, and give one to three
-    in-circuit blocks."""
+    under WIDE_CEAS (block 0 hashed outside), the verifier's builder,
+    which takes whole blocks, yields exactly the values and per-kind
+    counts of a per-bit builder, accepts the honest bytes, and makes no
+    per-bit xor or Ch.  Between them these lengths put public and secret
+    bytes at every alignment against a word, cross the 55/56-byte
+    padding spill, and give one to three in-circuit blocks."""
     in_circuit = set()
     for policy, filler, lengths in ((TOY_CEAS, (), range(64)), (WIDE_CEAS, FILLER, (0, 19, 20, 57, 90, 100))):
         for n in lengths:
             cred = Credential((Claim("h", "bio", "v" * n),) + filler)
-            wit = hash_to_curve_witness(0, cred[0], len(cred), policy, TOY)[1]
-            layout, witness = prover_layout(cred, policy, {0: wit}, (0,), None, "toy11")
-            per_bit = synthesize(layout, PerBitBuilder(), witness)
+            wit = hash_to_curve_witness(0, cred[0], len(cred), policy, TOY)
+            layout, inputs, secret = prover_layout(cred, policy, {0: wit}, (0,), None, "toy11")
+            per_bit = synthesize(layout, PerBitBuilder(), inputs, secret)
             with sha256_gadget.GadgetCalls() as spy:
-                block = synthesize(layout, Builder(), witness)
-                checked = synthesize(layout, CheckingBuilder(block.values)).cs
+                block = synthesize(layout, Builder(), inputs, secret)
             assert block.values == per_bit.values, (policy.n, n)
-            assert sizes(block.cs) == sizes(per_bit.cs) == sizes(checked), (policy.n, n)
+            assert sizes(block.cs) == sizes(per_bit.cs), (policy.n, n)
             assert spy.per_bit == 0, (policy.n, n)
             cl = layout.claims[0]
             in_circuit.add(cl.total_blocks - cl.first_block)
@@ -317,73 +280,98 @@ def test_honest_zk_range_makes_no_per_bit_calls():
 
 
 def test_prove_extraction_bytes_are_the_recorded_packing(monkeypatch):
-    """A proof carries the header and the recorded synthesis's values as
-    their class bytes and wide words, for one and two claims.
-    The prover synthesizes once, through the statement module's
-    ``synthesize`` (where tracing wraps it), with a builder that records
-    nothing."""
+    """A proof carries the header and each claim's subject, property and
+    value bytes and its counter byte, for one and two claims: the bytes
+    the recorded statement was built from.  A one-claim BN254 range
+    proof is at most 1 KB.  The prover runs no synthesis."""
     builders = []
 
-    def spy(layout, bd, witness=None):
+    def spy(layout, bd, inputs, secret):
         builders.append(type(bd))
-        return synthesize(layout, bd, witness)
+        return synthesize(layout, bd, inputs, secret)
 
     cred = Credential((Claim("holder", "age", "19"), Claim("holder", "country", "CH")))
     ceas = CEAS.from_index_sets(2, [[0], [0, 1]])
     for idxs in ((0,), (0, 1)):
         monkeypatch.setattr(statement, "synthesize", spy)
+        monkeypatch.setattr(backend, "synthesize", spy)
         proof, inputs = prove_extraction(BackendParams(), cred, ceas, ExtractionSet(frozenset(idxs)), RangePredicate(0, 18, 65))
         monkeypatch.undo()
-        assert builders == [Builder], builders
-        builders.clear()
-        wits = {i: hash_to_curve_witness(i, cred[i], 2, ceas)[1] for i in idxs}
+        assert builders == [], builders
+        wits = {i: hash_to_curve_witness(i, cred[i], 2, ceas) for i in idxs}
         res = build_statement(cred, ceas, wits, idxs, RangePredicate(0, 18, 65))
         header = json.dumps({"backend": "transparent", "layout": res.layout.to_json()}, separators=(",", ":"), sort_keys=True)
-        assert proof.data == header.encode() + b"\n" + encoding(res.values), idxs
+        secret = b"".join(
+            (cred[i].subject + cred[i].property + cred[i].value).encode() + bytes([wits[i].counter]) for i in idxs
+        )
+        assert proof.data == header.encode() + b"\n" + secret, idxs
+        assert synthesize(res.layout, RecordingBuilder(), inputs, secret).values == res.values
         assert inputs.x_coords == tuple(w.x for w in wits.values())
+        if idxs == (0,):
+            assert len(proof.data) <= 1024
 
 
-def checker_verdict(layout, values):
-    """The checker's detail for values it rejects, None if it accepts them."""
+def checker_verdict(layout, inputs, secret):
+    """The verifier's builder's detail for secret bytes it rejects, None
+    if it accepts them."""
     try:
-        synthesize(layout, CheckingBuilder(values))
+        synthesize(layout, Builder(), inputs, secret)
     except ConstraintViolation as exc:
         return str(exc)
     return None
 
 
+def first_failing_region(layout, inputs, secret):
+    """The recorded system rebuilt on the secret bytes: whether it is
+    satisfied, the region of its first failing linear constraint in
+    emission order (the only kind that can fail on regenerated values),
+    and its values."""
+    recorder = EventRecorder()
+    recorded = synthesize(layout, recorder, inputs, secret)
+    f = recorded.cs.field
+    failing = [e[0] for e in recorder.events if e[1] == "lin" and lc_value(e[2], recorded.values, f)]
+    return recorded.cs.satisfied(recorded.values), failing[0] if failing else None, recorded.values
+
+
+def mutated(secret, at, byte):
+    return secret[:at] + bytes([byte]) + secret[at + 1:]
+
+
 def test_checker_verdict_matches_satisfied():
-    """For the honest witness, every public variable and 300 seeded
-    single-variable mutations, the verifier accepts exactly when the
-    prover's system is satisfied and every value is below the field
-    modulus f.  Adding f
-    changes no residue, but the backend refuses the wide value as
-    malformed: each value has one encoding.  The checker, run on its
-    own, gives the same verdict on every mutation but those of a public
-    variable, which the backend compares with the public inputs."""
-    res, wit = toy_statement("42", RangePredicate(0, 40, 45))
-    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
-    cs, f = res.cs, res.cs.field
+    """For the honest secret bytes, each public x and sign mutated, and
+    300 seeded single-byte mutations of the secret bytes, half of them
+    of the value's digits, the verifier accepts exactly when the
+    recorded system, rebuilt on the mutated bytes, is satisfied, and a
+    refusal names the region of its first failing constraint.  On the
+    toy profile the binding covers five digest bits, so some mutations
+    keep it and are refused by the range predicate, or accepted with a
+    satisfied system."""
+    layout, inputs, secret = statement_args(Claim("h", "age", "42"), predicate=RangePredicate(0, 40, 45))
+    value_at = range(len(secret) - 3, len(secret) - 1)
+    assert secret[value_at.start: value_at.stop] == b"42"
     mrng = random.Random(0xC4EC)
-    # the honest witness, then the mutations
-    cases = [(1, 0)] + [(var, 1) for var in range(1, 1 + cs.num_public)]
-    for _ in range(300):
-        var = mrng.randrange(1, cs.num_vars)
-        cases.append((var, mrng.choice((1, f - 1, f, mrng.randrange(1, 1 << 255)))))
+    # the honest bytes and public inputs, then the mutations
+    cases = [(inputs, secret)]
+    cases += [(replace(inputs, x_coords=(inputs.x_coords[0] ^ 1 << k,)), secret) for k in range(4)]
+    cases.append((replace(inputs, sign_bits=(1 - inputs.sign_bits[0],)), secret))
+    for m in range(300):
+        at = mrng.choice(value_at) if m % 2 else mrng.randrange(len(secret))
+        byte = mrng.choice(b"0123456789") if m % 2 else mrng.randrange(256)
+        cases.append((inputs, mutated(secret, at, byte)))
     codes = Counter()
-    for var, delta in cases:
-        values = list(res.values)
-        values[var] += delta
-        expected = cs.satisfied(values) and values[var] < f
-        proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
-        verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
-        assert verdict.ok == expected, (var, delta, verdict)
+    regions = Counter()
+    for case_inputs, case_secret in cases:
+        expected, region, _ = first_failing_region(layout, case_inputs, case_secret)
+        proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, case_secret)
+        verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, case_inputs)
+        assert verdict.ok == expected, (case_inputs, case_secret, verdict)
         codes[verdict.code] += 1
-        if var > cs.num_public:
-            word = checker_verdict(res.layout, values)
-            assert (word is None) == expected, (var, delta)
-            assert verdict.code != "constraints_unsatisfied" or verdict.detail == word, (var, delta)
-    assert codes.keys() == {"ok", "constraints_unsatisfied", "malformed_proof", "public_inputs_mismatch"}, codes
+        if not expected:
+            assert verdict.detail == checker_verdict(layout, case_inputs, case_secret)
+            assert verdict.detail.startswith(f"{region}: lin constraint "), (verdict.detail, region)
+            regions[region] += 1
+    assert codes.keys() == {"ok", "constraints_unsatisfied"}, codes
+    assert regions.keys() == {"claim 0, binding", "claim 0, predicate"}, regions
 
 
 # operations per compression: 48 schedule steps of sigma, sigma, add;
@@ -391,7 +379,7 @@ def test_checker_verdict_matches_satisfied():
 SCHEDULE_OPS, ROUND_OPS = 48 * 3, 8
 
 
-def op_kinds(monkeypatch, layout, witness):
+def op_kinds(monkeypatch, layout, inputs, secret):
     """Synthesize with the recording builder, which runs every
     compression per bit, and name the variables each sha256 word
     operation allocates by kind: "schedule, public bytes" (a schedule
@@ -431,121 +419,124 @@ def op_kinds(monkeypatch, layout, witness):
         m.setattr(sha256_gadget, "_compress", compress)
         for name in ("sigma", "ch", "maj", "add"):
             m.setattr(sha256_gadget.PerBitWords, name, spy(name, getattr(sha256_gadget.PerBitWords, name)))
-        res = synthesize(layout, RecordingBuilder(), witness)
+        res = synthesize(layout, RecordingBuilder(), inputs, secret)
     return res, kinds
+
+
+def secret_word(layout):
+    """The message word holding claim 0's first secret byte."""
+    cl = layout.claims[0]
+    segments = _skeleton(layout.ceas_bytes, 1, cl.index, cl.lens)[1]
+    return next(start for start, _, kind in segments if kind) // 4
 
 
 @pytest.mark.parametrize("value", ["42", "x" * 80], ids=["one-block", "two-block"])
 def test_word_path_verdicts_match_per_bit(monkeypatch, value):
-    """Over a one-block and a two-block statement, mutations of variables
-    of every kind a compression allocates (rounds over the constant
-    state, schedule words with public bytes, rounds and schedule words
-    over variables only, additions and the final additions) are
-    rejected by the checker, which takes every block whole, exactly
-    when the recorded per-bit system is unsatisfied or a value is not
-    below the field modulus f.  Each variable is set to v ^ 1, 2, v + f,
-    f - 1 and 256 + v, whose low byte is the bit; a seeded sample
-    mutates several variables at once.  A single mutation's detail names
-    the mutated variable and the block that allocated it.  Each witness
-    is also sent through the backend, which refuses a value of f or more
-    as malformed and otherwise gives the checker's verdict, without a
-    per-bit gadget call."""
+    """Over a one-block and a two-block statement, secret-byte mutations
+    (one bit of each byte, or a sample of them, flipped; each byte set to
+    0 and 255 in turn; and a seeded sample changing several bytes at
+    once) regenerate witnesses that differ from the honest one in
+    variables of every kind a compression allocates (schedule words with
+    public bytes, rounds and schedule words over variables only,
+    additions and the final additions) but the rounds over the constant
+    state, rounds 0-2, which read only public message words: the first
+    secret byte is in word 6.  The verifier's builder, which takes every block whole,
+    refuses each exactly when the recorded per-bit system, rebuilt on
+    those bytes, is unsatisfied, naming the region of the first
+    constraint it fails, and the backend gives the same verdict without
+    a per-bit gadget call."""
     cred = Credential((Claim("h", "bio", value),))
-    (_, _), wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, TOY)
+    wit = hash_to_curve_witness(0, cred[0], 1, TOY_CEAS, TOY)
     predicate = RangePredicate(0, 40, 45) if value == "42" else None
-    layout, witness = prover_layout(cred, TOY_CEAS, {0: wit}, (0,), predicate, "toy11")
-    res, kinds = op_kinds(monkeypatch, layout, witness)
-    regions = RegionStarts()
-    synthesize(layout, regions, witness)
-    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
-    cs, f = res.cs, res.cs.field
-    index = cs.var_index()
+    layout, inputs, secret = prover_layout(cred, TOY_CEAS, {0: wit}, (0,), predicate, "toy11")
+    res, kinds = op_kinds(monkeypatch, layout, inputs, secret)
     assert set(kinds) == {
         "schedule, public bytes", "schedule, secret bytes", "round, constant state", "round, variables",
         "addition", "final add",
     }
-    assert checker_verdict(layout, list(res.values)) is None
-    # the first variable of each kind's first operation, and the last of its last
-    targets = {var for ranges in kinds.values() for var in (ranges[0][0], ranges[-1][1] - 1)}
+    assert checker_verdict(layout, inputs, secret) is None
     cl = layout.claims[0]
-    blocks = {f"claim 0, sha256 block {b}" for b in range(cl.first_block, cl.total_blocks)}
-    assert {regions.region_of(var) for var in targets} == blocks
-    cases = [{var: res.values[var] ^ 1} for var in sorted(targets)]
-    cases += [{var: v} for var in sorted(targets) for v in (2, res.values[var] + f, f - 1, 256 + res.values[var])]
+    assert cl.total_blocks - cl.first_block == (1 if value == "42" else 2)
     mrng = random.Random(0x30D)
-    lo = 1 + cs.num_public
-    for _ in range(12):
-        picked = mrng.sample(range(lo, cs.num_vars), mrng.choice((2, 3, 8)))
-        cases.append({var: mrng.choice((res.values[var] ^ 1, 2, res.values[var] + f)) for var in picked})
+    positions = range(len(secret)) if len(secret) <= 16 else sorted({0, len(secret) - 1, *mrng.sample(range(len(secret)), 14)})
+    cases = [{at: secret[at] ^ 1 << mrng.randrange(8)} for at in positions]
+    cases += [{at: byte} for at in (0, len(secret) - 1) for byte in (0, 255) if secret[at] != byte]
+    for _ in range(6):
+        cases.append({at: mrng.randrange(256) for at in mrng.sample(range(len(secret)), mrng.choice((2, 3)))})
+    changed_kinds = set()
     for mutation in cases:
-        values = list(res.values)
-        for var, v in mutation.items():
-            values[var] = v
-        word = checker_verdict(layout, values)
-        touched = {idx for var in mutation for idx in index[var]}
-        canonical = all(v < f for v in mutation.values())
-        assert (word is None) == (canonical and all(cs.eval_constraint(idx, values) for idx in touched)), mutation
-        if len(mutation) == 1:
-            (var,) = mutation
-            assert word.startswith(f"{regions.region_of(var)}: variable {var} "), (mutation, word)
-        proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
+        case = bytes(mutation.get(at, b) for at, b in enumerate(secret))
+        satisfied, region, regenerated = first_failing_region(layout, inputs, case)
+        word = checker_verdict(layout, inputs, case)
+        assert (word is None) == satisfied, mutation
+        if word is not None:
+            assert word.startswith(f"{region}: "), (mutation, word)
+        changed_kinds |= {kind for kind, ranges in kinds.items()
+                          if any(regenerated[v] != res.values[v] for start, end in ranges for v in range(start, end))}
+        proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, case)
         with sha256_gadget.GadgetCalls() as spy:
             verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
         assert spy.per_bit == 0, mutation
-        if canonical:
-            assert (verdict.code, verdict.detail) == ("constraints_unsatisfied", word), mutation
-        else:
-            assert (verdict.code, verdict.detail) == ("malformed_proof", ""), mutation
+        assert (verdict.ok, verdict.detail) == (word is None, word or ""), mutation
+    assert secret_word(layout) == 6
+    assert changed_kinds == set(kinds) - {"round, constant state"}
 
 
 def test_backend_rejects_witness_one_value_short_or_long():
-    res, wit = toy_statement("42", RangePredicate(0, 40, 45))
-    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
-    for values in (res.values[:-1], res.values + [0]):
-        proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
+    """Secret bytes one short or one long for the layout are refused as a
+    shape mismatch, and prove refuses to write them."""
+    layout, inputs, secret = statement_args(Claim("h", "age", "42"), predicate=RangePredicate(0, 40, 45))
+    header = TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret).data.split(b"\n", 1)[0]
+    for wrong in (secret[:-1], secret + b"\0"):
+        with pytest.raises(StatementError):
+            TRANSPARENT_BACKEND.prove(BackendParams(), layout, wrong)
+        proof = Proof(header + b"\n" + wrong)
         assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs).code == "witness_shape_mismatch"
 
 
-def test_unsatisfied_verdict_names_claim_and_block(monkeypatch, issuer, tmp_path):
-    """A flipped message bit of claim 1 in a two-claim witness keeps its
-    booleanity and first breaks a constraint of claim 1's sha256 block;
-    the code stays constraints_unsatisfied and the detail says where, in
-    the backend's verdict, in zk_verify's result and on the CLI line.
-    Under the wide policy claim 1's first in-circuit block is block 1."""
+class ByteRegions(Builder):
+    """The verifier's builder, noting the region of each bit
+    decomposition, in order: message bytes and predicate values."""
+
+    def __init__(self):
+        super().__init__()
+        self.regions = []
+
+    def bits_of(self, value, width):
+        self.regions.append(self.region)
+        return super().bits_of(value, width)
+
+
+def test_unsatisfied_verdict_names_claim_and_block(issuer, tmp_path):
+    """A flipped bit of claim 1's first secret byte in a two-claim proof
+    regenerates another message, and the recorded system rebuilt on
+    those bytes first fails claim 1's binding of x and sign to the
+    digest; the code stays constraints_unsatisfied and the detail says
+    where, in the backend's verdict, in zk_verify's result and on the CLI
+    line.  Under the wide policy claim 1's first in-circuit block, which
+    holds that byte, is block 1."""
     cred = Credential((Claim("h", "age", "33"), Claim("h", "bio", "x" * 80)) + FILLER[:4])
     ceas = WIDE_CEAS
-    wits = {i: hash_to_curve_witness(i, cred[i], 6, ceas)[1] for i in (0, 1)}
-    byte_bits = []
-    bits_of = Builder.bits_of
-
-    def recording(bd, value, width):
-        bits = bits_of(bd, value, width)
-        if width == 8:
-            byte_bits.append((bd.region, bits))
-        return bits
-
-    with monkeypatch.context() as m:
-        m.setattr(Builder, "bits_of", recording)
-        res = build_statement(cred, ceas, wits, (0, 1))
-    assert res.layout.claims[1].first_block == 1
-    region, bits = next(rb for rb in byte_bits if rb[0].startswith("claim 1,"))
-    assert region == "claim 1, sha256 block 1"
-    values = list(res.values)
-    values[bits[0]] ^= 1
-    proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=values))
-    inputs = PublicInputs(
-        tuple(wits[i].x for i in (0, 1)), tuple(wits[i].sign_bit for i in (0, 1)), ceas.to_bytes(), (0, 1)
-    )
+    wits = {i: hash_to_curve_witness(i, cred[i], 6, ceas) for i in (0, 1)}
+    layout, inputs, secret = prover_layout(cred, ceas, wits, (0, 1), None)
+    assert [cl.first_block for cl in layout.claims] == [1, 1]
+    byte_regions = ByteRegions()
+    synthesize(layout, byte_regions, inputs, secret)
+    assert next(r for r in byte_regions.regions if r.startswith("claim 1,")) == "claim 1, sha256 block 1"
+    at = sum(layout.claims[0].lens) + 1  # claim 1's first secret byte
+    flipped = mutated(secret, at, secret[at] ^ 1)
+    assert first_failing_region(layout, inputs, flipped)[:2] == (False, "claim 1, binding")
+    proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, flipped)
     verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
     assert verdict.code == "constraints_unsatisfied"
-    assert verdict.detail.startswith("claim 1, sha256 block 1: "), verdict.detail
-    assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
+    assert verdict.detail.startswith("claim 1, binding: "), verdict.detail
+    assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret), inputs)
 
     # the pairing holds, and the proof's detail is carried to the result
     pres = ces_extract(ces_sign(issuer.sk, cred, ceas), ExtractionSet(frozenset({0, 1})))
     r = zk_verify(BackendParams(), issuer.pk, pres.sigma, proof, inputs)
     assert not r.accept and r.pairing_ok and not r.proof_ok and r.detail == verdict.detail
-    honest = zk_verify(BackendParams(), issuer.pk, pres.sigma, TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
+    honest = zk_verify(BackendParams(), issuer.pk, pres.sigma, TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret), inputs)
     assert honest.accept and honest.detail == ""
     files = {
         "pubkey": formats.public_key_to_json(issuer.pk),
@@ -605,13 +596,13 @@ def test_skeleton_builds_only_the_suffix():
     assert len(prefix) + sum(len(data) for _, data, kind in segments if not kind) <= 4 + len(ceas_bytes) + 8 + 12 + 72
     for lens in ((1 << 32, 0, 0), (0, -1, 0)):
         with pytest.raises(StatementError):
-            _skeleton(ceas_bytes, 6, 1, lens)
+            statement.build_claim_layout(ceas_bytes, 1, lens)
 
 
 def test_statement_missing_witness():
     cred = Credential((Claim("h", "a", "1"), Claim("h", "b", "2")))
     ceas = CEAS.from_index_sets(2, [[0, 1]])
-    (_, _), wit = hash_to_curve_witness(0, cred[0], 2, ceas, TOY)
+    wit = hash_to_curve_witness(0, cred[0], 2, ceas, TOY)
     with pytest.raises(StatementError, match="missing"):
         build_statement(cred, ceas, {0: wit}, (0, 1), profile_name="toy11")
 
@@ -625,7 +616,7 @@ def test_statement_rejects_hidden_claim():
 def test_statement_perturbed_root_unsatisfied():
     """The statement holds no root; it pins the pair (x, sign) the verifier
     decompresses.  Only the hashed x and its sign bit satisfy it."""
-    (_, _), wit = hash_to_curve_witness(0, Claim("h", "age", "33"), 1, TOY_CEAS, TOY)
+    wit = hash_to_curve_witness(0, Claim("h", "age", "33"), 1, TOY_CEAS, TOY)
     cred = Credential((Claim("h", "age", "33"),))
     for x in range(11):
         for sign in (0, 1):
@@ -647,7 +638,7 @@ def test_statement_shape_ignores_policy_size():
     for count in (49, 113):
         ceas = CEAS.from_index_sets(8, [[i for i in range(8) if m >> i & 1] for m in range(1, count + 1)])
         cred = Credential((Claim("h", "age", "7" * 30),) + tuple(Claim("h", "p", "v") for _ in range(7)))
-        (_, _), wit = hash_to_curve_witness(0, cred[0], 8, ceas, BN254)
+        wit = hash_to_curve_witness(0, cred[0], 8, ceas, BN254)
         res = build_statement(cred, ceas, {0: wit}, (0,))
         cl = res.layout.claims[0]
         assert cl.total_blocks - cl.first_block == 1
@@ -663,19 +654,21 @@ def test_statement_multiblock_prehash():
     """A long value pushes the message over one block: from the IV both
     blocks are in-circuit, and under the wide policy block 0 is hashed
     outside and its state enters as constants.  Both are satisfiable with
-    five public inputs, the checker accepts them, and a flipped last
-    carry bit is caught in the last block."""
+    five public inputs, the verifier's builder accepts their bytes, and a
+    changed counter byte, in the last block, regenerates another digest,
+    which claim 0's binding refuses."""
     long_claim = Claim("h", "bio", "x" * 80)
-    for res, blocks in ((toy_statement(claim=long_claim)[0], (0, 2)), (wide_statement(long_claim), (1, 3))):
-        cl = res.layout.claims[0]
+    for args, blocks in ((statement_args(long_claim), (0, 2)), (statement_args(long_claim, ceas=WIDE_CEAS), (1, 3))):
+        layout, inputs, secret = args
+        res = synthesize(layout, RecordingBuilder(), inputs, secret)
+        cl = layout.claims[0]
         assert (cl.first_block, cl.total_blocks) == blocks
         assert res.cs.num_public == 5
         assert res.cs.satisfied(res.values)
-        synthesize(res.layout, CheckingBuilder(list(res.values)))
-        values = list(res.values)
-        values[-1] ^= 1
-        with pytest.raises(ConstraintViolation, match=f"^claim 0, sha256 block {blocks[1] - 1}: "):
-            synthesize(res.layout, CheckingBuilder(values))
+        assert checker_verdict(layout, inputs, secret) is None
+        assert secret[-1] < 255
+        with pytest.raises(ConstraintViolation, match="^claim 0, binding: "):
+            synthesize(layout, Builder(), inputs, secret[:-1] + bytes([secret[-1] + 1]))
 
 
 def test_statement_direct_evaluation_oracle_toy():
@@ -684,7 +677,7 @@ def test_statement_direct_evaluation_oracle_toy():
     for trial in range(40):
         value = str(rng.randrange(10, 99))
         claim = Claim("h", "age", value)
-        (_, _), wit = hash_to_curve_witness(0, claim, 1, TOY_CEAS, TOY)
+        wit = hash_to_curve_witness(0, claim, 1, TOY_CEAS, TOY)
         lo, hi = sorted((rng.randrange(10, 99), rng.randrange(10, 99)))
         predicate = RangePredicate(0, lo, hi)
         cred = Credential((claim,))
@@ -727,20 +720,15 @@ def test_predicate_must_target_disclosed_claim():
 # -- transparent backend ----------------------------------------------------------------
 
 def test_backend_roundtrip_toy():
-    res, wit = toy_statement("27")
+    layout, inputs, secret = statement_args(Claim("h", "age", "27"))
     params = BackendParams()
-    proof = TRANSPARENT_BACKEND.prove(params, res)
-    inputs = PublicInputs(
-        x_coords=(wit.x,),
-        sign_bits=(wit.sign_bit,),
-        ceas_bytes=TOY_CEAS.to_bytes(),
-        extraction=(0,),
-    )
+    proof = TRANSPARENT_BACKEND.prove(params, layout, secret)
     assert TRANSPARENT_BACKEND.verify(params, proof, inputs)
-    # same proof against altered public x: reject
-    bad = replace(inputs, x_coords=((wit.x + 1) % 11,))
+    # same proof against altered public x: the bytes hash to another x
+    bad = replace(inputs, x_coords=((inputs.x_coords[0] + 1) % 11,))
     verdict = TRANSPARENT_BACKEND.verify(params, proof, bad)
-    assert not verdict and verdict.code == "public_inputs_mismatch"
+    assert not verdict and verdict.code == "constraints_unsatisfied"
+    assert verdict.detail.startswith("claim 0, binding: ")
 
 
 def test_backend_rejects_garbage():
@@ -749,63 +737,32 @@ def test_backend_rejects_garbage():
     assert TRANSPARENT_BACKEND.verify(params, Proof(b"junk"), inputs).code == "malformed_proof"
 
 
-def encoding(values):
-    """A witness's class bytes and wide words, value by value."""
-    classes = bytes(b"01"[v] if v in (0, 1) else ord("2") for v in values)
-    return classes + b"\n" + b"".join(v.to_bytes(32, "big") for v in values if v not in (0, 1))
-
-
-FLIP_BIT = bytes.maketrans(b"01", b"10")
-
-
-def as_wide(proof, k, value):
-    """The proof with witness value k, a bit, written as the wide value
-    ``value`` instead."""
-    header, classes, wide = proof.data.split(b"\n", 2)
-    at = 32 * classes.count(b"2", 0, k)
-    wide = wide[:at] + value.to_bytes(32, "big") + wide[at:]
-    return Proof(b"\n".join((header, classes[:k] + b"2" + classes[k + 1:], wide)))
-
-
-F = ConstraintSystem().field
-EDGE_VALUES = (0, 1, 255, 256, F - 1, F, (1 << 256) - 1)
-TOY_RES = toy_statement("27")[0]
-TOY_HEADER = TRANSPARENT_BACKEND.prove(BackendParams(), TOY_RES).data.split(b"\n", 1)[0]
+TOY_ARGS = statement_args(Claim("h", "age", "27"))
+TOY_HEADER = TRANSPARENT_BACKEND.prove(BackendParams(), TOY_ARGS[0], TOY_ARGS[2]).data.split(b"\n", 1)[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(0, 9000),
-    seed=st.integers(0, 1 << 32),
-    edges=st.dictionaries(st.integers(0, 8999), st.sampled_from(EDGE_VALUES) | st.integers(0, (1 << 256) - 1), max_size=6),
+    components=st.tuples(st.text(max_size=90), st.text(max_size=20), st.text(max_size=90)),
+    counter=st.integers(0, 255),
+    newlines=st.integers(0, 3),
 )
-def test_parse_inverts_prove(n, seed, edges):
-    """prove writes each value's class byte and each wide value's word,
-    and parse returns the values with ``bit_view(values)`` as their bit
-    classes, which cannot be changed once parsed, for bit witnesses with
-    edge values anywhere in them; parse refuses a value of the field
-    modulus F or more, and prove a negative value, by OverflowError."""
-    r = random.Random(seed)
-    values = [r.getrandbits(1) for _ in range(n)]
-    for k, v in edges.items():
-        if k < n:
-            values[k] = v
-    proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
-    assert proof.data == TOY_HEADER + b"\n" + encoding(values)
-    if values and max(values) >= F:
-        with pytest.raises(EncodingError, match="field modulus"):
-            TRANSPARENT_BACKEND.parse(proof)
-    else:
-        layout, parsed = TRANSPARENT_BACKEND.parse(proof)
-        assert layout == TOY_RES.layout
-        assert parsed == values and parsed.bits == bit_view(values)
-        if values:
-            with pytest.raises(TypeError):
-                parsed[0] = 1
-    if values:
-        values[seed % n] = -1 - seed
-        with pytest.raises(OverflowError):
-            TRANSPARENT_BACKEND.prove(BackendParams(), replace(TOY_RES, values=values))
+def test_parse_inverts_prove(components, counter, newlines):
+    """prove writes the header, a newline and the secret bytes, whatever
+    bytes they hold (newlines included), and parse returns the layout and
+    those bytes; prove refuses secret bytes one short or one long."""
+    subject, prop, value = components
+    value += "\n" * newlines
+    lens = tuple(len(c.encode()) for c in (subject, prop, value))
+    layout = StatementLayout("toy11", TOY_CEAS.to_bytes(), (0,), (lens,), None)
+    secret = (subject + prop + value).encode() + bytes([counter])
+    proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret)
+    header = json.dumps({"backend": "transparent", "layout": layout.to_json()}, separators=(",", ":"), sort_keys=True)
+    assert proof.data == header.encode() + b"\n" + secret
+    assert TRANSPARENT_BACKEND.parse(proof) == (layout, secret)
+    for wrong in (secret[:-1], secret + b"\n"):
+        with pytest.raises(StatementError):
+            TRANSPARENT_BACKEND.prove(BackendParams(), layout, wrong)
 
 
 JSON = st.recursive(
@@ -813,51 +770,58 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12,
 )
-CLASSES = st.binary(max_size=40) | st.lists(st.sampled_from(b"012"), max_size=40).map(bytes)
-WIDE = st.binary(max_size=100) | st.lists(st.integers(0, (1 << 256) - 1), max_size=3).map(
-    lambda vs: b"".join(v.to_bytes(32, "big") for v in vs)
-)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.binary(max_size=300)
     | st.builds(lambda blob: TOY_HEADER + b"\n" + blob, st.binary(max_size=300))
-    | st.builds(lambda classes, wide: TOY_HEADER + b"\n" + classes + b"\n" + wide, CLASSES, WIDE)
     | st.builds(
-        lambda meta, classes, wide: json.dumps(meta).encode() + b"\n" + classes + b"\n" + wide,
+        lambda meta, blob: json.dumps(meta).encode() + b"\n" + blob,
         st.fixed_dictionaries({"backend": st.just("transparent") | JSON, "layout": JSON}) | JSON,
-        CLASSES,
-        WIDE,
+        st.binary(max_size=100),
     )
 )
 def test_parse_any_bytes_ends_in_encoding_error_or_a_parse(data):
     try:
-        layout, values = TRANSPARENT_BACKEND.parse(Proof(data))
+        layout, secret = TRANSPARENT_BACKEND.parse(Proof(data))
     except EncodingError:
         return
-    classes = data.split(b"\n", 2)[1]
-    assert len(values) == len(classes) and values.bits == classes == bit_view(values)
+    assert secret == data.split(b"\n", 1)[1]
 
 
-def test_backend_witness_cap_boundary():
-    """A witness of exactly the cap parses, with its class bytes as its
-    bit classes; one value more is too large, and is refused before any
-    list of its values is built (8 bytes a value) and before any copy of
-    the body: the refusal allocates less than 64 KB."""
-    cap = backend.MAX_WITNESS_VALUES
-    at_cap = Proof(TOY_HEADER + b"\n11" + b"0" * (cap - 3) + b"2\n" + (7).to_bytes(32, "big"))
-    layout, values = TRANSPARENT_BACKEND.parse(at_cap)
-    assert len(values) == cap and values[:3] == [1, 1, 0] and values[-1] == 7
-    assert values.bits == bit_view(values)
-    over = Proof(TOY_HEADER + b"\n" + b"0" * (cap + 1) + b"\n")
-    tracemalloc.start()
-    try:
-        with pytest.raises(ProofTooLargeError):
-            TRANSPARENT_BACKEND.parse(over)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def blocks_proof(value_len):
+    """A toy proof of one claim whose value is ``value_len`` zero bytes,
+    with its in-circuit block count, and public inputs it cannot
+    satisfy."""
+    layout = StatementLayout("toy11", TOY_CEAS.to_bytes(), (0,), ((1, 1, value_len),), None)
+    (cl,) = layout.claims
+    inputs = PublicInputs((1,), (0,), TOY_CEAS.to_bytes(), (0,))
+    return TRANSPARENT_BACKEND.prove(BackendParams(), layout, bytes(3 + value_len)), cl.total_blocks - cl.first_block, inputs
+
+
+def test_backend_witness_cap_boundary(monkeypatch):
+    """A proof of exactly the cap of in-circuit blocks is synthesized; one
+    whose layout declares
+    one block more, with the bytes to match, is too large, and is
+    refused before any synthesis, allocating less than 64 KB."""
+    cap = backend.MAX_BLOCKS
+    value_len = next(n for n in range(64 * cap) if blocks_proof(n)[1] == cap + 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return synthesize(*args)
+
+    monkeypatch.setattr(backend, "synthesize", counted)
+    at_cap, blocks, inputs = blocks_proof(value_len - 1)
+    assert blocks == cap
+    verdict = TRANSPARENT_BACKEND.verify(BackendParams(), at_cap, inputs)
+    assert verdict.code != "proof_too_large" and len(calls) == 1
+    over, blocks, inputs = blocks_proof(value_len)
+    assert blocks == cap + 1
+    verdict, peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), over, inputs)
+    assert verdict.code == "proof_too_large" and len(calls) == 1
     assert peak < (1 << 16), peak
 
 
@@ -867,8 +831,8 @@ def test_backend_header_cap_boundary():
     than 64 KB."""
     cap = backend.MAX_HEADER_BYTES
     at_cap = TOY_HEADER + b" " * (cap - len(TOY_HEADER))
-    layout, values = TRANSPARENT_BACKEND.parse(Proof(at_cap + b"\n11\n"))
-    assert layout.profile_name == "toy11" and values == [1, 1]
+    layout, secret = TRANSPARENT_BACKEND.parse(Proof(at_cap + b"\n11\n"))
+    assert layout.profile_name == "toy11" and secret == b"11\n"
     over = Proof(at_cap + b" \n11\n")
     tracemalloc.start()
     try:
@@ -896,41 +860,49 @@ def test_backend_header_cap_boundary():
     ],
 )
 def test_backend_refuses_malformed_witness(body):
-    """A body after the header that no witness encodes to is malformed:
-    a missing separator, a class byte outside 012, wide words short or
-    long for the class-2 count, or a wide value that is a bit."""
-    _, wit = toy_statement("27")
-    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
+    """A body after the header that is not the layout's secret bytes is
+    refused: a missing separator as malformed, before any witness is
+    read, and any body of the earlier format's shapes (bit classes and
+    32-byte words, well formed or not) as a shape mismatch, since its
+    length is not the 7 bytes the layout declares."""
+    inputs = TOY_ARGS[1]
     proof = Proof(TOY_HEADER + body)
-    with pytest.raises(EncodingError) as exc:
-        TRANSPARENT_BACKEND.parse(proof)
-    assert not isinstance(exc.value, ProofTooLargeError)
     verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
-    assert not verdict and verdict.code == "malformed_proof" and verdict.predicate is None
+    if not body:
+        with pytest.raises(EncodingError) as exc:
+            TRANSPARENT_BACKEND.parse(proof)
+        assert not isinstance(exc.value, ProofTooLargeError)
+        assert not verdict and verdict.code == "malformed_proof" and verdict.predicate is None
+    else:
+        assert TRANSPARENT_BACKEND.parse(proof) == (TOY_ARGS[0], body[1:])
+        assert len(body) - 1 != len(TOY_ARGS[2])
+        assert not verdict and verdict.code == "witness_shape_mismatch"
 
 
 def test_backend_refuses_a_deflated_proof():
-    """A proof in the earlier format, one zlib stream of 32-byte words
-    after the header, is malformed."""
-    res, wit = toy_statement("27")
-    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
-    assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), res), inputs)
-    words = b"".join(v.to_bytes(32, "big") for v in res.values)
-    deflated = Proof(TOY_HEADER + b"\n" + zlib.compress(words, 6))
-    with pytest.raises(EncodingError):
-        TRANSPARENT_BACKEND.parse(deflated)
-    assert TRANSPARENT_BACKEND.verify(BackendParams(), deflated, inputs).code == "malformed_proof"
+    """A proof in an earlier format, one zlib stream of 32-byte words
+    after the header, or the recorded witness's bit classes and wide
+    words, is refused: its body is not the layout's secret bytes."""
+    layout, inputs, secret = TOY_ARGS
+    assert TRANSPARENT_BACKEND.verify(BackendParams(), TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret), inputs)
+    values = synthesize(layout, RecordingBuilder(), inputs, secret).values
+    words = b"".join(v.to_bytes(32, "big") for v in values)
+    classes = bytes(b"01"[v] if v in (0, 1) else ord("2") for v in values)
+    wide = b"".join(v.to_bytes(32, "big") for v in values if v not in (0, 1))
+    for body in (zlib.compress(words, 6), classes + b"\n" + wide):
+        earlier = Proof(TOY_HEADER + b"\n" + body)
+        assert TRANSPARENT_BACKEND.verify(BackendParams(), earlier, inputs).code == "witness_shape_mismatch"
 
 
 def test_backend_memory_ignores_declared_lengths():
     """A header may declare any component length, and the message length
-    follows from it.  The verifier builds only the in-circuit suffix of
-    the message, so a 50 MB value length costs no more memory than an
-    honest proof and is refused as a shape mismatch."""
-    res, wit = toy_statement("27")
-    proof = TRANSPARENT_BACKEND.prove(BackendParams(), res)
-    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
-    claim = res.layout.to_json()["claims"][0]
+    follows from it.  The verifier compares the declared lengths with
+    the secret bytes before it builds anything, so a 50 MB value length
+    costs no more memory than an honest proof and is refused as a shape
+    mismatch."""
+    layout, inputs, secret = TOY_ARGS
+    proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret)
+    claim = layout.to_json()["claims"][0]
     tampered = with_layout(proof, claims=[dict(claim, len_value=50_000_000)])
     verdict, peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), tampered, inputs)
     assert verdict.code == "witness_shape_mismatch"
@@ -938,19 +910,16 @@ def test_backend_memory_ignores_declared_lengths():
 
 
 def test_backend_memory_ignores_declared_lengths_over_a_long_witness():
-    """All secret bytes are in-circuit, so a declared length is checked
-    against the assignment before any byte is built: a 50 MB value over
-    an honest witness padded to 200,000 values is refused as a shape
-    mismatch holding little more than the parsed witness, where building
-    its 25,000 bytes would take some 20 MB."""
-    res, wit = toy_statement("27")
-    inputs = PublicInputs((wit.x,), (wit.sign_bit,), TOY_CEAS.to_bytes(), (0,))
-    proof = TRANSPARENT_BACKEND.prove(BackendParams(), replace(res, values=res.values + [0] * 200_000))
-    claim = res.layout.to_json()["claims"][0]
+    """A 50 MB value over an honest proof padded with 200,000 secret bytes
+    is refused as a shape mismatch holding little more than the parsed
+    bytes, where building its message would take some 50 MB."""
+    layout, inputs, secret = TOY_ARGS
+    proof = Proof(TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret).data + bytes(200_000))
+    claim = layout.to_json()["claims"][0]
     tampered = with_layout(proof, claims=[dict(claim, len_value=50_000_000)])
     verdict, peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), tampered, inputs)
     assert verdict.code == "witness_shape_mismatch"
-    assert peak < 16 << 20, peak
+    assert peak < 1 << 20, peak
 
 
 def traced_peak(fn, *args):
@@ -964,19 +933,19 @@ def traced_peak(fn, *args):
 
 def test_prover_stores_no_constraints():
     """A two-claim BN254 proof with a range predicate is made without
-    holding its ~60,000 constraints, and verifying it peaks no higher
-    than parsing it plus checking its values as a plain list."""
+    synthesizing its ~60,000 constraints, in under 64 KB, and verifying
+    it peaks no higher than parsing it plus synthesizing it with the
+    verifier's builder."""
     cred = Credential((Claim("holder", "age", "19"), Claim("holder", "country", "CH"), Claim("holder", "tier", "3")))
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 1, 2]])
     args = (BackendParams(), cred, ceas, ExtractionSet(frozenset({0, 1})), RangePredicate(0, 18, 65))
     prove_extraction(*args)  # fill the hash caches outside the measurement
     (proof, inputs), prove_peak = traced_peak(prove_extraction, *args)
     verdict, verify_peak = traced_peak(TRANSPARENT_BACKEND.verify, BackendParams(), proof, inputs)
-    (layout, values), parse_peak = traced_peak(TRANSPARENT_BACKEND.parse, proof)
-    plain = list(values)
-    _, check_peak = traced_peak(lambda: synthesize(layout, CheckingBuilder(plain)))
+    (layout, secret), parse_peak = traced_peak(TRANSPARENT_BACKEND.parse, proof)
+    _, check_peak = traced_peak(lambda: synthesize(layout, Builder(), inputs, secret))
     assert verdict
-    assert prove_peak < 8 << 20, prove_peak
+    assert prove_peak < 1 << 16, prove_peak
     assert verify_peak <= 1.1 * (parse_peak + check_peak), (verify_peak, parse_peak, check_peak)
 
 
@@ -1061,23 +1030,30 @@ def test_zk_conjunct_isolation(zk_env):
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, False, True)
     assert r.code == "pairing_failed" and not r.accept
 
-    # proof-only failure: flip the last witness bit
-    header, classes, wide = proof.data.split(b"\n", 2)
-    assert classes[-1:] in (b"0", b"1")
-    broken = Proof(b"\n".join((header, classes[:-1] + classes[-1:].translate(FLIP_BIT), wide)))
+    # proof-only failure: change the last secret byte, claim 1's counter
+    broken = Proof(proof.data[:-1] + bytes([proof.data[-1] ^ 1]))
     r = zk_verify(setup.backend_params, pk, pres.sigma, broken, inputs)
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
     assert r.code.startswith("proof_rejected") and not r.accept
 
 
 def test_zk_verify_rejects_oversized_witness(zk_env):
-    """A body of one class byte more than the cap is refused with its own
-    code before the witness is built."""
+    """A proof whose layout declares one in-circuit block more than the
+    cap, with the secret bytes to match, is refused with its own code
+    before any synthesis."""
     setup, _, _, _, pres, proof, inputs = zk_env
-    header = proof.data.split(b"\n", 1)[0]
-    oversized = Proof(header + b"\n" + b"0" * (backend.MAX_WITNESS_VALUES + 1) + b"\n")
-    with pytest.raises(ProofTooLargeError):
-        TRANSPARENT_BACKEND.parse(oversized)
+    layout, secret = TRANSPARENT_BACKEND.parse(proof)
+    (_, _, first_len), other = layout.claim_lens
+
+    def blocks(value_len):
+        lens = (layout.claim_lens[0][:2] + (value_len,), other)
+        return sum(cl.total_blocks - cl.first_block for cl in replace(layout, claim_lens=lens).claims)
+
+    value_len = next(n for n in range(64 * backend.MAX_BLOCKS) if blocks(n) > backend.MAX_BLOCKS)
+    claims = layout.to_json()["claims"]
+    claims[0]["len_value"] = value_len
+    head, tail = secret[: sum(layout.claim_lens[0][:2])], secret[sum(layout.claim_lens[0][:2]) + first_len:]
+    oversized = with_layout(Proof(b"\n".join((proof.data.split(b"\n", 1)[0], head + bytes(value_len) + tail))), claims=claims)
     r = zk_verify(setup.backend_params, setup.keypair.pk, pres.sigma, oversized, inputs)
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, False)
     assert r.code == "proof_rejected:proof_too_large" and not r.accept and r.predicate is None
@@ -1117,14 +1093,50 @@ def test_zk_verify_binds_the_expected_predicate(zk_env):
         assert zk_verify(setup.backend_params, pk, pres.sigma, p, i).accept
         r = zk_verify(setup.backend_params, pk, pres.sigma, p, i, predicate=want)
         assert not r.accept and r.code == "predicate_rejected"
-        assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, True, True)
+        # refused from the header: neither the pairing nor the proof is checked
+        assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (True, False, False)
     exact, exact_inputs = prove_extraction(setup.backend_params, cred, ceas, x, want)
     r = zk_verify(setup.backend_params, pk, pres.sigma, exact, exact_inputs, predicate=want)
     assert r.accept and r.code == "ok" and r.predicate == want.describe()
-    # a failed proof keeps its own code, whatever predicate it names
-    flipped = replace(inputs, sign_bits=(1 - inputs.sign_bits[0],) + inputs.sign_bits[1:])
-    r = zk_verify(setup.backend_params, pk, pres.sigma, proof, flipped, predicate=want)
-    assert not r.accept and r.code == "pairing_failed"
+    # a proof of the expected predicate that fails keeps its own code; one
+    # of another predicate is refused for that first
+    for p, code in ((exact, "pairing_failed"), (proof, "predicate_rejected")):
+        flipped = replace(inputs, sign_bits=(1 - inputs.sign_bits[0],) + inputs.sign_bits[1:])
+        r = zk_verify(setup.backend_params, pk, pres.sigma, p, flipped, predicate=want)
+        assert not r.accept and r.code == code
+
+
+def test_zk_verify_refuses_another_predicate_before_any_work(zk_env, pairs_seen, monkeypatch):
+    """A proof of another predicate than the expected one is refused as
+    predicate_rejected as soon as its header parses: no pairing product
+    is computed and no statement synthesized.  A policy that does not
+    allow the extraction keeps precedence, and a header that does not
+    parse names no predicate, so it gets the pairing's or the proof's
+    code."""
+    setup, cred, ceas, _, pres, proof, inputs = zk_env
+    pk = setup.keypair.pk
+    synthesized = []
+
+    def counted(*args):
+        synthesized.append(args[0])
+        return synthesize(*args)
+
+    monkeypatch.setattr(backend, "synthesize", counted)
+    want = RangePredicate(0, 18, 65)
+    r = zk_verify(setup.backend_params, pk, pres.sigma, proof, inputs, predicate=want)
+    assert r.code == "predicate_rejected" and r.predicate is None
+    assert pairs_seen == [] and synthesized == []
+    narrowed = replace(inputs, ceas_bytes=CEAS.from_index_sets(3, [[0]]).to_bytes())
+    r = zk_verify(setup.backend_params, pk, pres.sigma, proof, narrowed, predicate=want)
+    assert r.code == "policy_rejected" and not r.policy_ok
+    assert pairs_seen == [] and synthesized == []
+    garbled = Proof(b"{" + proof.data)
+    r = zk_verify(setup.backend_params, pk, pres.sigma, garbled, inputs, predicate=want)
+    assert r.code == "proof_rejected:malformed_proof" and r.pairing_ok
+    assert pairs_seen == [2] and synthesized == []
+    # the same proof, expected with its own predicate, does both
+    r = zk_verify(setup.backend_params, pk, pres.sigma, proof, inputs)
+    assert r.accept and pairs_seen == [2, 2] and len(synthesized) == 1
 
 
 def test_zk_verify_binds_the_proved_policy(zk_env):
@@ -1148,13 +1160,11 @@ def test_zk_policy_conjunct_implied_by_proof(zk_env):
     idxs = (0, 1)
     sc = ces_sign(setup.keypair.sk, cred, narrowed)
     sigma = bls.aggregate([sc.sigs[i] for i in idxs])
-    wits = {i: hash_to_curve_witness(i, cred[i], len(cred), narrowed)[1] for i in idxs}
-    res = build_statement(cred, narrowed, wits, idxs)
+    wits = {i: hash_to_curve_witness(i, cred[i], len(cred), narrowed) for i in idxs}
+    layout, inputs, secret = prover_layout(cred, narrowed, wits, idxs)
+    res = synthesize(layout, RecordingBuilder(), inputs, secret)
     assert res.cs.satisfied(res.values)
-    inputs = PublicInputs(
-        tuple(wits[i].x for i in idxs), tuple(wits[i].sign_bit for i in idxs), narrowed.to_bytes(), idxs
-    )
-    proof = TRANSPARENT_BACKEND.prove(setup.backend_params, res)
+    proof = TRANSPARENT_BACKEND.prove(setup.backend_params, layout, secret)
     r = zk_verify(setup.backend_params, setup.keypair.pk, sigma, proof, inputs)
     assert (r.policy_ok, r.pairing_ok, r.proof_ok) == (False, True, True)
     assert r.code == "policy_rejected" and not r.accept
@@ -1326,11 +1336,11 @@ def long_env():
     )
     ceas = CEAS.from_index_sets(3, [[0], [0, 2], [0, 1, 2]])
     sc = ces_sign(setup.keypair.sk, cred, ceas)
-    wits = {i: hash_to_curve_witness(i, cred[i], 3, ceas)[1] for i in range(3)}
+    wits = {i: hash_to_curve_witness(i, cred[i], 3, ceas) for i in range(3)}
     proofs = []
     for predicate in (None, RangePredicate(1, 30, 50)):
-        layout, witness = prover_layout(cred, ceas, wits, (1,), predicate)
-        proofs.append(TRANSPARENT_BACKEND.prove(BackendParams(), synthesize(layout, Builder(), witness)))
+        layout, _, secret = prover_layout(cred, ceas, wits, (1,), predicate)
+        proofs.append(TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret))
     return setup, cred, ceas, sc, wits, layout, proofs
 
 
@@ -1404,16 +1414,16 @@ def test_zk_verify_accepts_only_bn254(zk_env):
 
 # shape: (backend code, wall seconds, peak MB), for the backend check and
 # zk_verify alike.  Measured, the slower of the two: 0.19 s and 0.49 MB,
-# 16 ms and 0.56 MB, 30 ms and 0.56 MB, 84 ms and 0.68 MB.  With each
-# block refused whole, the flipped bit takes 12 ms and 0.61 MB, and the
-# bit rewritten as a wide value 9 ms and 0.11 MB.
+# 16 ms and 0.56 MB, 30 ms and 0.56 MB, 84 ms and 0.68 MB.  The flipped
+# bit, refused at claim 0's binding after both claims' blocks, takes
+# 18 ms and 0.72 MB, and the widened byte 10 ms and 0.05 MB.
 BUDGETS = {
     "widest_policy": ("ok", 2.0, 4),
     "one_claim_too_many": ("statement_rebuild_failed", 0.25, 4),
     "oversized_header": ("proof_too_large", 0.25, 4),
     "declared_length_2_32": ("witness_shape_mismatch", 0.25, 4),
     "flipped_first_block_bit": ("constraints_unsatisfied", 0.25, 4),
-    "wide_bit": ("malformed_proof", 0.25, 4),
+    "wide_bit": ("witness_shape_mismatch", 0.25, 4),
 }
 
 
@@ -1427,34 +1437,39 @@ def widest_policy_proof(sk):
     return proof, inputs, bls.sign(sk, encode_claim_message(ceas, MAX_CEAS_WIDTH, 0, cred[0]))
 
 
+def flip(proof, at):
+    """The proof with one bit of secret byte ``at`` flipped."""
+    header, secret = proof.data.split(b"\n", 1)
+    return Proof(header + b"\n" + mutated(secret, at, secret[at] ^ 1))
+
+
+def widen(proof, at):
+    """The proof with secret byte ``at`` written as two bytes, a zero
+    byte before it: the same value, wider."""
+    header, secret = proof.data.split(b"\n", 1)
+    return Proof(header + b"\n" + secret[:at] + b"\0" + secret[at:])
+
+
 def hostile_shapes(sk):
     """Each shape's proof, public inputs and aggregate signature.  The
-    three tampered shapes start from an honest two-claim proof with a
-    range predicate, the benchmark's zk-range shape."""
+    tampered shapes start from an honest two-claim proof with a range
+    predicate, the benchmark's zk-range shape: claim 0's first secret
+    byte, a message bit of its one in-circuit block, flipped; and that
+    byte widened to two."""
     cred = Credential((Claim("holder", "age", "42"), Claim("holder", "country", "QZ"), Claim("holder", "member", "0f1e2d3c")))
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 2], [0, 1, 2]])
     x = ExtractionSet(frozenset({0, 1}))
     proof, inputs = prove_extraction(BackendParams(), cred, ceas, x, RangePredicate(0, 18, 65))
     sigma = ces_extract(ces_sign(sk, cred, ceas), x).sigma
     claims = json.loads(proof.data.split(b"\n", 1)[0])["layout"]["claims"]
-    header, classes, wide = proof.data.split(b"\n", 2)
-    # the last bit of claim 0's one in-circuit block, the last variable
-    # the checker compares with the block's bits
-    wits = {i: hash_to_curve_witness(i, cred[i], len(cred), ceas)[1] for i in x.sorted()}
-    layout, witness = prover_layout(cred, ceas, wits, x.sorted(), RangePredicate(0, 18, 65))
-    bd = RegionStarts()
-    synthesize(layout, bd, witness)
-    end = bd.start("claim 1, sha256 block 0")
-    k = max(classes.rfind(b"0", 0, end), classes.rfind(b"1", 0, end))
-    flipped = Proof(b"\n".join((header, classes[:k] + classes[k: k + 1].translate(FLIP_BIT) + classes[k + 1:], wide)))
     return {
-        "wide_bit": (as_wide(proof, classes.rfind(b"1", 0, end), F + 1), inputs, sigma),
+        "wide_bit": (widen(proof, 0), inputs, sigma),
         "widest_policy": widest_policy_proof(sk),
         "one_claim_too_many": (with_layout(proof, claims=claims + claims[:1]), inputs, sigma),
         # 10^5 claim entries too many: a 5.5 MB header
         "oversized_header": (with_layout(proof, claims=claims + claims[:1] * 100_000), inputs, sigma),
         "declared_length_2_32": (with_layout(proof, claims=[dict(claims[0], len_value=(1 << 32) - 1), claims[1]]), inputs, sigma),
-        "flipped_first_block_bit": (flipped, inputs, sigma, k),
+        "flipped_first_block_bit": (flip(proof, 0), inputs, sigma),
     }
 
 
@@ -1475,7 +1490,7 @@ def measure(fn, *args):
 @pytest.mark.parametrize("name", sorted(BUDGETS))
 def test_hostile_header_is_refused_within_budget(name, shapes, issuer):
     code, max_seconds, max_mb = BUDGETS[name]
-    proof, inputs, sigma = shapes[name][:3]
+    proof, inputs, sigma = shapes[name]
     verdict, seconds, peak = measure(TRANSPARENT_BACKEND.verify, BackendParams(), proof, inputs)
     assert verdict.code == code, verdict
     assert seconds < max_seconds and peak < max_mb, (seconds, peak)
@@ -1486,45 +1501,50 @@ def test_hostile_header_is_refused_within_budget(name, shapes, issuer):
 
 
 def test_flipped_first_block_bit_is_refused_by_its_block(shapes):
-    """The flipped bit misses the checker's block slice, and the block is
-    refused whole, without a per-bit gadget call: the detail names claim
-    0's first block and the flipped variable."""
-    proof, inputs, _, k = shapes["flipped_first_block_bit"]
+    """The flipped bit of claim 0's first in-circuit block regenerates
+    another message and digest; the verifier takes the block whole,
+    without a per-bit gadget call, and refuses the proof where the
+    recorded system rebuilt on those bytes first fails: claim 0's
+    binding of x and sign."""
+    proof, inputs, _ = shapes["flipped_first_block_bit"]
+    layout, secret = TRANSPARENT_BACKEND.parse(proof)
+    byte_regions = ByteRegions()
+    with pytest.raises(ConstraintViolation):
+        synthesize(layout, byte_regions, inputs, secret)
+    assert byte_regions.regions[0] == "claim 0, sha256 block 0"
+    assert first_failing_region(layout, inputs, secret)[:2] == (False, "claim 0, binding")
     with sha256_gadget.GadgetCalls() as spy:
         verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
     assert spy.per_bit == 0
     assert verdict.code == "constraints_unsatisfied"
-    assert verdict.detail.startswith(f"claim 0, sha256 block 0: variable {k} "), verdict.detail
+    assert verdict.detail.startswith("claim 0, binding: "), verdict.detail
 
 
 def test_wide_encoding_of_a_bit_is_refused(issuer):
-    """A witness value has one encoding: an honest proof whose 1 bits are
-    rewritten as the wide value F + 1, of the same residue, so that the
-    recorded system still holds, is refused as malformed, for one claim
-    and for three, whether the first, the last or both of its 1 bits
-    are rewritten."""
+    """Secret bytes have one encoding: an honest proof whose first, last
+    or first and last secret bytes are each written as two bytes, a zero
+    byte before the same value, is refused by the byte count as a shape
+    mismatch, with the pairing holding, for one claim and for three.  The
+    honest bytes alone regenerate a satisfied recorded system."""
     cred = Credential((Claim("holder", "age", "42"), Claim("holder", "country", "QZ"), Claim("holder", "member", "0f1e2d3c")))
     ceas = CEAS.from_index_sets(3, [[0], [0, 1, 2]])
     for idxs in ((0,), (0, 1, 2)):
         x = ExtractionSet(frozenset(idxs))
         proof, inputs = prove_extraction(BackendParams(), cred, ceas, x, RangePredicate(0, 18, 65))
         sigma = ces_extract(ces_sign(issuer.sk, cred, ceas), x).sigma
-        _, classes, _ = proof.data.split(b"\n", 2)
-        first, last = classes.index(b"1", 1), classes.rindex(b"1")
-        for ks in ((first,), (last,), (first, last)):
+        layout, secret = TRANSPARENT_BACKEND.parse(proof)
+        first, last = 0, len(secret) - 1
+        for ks in ((first,), (last,), (last, first)):
             rewritten = proof
             for k in ks:
-                rewritten = as_wide(rewritten, k, F + 1)
+                rewritten = widen(rewritten, k)
             assert rewritten.data != proof.data
             verdict = TRANSPARENT_BACKEND.verify(BackendParams(), rewritten, inputs)
-            assert (verdict.code, verdict.detail) == ("malformed_proof", ""), (idxs, ks)
+            assert (verdict.code, verdict.detail) == ("witness_shape_mismatch", ""), (idxs, ks)
             result = zk_verify(BackendParams(), issuer.pk, sigma, rewritten, inputs)
-            assert result.code == "proof_rejected:malformed_proof" and result.pairing_ok, (idxs, ks)
-        wits = {i: hash_to_curve_witness(i, cred[i], len(cred), ceas)[1] for i in idxs}
-        res = build_statement(cred, ceas, wits, idxs, RangePredicate(0, 18, 65))
-        values = list(res.values)
-        values[first] = values[last] = F + 1
-        assert res.cs.satisfied(values)
+            assert result.code == "proof_rejected:witness_shape_mismatch" and result.pairing_ok, (idxs, ks)
+        res = synthesize(layout, RecordingBuilder(), inputs, secret)
+        assert res.cs.satisfied(res.values)
 
 
 def test_prove_refuses_a_policy_of_another_width():

@@ -40,11 +40,12 @@ def test_witness_agrees_with_hash_to_g1_toy():
     while seen_x != {0, 1, 4, 7, 8} and tag < 300:
         claim = toy_claim(f"t{tag}")
         tag += 1
-        (x, sign), wit = hash_to_curve_witness(0, claim, 1, TOY_CEAS, TOY)
+        wit = hash_to_curve_witness(0, claim, 1, TOY_CEAS, TOY)
+        x, sign = wit.x, wit.sign_bit
         from blsces.credential import encode_claim_message
 
         h = bls.hash_to_g1(encode_claim_message(TOY_CEAS, 1, 0, claim), TOY)
-        assert (h.x, h.sign_bit, h.counter) == (x, sign, wit.counter)
+        assert h == wit
         assert TOY_SIGNING[x]
         # the verifier decompresses the public pair to the hashed point
         assert decompress_x(x, sign, TOY) == (h.point.x, h.point.y)
@@ -54,7 +55,7 @@ def test_witness_agrees_with_hash_to_g1_toy():
 
 def test_witness_counter_is_first_success_toy():
     claim = toy_claim("first-success")
-    (_, _), wit = hash_to_curve_witness(0, claim, 1, TOY_CEAS, TOY)
+    wit = hash_to_curve_witness(0, claim, 1, TOY_CEAS, TOY)
     from blsces.credential import encode_claim_message
 
     msg = encode_claim_message(TOY_CEAS, 1, 0, claim)
@@ -67,13 +68,12 @@ def test_witness_real_field_consistency():
     ceas = CEAS.from_index_sets(2, [[0, 1]])
     cred = Credential((Claim("h", "age", "19"), Claim("h", "country", "CH")))
     for i in range(2):
-        (x, sign), wit = hash_to_curve_witness(i, cred[i], 2, ceas, BN254)
+        wit = hash_to_curve_witness(i, cred[i], 2, ceas, BN254)
+        x, sign = wit.x, wit.sign_bit
         from blsces.credential import encode_claim_message
 
         h = bls.hash_to_g1(encode_claim_message(ceas, 2, i, cred[i]), BN254)
-        assert h.x == x == wit.x
-        assert h.sign_bit == sign
-        assert h.counter == wit.counter
+        assert h == wit
         # decompression from the public pair recovers the hashed point
         assert decompress_x(x, sign, BN254) == (h.point.x, h.point.y)
 
