@@ -17,9 +17,9 @@ variable may appear more than once, and its coefficients add.  Variable
 (bools, then lins, then r1s) for dumps and for the mutation-sweep tests.
 
 The gadgets emit constraints through a builder of one of two kinds.
-Both compute each variable's value as they allocate it; the statement
-hands them the public inputs and the secret message bytes, which fix
-every other value (see ``statement``).
+Both compute the value of each variable they keep as they allocate it;
+the statement hands them the public inputs and the secret message bytes,
+which fix every value (see ``statement``).
 
 * ``Builder`` (the verifier's) stores no constraint and counts them by
   kind.  It evaluates each linear constraint it is handed, and the
@@ -27,21 +27,23 @@ every other value (see ``statement``).
   (claim and gadget) being synthesized.  Every other constraint holds
   by construction: a product or booleanity constraint is the one its
   gadget's value computation solves, so the builder does not evaluate
-  it.  It keeps a bit-class view beside its values, one ASCII byte per
-  value, '0' or '1' for a bit and '2' for anything else, from which the
-  sha256 gadget's block path reads the values of a compression's input
-  words (``word_value``) and to which it appends a whole compression's
-  bits at once (``alloc_bits``).
-* ``RecordingBuilder`` stores every constraint in a
-  ``ConstraintSystem`` and evaluates none: it is the reference for
-  dumps, audits and the mutation-sweep tests, through
-  ``first_violation``.  It keeps no view, since those tests change its
-  values in place, so every compression runs on the gadget's per-bit
-  path and every constraint is stored.
+  it.  It takes a sha256 compression by its plain output and its counts
+  (``compress``): every constraint of a compression, its linear ones
+  too, holds on the values the per-bit path computes, so none of them
+  is evaluated.  Its ``values`` is a dict that holds only what a linear
+  constraint outside a compression reads: the public variables, the
+  message bits, the compression outputs and the predicate's
+  decompositions.
+* ``RecordingBuilder`` stores every value in a list and every
+  constraint in a ``ConstraintSystem``, and evaluates none: it is the
+  reference for dumps, audits and the mutation-sweep tests, through
+  ``first_violation``.  It runs every compression on the gadget's
+  per-bit path.
 
-The two give the same values and per-kind counts, and ``Builder``
-raises exactly when the recorded system is unsatisfied: on values
-computed this way only a linear constraint can fail.  A linear
+The two give the same per-kind counts and allocate each variable at the
+same index, every value ``Builder`` keeps is the recorded one, and
+``Builder`` raises exactly when the recorded system is unsatisfied: on
+values computed this way only a linear constraint can fail.  A linear
 constraint that ties a bit decomposition to its value fails when the
 value does not fit the width (``bits_of`` masks it), so a value that
 does not fit is refused, never truncated.
@@ -53,6 +55,8 @@ from dataclasses import dataclass, field as dc_field
 
 from blsces.errors import ConstraintViolation, StatementError
 from blsces.groups.params import R as BN254_SCALAR_FIELD
+from blsces.zk.sha256 import WORD, sha256_compress
+from blsces.zk.sha256_gadget import add_width, block_counts, block_literals, const_word, sha256_compress_gadget
 
 LC = tuple  # tuple[tuple[int, int], ...]
 
@@ -182,21 +186,20 @@ class Tally:
 
 
 class Builder:
-    """The verifier's builder: computes each variable's value as it
-    allocates it, evaluates each linear constraint, and counts
-    constraints by kind without storing them.  ``bits`` is the
-    bit-class view kept beside ``values``.  ``region`` names the part
-    of the statement being synthesized, for the refusal's detail.
-    ``cs`` is a ``ConstraintSystem`` of the sizes so far, with tallies
-    for its constraint lists."""
+    """The verifier's builder: computes the value of each variable it
+    keeps as it allocates it, evaluates each linear constraint it is
+    handed, and counts constraints by kind without storing them.
+    ``values`` maps each kept variable to its value.  ``region`` names
+    the part of the statement being synthesized, for the refusal's
+    detail.  ``cs`` is a ``ConstraintSystem`` of the sizes so far, with
+    tallies for its constraint lists."""
 
     region = ""
 
     field = BN254_SCALAR_FIELD
 
     def __init__(self):
-        self.bits = bytearray(b"1")
-        self.values: list = [1]
+        self.values: dict | list = {0: 1}
         self.num_vars = 1
         self.num_public = 0
         self.n_bools = self.n_lins = self.n_r1s = 0
@@ -221,12 +224,17 @@ class Builder:
         return self._append(value)
 
     def _append(self, value: int) -> int:
-        value %= self.field
-        self.values.append(value)
-        if self.bits is not None:
-            self.bits.append(b"012"[min(value, 2)])
+        self.values[self.num_vars] = value % self.field
         self.num_vars += 1
         return self.num_vars - 1
+
+    def _extend(self, bits: bytes) -> int:
+        """Allocate one variable per byte of ``bits``, holding it; returns
+        the first index."""
+        start = self.num_vars
+        self.values.update(zip(range(start, start + len(bits)), bits))
+        self.num_vars += len(bits)
+        return start
 
     # -- constraint emission -------------------------------------------
 
@@ -261,47 +269,49 @@ class Builder:
         bits of ``value``, masked to the width: a value that does not fit
         still gets boolean bits, and fails the linear constraint that
         ties them to it."""
-        bits = format(value & ((1 << width) - 1), f"0{width}b").encode()[::-1]
-        start = self.alloc_bits(bits, bools=width)
+        self._public_frozen = True
+        bits = format(value & ((1 << width) - 1), f"0{width}b").encode()[::-1].translate(_ASCII_BIT)
+        start = self._extend(bits)
+        self.n_bools += width
         return list(range(start, start + width))
 
-    # -- whole blocks -----------------------------------------------------
+    # -- sha256 ------------------------------------------------------------
 
-    def alloc_bits(self, bits: bytes, bools: int = 0, lins: int = 0, r1s: int = 0) -> int:
-        """Allocate one variable per ASCII '0' or '1' of ``bits``, holding
-        it, under ``bools``, ``lins`` and ``r1s`` constraints of each kind;
-        returns the first index."""
-        start = self.num_vars
+    def compress(self, state: list[int], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
+        """One sha256 compression of the 64-byte ``block`` from ``state``,
+        its 8 words' values.  ``words`` holds the state's variables, the
+        previous compression's outputs, or is None for a state of
+        constants.  ``secret`` marks with 0xFF each byte held in message
+        bits, the next eight variables from ``var`` on, and with 0 each
+        public byte, a constant.  Returns the output state's values and
+        variables.
+
+        This builder allocates the per-bit path's variables and counts
+        its constraints (``block_counts``), keeping only the output
+        words, whose values the plain compression gives."""
+        ops = block_counts(state, words is not None, block, secret)
         self._public_frozen = True
-        self.values += bits.translate(_ASCII_BIT)
-        if self.bits is not None:
-            self.bits += bits
-        self.num_vars = start + len(bits)
-        self.n_bools += bools
-        self.n_lins += lins
-        self.n_r1s += r1s
-        return start
-
-    def word_value(self, variables: list[int]) -> int | None:
-        """The value the variables hold as little-endian bits, or None if
-        one of them is not a bit or the builder keeps no view."""
-        if self.bits is None:
-            return None
-        try:
-            return int(bytes(map(self.bits.__getitem__, reversed(variables))), 2)
-        except ValueError:  # a '2'
-            return None
+        self.num_vars += ops.products + ops.bools
+        self.n_bools += ops.bools
+        self.n_lins += ops.lins
+        self.n_r1s += ops.products
+        state = sha256_compress(state, block)
+        # the outputs are the low words of the last eight additions
+        width = add_width(2)
+        words = [list(range(k, k + WORD)) for k in range(self.num_vars - 8 * width, self.num_vars, width)]
+        for word, value in zip(words, state):
+            self.values.update(zip(word, format(value, "032b").encode()[::-1].translate(_ASCII_BIT)))
+        return state, words
 
 
 class RecordingBuilder(Builder):
-    """A builder that stores every constraint and evaluates none, for
-    audits, dumps and the mutation-sweep tests; ``cs`` is the stored
-    system.  It keeps no bit-class view, which would go stale when those
-    tests change its values in place."""
+    """A builder that stores every value and constraint and evaluates
+    none, for audits, dumps and the mutation-sweep tests; ``values`` is
+    the assignment, a list, and ``cs`` the stored system."""
 
     def __init__(self):
         super().__init__()
-        self.bits = None
+        self.values = [1]
         self.bools: list = []
         self.lins: list = []
         self.r1s: list = []
@@ -309,6 +319,16 @@ class RecordingBuilder(Builder):
     @property
     def cs(self) -> ConstraintSystem:
         return ConstraintSystem(self.field, self.num_vars, self.num_public, self.bools, self.lins, self.r1s)
+
+    def _append(self, value: int) -> int:
+        self.values.append(value % self.field)
+        self.num_vars += 1
+        return self.num_vars - 1
+
+    def _extend(self, bits: bytes) -> int:
+        self.values += bits
+        self.num_vars += len(bits)
+        return self.num_vars - len(bits)
 
     def add_bool(self, var: int) -> None:
         self.bools.append(var)
@@ -323,3 +343,10 @@ class RecordingBuilder(Builder):
         bits = super().bits_of(value, width)
         self.bools.extend(bits)
         return bits
+
+    def compress(self, state: list[int], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
+        """``Builder.compress`` on the gadget's per-bit path."""
+        if words is None:
+            words = [const_word(value) for value in state]
+        words = sha256_compress_gadget(self, words, block_literals(block, secret, var))
+        return sha256_compress(state, block), words

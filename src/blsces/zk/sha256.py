@@ -11,6 +11,7 @@ test suite pins the result against hashlib.
 from __future__ import annotations
 
 import math
+import struct
 
 WORD = 32
 
@@ -53,19 +54,25 @@ def rotr(x: int, n: int) -> int:
 
 
 def sha256_compress(state: list[int], block: bytes) -> list[int]:
-    """One plain compression application; used for hashing a claim
-    message's public prefix outside the constraint system."""
-    w = list(int.from_bytes(block[4 * t: 4 * t + 4], "big") for t in range(16))
+    """One plain compression application.  It hashes a claim message's
+    public prefix outside the constraint system, and gives the verifier
+    the output of each in-circuit compression; rotations are written
+    out, since a call per rotation would double its cost."""
+    m = 0xFFFFFFFF
+    w = list(struct.unpack(">16I", block))
     for t in range(16, 64):
-        s0 = rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
-        s1 = rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
-        w.append((w[t - 16] + s0 + w[t - 7] + s1) & 0xFFFFFFFF)
+        x, y = w[t - 15], w[t - 2]
+        s0 = (x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ x >> 3
+        s1 = (y >> 17 | y << 15) ^ (y >> 19 | y << 13) ^ y >> 10
+        w.append((w[t - 16] + s0 + w[t - 7] + s1) & m)
     a, b, c, d, e, f, g, h = state
-    for t in range(64):
-        t1 = (h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + ((e & f) ^ (~e & g)) + SHA256_K[t] + w[t]) & 0xFFFFFFFF
-        t2 = ((rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + ((a & b) ^ (a & c) ^ (b & c))) & 0xFFFFFFFF
-        a, b, c, d, e, f, g, h = (t1 + t2) & 0xFFFFFFFF, a, b, c, (d + t1) & 0xFFFFFFFF, e, f, g
-    return [(s + v) & 0xFFFFFFFF for s, v in zip(state, [a, b, c, d, e, f, g, h])]
+    for k, wt in zip(SHA256_K, w):
+        s1 = (e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)
+        t1 = h + (s1 & m) + (g ^ e & (f ^ g)) + k + wt
+        s0 = (a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)
+        t2 = (s0 & m) + (a & b | c & (a | b))
+        a, b, c, d, e, f, g, h = (t1 + t2) & m, a, b, c, (d + t1) & m, e, f, g
+    return [(s + v) & m for s, v in zip(state, [a, b, c, d, e, f, g, h])]
 
 
 def sha256_pad(length: int) -> bytes:

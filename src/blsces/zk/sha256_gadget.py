@@ -21,29 +21,32 @@ products, 10,472 booleanity checks and 312 linear.  Only this module
 knows the literal format; ``lit_lc`` turns a literal into a linear
 combination for callers.
 
-Two paths synthesize a compression.  The per-bit path runs the
-operations above literal by literal; it is the reference, which the
-recording builder runs.  The block path computes, with plain Python
-ints, the bit of every variable the per-bit path would allocate, in its
-allocation order, and hands the whole block to one ``bd.alloc_bits``
-call with its constraint counts.  Its word operations, over words of
-variables carried as plain ints and words holding constants carried as
-bit masks, are in ``sha256_block``; this module turns the input words'
-literals into those words, with the values it asks the builder for
-(``bd.word_value``).  A builder that knows none (the recording one), or
-input state words that share a variable (where Ch could fold on f ==
-g), take the per-bit path instead; a statement never hands the
-verifier's builder such a block.  In every case the variables, values
-and constraint counts are those of the per-bit path.
+Two paths synthesize a compression.  The per-bit path
+(``sha256_compress_gadget``) runs the operations above literal by
+literal; it is the reference, which the recording builder runs.  The
+verifier's builder takes a compression by its plain output and its
+counts: ``sha256.sha256_compress`` gives the values of the output words,
+and the block path (``block_counts``) runs the same operations over the
+input words' shapes, which of their literals are variables and the
+values of the rest, to count the variables and constraints of each kind
+the per-bit path allocates (see ``sha256_block``).  It computes none of
+the compression's other ~29,000 values: no constraint outside the
+compression reads them, and every constraint inside holds on the values
+the per-bit path computes (see ``statement``).
 
 The plain compression and the constants are in ``sha256``.
 """
 
 from __future__ import annotations
 
-from blsces.zk.r1cs import LC, Builder
+import struct
+from typing import TYPE_CHECKING
+
 from blsces.zk.sha256 import SHA256_K, WORD
-from blsces.zk.sha256_block import MASK, BlockWords, add_width
+from blsces.zk.sha256_block import VAR, BlockWords, add_width, word_shape
+
+if TYPE_CHECKING:  # r1cs runs the gadget through its builders
+    from blsces.zk.r1cs import LC, Builder
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +55,8 @@ from blsces.zk.sha256_block import MASK, BlockWords, add_width
 
 ONE = 0  # variable 0 holds 1
 ZERO = ~ONE
+# the little-endian bit literals of each public byte value
+_BYTE_LITS = [tuple(ONE if byte >> j & 1 else ZERO for j in range(8)) for byte in range(256)]
 
 
 def lit_lc(b: int, k: int = 1) -> LC:
@@ -69,8 +74,8 @@ def _value(bd: Builder, b: int) -> int:
 
 def _compress(ops, state: list, block: list) -> list:
     """One compression over the word operations ``ops``: the per-bit
-    path's over literals or the block path's over ints and masks, which
-    allocate the same variables in the same order."""
+    path's over literals, or the block path's over word shapes, which
+    counts what the per-bit path allocates."""
     w = list(block)
     for t in range(16, 64):
         s0 = ops.sigma(w[t - 15], 7, 18, 3, shift=True)
@@ -176,16 +181,12 @@ class PerBitWords:
 
 class GadgetCalls:
     """Counts, while open as a context manager, the calls of the per-bit
-    ``xor`` and ``ch`` gadgets (``per_bit``; ``maj`` runs both), the
-    block path's word operations that took the mask branch (``masked``),
-    and its compressions that took it though their 24 input words held
-    un-negated variables alone (``masked_all_variable``).  An honest
-    statement makes no per-bit call, and a compression over variables
-    alone takes no mask branch, which the tests and
+    ``xor`` and ``ch`` gadgets (``per_bit``; ``maj`` runs both).  The
+    verifier's builder makes none, which the tests and
     ``scripts/circuit_report.py`` check with it."""
 
     def __init__(self):
-        self.per_bit = self.masked = self.masked_all_variable = 0
+        self.per_bit = 0
         self._saved = {}
 
     def __enter__(self):
@@ -198,59 +199,45 @@ class GadgetCalls:
                 return gadget(*args)
 
             module[name] = counted
-        compress = self._saved["_compress"] = module["_compress"]
-
-        def watched(ops, state, block):
-            out = compress(ops, state, block)
-            if isinstance(ops, BlockWords) and ops.masked:
-                self.masked += ops.masked
-                self.masked_all_variable += all(isinstance(w, int) or w[1:] == (MASK, 0) for w in state + block)
-            return out
-
-        module["_compress"] = watched
         return self
 
     def __exit__(self, *exc):
         globals().update(self._saved)
 
 
-def _input_word(bd: Builder, lits: list[int]):
-    """A word of literals as the block path takes it (a plain int or
-    masks, see ``sha256_block``), or None where the builder knows no
-    value for it."""
-    if min(lits) > ONE:  # un-negated variables only
-        return bd.word_value(lits)
-    v = n = 0
-    for j, b in enumerate(lits):
-        if b < 0:
-            n |= 1 << j
-            if b != ZERO:
-                v |= 1 << j
-        elif b != ONE:
-            v |= 1 << j
-    under = bd.word_value([b if b >= 0 else ~b for b in lits])
-    return None if under is None else (under ^ n, v, n)
-
-
-def _shares_a_variable(words: list[list[int]]) -> bool:
-    lits = [b for w in words for b in w if b != ONE and b != ZERO]
-    return len(set(lits)) != len(lits)
-
-
 def sha256_compress_gadget(bd: Builder, state: list[list[int]], block: list[list[int]]) -> list[list[int]]:
-    """Synthesize one compression application.
+    """Synthesize one compression application per bit.
 
     ``state`` is 8 words, ``block`` 16 words; returns the 8 output
     words.  Word bits may be constants, variables or their negations.
     """
-    words = None if _shares_a_variable(state) else [_input_word(bd, lits) for lits in state + block]
-    if words is None or None in words:
-        return _compress(PerBitWords(bd), state, block)
+    return _compress(PerBitWords(bd), state, block)
+
+
+def block_literals(block: bytes, secret: bytes, var: int) -> list[list[int]]:
+    """The 16 words of a message block as literals: each byte that
+    ``secret`` marks nonzero is held, little-endian, in the next eight
+    variables from ``var`` on, and every other byte is a public constant.
+    A word's bytes are big-endian."""
+    lits: list[int] = []
+    for byte, hidden in zip(block, secret):
+        if hidden:
+            lits += range(var, var + 8)
+            var += 8
+        else:
+            lits += _BYTE_LITS[byte]
+    return [lits[p + 24: p + 32] + lits[p + 16: p + 24] + lits[p + 8: p + 16] + lits[p: p + 8]
+            for p in range(0, 512, 32)]
+
+
+def block_counts(state: list[int], variable_state: bool, block: bytes, secret: bytes) -> BlockWords:
+    """The counts of one compression of ``block`` from ``state``, as the
+    block path takes them: every state word holds variables if
+    ``variable_state``, and constants of its value otherwise; a message
+    byte holds variables where ``secret`` is 0xFF, and is a public
+    constant of its value in ``block`` where it is 0."""
+    words = [word_shape(x, v) for x, v in zip(struct.unpack(">16I", block), struct.unpack(">16I", secret))]
+    state_words = [VAR] * 8 if variable_state else [(x, 0) for x in state]
     ops = BlockWords()
-    _compress(ops, words[:8], words[8:])
-    bits = ops.bits()
-    start = bd.alloc_bits(bits, bools=ops.bools, lins=ops.lins, r1s=len(bits) - ops.bools)
-    # the outputs are the low words of the last eight additions
-    width = add_width(2)
-    base = start + len(bits) - 8 * width
-    return [list(range(k, k + WORD)) for k in range(base, base + 8 * width, width)]
+    _compress(ops, state_words, words)
+    return ops

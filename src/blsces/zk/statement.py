@@ -43,7 +43,10 @@ alone:
   c = g + e(f - g), Maj is a xor and a Ch, and an addition's result and
   carry bits, weighted by powers of 2, equal the operand sum, an
   integer below 2^35, far below the field modulus, so they are the
-  sum's binary digits;
+  sum's binary digits.  Every constraint of a compression holds on
+  these values, its linear ones included, and no constraint outside it
+  reads a variable of it but its output words, which hold the plain
+  compression's output (``sha256.sha256_compress``);
 * the x and sign binding allocates nothing: its linear constraints tie
   the public variables to the last compression's digest bits;
 * a range predicate's decompositions hold the bits of a value the
@@ -53,10 +56,14 @@ alone:
   allocates nothing: its linear constraints compare the value bytes
   with the constant.
 
-So the statement holds exactly when those linear constraints do, on the
-values the public inputs and the secret bytes regenerate; the
-verifier's ``Builder`` evaluates them as they are emitted (see
-``r1cs``).
+So the statement holds exactly when the linear constraints outside the
+compressions do, on the values the public inputs and the secret bytes
+regenerate; the verifier's ``Builder`` evaluates them as they are
+emitted, and takes each compression by its plain output and its counts
+(see ``r1cs``).  ``synthesize`` threads each claim's state through the
+plain compression from the midstate of its public prefix, and hands a
+builder each in-circuit block as its bytes, with the secret ones
+marked.
 """
 
 from __future__ import annotations
@@ -71,11 +78,8 @@ from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import SHA256_IV, sha256_compress, sha256_pad
-from blsces.zk.sha256_gadget import ONE, ZERO, const_word, lit_lc, sha256_compress_gadget
 
 SHA_BITS = 256
-# the little-endian bit literals of each public byte value
-_BYTE_LITS = [tuple(ONE if byte >> j & 1 else ZERO for j in range(8)) for byte in range(256)]
 # The public x enters as little-endian limbs, each below the proof field.
 LIMB_BITS = 64
 NUM_LIMBS = 4
@@ -236,7 +240,9 @@ def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
 @dataclass
 class SynthesisResult:
     cs: ConstraintSystem
-    values: list
+    # the builder's values: all of them, a list, from RecordingBuilder;
+    # the kept ones by variable, a dict, from Builder
+    values: list | dict
     layout: StatementLayout
 
 
@@ -264,9 +270,10 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
     builder ``bd``, from the public inputs and the secret bytes (see the
     module docstring), which fix every value.  ``Builder`` raises
     ``ConstraintViolation`` at the first linear constraint that fails,
-    naming its claim and region; ``RecordingBuilder`` stores every
+    naming its claim and region, and keeps only the values those
+    constraints read; ``RecordingBuilder`` stores every value and
     constraint instead.  The constraints depend only on the layout, so
-    both emit the same ones."""
+    both count the same ones."""
     profile = PROFILES.get(layout.profile_name)
     if profile is None:
         raise StatementError(f"unknown curve profile {layout.profile_name!r}")
@@ -306,53 +313,53 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
     for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
         prefix, segments = _skeleton(layout.ceas_bytes, ceas.n, cl.index, cl.lens)
 
-        # the little-endian bit literals of each byte from the first
-        # in-circuit block: constants for public bytes, and variables
-        # holding the next secret bytes, allocated a component's share of
-        # a block at a time
-        lits: list[int] = []
-        value_bytes: list[LC] = []
-        for start, data, kind in segments:
+        # the claim's secret bytes as message bits, little-endian, in
+        # message order; then its message from the first in-circuit block
+        # to the end of the padding, with 0xFF marking each secret byte
+        size = sum(cl.lens) + 1
+        claim_secret = secret[taken: taken + size]
+        taken += size
+        bd.region = f"claim {cl.index}, sha256 block {cl.first_block}"
+        var = bd.bits_of(int.from_bytes(claim_secret, "little"), 8 * size)[0]
+        value_lcs_by_index[cl.index] = []
+        msg = bytearray()
+        hidden = bytearray()
+        pos = 0  # secret bytes placed
+        for _, data, kind in segments:
             if kind is None:
-                for byte in data:
-                    lits += _BYTE_LITS[byte]
+                msg += data
+                hidden += bytes(len(data))
                 continue
-            end = start + data
-            cuts = [start, *range(start - start % 64 + 64, end, 64), end]
-            for lo, hi in zip(cuts, cuts[1:]):
-                bd.region = f"claim {cl.index}, sha256 block {lo // 64}"
-                chunk = secret[taken: taken + hi - lo]
-                taken += hi - lo
-                bits = bd.bits_of(int.from_bytes(chunk, "little"), 8 * (hi - lo))
-                lits += bits
-                if kind == "value":
-                    value_bytes += [tuple((b + j, 1 << j) for j in range(8)) for b in bits[::8]]
-        value_lcs_by_index[cl.index] = value_bytes
+            if kind == "value":
+                first = var + 8 * pos
+                value_lcs_by_index[cl.index] = [
+                    tuple((b + j, 1 << j) for j in range(8)) for b in range(first, first + 8 * data, 8)
+                ]
+            msg += claim_secret[pos: pos + data]
+            hidden += b"\xff" * data
+            pos += data
 
         # the state after the public prefix, as constants
         state = shared_state
         for k in range(shared_len, len(prefix), 64):
             state = sha256_compress(state, prefix[k: k + 64])
-        state_words = [const_word(v) for v in state]
+        state_words = None
 
-        # in-circuit compressions; a word's big-endian bytes, little-endian bits
-        for blk in range(cl.first_block, cl.total_blocks):
-            bd.region = f"claim {cl.index}, sha256 block {blk}"
-            base = 512 * (blk - cl.first_block)
-            block_words = [lits[p + 24: p + 32] + lits[p + 16: p + 24] + lits[p + 8: p + 16] + lits[p: p + 8]
-                           for p in range(base, base + 512, 32)]
-            state_words = sha256_compress_gadget(bd, state_words, block_words)
+        # in-circuit compressions
+        for k in range(0, len(msg), 64):
+            bd.region = f"claim {cl.index}, sha256 block {cl.first_block + k // 64}"
+            block_var = var + 8 * hidden.count(0xFF, 0, k)
+            state, state_words = bd.compress(state, state_words, msg[k: k + 64], hidden[k: k + 64], block_var)
 
-        # bind public x limbs and sign to the digest bits; digest bit t is
-        # little-endian over the 256-bit big-endian digest
+        # bind public x limbs and sign to the digest bits, variables all;
+        # digest bit t is little-endian over the 256-bit big-endian digest
         digest = [b for word in reversed(state_words) for b in word]
         bd.region = f"claim {cl.index}, binding"
         for j in range(NUM_LIMBS):
-            lc = [(limbs[j], -1)]
-            for m in range(LIMB_BITS * j, min(LIMB_BITS * (j + 1), l_bits)):
-                lc += lit_lc(digest[m + shift], 1 << (m - LIMB_BITS * j))
-            bd.add_lin(lc)
-        bd.add_lin([(sign, -1), *lit_lc(digest[shift - 1])])
+            low = LIMB_BITS * j
+            bits = range(low, min(low + LIMB_BITS, l_bits))
+            bd.add_lin([(limbs[j], -1), *((digest[m + shift], 1 << (m - low)) for m in bits)])
+        bd.add_lin([(sign, -1), (digest[shift - 1], 1)])
 
     # ---- application predicate -------------------------------------------
     if predicate is not None:

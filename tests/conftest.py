@@ -45,3 +45,12 @@ def random_ceas(rng: random.Random, n: int, max_subsets: int = 4) -> CEAS:
     all_masks = list(range(1, 1 << n))
     rng.shuffle(all_masks)
     return CEAS(n=n, subsets=frozenset(all_masks[: rng.randint(1, min(max_subsets, len(all_masks)))]))
+
+
+def assert_keeps_recorded(checked, recorded) -> None:
+    """``checked`` (the verifier's builder or its synthesis) allocated as
+    many variables as ``recorded`` (the recording builder's), and every
+    value it keeps is the recorded value at its index: the verifier
+    regenerates the witness wherever a constraint reads it."""
+    assert checked.cs.num_vars == recorded.cs.num_vars == len(recorded.values)
+    assert all(recorded.values[var] == value for var, value in checked.values.items())

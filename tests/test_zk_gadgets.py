@@ -6,6 +6,9 @@ import random
 from itertools import product
 
 import pytest
+from conftest import assert_keeps_recorded
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blsces.credential import CEAS, Claim, Credential
 from blsces.errors import ConstraintViolation, EncodingError, StatementError
@@ -76,81 +79,79 @@ def test_sha_gadget_rejects_flipped_witness_bit():
     assert not bd.cs.satisfied(w)
 
 
-def mixed_words(r: random.Random, count: int, pool: list[int]) -> list[list[int]]:
-    """Words of literals drawn from ``pool``, each negated at random, and
-    of constants: all variables, all constants, or half and half."""
-    def literal(share):
-        if r.random() < share:
-            return r.choice((ONE, ZERO))
-        v = r.choice(pool)
-        return ~v if r.random() < 0.3 else v
+@st.composite
+def block_shapes(draw):
+    """A message block as runs of public or secret bytes, each run of any
+    length at any offset: its bytes, and 0xFF marking each secret one."""
+    block, secret = bytearray(), bytearray()
+    while len(block) < 64:
+        run = draw(st.binary(min_size=1, max_size=64 - len(block)))
+        block += run
+        secret += (b"\xff" if draw(st.booleans()) else b"\0") * len(run)
+    return bytes(block), bytes(secret)
 
-    return [[literal(share) for _ in range(32)] for share in (r.choice((0.0, 0.5, 1.0)) for _ in range(count))]
+
+def compress_both(state, variable_state, block, secret):
+    """One compression through the verifier's builder, then the recording
+    one, which runs per bit, over the same variables: the state's 256
+    fresh variables if ``variable_state``, and the secret bytes' message
+    bits.  Returns per builder the builder, the output state's values and
+    variables, and the per-bit gadget calls it made."""
+    runs = []
+    for bd in (Builder(), RecordingBuilder()):
+        words = [bd.bits_of(v, 32) for v in state] if variable_state else None
+        var = bd.num_vars
+        hidden = bytes(b for b, h in zip(block, secret) if h)
+        bd.bits_of(int.from_bytes(hidden, "little"), 8 * len(hidden))
+        with sha256_gadget.GadgetCalls() as spy:
+            out_state, out = bd.compress(state, words, block, secret, var)
+        runs.append((bd, out_state, out, spy.per_bit))
+    return runs
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["distinct-state", "shared-state"])
-def test_block_path_matches_per_bit_on_any_literals(shared):
-    """Over state and message words mixing variables, negations and
-    constants, the verifier's builder allocates the values of the
-    recording builder, which runs per bit, under its per-kind counts.
-    State words whose variables are distinct take the block path, with
-    no per-bit xor or Ch.  State words that share a variable, where Ch
-    and Maj could fold on f == g, take the per-bit path (no statement
-    hands the verifier such a block)."""
-    r = random.Random(0x5A)
-    for _ in range(3):
-        bits = [r.getrandbits(1) for _ in range(300)]
-        # the same literals over variables 1..300 for every builder
-        if shared:
-            state = mixed_words(r, 8, list(range(1, 41)))
-        else:
-            # each variable literal of variable 1 becomes its own variable
-            fresh = iter(r.sample(range(1, 257), 256))
-            state = [[lit if lit in (ONE, ZERO) else (~v if lit < 0 else v) for lit in w for v in [next(fresh)]]
-                     for w in mixed_words(r, 8, [1])]
-        block = mixed_words(r, 16, list(range(257, 301)))
-        runs = []
-        for bd in (Builder(), RecordingBuilder()):
-            for b in bits:
-                bd.bit(b)
-            with sha256_gadget.GadgetCalls() as spy:
-                out = sha256_compress_gadget(bd, state, block)
-            cs = bd.cs
-            runs.append((out, list(bd.values), (len(cs.bools), len(cs.lins), len(cs.r1s)), spy.per_bit))
-        (out, values, counts, block_calls), (per_bit_out, per_bit_values, per_bit_counts, _) = runs
-        assert values == per_bit_values and counts == per_bit_counts and out == per_bit_out
-        assert (block_calls > 0) == shared
+def per_kind(bd):
+    cs = bd.cs
+    return cs.num_vars, len(cs.bools), len(cs.lins), len(cs.r1s)
+
+
+@given(st.lists(st.integers(0, (1 << 32) - 1), min_size=8, max_size=8), st.booleans(), block_shapes())
+@settings(max_examples=30, deadline=None)
+def test_block_path_matches_per_bit_on_any_shape(state, variable_state, shape):
+    """Over a state of constants or of variables, and a block of public
+    and secret bytes at every alignment, the verifier's builder counts
+    the variables and the constraints of each kind the recording
+    builder allocates per bit, with the output words at the same
+    indices, keeps each of their values as recorded, and gives the plain
+    compression's output, without a per-bit xor or Ch."""
+    block, secret = shape
+    (bd, out_state, out, calls), (recorder, recorded_state, recorded_out, _) = compress_both(
+        state, variable_state, block, secret
+    )
+    assert per_kind(bd) == per_kind(recorder)
+    assert out == recorded_out
+    assert_keeps_recorded(bd, recorder)
+    assert out_state == recorded_state == sha256_compress(state, block)
+    assert [sum(bd.values[b] << j for j, b in enumerate(w)) for w in out] == out_state
+    assert calls == 0
 
 
 @pytest.mark.parametrize("constant_state", [False, True], ids=["all-variable", "constant-state"])
 def test_int_branch_matches_per_bit(constant_state):
-    """With every message word fresh variables, and the state fresh
-    variables too or constants, the verifier's builder allocates the
-    values of the recording builder, which runs per bit, under its
-    per-kind counts, and makes no per-bit xor or Ch.  Over variables
-    alone no word operation takes the mask branch; over a constant state
-    exactly the eight of rounds 0-2 that read a state word do (Sigma0,
-    Sigma1, Ch and Maj of round 0, Ch and Maj of rounds 1 and 2), so the
-    constants reach no later round."""
+    """With every message byte secret, and the state fresh variables or
+    constants, the verifier's builder counts what the recording builder
+    allocates per bit, keeps the recorded values of its output words at
+    the recorded indices, and makes no per-bit xor or Ch."""
     for seed in range(4):
         r = random.Random(seed)
-        state_values = [r.getrandbits(32) for _ in range(8)]
+        state = [r.getrandbits(32) for _ in range(8)]
         block = r.randbytes(64)
-        runs = []
-        for bd in (Builder(), RecordingBuilder()):
-            if constant_state:
-                state = [const_word(v) for v in state_values]
-            else:
-                state = [bd.bits_of(v, 32) for v in state_values]
-            words = [bd.bits_of(int.from_bytes(block[4 * t: 4 * t + 4], "big"), 32) for t in range(16)]
-            with sha256_gadget.GadgetCalls() as spy:
-                out = sha256_compress_gadget(bd, state, words)
-            cs = bd.cs
-            runs.append((out, list(bd.values), (len(cs.bools), len(cs.lins), len(cs.r1s)), spy))
-        (out, values, counts, spy), (per_bit_out, per_bit_values, per_bit_counts, _) = runs
-        assert values == per_bit_values and counts == per_bit_counts and out == per_bit_out, seed
-        assert [sum(values[b] << j for j, b in enumerate(w)) for w in out] == sha256_compress(state_values, block)
-        assert (spy.per_bit, spy.masked, spy.masked_all_variable) == (0, 8 if constant_state else 0, 0), seed
+        (bd, out_state, out, calls), (recorder, _, recorded_out, _) = compress_both(
+            state, not constant_state, block, b"\xff" * 64
+        )
+        assert per_kind(bd) == per_kind(recorder) and out == recorded_out, seed
+        assert_keeps_recorded(bd, recorder)
+        assert [sum(bd.values[b] << j for j, b in enumerate(w)) for w in out] == sha256_compress(state, block)
+        assert calls == 0, seed
 
 
 # -- bit literals ------------------------------------------------------------------
@@ -339,7 +340,7 @@ def test_checking_builder_matches_first_violation():
                 accepted = False
                 assert str(exc) == "claim 0, predicate: lin constraint 0 fails", (name, w)
             assert accepted == recorder.cs.satisfied(recorder.values), (name, w)
-            assert bd.values == recorder.values, (name, w)
+            assert_keeps_recorded(bd, recorder)
             verdicts.add(accepted)
         assert verdicts == {True, False}, name
     bd = Builder()
