@@ -34,7 +34,7 @@ from blsces.errors import ConstraintViolation
 from blsces.groups.params import BN254, TOY
 from blsces.zk import Builder, RecordingBuilder, hash_to_curve_witness, prover_layout, synthesize
 from blsces.zk import sha256_gadget
-from blsces.zk.predicates import RangePredicate
+from blsces.zk.predicates import EqualsPredicate
 
 
 class RegionRecorder(RecordingBuilder):
@@ -73,12 +73,13 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     credential.  Long claims are 2 of 6 under a policy of all 63 subsets,
     whose 71 canonical bytes put every secret byte past block 0, and
     carry 85-byte values, so blocks 1-3 of each are in-circuit and block
-    2 holds secret bytes alone.  The first has a range predicate."""
+    2 holds secret bytes alone.  The first has an equals predicate on its
+    value; a range predicate takes values of at most 76 digits."""
     if long_claims:
         width = 6
         cred = Credential(tuple(Claim("holder", f"field{i}", str(10**84 + i)) for i in range(width)))
         sets = [[i for i in range(width) if m >> i & 1] for m in range(1, 1 << width)]
-        predicate = RangePredicate(0, 10**84, 10**85)
+        predicate = EqualsPredicate(0, str(10**84))
     else:
         width = n_claims
         cred = Credential(tuple(Claim("holder", f"field{i}", str(20 + i)) for i in range(width)))

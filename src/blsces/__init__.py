@@ -5,9 +5,10 @@ issuer signs each claim individually under a signer-chosen extraction
 policy; anyone holding the signed credential can blind claims and
 aggregate the remaining signatures into a single short presentation
 signature, which verifies against the issuer key alone.  A constraint
-system layer can additionally prove, without revealing claims, that the
-hash-to-curve step was evaluated correctly and that a predicate holds
-over claim values, leaving only the pairing check to the verifier.
+system layer can additionally prove that the hash-to-curve step was
+evaluated correctly and that a predicate holds over claim values,
+leaving only the pairing check to the verifier; its transparent proof
+carries the disclosed claims' bytes, so it hides them from no one.
 """
 
 from blsces.bls import (

@@ -40,7 +40,6 @@ EXIT_MALFORMED = 2
 EXIT_IO = 3
 
 
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -236,12 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secret-out", required=True)
     p.add_argument("--public-out", required=True)
     p.add_argument("--seed", type=int, default=None, help="deterministic key for test vectors")
+    p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("issue", help="sign a credential claim by claim")
     p.add_argument("--key", required=True)
     p.add_argument("--credential", required=True)
     p.add_argument("--ceas", default=None, help="extraction policy file, if not in the credential")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_issue)
 
     p = sub.add_parser("extract", help="derive a presentation disclosing selected claims")
     p.add_argument("--signed", required=True)
@@ -249,51 +250,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reextractable", action="store_true")
     p.add_argument("--both-blinded", action="store_true", help="blind properties of hidden claims too")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("verify", help="verify a presentation")
     p.add_argument("--pubkey", required=True)
     p.add_argument("--presentation", required=True)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prove", help="prove hashing and predicate for a disclosure")
     p.add_argument("--signed", required=True)
     p.add_argument("--indices", required=True)
     p.add_argument("--predicate", default=None, help="range:IDX:LO:HI or equals:IDX:VALUE")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("zk-verify", help="verify a proof bundle under an issuer key")
     p.add_argument("--pubkey", required=True)
     p.add_argument("--bundle", required=True)
     p.add_argument("--predicate", default=None, help="accept only a proof of this predicate, as for prove")
+    p.set_defaults(func=cmd_zk_verify)
 
     p = sub.add_parser("gen-vectors", help="write golden test vectors")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=20240001)
+    p.set_defaults(func=cmd_gen_vectors)
 
-    sub.add_parser("self-test", help="run a built-in sanity flow")
+    sub.add_parser("self-test", help="run a built-in sanity flow").set_defaults(func=cmd_self_test)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "keygen":
-            return cmd_keygen(args)
-        if args.command == "issue":
-            return cmd_issue(args)
-        if args.command == "extract":
-            return cmd_extract(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "prove":
-            return cmd_prove(args)
-        if args.command == "zk-verify":
-            return cmd_zk_verify(args)
-        if args.command == "gen-vectors":
-            return cmd_gen_vectors(args)
-        if args.command == "self-test":
-            return cmd_self_test(args)
-        parser.error(f"unknown command {args.command}")
+        return args.func(args)
     except _IoError as exc:
         _emit({"ok": False, "error": str(exc), "kind": "io"})
         return EXIT_IO
@@ -306,7 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     except BlscesError as exc:
         _emit({"ok": False, "error": str(exc), "kind": "error"})
         return EXIT_MALFORMED
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,11 +27,23 @@ def _range_bits(bd: Builder, lc: LC, width: int) -> None:
     bd.add_lin(tuple(lc) + tuple((b, -(1 << j)) for j, b in enumerate(bits)))
 
 
+# The constraints hold modulo the scalar field R, so a value or bound
+# near R could wrap round.  A value of at most 76 digits is below
+# 10^76 < R and a bound is below 2^252, so value - low or high - value,
+# when negative, wraps to at least R - 10^76 > 2^252, which no
+# decomposition of the width (at most 252 bits) can hold: each check is
+# exact over the integers.
+MAX_DIGITS = 76
+MAX_BOUND_BITS = 252
+
+
 @dataclass(frozen=True)
 class RangePredicate:
-    """The claim value, read as an ASCII decimal integer, lies in
-    [low, high].  Every byte is constrained to be a digit; the two-sided
-    bound uses bit decompositions of value - low and high - value."""
+    """The claim value, read as an ASCII decimal integer of at most
+    ``MAX_DIGITS`` digits, lies in [low, high], with high below
+    2^``MAX_BOUND_BITS``.  Every byte is constrained to be a digit; the
+    two-sided bound uses bit decompositions of value - low and
+    high - value."""
 
     claim_index: int
     low: int
@@ -40,13 +52,15 @@ class RangePredicate:
     def __post_init__(self):
         if self.low > self.high or self.low < 0:
             raise StatementError("empty or negative range")
+        if self.high >> MAX_BOUND_BITS:
+            raise StatementError(f"range bound of 2^{MAX_BOUND_BITS} or more")
 
     def describe(self) -> dict:
         return {"kind": "range", "claim_index": self.claim_index, "low": self.low, "high": self.high}
 
     def synthesize(self, bd: Builder, value_bytes: list[LC]) -> None:
-        if not value_bytes:
-            raise StatementError("range predicate over an empty value")
+        if not 0 < len(value_bytes) <= MAX_DIGITS:
+            raise StatementError(f"range predicate over a value of {len(value_bytes)} bytes, not 1 to {MAX_DIGITS}")
         digits = []
         for byte_lc in value_bytes:
             digit = _lc_sub_const(byte_lc, ord("0"))

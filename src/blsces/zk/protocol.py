@@ -1,7 +1,7 @@
-"""Proving and verifying extractions without revealing claims.
+"""Proving and verifying extractions with a constraint-system proof.
 
 The holder proves, inside the constraint system, that hash-to-curve was
-evaluated correctly over the (secret) encoded claim messages and that
+evaluated correctly over the encoded claim messages and that
 the application predicate holds; the verifier decompresses the
 resulting points from the public (x, sign) pairs and performs the
 aggregate pairing check itself, outside the proof.  Verification is the
@@ -15,6 +15,11 @@ conjunction of three independently reported checks:
 and, when the verifier names the predicate it expects, a fourth: the
 proof's layout proves exactly that predicate.  The backend checks that
 one from the proof's header, before any other work.
+
+The transparent backend's proof carries each disclosed claim's subject,
+property, value and counter bytes, so the verifier learns the claims;
+the statement's secret bytes are secret only from the constraint
+system's point of view.
 """
 
 from __future__ import annotations

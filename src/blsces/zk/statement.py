@@ -72,7 +72,10 @@ import struct
 from dataclasses import dataclass
 
 from blsces.bls import HashToG1Result
-from blsces.credential import CEAS, Claim, encode_claim_message
+from blsces.credential import CEAS
+# encode_claim_message, which _claim_message follows, stays importable
+# here: perfbench/tracing.py binds it by name.
+from blsces.credential import encode_claim_message  # noqa: F401
 from blsces.errors import EncodingError, StatementError, ValidationError
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
@@ -196,45 +199,25 @@ class StatementLayout:
             raise EncodingError(f"malformed statement layout: {exc!r}") from exc
 
 
-def _component_lengths(claim: Claim) -> tuple[int, int, int]:
-    return (
-        len(claim.subject.encode("utf-8")),
-        len(claim.property.encode("utf-8")),
-        len(claim.value.encode("utf-8")),
-    )
-
-
-def _skeleton(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]):
-    """The public shape of a claim message with its counter byte and
-    padding, built from public data only.
+def _claim_message(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int], claim_secret: bytes):
+    """Claim i's message with its counter byte and sha256 padding, and a
+    mask marking each secret byte 0xFF and each public byte 0.
 
     The message follows ``encode_claim_message``: the length-prefixed
     policy bytes, n and i as 4-byte integers, then subject, property
-    and value, each after its 4-byte length.  Returns the prefix, the
-    whole blocks before the block of the first secret byte, which hold
-    only public bytes; and the rest of the message with its counter byte
-    up to the end of the padding as segments (offset, data, kind):
-    public bytes with kind None, or a secret component's length and its
-    kind ("subject", "property", "value" or "counter").  No secret byte
-    is built, so a declared length costs no memory.  The lengths are a
-    ``ClaimLayout``'s, which fit their 4-byte prefixes."""
-    parts = [(struct.pack(">I", len(ceas_bytes)) + ceas_bytes + struct.pack(">II", n, i), None)]
-    for length, kind in zip(lens, ("subject", "property", "value")):
-        parts += [(struct.pack(">I", length), None), (length, kind)]
-    parts.append((1, "counter"))
-    segments = []
+    and value, each after its 4-byte length; ``claim_secret`` holds the
+    three components, of the lengths ``lens``, and the counter byte.
+    The lengths are a ``ClaimLayout``'s, which fit their 4-byte
+    prefixes."""
+    msg = bytearray(struct.pack(">I", len(ceas_bytes)) + ceas_bytes + struct.pack(">II", n, i))
+    mask = bytearray(len(msg))
     pos = 0
-    for data, kind in parts:
-        size = data if kind else len(data)
-        if size:
-            segments.append((pos, data, kind))
-        pos += size
-    segments.append((pos, sha256_pad(pos), None))
-    # everything before the first secret byte is public and contiguous
-    start = 64 * _first_block(pos, lens)
-    head = b"".join(data for off, data, _ in segments if off < start)
-    rest = [(start, head[start:], None)] if len(head) > start else []
-    return head[:start], rest + [seg for seg in segments if seg[0] >= start]
+    for length in lens:
+        msg += struct.pack(">I", length) + claim_secret[pos: pos + length]
+        mask += bytes(4) + b"\xff" * length
+        pos += length
+    pad = sha256_pad(len(msg) + 1)
+    return bytes(msg + claim_secret[pos:] + pad), bytes(mask + b"\xff" + bytes(len(pad)))
 
 
 @dataclass
@@ -311,45 +294,31 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
     value_lcs_by_index: dict[int, list[LC]] = {}
     taken = 0
     for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
-        prefix, segments = _skeleton(layout.ceas_bytes, ceas.n, cl.index, cl.lens)
-
         # the claim's secret bytes as message bits, little-endian, in
-        # message order; then its message from the first in-circuit block
-        # to the end of the padding, with 0xFF marking each secret byte
+        # message order; the value's bytes follow subject and property
         size = sum(cl.lens) + 1
         claim_secret = secret[taken: taken + size]
         taken += size
         bd.region = f"claim {cl.index}, sha256 block {cl.first_block}"
         var = bd.bits_of(int.from_bytes(claim_secret, "little"), 8 * size)[0]
-        value_lcs_by_index[cl.index] = []
-        msg = bytearray()
-        hidden = bytearray()
-        pos = 0  # secret bytes placed
-        for _, data, kind in segments:
-            if kind is None:
-                msg += data
-                hidden += bytes(len(data))
-                continue
-            if kind == "value":
-                first = var + 8 * pos
-                value_lcs_by_index[cl.index] = [
-                    tuple((b + j, 1 << j) for j in range(8)) for b in range(first, first + 8 * data, 8)
-                ]
-            msg += claim_secret[pos: pos + data]
-            hidden += b"\xff" * data
-            pos += data
+        first = var + 8 * (cl.lens[0] + cl.lens[1])
+        value_lcs_by_index[cl.index] = [
+            tuple((b + j, 1 << j) for j in range(8)) for b in range(first, first + 8 * cl.lens[2], 8)
+        ]
+        msg, mask = _claim_message(layout.ceas_bytes, ceas.n, cl.index, cl.lens, claim_secret)
 
         # the state after the public prefix, as constants
+        start = 64 * cl.first_block
         state = shared_state
-        for k in range(shared_len, len(prefix), 64):
-            state = sha256_compress(state, prefix[k: k + 64])
+        for k in range(shared_len, start, 64):
+            state = sha256_compress(state, msg[k: k + 64])
         state_words = None
 
-        # in-circuit compressions
-        for k in range(0, len(msg), 64):
-            bd.region = f"claim {cl.index}, sha256 block {cl.first_block + k // 64}"
-            block_var = var + 8 * hidden.count(0xFF, 0, k)
-            state, state_words = bd.compress(state, state_words, msg[k: k + 64], hidden[k: k + 64], block_var)
+        # in-circuit compressions, from the block of the first secret byte
+        for k in range(start, len(msg), 64):
+            bd.region = f"claim {cl.index}, sha256 block {k // 64}"
+            block_var = var + 8 * mask.count(0xFF, start, k)
+            state, state_words = bd.compress(state, state_words, msg[k: k + 64], mask[k: k + 64], block_var)
 
         # bind public x limbs and sign to the digest bits, variables all;
         # digest bit t is little-endian over the 256-bit big-endian digest
@@ -397,11 +366,16 @@ def prover_layout(
     for i in idxs:
         if cred[i].hidden:
             raise StatementError(f"claim {i} is hidden")
+    # a claim's secret bytes: its subject, property and value, then its counter
+    parts = [
+        (cred[i].subject.encode("utf-8"), cred[i].property.encode("utf-8"), cred[i].value.encode("utf-8"))
+        for i in idxs
+    ]
     layout = StatementLayout(
         profile_name=profile_name,
         ceas_bytes=ceas.to_bytes(),
         extraction=idxs,
-        claim_lens=tuple(_component_lengths(cred[i]) for i in idxs),
+        claim_lens=tuple(tuple(map(len, p)) for p in parts),
         predicate=predicate.describe() if predicate is not None else None,
     )
     inputs = PublicInputs(
@@ -410,15 +384,8 @@ def prover_layout(
         ceas_bytes=layout.ceas_bytes,
         extraction=idxs,
     )
-    # a claim's secret bytes are its message's bytes at the skeleton's
-    # secret segments, the counter last
-    secret = bytearray()
-    for cl in layout.claims:
-        msg = encode_claim_message(ceas, n, cl.index, cred[cl.index]) + bytes([hashed[cl.index].counter])
-        for start, data, kind in _skeleton(layout.ceas_bytes, n, cl.index, cl.lens)[1]:
-            if kind:
-                secret += msg[start: start + data]
-    return layout, inputs, bytes(secret)
+    secret = b"".join(b"".join(p) + bytes([hashed[i].counter]) for i, p in zip(idxs, parts))
+    return layout, inputs, secret
 
 
 def build_statement(

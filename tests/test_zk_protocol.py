@@ -21,7 +21,7 @@ from blsces.ces import ces_extract, ces_sign
 from blsces.credential import MAX_CEAS_SUBSETS, MAX_CEAS_WIDTH, CEAS, Claim, Credential, ExtractionSet, encode_claim_message
 from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError, StatementError, ValidationError
 from blsces.groups import decompress_x
-from blsces.groups.params import BN254, TOY
+from blsces.groups.params import BN254, R, TOY
 from blsces.zk import (
     BackendParams,
     EqualsPredicate,
@@ -36,9 +36,10 @@ from blsces.zk import (
     zk_verify,
 )
 from blsces.zk import backend, sha256_gadget, statement
+from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import Builder, RecordingBuilder, lc_value
 from blsces.zk.sha256 import sha256_pad
-from blsces.zk.statement import PublicInputs, StatementLayout, _skeleton, prover_layout, public_assignment
+from blsces.zk.statement import PublicInputs, StatementLayout, _claim_message, prover_layout, public_assignment
 
 rng = random.Random(17)
 
@@ -417,8 +418,8 @@ def op_kinds(monkeypatch, layout, inputs, secret):
 def secret_word(layout):
     """The message word holding claim 0's first secret byte."""
     cl = layout.claims[0]
-    segments = _skeleton(layout.ceas_bytes, 1, cl.index, cl.lens)[1]
-    return next(start for start, _, kind in segments if kind) // 4
+    _, mask = _claim_message(layout.ceas_bytes, 1, cl.index, cl.lens, bytes(sum(cl.lens) + 1))
+    return mask.index(0xFF) // 4
 
 
 @pytest.mark.parametrize("value", ["42", "x" * 80], ids=["one-block", "two-block"])
@@ -545,13 +546,15 @@ def test_unsatisfied_verdict_names_claim_and_block(issuer, tmp_path):
     assert proc.returncode == 1 and (diag["code"], diag["detail"]) == (r.code, verdict.detail), proc
 
 
-def test_skeleton_builds_only_the_suffix():
-    """The prefix, and the segments from the block of the first secret
-    byte on, equal those cut from the whole zeroed message, for every
-    split of small component lengths, empty components included, under a
-    narrow policy (nothing hashed outside) and a wide one (block 0
-    hashed outside), with the padding spilling into a block of its own or
-    not.  A declared length builds nothing of its size, and a length the
+def test_claim_message_matches_the_signed_encoding():
+    """The message ``synthesize`` hashes is the signed encoding, the
+    counter byte and the sha256 padding, and its mask marks exactly the
+    three components and the counter, for every split of small
+    component lengths, empty components included, under a narrow policy
+    (nothing hashed outside) and a wide one (block 0 hashed outside),
+    with the padding spilling into a block of its own or not.  The
+    layout's message length, first in-circuit block and block count,
+    read from the lengths alone, agree with the mask, and a length the
     4-byte prefix cannot hold is refused."""
     shapes = set()
     for ceas in (CEAS.from_index_sets(6, [[0], [0, 1, 2]]), WIDE_CEAS):
@@ -560,31 +563,26 @@ def test_skeleton_builds_only_the_suffix():
             for lp in (0, 3):
                 for lv in range(150):
                     lens = (ls, lp, lv)
-                    base = encode_claim_message(ceas, 6, 1, Claim("\x00" * ls, "\x00" * lp, "\x00" * lv))
-                    msg_len = len(base) + 1
-                    full = base + b"\x00" + sha256_pad(msg_len)
-                    spans, pos = [], 4 + len(ceas_bytes) + 8
-                    for length, kind in zip(lens, ("subject", "property", "value")):
-                        if length:
-                            spans.append((pos + 4, length, kind))
+                    claim = Claim("s" * ls, "p" * lp, "v" * lv)
+                    secret = ("s" * ls + "p" * lp + "v" * lv).encode() + b"\x5a"
+                    base = encode_claim_message(ceas, 6, 1, claim) + b"\x5a"
+                    msg, mask = _claim_message(ceas_bytes, 6, 1, lens, secret)
+                    assert msg == base + sha256_pad(len(base)), lens
+                    want = bytearray(len(msg))
+                    pos = 4 + len(ceas_bytes) + 8
+                    for length in lens:
+                        want[pos + 4: pos + 4 + length] = b"\xff" * length
                         pos += 4 + length
-                    spans.append((pos, 1, "counter"))
-                    start = 64 * (spans[0][0] // 64)
-                    prefix, segments = _skeleton(ceas_bytes, 6, 1, lens)
+                    want[pos] = 0xFF
+                    assert mask == want, lens
                     cl = statement.build_claim_layout(ceas_bytes, 1, lens)
-                    assert (cl.msg_len, prefix) == (msg_len, full[:start]), lens
-                    assert segments[0][0] == start, lens
-                    rebuilt = b"".join(bytes(data) if kind else data for _, data, kind in segments)
-                    assert rebuilt == full[start:], lens
-                    assert [(off, data, kind) for off, data, kind in segments if kind] == spans, lens
-                    assert (cl.first_block, cl.total_blocks) == (start // 64, len(full) // 64), lens
-                    shapes.add((start // 64, (len(full) - start) // 64))
+                    assert cl.msg_len == len(base) == mask.rindex(0xFF) + 1, lens
+                    assert (cl.first_block, cl.total_blocks) == (mask.index(0xFF) // 64, len(msg) // 64), lens
+                    shapes.add((cl.first_block, cl.total_blocks - cl.first_block))
     assert {first for first, _ in shapes} == {0, 1}
     assert {blocks for _, blocks in shapes} == {1, 2, 3, 4}
     ceas_bytes = WIDE_CEAS.to_bytes()
-    prefix, segments = _skeleton(ceas_bytes, 6, 1, (0, 0, (1 << 32) - 1))
     assert statement.build_claim_layout(ceas_bytes, 1, (0, 0, (1 << 32) - 1)).msg_len == 4 + len(ceas_bytes) + 8 + 12 + (1 << 32)
-    assert len(prefix) + sum(len(data) for _, data, kind in segments if not kind) <= 4 + len(ceas_bytes) + 8 + 12 + 72
     for lens in ((1 << 32, 0, 0), (0, -1, 0)):
         with pytest.raises(StatementError):
             statement.build_claim_layout(ceas_bytes, 1, lens)
@@ -706,6 +704,38 @@ def test_equals_predicate():
 def test_predicate_must_target_disclosed_claim():
     with pytest.raises(StatementError):
         toy_statement("42", RangePredicate(1, 0, 99))
+
+
+def test_range_predicate_cannot_wrap_modulo_the_field(issuer):
+    """The predicate's checks hold modulo the scalar field R, so a value
+    of 77 digits or a bound of 2^252 or more could wrap round it: str(R +
+    20) is 20 modulo R, inside [18, 65], and 20 - 50 wraps to a number
+    below 2^300.  A proof over the first is refused when the verifier
+    rebuilds the statement, and the second bound is refused when the
+    predicate is made or read from a header; a zero-padded 76-digit value
+    in range, and the widest bound, are still accepted."""
+    for high in (2**252, 2**300):
+        with pytest.raises(StatementError):
+            RangePredicate(0, 50, high)
+        with pytest.raises(StatementError):
+            predicate_from_descriptor({"kind": "range", "claim_index": 0, "low": 50, "high": high})
+    ceas = CEAS.from_index_sets(1, [[0]])
+    x = ExtractionSet(frozenset({0}))
+    cases = (
+        (str(R + 20), RangePredicate(0, 18, 65), "proof_rejected:statement_rebuild_failed"),
+        ("0" * 74 + "42", RangePredicate(0, 18, 65), "ok"),
+        ("0" * 74 + "42", RangePredicate(0, 0, 2**252 - 1), "ok"),
+    )
+    for value, predicate, code in cases:
+        cred = Credential((Claim("h", "age", value),))
+        pres = ces_extract(ces_sign(issuer.sk, cred, ceas), x)
+        proof, inputs = prove_extraction(BackendParams(), cred, ceas, x, predicate)
+        r = zk_verify(BackendParams(), issuer.pk, pres.sigma, proof, inputs, predicate=predicate)
+        assert (r.accept, r.code) == (code == "ok", code), value
+        assert r.pairing_ok
+    layout, inputs, secret = statement_args(Claim("h", "age", "7" * 77), predicate=RangePredicate(0, 0, 99))
+    with pytest.raises(StatementError):
+        synthesize(layout, RecordingBuilder(), inputs, secret)
 
 
 # -- transparent backend ----------------------------------------------------------------
