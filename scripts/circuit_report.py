@@ -7,11 +7,12 @@ system, and prints constraint/variable counts, the constraints of each
 region ("claim i, sha256 block b", "claim i, binding", "claim i,
 predicate"), the secret bytes a proof carries, the times of the two
 syntheses (the recorded build, which stores every constraint, and the
-verifier's, the best of five, in all and per claim, which regenerates
-from the public inputs and the secret bytes the values its linear
-constraints read and stores no constraint), the per-bit sha256 gadget
-calls (``xor`` and ``ch``) the verifier made, plus a short auditable
-dump excerpt.  Exits 1 if any of these honest statements is
+verifier's, which regenerates from the public inputs and the secret
+bytes the values its linear constraints read and stores no
+constraint: in all and per claim, once from cold caches and the best
+of five warm), the ``cache_info()`` of the verifier's caches of block
+counts and prefix states, the per-bit sha256 gadget calls (``xor`` and
+``ch``) the verifier made, plus a short auditable dump excerpt.  Exits 1 if any of these honest statements is
 unsatisfied, if the verifier allocates another number of variables or
 counts other per-kind constraints than the recorded build, or keeps a
 value the recorded build does not hold at its index, if the verifier
@@ -33,7 +34,7 @@ from blsces import CEAS, Claim, Credential
 from blsces.errors import ConstraintViolation
 from blsces.groups.params import BN254, TOY
 from blsces.zk import Builder, RecordingBuilder, hash_to_curve_witness, prover_layout, synthesize
-from blsces.zk import sha256_gadget
+from blsces.zk import sha256_gadget, statement
 from blsces.zk.predicates import EqualsPredicate
 
 
@@ -94,9 +95,13 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     res = synthesize(layout, recorder, inputs, secret)
     build_s = time.monotonic() - t0
     recorder.region = ""  # count the last region's constraints
+    sha256_gadget.shape_counts.cache_clear()
+    statement.midstate.cache_clear()
     with sha256_gadget.GadgetCalls() as calls:
+        t0 = time.perf_counter()
         checked = verify(layout, inputs, secret)
-    check_s = min(timeit.repeat(lambda: verify(layout, inputs, secret), number=1, repeat=5))
+        cold_s = time.perf_counter() - t0
+    warm_s = min(timeit.repeat(lambda: verify(layout, inputs, secret), number=1, repeat=5))
     ok = res.cs.satisfied(res.values)
     cs = res.cs
 
@@ -123,10 +128,13 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         if count:
             print(f"  {region or 'public inputs'}: {count}")
     print(
-        f"  recorded build {build_s:.2f}s, verifier {check_s * 1e3:.2f} ms "
-        f"({check_s * 1e3 / n_claims:.2f} ms per claim, {len(checked.values) if checked else 0} values kept), "
+        f"  recorded build {build_s:.2f}s, verifier cold {cold_s * 1e3:.2f} ms "
+        f"({cold_s * 1e3 / n_claims:.2f} ms per claim), warm {warm_s * 1e3:.2f} ms "
+        f"({warm_s * 1e3 / n_claims:.2f} ms per claim), {len(checked.values) if checked else 0} values kept, "
         f"satisfied={ok} verifier_accepts={checked is not None} matches_recorded={same} mutation_rejected={rejects}"
     )
+    print(f"  block counts cache: {sha256_gadget.shape_counts.cache_info()}")
+    print(f"  prefix state cache: {statement.midstate.cache_info()}")
     print(f"  per-bit xor/ch calls: {calls.per_bit}")
     if dump:
         print("  dump excerpt:")

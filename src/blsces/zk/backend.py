@@ -14,9 +14,10 @@ Those bytes and the public inputs fix every value of the statement (see
 ``verify`` checks their count against the layout, then synthesizes the
 statement with the verifier's ``Builder``, which regenerates from the
 public inputs and the bytes every value a linear constraint reads,
-takes each sha256 compression by its plain output and its counts, and
-evaluates each linear constraint: the binding of x and sign to the
-digest and the predicate's checks.  The first that
+takes each claim's digest from ``hashlib`` and each sha256 compression
+by its counts, cached by the block's shape, and evaluates each linear
+constraint: the binding of x and sign to the digest and the
+predicate's checks.  The first that
 fails is refused as ``constraints_unsatisfied``, with a detail naming
 the claim and the region; that verdict is the recorded system's
 ``satisfied`` on the witness the bytes regenerate.
@@ -24,9 +25,9 @@ the claim and the region; that verdict is the recorded system's
 On the zk-range benchmark's inputs (seed 61) a one-claim BN254 proof
 with a range predicate is 242 bytes, a 229-byte header and 12 secret
 bytes (309 bytes for two claims).  ``prove`` takes 0.07 ms once the
-claims' hashes are cached, and ``verify`` 0.50 ms (0.98 ms for two
-claims), of which parsing is under 0.01 ms (quartile-low of 60 runs,
-unscaled, 2 CPUs, Python 3.11.7).
+claims' hashes are cached, and ``verify`` 0.22-0.28 ms (0.30-0.34 ms
+for two claims) once it has seen the layout, of which parsing is under
+0.01 ms (quartile-low of 60 runs, unscaled, 2 CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError
 from blsces.zk.r1cs import Builder
 from blsces.zk.statement import PublicInputs, StatementLayout, synthesize
 
-# Most in-circuit sha256 blocks verify() synthesizes.  The verifier's
-# builder keeps a block's 256 output bits and its message bits, at most
-# 512, so at the cap it holds under 50,000 values: about 30 ms and an
-# 8.2 MB tracemalloc peak for one BN254 claim of 64 blocks.
+# Most in-circuit sha256 blocks verify() synthesizes.  A block whose
+# shape the verifier has not counted before costs it a count pass of
+# about 0.1 ms.  Its builder keeps a claim's 256 digest bits and the
+# value bits a predicate reads: one BN254 claim of 64 blocks takes about
+# 2 ms, from cold caches too, under a 0.044 MB tracemalloc peak.
 MAX_BLOCKS = 64
 
 # Most bytes of a header parse() hands to json.loads.  The widest honest

@@ -27,13 +27,15 @@ which fix every value (see ``statement``).
   (claim and gadget) being synthesized.  Every other constraint holds
   by construction: a product or booleanity constraint is the one its
   gadget's value computation solves, so the builder does not evaluate
-  it.  It takes a sha256 compression by its plain output and its counts
-  (``compress``): every constraint of a compression, its linear ones
-  too, holds on the values the per-bit path computes, so none of them
-  is evaluated.  Its ``values`` is a dict that holds only what a linear
-  constraint outside a compression reads: the public variables, the
-  message bits, the compression outputs and the predicate's
-  decompositions.
+  it.  It takes a sha256 compression by its counts alone (``compress``),
+  cached by the block's shape: every constraint of a compression, its
+  linear ones too, holds on the values the per-bit path computes, so
+  none of them is evaluated.  It takes the last compression's outputs
+  of a claim message from one ``hashlib`` digest of the message
+  (``digest``).  Its ``values`` is a dict that holds only what a linear
+  constraint outside a compression reads: the public variables, each
+  claim's digest bits, the message bits of the value a predicate reads
+  (``message_bits``), and the predicate's decompositions.
 * ``RecordingBuilder`` stores every value in a list and every
   constraint in a ``ConstraintSystem``, and evaluates none: it is the
   reference for dumps, audits and the mutation-sweep tests, through
@@ -51,17 +53,24 @@ does not fit is refused, never truncated.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field as dc_field
 
 from blsces.errors import ConstraintViolation, StatementError
 from blsces.groups.params import R as BN254_SCALAR_FIELD
-from blsces.zk.sha256 import WORD, sha256_compress
-from blsces.zk.sha256_gadget import add_width, block_counts, block_literals, const_word, sha256_compress_gadget
+from blsces.zk.sha256 import WORD
+from blsces.zk.sha256_gadget import add_width, block_literals, const_word, sha256_compress_gadget, shape_counts
 
 LC = tuple  # tuple[tuple[int, int], ...]
 
 # ASCII bits to the values 0 and 1
 _ASCII_BIT = bytes.maketrans(b"01", bytes(range(2)))
+
+
+def _bits(value: int, width: int) -> bytes:
+    """The ``width`` low bits of ``value``, little-endian, one 0 or 1 byte
+    each."""
+    return format(value & ((1 << width) - 1), f"0{width}b").encode()[::-1].translate(_ASCII_BIT)
 
 
 def lc_value(lc: LC, w: list, field: int) -> int:
@@ -270,38 +279,54 @@ class Builder:
         still gets boolean bits, and fails the linear constraint that
         ties them to it."""
         self._public_frozen = True
-        bits = format(value & ((1 << width) - 1), f"0{width}b").encode()[::-1].translate(_ASCII_BIT)
-        start = self._extend(bits)
+        start = self._extend(_bits(value, width))
         self.n_bools += width
         return list(range(start, start + width))
 
+    def message_bits(self, data: bytes, kept: range) -> int:
+        """Allocate eight boolean variables per byte of ``data``, holding
+        its bits little-endian, and return the first.  This builder keeps
+        the bits of the bytes in ``kept`` alone: outside a compression
+        only a predicate reads a message bit."""
+        self._public_frozen = True
+        start = self.num_vars
+        if kept:
+            self.num_vars += 8 * kept.start
+            self._extend(_bits(int.from_bytes(data[kept.start: kept.stop], "little"), 8 * len(kept)))
+        self.num_vars = start + 8 * len(data)
+        self.n_bools += 8 * len(data)
+        return start
+
     # -- sha256 ------------------------------------------------------------
 
-    def compress(self, state: list[int], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
-        """One sha256 compression of the 64-byte ``block`` from ``state``,
-        its 8 words' values.  ``words`` holds the state's variables, the
-        previous compression's outputs, or is None for a state of
-        constants.  ``secret`` marks with 0xFF each byte held in message
-        bits, the next eight variables from ``var`` on, and with 0 each
-        public byte, a constant.  Returns the output state's values and
-        variables.
+    def compress(self, state: tuple[int, ...], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
+        """One sha256 compression of the 64-byte ``block``.  ``words``
+        holds the entering state's variables, the previous compression's
+        outputs, or is None for a state of constants, the values
+        ``state``.  ``secret`` marks with 0xFF each byte held in message
+        bits, the next eight variables from ``var`` on, whose values
+        ``block`` need not hold, and with 0 each public byte, a constant.
+        Returns the output words' variables.
 
         This builder allocates the per-bit path's variables and counts
-        its constraints (``block_counts``), keeping only the output
-        words, whose values the plain compression gives."""
-        ops = block_counts(state, words is not None, block, secret)
+        its constraints by the block's shape (``shape_counts``), keeping
+        no value: ``digest`` gives the last compression's outputs."""
+        public = (int.from_bytes(block, "big") & ~int.from_bytes(secret, "big")).to_bytes(64, "big")
+        products, bools, lins = shape_counts(state if words is None else None, public, secret)
         self._public_frozen = True
-        self.num_vars += ops.products + ops.bools
-        self.n_bools += ops.bools
-        self.n_lins += ops.lins
-        self.n_r1s += ops.products
-        state = sha256_compress(state, block)
+        self.num_vars += products + bools
+        self.n_bools += bools
+        self.n_lins += lins
+        self.n_r1s += products
         # the outputs are the low words of the last eight additions
         width = add_width(2)
-        words = [list(range(k, k + WORD)) for k in range(self.num_vars - 8 * width, self.num_vars, width)]
-        for word, value in zip(words, state):
-            self.values.update(zip(word, format(value, "032b").encode()[::-1].translate(_ASCII_BIT)))
-        return state, words
+        return [list(range(k, k + WORD)) for k in range(self.num_vars - 8 * width, self.num_vars, width)]
+
+    def digest(self, bits: list[int], message: bytes) -> None:
+        """Keep the values of ``bits``, the 256 output bits of the last of
+        the compressions of ``message``, padded, from the sha256 IV, each
+        little-endian over the big-endian output: its sha256 digest."""
+        self.values.update(zip(bits, _bits(int.from_bytes(hashlib.sha256(message).digest(), "big"), 256)))
 
 
 class RecordingBuilder(Builder):
@@ -344,9 +369,15 @@ class RecordingBuilder(Builder):
         self.bools.extend(bits)
         return bits
 
-    def compress(self, state: list[int], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
-        """``Builder.compress`` on the gadget's per-bit path."""
+    def message_bits(self, data: bytes, kept: range) -> int:
+        return self.bits_of(int.from_bytes(data, "little"), 8 * len(data))[0]
+
+    def compress(self, state: tuple[int, ...], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
+        """``Builder.compress`` on the gadget's per-bit path, which
+        computes every value."""
         if words is None:
             words = [const_word(value) for value in state]
-        words = sha256_compress_gadget(self, words, block_literals(block, secret, var))
-        return sha256_compress(state, block), words
+        return sha256_compress_gadget(self, words, block_literals(block, secret, var))
+
+    def digest(self, bits: list[int], message: bytes) -> None:
+        """The per-bit path computed the outputs."""

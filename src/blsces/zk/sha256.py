@@ -1,8 +1,10 @@
 """SHA-256 compression and padding in plain Python.
 
-The prover and the verifier hash a claim message's public prefix with
-``sha256_compress`` outside the constraint system; the gadget in
-``sha256_gadget`` proves the rest.  Round constants and the initial
+The statement hashes a claim message's public prefix with
+``sha256_compress`` outside the constraint system, once per prefix
+(``statement.midstate``); the gadget in ``sha256_gadget`` proves the
+rest, whose output, the claim's digest, the verifier takes from
+``hashlib``.  Round constants and the initial
 state are derived from the fractional parts of cube/square roots of
 the first primes with exact integer arithmetic (no float rounding); the
 test suite pins the result against hashlib.
@@ -55,8 +57,7 @@ def rotr(x: int, n: int) -> int:
 
 def sha256_compress(state: list[int], block: bytes) -> list[int]:
     """One plain compression application.  It hashes a claim message's
-    public prefix outside the constraint system, and gives the verifier
-    the output of each in-circuit compression; rotations are written
+    public prefix outside the constraint system; rotations are written
     out, since a call per rotation would double its cost."""
     m = 0xFFFFFFFF
     w = list(struct.unpack(">16I", block))

@@ -24,21 +24,25 @@ combination for callers.
 Two paths synthesize a compression.  The per-bit path
 (``sha256_compress_gadget``) runs the operations above literal by
 literal; it is the reference, which the recording builder runs.  The
-verifier's builder takes a compression by its plain output and its
-counts: ``sha256.sha256_compress`` gives the values of the output words,
-and the block path (``block_counts``) runs the same operations over the
-input words' shapes, which of their literals are variables and the
-values of the rest, to count the variables and constraints of each kind
-the per-bit path allocates (see ``sha256_block``).  It computes none of
-the compression's other ~29,000 values: no constraint outside the
-compression reads them, and every constraint inside holds on the values
-the per-bit path computes (see ``statement``).
+verifier's builder takes a compression by its counts alone: the block
+path (``block_counts``) runs the same operations over the input words'
+shapes, which of their literals are variables and the values of the
+rest, to count the variables and constraints of each kind the per-bit
+path allocates (see ``sha256_block``).  Those shapes follow from the
+block's public bytes, which of its bytes are secret, and the constant
+state entering a claim's first in-circuit block, so ``shape_counts``
+keeps the counts of each such shape in a bounded cache.  The builder
+computes none of a compression's values: no constraint outside the
+compressions reads them but the last one's outputs, a claim's sha256
+digest, which it takes from ``hashlib``, and every constraint inside
+holds on the values the per-bit path computes (see ``statement``).
 
 The plain compression and the constants are in ``sha256``.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import TYPE_CHECKING
 
@@ -47,6 +51,12 @@ from blsces.zk.sha256_block import VAR, BlockWords, add_width, word_shape
 
 if TYPE_CHECKING:  # r1cs runs the gadget through its builders
     from blsces.zk.r1cs import LC, Builder
+
+# Most block shapes ``shape_counts`` keeps.  A layout holds at most
+# backend.MAX_BLOCKS in-circuit blocks, and the blocks after a claim's
+# first that hold secret bytes alone share one shape, so this holds the
+# shapes of many layouts; an entry is under 1 KB.
+SHAPE_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +240,25 @@ def block_literals(block: bytes, secret: bytes, var: int) -> list[list[int]]:
             for p in range(0, 512, 32)]
 
 
-def block_counts(state: list[int], variable_state: bool, block: bytes, secret: bytes) -> BlockWords:
+def block_counts(state: tuple[int, ...] | None, block: bytes, secret: bytes) -> BlockWords:
     """The counts of one compression of ``block`` from ``state``, as the
-    block path takes them: every state word holds variables if
-    ``variable_state``, and constants of its value otherwise; a message
-    byte holds variables where ``secret`` is 0xFF, and is a public
-    constant of its value in ``block`` where it is 0."""
+    block path takes them: every state word holds variables if ``state``
+    is None, and constants of its value otherwise; a message byte holds
+    variables where ``secret`` is 0xFF, and is a public constant of its
+    value in ``block`` where it is 0."""
     words = [word_shape(x, v) for x, v in zip(struct.unpack(">16I", block), struct.unpack(">16I", secret))]
-    state_words = [VAR] * 8 if variable_state else [(x, 0) for x in state]
+    state_words = [VAR] * 8 if state is None else [(x, 0) for x in state]
     ops = BlockWords()
     _compress(ops, state_words, words)
     return ops
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def shape_counts(state: tuple[int, ...] | None, block: bytes, secret: bytes) -> tuple[int, int, int]:
+    """``block_counts`` of a block shape, as (products, bools, lins): the
+    block's public bytes, with its secret bytes zeroed, its secret mask,
+    and its constant state, or None for a state of variables.  These are
+    all the count pass reads, so a shape seen before is not counted
+    again."""
+    ops = block_counts(state, block, secret)
+    return ops.products, ops.bools, ops.lins

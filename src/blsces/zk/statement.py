@@ -44,9 +44,10 @@ alone:
   carry bits, weighted by powers of 2, equal the operand sum, an
   integer below 2^35, far below the field modulus, so they are the
   sum's binary digits.  Every constraint of a compression holds on
-  these values, its linear ones included, and no constraint outside it
-  reads a variable of it but its output words, which hold the plain
-  compression's output (``sha256.sha256_compress``);
+  these values, its linear ones included, and no constraint outside
+  the compressions reads a variable of them but the last one's output
+  words, which hold the chained compressions' output from the sha256
+  IV over the padded message: the sha256 digest of the claim message;
 * the x and sign binding allocates nothing: its linear constraints tie
   the public variables to the last compression's digest bits;
 * a range predicate's decompositions hold the bits of a value the
@@ -59,15 +60,17 @@ alone:
 So the statement holds exactly when the linear constraints outside the
 compressions do, on the values the public inputs and the secret bytes
 regenerate; the verifier's ``Builder`` evaluates them as they are
-emitted, and takes each compression by its plain output and its counts
-(see ``r1cs``).  ``synthesize`` threads each claim's state through the
-plain compression from the midstate of its public prefix, and hands a
-builder each in-circuit block as its bytes, with the secret ones
-marked.
+emitted, takes each compression by its counts, and each claim's digest
+from ``hashlib`` (see ``r1cs``).  ``synthesize`` hands a builder each
+in-circuit block as its bytes, with the secret ones marked, the first
+over the state after the claim's public prefix (``midstate``), as
+constants, and then the claim message, whose digest the last
+compression's outputs hold.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -83,6 +86,9 @@ from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import SHA256_IV, sha256_compress, sha256_pad
 
 SHA_BITS = 256
+# Most public prefixes whose sha256 state ``midstate`` keeps.  An entry
+# holds its prefix, at most 32,796 bytes under the widest policy.
+MIDSTATE_CACHE_SIZE = 64
 # The public x enters as little-endian limbs, each below the proof field.
 LIMB_BITS = 64
 NUM_LIMBS = 4
@@ -157,10 +163,11 @@ class StatementLayout:
     claim_lens: tuple[tuple[int, int, int], ...]
     predicate: dict | None
 
-    @property
+    @functools.cached_property
     def claims(self) -> tuple[ClaimLayout, ...]:
         """Each extracted claim's shape, paired with the extraction in
-        order; ``synthesize`` refuses a layout whose counts differ."""
+        order, built once per layout; ``synthesize`` refuses a layout
+        whose counts differ."""
         return tuple(build_claim_layout(self.ceas_bytes, i, lens) for i, lens in zip(self.extraction, self.claim_lens))
 
     @property
@@ -218,6 +225,21 @@ def _claim_message(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]
         pos += length
     pad = sha256_pad(len(msg) + 1)
     return bytes(msg + claim_secret[pos:] + pad), bytes(mask + b"\xff" + bytes(len(pad)))
+
+
+@functools.lru_cache(maxsize=MIDSTATE_CACHE_SIZE)
+def midstate(prefix: bytes, shared: int = 0) -> tuple[int, ...]:
+    """The sha256 state after ``prefix``, whole blocks: a claim message's
+    public prefix, whose state enters its first in-circuit block as
+    constants.  The state after the first ``shared`` bytes, the blocks
+    every claim under one policy starts with, has its own entry."""
+    if 0 < shared < len(prefix):
+        state = midstate(prefix[:shared])
+    else:
+        shared, state = 0, SHA256_IV
+    for k in range(shared, len(prefix), 64):
+        state = sha256_compress(state, prefix[k: k + 64])
+    return tuple(state)
 
 
 @dataclass
@@ -285,44 +307,38 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
 
     # ---- per-claim hash constraints ----------------------------------------
     # every claim message starts with the length-prefixed policy and n:
-    # their whole blocks are hashed once for all claims
-    head = struct.pack(">I", len(layout.ceas_bytes)) + layout.ceas_bytes + struct.pack(">I", ceas.n)
-    shared_len = 64 * (len(head) // 64)
-    shared_state = list(SHA256_IV)
-    for k in range(0, shared_len, 64):
-        shared_state = sha256_compress(shared_state, head[k: k + 64])
-    value_lcs_by_index: dict[int, list[LC]] = {}
+    # their whole blocks' state is shared by all claims
+    shared_len = 64 * ((4 + len(layout.ceas_bytes) + 4) // 64)
+    value_lcs: list[LC] = []
     taken = 0
     for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
         # the claim's secret bytes as message bits, little-endian, in
-        # message order; the value's bytes follow subject and property
+        # message order; the value's bytes follow subject and property,
+        # and only a predicate on this claim reads their bits
         size = sum(cl.lens) + 1
         claim_secret = secret[taken: taken + size]
         taken += size
         bd.region = f"claim {cl.index}, sha256 block {cl.first_block}"
-        var = bd.bits_of(int.from_bytes(claim_secret, "little"), 8 * size)[0]
-        first = var + 8 * (cl.lens[0] + cl.lens[1])
-        value_lcs_by_index[cl.index] = [
-            tuple((b + j, 1 << j) for j in range(8)) for b in range(first, first + 8 * cl.lens[2], 8)
-        ]
+        value = range(cl.lens[0] + cl.lens[1], sum(cl.lens))
+        read = predicate is not None and predicate.claim_index == cl.index
+        var = bd.message_bits(claim_secret, value if read else range(0))
+        if read:
+            value_lcs = [tuple((var + 8 * k + j, 1 << j) for j in range(8)) for k in value]
         msg, mask = _claim_message(layout.ceas_bytes, ceas.n, cl.index, cl.lens, claim_secret)
 
-        # the state after the public prefix, as constants
+        # in-circuit compressions, from the block of the first secret byte,
+        # over the state after the public prefix, as constants
         start = 64 * cl.first_block
-        state = shared_state
-        for k in range(shared_len, start, 64):
-            state = sha256_compress(state, msg[k: k + 64])
-        state_words = None
-
-        # in-circuit compressions, from the block of the first secret byte
+        state, words = midstate(msg[:start], shared_len), None
         for k in range(start, len(msg), 64):
             bd.region = f"claim {cl.index}, sha256 block {k // 64}"
-            block_var = var + 8 * mask.count(0xFF, start, k)
-            state, state_words = bd.compress(state, state_words, msg[k: k + 64], mask[k: k + 64], block_var)
+            words = bd.compress(state, words, msg[k: k + 64], mask[k: k + 64], var)
+            var += 8 * mask.count(0xFF, k, k + 64)
 
         # bind public x limbs and sign to the digest bits, variables all;
         # digest bit t is little-endian over the 256-bit big-endian digest
-        digest = [b for word in reversed(state_words) for b in word]
+        digest = [b for word in reversed(words) for b in word]
+        bd.digest(digest, msg[:cl.msg_len])
         bd.region = f"claim {cl.index}, binding"
         for j in range(NUM_LIMBS):
             low = LIMB_BITS * j
@@ -333,7 +349,7 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
     # ---- application predicate -------------------------------------------
     if predicate is not None:
         bd.region = f"claim {predicate.claim_index}, predicate"
-        predicate.synthesize(bd, value_lcs_by_index[predicate.claim_index])
+        predicate.synthesize(bd, value_lcs)
 
     return SynthesisResult(cs=bd.cs, values=bd.values, layout=layout)
 

@@ -95,8 +95,8 @@ def compress_both(state, variable_state, block, secret):
     """One compression through the verifier's builder, then the recording
     one, which runs per bit, over the same variables: the state's 256
     fresh variables if ``variable_state``, and the secret bytes' message
-    bits.  Returns per builder the builder, the output state's values and
-    variables, and the per-bit gadget calls it made."""
+    bits.  Returns per builder the builder, the output words' variables,
+    and the per-bit gadget calls it made."""
     runs = []
     for bd in (Builder(), RecordingBuilder()):
         words = [bd.bits_of(v, 32) for v in state] if variable_state else None
@@ -104,9 +104,13 @@ def compress_both(state, variable_state, block, secret):
         hidden = bytes(b for b, h in zip(block, secret) if h)
         bd.bits_of(int.from_bytes(hidden, "little"), 8 * len(hidden))
         with sha256_gadget.GadgetCalls() as spy:
-            out_state, out = bd.compress(state, words, block, secret, var)
-        runs.append((bd, out_state, out, spy.per_bit))
+            out = bd.compress(tuple(state), words, block, secret, var)
+        runs.append((bd, out, spy.per_bit))
     return runs
+
+
+def word_values(bd, words):
+    return [sum(bd.values[b] << j for j, b in enumerate(w)) for w in words]
 
 
 def per_kind(bd):
@@ -121,17 +125,16 @@ def test_block_path_matches_per_bit_on_any_shape(state, variable_state, shape):
     and secret bytes at every alignment, the verifier's builder counts
     the variables and the constraints of each kind the recording
     builder allocates per bit, with the output words at the same
-    indices, keeps each of their values as recorded, and gives the plain
-    compression's output, without a per-bit xor or Ch."""
+    indices, keeps each of its values as recorded and none inside the
+    compression, and makes no per-bit xor or Ch; the recorded outputs
+    are the plain compression's."""
     block, secret = shape
-    (bd, out_state, out, calls), (recorder, recorded_state, recorded_out, _) = compress_both(
-        state, variable_state, block, secret
-    )
+    (bd, out, calls), (recorder, recorded_out, _) = compress_both(state, variable_state, block, secret)
     assert per_kind(bd) == per_kind(recorder)
     assert out == recorded_out
     assert_keeps_recorded(bd, recorder)
-    assert out_state == recorded_state == sha256_compress(state, block)
-    assert [sum(bd.values[b] << j for j, b in enumerate(w)) for w in out] == out_state
+    assert max(bd.values) < out[0][0]
+    assert word_values(recorder, recorded_out) == sha256_compress(state, block)
     assert calls == 0
 
 
@@ -139,19 +142,58 @@ def test_block_path_matches_per_bit_on_any_shape(state, variable_state, shape):
 def test_int_branch_matches_per_bit(constant_state):
     """With every message byte secret, and the state fresh variables or
     constants, the verifier's builder counts what the recording builder
-    allocates per bit, keeps the recorded values of its output words at
-    the recorded indices, and makes no per-bit xor or Ch."""
+    allocates per bit, with its output words at the recorded indices,
+    and makes no per-bit xor or Ch; the recorded outputs are the plain
+    compression's."""
     for seed in range(4):
         r = random.Random(seed)
         state = [r.getrandbits(32) for _ in range(8)]
         block = r.randbytes(64)
-        (bd, out_state, out, calls), (recorder, _, recorded_out, _) = compress_both(
-            state, not constant_state, block, b"\xff" * 64
-        )
+        (bd, out, calls), (recorder, recorded_out, _) = compress_both(state, not constant_state, block, b"\xff" * 64)
         assert per_kind(bd) == per_kind(recorder) and out == recorded_out, seed
         assert_keeps_recorded(bd, recorder)
-        assert [sum(bd.values[b] << j for j, b in enumerate(w)) for w in out] == sha256_compress(state, block)
+        assert word_values(recorder, recorded_out) == sha256_compress(state, block)
         assert calls == 0, seed
+
+
+def test_shape_cache_keys_what_the_count_pass_reads():
+    """The count pass reads a block's public bytes, its secret mask and
+    its constant state, never the values of its secret bytes: blocks
+    that differ only there share one ``shape_counts`` entry, with the
+    same uncached counts, and blocks that differ in one public byte, in
+    one byte's mask, in the constant state, or by a state of variables
+    get an entry each.  Every entry's counts are what the recording
+    builder allocates per bit, so a key that dropped one of these would
+    hand a block the counts of another: the two constant states below
+    count differently."""
+    r = random.Random(7)
+    state = tuple(r.getrandbits(32) for _ in range(8))
+    block = r.randbytes(64)
+    secret = bytes(0xFF if j % 3 else 0 for j in range(64))
+    other_state = tuple(r.getrandbits(32) for _ in range(8))
+    shapes = [
+        (state, False, block, secret),
+        (state, False, block[:3] + bytes([block[3] ^ 1]) + block[4:], secret),
+        (state, False, block, secret[:3] + b"\xff" + secret[4:]),
+        (other_state, False, block, secret),
+        (state, True, block, secret),
+    ]
+    sha256_gadget.shape_counts.cache_clear()
+    counted = []
+    for shape in shapes:
+        (bd, _, _), (recorder, _, _) = compress_both(*shape)
+        assert per_kind(bd) == per_kind(recorder)
+        counted.append(per_kind(bd))
+    assert counted[0] != counted[3]
+    assert sha256_gadget.shape_counts.cache_info().currsize == len(shapes)
+    uncached = sha256_gadget.block_counts(state, block, secret)
+    for _ in range(3):
+        other = bytes(r.randrange(256) if hidden else byte for byte, hidden in zip(block, secret))
+        assert vars(sha256_gadget.block_counts(state, other, secret)) == vars(uncached)
+        (bd, _, _), (recorder, _, _) = compress_both(state, False, other, secret)
+        assert per_kind(bd) == per_kind(recorder) == counted[0]
+    info = sha256_gadget.shape_counts.cache_info()
+    assert (info.currsize, info.hits) == (len(shapes), 3)
 
 
 # -- bit literals ------------------------------------------------------------------
