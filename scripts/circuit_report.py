@@ -9,17 +9,17 @@ predicate"), the secret bytes a proof carries, the times of the two
 syntheses (the recorded build, which stores every constraint, and the
 verifier's, which regenerates from the public inputs and the secret
 bytes the values its linear constraints read and stores no
-constraint: in all and per claim, once from cold caches and the best
-of five warm), the ``cache_info()`` of the verifier's caches of block
-counts and prefix states, the per-bit sha256 gadget calls (``xor`` and
-``ch``) the verifier made, plus a short auditable dump excerpt.  Exits 1 if any of these honest statements is
-unsatisfied, if the verifier allocates another number of variables or
+constraint: in all and per claim, once from a cold cache and the best
+of five warm), the ``cache_info()`` of the verifier's cache of block
+counts, the per-bit sha256 gadget calls (``xor`` and ``ch``) the
+verifier made, plus a short auditable dump excerpt.  Exits 1 if any of
+these honest statements is unsatisfied, if the verifier allocates another number of variables or
 counts other per-kind constraints than the recorded build, or keeps a
 value the recorded build does not hold at its index, if the verifier
 rejects the honest secret bytes or accepts them with the last byte
 changed (which the recorded system, rebuilt on those bytes, refuses
 too), or if the verifier made a per-bit gadget call instead of taking
-every compression by its plain output and counts.
+every compression by its counts.
 
     python scripts/circuit_report.py [--dump N]
 """
@@ -34,7 +34,7 @@ from blsces import CEAS, Claim, Credential
 from blsces.errors import ConstraintViolation
 from blsces.groups.params import BN254, TOY
 from blsces.zk import Builder, RecordingBuilder, hash_to_curve_witness, prover_layout, synthesize
-from blsces.zk import sha256_gadget, statement
+from blsces.zk import sha256_gadget
 from blsces.zk.predicates import EqualsPredicate
 
 
@@ -96,7 +96,6 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     build_s = time.monotonic() - t0
     recorder.region = ""  # count the last region's constraints
     sha256_gadget.shape_counts.cache_clear()
-    statement.midstate.cache_clear()
     with sha256_gadget.GadgetCalls() as calls:
         t0 = time.perf_counter()
         checked = verify(layout, inputs, secret)
@@ -134,7 +133,6 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         f"satisfied={ok} verifier_accepts={checked is not None} matches_recorded={same} mutation_rejected={rejects}"
     )
     print(f"  block counts cache: {sha256_gadget.shape_counts.cache_info()}")
-    print(f"  prefix state cache: {statement.midstate.cache_info()}")
     print(f"  per-bit xor/ch calls: {calls.per_bit}")
     if dump:
         print("  dump excerpt:")

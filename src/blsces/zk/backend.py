@@ -44,7 +44,7 @@ from blsces.zk.statement import PublicInputs, StatementLayout, synthesize
 # shape the verifier has not counted before costs it a count pass of
 # about 0.1 ms.  Its builder keeps a claim's 256 digest bits and the
 # value bits a predicate reads: one BN254 claim of 64 blocks takes about
-# 2 ms, from cold caches too, under a 0.044 MB tracemalloc peak.
+# 2 ms, from a cold cache too, under a 0.044 MB tracemalloc peak.
 MAX_BLOCKS = 64
 
 # Most bytes of a header parse() hands to json.loads.  The widest honest

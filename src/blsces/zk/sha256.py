@@ -1,10 +1,9 @@
 """SHA-256 compression and padding in plain Python.
 
 The statement hashes a claim message's public prefix with
-``sha256_compress`` outside the constraint system, once per prefix
-(``statement.midstate``); the gadget in ``sha256_gadget`` proves the
-rest, whose output, the claim's digest, the verifier takes from
-``hashlib``.  Round constants and the initial
+``sha256_compress`` outside the constraint system; the gadget in
+``sha256_gadget`` proves the rest, whose output, the claim's digest,
+the verifier takes from ``hashlib``.  Round constants and the initial
 state are derived from the fractional parts of cube/square roots of
 the first primes with exact integer arithmetic (no float rounding); the
 test suite pins the result against hashlib.

@@ -63,9 +63,9 @@ regenerate; the verifier's ``Builder`` evaluates them as they are
 emitted, takes each compression by its counts, and each claim's digest
 from ``hashlib`` (see ``r1cs``).  ``synthesize`` hands a builder each
 in-circuit block as its bytes, with the secret ones marked, the first
-over the state after the claim's public prefix (``midstate``), as
-constants, and then the claim message, whose digest the last
-compression's outputs hold.
+over the state after the claim's public prefix, as constants, hashed
+with the plain compression, and then the claim message, whose digest
+the last compression's outputs hold.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import SHA256_IV, sha256_compress, sha256_pad
 
 SHA_BITS = 256
-# Most public prefixes whose sha256 state ``midstate`` keeps.  An entry
-# holds its prefix, at most 32,796 bytes under the widest policy.
-MIDSTATE_CACHE_SIZE = 64
 # The public x enters as little-endian limbs, each below the proof field.
 LIMB_BITS = 64
 NUM_LIMBS = 4
@@ -227,21 +224,6 @@ def _claim_message(ceas_bytes: bytes, n: int, i: int, lens: tuple[int, int, int]
     return bytes(msg + claim_secret[pos:] + pad), bytes(mask + b"\xff" + bytes(len(pad)))
 
 
-@functools.lru_cache(maxsize=MIDSTATE_CACHE_SIZE)
-def midstate(prefix: bytes, shared: int = 0) -> tuple[int, ...]:
-    """The sha256 state after ``prefix``, whole blocks: a claim message's
-    public prefix, whose state enters its first in-circuit block as
-    constants.  The state after the first ``shared`` bytes, the blocks
-    every claim under one policy starts with, has its own entry."""
-    if 0 < shared < len(prefix):
-        state = midstate(prefix[:shared])
-    else:
-        shared, state = 0, SHA256_IV
-    for k in range(shared, len(prefix), 64):
-        state = sha256_compress(state, prefix[k: k + 64])
-    return tuple(state)
-
-
 @dataclass
 class SynthesisResult:
     cs: ConstraintSystem
@@ -307,8 +289,12 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
 
     # ---- per-claim hash constraints ----------------------------------------
     # every claim message starts with the length-prefixed policy and n:
-    # their whole blocks' state is shared by all claims
-    shared_len = 64 * ((4 + len(layout.ceas_bytes) + 4) // 64)
+    # their whole blocks are hashed once for all claims
+    head = struct.pack(">I", len(layout.ceas_bytes)) + layout.ceas_bytes + struct.pack(">I", ceas.n)
+    shared_len = 64 * (len(head) // 64)
+    shared_state = list(SHA256_IV)
+    for k in range(0, shared_len, 64):
+        shared_state = sha256_compress(shared_state, head[k: k + 64])
     value_lcs: list[LC] = []
     taken = 0
     for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
@@ -326,10 +312,14 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
             value_lcs = [tuple((var + 8 * k + j, 1 << j) for j in range(8)) for k in value]
         msg, mask = _claim_message(layout.ceas_bytes, ceas.n, cl.index, cl.lens, claim_secret)
 
-        # in-circuit compressions, from the block of the first secret byte,
-        # over the state after the public prefix, as constants
+        # the state after the public prefix, as constants
         start = 64 * cl.first_block
-        state, words = midstate(msg[:start], shared_len), None
+        state = shared_state
+        for k in range(shared_len, start, 64):
+            state = sha256_compress(state, msg[k: k + 64])
+        state, words = tuple(state), None
+
+        # in-circuit compressions, from the block of the first secret byte
         for k in range(start, len(msg), 64):
             bd.region = f"claim {cl.index}, sha256 block {k // 64}"
             words = bd.compress(state, words, msg[k: k + 64], mask[k: k + 64], var)

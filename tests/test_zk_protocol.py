@@ -386,16 +386,11 @@ def zk_range_proof(idxs):
     return prove_extraction(BackendParams(), cred, ceas, ExtractionSet(frozenset(idxs)), RangePredicate(0, 18, 65))
 
 
-def clear_caches():
-    sha256_gadget.shape_counts.cache_clear()
-    statement.midstate.cache_clear()
-
-
-def test_verdicts_do_not_depend_on_the_caches():
+def test_verdicts_do_not_depend_on_the_count_cache():
     """Each of ``verdict_cases`` gets the same verdict, code and detail,
-    and the verifier's synthesis the same sizes where it stops, from
-    cold caches (cleared before the case) and from warm ones (after
-    every case ran); both codes occur."""
+    and the verifier's synthesis the same sizes where it stops, from a
+    cold ``shape_counts`` cache (cleared before the case) and from a
+    warm one (after every case ran); both codes occur."""
 
     def fingerprints(cold):
         out = []
@@ -409,24 +404,24 @@ def test_verdicts_do_not_depend_on_the_caches():
                 pass
             out.append((verdict.ok, verdict.code, verdict.detail, sizes(bd.cs)))
             if cold:
-                clear_caches()
+                sha256_gadget.shape_counts.cache_clear()
         return out
 
     layout, cases = verdict_cases()
-    clear_caches()
+    sha256_gadget.shape_counts.cache_clear()
     cold_run = fingerprints(cold=True)
     assert fingerprints(cold=False) == cold_run
     assert {code for _, code, _, _ in cold_run} == {"ok", "constraints_unsatisfied"}
 
 
 def test_warm_verify_runs_no_compression_and_no_count_pass(monkeypatch):
-    """A verifier that has seen a layout takes each claim's constant state
-    and each block's counts from its caches: verifying the zk-range
-    shape again (BN254, claims 0 and 1, a range predicate), or two toy
-    claims whose first in-circuit block is block 1, runs no plain
-    compression and no count pass.  From cold caches a verify counts
-    each block shape once and hashes a public prefix once: the wide
-    claims share theirs, block 0."""
+    """A verifier that has seen a layout takes each block's counts from
+    its cache: verifying the zk-range shape again (BN254, claims 0 and
+    1, a range predicate), whose claims have no public prefix, runs no
+    plain compression and no count pass.  Two toy claims whose first
+    in-circuit block is block 1 share their public prefix, block 0,
+    which each verify hashes once.  From a cold cache a verify counts
+    each block shape once."""
     calls = Counter()
     for module in [m for name, m in sys.modules.items() if name.startswith("blsces")]:
         for name in ("sha256_compress", "block_counts"):
@@ -442,15 +437,15 @@ def test_warm_verify_runs_no_compression_and_no_count_pass(monkeypatch):
     layout, inputs, secret = prover_layout(wide, WIDE_CEAS, wits, (0, 1), None, TOY.name)
     assert [cl.first_block for cl in layout.claims] == [1, 1]
     wide_proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret)
-    # (proof, inputs, blocks hashed outside, in-circuit block shapes) when cold
+    # (proof, inputs, blocks hashed outside, in-circuit block shapes)
     for proof, inputs, outside, shapes in ((*zk_range, 0, 2), (wide_proof, inputs, 1, 3)):
-        clear_caches()
+        sha256_gadget.shape_counts.cache_clear()
         calls.clear()
         assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
         assert calls == Counter(sha256_compress=outside, block_counts=shapes), calls
         calls.clear()
         assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
-        assert not calls, calls
+        assert calls == Counter(sha256_compress=outside), calls
 
 
 def test_layout_builds_each_claim_once_per_verify(monkeypatch):
@@ -464,28 +459,6 @@ def test_layout_builds_each_claim_once_per_verify(monkeypatch):
         built.clear()
         assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
         assert built == sorted(idxs), built
-
-
-def test_midstate_is_the_chained_compressions():
-    """``midstate`` of a prefix of whole blocks is the chain of plain
-    compressions over it from the IV, whichever of its leading blocks
-    are shared, and a shared head gets an entry of its own."""
-    r = random.Random(11)
-    statement.midstate.cache_clear()
-    for blocks in range(4):
-        prefix = r.randbytes(64 * blocks)
-        state = SHA256_IV
-        for k in range(0, len(prefix), 64):
-            state = sha256_compress(state, prefix[k: k + 64])
-        for shared in range(0, len(prefix) + 1, 64):
-            assert statement.midstate(prefix, shared) == tuple(state), (blocks, shared)
-    # two prefixes after one shared head: the second finds the head's state
-    statement.midstate.cache_clear()
-    head = r.randbytes(64)
-    for _ in range(2):
-        statement.midstate(head + r.randbytes(64), 64)
-    info = statement.midstate.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 1, 3)
 
 
 @settings(max_examples=8, deadline=None)
@@ -1599,8 +1572,8 @@ def test_zk_verify_accepts_only_bn254(zk_env):
 # bit, refused at claim 0's binding after both claims' blocks, takes
 # 18 ms and 0.72 MB, and the widened byte 10 ms and 0.05 MB.  An honest
 # claim of MAX_BLOCKS in-circuit blocks takes 2 ms in the backend
-# (17-28 ms in zk_verify, with the pairing) and 0.044 MB, from cold
-# caches too; a verifier that keeps every message bit and every
+# (17-28 ms in zk_verify, with the pairing) and 0.044 MB, from a cold
+# cache too; a verifier that keeps every message bit and every
 # compression's outputs peaks at 8.2 MB there, and one that computes
 # every interior value of a compression at 23 MB, both above its bound.
 BUDGETS = {
