@@ -1,12 +1,12 @@
 """Optimized ate pairing on BN254.
 
 The Miller loop runs over the NAF of 6u+2 with lines in affine twist
-coordinates.  All G2-side work (slopes and intercepts of every
-tangent/chord line) depends only on Q, so it is precomputed once per Q
+coordinates.  All G2-side work (every tangent and chord line, divided by
+its constant term) depends only on Q, so it is precomputed once per Q
 and cached; ``G2Precomp`` walks Q's multiples in Jacobian coordinates
 and shares one inversion among all 88 lines.  Evaluating a pairing
-against a fixed key or the group generator then costs two Fp
-multiplications per line plus the sparse Fp12 updates.
+against a fixed key or the group generator then costs four Fp
+multiplications per line to place P in it, plus 27 for the Fp12 update.
 
 A product of pairings runs the Miller loops of all its pairs in
 lockstep: one Fp12 squaring per loop step serves every pair, so each
@@ -26,6 +26,7 @@ from functools import lru_cache
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, P, R
 from blsces.groups.points import (
+    TWIST_B,
     G1Point,
     G2Point,
     _batch_inv,
@@ -39,15 +40,14 @@ from blsces.groups.tower import (
     FP12_ONE,
     fp2_mul,
     fp2_pow,
-    fp2_sqr,
-    fp2_sub,
+    fp2_smul,
     fp12_conj,
     fp12_cyclotomic_pow,
     fp12_cyclotomic_sqr,
     fp12_frobenius,
     fp12_inv,
     fp12_mul,
-    fp12_mul_line,
+    fp12_mul_monic_line,
     fp12_pow,
     fp12_sqr,
     wnaf,
@@ -60,6 +60,8 @@ ATE_LOOP_COUNT = 6 * BN_U + 2
 TW_FROB2_X = fp2_pow(XI, (P * P - 1) // 3)
 assert TW_FROB2_X[1] == 0
 assert fp2_pow(XI, (P * P - 1) // 2) == (P - 1, 0)
+# 2b' is not a cube in Fp2, so no tangent's constant term is 0 (_tangent).
+assert fp2_pow(fp2_smul(TWIST_B, 2), (P * P - 1) // 3) != (1, 0)
 
 
 _ATE_NAF = wnaf(ATE_LOOP_COUNT, 2)
@@ -86,40 +88,65 @@ class GtElement:
 GT_IDENTITY = GtElement(FP12_ONE)
 
 
-def _tangent_num(t):
-    """Slope numerator 3X^2 of the tangent at the Jacobian T = (X, Y, Z);
-    the slope is 3X^2 / (2YZ), and 2YZ is the Z that _j2_double gives 2T."""
-    x0, x1 = t[0], t[1]
-    return (3 * (x0 + x1) * (x0 - x1) % P, 6 * x0 * x1 % P)
-
-
-def _chord_num(t, a):
-    """Slope numerator 2(y*Z^3 - Y) of the chord from the Jacobian
-    T = (X, Y, Z) to the affine A = (x, y); the slope is that over 2ZH with
-    H = x*Z^2 - X, which is the Z that _j2_madd gives T + A.  H = 0 means
-    A = T or -T, which the walk of a point of order r never meets."""
+def _tangent(t, z):
+    """(D, 2YZ^3, 3X^2 Z^2) for the tangent at the Jacobian T = (X, Y, Z),
+    given z = 2YZ, the Z that _j2_double gives 2T: the tangent's slope is
+    3X^2/(2YZ) and its constant term D/(2YZ^3), with D = 3X^3 - 2Y^2.  By
+    the twist equation Y^2 = X^3 + b'Z^6, D = Z^6 (x^3 - 2b') at T's
+    affine x, which is never 0 as 2b' is not a cube in Fp2."""
     x0, x1, y0, y1, z0, z1 = t
-    zz = fp2_sqr((z0, z1))
-    if fp2_mul((a[0], a[1]), zz) == (x0, x1):
-        raise ArithmeticError("degenerate line in Miller loop")
-    s = fp2_mul((a[2], a[3]), fp2_mul(zz, (z0, z1)))
-    return ((s[0] - y0) * 2 % P, (s[1] - y1) * 2 % P)
+    e0, e1 = 3 * (x0 + x1) * (x0 - x1) % P, 6 * x0 * x1 % P  # 3X^2
+    w0, w1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
+    t0, t1 = x0 * e0, x1 * e1
+    d0 = (t0 - t1 - 2 * (y0 + y1) * (y0 - y1)) % P
+    d1 = ((x0 + x1) * (e0 + e1) - t0 - t1 - 4 * y0 * y1) % P
+    z0, z1 = z
+    t0, t1 = z0 * w0, z1 * w1
+    m0, m1 = (t0 - t1) % P, ((z0 + z1) * (w0 + w1) - t0 - t1) % P
+    t0, t1 = e0 * w0, e1 * w1
+    return (d0, d1), (m0, m1), ((t0 - t1) % P, ((e0 + e1) * (w0 + w1) - t0 - t1) % P)
+
+
+def _chord(t, a):
+    """(N, ZH, n) for the chord from the Jacobian T = (X, Y, Z) to the
+    affine A: n = a_y Z^3 - Y, H = a_x Z^2 - X, slope n/(ZH), constant
+    term N/(ZH) with N = n a_x - a_y ZH.  H = 0 (A = T or -T) raises
+    OffCurveError here, N = 0 (a chord through the twist's origin) at the
+    batch inversion; the walk of a point of order r meets neither."""
+    x0, x1, y0, y1, z0, z1 = t
+    ax0, ax1, ay0, ay1 = a
+    w0, w1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
+    t0, t1 = ax0 * w0, ax1 * w1
+    h0, h1 = (t0 - t1 - x0) % P, ((ax0 + ax1) * (w0 + w1) - t0 - t1 - x1) % P
+    if not (h0 or h1):
+        raise OffCurveError("vertical line in the Miller loop")
+    t0, t1 = z0 * h0, z1 * h1
+    m0, m1 = (t0 - t1) % P, ((z0 + z1) * (h0 + h1) - t0 - t1) % P  # ZH
+    t0, t1 = z0 * w0, z1 * w1
+    s0, s1 = t0 - t1, (z0 + z1) * (w0 + w1) - t0 - t1  # Z^3
+    t0, t1 = ay0 * s0, ay1 * s1
+    n0, n1 = (t0 - t1 - y0) % P, ((ay0 + ay1) * (s0 + s1) - t0 - t1 - y1) % P
+    t0, t1, t2, t3 = n0 * ax0, n1 * ax1, ay0 * m0, ay1 * m1
+    d0 = (t0 - t1 - t2 + t3) % P
+    d1 = ((n0 + n1) * (ax0 + ax1) - t0 - t1 - (ay0 + ay1) * (m0 + m1) + t2 + t3) % P
+    return (d0, d1), (m0, m1), (n0, n1)
 
 
 class G2Precomp:
-    """Per-Q line data for the Miller loop: one (slope, intercept) pair per
-    doubling step, optionally one per NAF addition, and the two Frobenius
-    addition lines at the end.
+    """Per-Q line data for the Miller loop: one (mu, nu) pair per doubling
+    step, optionally one per NAF addition, and the two Frobenius addition
+    lines at the end.
 
-    T walks the loop in Jacobian coordinates (points._j2_double and
-    _j2_madd), and each line keeps its slope's numerator over the Z of the
-    point its step makes.  Every Z of the walk is then inverted at once
-    (points._batch_inv), so a key costs one inversion; a zero Z, where T
-    reached the identity and a line is vertical, raises ArithmeticError
-    there, which the walk of a point of order r never meets.  A line's slope
-    lam is its numerator times that inverse, and its intercept is
-    c = lam*x - y at the affine point it passes through: T before a
-    doubling, from the inverse of T's Z, and the added point of a chord.
+    A line of slope lam and constant term c is y_P - lam*x_P*w + c*v*w at
+    P.  It is stored divided by c, as mu = 1/c and nu = lam/c, so that its
+    v*w coefficient is 1 (fp12_mul_monic_line): 1/c lies in Fp2, which the
+    final exponentiation maps to 1, so no pairing value changes (Barreto,
+    Kim, Lynn and Scott, CRYPTO 2002).  T walks the loop in Jacobian
+    coordinates (points._j2_double and _j2_madd) through multiples [k]Q
+    with 0 < k < r, so it never reaches the identity.  Each line keeps a
+    numerator of c and those of 1/c and lam/c over it (_tangent, _chord),
+    and the c numerators are inverted together (points._batch_inv): one
+    inversion per key.
     """
 
     __slots__ = ("steps", "tail")
@@ -133,34 +160,23 @@ class G2Precomp:
         q1 = g2_psi(q)
         q2neg = (x0 * TW_FROB2_X[0] % P, x1 * TW_FROB2_X[0] % P, y0, y1)
         t = (x0, x1, y0, y1, 1, 0)
-        walk = [t]  # T before each line, and after the last
-        lines = []  # (slope numerator, affine point the line passes through)
+        lines = []
         for d in reversed(_ATE_NAF[:-1]):
-            lines.append((_tangent_num(t), None))
-            t = _j2_double(t)
-            walk.append(t)
+            t2 = _j2_double(t)
+            lines.append(_tangent(t, t2[4:]))
+            t = t2
             if d:
                 a = plus if d == 1 else minus
-                lines.append((_chord_num(t, a), a))
+                lines.append(_chord(t, a))
                 t = _j2_madd(t, a)
-                walk.append(t)
         for a in ((*q1.x, *q1.y), q2neg):
-            lines.append((_chord_num(t, a), a))
+            lines.append(_chord(t, a))
             t = _j2_madd(t, a)
-            walk.append(t)
-        zinv = _batch_inv([(z0, z1) for _, _, _, _, z0, z1 in walk])
-        out = []
-        for k, (num, a) in enumerate(lines):
-            lam = fp2_mul(num, zinv[k + 1])
-            if a is None:
-                x0, x1, y0, y1, _, _ = walk[k]
-                zi = zinv[k]
-                zi2 = fp2_sqr(zi)
-                x, y = fp2_mul((x0, x1), zi2), fp2_mul((y0, y1), fp2_mul(zi2, zi))
-            else:
-                x, y = (a[0], a[1]), (a[2], a[3])
-            out.append((lam, fp2_sub(fp2_mul(lam, x), y)))
-        it = iter(out)
+        try:
+            cinv = _batch_inv([c for c, _, _ in lines])
+        except ArithmeticError:
+            raise OffCurveError("a Miller line passes through the twist's origin") from None
+        it = iter((fp2_mul(mu, ci), fp2_mul(nu, ci)) for (_, mu, nu), ci in zip(lines, cinv))
         self.steps = [(next(it), next(it) if d else None) for d in reversed(_ATE_NAF[:-1])]
         self.tail = (next(it), next(it))
 
@@ -192,14 +208,14 @@ def _miller(pairs):
         if i:  # f is still 1 at the first step
             f = fp12_sqr(f)
         for steps, _, xp_neg, yp in evals:
-            (lam, c), add = steps[i]
-            f = fp12_mul_line(f, yp, lam, xp_neg, c)
+            (mu, nu), add = steps[i]
+            f = fp12_mul_monic_line(f, yp, mu, xp_neg, nu)
             if add is not None:
-                lam, c = add
-                f = fp12_mul_line(f, yp, lam, xp_neg, c)
+                mu, nu = add
+                f = fp12_mul_monic_line(f, yp, mu, xp_neg, nu)
     for _, tail, xp_neg, yp in evals:
-        for lam, c in tail:
-            f = fp12_mul_line(f, yp, lam, xp_neg, c)
+        for mu, nu in tail:
+            f = fp12_mul_monic_line(f, yp, mu, xp_neg, nu)
     return f
 
 

@@ -8,12 +8,17 @@ overhead of the Miller loop and final exponentiation tolerable):
 * Fp12: (d0, d1) of Fp6     = d0 + d1*w,           w^2 = v
 
 Every function returns canonical coefficients in [0, P).  The Fp12
-multiplication kernels (``fp12_mul``, ``fp12_sqr``, ``fp12_mul_line``)
-are written out over the twelve Fp coefficients: their intermediates are
-unreduced (possibly negative) ints, and each output coefficient takes a
-single ``% P``.  Python ints do not overflow, so deferring the reduction
-only costs a few bits of operand size (lazy reduction, as in Aranha et
-al., EUROCRYPT 2011).
+multiplication kernels are written out over the twelve Fp coefficients:
+
+* ``fp12_mul``: 54 integer products (three Karatsuba Fp6 products);
+* ``fp12_sqr``: 36 (complex squaring, two Fp6 products);
+* ``fp12_mul_monic_line``: 31, for a Miller line stored divided by its
+  constant term, so that its v*w coefficient is 1.
+
+Their intermediates are unreduced (possibly negative) ints, and each
+output coefficient takes a single ``% P``.  Python ints do not overflow,
+so deferring the reduction only costs a few bits of operand size (lazy
+reduction, as in Aranha et al., EUROCRYPT 2011).
 """
 
 from __future__ import annotations
@@ -161,46 +166,6 @@ def fp6_mul(a, b):
     (b0, b1), (b2, b3), (b4, b5) = b
     c0, c1, c2, c3, c4, c5 = _fp6_mul_raw(a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5)
     return ((c0 % P, c1 % P), (c2 % P, c3 % P), (c4 % P, c5 % P))
-
-
-def _fp6_mul_01_raw(a0, a1, a2, a3, a4, a5, b0, b1, c0, c1):
-    """Product of an Fp6 element x (six Fp coefficients, as in
-    _fp6_mul_raw) and the sparse b + c*v with b = b0 + b1*i and
-    c = c0 + c1*i; returns the six unreduced coefficients.  Five Fp2
-    products."""
-    # (x0 + x1 v + x2 v^2)(b + c v)
-    #   = (x0 b + XI x2 c) + (x0 c + x1 b) v + (x1 c + x2 b) v^2
-    t0 = a0 * b0
-    t1 = a1 * b1
-    p0 = t0 - t1  # x0*b
-    p1 = (a0 + a1) * (b0 + b1) - t0 - t1
-    t0 = a2 * c0
-    t1 = a3 * c1
-    q0 = t0 - t1  # x1*c
-    q1 = (a2 + a3) * (c0 + c1) - t0 - t1
-    t0 = a4 * c0
-    t1 = a5 * c1
-    r0 = t0 - t1  # x2*c
-    r1 = (a4 + a5) * (c0 + c1) - t0 - t1
-    t0 = a4 * b0
-    t1 = a5 * b1
-    s0 = t0 - t1  # x2*b
-    s1 = (a4 + a5) * (b0 + b1) - t0 - t1
-    # x0 c + x1 b = (x0 + x1)(b + c) - x0 b - x1 c
-    e0 = a0 + a2
-    e1 = a1 + a3
-    f0 = b0 + c0
-    f1 = b1 + c1
-    t0 = e0 * f0
-    t1 = e1 * f1
-    return (
-        p0 + 9 * r0 - r1,
-        p1 + 9 * r1 + r0,
-        t0 - t1 - p0 - q0,
-        (e0 + e1) * (f0 + f1) - t0 - t1 - p1 - q1,
-        q0 + s0,
-        q1 + s1,
-    )
 
 
 def fp6_mul_v(a):
@@ -408,40 +373,58 @@ def wnaf(k, w):
 _BN_U_WNAF4 = wnaf(BN_U, 4)  # the final exponentiation's three powers by u
 
 
-def fp12_mul_line(f, a, lam, x, c):
-    """Multiply f by the sparse line element a + (lam*x)*w + c*v*w.
-
-    ``a`` and ``x`` are plain Fp scalars (the G1 point's y-coordinate and
-    its negated x), and lam and c are Fp2 (the line's slope and
-    constant).  In the (Fp6, Fp6) pairing of f = g + h*w this operand is
-    (a, b + c*v) with b = lam*x.  Karatsuba over Fp6 as in fp12_mul: a*g
-    and h*(b + c*v) once each, and the w part from (g + h)*(a + b + c*v);
+def fp12_mul_monic_line(f, y, mu, x, nu):
+    """Multiply f by the monic line A + B*w + v*w, with A = mu*y and
+    B = nu*x for the Fp scalars y and x (the G1 point's y and negated x)
+    and a stored line's Fp2 mu = 1/c and nu = lam/c.  Karatsuba over Fp6
+    as in fp12_mul, with f = g + h*w: g*A, h*(B + v) and (g + h)*(A + B + v)
+    take three Fp2 products each, as multiplying by v only moves
+    coefficients; 31 integer products with the four forming A and B, and
     one reduction per output.
     """
     ((f0, f1), (f2, f3), (f4, f5)), ((f6, f7), (f8, f9), (f10, f11)) = f
-    b0 = lam[0] * x % P
-    b1 = lam[1] * x % P
-    c0, c1 = c
-    h0, h1, h2, h3, h4, h5 = _fp6_mul_01_raw(f6, f7, f8, f9, f10, f11, b0, b1, c0, c1)
-    s0, s1, s2, s3, s4, s5 = _fp6_mul_01_raw(
-        f0 + f6, f1 + f7, f2 + f8, f3 + f9, f4 + f10, f5 + f11, b0 + a, b1, c0, c1,
-    )
-    g0 = a * f0
-    g1 = a * f1
-    g2 = a * f2
-    g3 = a * f3
-    g4 = a * f4
-    g5 = a * f5
+    a0, a1 = mu[0] * y % P, mu[1] * y % P
+    b0, b1 = nu[0] * x % P, nu[1] * x % P
+    # g_k*A
+    a = a0 + a1
+    t0, t1 = f0 * a0, f1 * a1
+    p0, p1 = t0 - t1, (f0 + f1) * a - t0 - t1
+    t0, t1 = f2 * a0, f3 * a1
+    p2, p3 = t0 - t1, (f2 + f3) * a - t0 - t1
+    t0, t1 = f4 * a0, f5 * a1
+    p4, p5 = t0 - t1, (f4 + f5) * a - t0 - t1
+    # h_k*B
+    b = b0 + b1
+    t0, t1 = f6 * b0, f7 * b1
+    q0, q1 = t0 - t1, (f6 + f7) * b - t0 - t1
+    t0, t1 = f8 * b0, f9 * b1
+    q2, q3 = t0 - t1, (f8 + f9) * b - t0 - t1
+    t0, t1 = f10 * b0, f11 * b1
+    q4, q5 = t0 - t1, (f10 + f11) * b - t0 - t1
+    # (g_k + h_k)*(A + B)
+    e0, e1 = a0 + b0, a1 + b1
+    e = e0 + e1
+    k0, k1 = f0 + f6, f1 + f7
+    t0, t1 = k0 * e0, k1 * e1
+    s0, s1 = t0 - t1, (k0 + k1) * e - t0 - t1
+    k0, k1 = f2 + f8, f3 + f9
+    t0, t1 = k0 * e0, k1 * e1
+    s2, s3 = t0 - t1, (k0 + k1) * e - t0 - t1
+    k0, k1 = f4 + f10, f5 + f11
+    t0, t1 = k0 * e0, k1 * e1
+    s4, s5 = t0 - t1, (k0 + k1) * e - t0 - t1
+    # g*A + v*h*(B + v) and (g + h)(A + B + v) - g*A - h*(B + v), where the
+    # v terms reduce to v*(g + h) - v*h = v*g
     return (
         (
-            ((g0 + 9 * h4 - h5) % P, (g1 + 9 * h5 + h4) % P),
-            ((g2 + h0) % P, (g3 + h1) % P),
-            ((g4 + h2) % P, (g5 + h3) % P),
+            ((p0 + 9 * (q4 + f8) - q5 - f9) % P, (p1 + 9 * (q5 + f9) + q4 + f8) % P),
+            ((p2 + q0 + 9 * f10 - f11) % P, (p3 + q1 + 9 * f11 + f10) % P),
+            ((p4 + q2 + f6) % P, (p5 + q3 + f7) % P),
         ),
         (
-            ((s0 - g0 - h0) % P, (s1 - g1 - h1) % P),
-            ((s2 - g2 - h2) % P, (s3 - g3 - h3) % P),
-            ((s4 - g4 - h4) % P, (s5 - g5 - h5) % P),
+            ((s0 - p0 - q0 + 9 * f4 - f5) % P, (s1 - p1 - q1 + 9 * f5 + f4) % P),
+            ((s2 - p2 - q2 + f0) % P, (s3 - p3 - q3 + f1) % P),
+            ((s4 - p4 - q4 + f2) % P, (s5 - p5 - q5 + f3) % P),
         ),
     )
 

@@ -16,7 +16,7 @@ from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError, OffCurveError
 from blsces.groups import G1_GEN, G2_GEN, g2_from_bytes, g2_mul, g2_to_bytes, pairing_product
-from blsces.groups.params import R
+from blsces.groups.params import P, R
 from blsces.groups.points import G2Point
 from blsces.zk import BackendParams, prove_extraction, zk_verify
 
@@ -82,6 +82,34 @@ def test_every_entry_point_rejects_a_bad_key(kind, issuer, presented):
     assert ces_verify(issuer.pk, pres)
     assert zk_verify(BackendParams(), issuer.pk, pres.sigma, proof, inputs).accept
     _assert_rejected_everywhere(pk, issuer, presented)
+
+
+def test_a_line_through_the_twist_origin_is_refused(monkeypatch, issuer, presented):
+    """No known key has a chord through the twist's origin, where a line's
+    constant term is 0 and it cannot be stored divided by it; forcing that
+    numerator to 0 on one key's chords makes every entry point refuse the
+    key as it refuses an off-curve one, and leaves other keys alone."""
+    pk = g2_mul(G2_GEN, 0x5EED)
+    chord = pairing._chord
+
+    def zero_on_pk(t, a):
+        c, mu, nu = chord(t, a)
+        return ((0, 0) if (a[0], a[1]) == pk.x else c), mu, nu
+
+    monkeypatch.setattr(pairing, "_chord", zero_on_pk)
+    _assert_rejected_everywhere(pk, issuer, presented)
+    pres, proof, inputs, _ = presented
+    assert ces_verify(issuer.pk, pres)
+    assert zk_verify(BackendParams(), issuer.pk, pres.sigma, proof, inputs).accept
+
+
+def test_a_vertical_chord_is_refused():
+    """A chord from T to T or -T is vertical and has no constant term to
+    divide by; the walk of a key of order r never meets one."""
+    x0, x1, y0, y1 = (*G2_GEN.x, *G2_GEN.y)
+    for a in ((x0, x1, y0, y1), (x0, x1, -y0 % P, -y1 % P)):
+        with pytest.raises(OffCurveError):
+            pairing._chord((x0, x1, y0, y1, 1, 0), a)
 
 
 def test_a_parsed_key_is_checked_once(monkeypatch, issuer, presented):

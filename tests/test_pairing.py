@@ -82,8 +82,9 @@ def test_matches_independent_implementation():
 
 
 def _line_through(x1, y1, x2, y2):
-    """Affine slope and intercept of the chord or tangent, one inversion
-    each, and the point it makes."""
+    """The chord or tangent as stored, (1/c, lam/c) for its slope lam and
+    constant term c = lam*x1 - y1, by plain affine inversions, and the
+    point it makes."""
     if x1 == x2:
         assert y1 == y2, "vertical line"
         num = fp2_smul(fp2_sqr(x1), 3)
@@ -94,7 +95,8 @@ def _line_through(x1, y1, x2, y2):
     lam = fp2_mul(num, fp2_inv(den))
     x3 = fp2_sub(fp2_sub(fp2_sqr(lam), x1), x2)
     y3 = fp2_sub(fp2_mul(lam, fp2_sub(x1, x3)), y1)
-    return (lam, fp2_sub(fp2_mul(lam, x1), y1)), (x3, y3)
+    c_inv = fp2_inv(fp2_sub(fp2_mul(lam, x1), y1))
+    return (c_inv, fp2_mul(lam, c_inv)), (x3, y3)
 
 
 def _affine_lines(q):

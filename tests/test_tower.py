@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from naive_pairing import _mul, tower_to_poly
 from blsces.groups.params import P
-from blsces.groups.tower import fp12_mul, fp12_mul_line, fp12_sqr
+from blsces.groups.tower import fp12_mul, fp12_mul_monic_line, fp12_sqr
 
 EDGES = (0, 1, P - 1)
 
@@ -31,7 +31,7 @@ def _canonical(x):
     return all(0 <= c < P for fp6 in x for fp2 in fp6 for c in fp2)
 
 
-def _check_kernels(a, b, s, lam, x, lc):
+def _check_kernels(a, b, y, mu, x, nu):
     pa = tower_to_poly(a)
     prod = fp12_mul(a, b)
     assert _canonical(prod)
@@ -39,9 +39,12 @@ def _check_kernels(a, b, s, lam, x, lc):
     sq = fp12_sqr(a)
     assert _canonical(sq)
     assert tower_to_poly(sq) == _mul(pa, pa)
-    # the line's w coefficient is lam * x, which the kernel forms itself
-    line = (((s, 0), (0, 0), (0, 0)), ((lam[0] * x % P, lam[1] * x % P), lc, (0, 0)))
-    ml = fp12_mul_line(a, s, lam, x, lc)
+    # the dense monic line A + B*w + v*w; the kernel forms A = mu*y and
+    # B = nu*x itself
+    big_a = (mu[0] * y % P, mu[1] * y % P)
+    big_b = (nu[0] * x % P, nu[1] * x % P)
+    line = ((big_a, (0, 0), (0, 0)), (big_b, (1, 0), (0, 0)))
+    ml = fp12_mul_monic_line(a, y, mu, x, nu)
     assert _canonical(ml)
     assert tower_to_poly(ml) == _mul(pa, tower_to_poly(line))
 
@@ -50,9 +53,9 @@ def test_kernels_match_oracle_on_random_elements():
     for _ in range(20):
         a = _fp12([rng.randrange(P) for _ in range(12)])
         b = _fp12([rng.randrange(P) for _ in range(12)])
-        lam = (rng.randrange(P), rng.randrange(P))
-        lc = (rng.randrange(P), rng.randrange(P))
-        _check_kernels(a, b, rng.randrange(P), lam, rng.randrange(P), lc)
+        mu = (rng.randrange(P), rng.randrange(P))
+        nu = (rng.randrange(P), rng.randrange(P))
+        _check_kernels(a, b, rng.randrange(P), mu, rng.randrange(P), nu)
 
 
 def test_kernels_match_oracle_at_edge_coefficients():
@@ -62,8 +65,8 @@ def test_kernels_match_oracle_at_edge_coefficients():
     # and mixed at random among the edge values
     for _ in range(30):
         a, b = (_fp12([rng.choice(EDGES) for _ in range(12)]) for _ in range(2))
-        s, b0, b1, x, c0, c1 = (rng.choice(EDGES) for _ in range(6))
-        _check_kernels(a, b, s, (b0, b1), x, (c0, c1))
+        y, m0, m1, x, n0, n1 = (rng.choice(EDGES) for _ in range(6))
+        _check_kernels(a, b, y, (m0, m1), x, (n0, n1))
 
 
 _coeff = st.one_of(st.sampled_from(EDGES), st.integers(0, P - 1))
@@ -76,5 +79,5 @@ _coeff = st.one_of(st.sampled_from(EDGES), st.integers(0, P - 1))
     st.lists(_coeff, min_size=6, max_size=6),
 )
 def test_kernels_match_oracle_property(a, b, line):
-    s, b0, b1, x, c0, c1 = line
-    _check_kernels(_fp12(a), _fp12(b), s, (b0, b1), x, (c0, c1))
+    y, m0, m1, x, n0, n1 = line
+    _check_kernels(_fp12(a), _fp12(b), y, (m0, m1), x, (n0, n1))
