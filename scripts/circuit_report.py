@@ -8,18 +8,14 @@ region ("claim i, sha256 block b", "claim i, binding", "claim i,
 predicate"), the secret bytes a proof carries, the times of the two
 syntheses (the recorded build, which stores every constraint, and the
 verifier's, which regenerates from the public inputs and the secret
-bytes the values its linear constraints read and stores no
-constraint: in all and per claim, once from a cold cache and the best
-of five warm), the ``cache_info()`` of the verifier's cache of block
-counts, the per-bit sha256 gadget calls (``xor`` and ``ch``) the
-verifier made, plus a short auditable dump excerpt.  Exits 1 if any of
-these honest statements is unsatisfied, if the verifier allocates another number of variables or
-counts other per-kind constraints than the recorded build, or keeps a
-value the recorded build does not hold at its index, if the verifier
-rejects the honest secret bytes or accepts them with the last byte
-changed (which the recorded system, rebuilt on those bytes, refuses
-too), or if the verifier made a per-bit gadget call instead of taking
-every compression by its counts.
+bytes the values its linear constraints read, stores no constraint and
+takes no compression: in all and per claim, the best of five), the
+per-bit sha256 gadget calls (``xor`` and ``ch``) the verifier made,
+plus a short auditable dump excerpt.  Exits 1 if any of these honest
+statements is unsatisfied, if the verifier's verdict differs from the
+recorded system's ``satisfied`` on the honest secret bytes or on them
+with the last byte changed (the recorded system rebuilt on those
+bytes), or if the verifier made a per-bit gadget call.
 
     python scripts/circuit_report.py [--dump N]
 """
@@ -95,27 +91,17 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     res = synthesize(layout, recorder, inputs, secret)
     build_s = time.monotonic() - t0
     recorder.region = ""  # count the last region's constraints
-    sha256_gadget.shape_counts.cache_clear()
-    with sha256_gadget.GadgetCalls() as calls:
-        t0 = time.perf_counter()
-        checked = verify(layout, inputs, secret)
-        cold_s = time.perf_counter() - t0
-    warm_s = min(timeit.repeat(lambda: verify(layout, inputs, secret), number=1, repeat=5))
-    ok = res.cs.satisfied(res.values)
     cs = res.cs
-
-    def counts(c):
-        return len(c.bools), len(c.lins), len(c.r1s), c.num_vars, c.num_public
-
-    same = (
-        checked is not None
-        and counts(checked.cs) == counts(cs)
-        and all(res.values[var] == value for var, value in checked.values.items())
-    )
+    ok = cs.satisfied(res.values)
     # the last secret byte is a counter: the message changes, and with it the digest
     mutated = secret[:-1] + bytes([secret[-1] ^ 1])
     recorded = synthesize(layout, RecordingBuilder(), inputs, mutated)
-    rejects = verify(layout, inputs, mutated) is None and not recorded.cs.satisfied(recorded.values)
+    mutated_ok = recorded.cs.satisfied(recorded.values)
+    with sha256_gadget.GadgetCalls() as calls:
+        checked = verify(layout, inputs, secret)
+        mutated_accepted = verify(layout, inputs, mutated) is not None
+        verify_s = min(timeit.repeat(lambda: verify(layout, inputs, secret), number=1, repeat=5))
+    accepted = checked is not None
     print(f"profile={profile.name} claims={n_claims}" + (" long" if long_claims else ""))
     print(
         f"  constraints={len(cs)} (bool={len(cs.bools)} "
@@ -127,19 +113,18 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         if count:
             print(f"  {region or 'public inputs'}: {count}")
     print(
-        f"  recorded build {build_s:.2f}s, verifier cold {cold_s * 1e3:.2f} ms "
-        f"({cold_s * 1e3 / n_claims:.2f} ms per claim), warm {warm_s * 1e3:.2f} ms "
-        f"({warm_s * 1e3 / n_claims:.2f} ms per claim), {len(checked.values) if checked else 0} values kept, "
-        f"satisfied={ok} verifier_accepts={checked is not None} matches_recorded={same} mutation_rejected={rejects}"
+        f"  recorded build {build_s:.2f}s, verifier {verify_s * 1e3:.2f} ms "
+        f"({verify_s * 1e3 / n_claims:.2f} ms per claim), {len(checked.values) if accepted else 0} values kept, "
+        f"satisfied={ok} verifier_accepts={accepted} "
+        f"mutated_satisfied={mutated_ok} verifier_accepts_mutated={mutated_accepted}"
     )
-    print(f"  block counts cache: {sha256_gadget.shape_counts.cache_info()}")
     print(f"  per-bit xor/ch calls: {calls.per_bit}")
     if dump:
         print("  dump excerpt:")
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
-    return ok and same and rejects and calls.per_bit == 0
+    return ok and accepted and mutated_accepted == mutated_ok and calls.per_bit == 0
 
 
 def main():

@@ -14,20 +14,20 @@ Those bytes and the public inputs fix every value of the statement (see
 ``verify`` checks their count against the layout, then synthesizes the
 statement with the verifier's ``Builder``, which regenerates from the
 public inputs and the bytes every value a linear constraint reads,
-takes each claim's digest from ``hashlib`` and each sha256 compression
-by its counts, cached by the block's shape, and evaluates each linear
-constraint: the binding of x and sign to the digest and the
-predicate's checks.  The first that
-fails is refused as ``constraints_unsatisfied``, with a detail naming
-the claim and the region; that verdict is the recorded system's
-``satisfied`` on the witness the bytes regenerate.
+takes each claim's digest from ``hashlib`` and no sha256 compression,
+and evaluates each linear constraint: the binding of x and sign to the
+digest and the predicate's checks.  The first that fails is refused as
+``constraints_unsatisfied``, with a detail naming the claim and the
+region; that verdict is the recorded system's ``satisfied`` on the
+witness the bytes regenerate.
 
 On the zk-range benchmark's inputs (seed 61) a one-claim BN254 proof
 with a range predicate is 242 bytes, a 229-byte header and 12 secret
 bytes (309 bytes for two claims).  ``prove`` takes 0.07 ms once the
-claims' hashes are cached, and ``verify`` 0.22-0.28 ms (0.30-0.34 ms
-for two claims) once it has seen the layout, of which parsing is under
-0.01 ms (quartile-low of 60 runs, unscaled, 2 CPUs, Python 3.11.7).
+claims' hashes are cached, and ``verify`` about 0.17 ms (0.25 ms for
+two claims), of which parsing is under 0.01 ms (the median over six
+processes of the fastest of 300 verifies, process time, unscaled, 2
+CPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError
 from blsces.zk.r1cs import Builder
 from blsces.zk.statement import PublicInputs, StatementLayout, synthesize
 
-# Most in-circuit sha256 blocks verify() synthesizes.  A block whose
-# shape the verifier has not counted before costs it a count pass of
-# about 0.1 ms.  Its builder keeps a claim's 256 digest bits and the
-# value bits a predicate reads: one BN254 claim of 64 blocks takes about
-# 2 ms, from a cold cache too, under a 0.044 MB tracemalloc peak.
+# Most in-circuit sha256 blocks verify() accepts in one proof: it bounds
+# the recorded system of a statement, about 30,000 constraints a block.
+# The verifier takes none of them.  Its builder keeps a claim's 256
+# digest bits and the value bits a predicate reads: one BN254 claim of
+# 64 blocks verifies in about 0.2 ms under a 0.034 MB tracemalloc peak.
 MAX_BLOCKS = 64
 
 # Most bytes of a header parse() hands to json.loads.  The widest honest

@@ -27,28 +27,30 @@ which fix every value (see ``statement``).
   (claim and gadget) being synthesized.  Every other constraint holds
   by construction: a product or booleanity constraint is the one its
   gadget's value computation solves, so the builder does not evaluate
-  it.  It takes a sha256 compression by its counts alone (``compress``),
-  cached by the block's shape: every constraint of a compression, its
-  linear ones too, holds on the values the per-bit path computes, so
-  none of them is evaluated.  It takes the last compression's outputs
-  of a claim message from one ``hashlib`` digest of the message
+  it.  It takes no sha256 compression (``compress`` does nothing):
+  every constraint of a compression, its linear ones too, holds on the
+  values the per-bit path computes, and no constraint outside reads
+  them but the last compression's outputs of a claim message, which it
+  allocates and takes from one ``hashlib`` digest of the message
   (``digest``).  Its ``values`` is a dict that holds only what a linear
   constraint outside a compression reads: the public variables, each
   claim's digest bits, the message bits of the value a predicate reads
-  (``message_bits``), and the predicate's decompositions.
+  (``message_bits``), and the predicate's decompositions, which are all
+  the variables it allocates.
 * ``RecordingBuilder`` stores every value in a list and every
   constraint in a ``ConstraintSystem``, and evaluates none: it is the
   reference for dumps, audits and the mutation-sweep tests, through
   ``first_violation``.  It runs every compression on the gadget's
   per-bit path.
 
-The two give the same per-kind counts and allocate each variable at the
-same index, every value ``Builder`` keeps is the recorded one, and
-``Builder`` raises exactly when the recorded system is unsatisfied: on
-values computed this way only a linear constraint can fail.  A linear
-constraint that ties a bit decomposition to its value fails when the
-value does not fit the width (``bits_of`` masks it), so a value that
-does not fit is refused, never truncated.
+Each value ``Builder`` keeps is the recorded value of the variable it
+stands for, it evaluates the recorded system's linear constraints
+outside the compressions, in order, over those variables, and it raises
+exactly when the recorded system is unsatisfied: on values computed
+this way only a linear constraint can fail.  A linear constraint that
+ties a bit decomposition to its value fails when the value does not
+fit the width (``bits_of`` masks it), so a value that does not fit is
+refused, never truncated.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ from dataclasses import dataclass, field as dc_field
 
 from blsces.errors import ConstraintViolation, StatementError
 from blsces.groups.params import R as BN254_SCALAR_FIELD
-from blsces.zk.sha256 import WORD
-from blsces.zk.sha256_gadget import add_width, block_literals, const_word, sha256_compress_gadget, shape_counts
+from blsces.zk.sha256_gadget import block_literals, const_word, sha256_compress_gadget
 
 LC = tuple  # tuple[tuple[int, int], ...]
 
@@ -284,18 +285,15 @@ class Builder:
         return list(range(start, start + width))
 
     def message_bits(self, data: bytes, kept: range) -> int:
-        """Allocate eight boolean variables per byte of ``data``, holding
-        its bits little-endian, and return the first.  This builder keeps
-        the bits of the bytes in ``kept`` alone: outside a compression
-        only a predicate reads a message bit."""
+        """Allocate boolean variables holding the bits of the bytes of
+        ``data`` in ``kept``, little-endian: outside a compression only a
+        predicate reads a message bit.  Returns the base from which byte
+        k's bits start at 8 k, as if every byte had its bits."""
         self._public_frozen = True
-        start = self.num_vars
         if kept:
-            self.num_vars += 8 * kept.start
             self._extend(_bits(int.from_bytes(data[kept.start: kept.stop], "little"), 8 * len(kept)))
-        self.num_vars = start + 8 * len(data)
-        self.n_bools += 8 * len(data)
-        return start
+            self.n_bools += 8 * len(kept)
+        return self.num_vars - 8 * kept.stop
 
     # -- sha256 ------------------------------------------------------------
 
@@ -308,25 +306,17 @@ class Builder:
         ``block`` need not hold, and with 0 each public byte, a constant.
         Returns the output words' variables.
 
-        This builder allocates the per-bit path's variables and counts
-        its constraints by the block's shape (``shape_counts``), keeping
-        no value: ``digest`` gives the last compression's outputs."""
-        public = (int.from_bytes(block, "big") & ~int.from_bytes(secret, "big")).to_bytes(64, "big")
-        products, bools, lins = shape_counts(state if words is None else None, public, secret)
-        self._public_frozen = True
-        self.num_vars += products + bools
-        self.n_bools += bools
-        self.n_lins += lins
-        self.n_r1s += products
-        # the outputs are the low words of the last eight additions
-        width = add_width(2)
-        return [list(range(k, k + WORD)) for k in range(self.num_vars - 8 * width, self.num_vars, width)]
+        This builder takes none: ``digest`` gives the last compression's
+        outputs."""
 
-    def digest(self, bits: list[int], message: bytes) -> None:
-        """Keep the values of ``bits``, the 256 output bits of the last of
-        the compressions of ``message``, padded, from the sha256 IV, each
-        little-endian over the big-endian output: its sha256 digest."""
-        self.values.update(zip(bits, _bits(int.from_bytes(hashlib.sha256(message).digest(), "big"), 256)))
+    def digest(self, words: list[list[int]] | None, message: bytes) -> list[int]:
+        """The 256 output bits of the last of the compressions of
+        ``message``, padded, from the sha256 IV, its output words
+        ``words``, little-endian over the big-endian output: the sha256
+        digest of ``message``.  This builder, which takes no compression,
+        allocates them, holding one ``hashlib`` digest."""
+        start = self._extend(_bits(int.from_bytes(hashlib.sha256(message).digest(), "big"), 256))
+        return list(range(start, start + 256))
 
 
 class RecordingBuilder(Builder):
@@ -379,5 +369,6 @@ class RecordingBuilder(Builder):
             words = [const_word(value) for value in state]
         return sha256_compress_gadget(self, words, block_literals(block, secret, var))
 
-    def digest(self, bits: list[int], message: bytes) -> None:
-        """The per-bit path computed the outputs."""
+    def digest(self, words: list[list[int]], message: bytes) -> list[int]:
+        """The bits of ``words``, which the per-bit path computed."""
+        return [b for word in reversed(words) for b in word]

@@ -50,10 +50,6 @@ SHA256_IV = _iv()
 SHA256_K = _round_constants()
 
 
-def rotr(x: int, n: int) -> int:
-    return ((x >> n) | (x << (WORD - n))) & 0xFFFFFFFF
-
-
 def sha256_compress(state: list[int], block: bytes) -> list[int]:
     """One plain compression application.  It hashes a claim message's
     public prefix outside the constraint system; rotations are written

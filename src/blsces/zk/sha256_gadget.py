@@ -21,42 +21,23 @@ products, 10,472 booleanity checks and 312 linear.  Only this module
 knows the literal format; ``lit_lc`` turns a literal into a linear
 combination for callers.
 
-Two paths synthesize a compression.  The per-bit path
-(``sha256_compress_gadget``) runs the operations above literal by
-literal; it is the reference, which the recording builder runs.  The
-verifier's builder takes a compression by its counts alone: the block
-path (``block_counts``) runs the same operations over the input words'
-shapes, which of their literals are variables and the values of the
-rest, to count the variables and constraints of each kind the per-bit
-path allocates (see ``sha256_block``).  Those shapes follow from the
-block's public bytes, which of its bytes are secret, and the constant
-state entering a claim's first in-circuit block, so ``shape_counts``
-keeps the counts of each such shape in a bounded cache.  The builder
-computes none of a compression's values: no constraint outside the
-compressions reads them but the last one's outputs, a claim's sha256
-digest, which it takes from ``hashlib``, and every constraint inside
-holds on the values the per-bit path computes (see ``statement``).
+Only the recording builder runs the gadget.  The verifier's builder
+takes no compression: no constraint outside the compressions reads a
+value of theirs but the last one's outputs, a claim's sha256 digest,
+which it takes from ``hashlib``, and every constraint inside holds on
+the values the gadget computes (see ``statement``).
 
 The plain compression and the constants are in ``sha256``.
 """
 
 from __future__ import annotations
 
-import functools
-import struct
 from typing import TYPE_CHECKING
 
 from blsces.zk.sha256 import SHA256_K, WORD
-from blsces.zk.sha256_block import VAR, BlockWords, add_width, word_shape
 
 if TYPE_CHECKING:  # r1cs runs the gadget through its builders
     from blsces.zk.r1cs import LC, Builder
-
-# Most block shapes ``shape_counts`` keeps.  A layout holds at most
-# backend.MAX_BLOCKS in-circuit blocks, and the blocks after a claim's
-# first that hold secret bytes alone share one shape, so this holds the
-# shapes of many layouts; an entry is under 1 KB.
-SHAPE_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +64,8 @@ def _value(bd: Builder, b: int) -> int:
 
 
 def _compress(ops, state: list, block: list) -> list:
-    """One compression over the word operations ``ops``: the per-bit
-    path's over literals, or the block path's over word shapes, which
-    counts what the per-bit path allocates."""
+    """One compression over the word operations ``ops``, a
+    ``PerBitWords``."""
     w = list(block)
     for t in range(16, 64):
         s0 = ops.sigma(w[t - 15], 7, 18, 3, shift=True)
@@ -139,6 +119,11 @@ def ch(bd: Builder, e: int, f: int, g: int) -> int:
 def maj(bd: Builder, a: int, b: int, c: int) -> int:
     """Maj(a, b, c) = Ch(a xor b, c, a)."""
     return ch(bd, xor(bd, a, b), c, a)
+
+
+def add_width(count: int) -> int:
+    """Bits an addition of ``count`` words allocates: 32 and its carries."""
+    return WORD + max(1, (count - 1).bit_length())
 
 
 def word_add(bd: Builder, *words: list[int]) -> list[int]:
@@ -238,27 +223,3 @@ def block_literals(block: bytes, secret: bytes, var: int) -> list[list[int]]:
             lits += _BYTE_LITS[byte]
     return [lits[p + 24: p + 32] + lits[p + 16: p + 24] + lits[p + 8: p + 16] + lits[p: p + 8]
             for p in range(0, 512, 32)]
-
-
-def block_counts(state: tuple[int, ...] | None, block: bytes, secret: bytes) -> BlockWords:
-    """The counts of one compression of ``block`` from ``state``, as the
-    block path takes them: every state word holds variables if ``state``
-    is None, and constants of its value otherwise; a message byte holds
-    variables where ``secret`` is 0xFF, and is a public constant of its
-    value in ``block`` where it is 0."""
-    words = [word_shape(x, v) for x, v in zip(struct.unpack(">16I", block), struct.unpack(">16I", secret))]
-    state_words = [VAR] * 8 if state is None else [(x, 0) for x in state]
-    ops = BlockWords()
-    _compress(ops, state_words, words)
-    return ops
-
-
-@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def shape_counts(state: tuple[int, ...] | None, block: bytes, secret: bytes) -> tuple[int, int, int]:
-    """``block_counts`` of a block shape, as (products, bools, lins): the
-    block's public bytes, with its secret bytes zeroed, its secret mask,
-    and its constant state, or None for a state of variables.  These are
-    all the count pass reads, so a shape seen before is not counted
-    again."""
-    ops = block_counts(state, block, secret)
-    return ops.products, ops.bools, ops.lins

@@ -60,12 +60,12 @@ alone:
 So the statement holds exactly when the linear constraints outside the
 compressions do, on the values the public inputs and the secret bytes
 regenerate; the verifier's ``Builder`` evaluates them as they are
-emitted, takes each compression by its counts, and each claim's digest
+emitted, takes no compression, and allocates each claim's digest bits
 from ``hashlib`` (see ``r1cs``).  ``synthesize`` hands a builder each
 in-circuit block as its bytes, with the secret ones marked, the first
 over the state after the claim's public prefix, as constants, hashed
-with the plain compression, and then the claim message, whose digest
-the last compression's outputs hold.
+with the plain compression, and then the claim message, for the bits
+of its digest.
 """
 
 from __future__ import annotations
@@ -259,8 +259,7 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
     ``ConstraintViolation`` at the first linear constraint that fails,
     naming its claim and region, and keeps only the values those
     constraints read; ``RecordingBuilder`` stores every value and
-    constraint instead.  The constraints depend only on the layout, so
-    both count the same ones."""
+    constraint instead.  The constraints depend only on the layout."""
     profile = PROFILES.get(layout.profile_name)
     if profile is None:
         raise StatementError(f"unknown curve profile {layout.profile_name!r}")
@@ -327,8 +326,7 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
 
         # bind public x limbs and sign to the digest bits, variables all;
         # digest bit t is little-endian over the 256-bit big-endian digest
-        digest = [b for word in reversed(words) for b in word]
-        bd.digest(digest, msg[:cl.msg_len])
+        digest = bd.digest(words, msg[:cl.msg_len])
         bd.region = f"claim {cl.index}, binding"
         for j in range(NUM_LIMBS):
             low = LIMB_BITS * j

@@ -16,7 +16,6 @@ from blsces.groups import decompress_x
 from blsces.groups.params import BN254, TOY
 from blsces.groups.params import P as BIG_P
 from blsces.zk import build_statement, hash_to_curve_witness
-from blsces.zk import sha256_gadget
 from blsces.zk.r1cs import Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import SHA256_IV, SHA256_K, sha256_compress, sha256_pad
 from blsces.zk.sha256_gadget import ONE, ZERO, ch, const_word, lit_lc, maj, sha256_compress_gadget, xor
@@ -91,109 +90,23 @@ def block_shapes(draw):
     return bytes(block), bytes(secret)
 
 
-def compress_both(state, variable_state, block, secret):
-    """One compression through the verifier's builder, then the recording
-    one, which runs per bit, over the same variables: the state's 256
-    fresh variables if ``variable_state``, and the secret bytes' message
-    bits.  Returns per builder the builder, the output words' variables,
-    and the per-bit gadget calls it made."""
-    runs = []
-    for bd in (Builder(), RecordingBuilder()):
-        words = [bd.bits_of(v, 32) for v in state] if variable_state else None
-        var = bd.num_vars
-        hidden = bytes(b for b, h in zip(block, secret) if h)
-        bd.bits_of(int.from_bytes(hidden, "little"), 8 * len(hidden))
-        with sha256_gadget.GadgetCalls() as spy:
-            out = bd.compress(tuple(state), words, block, secret, var)
-        runs.append((bd, out, spy.per_bit))
-    return runs
-
-
-def word_values(bd, words):
-    return [sum(bd.values[b] << j for j, b in enumerate(w)) for w in words]
-
-
-def per_kind(bd):
-    cs = bd.cs
-    return cs.num_vars, len(cs.bools), len(cs.lins), len(cs.r1s)
-
-
 @given(st.lists(st.integers(0, (1 << 32) - 1), min_size=8, max_size=8), st.booleans(), block_shapes())
 @settings(max_examples=30, deadline=None)
-def test_block_path_matches_per_bit_on_any_shape(state, variable_state, shape):
-    """Over a state of constants or of variables, and a block of public
-    and secret bytes at every alignment, the verifier's builder counts
-    the variables and the constraints of each kind the recording
-    builder allocates per bit, with the output words at the same
-    indices, keeps each of its values as recorded and none inside the
-    compression, and makes no per-bit xor or Ch; the recorded outputs
-    are the plain compression's."""
+def test_sha_gadget_matches_plain_on_any_shape(state, variable_state, shape):
+    """Over a state of constants or of fresh variables, and a block of
+    public and secret bytes at every alignment, the recording builder's
+    compression, which runs per bit and folds the public bytes'
+    constants, outputs the plain compression and satisfies its
+    constraints."""
     block, secret = shape
-    (bd, out, calls), (recorder, recorded_out, _) = compress_both(state, variable_state, block, secret)
-    assert per_kind(bd) == per_kind(recorder)
-    assert out == recorded_out
-    assert_keeps_recorded(bd, recorder)
-    assert max(bd.values) < out[0][0]
-    assert word_values(recorder, recorded_out) == sha256_compress(state, block)
-    assert calls == 0
-
-
-@pytest.mark.parametrize("constant_state", [False, True], ids=["all-variable", "constant-state"])
-def test_int_branch_matches_per_bit(constant_state):
-    """With every message byte secret, and the state fresh variables or
-    constants, the verifier's builder counts what the recording builder
-    allocates per bit, with its output words at the recorded indices,
-    and makes no per-bit xor or Ch; the recorded outputs are the plain
-    compression's."""
-    for seed in range(4):
-        r = random.Random(seed)
-        state = [r.getrandbits(32) for _ in range(8)]
-        block = r.randbytes(64)
-        (bd, out, calls), (recorder, recorded_out, _) = compress_both(state, not constant_state, block, b"\xff" * 64)
-        assert per_kind(bd) == per_kind(recorder) and out == recorded_out, seed
-        assert_keeps_recorded(bd, recorder)
-        assert word_values(recorder, recorded_out) == sha256_compress(state, block)
-        assert calls == 0, seed
-
-
-def test_shape_cache_keys_what_the_count_pass_reads():
-    """The count pass reads a block's public bytes, its secret mask and
-    its constant state, never the values of its secret bytes: blocks
-    that differ only there share one ``shape_counts`` entry, with the
-    same uncached counts, and blocks that differ in one public byte, in
-    one byte's mask, in the constant state, or by a state of variables
-    get an entry each.  Every entry's counts are what the recording
-    builder allocates per bit, so a key that dropped one of these would
-    hand a block the counts of another: the two constant states below
-    count differently."""
-    r = random.Random(7)
-    state = tuple(r.getrandbits(32) for _ in range(8))
-    block = r.randbytes(64)
-    secret = bytes(0xFF if j % 3 else 0 for j in range(64))
-    other_state = tuple(r.getrandbits(32) for _ in range(8))
-    shapes = [
-        (state, False, block, secret),
-        (state, False, block[:3] + bytes([block[3] ^ 1]) + block[4:], secret),
-        (state, False, block, secret[:3] + b"\xff" + secret[4:]),
-        (other_state, False, block, secret),
-        (state, True, block, secret),
-    ]
-    sha256_gadget.shape_counts.cache_clear()
-    counted = []
-    for shape in shapes:
-        (bd, _, _), (recorder, _, _) = compress_both(*shape)
-        assert per_kind(bd) == per_kind(recorder)
-        counted.append(per_kind(bd))
-    assert counted[0] != counted[3]
-    assert sha256_gadget.shape_counts.cache_info().currsize == len(shapes)
-    uncached = sha256_gadget.block_counts(state, block, secret)
-    for _ in range(3):
-        other = bytes(r.randrange(256) if hidden else byte for byte, hidden in zip(block, secret))
-        assert vars(sha256_gadget.block_counts(state, other, secret)) == vars(uncached)
-        (bd, _, _), (recorder, _, _) = compress_both(state, False, other, secret)
-        assert per_kind(bd) == per_kind(recorder) == counted[0]
-    info = sha256_gadget.shape_counts.cache_info()
-    assert (info.currsize, info.hits) == (len(shapes), 3)
+    bd = RecordingBuilder()
+    words = [bd.bits_of(v, 32) for v in state] if variable_state else None
+    var = bd.num_vars
+    hidden = bytes(b for b, h in zip(block, secret) if h)
+    bd.bits_of(int.from_bytes(hidden, "little"), 8 * len(hidden))
+    out = bd.compress(tuple(state), words, block, secret, var)
+    assert [sum(bd.values[b] << j for j, b in enumerate(word)) for word in out] == sha256_compress(state, block)
+    assert bd.cs.satisfied(bd.values)
 
 
 # -- bit literals ------------------------------------------------------------------

@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import assert_keeps_recorded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,103 +65,60 @@ def test_toy_statement_satisfied():
     assert res.cs.num_public == 5  # 4 limbs + sign
 
 
-class EventRecorder(RecordingBuilder):
-    """The recording builder, also logging each constraint it stores as
-    (region, kind, constraint): kind "bool" with the variable, "lin" with
-    the LC, "r1" with the LC triple."""
+class Logged:
+    """Over a builder, logs each linear constraint it is handed as
+    (region, LC) in ``lins_by_region``, and each claim's digest bits in
+    ``digests``."""
 
     def __init__(self):
         super().__init__()
-        self.events = []
-
-    def add_bool(self, var):
-        super().add_bool(var)
-        self.events.append((self.region, "bool", var))
+        self.lins_by_region = []
+        self.digests = []
 
     def add_lin(self, lc):
         super().add_lin(lc)
-        self.events.append((self.region, "lin", tuple(lc)))
+        self.lins_by_region.append((self.region, tuple(lc)))
 
-    def add_r1(self, a_lc, b_lc, c_lc):
-        super().add_r1(a_lc, b_lc, c_lc)
-        self.events.append((self.region, "r1", (tuple(a_lc), tuple(b_lc), tuple(c_lc))))
-
-    def bits_of(self, value, width):
-        bits = super().bits_of(value, width)
-        self.events += [(self.region, "bool", v) for v in bits]
-        return bits
+    def digest(self, words, message):
+        self.digests.append(super().digest(words, message))
+        return self.digests[-1]
 
 
-class EventChecker(Builder):
-    """The verifier's builder, logging what it checks: each variable of a
-    bit decomposition as (region, "bool", variable), each linear
-    constraint as (region, "lin", LC), and each compression it takes by
-    its output and counts as (region, "block", first variable, end,
-    per-kind counts)."""
+class LoggedRecorder(Logged, RecordingBuilder):
+    pass
 
-    def __init__(self):
-        super().__init__()
-        self.events = []
 
-    def bits_of(self, value, width):
-        bits = super().bits_of(value, width)
-        self.events += [(self.region, "bool", v) for v in bits]
-        return bits
-
-    def message_bits(self, data, kept):
-        start = super().message_bits(data, kept)
-        self.events += [(self.region, "bool", v) for v in range(start, start + 8 * len(data))]
-        return start
-
-    def add_lin(self, lc):
-        super().add_lin(lc)
-        self.events.append((self.region, "lin", tuple(lc)))
-
-    def compress(self, state, words, block, secret, var):
-        start, before = self.num_vars, (self.n_bools, self.n_lins, self.n_r1s)
-        out = super().compress(state, words, block, secret, var)
-        counts = tuple(n - k for n, k in zip((self.n_bools, self.n_lins, self.n_r1s), before))
-        self.events.append((self.region, "block", start, self.num_vars, counts))
-        return out
+class LoggedChecker(Logged, Builder):
+    pass
 
 
 def assert_checks_recorded(layout, inputs, secret):
     """The verifier's builder, run over the public inputs and the secret
-    bytes, checks the recorded system of the statement, in order: each
-    bit decomposition and linear constraint it evaluates is the next one
-    the recording builder stored, in the same region, and each
-    compression it takes by its output and counts stands for the next
-    run of stored constraints, of its region and of its per-kind counts,
-    over the variables it allocates.  Every value it keeps is the
-    recorded one.  Returns the checker's log and the recorded system."""
-    recorder = EventRecorder()
+    bytes, checks the recorded system's linear constraints outside the
+    compressions, in order and by region: each one it evaluates has the
+    next one's coefficients, over variables of the recorded values.
+    Each claim's digest bits hold the values of the recorded digest
+    words, the public variables the recorded values, and the verifier
+    makes no per-bit gadget call.  Returns both builders."""
+    recorder, checker = LoggedRecorder(), LoggedChecker()
     recorded = synthesize(layout, recorder, inputs, secret)
-    checker = EventChecker()
-    checked = synthesize(layout, checker, inputs, secret)
-    assert_keeps_recorded(checked, recorded)
-    stored = recorder.events
-    k = 0
-    for event in checker.events:
-        if event[1] != "block":
-            assert event == stored[k], (event, stored[k])
-            k += 1
-            continue
-        region, _, start, end, (bools, lins, r1s) = event
-        run = stored[k: k + bools + lins + r1s]
-        k += len(run)
-        assert {e[0] for e in run} == {region}
-        assert Counter(e[1] for e in run) == Counter(bool=bools, lin=lins, r1=r1s)
-        assert all(start <= e[2] < end for e in run if e[1] == "bool")
-        # the block's constraints mention no variable allocated after it
-        lcs = [e[2] for e in run if e[1] == "lin"] + [lc for e in run if e[1] == "r1" for lc in e[2]]
-        assert max(var for lc in lcs for var, _ in lc) < end
-    assert k == len(stored)
-    assert sizes(checker.cs) == sizes(recorded.cs)
-    return checker.events, recorded
+    with sha256_gadget.GadgetCalls() as spy:
+        checked = synthesize(layout, checker, inputs, secret)
+    assert spy.per_bit == 0
+    f = recorded.cs.field
 
+    def terms(lins, values):
+        return [(region, tuple((values[v], k % f) for v, k in lc)) for region, lc in lins]
 
-def sizes(cs):
-    return len(cs.bools), len(cs.lins), len(cs.r1s), cs.num_vars, cs.num_public
+    outside = [(region, lc) for region, lc in recorder.lins_by_region if ", sha256 block " not in region]
+    assert terms(checker.lins_by_region, checked.values) == terms(outside, recorded.values)
+    assert len(checker.digests) == len(recorder.digests) == len(layout.claims)
+    for bits, recorded_bits in zip(checker.digests, recorder.digests):
+        assert [checked.values[b] for b in bits] == [recorded.values[b] for b in recorded_bits]
+    public = range(recorded.cs.num_public + 1)
+    assert checked.cs.num_public == recorded.cs.num_public
+    assert [checked.values[v] for v in public] == recorded.values[: len(public)]
+    return checker, recorder
 
 
 def statement_args(claim, profile=TOY, predicate=None, ceas=TOY_CEAS):
@@ -176,19 +132,20 @@ def statement_args(claim, profile=TOY, predicate=None, ceas=TOY_CEAS):
 def test_checker_checks_what_the_prover_proved():
     """Bit literals fold on their structure, never on values: two
     claims of one shape record the same system, and the verifier's
-    builder logs the same checks over either.  Over those, with and
-    without a range predicate, over two in-circuit blocks, after a
-    prefix hashed outside, and on both profiles, it checks the recorded
-    system in order (``assert_checks_recorded``), taking each in-circuit
-    block by its output and counts, and keeps the recorded values with
-    the recorded per-kind counts;
+    builder evaluates the same linear constraints over either.  Over
+    those, with and without a range predicate, over two in-circuit
+    blocks, after a prefix hashed outside, and on both profiles, it
+    checks the recorded system's linear constraints outside the
+    compressions, in order, and holds the recorded digest
+    (``assert_checks_recorded``), while the recorded compressions are
+    those of the in-circuit blocks;
     test_word_path_verdicts_match_per_bit holds its verdicts on mutated
     secret bytes to the recorded system's."""
-    (events33, res33), (events44, res44) = (
+    (checker33, recorder33), (checker44, recorder44) = (
         assert_checks_recorded(*statement_args(Claim("h", "age", v))) for v in ("33", "44")
     )
-    assert (res33.cs.bools, res33.cs.lins, res33.cs.r1s) == (res44.cs.bools, res44.cs.lins, res44.cs.r1s)
-    assert events33 == events44
+    assert (recorder33.bools, recorder33.lins, recorder33.r1s) == (recorder44.bools, recorder44.lins, recorder44.r1s)
+    assert checker33.lins_by_region == checker44.lins_by_region
     long_claim = Claim("h", "bio", "x" * 80)
     for args, blocks in (
         (statement_args(Claim("h", "age", "42"), predicate=RangePredicate(0, 40, 45)), (0, 1)),
@@ -199,17 +156,21 @@ def test_checker_checks_what_the_prover_proved():
     ):
         cl = args[0].claims[0]
         assert (cl.first_block, cl.total_blocks) == blocks
-        events, _ = assert_checks_recorded(*args)
-        taken = [e[0] for e in events if e[1] == "block"]
-        assert taken == [f"claim 0, sha256 block {b}" for b in range(*blocks)]
+        checker, recorder = assert_checks_recorded(*args)
+        assert {region for region, _ in checker.lins_by_region} <= {"claim 0, binding", "claim 0, predicate"}
+        compressions = {region for region, _ in recorder.lins_by_region if ", sha256 block " in region}
+        assert compressions == {f"claim 0, sha256 block {b}" for b in range(*blocks)}
 
 
 def test_prover_computes_what_the_recorder_records():
-    """The verifier's builder, which stores no constraint, regenerates
-    every value it keeps as the recording builder records it, with its
-    sizes, from the public inputs and the secret bytes, on both profiles, for one and two claims, with a
-    range predicate, an equals predicate, a claim of two in-circuit
-    blocks and claims whose first block is hashed outside."""
+    """The verifier's builder, which stores no constraint and takes no
+    compression, regenerates from the public inputs and the secret bytes
+    every value a linear constraint outside the compressions reads as
+    the recording builder records it, each claim's digest included
+    (``assert_checks_recorded``), on both profiles, for one and two
+    claims, with a range predicate, an equals predicate, a claim of two
+    in-circuit blocks and claims whose first block is hashed outside;
+    the recorded systems are satisfied."""
     claims = (Claim("h", "age", "42"), Claim("h", "country", "CH"), Claim("h", "bio", "x" * 80))
     cred = Credential(claims)
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [2], [0, 2]])
@@ -225,36 +186,28 @@ def test_prover_computes_what_the_recorder_records():
         for c, policy, idxs, predicate in cases:
             wits = {i: hash_to_curve_witness(i, c[i], len(c), policy, profile) for i in idxs}
             layout, inputs, secret = prover_layout(c, policy, wits, idxs, predicate, profile.name)
-            recorded = synthesize(layout, RecordingBuilder(), inputs, secret)
-            proved = synthesize(layout, Builder(), inputs, secret)
-            assert recorded.cs.satisfied(recorded.values)
-            assert_keeps_recorded(proved, recorded)
-            assert sizes(proved.cs) == sizes(recorded.cs) and len(proved.cs) == len(recorded.cs), (profile.name, idxs)
+            _, recorder = assert_checks_recorded(layout, inputs, secret)
+            assert recorder.cs.satisfied(recorder.values), (profile.name, idxs)
     assert [cl.first_block for cl in layout.claims] == [1, 1]
     assert [cl.total_blocks for cl in layout.claims] == [2, 3]
 
 
 def test_block_path_matches_per_bit_across_alignments():
     """For every value length 0..63 under a one-claim policy, and a few
-    under WIDE_CEAS (block 0 hashed outside), the verifier's builder,
-    which takes each compression by its output and counts, keeps the
-    recording builder's values, which it computes per bit, at their
-    indices, with its per-kind counts, accepts the honest bytes, and
-    makes no per-bit xor or Ch.  Between them these lengths put public
-    and secret bytes at every alignment against a word, cross the 55/56-byte
-    padding spill, and give one to three in-circuit blocks."""
+    under WIDE_CEAS (block 0 hashed outside), the verifier's builder
+    accepts the honest bytes, checking the recorded linear constraints
+    outside the compressions, over the recorded values, with no per-bit
+    xor or Ch (``assert_checks_recorded``).  Between them these lengths
+    put public and secret bytes at every alignment against a word, cross
+    the 55/56-byte padding spill, and give one to three in-circuit
+    blocks."""
     in_circuit = set()
     for policy, filler, lengths in ((TOY_CEAS, (), range(64)), (WIDE_CEAS, FILLER, (0, 19, 20, 57, 90, 100))):
         for n in lengths:
             cred = Credential((Claim("h", "bio", "v" * n),) + filler)
             wit = hash_to_curve_witness(0, cred[0], len(cred), policy, TOY)
             layout, inputs, secret = prover_layout(cred, policy, {0: wit}, (0,), None, "toy11")
-            per_bit = synthesize(layout, RecordingBuilder(), inputs, secret)
-            with sha256_gadget.GadgetCalls() as spy:
-                block = synthesize(layout, Builder(), inputs, secret)
-            assert_keeps_recorded(block, per_bit)
-            assert sizes(block.cs) == sizes(per_bit.cs), (policy.n, n)
-            assert spy.per_bit == 0, (policy.n, n)
+            assert_checks_recorded(layout, inputs, secret)
             cl = layout.claims[0]
             in_circuit.add(cl.total_blocks - cl.first_block)
     assert in_circuit == {1, 2, 3}
@@ -263,7 +216,7 @@ def test_block_path_matches_per_bit_across_alignments():
 def test_honest_zk_range_makes_no_per_bit_calls():
     """An honest prove and check of the benchmark's zk-range shape (BN254,
     claims {0} and {0, 1} of three, a range predicate on claim 0) takes
-    every compression whole: no per-bit xor or Ch gadget runs."""
+    no compression: no per-bit xor or Ch gadget runs."""
     setup = zk_setup(rng=random.Random(0x2A))
     cred = Credential((Claim("holder", "age", "42"), Claim("holder", "country", "QZ"), Claim("holder", "member", "0f1e2d3c")))
     ceas = CEAS.from_index_sets(3, [[0], [0, 1], [0, 2], [0, 1, 2]])
@@ -324,11 +277,11 @@ def first_failing_region(layout, inputs, secret):
     satisfied, the region of its first failing linear constraint in
     emission order (the only kind that can fail on regenerated values),
     and its values."""
-    recorder = EventRecorder()
+    recorder = LoggedRecorder()
     recorded = synthesize(layout, recorder, inputs, secret)
     f = recorded.cs.field
-    failing = [e[0] for e in recorder.events if e[1] == "lin" and lc_value(e[2], recorded.values, f)]
-    return recorded.cs.satisfied(recorded.values), failing[0] if failing else None, recorded.values
+    failing = (region for region, lc in recorder.lins_by_region if lc_value(lc, recorded.values, f))
+    return recorded.cs.satisfied(recorded.values), next(failing, None), recorded.values
 
 
 def mutated(secret, at, byte):
@@ -386,66 +339,32 @@ def zk_range_proof(idxs):
     return prove_extraction(BackendParams(), cred, ceas, ExtractionSet(frozenset(idxs)), RangePredicate(0, 18, 65))
 
 
-def test_verdicts_do_not_depend_on_the_count_cache():
-    """Each of ``verdict_cases`` gets the same verdict, code and detail,
-    and the verifier's synthesis the same sizes where it stops, from a
-    cold ``shape_counts`` cache (cleared before the case) and from a
-    warm one (after every case ran); both codes occur."""
-
-    def fingerprints(cold):
-        out = []
-        for case_inputs, case_secret in cases:
-            proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, case_secret)
-            verdict = TRANSPARENT_BACKEND.verify(BackendParams(), proof, case_inputs)
-            bd = Builder()
-            try:
-                synthesize(layout, bd, case_inputs, case_secret)
-            except ConstraintViolation:
-                pass
-            out.append((verdict.ok, verdict.code, verdict.detail, sizes(bd.cs)))
-            if cold:
-                sha256_gadget.shape_counts.cache_clear()
-        return out
-
-    layout, cases = verdict_cases()
-    sha256_gadget.shape_counts.cache_clear()
-    cold_run = fingerprints(cold=True)
-    assert fingerprints(cold=False) == cold_run
-    assert {code for _, code, _, _ in cold_run} == {"ok", "constraints_unsatisfied"}
-
-
 def test_warm_verify_runs_no_compression_and_no_count_pass(monkeypatch):
-    """A verifier that has seen a layout takes each block's counts from
-    its cache: verifying the zk-range shape again (BN254, claims 0 and
-    1, a range predicate), whose claims have no public prefix, runs no
-    plain compression and no count pass.  Two toy claims whose first
-    in-circuit block is block 1 share their public prefix, block 0,
-    which each verify hashes once.  From a cold cache a verify counts
-    each block shape once."""
+    """A verify runs the plain compression over each claim's public
+    prefix alone, the first time it sees a proof and again: none for the
+    zk-range shape (BN254, claims 0 and 1, a range predicate), whose
+    claims have no public prefix, and one for two toy claims whose first
+    in-circuit block is block 1, which share their public prefix, block
+    0."""
     calls = Counter()
     for module in [m for name, m in sys.modules.items() if name.startswith("blsces")]:
-        for name in ("sha256_compress", "block_counts"):
-            if hasattr(module, name):
-                def counted(*args, original=getattr(module, name), name=name):
-                    calls[name] += 1
-                    return original(*args)
+        if hasattr(module, "sha256_compress"):
+            def counted(*args, original=module.sha256_compress):
+                calls["sha256_compress"] += 1
+                return original(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, "sha256_compress", counted)
     zk_range = zk_range_proof({0, 1})
     wide = Credential((Claim("h", "age", "33"), Claim("h", "bio", "x" * 80)) + FILLER[:4])
     wits = {i: hash_to_curve_witness(i, wide[i], 6, WIDE_CEAS, TOY) for i in (0, 1)}
     layout, inputs, secret = prover_layout(wide, WIDE_CEAS, wits, (0, 1), None, TOY.name)
     assert [cl.first_block for cl in layout.claims] == [1, 1]
     wide_proof = TRANSPARENT_BACKEND.prove(BackendParams(), layout, secret)
-    # (proof, inputs, blocks hashed outside, in-circuit block shapes)
-    for proof, inputs, outside, shapes in ((*zk_range, 0, 2), (wide_proof, inputs, 1, 3)):
-        sha256_gadget.shape_counts.cache_clear()
-        calls.clear()
-        assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
-        assert calls == Counter(sha256_compress=outside, block_counts=shapes), calls
-        calls.clear()
-        assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
-        assert calls == Counter(sha256_compress=outside), calls
+    for proof, inputs, outside in ((*zk_range, 0), (wide_proof, inputs, 1)):
+        for _ in range(2):
+            calls.clear()
+            assert TRANSPARENT_BACKEND.verify(BackendParams(), proof, inputs)
+            assert calls["sha256_compress"] == outside, calls
 
 
 def test_layout_builds_each_claim_once_per_verify(monkeypatch):
@@ -473,8 +392,9 @@ def test_digest_is_the_chained_compressions(components, extraction):
     claim's unpadded message (hashlib) is the chain of plain
     compressions from the IV over its padded message, which the
     circuit's compressions compute, and the verifier's builder, which
-    keeps that digest, keeps the recording builder's values with its
-    sizes."""
+    keeps that digest, holds the recorded digest words' values and checks
+    the recorded linear constraints outside the compressions
+    (``assert_checks_recorded``)."""
     cred = Credential(tuple(Claim(*parts) for parts in components))
     idxs = tuple(sorted(extraction))
     wits = {i: hash_to_curve_witness(i, cred[i], 6, WIDE_CEAS, TOY) for i in idxs}
@@ -489,10 +409,7 @@ def test_digest_is_the_chained_compressions(components, extraction):
             state = sha256_compress(state, msg[k: k + 64])
         assert hashlib.sha256(msg[: cl.msg_len]).digest() == struct.pack(">8I", *state)
         assert cl.first_block > 0
-    checked = synthesize(layout, Builder(), inputs, secret)
-    recorded = synthesize(layout, RecordingBuilder(), inputs, secret)
-    assert_keeps_recorded(checked, recorded)
-    assert sizes(checked.cs) == sizes(recorded.cs)
+    assert_checks_recorded(layout, inputs, secret)
 
 
 # operations per compression: 48 schedule steps of sigma, sigma, add;
@@ -1678,10 +1595,10 @@ def test_hostile_header_is_refused_within_budget(name, shapes, issuer):
 
 def test_flipped_first_block_bit_is_refused_by_its_block(shapes):
     """The flipped bit of claim 0's first in-circuit block regenerates
-    another message and digest; the verifier takes the block whole,
-    without a per-bit gadget call, and refuses the proof where the
-    recorded system rebuilt on those bytes first fails: claim 0's
-    binding of x and sign."""
+    another message and digest; the verifier, which takes no
+    compression and makes no per-bit gadget call, refuses the proof
+    where the recorded system rebuilt on those bytes first fails: claim
+    0's binding of x and sign."""
     proof, inputs, _ = shapes["flipped_first_block_bit"]
     layout, secret = TRANSPARENT_BACKEND.parse(proof)
     byte_regions = ByteRegions()
