@@ -9,18 +9,21 @@ predicate"), the secret bytes a proof carries, the times of the two
 syntheses (the recorded build, which stores every constraint, and the
 verifier's, which regenerates from the public inputs and the secret
 bytes the values its linear constraints read, stores no constraint and
-takes no compression: in all and per claim, the best of five), the
-per-bit sha256 gadget calls (``xor`` and ``ch``) the verifier made,
-plus a short auditable dump excerpt.  Exits 1 if any of these honest
-statements is unsatisfied, if the verifier's verdict differs from the
-recorded system's ``satisfied`` on the honest secret bytes or on them
-with the last byte changed (the recorded system rebuilt on those
-bytes), or if the verifier made a per-bit gadget call.
+runs no compression: in all and per claim, the best of five), the
+per-bit sha256 gadget calls (``xor`` and ``ch``) and the plain
+``sha256_compress`` calls the verifier made, plus a short auditable
+dump excerpt.  Exits 1 if any of these honest statements is
+unsatisfied, if the verifier's verdict differs from the recorded
+system's ``satisfied`` on the honest secret bytes or on them with the
+last byte changed (the recorded system rebuilt on those bytes), or if
+the verifier made a per-bit gadget call or a plain compression, which
+the long claims' public block 0 would show.
 
     python scripts/circuit_report.py [--dump N]
 """
 
 import argparse
+import contextlib
 import sys
 import time
 import timeit
@@ -55,6 +58,27 @@ class RegionRecorder(RecordingBuilder):
     def region(self, name: str) -> None:
         self.per_region[self._region] += self._stored() - self._mark
         self._region, self._mark = name, self._stored()
+
+
+@contextlib.contextmanager
+def plain_compressions():
+    """Counts, while open, the calls of the plain ``sha256_compress``
+    through each blsces module that binds it."""
+    calls = Counter()
+    saved = {
+        m: m.sha256_compress for name, m in sys.modules.items() if name.startswith("blsces") and hasattr(m, "sha256_compress")
+    }
+    for module, original in saved.items():
+        def counted(*args, original=original):
+            calls["plain"] += 1
+            return original(*args)
+
+        module.sha256_compress = counted
+    try:
+        yield calls
+    finally:
+        for module, original in saved.items():
+            module.sha256_compress = original
 
 
 def verify(layout, inputs, secret):
@@ -97,7 +121,7 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
     mutated = secret[:-1] + bytes([secret[-1] ^ 1])
     recorded = synthesize(layout, RecordingBuilder(), inputs, mutated)
     mutated_ok = recorded.cs.satisfied(recorded.values)
-    with sha256_gadget.GadgetCalls() as calls:
+    with sha256_gadget.GadgetCalls() as calls, plain_compressions() as plain:
         checked = verify(layout, inputs, secret)
         mutated_accepted = verify(layout, inputs, mutated) is not None
         verify_s = min(timeit.repeat(lambda: verify(layout, inputs, secret), number=1, repeat=5))
@@ -118,13 +142,13 @@ def report(profile, n_claims: int, dump: int, long_claims: bool = False) -> bool
         f"satisfied={ok} verifier_accepts={accepted} "
         f"mutated_satisfied={mutated_ok} verifier_accepts_mutated={mutated_accepted}"
     )
-    print(f"  per-bit xor/ch calls: {calls.per_bit}")
+    print(f"  per-bit xor/ch calls: {calls.per_bit}, plain sha256_compress calls: {plain['plain']}")
     if dump:
         print("  dump excerpt:")
         for line in cs.dump(limit=dump).splitlines():
             print(f"    {line}")
     print()
-    return ok and accepted and mutated_accepted == mutated_ok and calls.per_bit == 0
+    return ok and accepted and mutated_accepted == mutated_ok and calls.per_bit == 0 and plain["plain"] == 0
 
 
 def main():

@@ -109,7 +109,7 @@ def cmd_issue(args) -> int:
     cred, ceas = formats.credential_from_json(_read_json(args.credential))
     if args.ceas is not None:
         data = _read_json(args.ceas)
-        ceas = formats.ceas_from_json(data.get("ceas", data))
+        ceas = formats.ceas_from_json(data.get("ceas", data) if isinstance(data, dict) else data)
     if ceas is None:
         raise EncodingError("no extraction policy: provide it in the credential file or via --ceas")
     sc = ces_sign(sk, cred, ceas)

@@ -128,7 +128,9 @@ def _claims_from_json(items: Any) -> Credential:
         subject = item.get("subject")
         prop = item.get("property")
         value = item.get("value")
-        hidden = bool(item.get("hidden", False))
+        hidden = item.get("hidden", False)
+        if not isinstance(hidden, bool):
+            raise EncodingError("claim hidden flag must be a boolean")
         if not isinstance(subject, str):
             raise EncodingError("claim subject must be a string")
         if hidden:

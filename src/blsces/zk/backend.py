@@ -14,7 +14,8 @@ Those bytes and the public inputs fix every value of the statement (see
 ``verify`` checks their count against the layout, then synthesizes the
 statement with the verifier's ``Builder``, which regenerates from the
 public inputs and the bytes every value a linear constraint reads,
-takes each claim's digest from ``hashlib`` and no sha256 compression,
+takes each claim's digest from one ``hashlib`` call over the whole
+message, runs no sha256 compression, not even over a public prefix,
 and evaluates each linear constraint: the binding of x and sign to the
 digest and the predicate's checks.  The first that fails is refused as
 ``constraints_unsatisfied``, with a detail naming the claim and the

@@ -27,21 +27,22 @@ which fix every value (see ``statement``).
   (claim and gadget) being synthesized.  Every other constraint holds
   by construction: a product or booleanity constraint is the one its
   gadget's value computation solves, so the builder does not evaluate
-  it.  It takes no sha256 compression (``compress`` does nothing):
-  every constraint of a compression, its linear ones too, holds on the
-  values the per-bit path computes, and no constraint outside reads
-  them but the last compression's outputs of a claim message, which it
-  allocates and takes from one ``hashlib`` digest of the message
-  (``digest``).  Its ``values`` is a dict that holds only what a linear
-  constraint outside a compression reads: the public variables, each
-  claim's digest bits, the message bits of the value a predicate reads
-  (``message_bits``), and the predicate's decompositions, which are all
-  the variables it allocates.
+  it.  It runs no sha256 compression, plain or in the system: every
+  constraint of a compression, its linear ones too, holds on the values
+  the per-bit path computes, and no constraint outside reads them but
+  the last compression's outputs of a claim message, which ``sha256``
+  allocates from one ``hashlib`` digest of the whole message.  Its
+  ``values`` is a dict that holds only what a linear constraint outside
+  a compression reads: the public variables, each claim's digest bits,
+  the message bits of the value a predicate reads (``message_bits``),
+  and the predicate's decompositions, which are all the variables it
+  allocates.
 * ``RecordingBuilder`` stores every value in a list and every
   constraint in a ``ConstraintSystem``, and evaluates none: it is the
   reference for dumps, audits and the mutation-sweep tests, through
-  ``first_violation``.  It runs every compression on the gadget's
-  per-bit path.
+  ``first_violation``.  Its ``sha256`` hashes a claim message's
+  public prefix with the plain compression, outside the system, and
+  runs every other compression on the gadget's per-bit path.
 
 Each value ``Builder`` keeps is the recorded value of the variable it
 stands for, it evaluates the recorded system's linear constraints
@@ -60,6 +61,7 @@ from dataclasses import dataclass, field as dc_field
 
 from blsces.errors import ConstraintViolation, StatementError
 from blsces.groups.params import R as BN254_SCALAR_FIELD
+from blsces.zk.sha256 import SHA256_IV, sha256_compress
 from blsces.zk.sha256_gadget import block_literals, const_word, sha256_compress_gadget
 
 LC = tuple  # tuple[tuple[int, int], ...]
@@ -297,25 +299,14 @@ class Builder:
 
     # -- sha256 ------------------------------------------------------------
 
-    def compress(self, state: tuple[int, ...], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
-        """One sha256 compression of the 64-byte ``block``.  ``words``
-        holds the entering state's variables, the previous compression's
-        outputs, or is None for a state of constants, the values
-        ``state``.  ``secret`` marks with 0xFF each byte held in message
-        bits, the next eight variables from ``var`` on, whose values
-        ``block`` need not hold, and with 0 each public byte, a constant.
-        Returns the output words' variables.
-
-        This builder takes none: ``digest`` gives the last compression's
-        outputs."""
-
-    def digest(self, words: list[list[int]] | None, message: bytes) -> list[int]:
-        """The 256 output bits of the last of the compressions of
-        ``message``, padded, from the sha256 IV, its output words
-        ``words``, little-endian over the big-endian output: the sha256
-        digest of ``message``.  This builder, which takes no compression,
-        allocates them, holding one ``hashlib`` digest."""
-        start = self._extend(_bits(int.from_bytes(hashlib.sha256(message).digest(), "big"), 256))
+    def sha256(self, msg: bytes, mask: bytes, cl, var: int) -> list[int]:
+        """The 256 bits of the sha256 digest of ``msg``, the message of the
+        claim ``cl`` (a ``ClaimLayout``) with its padding, little-endian
+        over the big-endian digest.  ``mask`` marks with 0xFF each byte
+        held in message bits, the next eight variables from ``var`` on,
+        and with 0 each public byte.  This builder allocates the bits,
+        holding one ``hashlib`` digest of the unpadded message."""
+        start = self._extend(_bits(int.from_bytes(hashlib.sha256(msg[:cl.msg_len]).digest(), "big"), 256))
         return list(range(start, start + 256))
 
 
@@ -362,13 +353,20 @@ class RecordingBuilder(Builder):
     def message_bits(self, data: bytes, kept: range) -> int:
         return self.bits_of(int.from_bytes(data, "little"), 8 * len(data))[0]
 
-    def compress(self, state: tuple[int, ...], words: list[list[int]] | None, block: bytes, secret: bytes, var: int):
-        """``Builder.compress`` on the gadget's per-bit path, which
-        computes every value."""
-        if words is None:
-            words = [const_word(value) for value in state]
-        return sha256_compress_gadget(self, words, block_literals(block, secret, var))
-
-    def digest(self, words: list[list[int]], message: bytes) -> list[int]:
-        """The bits of ``words``, which the per-bit path computed."""
+    def sha256(self, msg: bytes, mask: bytes, cl, var: int) -> list[int]:
+        """``Builder.sha256`` through the compressions of ``msg``: the
+        whole blocks before the claim's first in-circuit block hold only
+        public bytes, so the plain compression hashes them outside the
+        system from the IV and their state enters as constants; each
+        later block runs on the gadget's per-bit path, in the region
+        "claim i, sha256 block b"."""
+        start = 64 * cl.first_block
+        state = SHA256_IV
+        for k in range(0, start, 64):
+            state = sha256_compress(state, msg[k: k + 64])
+        words = [const_word(value) for value in state]
+        for k in range(start, len(msg), 64):
+            self.region = f"claim {cl.index}, sha256 block {k // 64}"
+            words = sha256_compress_gadget(self, words, block_literals(msg[k: k + 64], mask[k: k + 64], var))
+            var += 8 * mask.count(0xFF, k, k + 64)
         return [b for word in reversed(words) for b in word]

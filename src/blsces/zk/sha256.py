@@ -1,12 +1,12 @@
 """SHA-256 compression and padding in plain Python.
 
-The statement hashes a claim message's public prefix with
-``sha256_compress`` outside the constraint system; the gadget in
-``sha256_gadget`` proves the rest, whose output, the claim's digest,
-the verifier takes from ``hashlib``.  Round constants and the initial
-state are derived from the fractional parts of cube/square roots of
-the first primes with exact integer arithmetic (no float rounding); the
-test suite pins the result against hashlib.
+Only the recording builder runs ``sha256_compress``: it hashes a claim
+message's public prefix outside the constraint system, and the gadget
+in ``sha256_gadget`` proves the rest.  The verifier takes the claim's
+digest from ``hashlib`` and runs neither.  Round constants and the
+initial state are derived from the fractional parts of cube/square
+roots of the first primes with exact integer arithmetic (no float
+rounding); the test suite pins the result against hashlib.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ SHA256_K = _round_constants()
 
 
 def sha256_compress(state: list[int], block: bytes) -> list[int]:
-    """One plain compression application.  It hashes a claim message's
-    public prefix outside the constraint system; rotations are written
+    """One plain compression application, which the recording builder
+    runs over a claim message's public prefix; rotations are written
     out, since a call per rotation would double its cost."""
     m = 0xFFFFFFFF
     w = list(struct.unpack(">16I", block))

@@ -7,8 +7,8 @@ one shared constraint system:
       counter byte, from the block of its first secret byte to the end
       of the padding, tying the public (x, sign) pair to the digest
       bits.  The whole blocks before that block hold only public bytes
-      (the length-prefixed policy, n, i and length prefixes); both
-      sides hash them outside the system from the layout, and the
+      (the length-prefixed policy, n, i and length prefixes); the
+      recording builder hashes them outside the system, and the
       resulting state enters as constants.
   (b) an optional application predicate over claim-value bytes.
 
@@ -60,12 +60,11 @@ alone:
 So the statement holds exactly when the linear constraints outside the
 compressions do, on the values the public inputs and the secret bytes
 regenerate; the verifier's ``Builder`` evaluates them as they are
-emitted, takes no compression, and allocates each claim's digest bits
-from ``hashlib`` (see ``r1cs``).  ``synthesize`` hands a builder each
-in-circuit block as its bytes, with the secret ones marked, the first
-over the state after the claim's public prefix, as constants, hashed
-with the plain compression, and then the claim message, for the bits
-of its digest.
+emitted, runs no compression, and allocates each claim's digest bits
+from ``hashlib`` (see ``r1cs``).  ``synthesize`` hands a builder's
+``sha256`` each claim message whole, padded, with its secret bytes
+marked, and binds x and sign to the digest bits it returns; how the
+digest is taken is the builder's.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from blsces.errors import EncodingError, StatementError, ValidationError
 from blsces.groups.params import PROFILES
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
-from blsces.zk.sha256 import SHA256_IV, sha256_compress, sha256_pad
+from blsces.zk.sha256 import sha256_pad
 
 SHA_BITS = 256
 # The public x enters as little-endian limbs, each below the proof field.
@@ -287,13 +286,6 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
         per_claim_pub.append((limbs, bd.alloc_public(next(public))))
 
     # ---- per-claim hash constraints ----------------------------------------
-    # every claim message starts with the length-prefixed policy and n:
-    # their whole blocks are hashed once for all claims
-    head = struct.pack(">I", len(layout.ceas_bytes)) + layout.ceas_bytes + struct.pack(">I", ceas.n)
-    shared_len = 64 * (len(head) // 64)
-    shared_state = list(SHA256_IV)
-    for k in range(0, shared_len, 64):
-        shared_state = sha256_compress(shared_state, head[k: k + 64])
     value_lcs: list[LC] = []
     taken = 0
     for cl, (limbs, sign) in zip(layout.claims, per_claim_pub):
@@ -311,22 +303,9 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
             value_lcs = [tuple((var + 8 * k + j, 1 << j) for j in range(8)) for k in value]
         msg, mask = _claim_message(layout.ceas_bytes, ceas.n, cl.index, cl.lens, claim_secret)
 
-        # the state after the public prefix, as constants
-        start = 64 * cl.first_block
-        state = shared_state
-        for k in range(shared_len, start, 64):
-            state = sha256_compress(state, msg[k: k + 64])
-        state, words = tuple(state), None
-
-        # in-circuit compressions, from the block of the first secret byte
-        for k in range(start, len(msg), 64):
-            bd.region = f"claim {cl.index}, sha256 block {k // 64}"
-            words = bd.compress(state, words, msg[k: k + 64], mask[k: k + 64], var)
-            var += 8 * mask.count(0xFF, k, k + 64)
-
         # bind public x limbs and sign to the digest bits, variables all;
         # digest bit t is little-endian over the 256-bit big-endian digest
-        digest = bd.digest(words, msg[:cl.msg_len])
+        digest = bd.sha256(msg, mask, cl, var)
         bd.region = f"claim {cl.index}, binding"
         for j in range(NUM_LIMBS):
             low = LIMB_BITS * j

@@ -107,6 +107,25 @@ def test_malformed_files_raise_encoding_errors():
             formats.loads(text)
     with pytest.raises(EncodingError):
         formats.signed_from_json({"format": formats.FORMAT_SIGNED, "version": 1, "claims": []})
+    # a hidden flag that is not a JSON boolean: "false" is a truthy string
+    # that would hide the claim and drop its value
+    for hidden in ("false", "true", 0, 1, None):
+        claim = {"subject": "s", "property": "p", "value": "v", "hidden": hidden}
+        with pytest.raises(EncodingError, match="hidden"):
+            formats.credential_from_json(
+                {"format": formats.FORMAT_CREDENTIAL, "version": 1, "subject": "s", "claims": [claim]}
+            )
+        with pytest.raises(EncodingError, match="hidden"):
+            formats.presentation_from_json(
+                {
+                    "format": formats.FORMAT_PRESENTATION,
+                    "version": 1,
+                    "claims": [claim],
+                    "ceas": {"n": 1, "subsets": [[0]]},
+                    "aggregate_signature": "00",
+                    "counters": {},
+                }
+            )
     with pytest.raises(EncodingError):
         formats.presentation_from_json(
             {
@@ -309,6 +328,18 @@ def test_cli_issue_with_separate_ceas_file(cli_flow, tmp_path):
     )
     assert code == 0
     assert json.loads((tmp_path / "signed.json").read_text()) == json.loads((cli_flow / "signed.json").read_text())
+    # a policy file whose top level is not an object is malformed input,
+    # refused with one JSON line, not a traceback and the reject status
+    for text in ("[1, 2]", "null", '"ceas"', '{"ceas": [[0], [0, 1]]}'):
+        policy.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blsces.cli", "issue", "--key", str(cli_flow / "sk.json"), "--credential", str(bare),
+             "--ceas", str(policy), "--out", str(tmp_path / "signed.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stderr == "", (text, proc.stderr)
+        (line,) = proc.stdout.splitlines()
+        assert json.loads(line)["kind"] == "malformed", text
 
 
 def test_cli_keygen_seed_reproducible(tmp_path):

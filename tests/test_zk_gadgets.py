@@ -18,7 +18,7 @@ from blsces.groups.params import P as BIG_P
 from blsces.zk import build_statement, hash_to_curve_witness
 from blsces.zk.r1cs import Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import SHA256_IV, SHA256_K, sha256_compress, sha256_pad
-from blsces.zk.sha256_gadget import ONE, ZERO, ch, const_word, lit_lc, maj, sha256_compress_gadget, xor
+from blsces.zk.sha256_gadget import ONE, ZERO, block_literals, ch, const_word, lit_lc, maj, sha256_compress_gadget, xor
 
 rng = random.Random(31)
 
@@ -100,11 +100,11 @@ def test_sha_gadget_matches_plain_on_any_shape(state, variable_state, shape):
     constraints."""
     block, secret = shape
     bd = RecordingBuilder()
-    words = [bd.bits_of(v, 32) for v in state] if variable_state else None
+    words = [bd.bits_of(v, 32) if variable_state else const_word(v) for v in state]
     var = bd.num_vars
     hidden = bytes(b for b, h in zip(block, secret) if h)
     bd.bits_of(int.from_bytes(hidden, "little"), 8 * len(hidden))
-    out = bd.compress(tuple(state), words, block, secret, var)
+    out = sha256_compress_gadget(bd, words, block_literals(block, secret, var))
     assert [sum(bd.values[b] << j for j, b in enumerate(word)) for word in out] == sha256_compress(state, block)
     assert bd.cs.satisfied(bd.values)
 
