@@ -3,8 +3,11 @@
 The Miller loop runs over the NAF of 6u+2 with lines in affine twist
 coordinates.  All G2-side work (every tangent and chord line, divided by
 its constant term) depends only on Q, so it is precomputed once per Q
-and cached; ``G2Precomp`` walks Q's multiples in Jacobian coordinates
-and shares one inversion among all 88 lines.  Evaluating a pairing
+and cached; ``G2Precomp`` walks Q's multiples in Jacobian coordinates,
+each doubling and addition step returning its line from its own
+intermediates, and shares one inversion among all 88 lines.  A key is
+subgroup-checked before its lines are made, except the generator
+constant ``G2_GEN``, which is in G2 by construction.  Evaluating a pairing
 against a fixed key or the group generator then costs four Fp
 multiplications per line to place P in it, plus 27 for the Fp12 update.
 
@@ -26,12 +29,11 @@ from functools import lru_cache
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, P, R
 from blsces.groups.points import (
+    G2_GEN,
     TWIST_B,
     G1Point,
     G2Point,
     _batch_inv,
-    _j2_double,
-    _j2_madd,
     check_g1,
     check_g2,
     g2_psi,
@@ -60,7 +62,7 @@ ATE_LOOP_COUNT = 6 * BN_U + 2
 TW_FROB2_X = fp2_pow(XI, (P * P - 1) // 3)
 assert TW_FROB2_X[1] == 0
 assert fp2_pow(XI, (P * P - 1) // 2) == (P - 1, 0)
-# 2b' is not a cube in Fp2, so no tangent's constant term is 0 (_tangent).
+# 2b' is not a cube in Fp2, so no tangent's constant term is 0 (_double_step).
 assert fp2_pow(fp2_smul(TWIST_B, 2), (P * P - 1) // 3) != (1, 0)
 
 
@@ -88,48 +90,77 @@ class GtElement:
 GT_IDENTITY = GtElement(FP12_ONE)
 
 
-def _tangent(t, z):
-    """(D, 2YZ^3, 3X^2 Z^2) for the tangent at the Jacobian T = (X, Y, Z),
-    given z = 2YZ, the Z that _j2_double gives 2T: the tangent's slope is
+def _double_step(t):
+    """2T for the Jacobian T = (X, Y, Z), exactly as points._j2_double
+    computes it, and the tangent at T as (D, 2YZ^3, 3X^2 Z^2), built from
+    the doubling's own 3X^2 and Y^2 and from Z^2: the tangent's slope is
     3X^2/(2YZ) and its constant term D/(2YZ^3), with D = 3X^3 - 2Y^2.  By
     the twist equation Y^2 = X^3 + b'Z^6, D = Z^6 (x^3 - 2b') at T's
-    affine x, which is never 0 as 2b' is not a cube in Fp2."""
+    affine x, which is never 0 as 2b' is not a cube in Fp2.  T is a
+    multiple [k]Q, 0 < k < r, of a point of G2 (never the identity, and
+    the twist has no point of order 2)."""
     x0, x1, y0, y1, z0, z1 = t
+    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # Y^2
     e0, e1 = 3 * (x0 + x1) * (x0 - x1) % P, 6 * x0 * x1 % P  # 3X^2
     w0, w1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
+    # dbl-2009-l, as points._j2_double.
+    t0, t1 = x0 * b0, x1 * b1
+    d0, d1 = 4 * (t0 - t1) % P, 4 * ((x0 + x1) * (b0 + b1) - t0 - t1) % P
+    x30 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P
+    x31 = (2 * e0 * e1 - 2 * d1) % P
+    f0, f1 = d0 - x30, d1 - x31
+    t0, t1 = e0 * f0, e1 * f1
+    y30 = (t0 - t1 - 8 * (b0 + b1) * (b0 - b1)) % P
+    y31 = ((e0 + e1) * (f0 + f1) - t0 - t1 - 16 * b0 * b1) % P
+    t0, t1 = y0 * z0, y1 * z1
+    z30, z31 = 2 * (t0 - t1) % P, 2 * ((y0 + y1) * (z0 + z1) - t0 - t1) % P
     t0, t1 = x0 * e0, x1 * e1
-    d0 = (t0 - t1 - 2 * (y0 + y1) * (y0 - y1)) % P
-    d1 = ((x0 + x1) * (e0 + e1) - t0 - t1 - 4 * y0 * y1) % P
-    z0, z1 = z
-    t0, t1 = z0 * w0, z1 * w1
-    m0, m1 = (t0 - t1) % P, ((z0 + z1) * (w0 + w1) - t0 - t1) % P
+    c = (t0 - t1 - 2 * b0) % P, ((x0 + x1) * (e0 + e1) - t0 - t1 - 2 * b1) % P
+    t0, t1 = z30 * w0, z31 * w1
+    m = (t0 - t1) % P, ((z30 + z31) * (w0 + w1) - t0 - t1) % P
     t0, t1 = e0 * w0, e1 * w1
-    return (d0, d1), (m0, m1), ((t0 - t1) % P, ((e0 + e1) * (w0 + w1) - t0 - t1) % P)
+    n = (t0 - t1) % P, ((e0 + e1) * (w0 + w1) - t0 - t1) % P
+    return (x30, x31, y30, y31, z30, z31), (c, m, n)
 
 
-def _chord(t, a):
-    """(N, ZH, n) for the chord from the Jacobian T = (X, Y, Z) to the
-    affine A: n = a_y Z^3 - Y, H = a_x Z^2 - X, slope n/(ZH), constant
-    term N/(ZH) with N = n a_x - a_y ZH.  H = 0 (A = T or -T) raises
+def _add_step(t, a):
+    """T + A for the Jacobian T = (X, Y, Z) and the affine A, exactly as
+    points._j2_madd computes it, and the chord from T to A as
+    (r a_x - a_y Z3, Z3, r), built from the addition's own
+    H = a_x Z^2 - X, n = a_y Z^3 - Y, r = 2n and Z3 = 2ZH: the chord's
+    slope is n/(ZH) and its constant term N/(ZH) with N = n a_x - a_y ZH,
+    and the triple is (2N, 2ZH, 2n).  H = 0 (A = T or -T) raises
     OffCurveError here, N = 0 (a chord through the twist's origin) at the
     batch inversion; the walk of a point of order r meets neither."""
     x0, x1, y0, y1, z0, z1 = t
     ax0, ax1, ay0, ay1 = a
-    w0, w1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
-    t0, t1 = ax0 * w0, ax1 * w1
-    h0, h1 = (t0 - t1 - x0) % P, ((ax0 + ax1) * (w0 + w1) - t0 - t1 - x1) % P
+    # madd-2007-bl, as points._j2_madd.
+    zz0, zz1 = (z0 + z1) * (z0 - z1) % P, 2 * z0 * z1 % P  # Z^2
+    t0, t1 = ax0 * zz0, ax1 * zz1
+    h0, h1 = (t0 - t1 - x0) % P, ((ax0 + ax1) * (zz0 + zz1) - t0 - t1 - x1) % P
     if not (h0 or h1):
         raise OffCurveError("vertical line in the Miller loop")
-    t0, t1 = z0 * h0, z1 * h1
-    m0, m1 = (t0 - t1) % P, ((z0 + z1) * (h0 + h1) - t0 - t1) % P  # ZH
-    t0, t1 = z0 * w0, z1 * w1
-    s0, s1 = t0 - t1, (z0 + z1) * (w0 + w1) - t0 - t1  # Z^3
+    t0, t1 = z0 * zz0, z1 * zz1
+    s0, s1 = (t0 - t1) % P, ((z0 + z1) * (zz0 + zz1) - t0 - t1) % P  # Z^3
     t0, t1 = ay0 * s0, ay1 * s1
-    n0, n1 = (t0 - t1 - y0) % P, ((ay0 + ay1) * (s0 + s1) - t0 - t1 - y1) % P
-    t0, t1, t2, t3 = n0 * ax0, n1 * ax1, ay0 * m0, ay1 * m1
-    d0 = (t0 - t1 - t2 + t3) % P
-    d1 = ((n0 + n1) * (ax0 + ax1) - t0 - t1 - (ay0 + ay1) * (m0 + m1) + t2 + t3) % P
-    return (d0, d1), (m0, m1), (n0, n1)
+    r0, r1 = 2 * (t0 - t1 - y0) % P, 2 * ((ay0 + ay1) * (s0 + s1) - t0 - t1 - y1) % P
+    i0, i1 = 4 * (h0 + h1) * (h0 - h1) % P, 8 * h0 * h1 % P
+    t0, t1 = h0 * i0, h1 * i1
+    j0, j1 = (t0 - t1) % P, ((h0 + h1) * (i0 + i1) - t0 - t1) % P
+    t0, t1 = x0 * i0, x1 * i1
+    v0, v1 = (t0 - t1) % P, ((x0 + x1) * (i0 + i1) - t0 - t1) % P
+    x30 = ((r0 + r1) * (r0 - r1) - j0 - 2 * v0) % P
+    x31 = (2 * r0 * r1 - j1 - 2 * v1) % P
+    f0, f1 = v0 - x30, v1 - x31
+    t0, t1, g0, g1 = r0 * f0, r1 * f1, y0 * j0, y1 * j1
+    y30 = (t0 - t1 - 2 * (g0 - g1)) % P
+    y31 = ((r0 + r1) * (f0 + f1) - t0 - t1 - 2 * ((y0 + y1) * (j0 + j1) - g0 - g1)) % P
+    t0, t1 = z0 * h0, z1 * h1
+    z30, z31 = 2 * (t0 - t1) % P, 2 * ((z0 + z1) * (h0 + h1) - t0 - t1) % P
+    t0, t1, t2, t3 = r0 * ax0, r1 * ax1, ay0 * z30, ay1 * z31
+    c0 = (t0 - t1 - t2 + t3) % P
+    c1 = ((r0 + r1) * (ax0 + ax1) - t0 - t1 - (ay0 + ay1) * (z30 + z31) + t2 + t3) % P
+    return (x30, x31, y30, y31, z30, z31), ((c0, c1), (z30, z31), (r0, r1))
 
 
 class G2Precomp:
@@ -142,11 +173,12 @@ class G2Precomp:
     v*w coefficient is 1 (fp12_mul_monic_line): 1/c lies in Fp2, which the
     final exponentiation maps to 1, so no pairing value changes (Barreto,
     Kim, Lynn and Scott, CRYPTO 2002).  T walks the loop in Jacobian
-    coordinates (points._j2_double and _j2_madd) through multiples [k]Q
-    with 0 < k < r, so it never reaches the identity.  Each line keeps a
-    numerator of c and those of 1/c and lam/c over it (_tangent, _chord),
-    and the c numerators are inverted together (points._batch_inv): one
-    inversion per key.
+    coordinates through multiples [k]Q with 0 < k < r, so it never
+    reaches the identity.  Each walk step (_double_step, _add_step)
+    returns the next T and its line as a numerator of c and those of 1/c
+    and lam/c over it, all from the step's own intermediates, and the c
+    numerators are inverted together (points._batch_inv): one inversion
+    per key.
     """
 
     __slots__ = ("steps", "tail")
@@ -162,16 +194,14 @@ class G2Precomp:
         t = (x0, x1, y0, y1, 1, 0)
         lines = []
         for d in reversed(_ATE_NAF[:-1]):
-            t2 = _j2_double(t)
-            lines.append(_tangent(t, t2[4:]))
-            t = t2
+            t, line = _double_step(t)
+            lines.append(line)
             if d:
-                a = plus if d == 1 else minus
-                lines.append(_chord(t, a))
-                t = _j2_madd(t, a)
+                t, line = _add_step(t, plus if d == 1 else minus)
+                lines.append(line)
         for a in ((*q1.x, *q1.y), q2neg):
-            lines.append(_chord(t, a))
-            t = _j2_madd(t, a)
+            t, line = _add_step(t, a)
+            lines.append(line)
         try:
             cinv = _batch_inv([c for c, _, _ in lines])
         except ArithmeticError:
@@ -187,12 +217,15 @@ def precompute_g2(q: G2Point) -> G2Precomp:
 
     This is the one place a G2 key is checked (curve equation and
     subgroup, OffCurveError otherwise): ``g2_from_bytes`` parses a key
-    through it and the pairing reads its lines from it.  The cache keys
-    by point value and holds only points that passed, as a raise is not
-    cached; a hit costs one lookup, and a key is checked again only after
-    it has fallen out of the cache.
+    through it and the pairing reads its lines from it.  The generator
+    constant ``G2_GEN``, the verifier's other pair, is the one point not
+    checked: it is in G2 by construction (``check_g2`` passes it).  The
+    cache keys by point value and holds only points that passed, as a
+    raise is not cached; a hit costs one lookup, and a key is checked
+    again only after it has fallen out of the cache.
     """
-    check_g2(q)
+    if q != G2_GEN:
+        check_g2(q)
     return G2Precomp(q)
 
 

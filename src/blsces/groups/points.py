@@ -34,7 +34,8 @@ kept for the life of the process.
 ``check_g2`` stays in Jacobian coordinates throughout: it applies psi to
 them directly and compares its two sums by cross-multiplying, so a key
 check costs no inversion.  ``pairing.G2Precomp`` walks the Miller loop
-with the same doubling and mixed-addition kernels.
+with its own copies of the doubling and mixed-addition formulas, which
+give the same points and also return each step's line.
 """
 
 from __future__ import annotations

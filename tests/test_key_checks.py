@@ -90,13 +90,13 @@ def test_a_line_through_the_twist_origin_is_refused(monkeypatch, issuer, present
     numerator to 0 on one key's chords makes every entry point refuse the
     key as it refuses an off-curve one, and leaves other keys alone."""
     pk = g2_mul(G2_GEN, 0x5EED)
-    chord = pairing._chord
+    add_step = pairing._add_step
 
     def zero_on_pk(t, a):
-        c, mu, nu = chord(t, a)
-        return ((0, 0) if (a[0], a[1]) == pk.x else c), mu, nu
+        t, (c, mu, nu) = add_step(t, a)
+        return t, (((0, 0) if (a[0], a[1]) == pk.x else c), mu, nu)
 
-    monkeypatch.setattr(pairing, "_chord", zero_on_pk)
+    monkeypatch.setattr(pairing, "_add_step", zero_on_pk)
     _assert_rejected_everywhere(pk, issuer, presented)
     pres, proof, inputs, _ = presented
     assert ces_verify(issuer.pk, pres)
@@ -109,7 +109,7 @@ def test_a_vertical_chord_is_refused():
     x0, x1, y0, y1 = (*G2_GEN.x, *G2_GEN.y)
     for a in ((x0, x1, y0, y1), (x0, x1, -y0 % P, -y1 % P)):
         with pytest.raises(OffCurveError):
-            pairing._chord((x0, x1, y0, y1, 1, 0), a)
+            pairing._add_step((x0, x1, y0, y1, 1, 0), a)
 
 
 def test_a_parsed_key_is_checked_once(monkeypatch, issuer, presented):
@@ -134,3 +134,22 @@ def test_a_parsed_key_is_checked_once(monkeypatch, issuer, presented):
     checked.clear()
     assert ces_verify(formats.public_key_from_json(doc), pres)
     assert checked == []
+
+
+def test_only_the_generator_skips_the_key_check(monkeypatch, issuer):
+    """G2_GEN is a constant of G2, so precomputing its lines checks
+    nothing; any other cold key is checked once."""
+    assert pairing.check_g2(G2_GEN) == G2_GEN
+    pairing.precompute_g2.cache_clear()
+    checked = []
+    check_g2 = pairing.check_g2
+
+    def spy(q):
+        checked.append(q)
+        return check_g2(q)
+
+    monkeypatch.setattr(pairing, "check_g2", spy)
+    pairing.precompute_g2(G2_GEN)
+    assert checked == []
+    pairing.precompute_g2(issuer.pk)
+    assert checked == [issuer.pk]

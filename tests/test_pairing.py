@@ -15,9 +15,16 @@ from blsces.groups import (
     pairing_product,
     pairing_product_is_one,
 )
-from blsces.groups.pairing import _ATE_NAF, TW_FROB2_X, G2Precomp, _final_exponentiation
+from blsces.groups.pairing import (
+    _ATE_NAF,
+    TW_FROB2_X,
+    G2Precomp,
+    _add_step,
+    _double_step,
+    _final_exponentiation,
+)
 from blsces.groups.params import BN_U, P, R
-from blsces.groups.points import g2_psi
+from blsces.groups.points import _j2_double, _j2_madd, g2_psi
 from blsces.groups.tower import (
     fp2_inv,
     fp2_mul,
@@ -122,6 +129,34 @@ def test_line_precompute_matches_affine_walk():
     for q in [G2_GEN, *(g2_mul(G2_GEN, keyrng.randrange(1, R)) for _ in range(5))]:
         pre = G2Precomp(q)
         assert (pre.steps, pre.tail) == _affine_lines(q)
+
+
+def test_walk_steps_match_the_jacobian_kernels():
+    """Each walk step lands on the very tuple points._j2_double or _j2_madd
+    gives, at any Z, for both signs of the added point, so the walk ends
+    where the plain kernels do; its line, divided by its constant term,
+    is the affine tangent or chord."""
+
+    def divided(line):
+        c, m, n = line
+        ci = fp2_inv(c)
+        return fp2_mul(m, ci), fp2_mul(n, ci)
+
+    steprng = random.Random(2011)
+    for _ in range(6):
+        tq, aq = (g2_mul(G2_GEN, steprng.randrange(1, R)) for _ in range(2))
+        z = (steprng.randrange(P), steprng.randrange(P))
+        assert z not in ((0, 0), (1, 0))
+        z2 = fp2_sqr(z)
+        t = (*fp2_mul(tq.x, z2), *fp2_mul(fp2_mul(tq.y, z2), z), *z)
+        t2, line = _double_step(t)
+        assert t2 == _j2_double(t)
+        assert divided(line) == _line_through(tq.x, tq.y, tq.x, tq.y)[0]
+        for ay in (aq.y, fp2_neg(aq.y)):
+            a = (*aq.x, *ay)
+            ta, line = _add_step(t, a)
+            assert ta == _j2_madd(t, a)
+            assert divided(line) == _line_through(tq.x, tq.y, aq.x, ay)[0]
 
 
 def test_product_shares_final_exponentiation():
