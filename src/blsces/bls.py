@@ -11,6 +11,13 @@ bits (big-endian) are the candidate x, the remaining 256 - L bits are
 spare, and the highest spare bit picks the square root, so the hashed
 point is (x, (-1)^sign * sqrt(x^3 + b)).  Candidates with x >= p or a
 zero/non-residue rhs advance the counter.
+
+The search decides each candidate by its Legendre symbol (a binary
+Jacobi computation, about a fifth of a square root's modular
+exponentiation) and takes the square root only of the residue it lands
+on: one root per hashed message, where about half the candidates tried
+are non-residues.  ``hash_to_g1_at``, which verifiers call at a counter
+that travels with the signature, takes the root directly.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from blsces.groups import (
     pairing_product_is_one,
     points,
 )
-from blsces.groups.params import R
+from blsces.groups.params import PROFILES, R, legendre
 
 COUNTER_BOUND = 256  # counter fits one byte; miss probability ~ 2^-256 per message
 
@@ -120,10 +127,18 @@ def hash_to_g1_at(msg: bytes, counter: int, profile: CurveProfile = BN254) -> Ha
 
 @lru_cache(maxsize=4096)
 def _hash_to_g1_cached(msg: bytes, profile_name: str) -> HashToG1Result:
-    from blsces.groups.params import PROFILES
+    """The first counter whose candidate lands on the curve.
 
+    A candidate is skipped on its symbol: x >= p, or rhs(x) zero or a
+    non-residue.  Only a residue reaches ``hash_to_g1_at`` and its square
+    root, so a search takes one root however many counters it tries, and
+    lands on the same counter as trying every root would.
+    """
     profile = PROFILES[profile_name]
     for counter in range(COUNTER_BOUND):
+        x, _, _ = hash_candidate(msg, counter, profile)
+        if x >= profile.p or legendre(profile.rhs(x), profile.p) != 1:
+            continue
         result = hash_to_g1_at(msg, counter, profile)
         if result is not None:
             return result

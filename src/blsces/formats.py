@@ -49,6 +49,25 @@ def _expect(data: Any, fmt: str) -> dict:
     return data
 
 
+def _int(value: Any, what: str) -> int:
+    """A JSON integer.  A float, string or boolean that ``int`` would
+    coerce is refused, so one value has one encoding."""
+    if type(value) is not int:
+        raise EncodingError(f"{what} must be a JSON integer, found {type(value).__name__}")
+    return value
+
+
+def _index_key(key: Any) -> int:
+    """An object key naming a claim index, in its one canonical spelling."""
+    try:
+        i = int(key)
+    except (TypeError, ValueError) as exc:
+        raise EncodingError(f"bad index key {key!r}") from exc
+    if str(i) != key:
+        raise EncodingError(f"index key {key!r} is not canonical")
+    return i
+
+
 # Most characters (or bytes) of a file loads() hands to json.loads.  The
 # widest honest file holds a policy at its caps, 256 subsets of up to
 # 1,024 indices (3.4 MB as dumps writes them), which leaves 4.8 MB for
@@ -155,7 +174,8 @@ def _ceas_from_json(data: Any) -> CEAS:
     if not isinstance(data, dict):
         raise EncodingError("ceas must be an object")
     try:
-        return CEAS.from_index_sets(int(data["n"]), data["subsets"])
+        subsets = ((_int(i, "subset index") for i in s) for s in data["subsets"])
+        return CEAS.from_index_sets(_int(data["n"], "ceas n"), subsets)
     except Exception as exc:  # KeyError, TypeError, ValueError, ValidationError
         raise EncodingError(f"bad ceas: {exc}") from exc
 
@@ -202,7 +222,7 @@ def signed_from_json(data: dict) -> SignedCredential:
     ceas = _ceas_from_json(data.get("ceas"))
     try:
         sigs = tuple(bls.Signature(bytes.fromhex(h)) for h in data["signatures"])
-        counters = tuple(int(c) for c in data["counters"])
+        counters = tuple(_int(c, "counter") for c in data["counters"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise EncodingError(f"bad signed credential: {exc}") from exc
     if any(not 0 <= c < 256 for c in counters):
@@ -239,10 +259,10 @@ def presentation_from_json(data: dict) -> ExtractedPresentation:
     ceas = _ceas_from_json(data.get("ceas"))
     try:
         sigma = bls.Signature(bytes.fromhex(data["aggregate_signature"]))
-        counters = {int(k): int(v) for k, v in data["counters"].items()}
+        counters = {_index_key(k): _int(v, "counter") for k, v in data["counters"].items()}
         kept = data.get("kept_signatures")
         kept_sigs = (
-            {int(k): bls.Signature(bytes.fromhex(v)) for k, v in kept.items()}
+            {_index_key(k): bls.Signature(bytes.fromhex(v)) for k, v in kept.items()}
             if kept is not None
             else None
         )
@@ -287,9 +307,9 @@ def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs, bls.Signatu
         ceas = _ceas_from_json(pub["ceas"])
         inputs = PublicInputs(
             x_coords=tuple(int(h, 16) for h in pub["x"]),
-            sign_bits=tuple(int(b) for b in pub["sign_bits"]),
+            sign_bits=tuple(_int(b, "sign bit") for b in pub["sign_bits"]),
             ceas_bytes=ceas.to_bytes(),
-            extraction=tuple(int(i) for i in pub["extraction"]),
+            extraction=tuple(_int(i, "extraction index") for i in pub["extraction"]),
         )
         proof = Proof(base64.b64decode(data["proof"], validate=True))
         sigma = bls.Signature(bytes.fromhex(data["aggregate_signature"]))

@@ -20,7 +20,7 @@ from blsces.groups import (
     g2_to_bytes,
     pairing_product_is_one,
 )
-from blsces.groups.params import P, R, TOY
+from blsces.groups.params import P, R, TOY, sqrt_mod
 
 VECTORS = json.loads((pathlib.Path(__file__).parent / "vectors" / "golden.json").read_text())
 
@@ -94,6 +94,23 @@ def test_counter_exhaustion_raises(monkeypatch):
     with pytest.raises(HashToCurveFailure):
         bls.hash_to_g1(b"never lands", TOY)
     bls._hash_to_g1_cached.cache_clear()
+
+
+def test_hash_search_takes_one_square_root(monkeypatch):
+    """A cold search decides each candidate by its symbol and takes one
+    square root, landing on the first counter where hash_to_g1_at lands."""
+    from blsces.groups import params
+
+    local = random.Random(29)
+    msgs = [e["msg"].encode() for e in VECTORS["signatures"]] + [local.randbytes(71) for _ in range(200)]
+    firsts = [next(h for c in range(bls.COUNTER_BOUND) if (h := bls.hash_to_g1_at(m, c)) is not None) for m in msgs]
+    assert sum(h.counter > 0 for h in firsts) > len(msgs) // 4
+    roots = []
+    monkeypatch.setattr(params, "sqrt_mod", lambda a, p: roots.append(a) or sqrt_mod(a, p))
+    for msg, first in zip(msgs, firsts):
+        roots.clear()
+        assert bls._hash_to_g1_cached.__wrapped__(msg, "bn254") == first
+        assert len(roots) == 1
 
 
 def test_sign_bit_is_highest_spare_bit():

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blsces.groups import G1_GEN
@@ -44,6 +44,25 @@ def test_legendre_matches_roots_exhaustively():
             assert symbol == 1
         else:
             assert symbol == -1
+
+
+def _euler(a, p):
+    e = pow(a, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
+# small primes of each odd residue mod 8, and both BN254 primes
+@given(
+    st.one_of(st.integers(min_value=-4 * P, max_value=4 * P), st.sampled_from([0, 1, 2, -1, P - 1, P, P + 1, -P, 2 * P, 7 * P + 3])),
+    st.sampled_from([3, 5, 7, 11, 13, 17, P, R]),
+)
+@example(0, P)
+@example(P, P)
+@example(-3, P)
+@example(P + 3, P)
+@settings(max_examples=400, deadline=None)
+def test_legendre_matches_euler_criterion(a, p):
+    assert legendre(a, p) == _euler(a, p)
 
 
 def test_sqrt_bn254_perfect_square():

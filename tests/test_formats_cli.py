@@ -17,6 +17,8 @@ from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import MAX_CEAS_SUBSETS, MAX_CEAS_WIDTH, CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError, FileTooLargeError
 from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g2_to_bytes
+from blsces.zk.backend import Proof
+from blsces.zk.statement import PublicInputs
 
 rng = random.Random(88)
 
@@ -99,7 +101,7 @@ def test_proof_bundle_roundtrip(issuer):
         formats.proof_bundle_from_json(doc)
 
 
-def test_malformed_files_raise_encoding_errors():
+def test_malformed_files_raise_encoding_errors(issuer):
     # not JSON, bytes that are not UTF-8 (the CLI hands loads bytes), and
     # nesting deeper than json.loads recurses
     for text in ("{not json", b'{"a": "\xff"}', "[" * 100_000):
@@ -137,6 +139,44 @@ def test_malformed_files_raise_encoding_errors():
                 "counters": {},
             }
         )
+    # an integer on the wire is a JSON integer: a float, digit string or
+    # boolean that int() would coerce gives one value a second encoding,
+    # and a counter key has one spelling
+    cred = Credential((Claim("s", "p", "v"), Claim("s", "q", "w")))
+    ceas = CEAS.from_index_sets(2, [[0], [0, 1]])
+    sc = ces_sign(issuer.sk, cred, ceas)
+    signed = formats.signed_to_json(sc)
+    pres = formats.presentation_to_json(ces_extract(sc, ExtractionSet(frozenset({0}))))
+    inputs = PublicInputs(x_coords=(1,), sign_bits=(1,), ceas_bytes=ceas.to_bytes(), extraction=(0,))
+    bundle = formats.proof_bundle_to_json(Proof(bytes(40)), inputs, sc.sigs[0])
+    pub = bundle["public_inputs"]
+    c = sc.counters[0]
+    for doc, parse in ((signed, formats.signed_from_json), (pres, formats.presentation_from_json)):
+        parse(doc)
+        for policy in (
+            {"n": "2", "subsets": [[0], [0, 1]]},
+            {"n": 2.0, "subsets": [[0], [0, 1]]},
+            {"n": 2, "subsets": [[False], [False, True]]},
+            {"n": 2, "subsets": [[0.0], [0, 1.0]]},
+            {"n": 2, "subsets": [["0"], [0, 1]]},
+        ):
+            with pytest.raises(EncodingError, match="bad ceas"):
+                formats.ceas_from_json(policy)
+            with pytest.raises(EncodingError, match="bad ceas"):
+                parse(dict(doc, ceas=policy))
+    formats.proof_bundle_from_json(bundle)
+    for bad in (c + 0.9, float(c), str(c), True, False):
+        with pytest.raises(EncodingError, match="JSON integer"):
+            formats.signed_from_json(dict(signed, counters=[bad] + signed["counters"][1:]))
+        with pytest.raises(EncodingError, match="JSON integer"):
+            formats.presentation_from_json(dict(pres, counters={"0": bad}))
+    for key in ("00", "+0", " 0", "0 ", "-0", "\u0660"):
+        with pytest.raises(EncodingError, match="not canonical"):
+            formats.presentation_from_json(dict(pres, counters={key: c}))
+    for field, bad in (("sign_bits", True), ("sign_bits", 1.0), ("sign_bits", "1"),
+                       ("extraction", False), ("extraction", 0.0), ("extraction", "0")):
+        with pytest.raises(EncodingError, match="JSON integer"):
+            formats.proof_bundle_from_json(dict(bundle, public_inputs=dict(pub, **{field: [bad]})))
 
 
 # -- CLI -----------------------------------------------------------------------------
