@@ -23,6 +23,8 @@ from blsces.ces import ExtractedPresentation, SignedCredential
 from blsces.credential import BLINDED, CEAS, Claim, Credential
 from blsces.errors import EncodingError, FileTooLargeError
 from blsces.groups import G2Point, g2_from_bytes, g2_to_bytes
+from blsces.groups.params import FIELD_BYTES
+from blsces.wire import hex_bytes, json_int
 from blsces.zk.backend import TRANSPARENT_BACKEND, Proof
 from blsces.zk.statement import PublicInputs
 
@@ -49,12 +51,8 @@ def _expect(data: Any, fmt: str) -> dict:
     return data
 
 
-def _int(value: Any, what: str) -> int:
-    """A JSON integer.  A float, string or boolean that ``int`` would
-    coerce is refused, so one value has one encoding."""
-    if type(value) is not int:
-        raise EncodingError(f"{what} must be a JSON integer, found {type(value).__name__}")
-    return value
+def _sig_bytes(value: Any) -> bytes:
+    return hex_bytes(value, "signature", FIELD_BYTES)
 
 
 def _index_key(key: Any) -> int:
@@ -97,10 +95,7 @@ def secret_key_to_json(sk: int) -> dict:
 
 def secret_key_from_json(data: dict) -> int:
     data = _expect(data, FORMAT_SECRET_KEY)
-    try:
-        return int(data["secret_key"], 16)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise EncodingError("bad secret key field") from exc
+    return int.from_bytes(hex_bytes(data.get("secret_key"), "secret key", FIELD_BYTES), "big")
 
 
 def public_key_to_json(pk: G2Point) -> dict:
@@ -114,11 +109,7 @@ def public_key_to_json(pk: G2Point) -> dict:
 
 def public_key_from_json(data: dict) -> G2Point:
     data = _expect(data, FORMAT_PUBLIC_KEY)
-    try:
-        raw = bytes.fromhex(data["public_key"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise EncodingError("bad public key field") from exc
-    return g2_from_bytes(raw)
+    return g2_from_bytes(hex_bytes(data.get("public_key"), "public key", 4 * FIELD_BYTES))
 
 
 # -- credentials -------------------------------------------------------------
@@ -174,8 +165,8 @@ def _ceas_from_json(data: Any) -> CEAS:
     if not isinstance(data, dict):
         raise EncodingError("ceas must be an object")
     try:
-        subsets = ((_int(i, "subset index") for i in s) for s in data["subsets"])
-        return CEAS.from_index_sets(_int(data["n"], "ceas n"), subsets)
+        subsets = ((json_int(i, "subset index") for i in s) for s in data["subsets"])
+        return CEAS.from_index_sets(json_int(data["n"], "ceas n"), subsets)
     except Exception as exc:  # KeyError, TypeError, ValueError, ValidationError
         raise EncodingError(f"bad ceas: {exc}") from exc
 
@@ -221,8 +212,8 @@ def signed_from_json(data: dict) -> SignedCredential:
     cred = _claims_from_json(data.get("claims"))
     ceas = _ceas_from_json(data.get("ceas"))
     try:
-        sigs = tuple(bls.Signature(bytes.fromhex(h)) for h in data["signatures"])
-        counters = tuple(_int(c, "counter") for c in data["counters"])
+        sigs = tuple(bls.Signature(_sig_bytes(h)) for h in data["signatures"])
+        counters = tuple(json_int(c, "counter") for c in data["counters"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise EncodingError(f"bad signed credential: {exc}") from exc
     if any(not 0 <= c < 256 for c in counters):
@@ -258,11 +249,11 @@ def presentation_from_json(data: dict) -> ExtractedPresentation:
     cred = _claims_from_json(data.get("claims"))
     ceas = _ceas_from_json(data.get("ceas"))
     try:
-        sigma = bls.Signature(bytes.fromhex(data["aggregate_signature"]))
-        counters = {_index_key(k): _int(v, "counter") for k, v in data["counters"].items()}
+        sigma = bls.Signature(_sig_bytes(data["aggregate_signature"]))
+        counters = {_index_key(k): json_int(v, "counter") for k, v in data["counters"].items()}
         kept = data.get("kept_signatures")
         kept_sigs = (
-            {_index_key(k): bls.Signature(bytes.fromhex(v)) for k, v in kept.items()}
+            {_index_key(k): bls.Signature(_sig_bytes(v)) for k, v in kept.items()}
             if kept is not None
             else None
         )
@@ -306,13 +297,13 @@ def proof_bundle_from_json(data: dict) -> tuple[Proof, PublicInputs, bls.Signatu
         pub = data["public_inputs"]
         ceas = _ceas_from_json(pub["ceas"])
         inputs = PublicInputs(
-            x_coords=tuple(int(h, 16) for h in pub["x"]),
-            sign_bits=tuple(_int(b, "sign bit") for b in pub["sign_bits"]),
+            x_coords=tuple(int.from_bytes(hex_bytes(h, "x", FIELD_BYTES), "big") for h in pub["x"]),
+            sign_bits=tuple(json_int(b, "sign bit") for b in pub["sign_bits"]),
             ceas_bytes=ceas.to_bytes(),
-            extraction=tuple(_int(i, "extraction index") for i in pub["extraction"]),
+            extraction=tuple(json_int(i, "extraction index") for i in pub["extraction"]),
         )
         proof = Proof(base64.b64decode(data["proof"], validate=True))
-        sigma = bls.Signature(bytes.fromhex(data["aggregate_signature"]))
+        sigma = bls.Signature(_sig_bytes(data["aggregate_signature"]))
     except Exception as exc:
         raise EncodingError(f"bad proof bundle: {exc}") from exc
     return proof, inputs, sigma

@@ -93,8 +93,10 @@ def g2_from_bytes(data: bytes) -> G2Point:
     which checks the curve equation and the subgroup and caches the
     point's Miller-loop lines, so the pairing that follows a parse finds
     them ready.  A point already in that cache passed the check when it
-    entered, and costs one lookup; the generator ``G2_GEN`` is in G2 by
-    construction and is not checked.  A failed check raises EncodingError.
+    entered, and costs one lookup; one the cache evicted and still
+    remembers is walked again but not checked; the generator ``G2_GEN``
+    is in G2 by construction and is not checked.  A failed check raises
+    EncodingError.
     """
     if len(data) != 4 * FIELD_BYTES:
         raise EncodingError(f"G2 encoding must be {4 * FIELD_BYTES} bytes")

@@ -6,10 +6,12 @@ its constant term) depends only on Q, so it is precomputed once per Q
 and cached; ``G2Precomp`` walks Q's multiples in Jacobian coordinates,
 each doubling and addition step returning its line from its own
 intermediates, and shares one inversion among all 88 lines.  A key is
-subgroup-checked before its lines are made, except the generator
-constant ``G2_GEN``, which is in G2 by construction.  Evaluating a pairing
-against a fixed key or the group generator then costs four Fp
-multiplications per line to place P in it, plus 27 for the Fp12 update.
+subgroup-checked before its lines are first made, except the generator
+constant ``G2_GEN``, which is in G2 by construction; ``KeyCache`` keeps
+the lines of the most used keys and remembers which evicted keys
+passed.  Evaluating a pairing against a fixed key or the group
+generator then costs four Fp multiplications per line to place P in
+it, plus 27 for the Fp12 update.
 
 A product of pairings runs the Miller loops of all its pairs in
 lockstep: one Fp12 squaring per loop step serves every pair, so each
@@ -23,8 +25,11 @@ any size.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 from blsces.errors import OffCurveError
 from blsces.groups.params import BN_U, P, R
@@ -211,7 +216,99 @@ class G2Precomp:
         self.tail = (next(it), next(it))
 
 
-@lru_cache(maxsize=32)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class KeyCache:
+    """A cache of ``build(key)`` for keys that must pass ``check(key)``
+    first, kept by how often each key is used.
+
+    It holds at most ``MAXSIZE`` values in order of last use, each with a
+    use count that a hit raises by one.  A miss into a full cache evicts
+    the least-used of the ``WINDOW`` least recently used entries, the
+    oldest on a tie (the frequency-aware eviction of TinyLFU, Einziger,
+    Friedman and Manes, ACM TOS 2017).  The evicted key moves, with its
+    count, to a ghost record of the last ``GHOSTS`` evicted keys (the
+    history of ARC, Megiddo and Modha, FAST 2003).  A key that misses
+    but is in that record passed ``check`` when it first entered and is
+    only built again; it re-enters with its count.  Every count, of
+    values and ghosts, halves each ``HALVING`` misses, so old popularity
+    fades.  A key whose ``check`` or ``build`` raises enters neither.
+
+    ``cache_info()`` and ``cache_clear()`` mean what they mean on
+    ``functools.lru_cache``: a miss is a lookup that built its value.
+
+    Only a miss takes the lock, for every change to the table and the
+    ghosts, so the table never holds more than ``MAXSIZE`` values.  A
+    hit bumps its entry's count and last use and the hit count without
+    it, so under threads a hit may go uncounted; the policy only reads
+    those counts.
+    """
+
+    MAXSIZE = 32
+    WINDOW = MAXSIZE // 2
+    GHOSTS = HALVING = 4 * MAXSIZE
+
+    def __init__(self, check, build):
+        functools.update_wrapper(self, build)
+        self._check, self._build = check, build
+        self._lock = threading.Lock()
+        self._clock = itertools.count()
+        self._table = {}  # key -> [value, uses, last use]
+        self._ghosts = {}  # evicted key -> uses, oldest first
+        self._hits = self._misses = 0
+
+    def __call__(self, key):
+        entry = self._table.get(key)
+        if entry is not None:
+            entry[1] += 1
+            entry[2] = next(self._clock)
+            self._hits += 1
+            return entry[0]
+        if key not in self._ghosts:
+            self._check(key)
+        value = self._build(key)
+        with self._lock:
+            self._misses += 1
+            uses = self._ghosts.pop(key, 0) + 1
+            if key not in self._table:
+                if len(self._table) >= self.MAXSIZE:
+                    self._evict()
+                self._table[key] = [value, uses, next(self._clock)]
+            if self._misses % self.HALVING == 0:
+                for entry in self._table.values():
+                    entry[1] >>= 1
+                for k in self._ghosts:
+                    self._ghosts[k] >>= 1
+        return value
+
+    def _evict(self):
+        oldest = sorted(self._table.items(), key=lambda item: item[1][2])[: self.WINDOW]
+        # min keeps the first, so the oldest, of equal counts
+        key, (_, uses, _) = min(oldest, key=lambda item: item[1][1])
+        del self._table[key]
+        self._ghosts[key] = uses
+        if len(self._ghosts) > self.GHOSTS:
+            del self._ghosts[next(iter(self._ghosts))]
+
+    def cache_info(self):
+        return _CacheInfo(self._hits, self._misses, self.MAXSIZE, len(self._table))
+
+    def cache_clear(self):
+        """Forget every value, ghost and count."""
+        with self._lock:
+            self._table.clear()
+            self._ghosts.clear()
+            self._hits = self._misses = 0
+
+
+def _check_key(q: G2Point) -> None:
+    # The generator constant is in G2 by construction (check_g2 passes it).
+    if q != G2_GEN:
+        check_g2(q)
+
+
+@functools.partial(KeyCache, _check_key)
 def precompute_g2(q: G2Point) -> G2Precomp:
     """Validate the G2 point q and precompute its Miller-loop lines.
 
@@ -219,13 +316,16 @@ def precompute_g2(q: G2Point) -> G2Precomp:
     subgroup, OffCurveError otherwise): ``g2_from_bytes`` parses a key
     through it and the pairing reads its lines from it.  The generator
     constant ``G2_GEN``, the verifier's other pair, is the one point not
-    checked: it is in G2 by construction (``check_g2`` passes it).  The
-    cache keys by point value and holds only points that passed, as a
-    raise is not cached; a hit costs one lookup, and a key is checked
-    again only after it has fallen out of the cache.
+    checked: it is in G2 by construction (``check_g2`` passes it).
+
+    A ``KeyCache`` keys the lines by point value and holds those of 32
+    keys that passed, so a hit costs one lookup.  A full cache evicts
+    the least-used of its 16 least recently used keys, and remembers the
+    last 128 keys it evicted with their use counts.  G2 membership
+    depends only on the point's value, so such a key, when it returns,
+    is walked again but not checked again.  A key is checked again only
+    when it comes back after it has left that record too.
     """
-    if q != G2_GEN:
-        check_g2(q)
     return G2Precomp(q)
 
 

@@ -80,6 +80,7 @@ from blsces.credential import CEAS
 from blsces.credential import encode_claim_message  # noqa: F401
 from blsces.errors import EncodingError, StatementError, ValidationError
 from blsces.groups.params import PROFILES
+from blsces.wire import hex_bytes, json_int
 from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import LC, Builder, ConstraintSystem, RecordingBuilder
 from blsces.zk.sha256 import sha256_pad
@@ -186,15 +187,18 @@ class StatementLayout:
     @classmethod
     def from_json(cls, data: dict) -> "StatementLayout":
         """The layout a proof header describes; a header of any other
-        shape raises EncodingError.  Values are checked only when the
-        statement is rebuilt from the layout."""
+        shape raises EncodingError, as does a policy that is not
+        lowercase hex or an index or length that is not a JSON integer
+        (``wire``).  Values are checked only when the statement is
+        rebuilt from the layout."""
         try:
             return cls(
                 profile_name=data["profile"],
-                ceas_bytes=bytes.fromhex(data["ceas"]),
-                extraction=tuple(int(i) for i in data["extraction"]),
+                ceas_bytes=hex_bytes(data["ceas"], "policy"),
+                extraction=tuple(json_int(i, "extraction index") for i in data["extraction"]),
                 claim_lens=tuple(
-                    (int(c["len_subject"]), int(c["len_property"]), int(c["len_value"])) for c in data["claims"]
+                    tuple(json_int(c[k], k) for k in ("len_subject", "len_property", "len_value"))
+                    for c in data["claims"]
                 ),
                 predicate=data.get("predicate"),
             )

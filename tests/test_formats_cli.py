@@ -1,6 +1,7 @@
 """File formats round-trip; the CLI agrees with direct library calls."""
 
 import base64
+import copy
 import json
 import random
 import subprocess
@@ -179,6 +180,82 @@ def test_malformed_files_raise_encoding_errors(issuer):
             formats.proof_bundle_from_json(dict(bundle, public_inputs=dict(pub, **{field: [bad]})))
 
 
+def hex_respellings(h):
+    """Spellings of the lowercase hex string h, other than h, that
+    ``bytes.fromhex`` or ``int(h, 16)`` reads, or that change its width,
+    and two values that are not strings: a reader must refuse each."""
+    assert h != h.upper(), "the case needs a hex letter"
+    spellings = {
+        "uppercase": h.upper(),
+        "one uppercase digit": next(h[:i] + c.upper() + h[i + 1:] for i, c in enumerate(h) if c.isalpha()),
+        "space-separated bytes": " ".join(h[i:i + 2] for i in range(0, len(h), 2)),
+        "surrounding whitespace": f" {h}\n",
+        "0x prefix": "0x" + h,
+        "0x prefix, same width": "0x" + h[2:],
+        "underscore": h[:4] + "_" + h[4:],
+        "one byte short": h[:-2],
+        "one byte long": h + "00",
+        "odd length": h[:-1],
+        "a JSON number": int(h[:8], 16),
+        "null": None,
+    }
+    assert h not in spellings.values()
+    return spellings
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *outer, last = path
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def hex_fields(issuer):
+    """Every hex field of every file format, with the document that holds
+    it and the parser that reads it."""
+    cred = Credential((Claim("s", "p", "v"), Claim("s", "q", "w")))
+    ceas = CEAS.from_index_sets(2, [[0], [0, 1]])
+    sc = ces_sign(issuer.sk, cred, ceas)
+    signed = formats.signed_to_json(sc)
+    pres = formats.presentation_to_json(ces_extract(sc, ExtractionSet(frozenset({0, 1})), reextractable=True))
+    inputs = PublicInputs(x_coords=(0xFEDCBA9876543210 << 180,), sign_bits=(1,), ceas_bytes=ceas.to_bytes(), extraction=(0,))
+    bundle = formats.proof_bundle_to_json(Proof(bytes(40)), inputs, sc.sigs[0])
+    return {
+        "secret_key": (formats.secret_key_to_json(issuer.sk), ["secret_key"], formats.secret_key_from_json),
+        "public_key": (formats.public_key_to_json(issuer.pk), ["public_key"], formats.public_key_from_json),
+        "signatures": (signed, ["signatures", 1], formats.signed_from_json),
+        "aggregate_signature": (pres, ["aggregate_signature"], formats.presentation_from_json),
+        "kept_signatures": (pres, ["kept_signatures", "1"], formats.presentation_from_json),
+        "bundle x": (bundle, ["public_inputs", "x", 0], formats.proof_bundle_from_json),
+        "bundle aggregate_signature": (bundle, ["aggregate_signature"], formats.proof_bundle_from_json),
+    }
+
+
+@pytest.mark.parametrize("field", [
+    "secret_key", "public_key", "signatures", "aggregate_signature", "kept_signatures", "bundle x",
+    "bundle aggregate_signature",
+])
+def test_hex_fields_take_only_the_written_spelling(hex_fields, field):
+    """Each hex field is read only as the fixed-width lowercase digits
+    its writer emits.  bytes.fromhex and int(h, 16) also read uppercase
+    digits, whitespace and (int) a 0x prefix and underscores: read with
+    them, an uppercase or space-separated aggregate signature verifies
+    ok and an uppercase public key parses."""
+    doc, path, parse = hex_fields[field]
+    parse(doc)
+    node = doc
+    for key in path:
+        node = node[key]
+    for name, bad in hex_respellings(node).items():
+        with pytest.raises(EncodingError):
+            parse(_replaced(doc, path, bad))
+            pytest.fail(f"{field} as {name} ({bad!r}) parsed")
+
+
 # -- CLI -----------------------------------------------------------------------------
 
 def run_cli(*args):
@@ -222,6 +299,19 @@ def test_cli_verify_accepts_and_agrees_with_library(cli_flow):
     pres = formats.presentation_from_json(json.loads((cli_flow / "pres.json").read_text()))
     lib = ces_verify(pk, pres)
     assert bool(lib) is True and diag["code"] == lib.code
+
+
+def test_cli_verify_of_a_respelled_aggregate_signature_exits_2(cli_flow):
+    """The walkthrough's presentation with its aggregate signature in
+    uppercase, or as space-separated bytes, is malformed (exit 2), not
+    a second spelling of the same presentation."""
+    doc = json.loads((cli_flow / "pres.json").read_text())
+    sig = doc["aggregate_signature"]
+    for name, spelling in (("upper", sig.upper()), ("spaced", " ".join(sig[i:i + 2] for i in range(0, len(sig), 2)))):
+        path = cli_flow / f"pres_{name}.json"
+        path.write_text(formats.dumps(dict(doc, aggregate_signature=spelling)))
+        code, diag = run_cli("verify", "--pubkey", str(cli_flow / "pk.json"), "--presentation", str(path))
+        assert code == cli.EXIT_MALFORMED and diag["ok"] is False, (name, diag)
 
 
 def test_cli_issue_is_deterministic_and_matches_library(cli_flow):

@@ -1658,3 +1658,72 @@ def test_prove_refuses_a_policy_of_another_width():
     for ceas in (CEAS.from_index_sets(1, [[0]]), CEAS.from_index_sets(3, [[0], [0, 1]])):
         with pytest.raises(StatementError, match="policy width"):
             prove_extraction(BackendParams(), cred, ceas, ExtractionSet(frozenset({0})))
+
+
+@pytest.fixture(scope="module")
+def header_proof(issuer):
+    """A one-claim BN254 proof under the issuer key, its public inputs and
+    aggregate signature.  The policy's bytes spell a hex letter (the
+    subset {0, 1, 3} is the mask 0x0b), so an uppercase policy differs."""
+    cred = Credential(tuple(Claim("holder", p, v) for p, v in (("age", "42"), ("country", "QZ"), ("city", "Bern"), ("tier", "b"))))
+    ceas = CEAS.from_index_sets(4, [[0], [0, 1, 3]])
+    x = ExtractionSet(frozenset({0}))
+    proof, inputs = prove_extraction(BackendParams(), cred, ceas, x)
+    return proof, inputs, ces_extract(ces_sign(issuer.sk, cred, ceas), x).sigma
+
+
+def rewrite_header(proof, rewrite):
+    """The proof with ``rewrite`` applied to its header's layout, which is
+    written back as ``prove`` writes it."""
+    header, secret = proof.data.split(b"\n", 1)
+    meta = json.loads(header)
+    rewrite(meta["layout"])
+    return Proof(json.dumps(meta, separators=(",", ":"), sort_keys=True).encode() + b"\n" + secret)
+
+
+def _set_claim(key, respell):
+    def rewrite(layout):
+        claim = layout["claims"][0]
+        claim[key] = respell(claim[key])
+    return rewrite
+
+
+def _set_policy(respell):
+    def rewrite(layout):
+        layout["ceas"] = respell(layout["ceas"])
+    return rewrite
+
+
+HEADER_RESPELLINGS = {
+    "len_value 2.5": _set_claim("len_value", lambda n: n + 0.5),
+    "len_value as a float": _set_claim("len_value", float),
+    "len_subject as a string": _set_claim("len_subject", str),
+    "len_property as a string": _set_claim("len_property", str),
+    "extraction [false]": lambda layout: layout.update(extraction=[False]),
+    "extraction [0.0]": lambda layout: layout.update(extraction=[0.0]),
+    "extraction as a string": lambda layout: layout.update(extraction=["0"]),
+    "policy in uppercase": _set_policy(str.upper),
+    "policy as space-separated bytes": _set_policy(lambda h: " ".join(h[i:i + 2] for i in range(0, len(h), 2))),
+    "policy with surrounding whitespace": _set_policy(lambda h: f" {h}\n"),
+}
+
+
+def test_header_rewrite_keeps_an_honest_proof(issuer, header_proof):
+    proof, inputs, sigma = header_proof
+    assert rewrite_header(proof, lambda layout: None) == proof
+    assert zk_verify(BackendParams(), issuer.pk, sigma, proof, inputs).code == "ok"
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_RESPELLINGS))
+def test_a_respelled_header_is_a_malformed_proof(issuer, header_proof, name):
+    """A proof header's indices and lengths are JSON integers and its
+    policy is lowercase hex, by the rules of the wire formats.  int()
+    and bytes.fromhex read each of these rewrites of an honest proof as
+    the same values, so read with them each verifies ok."""
+    proof, inputs, sigma = header_proof
+    rewritten = rewrite_header(proof, HEADER_RESPELLINGS[name])
+    assert rewritten != proof
+    with pytest.raises(EncodingError):
+        TRANSPARENT_BACKEND.parse(rewritten)
+    result = zk_verify(BackendParams(), issuer.pk, sigma, rewritten, inputs)
+    assert result.code == "proof_rejected:malformed_proof" and result.pairing_ok
