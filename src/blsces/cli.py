@@ -25,6 +25,7 @@ from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import BlscesError, EncodingError, FileTooLargeError, StatementError, ValidationError
+from blsces.groups import G2_GEN, g2_mul
 from blsces.groups.params import BN254
 from blsces.zk import (
     BackendParams,
@@ -213,6 +214,9 @@ def cmd_self_test(args) -> int:
     h = bls.hash_to_g1(b"self-test")
     checks["hash_on_curve"] = (h.point.y * h.point.y - BN254.rhs(h.point.x)) % BN254.p == 0
     kp = bls.keygen(random.Random(0xC0FFEE))
+    # keygen reads a fixed-base table; g2_mul builds [sk]G2 from the
+    # generator alone
+    checks["keygen_matches_reference"] = kp.pk == g2_mul(G2_GEN, kp.sk)
     sig = bls.sign(kp.sk, b"self-test")
     checks["sign_verify"] = bls.verify(kp.pk, b"self-test", sig)
     cred, ceas = _demo_credential()

@@ -27,10 +27,15 @@ addition of Q or -Q per nonzero digit, and inverts once at the end.
 Key generation multiplies only the generator, so ``g2_mul_gen`` reads
 the multiples it needs from a fixed-base table instead (Brickell,
 Gordon, McCurley and Wilson, "Fast exponentiation with precomputation",
-EUROCRYPT 1992): k mod R in signed radix-16 digits, one mixed addition
-of a table entry per nonzero digit and no doubling at all.  The table,
-[d*16^i]G2_GEN for d = 1..8 over 64 windows, is built on first use and
-kept for the life of the process.
+EUROCRYPT 1992), and halves the table with psi, which acts on G2 as
+[PSI_LAMBDA] = [p - r] = [6u^2] (Galbraith and Scott, "Exponentiation in
+pairing-friendly groups using homomorphisms", Pairing 2008): k mod R
+splits as k0 + k1*PSI_LAMBDA with both halves below 2^127, each half in
+signed radix-64 digits costs one mixed addition of a table entry per
+nonzero digit and no doubling at all, and one full addition joins
+[k0]G2_GEN and psi([k1]G2_GEN).  The table, [d*64^i]G2_GEN for d = 1..32
+over 22 windows, is built on first use and kept for the life of the
+process.
 ``check_g2`` stays in Jacobian coordinates throughout: it applies psi to
 them directly and compares its two sums by cross-multiplying, so a key
 check costs no inversion.  ``pairing.G2Precomp`` walks the Miller loop
@@ -649,22 +654,34 @@ def g2_mul(pt: G2Point, k: int) -> G2Point:
     return _j2_to(_j2_mul(pt, k))
 
 
-# Signed radix-16 digits of any k < R: 64 windows, as digits in [-7, 8]
-# reach 8*(16^64 - 1)/15 > 2^254 > R.
-_GEN_WINDOWS = (R.bit_length() + 4) // 4
+# psi acts on G2 as [p], which is [PSI_LAMBDA] as G2 has order R.  As
+# PSI_LAMBDA^2 < R, divmod(k, PSI_LAMBDA) of any k < R gives two halves
+# below 2^127, and [k]Q = [k0]Q + psi([k1]Q) for Q in G2.
+PSI_LAMBDA = P - R
+assert PSI_LAMBDA == 6 * BN_U**2 and PSI_LAMBDA**2 < R
+
+# Signed radix-2^w digits of a half, w = _GEN_W: _GEN_WINDOWS windows of
+# digits in [1 - 2^(w-1), 2^(w-1)] reach past the largest half,
+# (R - 1) // PSI_LAMBDA.
+_GEN_W = 6
+_GEN_RADIX = 1 << _GEN_W
+_GEN_HALF = _GEN_RADIX // 2
+_GEN_WINDOWS = ((R - 1) // PSI_LAMBDA).bit_length() // _GEN_W + 1
+assert _GEN_HALF * (_GEN_RADIX**_GEN_WINDOWS - 1) // (_GEN_RADIX - 1) >= (R - 1) // PSI_LAMBDA
 
 
 @cache
 def _gen_table():
-    """Affine [d*16^i]G2_GEN at index 8*i + d - 1, for d = 1..8 and every
-    window i of g2_mul_gen.  Each window's multiples are built in Jacobian
-    coordinates from the previous window's [16]B, and all of them share
-    one inversion.  No entry is the identity, as R is a prime above 16."""
+    """Affine [d*2^(w*i)]G2_GEN at index 2^(w-1)*i + d - 1, for
+    d = 1..2^(w-1) and every window i of g2_mul_gen's halves.  Each
+    window's multiples are built in Jacobian coordinates from the previous
+    window's [2^w]B, and all of them share one inversion.  No entry is the
+    identity, as R is a prime above 2^w."""
     walk = []
     b = (*G2_GEN.x, *G2_GEN.y, 1, 0)
     for _ in range(_GEN_WINDOWS):
         row = [b, _j2_double(b)]
-        for d in range(3, 9):
+        for d in range(3, _GEN_HALF + 1):
             row.append(_j2_double(row[d // 2 - 1]) if d % 2 == 0 else _j2_add(row[-1], b))
         walk += row
         b = _j2_double(row[-1])
@@ -676,29 +693,40 @@ def _gen_table():
     return table
 
 
-def g2_mul_gen(k: int) -> G2Point:
-    """[k]G2_GEN from the fixed-base table of the generator.
-
-    k is reduced mod R, which is sound as the generator lies in G2, and
-    recoded in signed radix-16 digits d_i in [-7, 8] with
-    k = sum d_i*16^i.  Each nonzero digit adds [|d_i|*16^i]G2_GEN, its y
-    negated for a negative digit, by one mixed addition; the sum is made
-    affine by one inversion.  The table costs one build per process.
-    """
-    k %= R
-    table = _gen_table()
+def _gen_sum(table, k):
+    """[k]G2_GEN in Jacobian coordinates for 0 <= k below 2^127: k in
+    signed radix-2^w digits d_i with k = sum d_i*2^(w*i), and one mixed
+    addition of [|d_i|*2^(w*i)]G2_GEN per nonzero digit, its y negated
+    for a negative digit."""
     acc = _J2_INF
     i = 0
     while k:
-        d = k & 15
-        k >>= 4
-        if d > 8:
-            d -= 16
+        d = k & (_GEN_RADIX - 1)
+        k >>= _GEN_W
+        if d > _GEN_HALF:
+            d -= _GEN_RADIX
             k += 1
         if d > 0:
             acc = _j2_madd(acc, table[i + d - 1])
         elif d < 0:
             x0, x1, y0, y1 = table[i - d - 1]
             acc = _j2_madd(acc, (x0, x1, -y0 % P, -y1 % P))
-        i += 8
-    return _j2_to(acc)
+        i += _GEN_HALF
+    return acc
+
+
+def g2_mul_gen(k: int) -> G2Point:
+    """[k]G2_GEN from the fixed-base table of the generator.
+
+    k is reduced mod R, which is sound as the generator lies in G2, and
+    split as k = k0 + k1*PSI_LAMBDA with both halves below 2^127.  Each
+    half is summed from the table, whose 127 bits serve both, and
+    [k]G2_GEN = [k0]G2_GEN + psi([k1]G2_GEN): one full addition joins the
+    two sums, either of which may be the identity, and one inversion
+    makes the result affine.  The sums are never equal or opposite: for
+    k1 >= 1, k1*PSI_LAMBDA lies in [PSI_LAMBDA, R), above k0, and their
+    sum k mod R is not 0.  The table costs one build per process.
+    """
+    k1, k0 = divmod(k % R, PSI_LAMBDA)
+    table = _gen_table()
+    return _j2_to(_j2_add(_gen_sum(table, k0), _j2_psi(_gen_sum(table, k1))))

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from blsces.errors import ConstraintViolation, EncodingError, ProofTooLargeError, StatementError
+from blsces.zk.predicates import predicate_from_descriptor
 from blsces.zk.r1cs import Builder
 from blsces.zk.statement import PublicInputs, StatementLayout, synthesize
 
@@ -125,12 +126,12 @@ class TransparentBackend:
         proof: Proof,
         inputs: PublicInputs,
         profile: str | None = None,
-        predicate: dict | None = None,
+        predicate=None,
     ) -> BackendVerdict:
         """Check the proof for the public inputs.  With ``profile``, accept
-        only a statement over that curve profile; with ``predicate``, a
-        descriptor, only one proving exactly that predicate, refused as
-        ``predicate_rejected`` as soon as the header parses."""
+        only a statement over that curve profile; with ``predicate``, only
+        one whose header's descriptor parses to exactly that predicate,
+        refused as ``predicate_rejected`` as soon as the header parses."""
         try:
             layout, secret = self.parse(proof)
         except ProofTooLargeError:
@@ -138,8 +139,13 @@ class TransparentBackend:
         except EncodingError:
             return BackendVerdict(False, "malformed_proof")
         verdict = partial(BackendVerdict, predicate=layout.predicate)
-        if predicate is not None and layout.predicate != predicate:
-            return verdict(False, "predicate_rejected")
+        if predicate is not None:
+            try:
+                proven = predicate_from_descriptor(layout.predicate)
+            except StatementError:
+                proven = None
+            if proven != predicate:
+                return verdict(False, "predicate_rejected")
         if profile is not None and layout.profile_name != profile:
             return verdict(False, "profile_rejected")
         try:

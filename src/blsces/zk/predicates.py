@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from blsces.errors import StatementError
+from blsces.errors import EncodingError, StatementError
+from blsces.wire import json_int
 from blsces.zk.r1cs import LC, Builder
 
 
@@ -100,15 +101,26 @@ class EqualsPredicate:
 
 def predicate_from_descriptor(desc: dict | None) -> RangePredicate | EqualsPredicate | None:
     """The predicate a descriptor names; a descriptor from outside that
-    names none raises StatementError."""
+    names none raises StatementError.  A descriptor is read only in the
+    spelling ``describe`` writes: its fields and no others, an index or
+    bound as a JSON integer (``wire.json_int``), a constant as a string;
+    so two descriptors name the same predicate exactly when they are
+    equal."""
     if desc is None:
         return None
     try:
         kind = desc["kind"]
+        index = json_int(desc["claim_index"], "predicate claim index")
         if kind == "range":
-            return RangePredicate(claim_index=int(desc["claim_index"]), low=int(desc["low"]), high=int(desc["high"]))
-        if kind == "equals":
-            return EqualsPredicate(claim_index=int(desc["claim_index"]), expected=str(desc["expected"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            pred = RangePredicate(index, json_int(desc["low"], "range low"), json_int(desc["high"], "range high"))
+        elif kind == "equals":
+            if type(desc["expected"]) is not str:
+                raise EncodingError(f"equals constant must be a string, found {type(desc['expected']).__name__}")
+            pred = EqualsPredicate(index, desc["expected"])
+        else:
+            raise StatementError(f"unknown predicate kind {kind!r}")
+        if desc.keys() != pred.describe().keys():
+            raise EncodingError(f"{kind} predicate with fields {sorted(desc)}")
+    except (KeyError, TypeError, ValueError, EncodingError) as exc:
         raise StatementError(f"malformed predicate descriptor: {exc!r}") from exc
-    raise StatementError(f"unknown predicate kind {kind!r}")
+    return pred

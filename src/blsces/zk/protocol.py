@@ -111,7 +111,7 @@ def zk_verify(
     # encoded under; the statement does not prove membership, so b1 is
     # the only check that the policy allows the extraction.
     try:
-        ceas = CEAS.from_bytes(inputs.ceas_bytes)
+        ceas = inputs.ceas
         x = ExtractionSet(frozenset(inputs.extraction))
         b1 = ceas_contains(ceas, x)
     except (EncodingError, ValidationError):
@@ -120,8 +120,7 @@ def zk_verify(
     # b3: backend proof verification, of a statement over BN254 (a toy
     # profile would bind only a few bits of x) and of the expected
     # predicate, which the backend compares before it synthesizes.
-    expected = None if predicate is None else predicate.describe()
-    verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs, profile=BN254.name, predicate=expected)
+    verdict = TRANSPARENT_BACKEND.verify(backend_params, proof, inputs, profile=BN254.name, predicate=predicate)
     b3 = bool(verdict)
     if verdict.code == "predicate_rejected":
         code = "predicate_rejected" if b1 else "policy_rejected"

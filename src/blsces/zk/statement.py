@@ -108,6 +108,13 @@ class PublicInputs:
         if tuple(sorted(set(self.extraction))) != tuple(self.extraction):
             raise ValidationError("extraction indices must be sorted and distinct")
 
+    @functools.cached_property
+    def ceas(self) -> CEAS:
+        """The policy ``ceas_bytes`` encodes, parsed on first use and kept,
+        so that ``zk_verify`` and ``synthesize`` share one parse; bytes
+        that encode none raise EncodingError on every use."""
+        return CEAS.from_bytes(self.ceas_bytes)
+
 
 def _first_block(msg_len: int, lens: tuple[int, int, int]) -> int:
     """Index of a claim message's first in-circuit block: the block of
@@ -266,7 +273,9 @@ def synthesize(layout: StatementLayout, bd: Builder, inputs: PublicInputs, secre
     profile = PROFILES.get(layout.profile_name)
     if profile is None:
         raise StatementError(f"unknown curve profile {layout.profile_name!r}")
-    ceas = CEAS.from_bytes(layout.ceas_bytes)
+    # public_assignment refuses a layout whose policy differs from the
+    # inputs', so the inputs' parse serves where the bytes are the same
+    ceas = inputs.ceas if inputs.ceas_bytes == layout.ceas_bytes else CEAS.from_bytes(layout.ceas_bytes)
     if not layout.extraction or tuple(sorted(set(layout.extraction))) != layout.extraction:
         raise StatementError("layout extraction set not canonical")
     if any(not 0 <= i < ceas.n for i in layout.extraction):

@@ -17,7 +17,7 @@ from blsces import bls, cli, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import MAX_CEAS_SUBSETS, MAX_CEAS_WIDTH, CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError, FileTooLargeError
-from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g2_to_bytes
+from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g2_to_bytes, points
 from blsces.zk.backend import Proof
 from blsces.zk.statement import PublicInputs
 
@@ -493,6 +493,17 @@ def test_cli_self_test_and_gen_vectors(tmp_path):
     assert out.read_text() == again.read_text()
     # the option is gone, not ignored
     assert run_cli("self-test", "--toy")[0] == 2
+
+
+def test_cli_self_test_checks_keygen_against_g2_mul(monkeypatch, capsys):
+    """self-test compares the fixed-seed key's pk with g2_mul of the
+    generator, so a key from a bad table fails it by name."""
+    assert cli.main(["self-test"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["keygen_matches_reference"] is True
+    monkeypatch.setattr(points, "g2_mul_gen", lambda k: points.g2_mul(points.G2_GEN, k + 1))
+    assert cli.main(["self-test"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["keygen_matches_reference"] is False
 
 
 # -- hostile keys and presentations in bounded time and memory ---------------------------

@@ -34,6 +34,7 @@ from blsces.groups.params import BN_U, P, R, TOY
 from blsces.groups.points import (
     GLV_BETA,
     GLV_LAMBDA,
+    PSI_LAMBDA,
     G1Point,
     G2Point,
     _GLV_A1,
@@ -43,8 +44,14 @@ from blsces.groups.points import (
     _j1_madd,
     _j1_to,
     _j1_walk,
+    _j2_add,
+    _j2_psi,
+    _j2_to,
+    _gen_sum,
+    _gen_table,
     g1_mul_many,
     g2_mul_gen,
+    g2_psi,
     glv_split,
 )
 from blsces.groups.tower import wnaf
@@ -240,17 +247,42 @@ def test_g2_mul_matches_naive_oracle():
 
 def test_g2_mul_gen_matches_g2_mul():
     """The fixed-base table path agrees with g2_mul on seeded random
-    scalars and on the recoding's edges: a digit of 8, the first carry at
-    9, 16^i +- 8 in every window, the top of the range, scalars of R and
-    above (reduced mod R), and multiples of R (the identity)."""
+    scalars, on the split's edges (a half at zero or at its top, a half
+    at the edge of 127 bits), on the recoding's edges in either half (a
+    digit of 32, the first carry at 33, 64^i +- 32 in every window), on
+    scalars of R and above (reduced mod R), and on multiples of R (the
+    identity)."""
     rng = random.Random(17)
+    lam = PSI_LAMBDA
     scalars = [rng.randrange(1, R) for _ in range(50)]
-    scalars += [1, 8, 9, 15, 16, 17, R - 1, R + 1, R + 9, 3 * R - 8, rng.getrandbits(300)]
-    scalars += [16**i + s for i in range(1, 64) for s in (8, -8)]
+    scalars += [1, 32, 33, 63, 64, 65, R - 1, R + 1, R + 33, 3 * R - 32, rng.getrandbits(300)]
+    scalars += [lam - 1, lam, lam + 1, 2**127 - 1, 2**127 + 1]
+    edges = [64**i + s for i in range(1, 22) for s in (32, -32)]
+    scalars += edges + [lam * e for e in edges]
     for k in scalars:
         assert g2_mul_gen(k) == g2_mul(G2_GEN, k), k
     for k in (0, R, 5 * R):
         assert g2_mul_gen(k) == G2_IDENTITY
+
+
+def test_psi_acts_on_g2_as_p_minus_r():
+    assert g2_psi(G2_GEN) == g2_mul(G2_GEN, P - R)
+
+
+def test_g2_mul_gen_joins_equal_and_opposite_halves():
+    """g2_mul_gen's last step joins [k0]G and psi([k1]G) with _j2_add.
+    For k < R the split never makes them equal or opposite, as
+    k1*PSI_LAMBDA lies in [PSI_LAMBDA, R) for k1 >= 1, so the halves that
+    do are fed to the same step directly: (PSI_LAMBDA, 1) doubles, and
+    (R % PSI_LAMBDA, R // PSI_LAMBDA) cancels to the identity."""
+    table = _gen_table()
+
+    def joined(k0, k1):
+        return _j2_to(_j2_add(_gen_sum(table, k0), _j2_psi(_gen_sum(table, k1))))
+
+    assert joined(PSI_LAMBDA, 1) == g2_mul(G2_GEN, 2 * PSI_LAMBDA)
+    assert joined(R % PSI_LAMBDA, R // PSI_LAMBDA) == G2_IDENTITY
+    assert joined(0, 0) == G2_IDENTITY
 
 
 def test_g2_mul_gen_table_built_once_on_first_use():

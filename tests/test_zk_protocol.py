@@ -1727,3 +1727,70 @@ def test_a_respelled_header_is_a_malformed_proof(issuer, header_proof, name):
         TRANSPARENT_BACKEND.parse(rewritten)
     result = zk_verify(BackendParams(), issuer.pk, sigma, rewritten, inputs)
     assert result.code == "proof_rejected:malformed_proof" and result.pairing_ok
+
+
+@pytest.fixture(scope="module")
+def predicate_proofs(issuer):
+    """header_proof's credential and disclosure proved with a range and
+    with an equals predicate: for each, the predicate, the proof, its
+    public inputs and the aggregate signature."""
+    cred = Credential(tuple(Claim("holder", p, v) for p, v in (("age", "42"), ("country", "QZ"))))
+    ceas = CEAS.from_index_sets(2, [[0], [0, 1]])
+    x = ExtractionSet(frozenset({0}))
+    sigma = ces_extract(ces_sign(issuer.sk, cred, ceas), x).sigma
+    out = {}
+    for pred in (RangePredicate(0, 18, 65), EqualsPredicate(0, "42")):
+        proof, inputs = prove_extraction(BackendParams(), cred, ceas, x, pred)
+        out[pred.describe()["kind"]] = (pred, proof, inputs, sigma)
+    return out
+
+
+def _set_predicate(**fields):
+    return lambda layout: layout["predicate"].update(fields)
+
+
+PREDICATE_RESPELLINGS = {
+    "claim_index false": ("range", _set_predicate(claim_index=False)),
+    "low 18.0": ("range", _set_predicate(low=18.0)),
+    "high 65.0": ("range", _set_predicate(high=65.0)),
+    "a range with an extra field": ("range", _set_predicate(note="")),
+    "expected as a number": ("equals", _set_predicate(expected=42)),
+}
+
+
+@pytest.mark.parametrize("expect", [False, True], ids=["no expected predicate", "expected predicate"])
+@pytest.mark.parametrize("name", sorted(PREDICATE_RESPELLINGS))
+def test_a_respelled_predicate_is_refused(issuer, predicate_proofs, name, expect):
+    """A predicate descriptor is read only in the spelling describe()
+    writes.  int() reads false, 18.0 and 65.0 as 0, 18 and 65, and
+    Python's == finds each rewritten descriptor equal to the honest one,
+    so read that way each of these rewrites of an honest proof verifies
+    ok, even under the very predicate it was proved with."""
+    kind, rewrite = PREDICATE_RESPELLINGS[name]
+    pred, proof, inputs, sigma = predicate_proofs[kind]
+    assert zk_verify(BackendParams(), issuer.pk, sigma, proof, inputs, predicate=pred).code == "ok"
+    rewritten = rewrite_header(proof, rewrite)
+    assert rewritten != proof
+    result = zk_verify(BackendParams(), issuer.pk, sigma, rewritten, inputs, predicate=pred if expect else None)
+    assert not result.accept
+    if expect:
+        assert result.code == "predicate_rejected" and not result.pairing_ok
+    else:
+        assert result.code == "proof_rejected:statement_rebuild_failed" and result.pairing_ok
+
+
+def test_zk_verify_parses_the_policy_once(issuer, header_proof, monkeypatch):
+    """zk_verify's policy check and the statement it rebuilds read one
+    parse of the policy bytes."""
+    proof, inputs, sigma = header_proof
+    inputs = replace(inputs)  # a fresh copy, which holds no parse yet
+    from_bytes = CEAS.from_bytes.__func__
+    parsed = []
+
+    def counted(cls, data):
+        parsed.append(data)
+        return from_bytes(cls, data)
+
+    monkeypatch.setattr(CEAS, "from_bytes", classmethod(counted))
+    assert zk_verify(BackendParams(), issuer.pk, sigma, proof, inputs).code == "ok"
+    assert parsed == [inputs.ceas_bytes]
