@@ -17,7 +17,10 @@ Jacobi computation, about a fifth of a square root's modular
 exponentiation) and takes the square root only of the residue it lands
 on: one root per hashed message, where about half the candidates tried
 are non-residues.  ``hash_to_g1_at``, which verifiers call at a counter
-that travels with the signature, takes the root directly.
+that travels with the signature, takes the root directly.  Roots are
+memoised per process (``params.sqrt_mod``), so a claim message hashed
+before, by the issuer or by an earlier verify, costs its digest and a
+lookup.
 """
 
 from __future__ import annotations

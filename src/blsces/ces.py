@@ -19,11 +19,15 @@ returns keeps those points, and one parsed from JSON decodes each
 signature the first time it is extracted.  A re-extractable
 presentation holds the points of its kept signatures the same way, so
 ``ces_extract`` sums points and decompresses no signature twice, from
-either source; ``ces_verify`` still decodes the
-presented aggregate on every call.  On the verify-one-issuer benchmark's
-set-up (8 credentials of 16 claims, 10 extractions each) the two took
-the median ``setup_s`` from 0.244 to 0.176 s (``perfbench/run.py``,
-10 pairs of 30 s runs, 2 CPUs, Python 3.11.7).
+either source.  On the verify-one-issuer benchmark's set-up (8
+credentials of 16 claims, 10 extractions each) the two took the median
+``setup_s`` from 0.244 to 0.176 s (``perfbench/run.py``, 10 pairs of
+30 s runs, 2 CPUs, Python 3.11.7).
+
+``ces_verify`` decodes the presented aggregate and hashes the disclosed
+claims on every call, but their square roots are memoised per process
+(``params.sqrt_mod``), so a presentation verified before pays no root
+again.
 """
 
 from __future__ import annotations

@@ -20,12 +20,13 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 
 from blsces import bls, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import BlscesError, EncodingError, FileTooLargeError, StatementError, ValidationError
-from blsces.groups import G2_GEN, g2_mul
+from blsces.groups import G2_GEN, g2_mul, params
 from blsces.groups.params import BN254
 from blsces.zk import (
     BackendParams,
@@ -223,6 +224,16 @@ def cmd_self_test(args) -> int:
     sc = ces_sign(kp.sk, cred, ceas)
     pres = ces_extract(sc, ExtractionSet(frozenset({0})))
     checks["ces_round_trip"] = bool(ces_verify(kp.pk, pres))
+    # the square roots are memoised: a forgery verified with them warm
+    # still rejects, the honest presentation still verifies, and a
+    # memoised root equals the uncached one
+    forged = replace(pres, sub_cred=Credential((Claim("holder", "age", "91"),) + pres.sub_cred.claims[1:]))
+    rhs = BN254.rhs(h.point.x)
+    checks["warm_verify_agrees"] = (
+        not ces_verify(kp.pk, forged)
+        and bool(ces_verify(kp.pk, pres))
+        and params.sqrt_mod(rhs, BN254.p) == params.sqrt_mod.__wrapped__(rhs, BN254.p)
+    )
     ok = all(checks.values())
     _emit({"ok": ok, "checks": checks, "profile": BN254.name})
     return EXIT_OK if ok else EXIT_REJECT

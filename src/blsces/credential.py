@@ -139,11 +139,13 @@ class CEAS:
 
     Subsets are stored as bit masks over width ``n``; serialization
     sorts and deduplicates them, so equal structures share one byte
-    representation.
+    representation.  Every claim message holds those bytes, so they are
+    made once, when the policy is, and ``to_bytes`` returns them.
     """
 
     n: int
     subsets: frozenset[int] = field(default_factory=frozenset)
+    _bytes: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -158,6 +160,10 @@ class CEAS:
             raise ValidationError(f"CEAS lists more than {MAX_CEAS_SUBSETS} subsets")
         if any(s < 0 or s.bit_length() > self.n for s in self.subsets):
             raise ValidationError("CEAS subset exceeds its width")
+        mask_len = (self.n + 7) // 8
+        out = [struct.pack(">II", self.n, len(self.subsets))]
+        out.extend(mask.to_bytes(mask_len, "big") for mask in sorted(self.subsets))
+        object.__setattr__(self, "_bytes", b"".join(out))
 
     @classmethod
     def from_index_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "CEAS":
@@ -180,10 +186,7 @@ class CEAS:
 
     def to_bytes(self) -> bytes:
         """Canonical serialization: width, count, then sorted subset masks."""
-        mask_len = (self.n + 7) // 8
-        out = [struct.pack(">II", self.n, len(self.subsets))]
-        out.extend(mask.to_bytes(mask_len, "big") for mask in sorted(self.subsets))
-        return b"".join(out)
+        return self._bytes
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CEAS":

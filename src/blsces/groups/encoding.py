@@ -44,7 +44,9 @@ def decompress_x(x: int, sign_bit: int, profile: CurveProfile = BN254) -> tuple[
     """Recover the affine point with the given x and root sign.
 
     Raises EncodingError when x is out of range or x^3 + b is a
-    non-residue (no such curve point).
+    non-residue (no such curve point).  The root comes from the
+    memoised ``params.sqrt_mod``, so an x decompressed before (an
+    aggregate presented again) costs a lookup.
     """
     if not 0 <= x < profile.p:
         raise EncodingError("x-coordinate out of range")

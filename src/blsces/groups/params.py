@@ -9,15 +9,17 @@ Two curve profiles ship with the library:
   has no pairing and must never be used outside tests and test tooling.
 
 Both primes are ≡ 3 (mod 4), so square roots come from the (p+1)/4
-exponent shortcut.  The canonical root is the even one, which makes
-point compression deterministic.  Residuosity alone is decided by
-``legendre``, a binary Jacobi symbol with no modular exponentiation;
-the hash-to-curve search uses it to skip non-residues without a root.
+exponent shortcut, memoised per process.  The canonical root is the
+even one, which makes point compression deterministic.  Residuosity
+alone is decided by ``legendre``, a binary Jacobi symbol with no
+modular exponentiation; the hash-to-curve search uses it to skip
+non-residues without a root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Base field characteristic and subgroup order of the BN254 pairing group.
 P = 0x30644E72E131A029B85045B68181585D97816A916871CA8D3C208C16D87CFD47
@@ -68,12 +70,22 @@ def legendre(a: int, p: int) -> int:
     return t if p == 1 else 0
 
 
+@lru_cache(maxsize=1024, typed=True)
 def sqrt_mod(a: int, p: int) -> int | None:
     """Canonical square root of ``a`` mod ``p``, or None for non-residues.
 
     Requires p ≡ 3 (mod 4).  The canonical root is the one with its least
     significant bit clear; sqrt_mod(0) = 0.  One modular exponentiation:
     a^((p+1)/4) squares back to a exactly when a is a residue.
+
+    Every root the library takes comes through here: the hashed claims a
+    verifier re-derives, and the points it decompresses.  A verifier sees
+    the same claims and aggregates again and again, so the roots are
+    memoised per process, keyed by (a, p) and their types, so a float
+    never gets an int's root where the uncached call raises.  The memo
+    holds at most the 1,024 most recent roots, about 250 B each with
+    their keys (0.25 MB in all), and only of values a caller handed in;
+    the uncached function is ``sqrt_mod.__wrapped__``.
     """
     a %= p
     y = pow(a, (p + 1) // 4, p)

@@ -21,6 +21,7 @@ from blsces.credential import (
 )
 from blsces.errors import EncodingError, ValidationError
 from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, encoding, g1_add, g1_decompress
+from blsces.groups.params import sqrt_mod
 
 rng = random.Random(77)
 
@@ -180,6 +181,29 @@ def test_verify_rejects_tampered_value(issuer, signed4):
     bad = replace(pres, sub_cred=Credential(tuple(claims)))
     res = ces_verify(issuer.pk, bad)
     assert not res and res.code == "signature_mismatch"
+
+
+def test_second_verify_takes_no_new_square_root(issuer, signed4):
+    """Verifying a presentation again finds every root it needs (its
+    claims' and its aggregate's) in the memo."""
+    pres = ces_extract(signed4, xset(0, 1, 2))
+    assert ces_verify(issuer.pk, pres)
+    before = sqrt_mod.cache_info()
+    assert ces_verify(issuer.pk, pres)
+    after = sqrt_mod.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 4
+
+
+def test_warm_memo_keeps_every_verdict(issuer, signed4):
+    """An honest presentation, its altered-value forgery, then the honest
+    one again, each verified with the roots of the ones before warm."""
+    pres = ces_extract(signed4, xset(0, 1))
+    claims = list(pres.sub_cred.claims)
+    claims[0] = Claim("holder", "age", "21")
+    forged = replace(pres, sub_cred=Credential(tuple(claims)))
+    codes = [ces_verify(issuer.pk, p).code for p in (pres, forged, pres, forged)]
+    assert codes == ["ok", "signature_mismatch", "ok", "signature_mismatch"]
 
 
 def test_verify_rejects_extraction_outside_policy(issuer, signed4):

@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blsces.groups import G1_GEN
+from blsces.errors import EncodingError
+from blsces.groups import G1_GEN, decompress_x
 from blsces.groups.params import BN254, TOY, P, R, legendre, sqrt_mod
 
 # Exhaustive square table mod 11: the ground truth for every toy assertion.
@@ -44,6 +46,39 @@ def test_legendre_matches_roots_exhaustively():
             assert symbol == 1
         else:
             assert symbol == -1
+
+
+def test_memoised_sqrt_matches_uncached():
+    """The memo returns what the uncached root returns, on a miss and on
+    a hit, residues, non-residues and 0 alike, past its size."""
+    rng = random.Random(32)
+    values = [0, 1, P - 1, P, P + 4] + [rng.randrange(P) for _ in range(2000)]
+    assert sum(sqrt_mod.__wrapped__(a, P) is None for a in values) > 800
+    for a in values + values[::-1]:
+        assert sqrt_mod(a, P) == sqrt_mod.__wrapped__(a, P)
+    for _ in range(2):
+        assert [sqrt_mod(a, 11) for a in range(11)] == [sqrt_mod.__wrapped__(a, 11) for a in range(11)]
+
+
+def test_memoised_sqrt_is_keyed_by_the_prime_and_types():
+    sqrt_mod(5, P)
+    assert sqrt_mod(5, 11) == 4
+    assert sqrt_mod(5, P) == sqrt_mod.__wrapped__(5, P) != 4
+    assert sqrt_mod(4, P) == 2
+    with pytest.raises(TypeError):
+        sqrt_mod(4.0, P)
+
+
+def test_sqrt_memo_stays_bounded():
+    """1,100 distinct decompressions, residues or not, leave at most
+    maxsize roots in the memo."""
+    for x in range(10**6, 10**6 + 1100):
+        try:
+            decompress_x(x, 0)
+        except EncodingError:
+            pass
+    info = sqrt_mod.cache_info()
+    assert info.currsize == info.maxsize == 1024
 
 
 def _euler(a, p):

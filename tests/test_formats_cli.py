@@ -4,20 +4,22 @@ import base64
 import copy
 import json
 import random
+import struct
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import pytest
 
 from conftest import random_ceas, random_credential
 from test_key_checks import BAD_KEYS
-from blsces import bls, cli, formats
+from blsces import bls, cli, credential, formats
 from blsces.ces import ces_extract, ces_sign, ces_verify
 from blsces.credential import MAX_CEAS_SUBSETS, MAX_CEAS_WIDTH, CEAS, Claim, Credential, ExtractionSet
 from blsces.errors import EncodingError, FileTooLargeError
-from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g2_to_bytes, points
+from blsces.groups import G1_IDENTITY_BYTES, G2_IDENTITY, g2_to_bytes, params, points
 from blsces.zk.backend import Proof
 from blsces.zk.statement import PublicInputs
 
@@ -495,6 +497,27 @@ def test_cli_self_test_and_gen_vectors(tmp_path):
     assert run_cli("self-test", "--toy")[0] == 2
 
 
+def test_cli_self_test_checks_a_warm_verify(monkeypatch, capsys):
+    """self-test verifies a forgery and the honest presentation again with
+    the roots memoised, and compares a memoised root with the uncached
+    one, so a memo that hands back the other root fails it by name even
+    where issuer and verifier agree on it."""
+    assert cli.main(["self-test"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["warm_verify_agrees"] is True
+    exact = params.sqrt_mod.__wrapped__
+
+    def odd_root(a, p):
+        y = exact(a, p)
+        return None if y is None else (p - y) % p
+
+    odd_root.__wrapped__ = exact
+    monkeypatch.setattr(params, "sqrt_mod", odd_root)
+    assert cli.main(["self-test"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["warm_verify_agrees"] is False
+    assert checks["hash_on_curve"] is True
+
+
 def test_cli_self_test_checks_keygen_against_g2_mul(monkeypatch, capsys):
     """self-test compares the fixed-seed key's pk with g2_mul of the
     generator, so a key from a bad table fails it by name."""
@@ -577,6 +600,20 @@ def test_hostile_presentation_is_refused_within_budget(name, hostile_presentatio
     finally:
         tracemalloc.stop()
     assert seconds < max_seconds and peak < max_mb, (seconds, peak)
+
+
+def test_widest_verify_serialises_its_policy_once(monkeypatch, hostile_presentations):
+    """Parsing and verifying the widest presentation packs its policy's
+    header once, when the policy is made, not once per claim message."""
+    packs = []
+
+    def pack(fmt, *args):
+        packs.append(fmt)
+        return struct.pack(fmt, *args)
+
+    monkeypatch.setattr(credential, "struct", types.SimpleNamespace(pack=pack, unpack=struct.unpack))
+    assert present(*hostile_presentations["widest_presentation"]) == "ok"
+    assert packs.count(">II") == 1
 
 
 def test_file_cap_admits_the_widest_honest_files(issuer, hostile_presentations, tmp_path):
